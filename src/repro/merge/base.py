@@ -56,6 +56,7 @@ class MergeAlgorithm:
         if not views:
             raise MergeError("a merge algorithm needs at least one view")
         self.views = tuple(views)
+        self._view_set = frozenset(self.views)
         self.name = name
         self._last_rel_id = 0
         self._last_al_id: dict[str, int] = defaultdict(int)
@@ -73,7 +74,7 @@ class MergeAlgorithm:
                 f"REL{update_id} arrived after REL{self._last_rel_id}; the "
                 f"integrator must send RELs in increasing order"
             )
-        unknown = views - set(self.views)
+        unknown = views - self._view_set
         if unknown:
             raise MergeError(f"REL{update_id} names unknown views {sorted(unknown)}")
         self._last_rel_id = update_id

@@ -116,9 +116,8 @@ class PaintingAlgorithm(MergeAlgorithm):
                     return False
         # Line 5: entries batched forward must be applied together with the
         # batch's last row.
-        for view in self.views:
-            state = self.vut.state(row, view)
-            if state > row and not self._gather(state):
+        for state in self.vut.forward_states(row):
+            if not self._gather(state):
                 return False
         return True
 

@@ -121,44 +121,71 @@ class SequentialPolicy(SubmissionPolicy):
 
 
 class DependencySequencedPolicy(SubmissionPolicy):
-    """Delay a transaction only while a dependency is uncommitted."""
+    """Delay a transaction only while a dependency is uncommitted.
+
+    One FIFO *wait line* per view holds the offered-but-uncommitted
+    transactions that update it, in offer order; the head of a line is in
+    flight or the next to go.  A transaction is sent once it heads every
+    line of its view set — i.e. once no earlier uncommitted transaction
+    shares a view with it — so ``offer`` and ``on_commit`` cost
+    O(|VS(WT)|) whatever the backlog.  Transactions are identified by
+    their offer sequence number: batch ids and strided shard ids say
+    nothing about offer order.
+    """
 
     name = "dependency-sequenced"
 
     def __init__(self) -> None:
         super().__init__()
-        self._queue: list[WarehouseTransaction] = []
-        self._uncommitted: dict[int, frozenset[str]] = {}
+        self._offers = 0
+        #: view -> offer numbers of its uncommitted transactions, oldest first
+        self._lines: dict[str, deque[int]] = {}
+        #: offer number -> [lines it does not head yet, transaction]
+        self._held: dict[int, list] = {}
+        #: txn id -> submitted, uncommitted transaction
+        self._in_flight: dict[int, WarehouseTransaction] = {}
 
     def offer(self, txn: WarehouseTransaction) -> None:
-        self._queue.append(txn)
-        self._pump()
+        self._offers += 1
+        blockers = 0
+        for view in txn.view_set:
+            line = self._lines.get(view)
+            if line is None:  # empty lines are dropped, so this one is free
+                self._lines[view] = deque((self._offers,))
+            else:
+                line.append(self._offers)
+                blockers += 1
+        if blockers:
+            self._held[self._offers] = [blockers, txn]
+        else:
+            self._release(txn)
 
     def on_commit(self, txn_id: int) -> None:
-        self._uncommitted.pop(txn_id, None)
-        self._pump()
+        txn = self._in_flight.pop(txn_id, None)
+        if txn is None:
+            return  # unknown, still held, or already released
+        unblocked = []
+        for view in txn.view_set:
+            line = self._lines[view]
+            line.popleft()
+            if not line:
+                del self._lines[view]
+                continue
+            head = line[0]
+            waiter = self._held[head]
+            waiter[0] -= 1
+            if not waiter[0]:
+                unblocked.append(head)
+        for offer in sorted(unblocked):
+            self._release(self._held.pop(offer)[1])
 
-    def _blocked(self, txn: WarehouseTransaction, queued_before: list) -> bool:
-        views = txn.view_set
-        if any(views & vs for vs in self._uncommitted.values()):
-            return True
-        return any(views & earlier.view_set for earlier in queued_before)
-
-    def _pump(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for index, txn in enumerate(self._queue):
-                if not self._blocked(txn, self._queue[:index]):
-                    del self._queue[index]
-                    self._uncommitted[txn.txn_id] = txn.view_set
-                    self._send(WarehouseTransactionMsg(txn))
-                    progressed = True
-                    break
+    def _release(self, txn: WarehouseTransaction) -> None:
+        self._in_flight[txn.txn_id] = txn
+        self._send(WarehouseTransactionMsg(txn))
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        return len(self._held)
 
 
 class DbmsDependencyPolicy(SubmissionPolicy):
@@ -171,14 +198,15 @@ class DbmsDependencyPolicy(SubmissionPolicy):
         self._uncommitted: dict[int, frozenset[str]] = {}
 
     def offer(self, txn: WarehouseTransaction) -> None:
+        view_set = txn.view_set
         deps = tuple(
             sorted(
                 txn_id
                 for txn_id, views in self._uncommitted.items()
-                if views & txn.view_set
+                if views & view_set
             )
         )
-        self._uncommitted[txn.txn_id] = txn.view_set
+        self._uncommitted[txn.txn_id] = view_set
         self._send(WarehouseTransactionMsg(txn, sequenced_after=deps))
 
     def on_commit(self, txn_id: int) -> None:

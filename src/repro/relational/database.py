@@ -98,6 +98,20 @@ class Database:
         snap._frozen = True
         return snap
 
+    def snapshot_after(
+        self, previous: "Database", changed: Iterable[str]
+    ) -> "Database":
+        """An immutable copy of the current state that shares with
+        ``previous`` — a snapshot taken when only the ``changed`` relations
+        differed from now — every other relation, instead of copying it."""
+        snap = Database()
+        snap._schemas = previous._schemas
+        snap._relations = dict(previous._relations)
+        for name in changed:
+            snap._relations[name] = self._relations[name].copy()
+        snap._frozen = True
+        return snap
+
     def state_fingerprint(self) -> int:
         """A hash of the full contents — handy for fast state comparison."""
         return hash(
@@ -127,6 +141,11 @@ class VersionedDatabase:
     Version 0 is the initial state; committing advances the version by one
     and records a snapshot.  ``as_of(v)`` returns the snapshot for version
     ``v``.  Old versions can be pruned once no reader needs them.
+
+    Consecutive snapshots share the relations a commit did not touch, so a
+    commit copies only the relations named in its deltas.  The base state
+    must change through :meth:`commit` only (relations are created before
+    the first one); ``as_of`` relations are read-only.
     """
 
     __slots__ = ("_current", "_versions", "_version", "_pruned_below")
@@ -175,8 +194,13 @@ class VersionedDatabase:
         dry-run copy is needed per commit.
         """
         self._current.apply_deltas(deltas)
+        previous = self._versions.get(self._version)
         self._version += 1
-        self._versions[self._version] = self._current.snapshot()
+        self._versions[self._version] = (
+            self._current.snapshot_after(previous, deltas)
+            if previous is not None
+            else self._current.snapshot()  # the previous version was pruned
+        )
         return self._version
 
     def as_of(self, version: int) -> Database:

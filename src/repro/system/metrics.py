@@ -113,11 +113,13 @@ def staleness_per_update(system: "WarehouseSystem") -> dict[int, float]:
     commit_time = {
         update_id: time for update_id, _txn, time in system.integrator.numbered
     }
+    # The commit log, not the state history: with ``record_history=False``
+    # the history holds the latest state only.
     visible_at: dict[int, float] = {}
-    for state in system.history:
-        for update_id in state.covered_rows:
+    for commit in system.store.commit_log:
+        for update_id in commit.covered_rows:
             if update_id not in visible_at:
-                visible_at[update_id] = state.time
+                visible_at[update_id] = commit.time
     return {
         update_id: visible_at[update_id] - commit_time[update_id]
         for update_id in visible_at

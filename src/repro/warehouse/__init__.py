@@ -14,11 +14,12 @@ what the dependency-aware policies prevent.
 """
 
 from repro.warehouse.txn import WarehouseTransaction
-from repro.warehouse.store import ViewStore, WarehouseState
+from repro.warehouse.store import CommitRecord, ViewStore, WarehouseState
 from repro.warehouse.warehouse import WarehouseProcess
 
 __all__ = [
     "WarehouseTransaction",
+    "CommitRecord",
     "ViewStore",
     "WarehouseState",
     "WarehouseProcess",

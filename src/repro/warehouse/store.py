@@ -5,12 +5,19 @@ appends a :class:`WarehouseState` snapshot after each committed
 transaction — the ``ws_0, ws_1, ..., ws_q`` sequence of §2.3, where each
 state is "a vector with one element for the state of each view".
 The consistency checkers consume this history directly.
+
+Snapshots are structurally shared: a state re-copies only the views its
+transaction updated and points at the previous state's relations for the
+rest, so a commit costs O(|VS(WT)|) copies however many views the
+warehouse holds.  The relations inside a :class:`WarehouseState` are
+therefore **read-only** — mutating one would rewrite every state that
+shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from repro.errors import WarehouseError
 from repro.relational.expressions import ViewDefinition
@@ -37,6 +44,14 @@ class WarehouseState:
             raise WarehouseError(f"state has no view {name!r}") from None
 
 
+class CommitRecord(NamedTuple):
+    """One line of the snapshot-free commit log."""
+
+    txn_id: int
+    time: float
+    covered_rows: tuple[int, ...]
+
+
 class ViewStore:
     """Current view contents plus the committed-state history."""
 
@@ -49,6 +64,7 @@ class ViewStore:
         self._definitions: dict[str, ViewDefinition] = {}
         self._views: dict[str, Relation] = {}
         self._history: list[WarehouseState] = []
+        self._commit_log: list[CommitRecord] = []
         self.record_history = record_history
         for definition in definitions:
             if definition.name in self._definitions:
@@ -99,17 +115,30 @@ class ViewStore:
             for name, saved in undo.items():
                 self._views[name] = saved
             raise
-        return self._record_state(txn.txn_id, time, txn.covered_rows)
+        self._commit_log.append(CommitRecord(txn.txn_id, time, txn.covered_rows))
+        return self._record_state(txn.txn_id, time, txn.covered_rows, undo.keys())
 
     def _record_state(
-        self, txn_id: int, time: float, covered: tuple[int, ...]
+        self,
+        txn_id: int,
+        time: float,
+        covered: tuple[int, ...],
+        touched: Iterable[str] | None = None,
     ) -> WarehouseState:
+        """Snapshot the store; only ``touched`` views can differ from the
+        previous state (``None``: there is none yet, copy every view)."""
+        if touched is None:
+            views = {name: rel.copy() for name, rel in self._views.items()}
+        else:
+            views = dict(self._history[-1].views)
+            for name in touched:
+                views[name] = self._views[name].copy()
         state = WarehouseState(
             index=len(self._history),
             txn_id=txn_id,
             time=time,
             covered_rows=covered,
-            views={name: rel.copy() for name, rel in self._views.items()},
+            views=views,
         )
         if self.record_history or not self._history:
             self._history.append(state)
@@ -122,6 +151,11 @@ class ViewStore:
         return state
 
     # -- history --------------------------------------------------------------
+    @property
+    def commit_log(self) -> tuple[CommitRecord, ...]:
+        """Every commit in order, kept whatever ``record_history`` says."""
+        return tuple(self._commit_log)
+
     @property
     def history(self) -> tuple[WarehouseState, ...]:
         return tuple(self._history)

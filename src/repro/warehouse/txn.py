@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import WarehouseError
 from repro.viewmgr.actions import ActionList
@@ -23,6 +23,9 @@ class WarehouseTransaction:
     merge_name: str
     action_lists: tuple[ActionList, ...]
     covered_rows: tuple[int, ...]
+    # VS(WT), computed once: the submission policies probe it per offer
+    # and per commit, and the action lists never change.
+    _view_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.covered_rows:
@@ -31,6 +34,9 @@ class WarehouseTransaction:
             raise WarehouseError(
                 f"covered rows must be strictly increasing: {self.covered_rows}"
             )
+        object.__setattr__(
+            self, "_view_set", frozenset(al.view for al in self.action_lists)
+        )
 
     @property
     def view_set(self) -> frozenset[str]:
@@ -42,7 +48,7 @@ class WarehouseTransaction:
         transactions — otherwise a no-op could commit out of order and
         leave the reconstructed application schedule inconsistent.
         """
-        return frozenset(al.view for al in self.action_lists)
+        return self._view_set
 
     @property
     def effective_views(self) -> frozenset[str]:
@@ -53,7 +59,7 @@ class WarehouseTransaction:
         """§4.3: ``WT_j`` depends on ``WT_i`` iff j > i and view sets meet."""
         if self.txn_id <= earlier.txn_id:
             return False
-        return bool(self.view_set & earlier.view_set)
+        return not self._view_set.isdisjoint(earlier._view_set)
 
     @property
     def is_batch(self) -> bool:
@@ -62,7 +68,7 @@ class WarehouseTransaction:
 
     def __str__(self) -> str:
         rows = ",".join(str(r) for r in self.covered_rows)
-        views = ",".join(sorted(self.view_set)) or "-"
+        views = ",".join(sorted(self._view_set)) or "-"
         return f"WT{self.txn_id}(rows {{{rows}}} views {{{views}}})"
 
 

@@ -6,12 +6,17 @@ Driven through random legal operation sequences, the table must maintain:
 * a row is purgeable iff no white/red entries remain;
 * ``next_red`` always returns the minimal red row strictly below;
 * ``white_rows_through`` is exactly the white subset at or below a row.
+
+The table stores rows sparsely with a per-column row index; a dense
+dict-of-dicts model (the old layout) is the oracle for every query.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import MergeError
 from repro.merge.vut import Color, ViewUpdateTable
 
 VIEWS = ("V1", "V2", "V3")
@@ -86,3 +91,135 @@ def test_color_lifecycle_and_queries(scenario):
     purged = set(vut.purge_completed())
     assert purged == purgeable
     assert set(vut.row_ids) == {r for r, _ in rows} - purgeable
+
+
+# -- the sparse table against a dense dict-of-dicts model ----------------------
+
+
+class DenseModel:
+    """The table as it used to be stored: one ``[color, state]`` cell per
+    (row, view), every query a scan over all rows in sorted order."""
+
+    def __init__(self, views):
+        self.views = tuple(views)
+        self.rows: dict[int, dict[str, list]] = {}
+
+    def allocate_row(self, row, relevant):
+        self.rows[row] = {
+            v: [Color.WHITE if v in relevant else Color.BLACK, 0] for v in self.views
+        }
+
+    def views_with_color(self, row, color):
+        return tuple(v for v in self.views if self.rows[row][v][0] is color)
+
+    def next_red(self, row, view):
+        later = [r for r in sorted(self.rows)
+                 if r > row and self.rows[r][view][0] is Color.RED]
+        return later[0] if later else 0
+
+    def earlier_red_rows(self, row, view):
+        return tuple(r for r in sorted(self.rows)
+                     if r < row and self.rows[r][view][0] is Color.RED)
+
+    def white_rows_through(self, row, view):
+        return tuple(r for r in sorted(self.rows)
+                     if r <= row and self.rows[r][view][0] is Color.WHITE)
+
+    def purgeable(self, row):
+        return all(c in (Color.BLACK, Color.GRAY) for c, _ in self.rows[row].values())
+
+    def forward_states(self, row):
+        return tuple(s for _, s in self.rows[row].values() if s > row)
+
+    def snapshot(self):
+        return {
+            row: {v: f"({c},{s})" for v, (c, s) in cells.items()}
+            for row, cells in sorted(self.rows.items())
+        }
+
+    def render(self, show_state):
+        lines = ["      " + " ".join(f"{v:>8}" for v in self.views)]
+        for row, cells in sorted(self.rows.items()):
+            texts = [f"({c},{s})" if show_state else str(c) for c, s in cells.values()]
+            lines.append(f"U{row:<5}" + " ".join(f"{t:>8}" for t in texts))
+        return "\n".join(lines)
+
+
+MODEL_VIEWS = ("V1", "V2", "V3", "V4")
+ROW_IDS = st.integers(min_value=1, max_value=12)
+model_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("allocate"), ROW_IDS,
+                  st.frozensets(st.sampled_from(MODEL_VIEWS))),
+        st.tuples(st.just("paint"), ROW_IDS, st.sampled_from(MODEL_VIEWS),
+                  st.sampled_from(list(Color))),
+        st.tuples(st.just("state"), ROW_IDS, st.sampled_from(MODEL_VIEWS),
+                  st.integers(min_value=0, max_value=14)),
+        st.tuples(st.just("purge"), ROW_IDS),
+        st.tuples(st.just("purge_completed")),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def assert_same_answers(vut: ViewUpdateTable, model: DenseModel) -> None:
+    assert vut.row_ids == tuple(sorted(model.rows))
+    assert len(vut) == len(model.rows)
+    assert vut.snapshot() == model.snapshot()
+    assert vut.render() == model.render(False)
+    assert vut.render(show_state=True) == model.render(True)
+    for row in range(0, 14):  # probes need not name an existing row
+        assert (row in vut) == (row in model.rows)
+        for view in MODEL_VIEWS:
+            assert vut.next_red(row, view) == model.next_red(row, view)
+            assert vut.earlier_red_rows(row, view) == model.earlier_red_rows(row, view)
+            assert vut.white_rows_through(row, view) == model.white_rows_through(row, view)
+    for row, cells in model.rows.items():
+        for view, (color, state) in cells.items():
+            assert vut.color(row, view) is color
+            assert vut.state(row, view) == state
+        for color in Color:
+            assert vut.views_with_color(row, color) == model.views_with_color(row, color)
+            assert vut.has_color(row, color) == bool(model.views_with_color(row, color))
+        assert vut.purgeable(row) == model.purgeable(row)
+        assert vut.forward_states(row) == model.forward_states(row)
+
+
+@given(steps=model_steps)
+@settings(max_examples=300, deadline=None)
+def test_sparse_table_matches_dense_model(steps):
+    """Random allocate (any order) / paint (any color, any cell) / state /
+    purge sequences: every query answers as the dense layout did, and the
+    same operations are refused."""
+    vut, model = ViewUpdateTable(MODEL_VIEWS), DenseModel(MODEL_VIEWS)
+    for step in steps:
+        kind, row = step[0], step[1] if len(step) > 1 else None
+        if kind == "allocate":
+            if row in model.rows:
+                with pytest.raises(MergeError):
+                    vut.allocate_row(row, step[2])
+            else:
+                vut.allocate_row(row, step[2])
+                model.allocate_row(row, step[2])
+        elif kind in ("paint", "state"):
+            setter = vut.set_color if kind == "paint" else vut.set_state
+            if row not in model.rows:
+                with pytest.raises(MergeError):
+                    setter(row, step[2], step[3])
+            else:
+                setter(row, step[2], step[3])
+                model.rows[row][step[2]][kind == "state"] = step[3]
+        elif kind == "purge":
+            if row in model.rows and model.purgeable(row):
+                vut.purge(row)
+                del model.rows[row]
+            else:
+                with pytest.raises(MergeError):
+                    vut.purge(row)
+        else:
+            done = tuple(r for r in sorted(model.rows) if model.purgeable(r))
+            assert vut.purge_completed() == done
+            for r in done:
+                del model.rows[r]
+        assert_same_answers(vut, model)

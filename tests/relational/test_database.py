@@ -117,3 +117,87 @@ class TestVersionedDatabase:
         with pytest.raises(SourceError, match="pruned"):
             vdb.as_of(1)
         assert len(vdb.as_of(3).relation("R")) == 3
+
+
+def two_relations() -> VersionedDatabase:
+    vdb = VersionedDatabase()
+    vdb.create_relation("R", Schema(["a"]), [Row(a=0)])
+    vdb.create_relation("S", Schema(["b"]), [Row(b=0)])
+    vdb.create_relation("T", Schema(["c"]))
+    return vdb
+
+
+def db_contents(db: Database) -> dict:
+    return {name: dict(db.relation(name).counts()) for name in db.relation_names}
+
+
+class TestSharedVersions:
+    """A commit re-copies the relations its deltas name and shares the rest."""
+
+    COMMITS = [
+        {"R": Delta.insert(Row(a=1))},
+        {"S": Delta.insert(Row(b=1)), "T": Delta.insert(Row(c=1))},
+        {"R": Delta.delete(Row(a=0))},
+        {"T": Delta()},
+    ]
+
+    def test_untouched_relations_are_shared_touched_ones_copied(self):
+        vdb = two_relations()
+        for deltas in self.COMMITS:
+            previous = vdb.as_of(vdb.version)
+            version = vdb.commit(deltas)
+            snap = vdb.as_of(version)
+            for name in snap.relation_names:
+                if name in deltas:
+                    assert snap.relation(name) is not previous.relation(name)
+                    assert snap.relation(name) is not vdb.relation(name)
+                else:
+                    assert snap.relation(name) is previous.relation(name)
+            # The full-copy oracle.
+            assert snap.same_state_as(vdb.current.snapshot())
+            assert snap.schemas == vdb.schemas
+
+    def test_earlier_versions_do_not_change_after_later_commits(self):
+        vdb = two_relations()
+        frozen = [db_contents(vdb.as_of(0))]
+        for deltas in self.COMMITS:
+            vdb.commit(deltas)
+            frozen.append(db_contents(vdb.current))
+            assert [
+                db_contents(vdb.as_of(v)) for v in range(vdb.version + 1)
+            ] == frozen
+
+    def test_shared_snapshots_stay_frozen(self):
+        vdb = two_relations()
+        vdb.commit(self.COMMITS[0])
+        with pytest.raises(SourceError):
+            vdb.as_of(1).apply_delta("S", Delta.insert(Row(b=5)))
+        with pytest.raises(SourceError):
+            vdb.as_of(1).create_relation("U", Schema(["u"]))
+
+    def test_failed_commit_records_nothing(self):
+        vdb = two_relations()
+        vdb.commit(self.COMMITS[0])
+        before = vdb.as_of(1)
+        with pytest.raises(Exception):
+            vdb.commit({"S": Delta.insert(Row(b=7)), "R": Delta.delete(Row(a=99))})
+        assert vdb.version == 1 and vdb.as_of(1) is before
+        assert db_contents(before) == db_contents(vdb.current)
+
+    def test_commit_after_prune_yields_a_complete_snapshot(self):
+        vdb = two_relations()
+        for deltas in self.COMMITS[:2]:
+            vdb.commit(deltas)
+        vdb.prune_below(3)  # drops every retained version, the newest too
+        assert vdb.retained_versions() == ()
+        version = vdb.commit(self.COMMITS[2])
+        snap = vdb.as_of(version)
+        assert set(snap.relation_names) == {"R", "S", "T"}
+        assert snap.same_state_as(vdb.current.snapshot())
+        assert all(
+            snap.relation(n) is not vdb.relation(n) for n in snap.relation_names
+        )
+        # ... and sharing resumes from it.
+        snap2 = vdb.as_of(vdb.commit(self.COMMITS[3]))
+        assert snap2.relation("R") is snap.relation("R")
+        assert snap2.same_state_as(vdb.current.snapshot())

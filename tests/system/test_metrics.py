@@ -38,6 +38,38 @@ class TestStaleness:
         assert lags[1] == pytest.approx(state_time - 1.0)
 
 
+    def test_history_off_reports_every_update(self):
+        """Regression: staleness used to walk ``store.history``, which holds
+        one state when ``record_history=False`` — a 10-update run reported
+        ``updates_reflected == 1`` and that one update's staleness."""
+
+        def run(record_history):
+            world = paper_world()
+            spec = WorkloadSpec(
+                updates=10, rate=2.0, seed=6, mix=(0.7, 0.15, 0.15),
+                relation_weights={"Q": 0},  # no view reads Q
+            )
+            stream = UpdateStreamGenerator(world, spec).transactions()
+            system = WarehouseSystem(
+                world,
+                paper_views_example1(),
+                SystemConfig(record_history=record_history),
+            )
+            post_stream(system, stream)
+            system.run()
+            return system
+
+        off, on = run(False), run(True)
+        assert len(off.history) == 2 < len(on.history)
+        metrics = off.metrics()
+        assert metrics.updates_committed == metrics.updates_reflected == 10
+        assert staleness_per_update(off) == staleness_per_update(on)
+        reference = on.metrics()
+        for name in ("mean_staleness", "p95_staleness", "max_staleness",
+                     "throughput", "warehouse_transactions"):
+            assert getattr(metrics, name) == getattr(reference, name)
+
+
 class TestPercentile:
     """Pins the linear-interpolation behaviour (regression for the old
     nearest-rank-via-round(), which biased p95 to the max on small samples)."""
