@@ -17,6 +17,8 @@ base state after update ``U_i``, and answers view-manager queries:
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import SourceError
@@ -30,6 +32,9 @@ from repro.sources.update import Update
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
+
+
+_UPDATE_ID = itemgetter(0)  # of an update-log entry
 
 
 class BaseDataService(Process):
@@ -56,7 +61,7 @@ class BaseDataService(Process):
         """Copy the initial base state (``ss_0``) into the replica."""
         for relation in sorted(schemas):
             self._db.create_relation(
-                relation, schemas[relation], iter(initial.relation(relation))
+                relation, schemas[relation], initial.relation(relation)
             )
 
     @property
@@ -132,8 +137,9 @@ class BaseDataService(Process):
         self, after: int, through: int, relations: Iterable[str]
     ) -> tuple[tuple[int, Update], ...]:
         wanted = frozenset(relations)
+        # The log is ascending in update id.
+        start = bisect_right(self._log, after, key=_UPDATE_ID)
+        end = bisect_right(self._log, through, lo=start, key=_UPDATE_ID)
         return tuple(
-            (update_id, update)
-            for update_id, update in self._log
-            if after < update_id <= through and update.relation in wanted
+            entry for entry in self._log[start:end] if entry[1].relation in wanted
         )

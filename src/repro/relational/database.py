@@ -6,15 +6,17 @@ Two classes:
   :class:`~repro.relational.relation.Relation`, with schema registry and
   cheap snapshotting.  Snapshots are themselves (frozen) databases, so the
   algebra evaluator works on either.
-* :class:`VersionedDatabase` — a database that retains a snapshot per
-  committed version.  This is the multiversion capability our simulated
-  sources expose so *complete* view managers can ask for "the state as of
-  update j" (the paper's sources are queried live and compensated instead;
-  both manager styles are implemented in :mod:`repro.viewmgr`).
+* :class:`VersionedDatabase` — a database that logs the deltas of every
+  commit and builds the snapshot of a version when it is first read.  This
+  is the multiversion capability our simulated sources expose so
+  *complete* view managers can ask for "the state as of update j" (the
+  paper's sources are queried live and compensated instead; both manager
+  styles are implemented in :mod:`repro.viewmgr`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping
 
 from repro.errors import SourceError
@@ -136,24 +138,37 @@ class Database:
 
 
 class VersionedDatabase:
-    """A database retaining an immutable snapshot per committed version.
+    """A database that can show any committed version of itself.
 
     Version 0 is the initial state; committing advances the version by one
-    and records a snapshot.  ``as_of(v)`` returns the snapshot for version
-    ``v``.  Old versions can be pruned once no reader needs them.
+    and logs the commit's deltas, nothing else: a commit costs O(|delta|).
+    ``as_of(v)`` builds the immutable snapshot of version ``v`` the first
+    time it is asked for and keeps it.  Old versions can be pruned once no
+    reader needs them.
 
-    Consecutive snapshots share the relations a commit did not touch, so a
-    commit copies only the relations named in its deltas.  The base state
+    A snapshot shares with the nearest earlier snapshot every relation no
+    delta in between names, so reading all versions in order copies, in
+    total, one relation per (commit, named relation).  The base state
     must change through :meth:`commit` only (relations are created before
     the first one); ``as_of`` relations are read-only.
     """
 
-    __slots__ = ("_current", "_versions", "_version", "_pruned_below")
+    __slots__ = (
+        "_current", "_version", "_log", "_log_floor", "_built", "_snapshots",
+        "_pruned_below",
+    )
 
     def __init__(self, initial: Database | None = None) -> None:
         self._current = initial if initial is not None else Database()
         self._version = 0
-        self._versions: dict[int, Database] = {0: self._current.snapshot()}
+        # The deltas of the commits that led from version _log_floor to
+        # the current one, oldest first.
+        self._log: list[Mapping[str, Delta]] = []
+        self._log_floor = 0
+        # The snapshots built so far: ascending versions and, in step,
+        # their states, so the nearest earlier one is a bisect away.
+        self._built: list[int] = []
+        self._snapshots: list[Database] = []
         self._pruned_below = 0
 
     # -- registry passthrough -------------------------------------------------
@@ -166,7 +181,8 @@ class VersionedDatabase:
         if self._version != 0:
             raise SourceError("relations must be created before any commit")
         relation = self._current.create_relation(name, schema, rows)
-        self._versions[0] = self._current.snapshot()
+        self._built.clear()  # a version 0 read before this relation existed
+        self._snapshots.clear()
         return relation
 
     @property
@@ -186,38 +202,74 @@ class VersionedDatabase:
 
     # -- versioned commits ------------------------------------------------------
     def commit(self, deltas: Mapping[str, Delta]) -> int:
-        """Apply ``deltas`` atomically and record a new version.
+        """Apply ``deltas`` atomically and log them as a new version.
 
-        Returns the new version number.  If applying any delta fails, the
-        database is left at the previous version — ``apply_deltas``
-        validates every delta before mutating anything, so no full-state
-        dry-run copy is needed per commit.
+        Returns the new version number.  If any delta cannot be applied,
+        the database is left at the previous version — ``apply_deltas``
+        validates every delta before mutating anything.
         """
         self._current.apply_deltas(deltas)
-        previous = self._versions.get(self._version)
         self._version += 1
-        self._versions[self._version] = (
-            self._current.snapshot_after(previous, deltas)
-            if previous is not None
-            else self._current.snapshot()  # the previous version was pruned
-        )
+        self._log.append(dict(deltas))
         return self._version
 
     def as_of(self, version: int) -> Database:
         """The snapshot at ``version`` (0 = initial state)."""
-        if version in self._versions:
-            return self._versions[version]
+        at = bisect_left(self._built, version)
+        if at < len(self._built) and self._built[at] == version:
+            return self._snapshots[at]
         if version < self._pruned_below:
             raise SourceError(f"version {version} has been pruned")
-        raise SourceError(
-            f"no version {version} (current version is {self._version})"
-        )
+        if not 0 <= version <= self._version:
+            raise SourceError(
+                f"no version {version} (current version is {self._version})"
+            )
+        replay: list[tuple[str, Delta]] = []
+        if at:
+            base = self._snapshots[at - 1]
+            between = self._logged(self._built[at - 1], version)
+            changed = {name for deltas in between for name in deltas}
+            # Every relation no delta in between names is the base's own;
+            # a named one is copied once, from the live state when that is
+            # the version asked for, else from the base and rolled forward.
+            if version == self._version:
+                snap = self._current.snapshot_after(base, changed)
+            else:
+                snap = base.snapshot_after(base, changed)
+                replay = [item for deltas in between for item in deltas.items()]
+        else:
+            # Nothing earlier survives: undo the later commits on a copy
+            # of the live state.
+            snap = self._current.snapshot()
+            replay = [
+                (name, delta.negated())
+                for deltas in reversed(self._logged(version, self._version))
+                for name, delta in deltas.items()
+            ]
+        for name, delta in replay:
+            delta._apply_unchecked(snap._relations[name])
+        self._built.insert(at, version)
+        self._snapshots.insert(at, snap)
+        return snap
+
+    def _logged(self, after: int, through: int) -> list[Mapping[str, Delta]]:
+        """The deltas of the commits that led from ``after`` to ``through``."""
+        return self._log[after - self._log_floor:through - self._log_floor]
 
     def prune_below(self, version: int) -> None:
-        """Drop snapshots strictly older than ``version``."""
-        for v in [v for v in self._versions if v < version]:
-            del self._versions[v]
-        self._pruned_below = max(self._pruned_below, version)
+        """Forget every version strictly older than ``version``."""
+        if version <= self._pruned_below:
+            return
+        if version <= self._version:
+            self.as_of(version)  # later versions are built from this one
+        keep = bisect_left(self._built, version)
+        del self._built[:keep]
+        del self._snapshots[:keep]
+        dropped = min(version, self._version) - self._log_floor
+        del self._log[:dropped]
+        self._log_floor += dropped
+        self._pruned_below = version
 
     def retained_versions(self) -> tuple[int, ...]:
-        return tuple(sorted(self._versions))
+        """The versions ``as_of`` can still show."""
+        return tuple(range(self._pruned_below, self._version + 1))

@@ -138,14 +138,21 @@ class Delta:
         return Delta({row: -c for row, c in self._counts.items()})
 
     def check_applicable(self, relation: Relation) -> None:
-        """Raise :class:`RelationError` if applying would underflow.
+        """Raise unless the whole delta can be applied: :class:`RelationError`
+        on underflow, :class:`~repro.errors.SchemaError` for an inserted row
+        that does not fit the relation's schema.
 
         Split out from :meth:`apply_to` so multi-relation appliers (e.g.
         ``Database.apply_deltas``) can validate every delta before
-        mutating anything, instead of dry-running on a full copy.
+        mutating anything, instead of dry-running on a full copy.  Nothing
+        else can fail, so an applied delta is all or nothing — which is
+        what lets ``ViewStore.apply`` undo a failed transaction with
+        :meth:`negated` deltas instead of a pre-copy.
         """
         for row, count in self._counts.items():
-            if count < 0 and relation.multiplicity(row) < -count:
+            if count > 0:
+                relation._check(row)
+            elif relation.multiplicity(row) < -count:
                 raise RelationError(
                     f"delta deletes {-count} copies of {row} but relation "
                     f"holds {relation.multiplicity(row)}"
@@ -169,7 +176,7 @@ class Delta:
                 relation.delete(row, -count)
         for row, count in self._counts.items():
             if count > 0:
-                relation.insert(row, count)
+                relation._add(row, count)
 
 
 def empty_delta() -> Delta:

@@ -39,8 +39,7 @@ class Relation:
         self._size = 0
         self._indexes: dict[tuple[str, ...], HashIndex] = {}
         self._store: ColumnarRelation | None = None
-        for row in rows:
-            self.insert(row)
+        self._fill(rows)
 
     # -- construction helpers --------------------------------------------
     @classmethod
@@ -183,6 +182,12 @@ class Relation:
             raise RelationError(f"insert count must be positive, got {count}")
         row = self._coerce(row)
         self._check(row)
+        self._add(row, count)
+
+    def _add(self, row: Row, count: int) -> None:
+        """``insert`` minus the checks, for a row already known to fit —
+        ``Delta.check_applicable`` validated it, or it came out of a
+        relation with this schema."""
         self._counts[row] = self._counts.get(row, 0) + count
         self._size += count
         if self._indexes:
@@ -236,5 +241,20 @@ class Relation:
     def replace_all(self, rows: Iterable[Row]) -> None:
         """Replace the entire contents (periodic-refresh semantics)."""
         self.clear()
-        for row in rows:
-            self.insert(row)
+        self._fill(rows)
+
+    def _fill(self, rows: Iterable[Row | Mapping[str, object]]) -> None:
+        """Load ``rows`` into this (empty) relation.
+
+        A :class:`Relation` carrying an equal schema has validated every
+        row already, so its counts are adopted in one dict copy; anything
+        else is inserted, and so validated, row by row.
+        """
+        if isinstance(rows, Relation) and (
+            self._schema is None or rows._schema == self._schema
+        ):
+            self._counts = dict(rows._counts)
+            self._size = rows._size
+        else:
+            for row in rows:
+                self.insert(row)

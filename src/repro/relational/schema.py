@@ -75,7 +75,7 @@ class Schema:
     Schemas are immutable and hashable so they can be compared and cached.
     """
 
-    __slots__ = ("_attributes", "_by_name", "_hash")
+    __slots__ = ("_attributes", "_names", "_by_name", "_hash")
 
     def __init__(self, attributes: Iterable[Attribute | str]) -> None:
         attrs: list[Attribute] = []
@@ -89,6 +89,7 @@ class Schema:
         if not attrs:
             raise SchemaError("a schema must have at least one attribute")
         object.__setattr__(self, "_attributes", tuple(attrs))
+        object.__setattr__(self, "_names", tuple(names))
         object.__setattr__(self, "_by_name", {a.name: a for a in attrs})
         object.__setattr__(self, "_hash", hash(tuple(attrs)))
 
@@ -98,7 +99,7 @@ class Schema:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self._attributes)
+        return self._names
 
     def __contains__(self, name: object) -> bool:
         return name in self._by_name

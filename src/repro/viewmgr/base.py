@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from time import perf_counter_ns
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.errors import ViewManagerError
 from repro.messages import (
@@ -187,13 +187,12 @@ class ViewManager(Process):
         """Install local base-relation replicas from the initial source state."""
         replica = Database()
         for relation in sorted(self.definition.base_relations()):
-            schema = self.base_schemas[relation]
-            rows = (
-                row
-                for row in initial.relation(relation)
-                if self._row_admissible(relation, row)
-            )
-            replica.create_relation(relation, schema, rows)
+            rows: Iterable[Row] = initial.relation(relation)
+            if self._replica_filters.get(relation) is not None:
+                rows = (
+                    row for row in rows if self._row_admissible(relation, row)
+                )
+            replica.create_relation(relation, self.base_schemas[relation], rows)
         self._replica = replica
         # Cached mode processes every batch against this one stable
         # database, so maintenance can run through a compiled indexed
@@ -243,7 +242,7 @@ class ViewManager(Process):
             scratch.create_relation(
                 relation,
                 self.base_schemas[relation],
-                iter(initial.relation(relation)),
+                initial.relation(relation),
             )
         contents = evaluate(self.definition.expression, scratch)
         if self._cache is not None:

@@ -126,6 +126,24 @@ class TestQueries:
         response = client.responses[0][1]
         assert [u for u, _up in response.undo_updates] == [2, 3]
 
+    def test_undo_window_equals_a_scan_of_the_whole_log(self):
+        """Multi-update transactions, several relations, every window."""
+        service = BaseDataService(Simulator())
+        service._log = [
+            (update_id, Update.insert(relation, {"A": update_id}))
+            for update_id in range(1, 9)
+            for relation in ("R", "S", "R")[: 1 + update_id % 3]
+        ]
+        for after in range(0, 10):
+            for through in range(0, 10):
+                for wanted in ({"R"}, {"S"}, {"R", "S"}, set()):
+                    assert service._undo_since(after, through, wanted) == tuple(
+                        (update_id, update)
+                        for update_id, update in service._log
+                        if after < update_id <= through
+                        and update.relation in wanted
+                    )
+
     def test_query_cost_delays_response(self, rig):
         sim, service, client, driver = rig
         service.per_query_cost = 4.0

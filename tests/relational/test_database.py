@@ -1,10 +1,13 @@
 """Tests for database states and versioning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import SourceError
+from repro.errors import SchemaError, SourceError
 from repro.relational.database import Database, VersionedDatabase
 from repro.relational.delta import Delta
+from repro.relational.relation import Relation
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
 
@@ -31,6 +34,18 @@ class TestDatabase:
         db.create_relation("R", Schema(["a"]))
         db.apply_deltas({"R": Delta.insert(Row(a=1))})
         assert Row(a=1) in db.relation("R")
+
+    def test_a_row_that_does_not_fit_fails_before_anything_changes(self):
+        vdb = two_relations()
+        bad = {
+            "R": Delta({Row(a=0): -1, Row(a=5): 1}),
+            "S": Delta({Row(b=0): -1, Row(b=1): 1, Row(zzz=1): 1}),
+        }
+        with pytest.raises(SchemaError):
+            vdb.commit(bad)
+        assert vdb.version == 0
+        assert db_contents(vdb.current) == db_contents(vdb.as_of(0))
+        assert db_contents(vdb.current)["S"] == {Row(b=0): 1}
 
     def test_snapshot_is_frozen(self):
         db = Database()
@@ -201,3 +216,132 @@ class TestSharedVersions:
         snap2 = vdb.as_of(vdb.commit(self.COMMITS[3]))
         assert snap2.relation("R") is snap.relation("R")
         assert snap2.same_state_as(vdb.current.snapshot())
+
+
+class EagerOracle:
+    """The deleted eager path: a full copy of every relation per commit,
+    plus which versions ``as_of`` has built (to predict what is shared)."""
+
+    def __init__(self, vdb: VersionedDatabase) -> None:
+        self.vdb = vdb
+        self.contents = [db_contents(vdb.current)]
+        self.deltas: list[dict] = [{}]  # deltas[v] led to version v
+        self.built: dict[int, Database] = {}
+        self.floor = 0
+
+    def commit(self, deltas: dict) -> None:
+        self.vdb.commit(deltas)
+        self.contents.append(db_contents(self.vdb.current))
+        self.deltas.append(deltas)
+
+    def read(self, version: int) -> None:
+        if version < self.floor:
+            with pytest.raises(SourceError, match="pruned"):
+                self.vdb.as_of(version)
+            return
+        snap = self.vdb.as_of(version)
+        assert db_contents(snap) == self.contents[version]
+        assert snap.schemas == self.vdb.schemas
+        if version in self.built:
+            assert snap is self.built[version]
+            return
+        live = self.vdb.current
+        earlier = [v for v in self.built if v < version]
+        if earlier:
+            base = self.built[max(earlier)]
+            named = {
+                n for d in self.deltas[max(earlier) + 1:version + 1] for n in d
+            }
+            for name in snap.relation_names:
+                if name in named:
+                    assert snap.relation(name) is not base.relation(name)
+                else:
+                    assert snap.relation(name) is base.relation(name)
+        assert all(
+            snap.relation(n) is not live.relation(n) for n in snap.relation_names
+        )
+        self.built[version] = snap
+
+    def prune(self, floor: int) -> None:
+        self.vdb.prune_below(floor)
+        self.floor = max(self.floor, floor)
+        self.built = {v: s for v, s in self.built.items() if v >= self.floor}
+        if self.floor <= self.vdb.version:
+            # The floor was built by the prune: later versions start there.
+            self.built.setdefault(self.floor, self.vdb.as_of(self.floor))
+
+    def check(self) -> None:
+        """No snapshot, however late it was built, changes afterwards."""
+        for version, snap in self.built.items():
+            assert db_contents(snap) == self.contents[version]
+        assert self.vdb.retained_versions() == tuple(
+            range(self.floor, self.vdb.version + 1)
+        )
+
+
+@st.composite
+def version_scripts(draw):
+    return draw(st.lists(
+        st.tuples(
+            st.sampled_from(["commit", "commit", "read", "read", "prune"]),
+            st.integers(0, 10_000),
+            st.lists(st.tuples(st.sampled_from("RST"), st.integers(-3, 3)),
+                     max_size=3),
+        ),
+        max_size=30,
+    ))
+
+
+@given(script=version_scripts())
+@settings(max_examples=150, deadline=None)
+def test_any_interleaving_of_commit_prune_and_read_matches_eager_copies(script):
+    oracle = EagerOracle(two_relations())
+    attr = {"R": "a", "S": "b", "T": "c"}
+    for op, number, changes in script:
+        version = oracle.vdb.version
+        if op == "commit":
+            deltas = {}
+            for name, value in changes:
+                # value < 0 deletes a row when one is there, 0 names the
+                # relation with an empty delta, > 0 inserts.
+                present = sorted(oracle.contents[-1][name])
+                if value > 0:
+                    delta = Delta.insert(Row(**{attr[name]: value}))
+                elif value < 0 and present and name not in deltas:
+                    delta = Delta.delete(present[number % len(present)])
+                else:
+                    delta = Delta()
+                deltas[name] = deltas.get(name, Delta()).combined(delta)
+            oracle.commit(deltas)
+        elif op == "read":
+            oracle.read(number % (version + 1))
+        else:
+            oracle.prune(number % (version + 3))
+        oracle.check()
+    for version in range(oracle.vdb.version, -1, -1):  # newest first
+        oracle.read(version)
+    oracle.check()
+
+
+def test_version_zero_is_not_recopied_per_created_relation(monkeypatch):
+    copies = []
+    original = Relation.copy
+    monkeypatch.setattr(
+        Relation, "copy", lambda self: copies.append(self) or original(self)
+    )
+    vdb = two_relations()
+    for deltas in TestSharedVersions.COMMITS:
+        vdb.commit(deltas)
+    assert copies == []  # neither set-up nor a commit copies a relation
+    assert db_contents(vdb.as_of(0)) == {
+        "R": {Row(a=0): 1}, "S": {Row(b=0): 1}, "T": {}
+    }
+    assert len(copies) == 3  # the live state, rolled back through the log
+
+
+def test_version_zero_read_early_is_rebuilt_after_a_later_create():
+    vdb = VersionedDatabase()
+    vdb.create_relation("R", Schema(["a"]), [Row(a=0)])
+    assert vdb.as_of(0).relation_names == ("R",)
+    vdb.create_relation("S", Schema(["b"]))
+    assert vdb.as_of(0).relation_names == ("R", "S")

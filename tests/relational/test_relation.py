@@ -5,7 +5,7 @@ import pytest
 from repro.errors import RelationError, SchemaError
 from repro.relational.relation import Relation
 from repro.relational.rows import Row
-from repro.relational.schema import Schema
+from repro.relational.schema import Attribute, AttrType, Schema
 
 
 @pytest.fixture
@@ -131,3 +131,44 @@ class TestReplaceAll:
         rel = Relation(rows=[Row(a=1)])
         rel.clear()
         assert not rel
+
+
+class TestSeedingFromARelation:
+    """A relation with an equal schema is adopted; anything else is validated."""
+
+    SCHEMA = Schema(["a", Attribute("b", AttrType.STR)])
+    ROWS = [Row(a=1, b="x"), Row(a=1, b="x"), Row(a=2, b="y")]
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        seen = []
+        original = Schema.validate
+        monkeypatch.setattr(
+            Schema, "validate",
+            lambda self, values: seen.append(values) or original(self, values),
+        )
+        return seen
+
+    def test_equal_schema_is_adopted_without_revalidation(self, validations):
+        source = Relation(self.SCHEMA, self.ROWS)
+        del validations[:]
+        twin = Relation(Schema(["a", Attribute("b", AttrType.STR)]), source)
+        target = Relation(self.SCHEMA, [Row(a=9, b="z")])
+        index = target.index_on(["a"])
+        del validations[:]
+        target.replace_all(source)
+        assert validations == []
+        assert twin == source == target and len(target) == 3
+        assert target.index_on(["a"]) is not index  # rebuilt, as after clear()
+        source.insert(Row(a=3, b="w"))  # independent copies
+        assert len(twin) == len(target) == 3
+
+    def test_other_schema_or_none_is_validated_row_by_row(self, validations):
+        untyped = Relation(rows=self.ROWS)
+        assert Relation(self.SCHEMA, untyped) == untyped
+        assert len(validations) == 3
+        other = Relation(Schema(["a", "b"]), [Row(a=1, b=2)])
+        with pytest.raises(SchemaError):
+            Relation(self.SCHEMA, other)
+        with pytest.raises(SchemaError):
+            Relation(self.SCHEMA, [Row(a=1, b="x")]).replace_all(other)

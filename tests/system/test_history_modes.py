@@ -52,3 +52,57 @@ def test_history_off_current_state_still_advances():
     system.run()
     assert system.store.current_state.txn_id != -1
     assert len(system.store.view("V1")) == 1
+
+
+def _star_run(monkeypatch, record_history):
+    """A drained star-schema system and the log of whole-relation copies
+    (``Relation.copy`` / ``Database.snapshot`` calls) made after its build."""
+    from repro.relational.database import Database
+    from repro.relational.relation import Relation
+    from repro.workloads import star_views, star_world
+
+    world = star_world(products=8, stores=4)
+    spec = WorkloadSpec(updates=60, rate=0.5, seed=5, arrivals="uniform")
+    stream = UpdateStreamGenerator(world, spec).transactions()
+    system = WarehouseSystem(
+        world, star_views(selective=True, aggregates=True),
+        SystemConfig(record_history=record_history, seed=5),
+    )
+    copies = []
+    for owner, attr in ((Relation, "copy"), (Database, "snapshot")):
+        original = getattr(owner, attr)
+
+        def counted(self, _original=original, _attr=attr):
+            copies.append(_attr)
+            return _original(self)
+
+        monkeypatch.setattr(owner, attr, counted)
+    post_stream(system, stream)
+    system.run()
+    assert system.warehouse.commits > 0 and world.version == 60
+    return system, copies
+
+
+def test_history_off_drain_copies_no_relation(monkeypatch):
+    system, copies = _star_run(monkeypatch, record_history=False)
+    assert copies == []
+    state = system.store.current_state
+    assert state.index == system.warehouse.commits
+    indexes = [e.detail["state_index"] for e in system.sim.trace.of_kind("wh_commit")]
+    assert indexes == list(range(1, len(indexes) + 1))  # the commit ordinal
+    # Reading the latest state is what copies, and only then.
+    assert state.view("SaleDetail") == system.store.view("SaleDetail")
+    assert copies
+
+
+def test_history_on_copies_nothing_until_the_history_is_read(monkeypatch):
+    system, copies = _star_run(monkeypatch, record_history=True)
+    assert copies == []
+    assert len(system.history) == system.warehouse.commits + 1
+    assert copies == []  # the sequence itself is not a read
+    system.history[3].views
+    after_one_state = len(copies)
+    assert after_one_state > 0
+    system.world.state_sequence()
+    assert len(copies) > after_one_state
+    assert system.check_mvc("auto").ok
