@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random as _random
 import threading as _threading
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 #: sentinel: "use the registry's default histogram bound"
 _DEFAULT_BOUND = object()
@@ -112,6 +112,13 @@ class Counter(Metric):
         if amount < 0:
             raise ValueError(f"counter {self.key} cannot decrease by {amount}")
         self._value += amount
+
+    def advance_to(self, total: float) -> None:
+        """Publish the absolute total of a sum kept elsewhere (handing over
+        float differences would change its low bits).  For publishers."""
+        if total < self._value:
+            raise ValueError(f"counter {self.key} cannot fall back to {total}")
+        self._value = float(total)
 
     @property
     def value(self) -> float:
@@ -357,7 +364,8 @@ class MetricsRegistry:
     instrument updates sit on the simulation hot path.
     """
 
-    __slots__ = ("_metrics", "_locked", "_lock", "origin", "_histogram_bound")
+    __slots__ = ("_metrics", "_locked", "_lock", "origin", "_histogram_bound",
+                 "_publishers")
 
     def __init__(
         self,
@@ -372,6 +380,30 @@ class MetricsRegistry:
         self.origin = origin
         #: default reservoir bound for histograms (None = exact storage)
         self._histogram_bound = histogram_bound
+        self._publishers: list[Callable[[], None]] = []
+
+    def on_read(self, publish: Callable[[], None]) -> Callable[[], None]:
+        """Run ``publish()`` before every query answers.
+
+        A publisher hands statistics its owner keeps in plain attributes to
+        instruments it has already bound.  With ``locked=True`` it runs under
+        the registry lock, so it must not call back into the registry.
+        Returns the publisher as the registry runs it, for an owner that
+        must publish early (a full buffer).
+        """
+        if self._lock is not None:
+            lock, unlocked = self._lock, publish
+
+            def publish() -> None:
+                with lock:
+                    unlocked()
+
+        self._publishers.append(publish)
+        return publish
+
+    def _publish(self) -> None:
+        for publish in self._publishers:
+            publish()
 
     @staticmethod
     def _label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
@@ -420,6 +452,7 @@ class MetricsRegistry:
 
     # -- queries -----------------------------------------------------------
     def __iter__(self) -> Iterator[Metric]:
+        self._publish()
         return iter(self._metrics.values())
 
     def __len__(self) -> int:
@@ -427,10 +460,12 @@ class MetricsRegistry:
 
     def get(self, name: str, **labels: str) -> Metric | None:
         """The instrument with this exact identity, or None."""
+        self._publish()
         return self._metrics.get((name, self._label_key(labels)))
 
     def family(self, name: str) -> list[Metric]:
         """Every instrument sharing ``name``, across all label sets."""
+        self._publish()
         return [m for (n, _), m in sorted(self._metrics.items()) if n == name]
 
     def value(self, name: str, default: float = 0.0, **labels: str) -> float:
@@ -442,6 +477,7 @@ class MetricsRegistry:
 
     def to_dict(self) -> dict[str, dict]:
         """Flat JSON-serialisable dump: ``{flat_key: summary}``."""
+        self._publish()
         return {
             metric.key: metric.summary()
             for _, metric in sorted(self._metrics.items())
@@ -449,6 +485,7 @@ class MetricsRegistry:
 
     def format(self, prefix: str = "") -> str:
         """Plain-text dump (optionally restricted to a name prefix)."""
+        self._publish()
         lines = []
         for _, metric in sorted(self._metrics.items()):
             if prefix and not metric.name.startswith(prefix):

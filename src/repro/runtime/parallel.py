@@ -147,8 +147,8 @@ class ParallelKernel:
         self._mailbox_capacity = mailbox_capacity
         self._timeout = timeout
         self._sequence = itertools.count()
-        # (virtual time, seq, bound callback, home key) staged before run()
-        self._staged: list[tuple[float, int, Callable[[], None], object]] = []
+        # (virtual time, seq, (callback, args), home key) staged before run()
+        self._staged: list[tuple[float, int, tuple, object]] = []
         self._homes: dict[int, int] = {}
         self._next_home = 0
         self._mailboxes: list[Mailbox] = []
@@ -253,7 +253,7 @@ class ParallelKernel:
     def _submit(
         self, when: float, callback: Callable[..., None], args: tuple
     ) -> None:
-        bound = (lambda: callback(*args)) if args else callback
+        event = (callback, args)
         key = self._home_key(callback)
         with self._lock:
             if self._failure is not None:
@@ -261,11 +261,11 @@ class ParallelKernel:
             seq = next(self._sequence)
             self._pending += 1
             if not self._running:
-                self._staged.append((when, seq, bound, key))
+                self._staged.append((when, seq, event, key))
                 return
             index = self._worker_index(key)
         try:
-            self._mailboxes[index].put(bound, timeout=self._timeout)
+            self._mailboxes[index].put(event, timeout=self._timeout)
         except SimulationError:
             with self._lock:
                 self._pending -= 1
@@ -280,7 +280,8 @@ class ParallelKernel:
             failed = False
             try:
                 if self._failure is None:  # after a failure: drain, don't run
-                    item()  # type: ignore[operator]
+                    callback, args = item  # type: ignore[misc]
+                    callback(*args)
             except BaseException as exc:  # noqa: BLE001 - reported by run()
                 failed = True
                 failure = exc
@@ -349,10 +350,10 @@ class ParallelKernel:
             # Inject the pre-run workload in (virtual time, post order):
             # each source's transactions reach its home worker in workload
             # order, so per-source FIFO survives the clock swap.
-            for _when, _seq, bound, key in staged:
+            for _when, _seq, event, key in staged:
                 with self._lock:
                     index = self._worker_index(key)
-                self._mailboxes[index].put(bound, timeout=self._timeout)
+                self._mailboxes[index].put(event, timeout=self._timeout)
 
             deadline = (
                 None if self._timeout is None else time.monotonic() + self._timeout

@@ -47,7 +47,8 @@ class Simulator:
 
     def __init__(self, seed: int = 0, scheduler: Scheduler | None = None) -> None:
         self._now = 0.0
-        self._queue: list[tuple[float, float, int, Callable[[], None]]] = []
+        # (time, tie_break, seq, callback, args)
+        self._queue: list[tuple[float, float, int, Callable[..., None], tuple]] = []
         self._sequence = itertools.count()
         self._running = False
         self._events_executed = 0
@@ -55,16 +56,16 @@ class Simulator:
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.scheduler.reset()
         # Hot-loop fast path: the default scheduler maps every event to
-        # ``(time, 0.0)`` and laneless events never touch the lane marks,
-        # so both the adjust() call and the clamp bookkeeping can be
-        # skipped for them.  Only the exact default class qualifies — any
-        # subclass may carry per-event state (e.g. RandomScheduler's
-        # internal counter) and must see every event.
+        # ``(time, 0.0)``, so the adjust() call is skipped and an ordered
+        # lane's clamp is one float compare.  Only the exact default class
+        # qualifies — any subclass may carry per-event state (e.g.
+        # RandomScheduler's internal counter) and must see every event.
         self._default_scheduler = type(self.scheduler) is Scheduler
         # Per-lane high-water marks enforcing causal order under any
         # scheduler: an ordered lane's (time, tie_break) keys never
         # decrease, so same-channel deliveries keep their send order.
-        self._lane_marks: dict[object, tuple[float, float]] = {}
+        # On the fast path every tie-break is 0.0 and a mark is a bare time.
+        self._lane_marks: dict[object, tuple[float, float] | float] = {}
         self.trace = Trace()
         self.metrics = MetricsRegistry(origin="des")
         # Post-event probes (the freshness monitor): called after every
@@ -134,22 +135,29 @@ class Simulator:
         lane: object,
         ordered: bool,
     ) -> None:
-        bound = (lambda: callback(*args)) if args else callback
-        if lane is None and self._default_scheduler:
-            heapq.heappush(self._queue, (time, 0.0, next(self._sequence), bound))
-            return
-        when, tie_break = self.scheduler.adjust(time, lane)
-        if when < time:
-            raise SimulationError(
-                f"{type(self.scheduler).__name__} moved an event earlier "
-                f"({time} -> {when}); schedulers may only delay"
-            )
-        if lane is not None and ordered:
+        tie_break = 0.0
+        if not self._default_scheduler:
+            when, tie_break = self.scheduler.adjust(time, lane)
+            if when < time:
+                raise SimulationError(
+                    f"{type(self.scheduler).__name__} moved an event earlier "
+                    f"({time} -> {when}); schedulers may only delay"
+                )
+            if lane is not None and ordered:
+                mark = self._lane_marks.get(lane)
+                if mark is not None and (when, tie_break) < mark:
+                    when, tie_break = mark
+                self._lane_marks[lane] = (when, tie_break)
+            time = when
+        elif lane is not None and ordered:
             mark = self._lane_marks.get(lane)
-            if mark is not None and (when, tie_break) < mark:
-                when, tie_break = mark
-            self._lane_marks[lane] = (when, tie_break)
-        heapq.heappush(self._queue, (when, tie_break, next(self._sequence), bound))
+            if mark is not None and time < mark:
+                time = mark
+            else:
+                self._lane_marks[lane] = time
+        heapq.heappush(
+            self._queue, (time, tie_break, next(self._sequence), callback, args)
+        )
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Execute events until the queue drains (or a bound is hit).
@@ -165,15 +173,15 @@ class Simulator:
         hit_event_cap = False
         try:
             while self._queue:
-                time, _tie, _seq, callback = self._queue[0]
+                time = self._queue[0][0]
                 if until is not None and time > until:
                     break
                 if max_events is not None and executed >= max_events:
                     hit_event_cap = True
                     break
-                heapq.heappop(self._queue)
+                _time, _tie, _seq, callback, args = heapq.heappop(self._queue)
                 self._now = time
-                callback()
+                callback(*args)
                 executed += 1
                 self._events_executed += 1
                 if self._probes:

@@ -113,10 +113,18 @@ class Channel:
         self.messages_sent = 0
         # Registry mirror: per-(src, dst) traffic counters.  The plain
         # attributes above stay the per-channel exact counts; the registry
-        # aggregates across channels sharing an endpoint pair.
+        # aggregates across channels sharing an endpoint pair, so _publish
+        # adds what was sent since it last ran (whole numbers add exactly).
         self._m_sent = sim.metrics.counter(
             "chan_messages_sent", src=source.name, dst=destination.name
         )
+        self._sent_published = 0
+        sim.metrics.on_read(self._publish)
+
+    def _publish(self) -> None:
+        sent = self.messages_sent
+        self._m_sent.inc(sent - self._sent_published)
+        self._sent_published = sent
 
     def send(self, message: object) -> float:
         """Queue ``message`` for delivery; returns the delivery time.
@@ -129,7 +137,6 @@ class Channel:
         deliver_at = max(now + delay, self._last_delivery)
         self._last_delivery = deliver_at
         self.messages_sent += 1
-        self._m_sent.inc()
         self._sim.trace.record(
             now,
             "msg_send",
@@ -248,7 +255,6 @@ class LossyChannel(Channel):
     def send(self, message: object) -> float:
         """Transmit once; returns the primary arrival time (``now`` if dropped)."""
         self.messages_sent += 1
-        self._m_sent.inc()
         self._sim.trace.record(
             self._sim.now,
             "msg_send",
@@ -339,7 +345,6 @@ class ReliableChannel(LossyChannel):
         self._unacked[seq] = message
         self._attempts[seq] = 0
         self.messages_sent += 1
-        self._m_sent.inc()
         self._sim.trace.record(
             self._sim.now,
             "msg_send",

@@ -11,7 +11,9 @@ statistics recorded here are what the benchmarks report.
 Instrumentation: every process registers its load statistics as typed
 instruments in the simulator's :class:`~repro.obs.registry.MetricsRegistry`
 (counters for messages/busy time/losses/crashes, a queue-length gauge, and
-queue-wait / service-time histograms), and emits one ``proc_msg`` trace
+queue-wait / service-time histograms); the per-message path only updates
+plain attributes, which :meth:`Process._publish` hands to the instruments
+whenever the registry is read.  Every process also emits one ``proc_msg`` trace
 event per handled message carrying the message's causal identifiers (see
 :func:`repro.messages.lineage_keys`) plus its queue-wait and service-time
 split.  ``proc_msg`` is what lets :class:`repro.obs.lineage.Lineage`
@@ -55,9 +57,17 @@ class Process:
         self._crashed = False
         self._epoch = 0
         self._incoming: list[Channel] = []
-        # statistics — registry-backed instruments; the classic attribute
-        # names (messages_handled, busy_time, ...) remain as read-only
-        # properties so existing callers and tests keep working.
+        # Load statistics, written only by the thread that runs this
+        # process's events and handed to the instruments by _publish.
+        self.messages_handled = 0
+        self.busy_time = 0.0
+        self.messages_lost = 0
+        self.crashes = 0
+        self.max_queue_length = 0
+        self._min_queue = 1  # the first arrival's depth; a crash's is 0
+        self._queue_area = 0.0  # integral of queue length over time
+        self._last_stat_time = 0.0
+        self._observed: list[float] = []  # wait, service, wait, service, ...
         metrics = sim.metrics
         self._m_handled = metrics.counter("proc_messages_handled", process=name)
         self._m_busy = metrics.counter("proc_busy_time", process=name)
@@ -66,8 +76,10 @@ class Process:
         self._g_queue = metrics.gauge("proc_queue_length", process=name)
         self._h_wait = metrics.histogram("proc_queue_wait", process=name)
         self._h_service = metrics.histogram("proc_service_time", process=name)
-        self._queue_area = 0.0  # integral of queue length over time
-        self._last_stat_time = 0.0
+        # The owner publishes once it holds this many observations: memory
+        # stays bounded on a wall-clock run that nobody reads.
+        self._flush_at = 2 * (self._h_wait.bound or 4096)
+        self._flush = metrics.on_read(self._publish)
 
     # -- wiring ------------------------------------------------------------
     def connect(
@@ -129,16 +141,20 @@ class Process:
                 "msg_lost", sender=sender.name, message=type(message).__name__
             )
             return
-        self._account_queue()
         now = self.sim.now
-        self._inbox.append((message, sender, on_processed, now))
-        self._g_queue.set(len(self._inbox), at=now)
+        inbox = self._inbox
+        self._queue_area += len(inbox) * (now - self._last_stat_time)
+        self._last_stat_time = now
+        inbox.append((message, sender, on_processed, now))
+        depth = len(inbox)
+        if depth > self.max_queue_length:
+            self.max_queue_length = depth
         if not self._busy:
             self._start_next()
 
     def count_lost(self, n: int = 1) -> None:
         """Record ``n`` messages lost to a crash (volatile-state discard)."""
-        self._m_lost.inc(n)
+        self.messages_lost += n
 
     def _account_queue(self) -> None:
         now = self.sim.now
@@ -146,8 +162,6 @@ class Process:
         self._last_stat_time = now
 
     def _start_next(self) -> None:
-        if not self._inbox:
-            return
         self._busy = True
         message, sender, _on_processed, _enqueued = self._inbox[0]
         service = self.service_time(message)
@@ -162,18 +176,24 @@ class Process:
     ) -> None:
         if epoch != self._epoch:
             return  # the process crashed while this message was in service
-        self._account_queue()
         now = self.sim.now
-        _message, _sender, on_processed, enqueued = self._inbox.popleft()
-        self._g_queue.set(len(self._inbox), at=now)
+        inbox = self._inbox
+        self._queue_area += len(inbox) * (now - self._last_stat_time)
+        self._last_stat_time = now
+        _message, _sender, on_processed, enqueued = inbox.popleft()
+        if len(inbox) < self._min_queue:
+            self._min_queue = len(inbox)
         self._busy = False
-        self._m_busy.inc(service)
-        self._m_handled.inc()
+        self.busy_time += service
+        self.messages_handled += 1
         # Queue wait: arrival to service start.  Service start is finish
         # minus service; clamp the float round-trip to non-negative.
         wait = max(0.0, (now - service) - enqueued)
-        self._h_wait.observe(wait)
-        self._h_service.observe(service)
+        observed = self._observed
+        observed.append(wait)
+        observed.append(service)
+        if len(observed) >= self._flush_at:
+            self._flush()
         trace = self.sim.trace
         if trace.wants("proc_msg"):
             trace.record(
@@ -214,11 +234,11 @@ class Process:
         self._account_queue()
         lost = len(self._inbox)
         self._inbox.clear()
-        self._g_queue.set(0, at=self.sim.now)
+        self._min_queue = 0
         self._busy = False
         self._crashed = True
         self._epoch += 1
-        self._m_crashes.inc()
+        self.crashes += 1
         self.count_lost(lost)
         self.trace("crash", lost_messages=lost)
         for channel in self._incoming:
@@ -254,25 +274,28 @@ class Process:
         raise NotImplementedError(f"{type(self).__name__} does not handle messages")
 
     # -- statistics --------------------------------------------------------------
-    @property
-    def messages_handled(self) -> int:
-        return int(self._m_handled.value)
+    def _publish(self) -> None:
+        """Leave the instruments as feeding them per message would have.
 
-    @property
-    def busy_time(self) -> float:
-        return self._m_busy.value
-
-    @property
-    def max_queue_length(self) -> int:
-        return int(self._g_queue.max)
-
-    @property
-    def crashes(self) -> int:
-        return int(self._m_crashes.value)
-
-    @property
-    def messages_lost(self) -> int:
-        return int(self._m_lost.value)
+        May run on a reader's thread beside the owner's (the registry lock
+        serialises publishers): it reads each total once and cuts whole
+        (wait, service) pairs off the buffer with a slice and a ``del``,
+        each atomic against the owner's ``append``.
+        """
+        self._m_handled.advance_to(self.messages_handled)
+        self._m_busy.advance_to(self.busy_time)
+        self._m_lost.advance_to(self.messages_lost)
+        self._m_crashes.advance_to(self.crashes)
+        if self.max_queue_length or self.crashes:  # a depth was sampled
+            # what a set() per arrival, completion and crash would have left
+            for depth in self._min_queue, self.max_queue_length, len(self._inbox):
+                self._g_queue.set(depth)
+        observed = self._observed
+        batch = observed[:len(observed) & -2]  # the owner may be mid-pair
+        del observed[:len(batch)]
+        for wait, service in zip(batch[::2], batch[1::2]):
+            self._h_wait.observe(wait)
+            self._h_service.observe(service)
 
     @property
     def queue_length(self) -> int:
@@ -294,6 +317,7 @@ class Process:
 
     def queue_wait_stats(self) -> tuple[int, float, float]:
         """Queue-wait distribution so far: ``(count, mean, p95)``."""
+        self._flush()
         return (
             self._h_wait.count,
             self._h_wait.mean,

@@ -36,20 +36,27 @@ class TraceEvent:
         return f"[{self.time:10.3f}] {self.process:<16} {self.kind} {inner}"
 
 
+def _unflatten(raw: tuple) -> tuple[float, str, str, dict]:
+    """``(time, kind, process, detail)`` from a stored flat record."""
+    n = (len(raw) - 3) // 2
+    return raw[0], raw[1], raw[2], dict(zip(raw[3:3 + n], raw[3 + n:]))
+
+
 class Trace:
     """An append-only list of :class:`TraceEvent` with query helpers.
 
-    :meth:`record` sits on the simulator's hot path, so it appends raw
-    tuples and defers :class:`TraceEvent` construction to the first read
-    — simulation time pays only for the append, queries pay the (one-off)
-    materialisation.
+    :meth:`record` sits on the simulator's hot path, so it appends one
+    flat tuple ``(time, kind, process, *keys, *values)`` and defers the
+    detail dict and the :class:`TraceEvent` to the first read: the cyclic
+    collector stops tracking a tuple of atomic values at its first pass,
+    but would re-walk a tuple that holds a dict in every full collection.
     """
 
     __slots__ = ("_events", "_pending", "enabled", "_kinds")
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
-        self._pending: list[tuple[float, str, str, dict]] = []
+        self._pending: list[tuple] = []  # flat records, see _unflatten
         self.enabled = True
         self._kinds: frozenset[str] | None = None
 
@@ -74,12 +81,12 @@ class Trace:
             return
         if self._kinds is not None and kind not in self._kinds:
             return
-        self._pending.append((time, kind, process, detail))
+        self._pending.append((time, kind, process, *detail, *detail.values()))
 
     def _materialise(self) -> list[TraceEvent]:
         if self._pending:
             self._events.extend(
-                TraceEvent(*raw) for raw in self._pending
+                TraceEvent(*_unflatten(raw)) for raw in self._pending
             )
             self._pending.clear()
         return self._events
@@ -110,24 +117,27 @@ class Trace:
 
         The zero-materialisation twin of :meth:`events_since` for
         consumers inside the simulation hot loop (the freshness
-        monitor): pending raw tuples pass through as-is and no
-        :class:`TraceEvent` is constructed, so sampling mid-run does not
-        force the materialisation that :meth:`record` deliberately
-        defers.  Cursors are interchangeable with :meth:`events_since`
-        — materialisation moves entries from pending to built without
-        renumbering them.  ``kinds`` drops non-matching events *after*
-        the cursor advances past them, so a filtered consumer never
-        revisits what it skipped.
+        monitor): no :class:`TraceEvent` is constructed and a pending
+        record's detail dict is rebuilt only if its kind is wanted, so
+        sampling mid-run does not force the materialisation that
+        :meth:`record` deliberately defers.  Cursors are interchangeable
+        with :meth:`events_since` — materialisation moves entries from
+        pending to built without renumbering them.  ``kinds`` drops
+        non-matching events *after* the cursor advances past them, so a
+        filtered consumer never revisits what it skipped.
         """
         built = self._events
         cursor = len(built) + len(self._pending)
         fresh: list[tuple[float, str, str, dict]] = [
             (e.time, e.kind, e.process, e.detail)
             for e in built[start:]
+            if kinds is None or e.kind in kinds
         ]
-        fresh.extend(self._pending[max(start - len(built), 0):])
-        if kinds is not None:
-            fresh = [event for event in fresh if event[1] in kinds]
+        fresh.extend(
+            _unflatten(raw)
+            for raw in self._pending[max(start - len(built), 0):]
+            if kinds is None or raw[1] in kinds
+        )
         return cursor, fresh
 
     def of_kind(self, kind: str) -> list[TraceEvent]:
@@ -219,8 +229,10 @@ class ThreadSafeTrace(Trace):
         self._lock = threading.RLock()
 
     def record(self, time: float, kind: str, process: str, **detail: object) -> None:
-        with self._lock:
-            super().record(time, kind, process, **detail)
+        if self.wants(kind):
+            raw = (time, kind, process, *detail, *detail.values())
+            with self._lock:
+                self._pending.append(raw)
 
     def _materialise(self) -> list[TraceEvent]:
         with self._lock:

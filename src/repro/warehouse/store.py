@@ -118,7 +118,10 @@ class ViewStore:
             schema = definition.expression.infer_schema(base_schemas)
             self._definitions[definition.name] = definition
             self._views[definition.name] = Relation(schema)
-        self._record_initial_state()
+        # ws_0, the one state copied eagerly: every later one is built from
+        # an earlier one, so the sequence needs a first.
+        views = {name: rel.copy() for name, rel in self._views.items()}
+        self._history = [WarehouseState(0, -1, 0.0, (), views)]
 
     # -- contents -----------------------------------------------------------
     @property
@@ -142,12 +145,8 @@ class ViewStore:
         if self._commit_log:
             raise WarehouseError("views must be initialized before any commit")
         self.view(name).replace_all(contents)
-        self._record_initial_state()
-
-    def _record_initial_state(self) -> None:
-        """``ws_0``, the one state copied eagerly: every later one is built
-        from an earlier one, so the sequence needs a first."""
-        views = {name: rel.copy() for name, rel in self._views.items()}
+        views = dict(self._history[0].views)  # ws_0: only this view changed
+        views[name] = self.view(name).copy()
         self._history = [WarehouseState(0, -1, 0.0, (), views)]
 
     # -- commits -----------------------------------------------------------------

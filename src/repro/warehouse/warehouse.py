@@ -128,7 +128,7 @@ class WarehouseProcess(Process):
             state_index=state.index,
         )
         notification = CommitNotification(txn.txn_id, self.sim.now, txn.merge_name)
-        if txn.merge_name in self.peers():
+        if txn.merge_name in self._outgoing:
             self.send(txn.merge_name, notification)
 
     # -- inspection ------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The kernel hot-loop fast path must be invisible except in speed.
 
-Laneless events under the *exact* default :class:`Scheduler` skip the
-``adjust()`` call and the lane-clamp bookkeeping.  Any Scheduler subclass
-— even a trivial one — must take the slow path, because subclasses may
-carry per-event state.  Either way the execution order is identical.
+Events under the *exact* default :class:`Scheduler` skip the ``adjust()``
+call, and an ordered lane's clamp is one float compare.  Any Scheduler
+subclass — even a trivial one — must take the slow path, because
+subclasses may carry per-event state.  Either way the execution order is
+identical (``tests/sim/test_hot_path.py`` drives both in lockstep).
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class TestFastPathEquivalence:
         assert tail == ["c", "d", "e", "a"]
 
     def test_lane_events_still_clamped_on_fast_kernel(self):
-        # Lanes bypass the fast path even under the default scheduler:
-        # the FIFO clamp bookkeeping must still run for them.
+        # Lane-tagged events take the fast path too, and the FIFO clamp
+        # still runs for them.
         sim = Simulator()
         order: list[int] = []
         sim.schedule_at(1.0, order.append, 1, lane="w")

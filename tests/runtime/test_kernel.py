@@ -92,6 +92,17 @@ class TestParallelKernel:
         kernel.run()
         assert actor.seen == [1, 2, 3]
 
+    def test_events_are_callback_and_args_not_closures(self):
+        kernel = ParallelKernel(workers=1)
+        actor = Actor()
+        kernel.schedule_at(2.0, actor.record, "late", lane=("a", "b"))
+        kernel.schedule(0.0, actor.record, "early")
+        assert [entry[2] for entry in kernel._staged] == [
+            (actor.record, ("late",)), (actor.record, ("early",)),
+        ]
+        assert kernel.run() == 2
+        assert actor.seen == ["early", "late"]
+
     def test_per_actor_serialization_under_many_workers(self):
         kernel = ParallelKernel(workers=4)
         actors = [Actor() for _ in range(3)]

@@ -1,0 +1,530 @@
+"""The fixed per-message path: same behaviour, fewer objects.
+
+Three rewrites share these tests: closure-free kernel events with a float
+lane clamp under the default scheduler, load statistics kept in plain
+attributes and published when the registry is read, and flat trace
+records.  None of them may be visible in a trace, a registry dump or a
+verdict; only the number of objects a run leaves behind may move.
+"""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import sys
+import threading
+import types
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs.registry import Histogram, MetricsRegistry
+from repro.runtime.parallel import ParallelKernel
+from repro.sim.kernel import Simulator
+from repro.sim.network import ReliableChannel, UniformLatency
+from repro.sim.process import Process
+from repro.sim.scheduler import Scheduler
+from repro.sim.tracing import ThreadSafeTrace, Trace
+from repro.system.builder import WarehouseSystem
+from repro.system.config import SystemConfig
+from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
+from repro.workloads.schemas import paper_views_example2, paper_world
+from tests.sim.reference_process import ReferenceProcess
+
+
+class GeneralPathScheduler(Scheduler):
+    """The default's behaviour under another type: no fast path."""
+
+
+def events_of(sim) -> list[tuple]:
+    return [(e.time, e.kind, e.process, e.detail) for e in sim.trace]
+
+
+def histogram_values(registry) -> dict[str, tuple]:
+    return {m.key: m.values() for m in registry if isinstance(m, Histogram)}
+
+
+# -- (a) lockstep: the fast path against the general path ---------------------
+
+def flooding(base: type) -> type:
+    """A process of class ``base`` that forwards ``ttl - 1`` to every peer."""
+
+    class Node(base):
+        def __init__(self, sim, name, service=0.0):
+            super().__init__(sim, name)
+            self.service = service
+
+        def service_time(self, message):
+            return self.service
+
+        def handle(self, message, sender):
+            if message > 0:
+                for peer in self.peers():
+                    self.send(peer, message - 1)
+
+    return Node
+
+
+LATENCIES = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, 0.25]),
+    st.tuples(st.sampled_from([0.0, 0.5]), st.sampled_from([0.5, 2.0])),
+)
+
+
+@st.composite
+def graphs(draw):
+    size = draw(st.integers(2, 4))
+    services = draw(st.lists(st.sampled_from([0.0, 0.0, 0, 0.5, 1.5]),
+                             min_size=size, max_size=size))
+    pairs = [(a, b) for a in range(size) for b in range(size) if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5,
+                          unique=True))
+    return {
+        "services": services,
+        "edges": [(a, b, draw(LATENCIES)) for a, b in edges],
+        "reliable": draw(st.sampled_from([-1, -1, 0])),  # -1: none
+        # several injections at one instant: the second finds an event due
+        "injections": draw(st.lists(
+            st.tuples(st.sampled_from([0.0, 1.0, 1.0, 2.5]),
+                      st.integers(0, len(edges) - 1), st.integers(0, 5)),
+            min_size=1, max_size=4)),
+        "probe": draw(st.sampled_from([False, False, True])),
+    }
+
+
+def run_graph(graph, scheduler, base=Process):
+    Node = flooding(base)
+    sim = Simulator(seed=5, scheduler=scheduler)
+    nodes = [Node(sim, f"n{i}", s) for i, s in enumerate(graph["services"])]
+    channels = []
+    for index, (a, b, latency) in enumerate(graph["edges"]):
+        if isinstance(latency, tuple):
+            latency = UniformLatency(*latency)
+        if index == graph["reliable"]:
+            channels.append(nodes[a].attach(
+                ReliableChannel(sim, nodes[a], nodes[b], latency)))
+        else:
+            channels.append(nodes[a].connect(nodes[b], latency))
+    samples = []
+    if graph["probe"]:
+        sim.add_probe(
+            lambda: samples.append(tuple(n.queue_length for n in nodes)))
+    for when, edge, ttl in graph["injections"]:
+        sim.schedule_at(when, channels[edge].send, ttl)
+    sim.run(max_events=20_000)
+    assert sim.pending_events == 0
+    return sim, samples
+
+
+class TestLockstep:
+    @settings(max_examples=120, deadline=None)
+    @given(graphs())
+    def test_fast_and_general_path_agree(self, graph):
+        fast, fast_samples = run_graph(graph, None)
+        slow, slow_samples = run_graph(graph, GeneralPathScheduler())
+        assert events_of(fast) == events_of(slow)
+        assert fast.metrics.to_dict() == slow.metrics.to_dict()
+        assert histogram_values(fast.metrics) == histogram_values(slow.metrics)
+        assert fast.now == slow.now
+        assert slow.events_executed == fast.events_executed
+        assert fast_samples == slow_samples
+
+    @pytest.mark.parametrize("key", [
+        ("complete", "dependency-sequenced", 13),
+        ("strong", "batching", 7),
+        ("convergent", "sequential", 3),
+    ])
+    def test_whole_system_agrees_on_golden_configurations(self, key):
+        manager, policy, seed = key
+
+        def run(scheduler):
+            world = paper_world()
+            system = WarehouseSystem(world, paper_views_example2(), SystemConfig(
+                manager_kind=manager, submission_policy=policy, seed=seed,
+                scheduler=scheduler))
+            spec = WorkloadSpec(updates=30, rate=2.0, seed=seed,
+                                mix=(0.6, 0.2, 0.2), arrivals="poisson",
+                                multi_update_fraction=0.2)
+            post_stream(system, UpdateStreamGenerator(world, spec).transactions())
+            system.run()
+            return system
+
+        fast, slow = run(None), run(GeneralPathScheduler())
+        assert fast.sim.trace.digest() == slow.sim.trace.digest()
+        assert fast.sim.metrics.to_dict() == slow.sim.metrics.to_dict()
+        assert repr(fast.metrics()) == repr(slow.metrics())
+        assert fast.sim.events_executed == slow.sim.events_executed
+
+
+# -- (b) the lane clamp on the fast path ---------------------------------------
+
+class TestLaneClamp:
+    @pytest.mark.parametrize("scheduler", [None, GeneralPathScheduler()])
+    def test_ordered_lane_runs_in_scheduling_order(self, scheduler):
+        sim = Simulator(scheduler=scheduler)
+        log = []
+        note = lambda tag: log.append((tag, sim.now))  # noqa: E731
+        sim.schedule_at(5.0, note, "first", lane=("a", "b"))
+        sim.schedule_at(3.0, note, "second", lane=("a", "b"))
+        sim.schedule_at(4.0, note, "other lane", lane=("a", "c"))
+        sim.schedule_at(3.5, note, "laneless")
+        sim.schedule_at(6.0, note, "third", lane=("a", "b"))
+        sim.run()
+        assert log == [("laneless", 3.5), ("other lane", 4.0), ("first", 5.0),
+                       ("second", 5.0), ("third", 6.0)]
+
+    @pytest.mark.parametrize("scheduler", [None, GeneralPathScheduler()])
+    def test_unordered_lane_events_are_not_clamped(self, scheduler):
+        sim = Simulator(scheduler=scheduler)
+        log = []
+        note = lambda tag: log.append((tag, sim.now))  # noqa: E731
+        sim.schedule_at(5.0, note, "late", lane="L", ordered=False)
+        sim.schedule_at(3.0, note, "early", lane="L", ordered=False)
+        sim.schedule_at(4.0, note, "ordered", lane="L")  # unordered set no mark
+        sim.run()
+        assert log == [("early", 3.0), ("ordered", 4.0), ("late", 5.0)]
+
+
+# -- (c) publish on read against per-message feeding ------------------------------
+
+def run_ring(base, reads_at=(), crash_at=None, services=(0.4, 0.0, 1.1)):
+    """Three nodes flooding over uniform-latency channels.
+
+    ``reads_at``: virtual times at which the registry is dumped mid-run.
+    """
+    Node = flooding(base)
+    sim = Simulator(seed=11)
+    nodes = [Node(sim, f"n{i}", s) for i, s in enumerate(services)]
+    for a, b in [(0, 1), (1, 2), (2, 0), (0, 2)]:
+        nodes[a].connect(nodes[b], UniformLatency(0.1, 0.9))
+    for when, ttl in [(0.0, 6), (0.0, 5), (0.7, 6)]:
+        sim.schedule_at(when, nodes[0].send, "n1", ttl)
+    if crash_at is not None:
+        sim.schedule_at(crash_at, nodes[2].crash)
+        sim.schedule_at(crash_at + 1.0, nodes[2].restart)
+    dumps = []
+    for when in reads_at:
+        sim.run(until=when)
+        dumps.append(sim.metrics.to_dict())
+    sim.run()
+    return sim, nodes, dumps
+
+
+class TestPublishOnRead:
+    def test_final_registry_is_bit_identical_to_feeding(self):
+        sim, nodes, _ = run_ring(Process)
+        ref, ref_nodes, _ = run_ring(ReferenceProcess)
+        dump = sim.metrics.to_dict()
+        assert dump == ref.metrics.to_dict()
+        assert repr(dump) == repr(ref.metrics.to_dict())  # 3 is not 3.0 here
+        assert histogram_values(sim.metrics) == histogram_values(ref.metrics)
+        waits = sim.metrics.get("proc_queue_wait", process="n2").values()
+        assert len({w for w in waits if w > 0}) > 5  # non-trivial floats
+        for node, ref_node in zip(nodes, ref_nodes):
+            assert node.messages_handled == ref_node.messages_handled > 0
+            assert node.busy_time == ref_node.busy_time
+            assert node.max_queue_length == ref_node.max_queue_length
+            assert node.queue_wait_stats() == ref_node.queue_wait_stats()
+            assert node.mean_queue_length() == ref_node.mean_queue_length()
+            assert node.utilisation() == ref_node.utilisation()
+        assert events_of(sim) == events_of(ref)
+
+    def test_reading_twice_changes_nothing(self):
+        sim, _, _ = run_ring(Process)
+        first = sim.metrics.to_dict()
+        values = histogram_values(sim.metrics)
+        assert sim.metrics.to_dict() == first
+        assert [m.key for m in sim.metrics] == [m.key for m in sim.metrics]
+        assert sim.metrics.format() == sim.metrics.format()
+        assert histogram_values(sim.metrics) == values
+
+    def test_mid_run_reads_match_and_do_not_disturb_the_end(self):
+        reads = (0.9, 2.0, 3.3)
+        sim, _, dumps = run_ring(Process, reads_at=reads)
+        ref, _, ref_dumps = run_ring(ReferenceProcess, reads_at=reads)
+        unread, _, _ = run_ring(Process)
+        assert dumps == ref_dumps and dumps[0] != dumps[1] != dumps[2]
+        assert sim.metrics.to_dict() == ref.metrics.to_dict()
+        assert sim.metrics.to_dict() == unread.metrics.to_dict()
+        assert histogram_values(sim.metrics) == histogram_values(ref.metrics)
+
+    def test_crash_mid_queue_publishes_the_same_gauge(self):
+        sim, nodes, _ = run_ring(Process, crash_at=2.0)
+        ref, ref_nodes, _ = run_ring(ReferenceProcess, crash_at=2.0)
+        assert nodes[2].messages_lost == ref_nodes[2].messages_lost > 0
+        assert nodes[2].crashes == 1
+        gauge = sim.metrics.get("proc_queue_length", process="n2")
+        ref_gauge = ref.metrics.get("proc_queue_length", process="n2")
+        assert gauge.summary() == ref_gauge.summary()
+        assert (gauge.min, gauge.max) == (0, ref_gauge.max) and gauge.max > 1
+        assert sim.metrics.to_dict() == ref.metrics.to_dict()
+
+    def test_an_unused_process_leaves_its_gauge_unset(self):
+        sim = Simulator()
+        Process(sim, "idle")
+        ref = Simulator()
+        ReferenceProcess(ref, "idle")
+        assert sim.metrics.to_dict() == ref.metrics.to_dict()
+        crashed, ref_crashed = Process(sim, "c"), ReferenceProcess(ref, "c")
+        crashed.crash()
+        ref_crashed.crash()
+        assert sim.metrics.to_dict() == ref.metrics.to_dict()
+
+    def test_every_query_publishes(self):
+        for query in (
+            lambda r: r.value("proc_messages_handled", process="n1"),
+            lambda r: r.get("proc_messages_handled", process="n1").value,
+            lambda r: r.family("proc_messages_handled")[1].value,
+            lambda r: next(m for m in r
+                           if m.key == "proc_messages_handled{process=n1}").value,
+            lambda r: r.to_dict()["proc_messages_handled{process=n1}"]["value"],
+        ):
+            sim, nodes, _ = run_ring(Process)
+            assert query(sim.metrics) == nodes[1].messages_handled > 0
+        sim, nodes, _ = run_ring(Process)
+        sent = nodes[0].channel_to("n1").messages_sent
+        lines = [line.split() for line in sim.metrics.format("chan_").splitlines()]
+        assert ["chan_messages_sent{dst=n1,src=n0}", "counter",
+                f"value={sent}", "origin=des"] in lines
+        assert sim.metrics.value(
+            "chan_messages_sent", src="n0", dst="n1") == sent > 3
+
+    def test_channels_sharing_an_endpoint_pair_add_up(self):
+        sim = Simulator()
+        a, b = flooding(Process)(sim, "a"), flooding(Process)(sim, "b")
+        old = a.connect(b)
+        old.send(0)
+        new = a.connect(b)  # replaces the channel, same registry counter
+        new.send(0)
+        new.send(0)
+        assert sim.metrics.value("chan_messages_sent", src="a", dst="b") == 3.0
+        assert sim.metrics.value("chan_messages_sent", src="a", dst="b") == 3.0
+
+    def test_bounded_histograms_keep_the_fed_reservoir(self):
+        def run(base):
+            sim = Simulator(seed=11)
+            sim.metrics = MetricsRegistry(histogram_bound=5)
+            Node = flooding(base)
+            nodes = [Node(sim, f"n{i}", s) for i, s in enumerate((0.3, 0.0))]
+            nodes[0].connect(nodes[1], UniformLatency(0.1, 0.9))
+            nodes[1].connect(nodes[0], UniformLatency(0.1, 0.9))
+            sim.schedule(0.0, nodes[0].send, "n1", 40)
+            sim.run()
+            return sim, nodes
+
+        sim, nodes = run(Process)
+        ref, _ = run(ReferenceProcess)
+        assert sim.metrics.get("proc_queue_wait", process="n0").count == 20
+        assert sim.metrics.to_dict() == ref.metrics.to_dict()
+        assert histogram_values(sim.metrics) == histogram_values(ref.metrics)
+        # Nobody read the registry during the run: the owners published.
+        assert all(len(n._observed) < 2 * 5 for n in nodes)
+
+    def test_a_counter_total_cannot_fall_back(self):
+        counter = MetricsRegistry().counter("c")
+        counter.advance_to(3)
+        assert counter.summary() == {"type": "counter", "value": 3.0}
+        with pytest.raises(ValueError, match="fall back"):
+            counter.advance_to(2.5)
+
+
+# -- (d) a reader thread beside the owners ---------------------------------------------
+
+class TestThreadsContract:
+    def test_concurrent_reads_lose_and_duplicate_nothing(self):
+        bound, messages = 8, 3000
+        kernel = ParallelKernel(workers=3, timeout=60.0)
+        kernel.metrics = MetricsRegistry(
+            locked=True, origin="worker-thread", histogram_bound=bound)
+        longest = []
+
+        class Relay(Process):
+            def handle(self, message, sender):
+                longest.append(len(self._observed))
+                if message > 0:
+                    self.send(self.peers()[0], message - 1)
+
+        ring = [Relay(kernel, f"r{i}") for i in range(3)]
+        for i, node in enumerate(ring):
+            node.connect(ring[(i + 1) % 3])
+        kernel.schedule(0.0, ring[0].send, "r1", messages - 1)
+
+        stop = threading.Event()
+        reads, failures = [], []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    dump = kernel.metrics.to_dict()
+                    reads.append(sum(
+                        s["value"] for k, s in dump.items()
+                        if k.startswith("proc_messages_handled")))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        thread = threading.Thread(target=reader, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            kernel.run()
+        finally:
+            stop.set()
+            thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and not failures
+        assert reads == sorted(reads) and len(reads) > 1  # totals never fall
+
+        registry = kernel.metrics
+        handled = [registry.value("proc_messages_handled", process=n.name)
+                   for n in ring]
+        assert sum(handled) == messages == sum(n.messages_handled for n in ring)
+        sent = sum(m.value for m in registry.family("chan_messages_sent"))
+        assert sent == messages
+        for node, count in zip(ring, handled):
+            for name in ("proc_queue_wait", "proc_service_time"):
+                histogram = registry.get(name, process=node.name)
+                assert histogram.count == count
+                assert len(histogram.values()) == bound
+            assert not node._observed
+        # The owner publishes a full buffer before it handles the message:
+        # never more than ``bound`` (wait, service) pairs, reader or not.
+        assert max(longest) < 2 * bound
+
+    def test_thread_safe_trace_stores_the_same_flat_records(self):
+        plain, safe = Trace(), ThreadSafeTrace()
+        for trace in (plain, safe):
+            trace.kinds = ("a", "b")
+            trace.record(1.0, "a", "p", x=1, y=(2, 3))
+            trace.record(2.0, "c", "p", dropped=True)
+            trace.record(3.0, "b", "q")
+        assert safe._pending == plain._pending == [
+            (1.0, "a", "p", "x", "y", 1, (2, 3)), (3.0, "b", "q")]
+        assert list(safe) == list(plain)
+
+
+# -- (e) flat trace records ---------------------------------------------------------
+
+DETAILS = [
+    {},
+    {"to": "merge", "message": "RelMessage"},
+    {"ids": (1, 2), "txn": (7,)},
+    {"rows": [1, 2], "nested": {"a": (1, [2])}, "none": None},
+    {"wait": 0.25, "service": 0, "flag": True},
+    {"kind_of": "x", "time_of": 3.5},  # keys that resemble the fixed fields
+]
+
+
+def oracle_digest(events) -> str:
+    h = hashlib.sha256()
+    for time, kind, process, detail in events:
+        h.update(repr((time, kind, process, sorted(detail.items()))).encode())
+    return h.hexdigest()
+
+
+class TestFlatRecords:
+    def recorded(self, trace_type=Trace):
+        trace = trace_type()
+        oracle = []
+        for i, detail in enumerate(DETAILS * 2):
+            event = (float(i), f"k{i % 3}", f"p{i % 2}", detail)
+            trace.record(event[0], event[1], event[2], **detail)
+            oracle.append(event)
+        return trace, oracle
+
+    @pytest.mark.parametrize("trace_type", [Trace, ThreadSafeTrace])
+    def test_round_trip(self, trace_type):
+        trace, oracle = self.recorded(trace_type)
+        assert len(trace) == len(oracle)
+        assert trace.raw_events_since(0) == (len(oracle), oracle)
+        assert trace.digest() == oracle_digest(oracle)
+        assert [(e.time, e.kind, e.process, e.detail) for e in trace] == oracle
+        assert [list(e.detail) for e in trace] == [list(d) for *_, d in oracle]
+        assert trace.to_records() == [
+            {"time": t, "kind": k, "process": p, **d} for t, k, p, d in oracle]
+        assert trace.to_records("k1") == [
+            {"time": t, "kind": k, "process": p, **d}
+            for t, k, p, d in oracle if k == "k1"]
+        assert trace[3].detail["nested"] == {"a": (1, [2])}
+
+    def test_raw_reads_and_cursors_across_a_materialisation(self):
+        trace, oracle = self.recorded()
+        wanted = [e for e in oracle if e[1] in ("k0", "k2")]
+        assert trace.raw_events_since(0, ("k0", "k2")) == (len(oracle), wanted)
+        cursor, first = trace.raw_events_since(0)
+        assert trace._pending and not trace._events  # nothing was built
+        trace.record(99.0, "k0", "late", n=1)
+        later, events = trace.events_since(cursor)  # materialises everything
+        assert [(e.time, e.detail) for e in events] == [(99.0, {"n": 1})]
+        trace.record(100.0, "k1", "later")
+        trace.record(101.0, "k0", "latest", ids=(4,))
+        assert trace._events and trace._pending  # built and pending mixed
+        assert trace.raw_events_since(later) == (
+            later + 2, [(100.0, "k1", "later", {}),
+                        (101.0, "k0", "latest", {"ids": (4,)})])
+        assert trace.raw_events_since(cursor, ("k0",))[1] == [
+            (99.0, "k0", "late", {"n": 1}),
+            (101.0, "k0", "latest", {"ids": (4,)})]
+        assert trace.raw_events_since(3, ("k1",))[1] == [
+            e for e in oracle[3:] if e[1] == "k1"
+        ] + [(100.0, "k1", "later", {})]
+        assert trace.events_since(later + 2) == (later + 2, [])
+        assert trace.digest() == oracle_digest(
+            oracle + [(99.0, "k0", "late", {"n": 1}),
+                      (100.0, "k1", "later", {}),
+                      (101.0, "k0", "latest", {"ids": (4,)})])
+
+    def test_atomic_records_leave_the_collectors_lists(self):
+        trace = Trace()
+        for i in range(200):
+            trace.record(float(i), "msg_send", f"p{i}", to="merge",
+                         message="RelMessage", seq=i, wait=i / 7)
+            trace.record(float(i), "proc_msg", f"p{i}", ids=(i, i + 1))
+        trace.record(1.0, "boxed", "p", rows=[1, 2])
+
+        def tracked_kinds() -> set[str]:
+            return {raw[1] for raw in trace._pending if gc.is_tracked(raw)}
+
+        gc.collect()
+        # A record that holds a tuple waits for that tuple to go first.
+        assert tracked_kinds() <= {"proc_msg", "boxed"}
+        gc.collect()
+        assert tracked_kinds() == {"boxed"}  # a list stays tracked
+
+
+# -- (f) what a run leaves behind, counted -----------------------------------------
+
+class TestAllocations:
+    def test_example_2_adds_at_most_20_tracked_objects_an_update(self):
+        updates = 500
+        world = paper_world()
+        system = WarehouseSystem(world, paper_views_example2(),
+                                 SystemConfig(seed=3))
+        spec = WorkloadSpec(updates=updates, rate=0.2, arrivals="poisson",
+                            mix=(0.3, 0.5, 0.2), value_range=40, seed=3)
+        post_stream(system, UpdateStreamGenerator(world, spec).transactions())
+        gc.collect()
+        before = len(gc.get_objects())
+        system.run()
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert system.warehouse.commits == updates
+        assert len(system.sim.trace) > 30 * updates  # the trace was on
+        # 42 per update while every trace record held a dict
+        assert added / updates <= 20, added / updates
+
+    def test_scheduling_an_event_allocates_no_function(self):
+        sim = Simulator()
+        sink = []
+
+        def functions() -> int:
+            return sum(type(o) is types.FunctionType for o in gc.get_objects())
+
+        before = functions()
+        for i in range(500):
+            sim.schedule(1.0, sink.append, i)
+            sim.schedule_at(2.0, sink.append, i, lane=("a", "b"))
+        assert functions() == before
+        sim.run()
+        assert sink == list(range(500)) * 2

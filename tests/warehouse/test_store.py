@@ -223,12 +223,33 @@ class TestSharedSnapshots:
         assert contents(after)["V2"] == snapshot["V2"] == {Row(B=1): 1}
         assert contents(before) == snapshot
 
-    def test_initialize_view_takes_a_full_copy(self, store):
+    def test_initialize_view_recopies_only_its_view(self, store):
         first = store.current_state
         store.initialize_view("V2", Relation(rows=[Row(B=9)]))
         state = store.current_state
-        assert all(state.view(n) is not first.view(n) for n in store.view_names)
+        # A new ws_0 that equals a full re-copy of the live views ...
+        assert state is not first and contents(first)["V2"] == {}
+        assert contents(state) == live_contents(store)
+        # ... copies the named view, shares the others with the old ws_0,
+        # and never aliases a live relation.
+        assert state.view("V2") is not first.view("V2")
+        assert state.view("V1") is first.view("V1")
         assert all(state.view(n) is not store.view(n) for n in store.view_names)
+
+    def test_initialize_every_view_copies_each_once(self, monkeypatch):
+        store = ViewStore(V3_DEFS, SCHEMAS)
+        copies = []
+        original = Relation.copy
+        monkeypatch.setattr(
+            Relation, "copy", lambda rel: copies.append(rel) or original(rel)
+        )
+        for n, name in enumerate(store.view_names):
+            store.initialize_view(name, Relation(rows=[row_of(name, n)]))
+        assert len(copies) == len(store.view_names)  # was views ** 2
+        assert contents(store.current_state) == {
+            name: {row_of(name, n): 1}
+            for n, name in enumerate(store.view_names)
+        }
 
 
 ATTRS = {"V1": ("A", "B", "C"), "V2": ("B",), "V3": ("A",)}
