@@ -217,6 +217,10 @@ class ParallelKernel:
         """
         self._submit(time, callback, args)
 
+    def quiet_now(self) -> bool:
+        """Never: other workers' events run beside the calling one."""
+        return False
+
     def step(self) -> bool:
         raise SimulationError(
             "the parallel runtime cannot single-step; use runtime='des' "

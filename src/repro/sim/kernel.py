@@ -197,11 +197,31 @@ class Simulator:
             self._running = False
         return executed
 
+    def quiet_now(self) -> bool:
+        """Would an event scheduled now at delay 0 run next, nothing between?
+
+        True while :meth:`run` executes an event under the exact default
+        scheduler with no queued event due at ``now``: the new event's key
+        ``(now, 0.0, next seq)`` would be the heap's only minimum, so a
+        caller about to schedule it as its last act may call :meth:`probe`
+        and the callback instead (:meth:`~repro.sim.process.Process.deliver`).
+        """
+        return (
+            self._running and self._default_scheduler
+            and not (self._queue and self._queue[0][0] <= self._now)
+        )
+
+    def probe(self) -> None:
+        """Call the probes, as :meth:`run` does between two events."""
+        for probe in self._probes:
+            probe()
+
     def add_probe(self, probe: Callable[[], None]) -> None:
         """Invoke ``probe()`` after every executed event (observers only).
 
         Probes must not schedule events or mutate simulation state — they
-        exist for samplers like the freshness monitor.
+        exist for samplers like the freshness monitor — nor count events: a
+        fused delivery (:meth:`quiet_now`) probes between its two halves.
         """
         self._probes.append(probe)
 

@@ -134,6 +134,11 @@ class Process:
         is invoked after :meth:`handle` completes — i.e. once the message has
         actually been *processed*, not merely enqueued — so delivery
         acknowledgements survive a crash that wipes the mailbox.
+
+        A message that finds the process idle, takes no service time and
+        has no ``on_processed`` is handled before this returns when its
+        zero-delay service event would run next anyway (``sim.quiet_now()``):
+        such a caller must deliver last in its event, as ``Channel._deliver`` does.
         """
         if self._crashed:
             self.count_lost()
@@ -150,7 +155,7 @@ class Process:
         if depth > self.max_queue_length:
             self.max_queue_length = depth
         if not self._busy:
-            self._start_next()
+            self._start_next(fuse=on_processed is None and depth == 1)
 
     def count_lost(self, n: int = 1) -> None:
         """Record ``n`` messages lost to a crash (volatile-state discard)."""
@@ -161,7 +166,7 @@ class Process:
         self._queue_area += len(self._inbox) * (now - self._last_stat_time)
         self._last_stat_time = now
 
-    def _start_next(self) -> None:
+    def _start_next(self, fuse: bool = False) -> None:
         self._busy = True
         message, sender, _on_processed, _enqueued = self._inbox[0]
         service = self.service_time(message)
@@ -169,6 +174,10 @@ class Process:
             raise SimulationError(
                 f"{self.name}.service_time returned negative {service}"
             )
+        if fuse and service == 0 and self.sim.quiet_now():
+            self.sim.probe()  # as the kernel would between the two events
+            self._finish(message, sender, service, self._epoch)
+            return
         self.sim.schedule(service, self._finish, message, sender, service, self._epoch)
 
     def _finish(

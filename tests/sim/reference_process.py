@@ -5,7 +5,8 @@ registry instruments twice per message (``Gauge.set`` on arrival and on
 completion, ``Histogram.observe`` for wait and service, ``Counter.inc`` for
 handled count and busy time).  This is that mailbox and service loop, kept
 so that ``tests/sim/test_hot_path.py`` can require the published
-instruments to be bit-identical to the fed ones.
+instruments to be bit-identical to the fed ones.  It never fuses a
+delivery with its service event.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class ReferenceProcess(Process):
     def count_lost(self, n=1):
         self._m_lost.inc(n)
 
-    def _start_next(self):
+    def _start_next(self, fuse=False):
         if not self._inbox:
             return
         self._busy = True

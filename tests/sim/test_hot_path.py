@@ -1,10 +1,11 @@
-"""The fixed per-message path: same behaviour, fewer objects.
+"""The fixed per-message path: same behaviour, fewer objects and events.
 
-Three rewrites share these tests: closure-free kernel events with a float
+Four rewrites share these tests: closure-free kernel events with a float
 lane clamp under the default scheduler, load statistics kept in plain
-attributes and published when the registry is read, and flat trace
-records.  None of them may be visible in a trace, a registry dump or a
-verdict; only the number of objects a run leaves behind may move.
+attributes and published when the registry is read, flat trace records,
+and the fused zero-service delivery.  None of them may be visible in a
+trace, a registry dump or a verdict; only ``events_executed`` and the
+number of objects a run leaves behind may move.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from tests.sim.reference_process import ReferenceProcess
 
 
 class GeneralPathScheduler(Scheduler):
-    """The default's behaviour under another type: no fast path."""
+    """The default's behaviour under another type: no fast path, no fusion."""
 
 
 def events_of(sim) -> list[tuple]:
@@ -45,15 +46,18 @@ def histogram_values(registry) -> dict[str, tuple]:
     return {m.key: m.values() for m in registry if isinstance(m, Histogram)}
 
 
-# -- (a) lockstep: the fast path against the general path ---------------------
+# -- (a) lockstep: fast path + fusion against the general path ----------------
 
 def flooding(base: type) -> type:
     """A process of class ``base`` that forwards ``ttl - 1`` to every peer."""
 
     class Node(base):
+        fused = 0  # deliveries handled inside deliver(), all nodes together
+
         def __init__(self, sim, name, service=0.0):
             super().__init__(sim, name)
             self.service = service
+            self._starting = False
 
         def service_time(self, message):
             return self.service
@@ -62,6 +66,16 @@ def flooding(base: type) -> type:
             if message > 0:
                 for peer in self.peers():
                     self.send(peer, message - 1)
+
+        def _start_next(self, fuse=False):
+            self._starting = True
+            super()._start_next(fuse)
+            self._starting = False
+
+        def _finish(self, *args):
+            Node.fused += self._starting  # not from the kernel's loop
+            self._starting = False
+            super()._finish(*args)
 
     return Node
 
@@ -114,21 +128,46 @@ def run_graph(graph, scheduler, base=Process):
         sim.schedule_at(when, channels[edge].send, ttl)
     sim.run(max_events=20_000)
     assert sim.pending_events == 0
-    return sim, samples
+    return sim, Node.fused, samples
 
 
 class TestLockstep:
     @settings(max_examples=120, deadline=None)
     @given(graphs())
     def test_fast_and_general_path_agree(self, graph):
-        fast, fast_samples = run_graph(graph, None)
-        slow, slow_samples = run_graph(graph, GeneralPathScheduler())
+        fast, fused, fast_samples = run_graph(graph, None)
+        slow, unfused, slow_samples = run_graph(graph, GeneralPathScheduler())
+        assert unfused == 0
         assert events_of(fast) == events_of(slow)
         assert fast.metrics.to_dict() == slow.metrics.to_dict()
         assert histogram_values(fast.metrics) == histogram_values(slow.metrics)
         assert fast.now == slow.now
-        assert slow.events_executed == fast.events_executed
+        assert slow.events_executed - fast.events_executed == fused
+        # A fused delivery probes between its halves, where the kernel would.
         assert fast_samples == slow_samples
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_fusion_happens_and_is_counted(self, probe):
+        graph = {"services": [0.0, 0.0], "edges": [(0, 1, 1.0), (1, 0, 1.0)],
+                 "reliable": -1, "injections": [(0.0, 0, 3)], "probe": probe}
+        fast, fused, samples = run_graph(graph, None)
+        slow, _, slow_samples = run_graph(graph, GeneralPathScheduler())
+        assert fused == 4 and slow.events_executed - fast.events_executed == 4
+        # The probe saw every queued message between arrival and handling.
+        assert samples == slow_samples and sum(map(sum, samples)) == 4 * probe
+
+    def test_no_fusion_outside_run_or_behind_a_due_event(self):
+        sim = Simulator()
+        assert not sim.quiet_now()  # no run() is executing
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(sim.quiet_now()))
+        sim.schedule(1.0, lambda: seen.append(sim.quiet_now()))
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert seen == [False, True]  # the first still has its twin due at 1.0
+
+    def test_parallel_kernel_is_never_quiet(self):
+        assert ParallelKernel(workers=1).quiet_now() is False
 
     @pytest.mark.parametrize("key", [
         ("complete", "dependency-sequenced", 13),
@@ -154,7 +193,7 @@ class TestLockstep:
         assert fast.sim.trace.digest() == slow.sim.trace.digest()
         assert fast.sim.metrics.to_dict() == slow.sim.metrics.to_dict()
         assert repr(fast.metrics()) == repr(slow.metrics())
-        assert fast.sim.events_executed == slow.sim.events_executed
+        assert fast.sim.events_executed < slow.sim.events_executed
 
 
 # -- (b) the lane clamp on the fast path ---------------------------------------
