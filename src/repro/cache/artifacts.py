@@ -45,7 +45,7 @@ from repro.errors import CacheIntegrityError, CacheMiss
 from repro.relational.columnar import counts_to_rows, layout_of, rows_to_counts
 from repro.relational.database import Database
 from repro.relational.delta import Delta
-from repro.relational.plan import MaintenancePlan, PlanUnsupported
+from repro.relational.plan import MaintenancePlan
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,6 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: payload layout version — bump on any incompatible payload change.
 PAYLOAD_FORMAT = 1
+
+#: the ``"engine"`` field of key material and child payloads: the id of the
+#: plan node family whose auxiliary state an artifact holds.  There is one
+#: family; the field stays so content addresses are what they always were.
+ENGINE = "columnar"
 
 
 def _encode_relation(layout: tuple[str, ...], counts_by_row) -> tuple:
@@ -156,7 +161,6 @@ class ViewCacheBinding:
         self.system = system
         self.store = system.store
         self.view = view
-        self.engine = "columnar"
         self.version_vector: dict[str, str] = {}
         self._layouts: dict[str, tuple[str, ...]] = {}
         self._filters_repr: dict[str, str] = {}
@@ -254,7 +258,7 @@ class ViewCacheBinding:
             "format": PAYLOAD_FORMAT,
             "view": self.view,
             "expr": self._expr_repr,
-            "engine": self.engine,
+            "engine": ENGINE,
             "filters": dict(self._filters_repr),
             "vv": dict(self.version_vector),
         }
@@ -374,15 +378,9 @@ class ViewCacheBinding:
             for row, count in decoded.counts():
                 relation.insert(row, count)
         vm._replica = replica
-        try:
-            vm._plan = MaintenancePlan(
-                vm.definition.expression,
-                replica,
-                engine=self.engine,
-                preload=payload["aux"],
-            )
-        except PlanUnsupported:
-            vm._plan = None
+        vm._plan = MaintenancePlan(
+            vm.definition.expression, replica, preload=payload["aux"]
+        )
         vm._buffer = deque(payload["buffer"])
         vm._current_batch = list(payload["current_batch"])
         pending = payload["pending_emit"]
@@ -444,7 +442,6 @@ class MergeCacheBinding:
 def encode_child_state(
     view: str,
     expr_repr: str,
-    engine: str,
     replica_counts: Mapping[str, tuple],
     aux: Mapping,
 ) -> tuple[str, bytes]:
@@ -467,7 +464,7 @@ def encode_child_state(
             "format": PAYLOAD_FORMAT,
             "view": view,
             "expr": expr_repr,
-            "engine": engine,
+            "engine": ENGINE,
             "vv": vv,
         },
     )
@@ -477,7 +474,7 @@ def encode_child_state(
             "kind": "child",
             "view": view,
             "expr": expr_repr,
-            "engine": engine,
+            "engine": ENGINE,
             "vv": vv,
             "replica": {
                 name: (tuple(layout), dict(counts))

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from repro.errors import SourceError
 from repro.messages import NumberedUpdate, SnapshotQuery, SnapshotResponse
 from repro.relational.database import Database, VersionedDatabase
-from repro.relational.delta import Delta
+from repro.relational.delta import updates_to_deltas
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
 from repro.sim.process import Process
@@ -91,12 +91,8 @@ class BaseDataService(Process):
                 f"numbered update {message.update_id} arrived out of order "
                 f"(expected {expected})"
             )
-        deltas: dict[str, Delta] = {}
-        for update in message.updates:
-            existing = deltas.get(update.relation, Delta())
-            deltas[update.relation] = existing.combined(update.as_delta())
-            self._log.append((message.update_id, update))
-        self._db.commit(deltas)
+        self._log.extend((message.update_id, u) for u in message.updates)
+        self._db.commit(updates_to_deltas(message.updates))
         if self.retain_window is not None:
             self._db.prune_below(self._db.version - self.retain_window)
         # The new version may satisfy deferred snapshot queries.

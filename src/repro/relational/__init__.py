@@ -11,7 +11,7 @@ data-model independent, but its examples and our workloads are relational.
 Storage is two-layered: the public row-dict facade (``Row``/``Relation``/
 ``Delta``) and the columnar core underneath it
 (:mod:`repro.relational.columnar` — position-keyed tuple bags with
-compiled batch kernels), which the maintenance plans run on by default.
+compiled batch kernels), which the maintenance plans run on.
 ``docs/engine.md`` documents the layout and the facade contract.
 """
 
@@ -47,7 +47,6 @@ from repro.relational.expressions import (
 from repro.relational.algebra import evaluate
 from repro.relational.delta import Delta, propagate_delta
 from repro.relational.database import Database, VersionedDatabase
-from repro.relational.indexes import HashIndex
 from repro.relational.parser import parse_view
 from repro.relational.plan import MaintenancePlan, PlanLibrary, PlanUnsupported
 from repro.relational.render import to_sql
@@ -80,7 +79,6 @@ __all__ = [
     "AggregateSpec",
     "ViewDefinition",
     "to_sql",
-    "HashIndex",
     "MaintenancePlan",
     "PlanLibrary",
     "PlanUnsupported",

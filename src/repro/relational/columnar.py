@@ -28,8 +28,8 @@ position-keyed and batch-oriented:
 :func:`evaluate_columnar` runs a full select-project-join-aggregate
 evaluation through these kernels; it is property-tested bag-for-bag equal
 to the row-dict reference :func:`~repro.relational.algebra.evaluate`.
-The compiled maintenance engine in :mod:`repro.relational.plan` is built
-from the same pieces.
+The maintenance engine in :mod:`repro.relational.plan` is built from the
+same pieces.
 """
 
 from __future__ import annotations
@@ -580,8 +580,9 @@ class AggregateKernel:
 class ColumnIndex:
     """A bag index over layout-positioned tuples: key -> {tuple: count}.
 
-    The columnar sibling of :class:`~repro.relational.indexes.HashIndex`:
-    buckets are zero-copy views and key extraction is positional
+    The one index type: every probe, on a base relation's columnar twin
+    or on a plan's auxiliary materialization, reads one of these.  Buckets
+    are zero-copy views and key extraction is positional
     (:func:`make_key`), so probes never touch attribute names.
     """
 
@@ -667,9 +668,8 @@ class ColumnarRelation:
 
     The storage is ``{value-tuple: multiplicity}`` — attribute names
     appear only in the layout, never per row.  Mutations keep all
-    :class:`ColumnIndex` probe structures in lockstep (the pattern
-    :class:`~repro.relational.relation.Relation` uses for its row
-    indexes).  :meth:`column_vectors` decomposes the bag into per-position
+    :class:`ColumnIndex` probe structures in lockstep.
+    :meth:`column_vectors` decomposes the bag into per-position
     value vectors aligned with the multiplicity vector — the scan-order
     view vectorized full evaluation and index rebuilds read.
     """

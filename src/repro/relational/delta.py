@@ -12,26 +12,33 @@ relation deltas through an expression using the classic counting rules
 The join rule is exact for arbitrary mixes of insertions and deletions
 thanks to signed multiplicities.
 
-``propagate_delta`` here is the *unindexed reference* implementation: it
-re-derives each join's old sides and re-evaluates aggregate inputs
+``propagate_delta`` here is the *stateless* implementation: it re-derives
+each join's old sides and re-evaluates aggregate inputs
 (``_eval_counts_group_restricted``) against the pre-state on every call,
-so it costs O(|base|) per update.  The hot path is the compiled
-:class:`~repro.relational.plan.MaintenancePlan` (columnar kernels,
-indexed probes, self-maintained aggregate state — see
-``docs/engine.md``); view managers and :class:`MaterializedView` fall
-back to this module only when plan compilation raises
-:class:`~repro.relational.plan.PlanUnsupported`, and the test suite uses
-it as the equivalence oracle for both plan engines.
+so it costs O(|base|) per update and needs nothing kept between calls.
+That makes it the path for a pre-state that exists for one batch only —
+the ``snapshot`` / ``compensate`` / ``naive`` view-manager modes, which
+fetch theirs per batch — and the reference the test suite and the
+benchmarks hold the plan against.  Standing state (cached-mode replicas,
+:class:`~repro.relational.maintain.MaterializedView`) is maintained by the
+compiled :class:`~repro.relational.plan.MaintenancePlan` (columnar
+kernels, indexed probes, self-maintained aggregate state — see
+``docs/engine.md``), never by this module.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import ExpressionError, RelationError
-from repro.relational.algebra import _eval_counts, aggregate_counts, join_counts
+from repro.relational.algebra import (
+    DatabaseLike,
+    _eval_counts,
+    aggregate_counts,
+    join_counts,
+)
 from repro.relational.expressions import (
     Aggregate,
     BaseRelation,
@@ -42,6 +49,9 @@ from repro.relational.expressions import (
 )
 from repro.relational.relation import Relation
 from repro.relational.rows import Row
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sources.update import Update
 
 
 class Delta:
@@ -179,10 +189,6 @@ class Delta:
                 relation._add(row, count)
 
 
-def empty_delta() -> Delta:
-    return Delta()
-
-
 def propagate_delta(
     expr: Expression,
     pre_state: "DatabaseLike",
@@ -195,10 +201,6 @@ def propagate_delta(
     """
     counts = _propagate(expr, pre_state, base_deltas)
     return Delta(counts)
-
-
-class DatabaseLike:
-    """Protocol sketch (see :mod:`repro.relational.algebra`)."""
 
 
 def _propagate(
@@ -337,18 +339,16 @@ def _eval_counts_group_restricted(
     return {r: c for r, c in counts.items() if keep(r)}
 
 
-def updates_to_deltas(updates: Iterable["UpdateLike"]) -> dict[str, Delta]:
-    """Fold a sequence of base-table updates into per-relation deltas.
+def updates_to_deltas(updates: Iterable["Update"]) -> dict[str, Delta]:
+    """Fold a sequence of base-table updates into per-relation net deltas.
 
     ``updates`` are objects with ``relation`` (str) and ``as_delta()``
-    (:class:`Delta`) — see :class:`repro.sources.update.Update`.
+    (:class:`Delta`) — see :class:`repro.sources.update.Update`.  The
+    fold stays a step-wise ``combined``: the dict orders it produces reach
+    action lists, and so the trace digests.
     """
     merged: dict[str, Delta] = {}
     for update in updates:
         existing = merged.get(update.relation, Delta())
         merged[update.relation] = existing.combined(update.as_delta())
     return merged
-
-
-class UpdateLike:
-    """Protocol sketch for :func:`updates_to_deltas`."""

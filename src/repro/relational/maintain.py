@@ -1,19 +1,18 @@
 """Standalone incremental view maintenance.
 
 :class:`MaterializedView` is the library-adopter-friendly wrapper around
-the delta rules: keep a view's result materialized against a live
+the maintenance plan: keep a view's result materialized against a live
 :class:`Database` and apply base-table deltas incrementally, with the
 recomputation equivalence checkable at any time.  It is independent of the
 simulation machinery — useful for embedding the maintenance engine in
-other systems (or for testing the delta rules in isolation).
+other systems.
 
-By default maintenance runs through a compiled
+Maintenance runs through a compiled
 :class:`~repro.relational.plan.MaintenancePlan` (indexed join probes,
 self-maintained aggregates, columnar batch kernels — O(|delta|) per
-update, see ``docs/engine.md``); expressions the plan compiler does not
-support fall back transparently to the unindexed
-:func:`~repro.relational.delta.propagate_delta` path.  Both paths
-implement the same counting rules, so results are identical.
+update, see ``docs/engine.md``).  An expression built from a node class
+the compiler does not know is rejected by the constructor with
+:class:`~repro.relational.plan.PlanUnsupported`.
 
 Usage::
 
@@ -31,30 +30,20 @@ from typing import Mapping
 from repro.errors import ConsistencyViolation
 from repro.relational.algebra import evaluate
 from repro.relational.database import Database
-from repro.relational.delta import Delta, propagate_delta
+from repro.relational.delta import Delta
 from repro.relational.expressions import ViewDefinition
-from repro.relational.plan import MaintenancePlan, PlanUnsupported
+from repro.relational.plan import MaintenancePlan
 from repro.relational.relation import Relation
 
 
 class MaterializedView:
     """A view result kept in lockstep with its base data."""
 
-    def __init__(
-        self,
-        definition: ViewDefinition,
-        database: Database,
-        use_plan: bool = True,
-    ) -> None:
+    def __init__(self, definition: ViewDefinition, database: Database) -> None:
         self.definition = definition
         self.database = database
         self._contents = evaluate(definition.expression, database)
-        self.plan: MaintenancePlan | None = None
-        if use_plan:
-            try:
-                self.plan = MaintenancePlan(definition.expression, database)
-            except PlanUnsupported:
-                self.plan = None  # unindexed propagate_delta fallback
+        self.plan = MaintenancePlan(definition.expression, database)
         self.deltas_applied = 0
         self.rows_changed = 0
 
@@ -76,15 +65,9 @@ class MaterializedView:
         advanced after the view delta has been computed against the
         pre-state, so a failure leaves both untouched.
         """
-        if self.plan is not None:
-            view_delta = self.plan.propagate(base_deltas)
-            self.database.apply_deltas(base_deltas)
-            self.plan.advance()
-        else:
-            view_delta = propagate_delta(
-                self.definition.expression, self.database, base_deltas
-            )
-            self.database.apply_deltas(base_deltas)
+        view_delta = self.plan.propagate(base_deltas)
+        self.database.apply_deltas(base_deltas)
+        self.plan.advance()
         view_delta.apply_to(self._contents)
         self.deltas_applied += 1
         self.rows_changed += len(view_delta)
@@ -107,5 +90,4 @@ class MaterializedView:
         recovery handle after out-of-band database mutations.
         """
         self._contents = evaluate(self.definition.expression, self.database)
-        if self.plan is not None:
-            self.plan.rebuild()
+        self.plan.rebuild()

@@ -23,24 +23,17 @@ the delta:
 
 Per-update cost drops from O(|base|) to O(|delta| x matching rows).
 
-**Engines.**  Since the columnar core landed the plan compiles to one of
-two node families (``engine=`` on :class:`MaintenancePlan` and
-:class:`PlanLibrary`):
-
-* ``"columnar"`` (the default) — deltas flow as layout-positioned
-  **value tuples** with signed counts; predicates/projections/join
-  merges/aggregate folds run as kernels compiled once per (operator,
-  layout) by :mod:`repro.relational.columnar`; probes read
-  :class:`~repro.relational.columnar.ColumnIndex` structures on each
-  relation's lockstep columnar store.  Facade ``Row``/``Delta`` objects
-  appear only at the batch boundary (base deltas in, view delta out).
-* ``"rows"`` — the pre-columnar row-dict family, kept verbatim in
-  :mod:`repro.relational.plan_reference` as the correctness reference
-  and benchmark baseline (B22 measures columnar against it).
-
-Both engines emit identical view deltas for every supported expression;
-``docs/engine.md`` walks through why the columnar one is an order of
-magnitude faster.
+**One node family.**  Deltas flow between nodes as layout-positioned
+**value tuples** with signed counts; predicates/projections/join
+merges/aggregate folds run as kernels compiled once per (operator,
+layout) by :mod:`repro.relational.columnar`; probes read
+:class:`~repro.relational.columnar.ColumnIndex` structures on each
+relation's lockstep columnar store.  Facade ``Row``/``Delta`` objects
+appear only at the batch boundary (base deltas in, view delta out).
+Every node answers ``delta`` / ``advance`` / ``rebuild`` / ``describe``,
+join inputs also ``probe`` / ``probe_table``.  ``docs/engine.md`` walks
+through the layout; the test suite holds every plan delta equal to both
+``propagate_delta`` and a full recompute.
 
 Usage (the pattern :class:`~repro.relational.maintain.MaterializedView`
 and the cached view managers follow)::
@@ -52,9 +45,10 @@ and the cached view managers follow)::
 
 ``propagate`` never mutates, so a failed batch leaves everything
 untouched; ``advance`` consumes the deltas staged by the most recent
-``propagate``.  Expressions containing node types the compiler does not
-know raise :class:`PlanUnsupported` — callers fall back to the equivalent
-unindexed ``propagate_delta``.
+``propagate``.  An :class:`~repro.relational.expressions.Expression`
+subclass the compiler has no node for raises :class:`PlanUnsupported` at
+compile time (the compiler covers all five built-in node classes, so this
+only rejects a caller-supplied one).
 
 **Multi-query optimization** (:class:`PlanLibrary`): views that live in
 the same merge shard usually share structure — the same join, the same
@@ -80,7 +74,6 @@ from typing import Mapping
 
 from repro.errors import ExpressionError
 from repro.obs.profiler import PROF_KEY
-from repro.relational import plan_reference as _rows
 from repro.relational.columnar import (
     EMPTY_COUNTS,
     AggregateKernel,
@@ -108,16 +101,13 @@ from repro.relational.expressions import (
 )
 from repro.relational.relation import Relation
 
-_ENGINES = ("columnar", "rows")
-
 
 class PlanUnsupported(ExpressionError):
     """The expression contains a node the plan compiler cannot handle."""
 
 
 # ---------------------------------------------------------------------------
-# columnar node family (see plan_reference for the row-dict twin and the
-# shared node protocol: delta / probe / advance / rebuild / describe)
+# plan nodes (protocol: delta / probe / advance / rebuild / describe)
 # ---------------------------------------------------------------------------
 
 class _CBaseNode:
@@ -506,11 +496,6 @@ class MaintenancePlan:
     only through the coordinated ``propagate``/``apply_deltas``/
     ``advance`` sequence — after any out-of-band mutation call
     :meth:`rebuild`.
-
-    ``engine`` selects the node family (see the module docstring):
-    ``"columnar"`` (default) or ``"rows"`` (the reference path in
-    :mod:`repro.relational.plan_reference`).  Both expose the same
-    protocol and emit identical deltas.
     """
 
     def __init__(
@@ -518,22 +503,9 @@ class MaintenancePlan:
         expression: Expression,
         database,
         library: "PlanLibrary | None" = None,
-        engine: str | None = None,
         preload: Mapping[str, object] | None = None,
     ) -> None:
-        if engine is None:
-            engine = library.engine if library is not None else "columnar"
-        if engine not in _ENGINES:
-            raise ExpressionError(
-                f"unknown plan engine {engine!r}; expected one of {_ENGINES}"
-            )
-        if library is not None and engine != library.engine:
-            raise ExpressionError(
-                f"plan engine {engine!r} conflicts with library engine "
-                f"{library.engine!r}"
-            )
         self.expression = expression
-        self.engine = engine
         self._db = database
         self._library = library
         #: every node this plan reads, interned or private (may contain
@@ -542,14 +514,9 @@ class MaintenancePlan:
         self._schemas = dict(database.schemas)
         self.schema = expression.infer_schema(self._schemas)
         # Warm-start auxiliary state (see export_aux): only private
-        # columnar compiles consume it — interned library nodes may be
-        # shared with plans the seed knows nothing about, and the rows
-        # engine is the reference path (always recomputed fresh).
-        self._preload = (
-            dict(preload)
-            if preload and library is None and engine == "columnar"
-            else None
-        )
+        # compiles consume it — interned library nodes may be shared
+        # with plans the seed knows nothing about.
+        self._preload = dict(preload) if preload and library is None else None
         self._root = self._compile(expression)
         self._preload = None
         self._staged: dict = {}
@@ -592,33 +559,19 @@ class MaintenancePlan:
         return self._intern(("node", expr), lambda: self._build(expr))
 
     def _build(self, expr: Expression):
-        rows = self.engine == "rows"
         if isinstance(expr, BaseRelation):
-            relation = self._db.relation(expr.name)
-            if rows:
-                return _rows.BaseNode(expr.name, relation)
-            return _CBaseNode(expr.name, relation)
+            return _CBaseNode(expr.name, self._db.relation(expr.name))
         if isinstance(expr, Select):
-            child = self._compile(expr.child)
-            if rows:
-                return _rows.SelectNode(expr.predicate, child)
-            return _CSelectNode(expr.predicate, child)
+            return _CSelectNode(expr.predicate, self._compile(expr.child))
         if isinstance(expr, Project):
-            child = self._compile(expr.child)
-            if rows:
-                return _rows.ProjectNode(expr.names, child)
-            return _CProjectNode(expr.names, child)
+            return _CProjectNode(expr.names, self._compile(expr.child))
         if isinstance(expr, Join):
             on = expr.join_attributes(self._schemas)
             left = self._compile_input(expr.left, on)
             right = self._compile_input(expr.right, on)
-            if rows:
-                return _rows.JoinNode(left, right, on)
             return _CJoinNode(left, right, on)
         if isinstance(expr, Aggregate):
             child = self._compile(expr.child)
-            if rows:
-                return _rows.AggregateNode(expr, child, self._db)
             seed_groups = (
                 self._preload.get(f"agg|{expr}")
                 if self._preload is not None
@@ -631,19 +584,10 @@ class MaintenancePlan:
 
     def _compile_input(self, expr: Expression, on: tuple[str, ...]):
         """Compile a join operand: indexed base probe or aux materialization."""
-        rows = self.engine == "rows"
         if isinstance(expr, BaseRelation):
-            if rows:
-                build = lambda: _rows.BaseNode(
-                    expr.name, self._db.relation(expr.name), probe_key=on
-                )
-            else:
-                build = lambda: _CBaseNode(
-                    expr.name, self._db.relation(expr.name), probe_key=on
-                )
-            return self._intern(("input", expr, on), build)
-        if rows:
-            build = lambda: _rows.MatInput(expr, self._compile(expr), self._db, on)
+            build = lambda: _CBaseNode(
+                expr.name, self._db.relation(expr.name), probe_key=on
+            )
         else:
             seed = (
                 self._preload.get(f"input|{','.join(on)}|{expr}")
@@ -657,9 +601,7 @@ class MaintenancePlan:
 
     # -- maintenance -------------------------------------------------------
     def _to_delta(self, counts) -> Delta:
-        """The facade boundary: engine-native counts -> a facade Delta."""
-        if self.engine == "rows":
-            return Delta(counts)
+        """The facade boundary: tuple-keyed counts -> a facade Delta."""
         return Delta(counts_to_rows(self._root.layout, counts))
 
     def propagate(self, base_deltas: Mapping[str, Delta]) -> Delta:
@@ -690,11 +632,6 @@ class MaintenancePlan:
         lives (see docs/engine.md).  Staging/advance semantics are
         identical to :meth:`propagate`.
         """
-        if self.engine != "columnar":
-            raise ExpressionError(
-                "propagate_counts needs the columnar engine; this plan "
-                f"runs engine={self.engine!r}"
-            )
         self._staged = {}
         if self.profiler is not None:
             self._staged[PROF_KEY] = self.profiler
@@ -727,10 +664,7 @@ class MaintenancePlan:
         and aggregate group states (``agg|<expr>`` → ``{key: state}``).
         Feeding the result back as ``preload=`` to a fresh compile of the
         same expression over the same base state skips their evaluation.
-        The rows engine exports nothing (it always recompiles fresh).
         """
-        if self.engine != "columnar":
-            return {}
         out: dict[str, object] = {}
         for node in self._nodes:
             if isinstance(node, _CMatInput):
@@ -767,7 +701,7 @@ class MaintenancePlan:
         return sum(seen.values())
 
     def __repr__(self) -> str:
-        return (f"MaintenancePlan({self.expression}, engine={self.engine!r}, "
+        return (f"MaintenancePlan({self.expression}, "
                 f"propagations={self.propagations})")
 
 
@@ -778,16 +712,14 @@ class PlanLibrary:
     once, so the compiled :class:`MaintenancePlan`s of same-shard views
     literally share node objects: the join both views read is evaluated
     once per batch, its auxiliary materialization is maintained once, and
-    one index probe feeds every reader.  All plans in a library run the
-    same ``engine`` — sharing a node between engines would make its
-    native delta format ambiguous.
+    one index probe feeds every reader.
 
     The library owns the propagation round:
 
     * :meth:`propagate_all` runs every plan against one shared staging
       dict — per-batch node memoization means each shared node computes
-      its delta exactly once per round (under the columnar engine even
-      the batch's Row->tuple base-delta conversion is shared);
+      its delta exactly once per round (even the batch's Row->tuple
+      base-delta conversion is shared);
     * :meth:`advance_all` advances every plan; stateful shared nodes
       (aux materializations, aggregate group states) consume their staged
       entry on first advance and no-op after, so shared state moves
@@ -799,13 +731,8 @@ class PlanLibrary:
     point of sharing.)
     """
 
-    def __init__(self, database, engine: str = "columnar") -> None:
-        if engine not in _ENGINES:
-            raise ExpressionError(
-                f"unknown plan engine {engine!r}; expected one of {_ENGINES}"
-            )
+    def __init__(self, database) -> None:
         self._db = database
-        self.engine = engine
         self._interned: dict[tuple, object] = {}
         self._uses: dict[tuple, int] = {}
         self.plans: dict[str, MaintenancePlan] = {}
@@ -864,11 +791,6 @@ class PlanLibrary:
         :class:`~repro.relational.columnar.ColumnarDelta` — no ``Row``
         is built anywhere in the round.
         """
-        if self.engine != "columnar":
-            raise ExpressionError(
-                "propagate_all_counts needs the columnar engine; this "
-                f"library runs engine={self.engine!r}"
-            )
         staged: dict = {}
         if self.profiler is not None:
             staged[PROF_KEY] = self.profiler

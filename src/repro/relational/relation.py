@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.errors import RelationError, SchemaError
 from repro.relational.columnar import ColumnarRelation
-from repro.relational.indexes import HashIndex
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
 
@@ -23,11 +22,12 @@ class Relation:
     """A multiset of rows.
 
     Supports insert/delete with multiplicities, iteration (each row
-    repeated by its count), equality as bags, cheap copying, and lazily
-    built hash indexes kept in lockstep by ``insert``/``delete``.
+    repeated by its count), equality as bags, cheap copying, and a lazily
+    built columnar twin (:meth:`columnar`, the home of the probe indexes)
+    kept in lockstep by ``insert``/``delete``.
     """
 
-    __slots__ = ("_schema", "_counts", "_size", "_indexes", "_store")
+    __slots__ = ("_schema", "_counts", "_size", "_store")
 
     def __init__(
         self,
@@ -37,7 +37,6 @@ class Relation:
         self._schema = schema
         self._counts: dict[Row, int] = {}
         self._size = 0
-        self._indexes: dict[tuple[str, ...], HashIndex] = {}
         self._store: ColumnarRelation | None = None
         self._fill(rows)
 
@@ -98,35 +97,14 @@ class Relation:
         """
         return MappingProxyType(self._counts)
 
-    def index_on(self, attrs: Iterable[str]) -> HashIndex:
-        """The hash index keyed on ``attrs``, built lazily on first use.
-
-        Subsequent ``insert``/``delete`` calls keep it maintained, so
-        repeated probes never pay a rebuild.  ``clear`` (and therefore
-        ``replace_all``) drops all indexes; they rebuild on next use.
-        Every attribute must exist on every row of the relation.  When
-        the relation carries a schema, key extraction is positional over
-        the schema layout instead of per-attribute dict lookups.
-        """
-        key = tuple(attrs)
-        index = self._indexes.get(key)
-        if index is None:
-            layout = (
-                tuple(sorted(self._schema.names))
-                if self._schema is not None
-                else None
-            )
-            index = HashIndex(key, layout=layout)
-            index.build(self._counts)
-            self._indexes[key] = index
-        return index
-
     def columnar(self) -> ColumnarRelation:
         """The columnar twin of this relation, built lazily on first use.
 
-        Like the hash indexes, the store is kept in lockstep by
-        ``insert``/``delete`` and dropped by ``clear()`` (so out-of-band
-        ``replace_all`` cannot desync it); ``copy()`` does not carry it.
+        The store, and every :class:`~repro.relational.columnar.ColumnIndex`
+        built on it with ``columnar().index_on(attrs)``, is kept in
+        lockstep by ``insert``/``delete`` and dropped by ``clear()`` (so
+        out-of-band ``replace_all`` cannot desync it); ``copy()`` does not
+        carry it.
         Requires a schema — the schema's attribute set is the columnar
         layout, and schema validation is what guarantees every row fits
         it.  See ``docs/engine.md`` for the facade contract.
@@ -190,9 +168,6 @@ class Relation:
         relation with this schema."""
         self._counts[row] = self._counts.get(row, 0) + count
         self._size += count
-        if self._indexes:
-            for index in self._indexes.values():
-                index.add(row, count)
         if self._store is not None:
             self._store.insert(row.values_tuple(self._store.layout), count)
 
@@ -211,9 +186,6 @@ class Relation:
         else:
             self._counts[row] = present - count
         self._size -= count
-        if self._indexes:
-            for index in self._indexes.values():
-                index.remove(row, count)
         if self._store is not None:
             self._store.delete(row.values_tuple(self._store.layout), count)
 
@@ -235,7 +207,6 @@ class Relation:
     def clear(self) -> None:
         self._counts.clear()
         self._size = 0
-        self._indexes.clear()
         self._store = None
 
     def replace_all(self, rows: Iterable[Row]) -> None:

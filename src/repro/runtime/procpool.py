@@ -87,7 +87,7 @@ def _publish_child_state(
         for name in replica.relation_names
     }
     key, payload = encode_child_state(
-        view, expr, plan.engine, replica_counts, plan.export_aux()
+        view, expr, replica_counts, plan.export_aux()
     )
     store.put(key, payload)
     store.set_ref(f"{namespace}/procs/{view}", key)
@@ -413,20 +413,16 @@ def start_compute_fleet(
 ) -> ComputeFleet:
     """Fork one compute server per merge shard and install remote plans.
 
-    Only cached-mode managers whose expression compiled to a columnar
-    plan are offloaded; anything else keeps its in-process path (the
-    query-back modes rebuild a pre-state per batch and never had a
-    standing plan to ship).  ``workers`` caps the fleet size — beyond it,
-    shards share servers round-robin, still never splitting a shard.
+    Only cached-mode managers are offloaded; the query-back modes keep
+    their in-process path (they rebuild a pre-state per batch and never
+    had a standing plan to ship).  ``workers`` caps the fleet size —
+    beyond it, shards share servers round-robin, still never splitting a
+    shard.
     """
     context = multiprocessing.get_context("fork")
     offloadable: dict[str, list] = {}
     for manager in system.view_managers.values():
-        if (
-            manager.mode == "cached"
-            and manager._plan is not None
-            and manager._plan.engine == "columnar"
-        ):
+        if manager.mode == "cached":
             shard = system.view_to_merge[manager.view]
             offloadable.setdefault(shard, []).append(manager)
 

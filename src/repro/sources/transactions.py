@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SourceError
-from repro.relational.delta import Delta
+from repro.relational.delta import Delta, updates_to_deltas
 from repro.sources.update import Update
 
 
@@ -38,11 +38,7 @@ class SourceTransaction:
 
     def deltas(self) -> dict[str, Delta]:
         """Per-relation net deltas of this transaction."""
-        merged: dict[str, Delta] = {}
-        for update in self.updates:
-            existing = merged.get(update.relation, Delta())
-            merged[update.relation] = existing.combined(update.as_delta())
-        return merged
+        return updates_to_deltas(self.updates)
 
     def __str__(self) -> str:
         inner = "; ".join(str(u) for u in self.updates)

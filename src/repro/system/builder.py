@@ -610,11 +610,9 @@ class WarehouseSystem:
         For each merge process, compiles the shard's view expressions
         through one :class:`~repro.relational.plan.PlanLibrary` against a
         throwaway copy of ``ss_0`` and returns the library's shared-node
-        report — how much delta-probe work same-shard views share.  Views
-        whose expressions the plan compiler cannot handle are listed
-        under ``"unsupported"`` and excluded from the counts.
+        report — how much delta-probe work same-shard views share.
         """
-        from repro.relational.plan import PlanLibrary, PlanUnsupported
+        from repro.relational.plan import PlanLibrary
 
         definitions = {d.name: d for d in self.definitions}
         shards: dict[str, list[str]] = {}
@@ -623,14 +621,9 @@ class WarehouseSystem:
         reports: dict[str, dict] = {}
         for merge_name, views in sorted(shards.items()):
             library = PlanLibrary(self._initial_state.snapshot())
-            unsupported: list[str] = []
             for view in views:
-                try:
-                    library.compile(view, definitions[view].expression)
-                except PlanUnsupported:
-                    unsupported.append(view)
+                library.compile(view, definitions[view].expression)
             report = library.report()
             report["views"] = views
-            report["unsupported"] = unsupported
             reports[merge_name] = report
         return reports

@@ -48,9 +48,9 @@ from repro.messages import (
     UpdateForView,
 )
 from repro.relational.database import Database
-from repro.relational.delta import Delta, propagate_delta
+from repro.relational.delta import Delta, propagate_delta, updates_to_deltas
 from repro.relational.expressions import ViewDefinition
-from repro.relational.plan import MaintenancePlan, PlanUnsupported
+from repro.relational.plan import MaintenancePlan
 from repro.relational.predicates import Predicate
 from repro.relational.relation import Relation
 from repro.relational.rows import Row
@@ -129,8 +129,8 @@ class ViewManager(Process):
         self._m_rows = metrics.counter("vm_compute_rows", view=self.view)
         self._m_updates = metrics.counter("vm_updates_processed", view=self.view)
         # Opt-in plan profiling (SystemConfig.profile_plans): wraps each
-        # propagate in a wall-clock timer and, for local columnar plans,
-        # attaches a PlanProfiler for per-node timings.
+        # propagate in a wall-clock timer and, for a local plan, attaches
+        # a PlanProfiler for per-node timings.
         self._profile = False
         # Content-addressed cache binding (repro.cache): None = the PR-1
         # behaviour, crash recovery by in-simulator replay only.
@@ -195,22 +195,19 @@ class ViewManager(Process):
             replica.create_relation(relation, self.base_schemas[relation], rows)
         self._replica = replica
         # Cached mode processes every batch against this one stable
-        # database, so maintenance can run through a compiled indexed
-        # plan (columnar-engine by default — see docs/engine.md);
-        # query-back modes rebuild a pre-state per batch and keep the
-        # unindexed path.  A cache binding fixes its key material here
-        # and may serve a seed artifact whose auxiliary state lets the
-        # compile skip its evaluation passes (the cold-start hot spot).
+        # database, so maintenance runs through a compiled indexed plan
+        # (see docs/engine.md); query-back modes rebuild a pre-state per
+        # batch and run the stateless delta rules on it.  A cache binding
+        # fixes its key material here and may serve a seed artifact whose
+        # auxiliary state lets the compile skip its evaluation passes
+        # (the cold-start hot spot).
         preload = None
         if self._cache is not None:
             self._cache.on_seeded(self)
             preload = self._cache.seed_aux()
-        try:
-            self._plan = MaintenancePlan(
-                self.definition.expression, replica, preload=preload
-            )
-        except PlanUnsupported:
-            self._plan = None
+        self._plan = MaintenancePlan(
+            self.definition.expression, replica, preload=preload
+        )
 
     def use_remote_plan(self, remote) -> None:
         """Offload cached-mode propagation to a compute server.
@@ -338,9 +335,15 @@ class ViewManager(Process):
     def _build_pre_state(self, response: SnapshotResponse) -> Database:
         db = Database()
         for relation in sorted(self.definition.base_relations()):
-            counts = response.contents.get(relation, {})
-            db.create_relation(relation, self.base_schemas[relation])
-            target = db.relation(relation)
+            counts = response.contents.get(relation)
+            if counts is None:
+                # An absent relation is a malformed answer, not an empty
+                # relation: computing on would send a wrong action list.
+                raise ViewManagerError(
+                    f"{self.name}: snapshot response {response.query_id} "
+                    f"lacks base relation {relation!r}"
+                )
+            target = db.create_relation(relation, self.base_schemas[relation])
             for row, count in counts.items():
                 target.insert(row, count)
         if self.mode == "compensate":
@@ -367,12 +370,14 @@ class ViewManager(Process):
         self._m_prop_ns = metrics.counter(
             "plan_propagate_time_ns", view=self.view
         )
-        if self._plan is not None and self._plan.engine == "columnar":
+        if self._plan is not None:
             self._plan.enable_profiling(profiler)
 
     def _compute_from(self, pre_state: Database, advance_replica: bool) -> None:
         batch = self._current_batch
-        deltas = self._filter_deltas(self._batch_deltas(batch))
+        deltas = self._filter_deltas(
+            updates_to_deltas(u for msg in batch for u in msg.updates)
+        )
         t0 = perf_counter_ns() if self._profile else 0
         if advance_replica and self._remote_plan is not None:
             # Remote path (procs runtime): the compute server propagates
@@ -381,18 +386,18 @@ class ViewManager(Process):
             # unmaintained) local plan entirely.
             view_delta = self._remote_plan.propagate(deltas)
             pre_state.apply_deltas(deltas)
-        elif advance_replica and self._plan is not None:
-            # Indexed path: probe the replica's hash indexes and the
+        elif advance_replica:
+            # Indexed path: probe the replica's column indexes and the
             # plan's auxiliary state instead of rescanning base relations.
             view_delta = self._plan.propagate(deltas)
             pre_state.apply_deltas(deltas)
             self._plan.advance()
         else:
+            # Query-back modes: the pre-state was fetched for this batch
+            # alone, so there is no standing state for a plan to keep.
             view_delta = propagate_delta(
                 self.definition.expression, pre_state, deltas
             )
-            if advance_replica:
-                pre_state.apply_deltas(deltas)
         if self._profile:
             self._m_prop_calls.inc()
             self._m_prop_ns.inc(perf_counter_ns() - t0)
@@ -411,15 +416,6 @@ class ViewManager(Process):
         )
         self._pending_emit = (covered, view_delta)
         self.sim.schedule(cost, self._emit, covered, view_delta, self._epoch)
-
-    @staticmethod
-    def _batch_deltas(batch: list[UpdateForView]) -> dict[str, Delta]:
-        merged: dict[str, Delta] = {}
-        for message in batch:
-            for update in message.updates:
-                existing = merged.get(update.relation, Delta())
-                merged[update.relation] = existing.combined(update.as_delta())
-        return merged
 
     def _emit(
         self,

@@ -4,8 +4,7 @@ The load-bearing claim of ``repro.cache`` is that a maintenance plan
 rebuilt from a content-addressed artifact is indistinguishable — delta
 for delta, row for row — from one that never crashed.  Hypothesis
 drives that claim over random SPJ and aggregate views, random delta
-batches (inserts *and* deletes of live rows), and a random crash point,
-for both plan engines:
+batches (inserts *and* deletes of live rows), and a random crash point:
 
 * the **artifact level** round-trips the replica and the plan's
   auxiliary state through real store bytes
@@ -163,10 +162,10 @@ def _apply_view_delta(bag, delta):
             del bag[row]
 
 
-def _replay(expr, engine, initial, batches):
+def _replay(expr, initial, batches):
     """Uninterrupted reference run; returns (view bag, replica counts)."""
     db = _fresh_db(initial)
-    plan = MaintenancePlan(expr, db, engine=engine)
+    plan = MaintenancePlan(expr, db)
     bag = {}
     for deltas in batches:
         view_delta = plan.propagate(deltas)
@@ -179,11 +178,11 @@ def _replay(expr, engine, initial, batches):
     return bag, replica
 
 
-def _crash_and_restore(expr, engine, initial, batches, crash_at, store):
+def _crash_and_restore(expr, initial, batches, crash_at, store):
     """Apply ``crash_at`` batches, round-trip state through the store as a
     real artifact, rebuild, and finish the stream on the restored plan."""
     db = _fresh_db(initial)
-    plan = MaintenancePlan(expr, db, engine=engine)
+    plan = MaintenancePlan(expr, db)
     bag = {}
     for deltas in batches[:crash_at]:
         view_delta = plan.propagate(deltas)
@@ -201,14 +200,14 @@ def _crash_and_restore(expr, engine, initial, batches, crash_at, store):
         for name in SCHEMAS
     }
     key, payload = encode_child_state(
-        "V", str(expr), engine, replica_counts, plan.export_aux()
+        "V", str(expr), replica_counts, plan.export_aux()
     )
     store.put(key, payload)
     del db, plan
 
     # -- restart: rebuild replica + plan from verified store bytes --------
     decoded = decode_child_state(store.get(key))
-    assert decoded["engine"] == engine
+    assert decoded["engine"] == "columnar"
     restored = Database()
     for name, (layout, counts) in decoded["replica"].items():
         decoded_bag = counts_to_rows(tuple(layout), counts)
@@ -217,9 +216,7 @@ def _crash_and_restore(expr, engine, initial, batches, crash_at, store):
             SCHEMAS[name],
             (row for row, c in decoded_bag.items() for _ in range(c)),
         )
-    plan = MaintenancePlan(
-        expr, restored, engine=engine, preload=decoded["aux"]
-    )
+    plan = MaintenancePlan(expr, restored, preload=decoded["aux"])
     for deltas in batches[crash_at:]:
         view_delta = plan.propagate(deltas)
         restored.apply_deltas(deltas)
@@ -248,7 +245,6 @@ class TestArtifactLevelRecovery:
         stream=ops,
         batch_count=st.integers(min_value=1, max_value=5),
         crash_fraction=st.floats(min_value=0.0, max_value=1.0),
-        engine=st.sampled_from(("columnar", "rows")),
     )
     def test_restore_is_bag_identical_to_replay(
         self,
@@ -258,7 +254,6 @@ class TestArtifactLevelRecovery:
         stream,
         batch_count,
         crash_fraction,
-        engine,
     ):
         initial = {name: {} for name in SCHEMAS}
         for relation, values, _d, _i in initial_ops:
@@ -267,11 +262,9 @@ class TestArtifactLevelRecovery:
         batches = _materialize_batches(stream, batch_count, initial)
         crash_at = round(crash_fraction * len(batches))
 
-        expected_bag, expected_replica = _replay(
-            expr, engine, initial, batches
-        )
+        expected_bag, expected_replica = _replay(expr, initial, batches)
         restored_bag, restored_replica = _crash_and_restore(
-            expr, engine, initial, batches, crash_at, module_store
+            expr, initial, batches, crash_at, module_store
         )
         assert restored_bag == expected_bag
         assert restored_replica == expected_replica

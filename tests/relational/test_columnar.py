@@ -2,9 +2,9 @@
 
 Covers the storage (ColumnarRelation / ColumnIndex / ColumnarDelta), the
 compiled kernels (filters, projections, merges, aggregate folds), the
-facade hooks (Row.values_tuple, Relation.columnar lockstep, positional
-HashIndex keys), vectorized full evaluation, and the plan engine switch
-(``engine="columnar"`` vs the ``"rows"`` reference).
+facade hooks (Row.values_tuple, Relation.columnar lockstep), vectorized
+full evaluation, and the plan built from them against the two other
+engines there are (the stateless delta rules and full recomputation).
 """
 
 import pytest
@@ -25,7 +25,7 @@ from repro.relational.columnar import (
     row_of,
 )
 from repro.relational.database import Database
-from repro.relational.delta import Delta, propagate_delta
+from repro.relational.delta import Delta
 from repro.relational.expressions import (
     Aggregate,
     AggregateSpec,
@@ -34,12 +34,12 @@ from repro.relational.expressions import (
     Project,
     Select,
 )
-from repro.relational.indexes import HashIndex
-from repro.relational.plan import MaintenancePlan, PlanLibrary
+from repro.relational.plan import MaintenancePlan
 from repro.relational.predicates import TRUE, Predicate, compare
 from repro.relational.relation import Relation
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
+from tests.relational.oracle import assert_matches_oracles
 
 
 def make_db() -> Database:
@@ -288,14 +288,6 @@ class TestRelationFacade:
         with pytest.raises(RelationError):
             rel.columnar()
 
-    def test_hash_index_positional_keys_match_name_keys(self):
-        rel = make_db().relation("R")
-        positional = rel.index_on(("B",))
-        by_name = HashIndex(("B",))  # no layout: per-name lookups
-        by_name.build(dict(rel.counts_view()))
-        for key in by_name.keys():
-            assert dict(positional.bucket(key)) == dict(by_name.bucket(key))
-
 
 class TestEvaluateColumnar:
     EXPRS = [
@@ -328,43 +320,13 @@ class TestEvaluateColumnar:
 
 
 class TestPlanEngines:
-    def test_default_engine_is_columnar(self):
-        plan = MaintenancePlan(Join(BaseRelation("R"), BaseRelation("S")), make_db())
-        assert plan.engine == "columnar"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ExpressionError):
-            MaintenancePlan(BaseRelation("R"), make_db(), engine="simd")
-        with pytest.raises(ExpressionError):
-            PlanLibrary(make_db(), engine="simd")
-
-    def test_plan_engine_must_match_library_engine(self):
-        library = PlanLibrary(make_db(), engine="rows")
-        with pytest.raises(ExpressionError):
-            MaintenancePlan(BaseRelation("R"), library._db, library=library,
-                            engine="columnar")
-
-    def test_engines_describe_identically(self):
-        expr = Aggregate(
-            ("B",),
-            (AggregateSpec("count", "n"), AggregateSpec("sum", "tot", "C")),
-            Join(
-                Select(compare("A", "<", 6), BaseRelation("R")),
-                BaseRelation("S"),
-            ),
-        )
-        columnar = MaintenancePlan(expr, make_db())
-        rows = MaintenancePlan(expr, make_db(), engine="rows")
-        assert columnar.describe() == rows.describe()
-
     def test_engines_emit_equal_deltas_over_a_batch_sequence(self):
         expr = Project(
             ("A", "C"),
             Select(compare("C", "<", 6), Join(BaseRelation("R"), BaseRelation("S"))),
         )
-        db_c, db_r = make_db(), make_db()
-        plan_c = MaintenancePlan(expr, db_c)
-        plan_r = MaintenancePlan(expr, db_r, engine="rows")
+        db = make_db()
+        plan = MaintenancePlan(expr, db)
         batches = [
             {"R": Delta.insert(Row(A=50, B=1))},
             {"S": Delta.insert(Row(B=1, C=2), 3)},
@@ -372,13 +334,9 @@ class TestPlanEngines:
              "S": Delta.delete(Row(B=0, C=0))},
         ]
         for deltas in batches:
-            legacy = propagate_delta(expr, db_c, deltas)
-            out_c, out_r = plan_c.propagate(deltas), plan_r.propagate(deltas)
-            assert out_c == out_r == legacy
-            db_c.apply_deltas(deltas)
-            db_r.apply_deltas(deltas)
-            plan_c.advance()
-            plan_r.advance()
+            assert_matches_oracles(expr, db, deltas, plan.propagate(deltas))
+            db.apply_deltas(deltas)
+            plan.advance()
 
     def test_columnar_plan_survives_out_of_band_replace_all(self):
         """replace_all drops the columnar store; probes must re-resolve."""
@@ -389,4 +347,4 @@ class TestPlanEngines:
         db.relation("S").replace_all([Row(B=1, C=123)])
         plan.rebuild()
         deltas = {"R": Delta.insert(Row(A=78, B=1))}
-        assert plan.propagate(deltas) == propagate_delta(expr, db, deltas)
+        assert_matches_oracles(expr, db, deltas, plan.propagate(deltas))

@@ -5,11 +5,12 @@ for ANY supported expression over R(A,B), S(B,C) and ANY applicable mixed
 delta sequence,
 
 * ``evaluate_columnar`` equals the row-dict ``evaluate``;
-* a ``engine="columnar"`` plan's propagated delta equals the
-  ``engine="rows"`` reference plan's AND the unindexed
-  ``propagate_delta`` — at every step of a multi-batch sequence, so the
-  columnar auxiliary state (aux materializations, aggregate group
-  states) is exercised after advancing, not just from a fresh compile.
+* the plan's propagated delta, through both ingestion paths (facade
+  ``propagate`` and all-tuple ``propagate_counts``), equals the stateless
+  ``propagate_delta`` AND the recompute difference — at every step of a
+  multi-batch sequence, so the columnar auxiliary state (aux
+  materializations, aggregate group states) is exercised after
+  advancing, not just from a fresh compile.
 
 Deterministic edge cases ride along: empty relations, all-delete deltas
 that empty the database, and duplicate-row multiplicities.
@@ -20,9 +21,9 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.relational.algebra import evaluate
-from repro.relational.columnar import evaluate_columnar
+from repro.relational.columnar import ColumnarDelta, evaluate_columnar
 from repro.relational.database import Database
-from repro.relational.delta import Delta, propagate_delta
+from repro.relational.delta import Delta
 from repro.relational.expressions import (
     Aggregate,
     AggregateSpec,
@@ -36,6 +37,7 @@ from repro.relational.plan import MaintenancePlan
 from repro.relational.predicates import compare
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
+from tests.relational.oracle import assert_matches_oracles
 
 VALUES = st.integers(min_value=0, max_value=4)
 SCHEMAS = {"R": Schema(["A", "B"]), "S": Schema(["B", "C"])}
@@ -142,35 +144,38 @@ def test_evaluate_columnar_equals_row_dict_evaluate(data):
 
 @given(data=st.data())
 @settings(max_examples=120, deadline=None)
-def test_columnar_plan_equals_rows_plan_and_legacy(data):
-    db_c = data.draw(databases())
+def test_columnar_plan_equals_recompute_and_legacy(data):
+    db = data.draw(databases())
     expr = data.draw(expressions())
-    # an identical twin database drives the reference engine so auxiliary
-    # state on both sides evolves from the same batches independently
-    db_r = Database()
+    # an identical twin database drives the all-tuple ingestion path, so
+    # auxiliary state on both sides evolves from the same batches
+    # independently
+    db_t = Database()
     for name in ("R", "S"):
-        db_r.create_relation(name, SCHEMAS[name], list(db_c.relation(name)))
+        db_t.create_relation(name, SCHEMAS[name], list(db.relation(name)))
 
-    plan_c = MaintenancePlan(expr, db_c, engine="columnar")
-    plan_r = MaintenancePlan(expr, db_r, engine="rows")
+    plan = MaintenancePlan(expr, db)
+    plan_t = MaintenancePlan(expr, db_t)
 
     for _step in range(data.draw(st.integers(min_value=1, max_value=3))):
-        deltas = data.draw(base_deltas(db_c))
-        legacy = propagate_delta(expr, db_c, deltas)
-        out_c = plan_c.propagate(deltas)
-        out_r = plan_r.propagate(deltas)
-        assert out_c == out_r
-        assert out_c == legacy
-        db_c.apply_deltas(deltas)
-        db_r.apply_deltas(deltas)
-        plan_c.advance()
-        plan_r.advance()
+        deltas = data.draw(base_deltas(db))
+        out = plan.propagate(deltas)
+        assert_matches_oracles(expr, db, deltas, out)
+        out_t = plan_t.propagate_counts({
+            name: ColumnarDelta.from_delta(SCHEMAS[name].names, delta).counts()
+            for name, delta in deltas.items()
+        })
+        assert out_t.to_delta() == out
+        db.apply_deltas(deltas)
+        db_t.apply_deltas(deltas)
+        plan.advance()
+        plan_t.advance()
 
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_all_delete_deltas_drain_to_empty(data):
-    """Edge: a delta that deletes *everything* leaves both engines at the
+    """Edge: a delta that deletes *everything* leaves the plan at the
     empty view — exercises group death and aux-materialization draining."""
     db = data.draw(databases(min_size=1))
     expr = data.draw(expressions())
@@ -182,9 +187,8 @@ def test_all_delete_deltas_drain_to_empty(data):
         for name in ("R", "S")
         if len(db.relation(name))
     }
-    legacy = propagate_delta(expr, db, wipe)
     planned = plan.propagate(wipe)
-    assert planned == legacy
+    assert_matches_oracles(expr, db, wipe, planned)
     db.apply_deltas(wipe)
     plan.advance()
     planned.apply_to(materialized)
@@ -192,7 +196,7 @@ def test_all_delete_deltas_drain_to_empty(data):
     assert len(db.relation("R")) == 0 and len(db.relation("S")) == 0
     # the engine keeps working after total drain
     refill = {"R": Delta.insert(Row(A=1, B=1), 2)}
-    assert plan.propagate(refill) == propagate_delta(expr, db, refill)
+    assert_matches_oracles(expr, db, refill, plan.propagate(refill))
 
 
 def test_empty_relations_everywhere():
@@ -214,18 +218,14 @@ def test_empty_relations_everywhere():
 
 def test_duplicate_row_multiplicities_multiply_through_joins():
     """Edge: counts multiply — 2 copies of the R row x 3 copies of the S
-    row must produce 6 copies of the joined row on both engines."""
-    db_c = Database()
-    db_c.create_relation("R", SCHEMAS["R"], [Row(A=1, B=1)] * 2)
-    db_c.create_relation("S", SCHEMAS["S"], [Row(B=1, C=1)] * 3)
-    db_r = Database()
-    db_r.create_relation("R", SCHEMAS["R"], [Row(A=1, B=1)] * 2)
-    db_r.create_relation("S", SCHEMAS["S"], [Row(B=1, C=1)] * 3)
+    row must produce 6 copies of the joined row."""
+    db = Database()
+    db.create_relation("R", SCHEMAS["R"], [Row(A=1, B=1)] * 2)
+    db.create_relation("S", SCHEMAS["S"], [Row(B=1, C=1)] * 3)
     expr = Join(BaseRelation("R"), BaseRelation("S"))
-    plan_c = MaintenancePlan(expr, db_c)
-    plan_r = MaintenancePlan(expr, db_r, engine="rows")
+    plan = MaintenancePlan(expr, db)
 
     deltas = {"R": Delta.insert(Row(A=1, B=1), 2)}
-    out_c, out_r = plan_c.propagate(deltas), plan_r.propagate(deltas)
-    assert out_c == out_r
-    assert out_c.count(Row(A=1, B=1, C=1)) == 6
+    out = plan.propagate(deltas)
+    assert_matches_oracles(expr, db, deltas, out)
+    assert out.count(Row(A=1, B=1, C=1)) == 6

@@ -1,42 +1,17 @@
-"""Hash indexes: lazy build, incremental maintenance, zero-copy reads."""
+"""Probe indexes on a relation: lazy build, lockstep maintenance.
+
+``Relation.columnar().index_on(attrs)`` is the one probe structure (a
+:class:`~repro.relational.columnar.ColumnIndex` over layout-positioned
+tuples, here ``(A, B)``); these cases drive it through the ``Relation``
+facade, which is how the maintenance plan's base nodes reach it.
+"""
 
 import pytest
 
 from repro.errors import RelationError
-from repro.relational.indexes import HashIndex
 from repro.relational.relation import Relation
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
-
-
-class TestHashIndex:
-    def test_build_and_probe(self):
-        index = HashIndex(("b",))
-        index.build({Row(a=1, b=10): 2, Row(a=2, b=10): 1, Row(a=3, b=20): 1})
-        assert dict(index.bucket((10,))) == {Row(a=1, b=10): 2, Row(a=2, b=10): 1}
-        assert dict(index.bucket((20,))) == {Row(a=3, b=20): 1}
-        assert dict(index.bucket((99,))) == {}
-        assert len(index) == 2
-
-    def test_add_remove_round_trip(self):
-        index = HashIndex(("b",))
-        index.add(Row(a=1, b=10), 3)
-        index.remove(Row(a=1, b=10), 2)
-        assert dict(index.bucket((10,))) == {Row(a=1, b=10): 1}
-        index.remove(Row(a=1, b=10), 1)
-        assert len(index) == 0  # empty buckets are dropped
-
-    def test_compound_key(self):
-        index = HashIndex(("a", "b"))
-        index.add(Row(a=1, b=2, c=3), 1)
-        assert dict(index.bucket((1, 2))) == {Row(a=1, b=2, c=3): 1}
-
-    def test_empty_key_is_one_bucket(self):
-        # An empty attribute list (cross product probe) buckets everything.
-        index = HashIndex(())
-        index.add(Row(a=1), 1)
-        index.add(Row(a=2), 2)
-        assert dict(index.bucket(())) == {Row(a=1): 1, Row(a=2): 2}
 
 
 class TestRelationIndexes:
@@ -48,55 +23,51 @@ class TestRelationIndexes:
 
     def test_lazy_build_and_identity(self):
         rel = self.make()
-        index = rel.index_on(("B",))
-        assert rel.index_on(("B",)) is index  # registered, not rebuilt
-        assert dict(index.bucket((0,))) == {
-            Row(A=0, B=0): 1, Row(A=3, B=0): 1, Row(A=6, B=0): 1
-        }
+        index = rel.columnar().index_on(("B",))
+        assert rel.columnar().index_on(("B",)) is index  # registered, not rebuilt
+        assert dict(index.bucket(0)) == {(0, 0): 1, (3, 0): 1, (6, 0): 1}
 
     def test_maintained_through_insert_delete(self):
         rel = self.make()
-        index = rel.index_on(("B",))
+        index = rel.columnar().index_on(("B",))
         rel.insert(Row(A=100, B=0))
         rel.delete(Row(A=0, B=0))
-        assert dict(index.bucket((0,))) == {
-            Row(A=3, B=0): 1, Row(A=6, B=0): 1, Row(A=100, B=0): 1
-        }
+        assert dict(index.bucket(0)) == {(3, 0): 1, (6, 0): 1, (100, 0): 1}
 
     def test_multiplicity_tracked(self):
         rel = self.make()
-        index = rel.index_on(("B",))
+        index = rel.columnar().index_on(("B",))
         rel.insert(Row(A=3, B=0), 4)
-        assert index.bucket((0,))[Row(A=3, B=0)] == 5
+        assert index.bucket(0)[(3, 0)] == 5
 
     def test_modify_keeps_index_consistent(self):
         rel = self.make()
-        index = rel.index_on(("B",))
+        index = rel.columnar().index_on(("B",))
         rel.modify(Row(A=1, B=1), Row(A=1, B=2))
-        assert Row(A=1, B=1) not in index.bucket((1,))
-        assert index.bucket((2,))[Row(A=1, B=2)] == 1
+        assert (1, 1) not in index.bucket(1)
+        assert index.bucket(2)[(1, 2)] == 1
 
     def test_clear_drops_indexes(self):
         rel = self.make()
-        rel.index_on(("B",))
+        rel.columnar().index_on(("B",))
         rel.clear()
         rel.insert(Row(A=1, B=0))
         # A fresh probe sees only the post-clear contents.
-        assert dict(rel.index_on(("B",)).bucket((0,))) == {Row(A=1, B=0): 1}
+        assert dict(rel.columnar().index_on(("B",)).bucket(0)) == {(1, 0): 1}
 
     def test_replace_all_rebuilds(self):
         rel = self.make()
-        rel.index_on(("B",))
+        rel.columnar().index_on(("B",))
         rel.replace_all([Row(A=50, B=7)])
-        assert dict(rel.index_on(("B",)).bucket((7,))) == {Row(A=50, B=7): 1}
+        assert dict(rel.columnar().index_on(("B",)).bucket(7)) == {(50, 7): 1}
 
     def test_copy_does_not_share_indexes(self):
         rel = self.make()
-        rel.index_on(("B",))
+        rel.columnar().index_on(("B",))
         dup = rel.copy()
         dup.insert(Row(A=200, B=0))
-        assert Row(A=200, B=0) not in rel.index_on(("B",)).bucket((0,))
-        assert Row(A=200, B=0) in dup.index_on(("B",)).bucket((0,))
+        assert (200, 0) not in rel.columnar().index_on(("B",)).bucket(0)
+        assert (200, 0) in dup.columnar().index_on(("B",)).bucket(0)
 
     def test_counts_view_is_zero_copy_and_readonly(self):
         rel = self.make()
@@ -109,7 +80,7 @@ class TestRelationIndexes:
 
     def test_delete_underflow_leaves_index_intact(self):
         rel = self.make()
-        index = rel.index_on(("B",))
+        index = rel.columnar().index_on(("B",))
         with pytest.raises(RelationError):
             rel.delete(Row(A=0, B=0), 5)
-        assert index.bucket((0,))[Row(A=0, B=0)] == 1
+        assert index.bucket(0)[(0, 0)] == 1

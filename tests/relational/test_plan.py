@@ -10,7 +10,7 @@ import pytest
 from repro.errors import ConsistencyViolation
 from repro.relational.algebra import evaluate
 from repro.relational.database import Database
-from repro.relational.delta import Delta, propagate_delta
+from repro.relational.delta import Delta
 from repro.relational.expressions import (
     Aggregate,
     AggregateSpec,
@@ -26,6 +26,7 @@ from repro.relational.plan import MaintenancePlan, PlanUnsupported
 from repro.relational.predicates import compare
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
+from tests.relational.oracle import assert_matches_oracles
 
 
 def make_db() -> Database:
@@ -53,9 +54,8 @@ def check_sequence(expr: Expression, db: Database, delta_batches) -> Maintenance
     plan = MaintenancePlan(expr, db)
     materialized = evaluate(expr, db)
     for deltas in delta_batches:
-        legacy = propagate_delta(expr, db, deltas)
         planned = plan.propagate(deltas)
-        assert planned == legacy
+        assert_matches_oracles(expr, db, deltas, planned)
         db.apply_deltas(deltas)
         plan.advance()
         planned.apply_to(materialized)
@@ -165,7 +165,7 @@ class TestPlanMechanics:
         plan = MaintenancePlan(TOTALS, db)
         plan.propagate({"R": Delta.insert(Row(A=50, B=1))})  # never advanced
         deltas = {"S": Delta.insert(Row(B=1, C=10))}
-        assert plan.propagate(deltas) == propagate_delta(TOTALS, db, deltas)
+        assert_matches_oracles(TOTALS, db, deltas, plan.propagate(deltas))
 
     def test_rebuild_recovers_from_out_of_band_mutation(self):
         db = make_db()
@@ -175,7 +175,7 @@ class TestPlanMechanics:
         db.apply_deltas({"R": Delta.insert(Row(A=80, B=1))})  # behind its back
         plan.rebuild()
         deltas = {"S": Delta.insert(Row(B=1, C=42))}
-        assert plan.propagate(deltas) == propagate_delta(expr, db, deltas)
+        assert_matches_oracles(expr, db, deltas, plan.propagate(deltas))
 
     def test_unsupported_expression_raises(self):
         class Exotic(Expression):
@@ -206,17 +206,16 @@ class TestMaterializedViewPlan:
         assert view.plan.propagations == 2
         view.verify()
 
-    def test_opt_out_matches_plan_path(self):
-        db_a, db_b = make_db(), make_db()
-        planned = MaterializedView(ViewDefinition("V", SPJ), db_a)
-        legacy = MaterializedView(ViewDefinition("V", SPJ), db_b, use_plan=False)
-        assert legacy.plan is None
+    def test_applied_delta_matches_the_oracles(self):
+        db, pre = make_db(), make_db()
+        view = MaterializedView(ViewDefinition("V", SPJ), db)
         for deltas in (
             {"R": Delta.insert(Row(A=21, B=3))},
             {"S": Delta.insert(Row(B=3, C=2))},
         ):
-            assert planned.apply(deltas) == legacy.apply(deltas)
-        assert planned.contents == legacy.contents
+            assert_matches_oracles(SPJ, pre, deltas, view.apply(deltas))
+            pre.apply_deltas(deltas)
+        assert view.contents == evaluate(SPJ, db)
 
     def test_refresh_rebuilds_plan_state(self):
         db = make_db()

@@ -154,12 +154,13 @@ class TestSeedingFromARelation:
         del validations[:]
         twin = Relation(Schema(["a", Attribute("b", AttrType.STR)]), source)
         target = Relation(self.SCHEMA, [Row(a=9, b="z")])
-        index = target.index_on(["a"])
+        twin_store = target.columnar()
         del validations[:]
         target.replace_all(source)
         assert validations == []
         assert twin == source == target and len(target) == 3
-        assert target.index_on(["a"]) is not index  # rebuilt, as after clear()
+        assert target.columnar() is not twin_store  # rebuilt, as after clear()
+        assert target.columnar().to_rows() == dict(source.counts_view())
         source.insert(Row(a=3, b="w"))  # independent copies
         assert len(twin) == len(target) == 3
 

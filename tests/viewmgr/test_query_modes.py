@@ -137,3 +137,29 @@ class TestStaleResponseGuard:
         sim.schedule(0.0, driver.send, manager.name, rogue)
         with pytest.raises(ViewManagerError, match="stale snapshot"):
             sim.run()
+
+
+class TestMalformedResponse:
+    @pytest.mark.parametrize("mode", ["snapshot", "compensate", "naive"])
+    def test_response_lacking_a_base_relation_is_rejected(self, mode):
+        """An absent relation is not an empty one: computing on would send
+        a wrong action list, so the manager raises and sends nothing."""
+        sim = Simulator()
+        merge = MergeSink(sim)
+        silent_service = MergeSink(sim, "basedata")  # never answers
+        manager = StrongViewManager(sim, VIEW, SCHEMAS, mode=mode)
+        manager.connect(merge, 1.0)
+        manager.connect(silent_service, 0.0)
+        driver = MergeSink(sim, "driver")
+        driver.connect(manager, 0.0)
+        update = Update.insert("S", {"B": 2, "C": 7})
+        driver.send(manager.name, UpdateForView(1, "V", (update,)))
+        sim.run()  # the manager has asked query 1 and is waiting
+        without_s = SnapshotResponse(1, 0, {"R": {Row(A=1, B=2): 1}})
+        driver.send(manager.name, without_s)
+        with pytest.raises(
+            ViewManagerError, match=r"vm:V: snapshot response 1 lacks .*'S'"
+        ):
+            sim.run()
+        sim.run()  # nothing was scheduled behind the failure
+        assert merge.lists == [] and manager.action_lists_sent == 0

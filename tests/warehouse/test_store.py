@@ -344,8 +344,8 @@ class TestFailedTransaction:
         for i, (view, delta) in enumerate(TestSharedSnapshots.TXNS, start=1):
             store.apply(delta_txn(i, view, delta, i), float(i))
         live = {n: store.view(n) for n in store.view_names}
-        indexes = {n: rel.index_on(ATTRS[n][:1]) for n, rel in live.items()}
         twins = {n: rel.columnar() for n, rel in live.items()}
+        indexes = {n: twins[n].index_on(ATTRS[n][:1]) for n in live}
         before = live_contents(store)
         history, log = store.history, store.commit_log
 
@@ -368,13 +368,11 @@ class TestFailedTransaction:
             rebuilt = relation.copy()
             if name == "V3" and fail_at >= 2:
                 continue  # a REPLACE drops indexes and twin, as it always did
-            assert relation.index_on(ATTRS[name][:1]) is indexes[name]
             assert relation.columnar() is twins[name]
+            assert relation.columnar().index_on(ATTRS[name][:1]) is indexes[name]
             assert relation.columnar() == rebuilt.columnar()
-            fresh = rebuilt.index_on(ATTRS[name][:1])
-            assert set(indexes[name].keys()) == set(fresh.keys())
-            for key in fresh.keys():
-                assert dict(indexes[name].bucket(key)) == dict(fresh.bucket(key))
+            fresh = rebuilt.columnar().index_on(ATTRS[name][:1])
+            assert indexes[name].table() == fresh.table()
         # The store still commits, and a history-on store still shares.
         after = store.apply(delta_txn(10, "V2", Delta.insert(Row(B=3)), 10), 10.0)
         assert after.index == 6 and contents(after) == live_contents(store)

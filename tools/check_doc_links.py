@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check that repository documentation references resolve.
 
-Scans every tracked ``*.md`` file and verifies three kinds of reference:
+Scans every tracked ``*.md`` file and verifies four kinds of reference:
 
 * **markdown links** — each relative ``[text](target)`` must point at an
   existing file (anchors and external ``http(s)``/``mailto`` links are
@@ -12,7 +12,11 @@ Scans every tracked ``*.md`` file and verifies three kinds of reference:
 * **CLI commands** — any ``python -m repro <subcommand>`` invocation
   must name a real subcommand, taken from the live argument parser
   (``repro.cli.build_parser``), so the docs can't advertise commands the
-  CLI doesn't have.
+  CLI doesn't have;
+* **dotted names** — in the reference documentation (``docs/*.md``,
+  ``README.md``, ``DESIGN.md``; the logs such as CHANGES.md name the past
+  on purpose) every ``repro.<module>[.<attr>...]`` token must resolve by
+  import + ``getattr``, so a deleted class can't stay documented.
 
 Exits non-zero listing every broken reference — run by the ``docs`` CI
 job and usable locally:
@@ -22,6 +26,7 @@ job and usable locally:
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -35,6 +40,10 @@ _SRC_PATH = re.compile(r"\bsrc/[\w./-]+")
 #: CLI invocations; group 1 is the subcommand token (absent for bare
 #: ``python -m repro`` mentions, which argparse itself rejects)
 _CLI = re.compile(r"python -m repro\s+([a-z][a-z-]*)")
+#: dotted names into the package (not the tail of a path or longer name)
+_DOTTED = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
+#: a last segment that makes the token a file name (``--out repro.json``)
+_FILE_SUFFIXES = frozenset({"json", "jsonl", "md", "py", "txt"})
 
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
 
@@ -44,16 +53,15 @@ def iter_markdown(root: Path):
         if any(part.startswith(".") or part in ("build", "dist")
                for part in path.relative_to(root).parts[:-1]):
             continue
+        if path == root / "ISSUE.md":
+            continue  # the task in progress: it names the files it deletes
         yield path
 
 
-def cli_subcommands(root: Path) -> frozenset[str]:
+def cli_subcommands() -> frozenset[str]:
     """The real top-level subcommand names, from the live parser."""
-    sys.path.insert(0, str(root / "src"))
-    try:
-        from repro.cli import build_parser
-    finally:
-        sys.path.pop(0)
+    from repro.cli import build_parser
+
     parser = build_parser()
     for action in parser._subparsers._group_actions:  # noqa: SLF001
         if action.choices:
@@ -61,11 +69,36 @@ def cli_subcommands(root: Path) -> frozenset[str]:
     raise RuntimeError("repro.cli.build_parser() has no subcommands")
 
 
+def resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, getattr the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                found = getattr(found, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def names_checked(path: Path, root: Path) -> bool:
+    """Reference documentation, as opposed to a log of past states."""
+    return path.parent == root / "docs" or path in (
+        root / "README.md", root / "DESIGN.md"
+    )
+
+
 def broken_references(
     path: Path, root: Path, subcommands: frozenset[str]
 ) -> list[tuple[int, str]]:
     broken = []
     in_fence = False
+    check_names = names_checked(path, root)
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if _FENCE.match(line.strip()):
             in_fence = not in_fence
@@ -95,12 +128,19 @@ def broken_references(
                     f"unknown CLI subcommand -> python -m repro {sub} "
                     f"(valid: {', '.join(sorted(subcommands))})",
                 ))
+        if check_names:
+            for dotted in _DOTTED.findall(line):
+                if dotted.rsplit(".", 1)[1] in _FILE_SUFFIXES:
+                    continue
+                if not resolves(dotted):
+                    broken.append((lineno, f"unresolvable name -> {dotted}"))
     return broken
 
 
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
-    subcommands = cli_subcommands(root)
+    sys.path.insert(0, str(root / "src"))
+    subcommands = cli_subcommands()
     failures = 0
     checked = 0
     for path in iter_markdown(root):
@@ -111,8 +151,8 @@ def main() -> int:
     if failures:
         print(f"\n{failures} broken reference(s) across {checked} markdown files")
         return 1
-    print(f"ok: all links, src/ paths and CLI commands resolve "
-          f"({checked} markdown files)")
+    print(f"ok: all links, src/ paths, CLI commands and dotted names "
+          f"resolve ({checked} markdown files)")
     return 0
 
 
