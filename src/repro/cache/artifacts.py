@@ -68,7 +68,7 @@ def _encode_relation(layout: tuple[str, ...], counts_by_row) -> tuple:
 
 def _decode_relation(encoded: tuple, schema) -> Relation:
     layout, counts = encoded
-    return Relation.from_counts(counts_to_rows(tuple(layout), counts), schema)
+    return Relation.from_tuple_counts(tuple(layout), counts, schema)
 
 
 def _decode_delta(encoded: tuple | None) -> Delta | None:
@@ -373,10 +373,9 @@ class ViewCacheBinding:
         replica = Database()
         for name in sorted(payload["replica"]):
             schema = vm.base_schemas[name]
-            relation = replica.create_relation(name, schema)
-            decoded = _decode_relation(payload["replica"][name], schema)
-            for row, count in decoded.counts():
-                relation.insert(row, count)
+            replica.create_relation(
+                name, schema, _decode_relation(payload["replica"][name], schema)
+            )
         vm._replica = replica
         vm._plan = MaintenancePlan(
             vm.definition.expression, replica, preload=payload["aux"]

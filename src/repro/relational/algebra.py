@@ -5,6 +5,14 @@ expression.  It is the reference semantics against which the incremental
 delta rules in :mod:`repro.relational.delta` are property-tested, and the
 oracle the consistency checkers use to compute ``V(ss_i)`` — "the result
 of evaluating the expression of V at source state ss_i" (paper, §2.2).
+
+Oracle only: it builds one :class:`Row` per intermediate row and
+validates its result row by row.  Its callers in ``src/`` are
+``MaterializedView.verify`` and :mod:`repro.consistency`; every production
+recompute (a view's initial contents, a periodic refresh,
+``MaterializedView.refresh``) runs
+:func:`repro.relational.columnar.evaluate_columnar`, which is tested
+against this module and must therefore not be built on it.
 """
 
 from __future__ import annotations

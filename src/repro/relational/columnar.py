@@ -26,8 +26,12 @@ position-keyed and batch-oriented:
   instead of dict lookups, ``Row`` construction and method dispatch.
 
 :func:`evaluate_columnar` runs a full select-project-join-aggregate
-evaluation through these kernels; it is property-tested bag-for-bag equal
-to the row-dict reference :func:`~repro.relational.algebra.evaluate`.
+evaluation through these kernels and loads the result in bulk
+(:meth:`Relation.from_tuple_counts`: one column-wise schema check, rows
+from the compiled builder).  It is the production recompute: view
+managers materialize ``V(ss_0)`` with it, the periodic manager and
+``MaterializedView`` refresh with it.  It is property-tested bag-for-bag
+equal to the row-dict oracle :func:`~repro.relational.algebra.evaluate`.
 The maintenance engine in :mod:`repro.relational.plan` is built from the
 same pieces.
 """
@@ -933,13 +937,15 @@ def evaluate_columnar(expr: Expression, db) -> "Relation":
     :func:`repro.relational.algebra.evaluate` (property-tested in
     ``tests/relational/test_columnar_properties.py``).  Base relations
     are read through their lockstep columnar stores
-    (:meth:`Relation.columnar`), so repeated evaluations share them.
+    (:meth:`Relation.columnar`), so repeated evaluations share them: every
+    evaluation over ``db`` converts a base relation at most once.  The
+    result is loaded in bulk and carries no twin of its own.
     """
     from repro.relational.relation import Relation
 
     schema = expr.infer_schema(db.schemas)
     layout, counts = _eval_columnar(expr, db)
-    return Relation.from_counts(counts_to_rows(layout, counts), schema)
+    return Relation.from_tuple_counts(layout, counts, schema)
 
 
 def _eval_columnar(expr: Expression, db) -> tuple[Layout, Mapping[tuple, int]]:

@@ -10,7 +10,11 @@ other systems.
 Maintenance runs through a compiled
 :class:`~repro.relational.plan.MaintenancePlan` (indexed join probes,
 self-maintained aggregates, columnar batch kernels — O(|delta|) per
-update, see ``docs/engine.md``).  An expression built from a node class
+update, see ``docs/engine.md``).  The initial contents and ``refresh``
+come from :func:`~repro.relational.columnar.evaluate_columnar` over the
+same columnar twins the plan probes; ``verify`` is the one caller of the
+row-dict oracle :func:`~repro.relational.algebra.evaluate`, because it is
+the check against it.  An expression built from a node class
 the compiler does not know is rejected by the constructor with
 :class:`~repro.relational.plan.PlanUnsupported`.
 
@@ -29,6 +33,7 @@ from typing import Mapping
 
 from repro.errors import ConsistencyViolation
 from repro.relational.algebra import evaluate
+from repro.relational.columnar import evaluate_columnar
 from repro.relational.database import Database
 from repro.relational.delta import Delta
 from repro.relational.expressions import ViewDefinition
@@ -42,7 +47,7 @@ class MaterializedView:
     def __init__(self, definition: ViewDefinition, database: Database) -> None:
         self.definition = definition
         self.database = database
-        self._contents = evaluate(definition.expression, database)
+        self._contents = evaluate_columnar(definition.expression, database)
         self.plan = MaintenancePlan(definition.expression, database)
         self.deltas_applied = 0
         self.rows_changed = 0
@@ -89,5 +94,7 @@ class MaterializedView:
         Also rebuilds the plan's auxiliary state, so ``refresh`` is the
         recovery handle after out-of-band database mutations.
         """
-        self._contents = evaluate(self.definition.expression, self.database)
+        self._contents = evaluate_columnar(
+            self.definition.expression, self.database
+        )
         self.plan.rebuild()

@@ -13,9 +13,21 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import RelationError, SchemaError
-from repro.relational.columnar import ColumnarRelation
+from repro.relational.columnar import ColumnarRelation, compile_row_builder
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
+
+
+def _is_count(cls: type) -> bool:
+    """Whether values of class ``cls`` can be multiplicities: ints, and as
+    for ``AttrType.INT`` a ``bool`` is not one."""
+    return issubclass(cls, int) and not issubclass(cls, bool)
+
+
+def _bad_multiplicity(row: object, count: object) -> RelationError:
+    if not _is_count(type(count)):
+        return RelationError(f"multiplicity {count!r} for {row} is not an int")
+    return RelationError(f"multiplicity {count} for {row} is not positive")
 
 
 class Relation:
@@ -48,12 +60,48 @@ class Relation:
         """Build a relation directly from a row→count mapping."""
         rel = cls(schema)
         for row, count in counts.items():
-            if count < 0:
-                raise RelationError(f"negative multiplicity {count} for {row}")
+            if not _is_count(type(count)) or count < 0:
+                raise _bad_multiplicity(row, count)
             if count:
                 rel._check(row)
                 rel._counts[row] = count
                 rel._size += count
+        return rel
+
+    @classmethod
+    def from_tuple_counts(
+        cls,
+        layout: tuple[str, ...],
+        counts: Mapping[tuple, int],
+        schema: Schema,
+    ) -> "Relation":
+        """Bulk-load a bag of ``layout``-positioned value tuples.
+
+        Equal, bag for bag and error class for error class, to
+        ``from_counts(counts_to_rows(layout, counts), schema)``, which
+        validates row by row: here the tuples are checked against the
+        schema column-wise (:meth:`Schema.validate_columns`), the
+        multiplicities (each a positive ``int``) in two passes, and the
+        rows come from the layout's compiled builder.  No columnar twin is
+        attached: a store relation would pay its lockstep upkeep on every
+        commit.
+        """
+        schema.validate_columns(layout, counts)
+        multiplicities = counts.values()
+        classes = set(map(type, multiplicities))
+        if not all(map(_is_count, classes)) or (
+            counts and min(multiplicities) <= 0
+        ):
+            raise next(
+                _bad_multiplicity(t, c)
+                for t, c in counts.items()
+                if not _is_count(type(c)) or c <= 0
+            )
+        rel = cls(schema)
+        rel._counts = dict(
+            zip(map(compile_row_builder(layout), counts), multiplicities)
+        )
+        rel._size = sum(multiplicities)
         return rel
 
     def copy(self) -> "Relation":
@@ -149,7 +197,7 @@ class Relation:
     # -- mutation ----------------------------------------------------------
     def _check(self, row: Row) -> None:
         if self._schema is not None:
-            self._schema.validate(dict(row))
+            self._schema.validate(row._dict)
 
     def _coerce(self, row: Row | Mapping[str, object]) -> Row:
         return row if isinstance(row, Row) else Row(row)

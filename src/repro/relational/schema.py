@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Collection, Iterable, Iterator
 
 from repro.errors import SchemaError
 
@@ -67,6 +68,13 @@ class Attribute:
 
     def __str__(self) -> str:
         return f"{self.name}:{self.type.value}"
+
+
+def _misfit(attr: Attribute, value: object) -> SchemaError:
+    return SchemaError(
+        f"attribute {attr.name!r} expects {attr.type.value}, "
+        f"got {value!r} ({type(value).__name__})"
+    )
 
 
 class Schema:
@@ -129,19 +137,61 @@ class Schema:
 
     def validate(self, values: dict[str, object]) -> None:
         """Raise :class:`SchemaError` unless ``values`` matches this schema."""
-        missing = [n for n in self.names if n not in values]
-        if missing:
-            raise SchemaError(f"row is missing attributes {missing}")
-        extra = [n for n in values if n not in self._by_name]
-        if extra:
-            raise SchemaError(f"row has attributes {extra} not in schema")
+        if values.keys() != self._by_name.keys():
+            self._reject_names(values)
         for attr in self._attributes:
             value = values[attr.name]
             if not attr.type.accepts(value):
-                raise SchemaError(
-                    f"attribute {attr.name!r} expects {attr.type.value}, "
-                    f"got {value!r} ({type(value).__name__})"
+                raise _misfit(attr, value)
+
+    def _reject_names(self, names: Iterable[str]) -> None:
+        """The error for an attribute set that is not this schema's."""
+        missing = [n for n in self._names if n not in names]
+        if missing:
+            raise SchemaError(f"row is missing attributes {missing}")
+        extra = [n for n in names if n not in self._by_name]
+        raise SchemaError(f"row has attributes {extra} not in schema")
+
+    def validate_columns(
+        self, layout: tuple[str, ...], tuples: Collection[tuple]
+    ) -> None:
+        """:meth:`validate` for a whole bag of ``layout``-positioned value
+        tuples, decided per column instead of per row.
+
+        The attribute set is compared once (``layout`` must be the sorted
+        schema names, the only order in which a tuple lines up with a
+        row's normalised items), every tuple must have the layout's arity,
+        and for each attribute the *classes* present in its column are put
+        to :meth:`AttrType.accepts`, one value per class: the verdict of
+        ``accepts`` depends on a value's class alone, so that is the check
+        ``validate`` makes row by row, and a failure carries its message.
+        """
+        if layout != tuple(sorted(self._names)):
+            if set(layout) != self._by_name.keys():
+                self._reject_names(layout)
+            raise SchemaError(
+                f"layout {layout} is not the sorted attribute names of {self!r}"
+            )
+        if set(map(type, tuples)) - {tuple} or set(map(len, tuples)) - {
+            len(layout)
+        }:
+            bad = next(
+                t for t in tuples
+                if type(t) is not tuple or len(t) != len(layout)
+            )
+            raise SchemaError(
+                f"{bad!r} is not a tuple of the {len(layout)} values of "
+                f"layout {layout}"
+            )
+        for attr in self._attributes:
+            position = layout.index(attr.name)
+            column = map(itemgetter(position), tuples)
+            for cls in set(map(type, column)):
+                witness = next(
+                    t[position] for t in tuples if type(t[position]) is cls
                 )
+                if not attr.type.accepts(witness):
+                    raise _misfit(attr, witness)
 
     def project(self, names: Iterable[str]) -> "Schema":
         """Return the sub-schema containing only ``names`` (in given order)."""

@@ -47,6 +47,7 @@ from repro.messages import (
     SnapshotResponse,
     UpdateForView,
 )
+from repro.relational.columnar import evaluate_columnar
 from repro.relational.database import Database
 from repro.relational.delta import Delta, propagate_delta, updates_to_deltas
 from repro.relational.expressions import ViewDefinition
@@ -227,21 +228,17 @@ class ViewManager(Process):
         self._remote_plan = remote
 
     def materialize_initial(self, initial: Database) -> Relation:
-        """Compute the view's initial contents (``V(ss_0)``)."""
-        from repro.relational.algebra import evaluate
+        """Compute the view's initial contents (``V(ss_0)``).
 
+        Evaluated on ``initial`` itself, the system's ss_0 snapshot: its
+        relations keep the columnar twins the evaluation builds, so all
+        views over a base relation share one conversion of it.
+        """
         if self._cache is not None:
             cached = self._cache.seed_contents()
             if cached is not None:
                 return cached
-        scratch = Database()
-        for relation in sorted(self.definition.base_relations()):
-            scratch.create_relation(
-                relation,
-                self.base_schemas[relation],
-                initial.relation(relation),
-            )
-        contents = evaluate(self.definition.expression, scratch)
+        contents = evaluate_columnar(self.definition.expression, initial)
         if self._cache is not None:
             self._cache.publish_seed(self, contents)
         return contents

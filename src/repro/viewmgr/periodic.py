@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ViewManagerError
 from repro.messages import UpdateForView
-from repro.relational.algebra import evaluate
+from repro.relational.columnar import evaluate_columnar
 from repro.relational.delta import Delta
 from repro.relational.expressions import ViewDefinition
 from repro.relational.schema import Schema
@@ -103,5 +103,7 @@ class PeriodicRefreshManager(ViewManager):
     ) -> ActionList:
         """Ship the full recomputed view instead of the delta."""
         self.refreshes += 1
-        contents = evaluate(self.definition.expression, self._require_replica())
+        contents = evaluate_columnar(
+            self.definition.expression, self._require_replica()
+        )
         return ActionList.replacement(self.view, self.name, covered, contents)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.relational.database import Database
 from repro.relational.delta import Delta
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
+from repro.sources.world import SourceWorld
 from repro.viewmgr.actions import ActionList
+from repro.workloads.schemas import star_world
 
 
 @pytest.fixture
@@ -40,3 +44,20 @@ def empty_al(view: str, covered, manager: str | None = None) -> ActionList:
 def unit_summary(units):
     """Compact (rows, views) rendering of emitted ready units."""
     return [(u.rows, tuple(al.view for al in u.action_lists)) for u in units]
+
+
+def preloaded_star_world(fact_rows: int) -> SourceWorld:
+    """``star_world`` with ``fact_rows`` sales in place before any commit."""
+    template = star_world(products=16, stores=4)
+    rng = random.Random(fact_rows)
+    world = SourceWorld()
+    for name, schema in template.schemas.items():
+        rows = list(template.current.relation(name))
+        if name == "Sales":
+            rows = [
+                {"sale": sale, "prod": rng.randrange(16),
+                 "store": rng.randrange(4), "qty": rng.randrange(16)}
+                for sale in range(fact_rows)
+            ]
+        world.create_relation(name, schema, template.owner_of(name), rows)
+    return world

@@ -1,8 +1,10 @@
 """Tests for multiset relations."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RelationError, SchemaError
+from repro.relational.columnar import counts_to_rows, layout_of
 from repro.relational.relation import Relation
 from repro.relational.rows import Row
 from repro.relational.schema import Attribute, AttrType, Schema
@@ -113,6 +115,14 @@ class TestEqualityAndCopy:
         with pytest.raises(RelationError):
             Relation.from_counts({Row(a=1): -1})
 
+    @pytest.mark.parametrize("count", [1.5, 2.0, True, "2", None])
+    def test_from_counts_rejects_a_non_integer_multiplicity(self, count):
+        # 1.5 used to make len() a float, True passed for 1: both surfaced
+        # as a bare TypeError (or not at all) far from here.
+        with pytest.raises(RelationError, match="multiplicity") as caught:
+            Relation.from_counts({Row(a=1): 1, Row(a=7): count})
+        assert "a=7" in str(caught.value) and repr(count) in str(caught.value)
+
     def test_sorted_rows_deterministic(self):
         rel = Relation(rows=[Row(a=2), Row(a=1), Row(a=1)])
         assert rel.sorted_rows() == [Row(a=1), Row(a=1), Row(a=2)]
@@ -173,3 +183,149 @@ class TestSeedingFromARelation:
             Relation(self.SCHEMA, other)
         with pytest.raises(SchemaError):
             Relation(self.SCHEMA, [Row(a=1, b="x")]).replace_all(other)
+
+
+# ---------------------------------------------------------------------------
+# the bulk constructor: one column-wise check instead of one per row
+# ---------------------------------------------------------------------------
+
+class Money(int):
+    """A subclass: fits wherever ``isinstance`` says its base does."""
+
+
+FITTING = {
+    AttrType.INT: st.one_of(st.integers(-3, 3), st.just(Money(7))),
+    AttrType.FLOAT: st.one_of(st.floats(-3, 3), st.integers(-3, 3)),
+    AttrType.STR: st.text(max_size=2),
+    AttrType.BOOL: st.booleans(),
+}
+#: per attribute type, one value of each class it must reject
+MISFITS = {
+    AttrType.INT: [True, 1.0, "1", None],
+    AttrType.FLOAT: [False, "1.0", None],
+    AttrType.STR: [1, 1.0, True, None, b"x"],
+    AttrType.BOOL: [0, 1, 1.0, "True", None],
+}
+
+
+@st.composite
+def typed_bags(draw, min_size=0):
+    """(schema, sorted layout, {value tuple: multiplicity})."""
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from("abcde"), st.sampled_from(AttrType)),
+        min_size=1, max_size=4, unique_by=lambda pair: pair[0],
+    ))
+    schema = Schema([Attribute(n, t) for n, t in pairs])
+    layout = layout_of(schema.names)
+    tuples = st.tuples(*(FITTING[schema[name].type] for name in layout))
+    counts = draw(st.dictionaries(
+        tuples, st.integers(1, 3), min_size=min_size, max_size=8
+    ))
+    return schema, layout, counts
+
+
+def row_by_row(layout, counts, schema):
+    """What the bulk constructor replaced; validates every row."""
+    return Relation.from_counts(counts_to_rows(layout, counts), schema)
+
+
+@given(typed_bags())
+@settings(max_examples=200, deadline=None)
+def test_bulk_load_equals_the_row_by_row_load(case):
+    schema, layout, counts = case
+    bulk = Relation.from_tuple_counts(layout, counts, schema)
+    reference = row_by_row(layout, counts, schema)
+    assert bulk == reference and bulk.schema is schema
+    assert len(bulk) == len(reference) == sum(counts.values())
+    assert type(len(bulk)) is int
+    assert bulk._store is None  # no twin: a store relation would upkeep it
+    for row, count in bulk.counts():
+        twin = Row(dict(row))  # built the slow way
+        assert row == twin and hash(row) == hash(twin)
+        assert row.sorted_names() == layout and list(row) == list(layout)
+        assert reference.multiplicity(twin) == count
+
+
+DEFECTS = (
+    "value", "negative count", "float count", "bool count",
+    "missing attribute", "extra attribute",
+)
+
+
+@given(typed_bags(min_size=1), st.sampled_from(DEFECTS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_bulk_load_rejects_what_the_row_by_row_load_rejects(case, defect, data):
+    """One defect in one row, anywhere in the bag (the last row as likely
+    as the first, so a check that samples the bag lets it through)."""
+    schema, layout, counts = case
+    items = list(counts.items())
+    at = data.draw(st.integers(0, len(items) - 1), label="defective row")
+    victim, count = items[at]
+    if defect == "value":
+        position = data.draw(st.integers(0, len(layout) - 1))
+        attr = schema[layout[position]]
+        bad = data.draw(st.sampled_from(MISFITS[attr.type]))
+        victim = victim[:position] + (bad,) + victim[position + 1:]
+    elif defect.endswith("count"):
+        count = {"negative": -count, "float": count + 0.5, "bool": True}[
+            defect.split()[0]
+        ]
+    items[at] = (victim, count)
+    if defect == "missing attribute":
+        if len(layout) == 1:
+            return
+        layout = layout[1:]
+        items = [(t[1:], c) for t, c in items]
+    elif defect == "extra attribute":
+        layout = layout + ("zz",)
+        items = [(t + (0,), c) for t, c in items]
+    broken = dict(items)
+    if len(broken) != len(items):
+        return  # the defective tuple collided with a sound one
+    with pytest.raises((SchemaError, RelationError)) as expected:
+        row_by_row(layout, broken, schema)
+    with pytest.raises(type(expected.value)) as caught:
+        Relation.from_tuple_counts(layout, broken, schema)
+    if defect in ("value", "missing attribute", "extra attribute"):
+        assert str(caught.value) == str(expected.value)
+    else:
+        assert repr(victim) in str(caught.value)
+        assert repr(count) in str(caught.value)
+
+
+class TestBulkLoadRejectsWhatRowByRowCannotSee:
+    """Shapes ``counts_to_rows`` turns into a wrong row or an IndexError."""
+
+    SCHEMA = Schema(["a", Attribute("b", AttrType.STR)])
+
+    def load(self, layout, counts):
+        return Relation.from_tuple_counts(layout, counts, self.SCHEMA)
+
+    def test_sound_input_loads(self):
+        rel = self.load(("a", "b"), {(1, "x"): 2, (2, "y"): 1})
+        assert rel.sorted_rows() == [Row(a=1, b="x")] * 2 + [Row(a=2, b="y")]
+
+    def test_empty_bag(self):
+        assert not self.load(("a", "b"), {})
+        with pytest.raises(SchemaError, match="missing attributes"):
+            self.load(("a",), {})
+
+    def test_unsorted_layout(self):
+        # the tuples would line up with the wrong attributes
+        with pytest.raises(SchemaError, match="sorted attribute names"):
+            self.load(("b", "a"), {("x", 1): 1})
+
+    @pytest.mark.parametrize("bad", [(1,), (1, "x", 9), (), "1x", 7])
+    def test_wrong_arity_or_not_a_tuple(self, bad):
+        with pytest.raises(SchemaError, match="is not a tuple of the 2 values"):
+            self.load(("a", "b"), {(1, "x"): 1, (2, "y"): 1, bad: 1})
+
+    def test_zero_multiplicity(self):
+        # from_counts skips a zero; nothing that loads in bulk produces one
+        with pytest.raises(RelationError, match="multiplicity 0 .* not positive"):
+            self.load(("a", "b"), {(1, "x"): 1, (2, "y"): 0})
+
+    def test_the_message_names_attribute_type_value_and_class(self):
+        with pytest.raises(SchemaError) as caught:
+            self.load(("a", "b"), {(1, "x"): 1, (True, "y"): 1})
+        assert str(caught.value) == "attribute 'a' expects int, got True (bool)"

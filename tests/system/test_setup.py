@@ -1,0 +1,118 @@
+"""Set-up: ws_0 = V(ss_0) for every view, from one columnar evaluation.
+
+Before the first update flows each view manager evaluates its definition
+over the initial source state (paper, Section 2.2).  That evaluation runs
+on the columnar engine and loads its result in bulk, so the row-dict
+recompute oracle (``algebra.evaluate``) is not part of a build and no
+per-row work is left in it: the counted calls below do not depend on how
+many rows are preloaded.
+"""
+
+import sys
+
+import pytest
+
+from repro.relational import algebra
+from repro.relational.algebra import evaluate
+from repro.relational.rows import Row
+from repro.relational.schema import Schema
+from repro.system.builder import WarehouseSystem
+from repro.system.config import SystemConfig
+from repro.workloads.schemas import (
+    bank_views,
+    bank_world,
+    clustered_views,
+    clustered_world,
+    paper_views_example1,
+    paper_views_example2,
+    paper_world,
+    star_views,
+)
+from tests.conftest import preloaded_star_world
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a counting wrapper, in every ``repro``
+    module that imported a function by name as well; returns the tally."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro."):
+            for alias, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, alias, counted)
+    return calls
+
+
+def build_counts(monkeypatch, fact_rows: int) -> dict[str, int]:
+    world = preloaded_star_world(fact_rows)
+    with monkeypatch.context() as patch:
+        tallies = {
+            "evaluate": count_calls(patch, algebra, "evaluate"),
+            "join_counts": count_calls(patch, algebra, "join_counts"),
+            "validate": count_calls(patch, Schema, "validate"),
+            "Row.__init__": count_calls(patch, Row, "__init__"),
+        }
+        system = WarehouseSystem(
+            world, star_views(selective=True, aggregates=True),
+            SystemConfig(record_history=False),
+        )
+    assert len(system.store.view("SaleDetail")) == fact_rows
+    return {name: len(calls) for name, calls in tallies.items()}
+
+
+def test_build_cost_does_not_grow_with_the_preloaded_rows(monkeypatch):
+    small = build_counts(monkeypatch, 500)
+    large = build_counts(monkeypatch, 2000)
+    assert small["evaluate"] == large["evaluate"] == 0
+    assert small["join_counts"] == large["join_counts"] == 0
+    # Row by row these grew by 2.5 validations and 5 rows per fact row.
+    assert small["validate"] == large["validate"]
+    assert small["Row.__init__"] == large["Row.__init__"]
+
+
+def _bank():
+    return bank_world(customers=12), bank_views()
+
+
+def _star():
+    return preloaded_star_world(60), star_views(selective=True, aggregates=True)
+
+
+SUITES = {
+    "paper-1": lambda: (paper_world(), paper_views_example1()),
+    "paper-2": lambda: (paper_world(), paper_views_example2()),
+    "bank": _bank,
+    "star": _star,
+    "clustered": lambda: (clustered_world(3), clustered_views(3, 3)),
+}
+#: cached, and the three ways a manager can query back for its pre-state
+MODES = {
+    "cached": dict(manager_mode="cached"),
+    "snapshot": dict(manager_kind="strong", manager_mode="snapshot"),
+    "compensate": dict(manager_kind="strong", manager_mode="compensate"),
+    "naive": dict(manager_kind="naive"),
+}
+
+
+@pytest.mark.parametrize("filtering", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("suite", SUITES)
+def test_initial_stores_equal_the_oracle(suite, mode, filtering):
+    world, views = SUITES[suite]()
+    system = WarehouseSystem(
+        world, views,
+        SystemConfig(use_selection_filtering=filtering, **MODES[mode]),
+    )
+    for definition in views:
+        expected = evaluate(definition.expression, system.initial_state)
+        stored = system.store.view(definition.name)
+        assert stored == expected and len(stored) == len(expected)
+        assert stored.schema == expected.schema
+        assert system.history[0].view(definition.name) == expected

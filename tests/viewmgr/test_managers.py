@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ViewManagerError
 from repro.integrator.basedata import BaseDataService
 from repro.messages import ActionListMessage, NumberedUpdate, UpdateForView
+from repro.relational.algebra import evaluate
 from repro.relational.database import Database
 from repro.relational.parser import parse_view
 from repro.relational.rows import Row
@@ -270,6 +271,33 @@ class TestPeriodicManager:
         assert time >= 10.0
         assert al.actions[0].kind.value == "replace"
         assert al.actions[0].replacement == ((Row(A=1, B=2, C=3), 1),)
+
+    def test_every_refresh_ships_the_recompute_oracle(self):
+        sim, manager, merge, _service, driver = rig(
+            PeriodicRefreshManager, mode=None, period=10.0
+        )
+        manager.seed_replica(initial_db())
+        updates = [
+            (0.0, Update.insert("S", {"B": 2, "C": 3})),
+            (3.0, Update.insert("S", {"B": 2, "C": 3})),  # a duplicate row
+            (12.0, Update.insert("R", {"A": 5, "B": 2})),
+            (14.0, Update.delete("S", {"B": 2, "C": 3})),
+            (31.0, Update.delete("R", {"A": 1, "B": 2})),
+            (47.0, Update.delete("S", {"B": 2, "C": 3})),  # empties the view
+        ]
+        for update_id, (at, update) in enumerate(updates, start=1):
+            send_update(sim, driver, manager, update_id, update, at=at)
+        sim.run()
+        assert manager.refreshes == len(merge.lists) >= 3
+        assert merge.lists[-1][1].covered[-1] == len(updates)
+        for _time, action_list in merge.lists:
+            truth = initial_db()
+            for _at, update in updates[: action_list.covered[-1]]:
+                update.as_delta().apply_to(truth.relation(update.relation))
+            expected = evaluate(VIEW.expression, truth)
+            (action,) = action_list.actions
+            assert action.kind.value == "replace"
+            assert dict(action.replacement) == dict(expected.counts())
 
     def test_quiet_period_ships_nothing(self):
         sim, manager, merge, _service, _driver = rig(
