@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 from typing import Sequence
 
+from repro.errors import ReproError
 from repro.merge.pa import PaintingAlgorithm
 from repro.merge.spa import SimplePaintingAlgorithm
 from repro.relational.delta import Delta
@@ -56,10 +57,12 @@ from repro.sources.update import Update
 from repro.system.builder import WarehouseSystem
 from repro.system.config import (
     MANAGER_KINDS,
+    MANAGER_MODES,
     MERGE_ALGORITHMS,
     RUNTIMES,
     SUBMISSION_POLICIES,
     SystemConfig,
+    manager_class,
 )
 from repro.viewmgr.actions import ActionList
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
@@ -193,8 +196,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     variants = {}
     for kind in args.variants.split(","):
         kind = kind.strip()
-        if kind not in MANAGER_KINDS:
-            raise SystemExit(f"unknown manager kind {kind!r}")
+        try:
+            manager_class(kind)
+        except ReproError as error:
+            raise SystemExit(str(error)) from None
         variants[kind] = SystemConfig(
             manager_kind=kind,
             runtime=args.runtime,
@@ -515,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algorithm", choices=MERGE_ALGORITHMS, default="auto")
         p.add_argument("--policy", choices=SUBMISSION_POLICIES,
                        default="dependency-sequenced")
-        p.add_argument("--mode", choices=("cached", "snapshot", "compensate"),
-                       default="cached")
+        p.add_argument("--mode", choices=MANAGER_MODES, default="cached")
         p.add_argument("--merges", type=int, default=1)
         p.add_argument("--executors", type=int, default=1)
         p.add_argument("--merge-cost", type=float, default=0.0)

@@ -26,6 +26,7 @@ from repro.system.config import (
     MANAGER_KINDS,
     MERGE_ALGORITHMS,
     SUBMISSION_POLICIES,
+    manager_class,
 )
 
 
@@ -39,8 +40,7 @@ def parse_fleet(text: str) -> dict[str, str]:
         if "=" not in part:
             raise ReproError(f"--managers wants VIEW=KIND pairs, got {part!r}")
         view, _, kind = part.partition("=")
-        if kind not in MANAGER_KINDS:
-            raise ReproError(f"unknown manager kind {kind!r} for {view!r}")
+        manager_class(kind, view)
         fleet[view.strip()] = kind.strip()
     return fleet
 

@@ -1,13 +1,12 @@
 """The conformance oracle: what does a configuration *promise*, and did
 a finished run keep that promise?
 
-Per view, the effective guarantee is the weaker of
-
-* the view manager's single-view level (``complete-n`` and ``periodic``
-  managers promise strong; ``naive`` promises nothing), and
-* the view's merge process level (the algorithm's guarantee, degraded
-  from complete to strong by a non-completeness-preserving submission
-  policy, and ``complete-n`` reading as strong at sub-block granularity).
+Per view, the effective guarantee is the weaker of what a client may rely
+on from the view's manager and what its merge process delivers; both
+readings, and the ordering that "weaker" refers to, are
+:mod:`repro.merge.selection`'s (``client_level``, ``delivered_level``,
+``weakest_level``), the same functions ``WarehouseSystem.expected_level``
+is made of.
 
 A run is then checked three ways, strictly following the §2 definitions:
 
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 from repro.consistency.checker import (
     check_complete,
@@ -39,28 +37,9 @@ from repro.consistency.checker import (
 from repro.consistency.mvc import check_mvc_convergent
 from repro.consistency.ordered import check_mvc_ordered
 from repro.consistency.states import source_view_values
-from repro.errors import ReproError
+from repro.merge.selection import client_level, delivered_level, weakest_level
 from repro.merge.sharding import groups_by_shard
 from repro.system.builder import WarehouseSystem
-
-#: total order on achievable levels (broken managers promise nothing).
-LEVEL_ORDER = {"inconsistent": 0, "convergent": 1, "strong": 2, "complete": 3}
-
-#: view-manager kind -> promised single-view level (None = no promise).
-MANAGER_LEVELS: dict[str, str | None] = {
-    "complete": "complete",
-    "strong": "strong",
-    "complete-n": "strong",  # strong at sub-block read granularity
-    "periodic": "strong",
-    "convergent": "convergent",
-    "naive": None,
-}
-
-
-def _weaker(a: str | None, b: str | None) -> str | None:
-    if a is None or b is None:
-        return None
-    return a if LEVEL_ORDER[a] <= LEVEL_ORDER[b] else b
 
 
 @dataclass(frozen=True)
@@ -84,36 +63,28 @@ class Violation:
 def merge_effective_level(system: WarehouseSystem, merge_name: str) -> str:
     """The level a merge process actually delivers to its views."""
     merge = system._merge_by_name(merge_name)
-    level = merge.algorithm.guarantees_level
-    if level == "complete-n":
-        level = "strong"
-    if level == "complete" and not merge.policy.preserves_completeness:
-        level = "strong"
-    return level
+    return delivered_level(merge.algorithm, merge.policy)
 
 
 def effective_view_levels(system: WarehouseSystem) -> dict[str, str | None]:
     """Per view: the weaker of its manager's and merge process's promise."""
     levels: dict[str, str | None] = {}
-    for definition in system.definitions:
-        view = definition.name
-        kind = system.config.kind_for(view)
-        if kind not in MANAGER_LEVELS:
-            raise ReproError(f"unknown manager kind {kind!r} for view {view!r}")
-        manager_level = MANAGER_LEVELS[kind]
-        merge_level = merge_effective_level(system, system.view_to_merge[view])
-        levels[view] = _weaker(manager_level, merge_level)
+    for view, manager in system.view_managers.items():
+        promised = client_level(manager.level)
+        if promised is not None:
+            merge_level = merge_effective_level(system, system.view_to_merge[view])
+            promised = weakest_level((promised, merge_level))
+        levels[view] = promised
     return levels
 
 
 def fleet_expected_level(system: WarehouseSystem) -> str | None:
-    """The fleet-wide promise: the weakest per-view level (None if any
+    """The fleet-wide promise: ``system.expected_level()``, or None if any
     view's manager is broken — a fleet with a naive member promises
-    nothing jointly)."""
-    expected: str | None = "complete"
-    for level in effective_view_levels(system).values():
-        expected = _weaker(expected, level)
-    return expected
+    nothing jointly."""
+    if None in effective_view_levels(system).values():
+        return None
+    return system.expected_level()
 
 
 def _check_single_view(level, warehouse_values, source_values):
@@ -122,6 +93,25 @@ def _check_single_view(level, warehouse_values, source_values):
     if level == "strong":
         return check_strong(warehouse_values, source_values)
     return check_convergent(warehouse_values, source_values)
+
+
+def _joint_violations(
+    system: WarehouseSystem, source_states, scope: str, definitions, level: str
+) -> list[Violation]:
+    """``definitions`` checked together at ``level`` (empty = it holds):
+    convergence compares final states, the stronger levels go through the
+    order-aware checker."""
+    if level == "convergent":
+        report = check_mvc_convergent(system.history, source_states, definitions)
+    else:
+        report = check_mvc_ordered(
+            system.history,
+            system.initial_state,
+            system.integrator.numbered,
+            definitions,
+            level,
+        )
+    return [] if report else [Violation(scope, level, report.reason)]
 
 
 def check_run(system: WarehouseSystem) -> list[Violation]:
@@ -149,22 +139,11 @@ def check_run(system: WarehouseSystem) -> list[Violation]:
     # 2. pairwise MVC (order-aware for strong/complete).
     checked = [v for v, lvl in view_levels.items() if lvl is not None]
     for first, second in combinations(checked, 2):
-        level = _weaker(view_levels[first], view_levels[second])
+        level = weakest_level((view_levels[first], view_levels[second]))
         pair = [definitions[first], definitions[second]]
-        if level == "convergent":
-            report = check_mvc_convergent(system.history, source_states, pair)
-        else:
-            report = check_mvc_ordered(
-                system.history,
-                system.initial_state,
-                system.integrator.numbered,
-                pair,
-                level,
-            )
-        if not report:
-            violations.append(
-                Violation(f"pair:{first},{second}", level, report.reason)
-            )
+        violations += _joint_violations(
+            system, source_states, f"pair:{first},{second}", pair, level
+        )
 
     # 2b. per shard: each merge process's views jointly at the shard's
     # weakest promised level.  §6.1 argues shards never interact; this is
@@ -173,46 +152,21 @@ def check_run(system: WarehouseSystem) -> list[Violation]:
     if len(system.merge_processes) > 1:
         shards = groups_by_shard(system.view_to_merge)
         for merge_name, shard_views in shards.items():
-            level: str | None = "complete"
-            for view in shard_views:
-                level = _weaker(level, view_levels[view])
-            if level is None or len(shard_views) < 2:
+            promised = [view_levels[view] for view in shard_views]
+            if None in promised or len(shard_views) < 2:
                 continue  # no joint promise, or covered by the per-view check
+            level = weakest_level(promised)
             shard_defs = [definitions[v] for v in sorted(shard_views)]
-            if level == "convergent":
-                report = check_mvc_convergent(
-                    system.history, source_states, shard_defs
-                )
-            else:
-                report = check_mvc_ordered(
-                    system.history,
-                    system.initial_state,
-                    system.integrator.numbered,
-                    shard_defs,
-                    level,
-                )
-            if not report:
-                violations.append(
-                    Violation(f"shard:{merge_name}", level, report.reason)
-                )
+            violations += _joint_violations(
+                system, source_states, f"shard:{merge_name}", shard_defs, level
+            )
 
     # 3. fleet-wide at the weakest promised level.
     fleet_level = fleet_expected_level(system)
     if fleet_level is not None:
-        if fleet_level == "convergent":
-            report = check_mvc_convergent(
-                system.history, source_states, system.definitions
-            )
-        else:
-            report = check_mvc_ordered(
-                system.history,
-                system.initial_state,
-                system.integrator.numbered,
-                system.definitions,
-                fleet_level,
-            )
-        if not report:
-            violations.append(Violation("fleet", fleet_level, report.reason))
+        violations += _joint_violations(
+            system, source_states, "fleet", system.definitions, fleet_level
+        )
 
     return violations
 
@@ -279,28 +233,13 @@ def check_run_at(system: WarehouseSystem, level: str) -> list[Violation]:
     which is how the explorer demonstrates that naive or periodic fleets
     produce detectable violations.
     """
-    if level not in ("convergent", "strong", "complete"):
-        raise ReproError(f"unknown MVC level {level!r}")
-    if level == "convergent":
-        report = check_mvc_convergent(
-            system.history, system.source_states(), system.definitions
-        )
-    else:
-        report = check_mvc_ordered(
-            system.history,
-            system.initial_state,
-            system.integrator.numbered,
-            system.definitions,
-            level,
-        )
+    report = system.check_mvc(level)  # rejects an unknown level
     if report:
         return []
     return [Violation("fleet", level, report.reason)]
 
 
 __all__ = [
-    "LEVEL_ORDER",
-    "MANAGER_LEVELS",
     "RealRunReport",
     "Violation",
     "check_real_run",

@@ -51,6 +51,8 @@ class MergeAlgorithm:
     requires_level = "complete"
     #: the MVC level the algorithm guarantees at the warehouse
     guarantees_level = "complete"
+    #: constructor keyword -> ``SystemConfig`` field (on top of views, name)
+    config_args: dict[str, str] = {}
 
     def __init__(self, views: tuple[str, ...], name: str = "merge") -> None:
         if not views:

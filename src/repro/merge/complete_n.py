@@ -34,6 +34,7 @@ class CompleteNMerge(MergeAlgorithm):
 
     requires_level = "complete-n"
     guarantees_level = "complete-n"
+    config_args = {"n": "block_size"}
 
     def __init__(self, views: tuple[str, ...], n: int, name: str = "merge-n") -> None:
         super().__init__(views, name)

@@ -25,7 +25,6 @@ under group and shard churn), see :mod:`repro.merge.sharding`.
 from __future__ import annotations
 
 import heapq
-import warnings
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import MergeError
@@ -176,33 +175,11 @@ def view_to_group_map(
 ) -> dict[str, tuple[str, ...]]:
     """Precomputed view → group lookup table.
 
-    Build this once and index it per view: O(V) total, versus the
-    deprecated :func:`group_for_view` which re-scans every group per
-    lookup (O(V·G) when called in a routing loop).
+    Build this once and index it per view: O(V) total, where scanning the
+    groups per lookup is O(V·G) in a routing loop.
     """
     mapping: dict[str, tuple[str, ...]] = {}
     for group in groups:
         for view in group:
             mapping[view] = group
     return mapping
-
-
-def group_for_view(
-    groups: Iterable[tuple[str, ...]], view: str
-) -> tuple[str, ...]:
-    """Find the group containing ``view``.
-
-    .. deprecated:: use :func:`view_to_group_map` and index the dict —
-       this linear scan is O(V·G) when called once per view.
-    """
-    warnings.warn(
-        "group_for_view scans all groups per lookup; build a "
-        "view_to_group_map() once and index it instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    mapping = view_to_group_map(groups)
-    try:
-        return mapping[view]
-    except KeyError:
-        raise MergeError(f"view {view!r} is in no group") from None

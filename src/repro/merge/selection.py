@@ -1,10 +1,15 @@
-"""Choosing a merge algorithm for a fleet of view managers (§6.3).
+"""The consistency-level lattice and the merge algorithm for a fleet (§2, §6.3).
 
 "When there is a combination of different types of view managers in the
 system, it is always possible to use the merge algorithm corresponding to
 the view manager guaranteeing the weakest level of consistency.  For
 example, if there are both complete and strongly consistent view managers
 in a system, a MP can always use PA to guarantee strong consistency."
+
+Everything that compares two levels, or turns what a component declares
+into what a warehouse client may rely on, is in this module: the builder
+(`WarehouseSystem.expected_level`, the ``requires_level`` check), the
+conformance oracle and the sweep all call it.
 """
 
 from __future__ import annotations
@@ -13,13 +18,35 @@ from typing import Iterable
 
 from repro.errors import MergeError
 from repro.merge.base import MergeAlgorithm
+from repro.merge.complete_n import CompleteNMerge
 from repro.merge.pa import PaintingAlgorithm
 from repro.merge.passthrough import PassThroughMerge
 from repro.merge.spa import SimplePaintingAlgorithm
+from repro.merge.submission import SubmissionPolicy
 
-#: consistency levels, strongest first; "broken" deliberately maps to the
-#: weakest coordination (pass-through) so the anomaly demos can run.
-_LEVEL_ORDER = ("complete", "complete-n", "strong", "convergent", "broken")
+#: the levels a view manager may declare, strongest first; "broken"
+#: promises nothing and deliberately maps to the weakest coordination
+#: (pass-through) so the anomaly demos can run.
+LEVELS = ("complete", "complete-n", "strong", "convergent", "broken")
+#: the one ordering: the declared levels and, below them all, what a run
+#: that kept none of them achieved (``WarehouseSystem.classify``).
+_RANK = {level: rank for rank, level in enumerate((*LEVELS, "inconsistent"))}
+
+#: ``SystemConfig.merge_algorithm`` name -> class; ``None`` stands for the
+#: weakest-level rule.  A new algorithm declares ``requires_level`` /
+#: ``guarantees_level`` (and ``config_args``) and is added here.
+ALGORITHMS: dict[str, type[MergeAlgorithm] | None] = {
+    "auto": None,
+    "spa": SimplePaintingAlgorithm,
+    "pa": PaintingAlgorithm,
+    "passthrough": PassThroughMerge,
+    "complete-n": CompleteNMerge,
+}
+
+
+def at_least(level: str, required: str) -> bool:
+    """True when ``level`` is ``required`` or stronger."""
+    return _RANK[level] <= _RANK[required]
 
 
 def weakest_level(levels: Iterable[str]) -> str:
@@ -28,12 +55,31 @@ def weakest_level(levels: Iterable[str]) -> str:
     if not seen:
         raise MergeError("no view-manager levels given")
     for level in seen:
-        if level not in _LEVEL_ORDER:
+        if level not in LEVELS:
             raise MergeError(
                 f"unknown consistency level {level!r}; "
-                f"expected one of {_LEVEL_ORDER}"
+                f"expected one of {LEVELS}"
             )
-    return max(seen, key=_LEVEL_ORDER.index)
+    return max(seen, key=_RANK.__getitem__)
+
+
+def client_level(level: str) -> str | None:
+    """What a warehouse client may rely on from a declared ``level``.
+
+    Complete-N is complete only at block boundaries, so any one read sees
+    strong consistency; a broken manager promises nothing (``None``).
+    """
+    if level == "broken":
+        return None
+    return "strong" if level == "complete-n" else level
+
+
+def delivered_level(algorithm: MergeAlgorithm, policy: SubmissionPolicy) -> str:
+    """The MVC level a merge process delivers to the views beneath it."""
+    level = client_level(algorithm.guarantees_level)
+    if level == "complete" and not policy.preserves_completeness:
+        level = "strong"  # batching advances several states at once (§4.3)
+    return level
 
 
 def choose_algorithm(

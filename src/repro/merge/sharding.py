@@ -138,10 +138,6 @@ class ShardRouter:
                 seen.add(shard)
                 yield shard
 
-    def shard_for_key(self, key: str) -> str:
-        """Pure ring lookup, ignoring load (the classic consistent hash)."""
-        return next(self._walk(key))
-
     def assign(
         self,
         groups: Sequence[tuple[str, ...]],

@@ -38,9 +38,12 @@ AllocateFn = Callable[[], int]
 class SubmissionPolicy:
     """Decides when (and annotated how) ready transactions reach the warehouse."""
 
+    #: the ``SystemConfig.submission_policy`` name (see :data:`POLICIES`)
     name = "policy"
     #: True when the policy preserves one warehouse state per ready unit
     preserves_completeness = True
+    #: constructor keyword -> the ``SystemConfig`` field that fills it
+    config_args: dict[str, str] = {}
 
     def __init__(self) -> None:
         self._submit: SubmitFn | None = None
@@ -225,19 +228,18 @@ class BatchingPolicy(SubmissionPolicy):
 
     name = "batching"
     preserves_completeness = False
+    config_args = {"batch_size": "submission_batch_size"}
 
     def __init__(
         self,
         batch_size: int = 4,
         inner: SubmissionPolicy | None = None,
-        merge_name: str = "merge",
     ) -> None:
         super().__init__()
         if batch_size < 1:
             raise MergeError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
         self.inner = inner if inner is not None else SequentialPolicy()
-        self.merge_name = merge_name
         self._held: list[WarehouseTransaction] = []
         self.batches_formed = 0
 
@@ -263,7 +265,10 @@ class BatchingPolicy(SubmissionPolicy):
         if not self._held:
             return
         assert self._allocate is not None
-        combined = batch_txns(self._allocate(), self.merge_name, self._held)
+        # Every constituent was formed by the merge this policy is bound to.
+        combined = batch_txns(
+            self._allocate(), self._held[0].merge_name, self._held
+        )
         self._held = []
         self.batches_formed += 1
         self.inner.offer(combined)
@@ -278,3 +283,18 @@ class BatchingPolicy(SubmissionPolicy):
     @property
     def pending(self) -> int:
         return len(self._held) + self.inner.pending
+
+
+#: ``SystemConfig.submission_policy`` name -> class, in the order configs
+#: and ``--help`` list them.  A new policy declares ``name`` (and
+#: ``preserves_completeness`` / ``config_args``) and is added here.
+POLICIES: dict[str, type[SubmissionPolicy]] = {
+    cls.name: cls
+    for cls in (
+        EagerPolicy,
+        SequentialPolicy,
+        DependencySequencedPolicy,
+        DbmsDependencyPolicy,
+        BatchingPolicy,
+    )
+}

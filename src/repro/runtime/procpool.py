@@ -226,7 +226,6 @@ class ComputeServer:
         telemetry_info: tuple | None = None,
     ) -> None:
         self.shard = shard
-        self.views = tuple(m.view for m in managers)
         self._timeout = timeout
         self._lock = threading.Lock()
         parent_conn, child_conn = context.Pipe()
@@ -375,14 +374,6 @@ class ComputeFleet:
 
     def __init__(self, servers: list[ComputeServer]) -> None:
         self.servers = servers
-
-    def publish_all(self) -> dict[str, str]:
-        """Publish every offloaded view's shard state; view -> artifact key."""
-        published: dict[str, str] = {}
-        for server in self.servers:
-            for view in server.views:
-                published[view] = server.publish_state(view)
-        return published
 
     def collect_into(self, registry, trace) -> int:
         """Drain every shard's telemetry into the parent registry/trace.

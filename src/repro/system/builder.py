@@ -38,7 +38,6 @@ from repro.consistency import (
 )
 from repro.consistency.checker import ConsistencyReport
 from repro.errors import FaultError, ReproError
-from repro.faults.plan import FaultPlan
 from repro.integrator.basedata import BaseDataService
 from repro.integrator.integrator import Integrator
 from repro.integrator.relevance import RelevanceFilter
@@ -46,19 +45,15 @@ from repro.merge.base import MergeAlgorithm
 from repro.merge.complete_n import CompleteNMerge
 from repro.merge.distributed import partition_views
 from repro.merge.sharding import shard_view_groups
-from repro.merge.pa import PaintingAlgorithm
-from repro.merge.passthrough import PassThroughMerge
 from repro.merge.process import MergeProcess
-from repro.merge.selection import choose_algorithm
-from repro.merge.spa import SimplePaintingAlgorithm
-from repro.merge.submission import (
-    BatchingPolicy,
-    DbmsDependencyPolicy,
-    DependencySequencedPolicy,
-    EagerPolicy,
-    SequentialPolicy,
-    SubmissionPolicy,
+from repro.merge.selection import (
+    ALGORITHMS,
+    at_least,
+    choose_algorithm,
+    delivered_level,
+    weakest_level,
 )
+from repro.merge.submission import POLICIES
 from repro.relational.database import Database
 from repro.relational.expressions import ViewDefinition
 from repro.runtime import create_runtime
@@ -69,17 +64,17 @@ from repro.sources.source import Source
 from repro.sources.transactions import SourceTransaction
 from repro.sources.update import Update
 from repro.sources.world import SourceWorld
-from repro.system.config import SystemConfig
+from repro.system.config import SystemConfig, manager_class
 from repro.system.metrics import RunMetrics, collect_metrics
 from repro.viewmgr.base import ViewManager
-from repro.viewmgr.complete import CompleteViewManager
-from repro.viewmgr.complete_n import CompleteNViewManager
-from repro.viewmgr.convergent import ConvergentViewManager
-from repro.viewmgr.naive import NaiveViewManager
-from repro.viewmgr.periodic import PeriodicRefreshManager
-from repro.viewmgr.strong import StrongViewManager
 from repro.warehouse.store import ViewStore
 from repro.warehouse.warehouse import WarehouseProcess
+
+# Latencies of the hops no study varies (the others are SystemConfig's
+# ``latency_*`` fields): one time unit each, except the integrator's feed of
+# the base-data service, which is co-located with it.
+_HOP_LATENCY = 1.0
+_SERVICE_FEED_LATENCY = 0.0
 
 
 class WarehouseSystem:
@@ -196,14 +191,19 @@ class WarehouseSystem:
         return source.attach(channel)
 
     def _build(self) -> None:
-        cfg = self.config
-        schemas = dict(self.world.schemas)
-        view_names = tuple(d.name for d in self.definitions)
-        self.processes: dict[str, Process] = {}
+        """Wire Figure 1, layer by layer.
 
-        # Warehouse + store, views materialized at ss_0.
+        The order of construction and of ``_connect`` calls fixes process
+        names, channel lanes and registry keys (and with them the trace
+        digests), so the layers below are built in this order and no other.
+        """
+        cfg = self.config
+        self._schemas = dict(self.world.schemas)
+
+        # Warehouse + store (views materialized at ss_0 by their managers)
+        # and the base-data service.
         self.store = ViewStore(
-            self.definitions, schemas, record_history=cfg.record_history
+            self.definitions, self._schemas, record_history=cfg.record_history
         )
         self.warehouse = WarehouseProcess(
             self.sim,
@@ -211,32 +211,76 @@ class WarehouseSystem:
             executors=cfg.warehouse_executors,
             per_txn_overhead=cfg.warehouse_txn_overhead,
             per_action_cost=cfg.warehouse_action_cost,
-            supports_dependencies=cfg.warehouse_supports_dependencies,
         )
-
-        # Base-data service.
         self.service = BaseDataService(
             self.sim, per_query_cost=cfg.service_query_cost
         )
-        self.service.seed(self._initial_state, schemas)
+        self.service.seed(self._initial_state, self._schemas)
 
-        # Merge processes (possibly partitioned, §6.1).  The hash router
-        # packs the finest partition onto the shard fleet by consistent
-        # hashing with cost-bounded loads; coalesce merges cheapest-first.
+        self._build_merges()
+        self._build_managers()
+        self._build_integrator()
+
+        # Sources and the global coordinator.
+        owners = sorted({self.world.owner_of(r) for r in self.world.schemas})
+        self.sources: dict[str, Source] = {}
+        for owner in owners:
+            source = Source(self.sim, owner, self.world)
+            self._connect(source, self.integrator, _HOP_LATENCY)
+            self.sources[owner] = source
+        self.coordinator = GlobalTransactionCoordinator(self.sim, self.world)
+        self._connect(self.coordinator, self.integrator, _HOP_LATENCY)
+
+        # Cache server: fronts the artifact store over the channel layer
+        # so merge shards and freshly spawned replicas can fetch each
+        # other's artifacts without a shared filesystem (local restores
+        # still read the store directly — it is just a directory).
+        if self._cache_binding is not None and cfg.cache.server:
+            self.cache_server = CacheServer(self.sim, self.cache_store)
+            for peer in (*self.merge_processes, *self.view_managers.values()):
+                self._connect(peer, self.cache_server, 0.0)
+                self._connect(self.cache_server, peer, 0.0)
+
+        # Process registry (used by fault plans and diagnostics).
+        processes = (
+            self.warehouse,
+            self.service,
+            self.integrator,
+            self.coordinator,
+            *self.merge_processes,
+            *self.view_managers.values(),
+            *self.sources.values(),
+            *((self.cache_server,) if self.cache_server is not None else ()),
+        )
+        self.processes: dict[str, Process] = {p.name: p for p in processes}
+
+        # Scheduled crash/restart pairs from the fault plan.
+        for crash in cfg.fault_plan.crashes if cfg.fault_plan is not None else ():
+            process = self.process_by_name(crash.process)
+            self.sim.schedule_at(crash.at, process.crash)
+            self.sim.schedule_at(crash.at + crash.restart_after, process.restart)
+
+    def _build_merges(self) -> None:
+        """The merge processes (possibly partitioned, §6.1).
+
+        The hash router packs the finest partition onto the shard fleet by
+        consistent hashing with cost-bounded loads; coalesce merges
+        cheapest-first.
+        """
+        cfg = self.config
         if cfg.merge_router == "hash" and cfg.merge_groups > 1:
             groups = shard_view_groups(self.definitions, cfg.merge_groups)
         else:
             groups = partition_views(self.definitions, max_groups=cfg.merge_groups)
         self.merge_processes: list[MergeProcess] = []
-        merge_groups: dict[str, tuple[str, ...]] = {}
+        policy_class = POLICIES[cfg.submission_policy]
         for index, group in enumerate(groups):
             name = "merge" if len(groups) == 1 else f"merge{index}"
-            algorithm = self._make_algorithm(group, name)
             merge = MergeProcess(
                 self.sim,
-                algorithm,
+                self._make_algorithm(group, name),
                 name=name,
-                policy=self._make_policy(name),
+                policy=policy_class(**cfg.arguments_for(policy_class)),
                 per_message_cost=cfg.merge_message_cost,
                 txn_id_start=index + 1,
                 txn_id_step=len(groups),
@@ -251,37 +295,43 @@ class WarehouseSystem:
                     else None
                 ),
             )
-            self._connect(merge, self.warehouse, cfg.latency_merge_warehouse)
-            self._connect(self.warehouse, merge, cfg.latency_warehouse_merge)
+            self._connect(merge, self.warehouse, _HOP_LATENCY)
+            self._connect(self.warehouse, merge, _HOP_LATENCY)
             self.merge_processes.append(merge)
-            merge_groups[name] = group
-
-        # View managers.
-        self.view_managers: dict[str, ViewManager] = {}
-        view_to_merge = {
-            view: merge_name
-            for merge_name, views in merge_groups.items()
-            for view in views
-        }
         # Kept public: the conformance oracle derives per-view effective
         # guarantee levels from each view's merge process.
-        self.view_to_merge = dict(view_to_merge)
+        self.view_to_merge = {
+            view: merge.name
+            for merge in self.merge_processes
+            for view in merge.algorithm.views
+        }
+
+    def _build_managers(self) -> None:
+        """One view manager per view, wired, seeded and materialized."""
+        cfg = self.config
+        self.view_managers: dict[str, ViewManager] = {}
         relevance = (
-            RelevanceFilter(self.definitions, schemas, use_selections=True)
+            RelevanceFilter(self.definitions, self._schemas, use_selections=True)
             if cfg.use_selection_filtering
             else None
         )
         for definition in self.definitions:
-            manager = self._make_manager(
-                definition, schemas, view_to_merge[definition.name]
+            merge_name = self.view_to_merge[definition.name]
+            manager_cls = manager_class(cfg.kind_for(definition.name))
+            manager = manager_cls(
+                self.sim,
+                definition,
+                self._schemas,
+                merge_name=merge_name,
+                service_name=self.service.name,
+                compute_cost=cfg.compute_cost,
+                **cfg.arguments_for(manager_cls),
             )
             self._connect(
-                manager,
-                self._merge_by_name(view_to_merge[definition.name]),
-                cfg.latency_vm_merge,
+                manager, self._merge_by_name(merge_name), cfg.latency_vm_merge
             )
-            self._connect(manager, self.service, cfg.latency_vm_service)
-            self._connect(self.service, manager, cfg.latency_vm_service)
+            self._connect(manager, self.service, _HOP_LATENCY)
+            self._connect(self.service, manager, _HOP_LATENCY)
             if relevance is not None:
                 # Keep the replica sigma-restricted in lockstep with the
                 # integrator's routing filter (see RelevanceFilter docs).
@@ -304,68 +354,27 @@ class WarehouseSystem:
             )
             self.view_managers[definition.name] = manager
 
-        # Integrator.
-        block = cfg.block_size if self._uses_complete_n() else None
+    def _build_integrator(self) -> None:
+        cfg = self.config
+        kinds = {cfg.kind_for(d.name) for d in self.definitions}
+        # Complete-N managers and merges close their blocks on the
+        # integrator's markers and need a REL for every update.
+        complete_n = cfg.merge_algorithm == "complete-n" or "complete-n" in kinds
         self.integrator = Integrator(
             self.sim,
             self.definitions,
-            schemas,
-            merge_groups=merge_groups,
+            self._schemas,
+            merge_groups={m.name: m.algorithm.views for m in self.merge_processes},
             view_manager_names={v: m.name for v, m in self.view_managers.items()},
             use_selection_filtering=cfg.use_selection_filtering,
-            send_empty_rels=self._uses_complete_n(),
-            block_size=block,
-            per_update_cost=cfg.integrator_cost,
+            send_empty_rels=complete_n,
+            block_size=cfg.block_size if complete_n else None,
         )
         for merge in self.merge_processes:
             self._connect(self.integrator, merge, cfg.latency_integrator_merge)
         for manager in self.view_managers.values():
             self._connect(self.integrator, manager, cfg.latency_integrator_vm)
-        self._connect(self.integrator, self.service, cfg.latency_integrator_service)
-
-        # Sources and the global coordinator.
-        owners = sorted({self.world.owner_of(r) for r in self.world.schemas})
-        self.sources: dict[str, Source] = {}
-        for owner in owners:
-            source = Source(self.sim, owner, self.world)
-            self._connect(source, self.integrator, cfg.latency_source_integrator)
-            self.sources[owner] = source
-        self.coordinator = GlobalTransactionCoordinator(self.sim, self.world)
-        self._connect(
-            self.coordinator, self.integrator, cfg.latency_source_integrator
-        )
-
-        # Cache server: fronts the artifact store over the channel layer
-        # so merge shards and freshly spawned replicas can fetch each
-        # other's artifacts without a shared filesystem (local restores
-        # still read the store directly — it is just a directory).
-        if self._cache_binding is not None and cfg.cache.server:
-            self.cache_server = CacheServer(self.sim, self.cache_store)
-            for peer in (*self.merge_processes, *self.view_managers.values()):
-                self._connect(peer, self.cache_server, 0.0)
-                self._connect(self.cache_server, peer, 0.0)
-
-        # Process registry (used by fault plans and diagnostics).
-        for process in (
-            self.warehouse,
-            self.service,
-            self.integrator,
-            self.coordinator,
-            *self.merge_processes,
-            *self.view_managers.values(),
-            *self.sources.values(),
-            *((self.cache_server,) if self.cache_server is not None else ()),
-        ):
-            self.processes[process.name] = process
-
-        # Scheduled crash/restart pairs from the fault plan.
-        if cfg.fault_plan is not None:
-            self._schedule_crashes(cfg.fault_plan)
-
-    def _uses_complete_n(self) -> bool:
-        cfg = self.config
-        kinds = {cfg.kind_for(d.name) for d in self.definitions}
-        return cfg.merge_algorithm == "complete-n" or "complete-n" in kinds
+        self._connect(self.integrator, self.service, _SERVICE_FEED_LATENCY)
 
     def _merge_by_name(self, name: str) -> MergeProcess:
         for merge in self.merge_processes:
@@ -382,90 +391,31 @@ class WarehouseSystem:
                 f"no process named {name!r} (have: {sorted(self.processes)})"
             ) from None
 
-    def _schedule_crashes(self, plan: FaultPlan) -> None:
-        for crash in plan.crashes:
-            process = self.process_by_name(crash.process)
-            self.sim.schedule_at(crash.at, process.crash)
-            self.sim.schedule_at(crash.at + crash.restart_after, process.restart)
-
     def _make_algorithm(
         self, views: tuple[str, ...], name: str
     ) -> MergeAlgorithm:
+        """The configured algorithm for one merge group, checked against
+        the levels of the managers it will coordinate."""
         cfg = self.config
-        if cfg.merge_algorithm == "spa":
-            return SimplePaintingAlgorithm(views, name=name)
-        if cfg.merge_algorithm == "pa":
-            return PaintingAlgorithm(views, name=name)
-        if cfg.merge_algorithm == "passthrough":
-            return PassThroughMerge(views, name=name)
-        if cfg.merge_algorithm == "complete-n":
-            return CompleteNMerge(views, cfg.block_size, name=name)
-        # auto: the weakest-level rule of §6.3.
         levels = cfg.manager_levels(views)
-        if "complete-n" in levels and set(levels) == {"complete-n"}:
-            return CompleteNMerge(views, cfg.block_size, name=name)
-        return choose_algorithm(views, levels, name=name)
-
-    def _make_policy(self, merge_name: str) -> SubmissionPolicy:
-        cfg = self.config
-        if cfg.submission_policy == "eager":
-            return EagerPolicy()
-        if cfg.submission_policy == "sequential":
-            return SequentialPolicy()
-        if cfg.submission_policy == "dependency-sequenced":
-            return DependencySequencedPolicy()
-        if cfg.submission_policy == "dbms-dependency":
-            return DbmsDependencyPolicy()
-        return BatchingPolicy(
-            batch_size=cfg.submission_batch_size, merge_name=merge_name
-        )
-
-    def _make_manager(
-        self,
-        definition: ViewDefinition,
-        schemas: dict,
-        merge_name: str,
-    ) -> ViewManager:
-        cfg = self.config
-        kind = cfg.kind_for(definition.name)
-        common = dict(
-            merge_name=merge_name,
-            service_name=self.service.name,
-            compute_cost=cfg.compute_cost,
-        )
-        if kind == "complete":
-            return CompleteViewManager(
-                self.sim, definition, schemas, mode=cfg.manager_mode, **common
-            )
-        if kind == "strong":
-            return StrongViewManager(
-                self.sim,
-                definition,
-                schemas,
-                mode=cfg.manager_mode,
-                batch_max=cfg.batch_max,
-                **common,
-            )
-        if kind == "complete-n":
-            return CompleteNViewManager(
-                self.sim,
-                definition,
-                schemas,
-                cfg.block_size,
-                mode=cfg.manager_mode,
-                **common,
-            )
-        if kind == "periodic":
-            return PeriodicRefreshManager(
-                self.sim, definition, schemas, cfg.refresh_period, **common
-            )
-        if kind == "convergent":
-            return ConvergentViewManager(
-                self.sim, definition, schemas, mode=cfg.manager_mode, **common
-            )
-        if kind == "naive":
-            return NaiveViewManager(self.sim, definition, schemas, **common)
-        raise ReproError(f"unknown manager kind {kind!r}")
+        algorithm_cls = ALGORITHMS[cfg.merge_algorithm]
+        if algorithm_cls is None:
+            # auto: the weakest-level rule of §6.3 (a group of complete-N
+            # managers alone keeps its blocks).
+            if set(levels) != {"complete-n"}:
+                return choose_algorithm(views, levels, name=name)
+            algorithm_cls = CompleteNMerge
+        for view, level in zip(views, levels):
+            # A broken manager promises nothing and runs mechanically under
+            # any algorithm (one list per update): the anomaly demos.
+            if level != "broken" and not at_least(level, algorithm_cls.requires_level):
+                raise ReproError(
+                    f"view {view!r}: its {cfg.kind_for(view)!r} manager is "
+                    f"{level}, below the {algorithm_cls.requires_level} that "
+                    f"merge_algorithm {cfg.merge_algorithm!r} requires "
+                    f"('auto' picks the algorithm by the weakest level)"
+                )
+        return algorithm_cls(views, name=name, **cfg.arguments_for(algorithm_cls))
 
     # -------------------------------------------------------------- workloads
     def post(self, transaction: SourceTransaction, at: float) -> None:
@@ -580,17 +530,11 @@ class WarehouseSystem:
         )
 
     def expected_level(self) -> str:
-        """The MVC level the configuration promises."""
-        guarantees = {m.algorithm.guarantees_level for m in self.merge_processes}
-        order = ("convergent", "complete-n", "strong", "complete")
-        weakest = min(guarantees, key=lambda g: order.index(g))
-        if weakest == "complete-n":
-            weakest = "strong"  # complete-N is strong at sub-block reads
-        if weakest == "complete" and not all(
-            m.policy.preserves_completeness for m in self.merge_processes
-        ):
-            weakest = "strong"  # batching degrades completeness (§4.3)
-        return weakest
+        """The MVC level the configuration promises: the weakest its merge
+        processes deliver (see :mod:`repro.merge.selection`)."""
+        return weakest_level(
+            delivered_level(m.algorithm, m.policy) for m in self.merge_processes
+        )
 
     def metrics(self) -> RunMetrics:
         return collect_metrics(self)

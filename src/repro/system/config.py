@@ -1,36 +1,118 @@
-"""Configuration for assembled warehouse systems."""
+"""Configuration for assembled warehouse systems.
+
+This module is where a configuration is interpreted: the names it may use
+are the keys of the component registries (``repro.viewmgr.MANAGERS``,
+``repro.merge.selection.ALGORITHMS``, ``repro.merge.submission.POLICIES``),
+what each field may hold is one row of the tables below, and what a fleet
+of managers promises is read off the registered classes
+(:meth:`SystemConfig.manager_levels`; the lattice itself is
+:mod:`repro.merge.selection`).
+"""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.cache.store import CacheConfig
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
+from repro.merge.selection import ALGORITHMS
+from repro.merge.submission import POLICIES
 from repro.obs.freshness import SloPolicy
 from repro.sim.network import LatencyModel
 from repro.sim.scheduler import Scheduler
-from repro.viewmgr.base import CostModel, default_cost
+from repro.viewmgr import MANAGERS
+from repro.viewmgr.base import PRE_STATE_MODES, CostModel, ViewManager, default_cost
 
-MANAGER_KINDS = (
-    "complete",
-    "strong",
-    "complete-n",
-    "periodic",
-    "convergent",
-    "naive",
-)
-MERGE_ALGORITHMS = ("auto", "spa", "pa", "passthrough", "complete-n")
+# The name tuples are the registries' keys, in registry order: they are
+# what the CLI offers as ``choices``.  Validation reads the registries
+# themselves, so a class registered later is accepted too.
+MANAGER_KINDS = tuple(MANAGERS)
+MERGE_ALGORITHMS = tuple(ALGORITHMS)
+SUBMISSION_POLICIES = tuple(POLICIES)
 MERGE_ROUTERS = ("coalesce", "hash")
-SUBMISSION_POLICIES = (
-    "eager",
-    "sequential",
-    "dependency-sequenced",
-    "dbms-dependency",
-    "batching",
-)
 RUNTIMES = ("des", "threads", "procs")
+#: the correct pre-state modes; the broken one is ``NaiveViewManager``'s
+#: own and is asked for as ``manager_kind="naive"``
+MANAGER_MODES = tuple(mode for mode in PRE_STATE_MODES if mode != "naive")
+
+#: membership rules: field -> the names it may hold
+_NAMES = {
+    "manager_kind": MANAGERS,
+    "merge_algorithm": ALGORITHMS,
+    "submission_policy": POLICIES,
+    "merge_router": MERGE_ROUTERS,
+    "manager_mode": MANAGER_MODES,
+    "runtime": RUNTIMES,
+}
+#: range rules: field -> (comparison, bound).  ``None`` (an optional field
+#: left unset) and a ``LatencyModel`` (which validates itself) pass.
+_RANGES = {
+    "merge_groups": (">=", 1),
+    "block_size": (">=", 1),
+    "batch_max": (">=", 1),
+    "submission_batch_size": (">=", 1),
+    "warehouse_executors": (">=", 1),
+    "workers": (">=", 1),
+    "mailbox_capacity": (">=", 1),
+    "refresh_period": (">", 0),
+    "runtime_timeout": (">", 0),
+    "freshness_tick": (">", 0),
+    "merge_message_cost": (">=", 0),
+    "service_query_cost": (">=", 0),
+    "warehouse_txn_overhead": (">=", 0),
+    "warehouse_action_cost": (">=", 0),
+    "latency_integrator_vm": (">=", 0),
+    "latency_integrator_merge": (">=", 0),
+    "latency_vm_merge": (">=", 0),
+}
+_COMPARE = {">=": operator.ge, ">": operator.gt}
+#: type rules: optional field -> the class its value must be
+_TYPES = {"fault_plan": FaultPlan, "cache": CacheConfig, "slo": SloPolicy}
+#: clock rules: (the clock that cannot honour the feature, is the feature
+#: asked for?, complaint).  ``workers`` sizes a fleet the single-threaded
+#: DES kernel does not have; fault timers and schedule perturbation are
+#: meaningless without a virtual clock, and a periodic manager's zero-delay
+#: self-rescheduling timer would spin a worker forever.
+_CLOCK_RULES = (
+    (
+        "virtual",
+        lambda cfg: cfg.workers is not None,
+        "workers only applies to parallel runtimes "
+        "(runtime='threads' or 'procs'); the DES kernel is "
+        "single-threaded by design",
+    ),
+    (
+        "wall",
+        lambda cfg: cfg.fault_plan is not None,
+        "fault plans need virtual-time timers; runtime "
+        "{runtime!r} cannot honour one (use runtime='des')",
+    ),
+    (
+        "wall",
+        lambda cfg: cfg.scheduler is not None,
+        "schedule-perturbing schedulers only apply to "
+        "runtime='des'; runtime {runtime!r} orders events "
+        "by real execution",
+    ),
+    (
+        "wall",
+        lambda cfg: "periodic" in {cfg.manager_kind, *cfg.manager_kinds.values()},
+        "periodic managers re-arm virtual timers and would "
+        "spin under runtime {runtime!r}; use runtime='des'",
+    ),
+)
+
+
+def manager_class(kind: str, view: str | None = None) -> type[ViewManager]:
+    """The class registered for a manager ``kind`` (the one kind check)."""
+    try:
+        return MANAGERS[kind]
+    except KeyError:
+        where = f" for {view!r}" if view is not None else ""
+        raise ReproError(f"unknown manager kind {kind!r}{where}") from None
 
 
 @dataclass
@@ -52,7 +134,7 @@ class SystemConfig:
     # view managers
     manager_kind: str = "complete"
     manager_kinds: Mapping[str, str] = field(default_factory=dict)
-    manager_mode: str = "cached"  # cached | snapshot | compensate (| naive)
+    manager_mode: str = "cached"  # one of MANAGER_MODES
     batch_max: int | None = None  # strong managers: cap on batch size
     block_size: int = 4  # complete-N block size
     refresh_period: float = 50.0  # periodic managers
@@ -68,24 +150,18 @@ class SystemConfig:
 
     # integrator & base-data service
     use_selection_filtering: bool = False
-    integrator_cost: float = 0.0
     service_query_cost: float = 0.0
 
     # warehouse
     warehouse_executors: int = 1
     warehouse_txn_overhead: float = 1.0
     warehouse_action_cost: float = 0.05
-    warehouse_supports_dependencies: bool = True
 
-    # channels (floats mean FixedLatency)
-    latency_source_integrator: LatencyModel | float = 1.0
+    # channels (floats mean FixedLatency); the hops no study varies are
+    # constants of the builder
     latency_integrator_vm: LatencyModel | float = 1.0
     latency_integrator_merge: LatencyModel | float = 1.0
     latency_vm_merge: LatencyModel | float = 1.0
-    latency_merge_warehouse: LatencyModel | float = 1.0
-    latency_warehouse_merge: LatencyModel | float = 1.0
-    latency_vm_service: LatencyModel | float = 1.0
-    latency_integrator_service: LatencyModel | float = 0.0
 
     # fault injection (None = the paper's perfect environment)
     fault_plan: FaultPlan | None = None
@@ -144,42 +220,34 @@ class SystemConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.manager_kind not in MANAGER_KINDS:
-            raise ReproError(
-                f"manager_kind {self.manager_kind!r} not in {MANAGER_KINDS}"
-            )
+        """Walk the rule tables above; the first broken rule raises."""
+        for name, allowed in _NAMES.items():
+            if getattr(self, name) not in tuple(allowed):
+                raise ReproError(
+                    f"{name} {getattr(self, name)!r} not in {tuple(allowed)}"
+                )
         for view, kind in self.manager_kinds.items():
-            if kind not in MANAGER_KINDS:
+            if kind not in MANAGERS:
                 raise ReproError(
                     f"manager kind {kind!r} for view {view!r} "
-                    f"not in {MANAGER_KINDS}"
+                    f"not in {tuple(MANAGERS)}"
                 )
-        if self.merge_algorithm not in MERGE_ALGORITHMS:
-            raise ReproError(
-                f"merge_algorithm {self.merge_algorithm!r} "
-                f"not in {MERGE_ALGORITHMS}"
-            )
-        if self.submission_policy not in SUBMISSION_POLICIES:
-            raise ReproError(
-                f"submission_policy {self.submission_policy!r} "
-                f"not in {SUBMISSION_POLICIES}"
-            )
-        if self.merge_router not in MERGE_ROUTERS:
-            raise ReproError(
-                f"merge_router {self.merge_router!r} not in {MERGE_ROUTERS}"
-            )
-        if self.merge_groups < 1:
-            raise ReproError(f"merge_groups must be >= 1, got {self.merge_groups}")
-        if self.block_size < 1:
-            raise ReproError(f"block_size must be >= 1, got {self.block_size}")
-        if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
-            raise ReproError(
-                f"fault_plan must be a FaultPlan, got {type(self.fault_plan).__name__}"
-            )
-        if self.cache is not None and not isinstance(self.cache, CacheConfig):
-            raise ReproError(
-                f"cache must be a CacheConfig, got {type(self.cache).__name__}"
-            )
+        for name, (comparison, bound) in _RANGES.items():
+            value = getattr(self, name)
+            if not (
+                value is None
+                or isinstance(value, LatencyModel)
+                or _COMPARE[comparison](value, bound)
+            ):
+                raise ReproError(
+                    f"{name} must be {comparison} {bound}, got {value}"
+                )
+        for name, cls in _TYPES.items():
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, cls):
+                raise ReproError(
+                    f"{name} must be a {cls.__name__}, got {type(value).__name__}"
+                )
         if self.scheduler is not None and not callable(
             getattr(self.scheduler, "adjust", None)
         ):
@@ -187,67 +255,21 @@ class SystemConfig:
                 f"scheduler must provide adjust(time, lane), "
                 f"got {type(self.scheduler).__name__}"
             )
-        if self.runtime not in RUNTIMES:
-            raise ReproError(f"runtime {self.runtime!r} not in {RUNTIMES}")
-        if self.workers is not None and self.workers < 1:
-            raise ReproError(f"workers must be >= 1, got {self.workers}")
-        if self.mailbox_capacity is not None and self.mailbox_capacity < 1:
-            raise ReproError(
-                f"mailbox_capacity must be >= 1, got {self.mailbox_capacity}"
-            )
-        if self.runtime_timeout <= 0:
-            raise ReproError(
-                f"runtime_timeout must be > 0, got {self.runtime_timeout}"
-            )
-        if self.freshness_tick is not None and self.freshness_tick <= 0:
-            raise ReproError(
-                f"freshness_tick must be > 0, got {self.freshness_tick}"
-            )
-        if self.slo is not None and not isinstance(self.slo, SloPolicy):
-            raise ReproError(
-                f"slo must be a SloPolicy, got {type(self.slo).__name__}"
-            )
-        if self.runtime == "des":
-            if self.workers is not None:
-                raise ReproError(
-                    "workers only applies to parallel runtimes "
-                    "(runtime='threads' or 'procs'); the DES kernel is "
-                    "single-threaded by design"
-                )
-        else:
-            # Virtual-time-only features have no wall-clock semantics:
-            # fault timers and schedule perturbation are meaningless
-            # without a virtual clock, and a periodic manager's zero-delay
-            # self-rescheduling timer would spin a worker forever.
-            if self.fault_plan is not None:
-                raise ReproError(
-                    f"fault plans need virtual-time timers; runtime "
-                    f"{self.runtime!r} cannot honour one (use runtime='des')"
-                )
-            if self.scheduler is not None:
-                raise ReproError(
-                    f"schedule-perturbing schedulers only apply to "
-                    f"runtime='des'; runtime {self.runtime!r} orders events "
-                    f"by real execution"
-                )
-            kinds = {self.manager_kind, *self.manager_kinds.values()}
-            if "periodic" in kinds:
-                raise ReproError(
-                    f"periodic managers re-arm virtual timers and would "
-                    f"spin under runtime {self.runtime!r}; use runtime='des'"
-                )
+        clock = "virtual" if self.runtime == "des" else "wall"
+        for rejecting_clock, asked_for, complaint in _CLOCK_RULES:
+            if rejecting_clock == clock and asked_for(self):
+                raise ReproError(complaint.format(runtime=self.runtime))
 
     def kind_for(self, view: str) -> str:
         return self.manager_kinds.get(view, self.manager_kind)
 
     def manager_levels(self, views: tuple[str, ...]) -> list[str]:
         """The single-view consistency level of each view's manager."""
-        level_of = {
-            "complete": "complete",
-            "strong": "strong",
-            "complete-n": "complete-n",
-            "periodic": "strong",
-            "convergent": "convergent",
-            "naive": "broken",
+        return [manager_class(self.kind_for(view), view).level for view in views]
+
+    def arguments_for(self, cls: type) -> dict[str, object]:
+        """The constructor keywords ``cls`` declares it takes from a config."""
+        return {
+            keyword: getattr(self, name)
+            for keyword, name in cls.config_args.items()
         }
-        return [level_of[self.kind_for(view)] for view in views]

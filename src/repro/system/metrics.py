@@ -30,10 +30,6 @@ from repro.obs.registry import percentile
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system.builder import WarehouseSystem
 
-# Backward-compatible alias: this helper graduated into the observability
-# layer (shared with histogram quantiles) but its home API stays.
-_percentile = percentile
-
 
 @dataclass(frozen=True, slots=True)
 class ProcessStats:
@@ -168,7 +164,7 @@ def collect_metrics(system: "WarehouseSystem") -> RunMetrics:
         warehouse_transactions=system.warehouse.commits,
         mean_staleness=sum(lags) / len(lags) if lags else 0.0,
         max_staleness=max(lags) if lags else 0.0,
-        p95_staleness=_percentile(lags, 0.95),
+        p95_staleness=percentile(lags, 0.95),
         throughput=reflected / makespan if makespan > 0 else 0.0,
         processes=processes,
         messages_total=sum(p.messages_handled for p in processes.values()),

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from repro.merge.selection import at_least
 from repro.relational.expressions import ViewDefinition
 from repro.sources.world import SourceWorld
 from repro.system.builder import WarehouseSystem
@@ -41,8 +42,7 @@ class SweepRow:
 
     @property
     def verified(self) -> bool:
-        order = {"inconsistent": 0, "convergent": 1, "strong": 2, "complete": 3}
-        return order[self.mvc_level] >= order[self.expected_level]
+        return at_least(self.mvc_level, self.expected_level)
 
 
 def sweep(

@@ -31,7 +31,24 @@ from repro.viewmgr.periodic import PeriodicRefreshManager
 from repro.viewmgr.convergent import ConvergentViewManager
 from repro.viewmgr.naive import NaiveViewManager
 
+#: ``SystemConfig.manager_kind`` name -> class, in the order configs and
+#: ``--help`` list them.  A new manager declares ``kind`` and ``level`` (and
+#: ``config_args``) and is added here; ``SystemConfig`` accepts the name,
+#: the builder constructs the class and the merge is chosen from the level.
+MANAGERS: dict[str, type[ViewManager]] = {
+    cls.kind: cls
+    for cls in (
+        CompleteViewManager,
+        StrongViewManager,
+        CompleteNViewManager,
+        PeriodicRefreshManager,
+        ConvergentViewManager,
+        NaiveViewManager,
+    )
+}
+
 __all__ = [
+    "MANAGERS",
     "Action",
     "ActionList",
     "ViewManager",

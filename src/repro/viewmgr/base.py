@@ -77,14 +77,21 @@ PRE_STATE_MODES = ("cached", "snapshot", "compensate", "naive")
 class ViewManager(Process):
     """Common machinery; subclasses choose the batching discipline."""
 
-    #: single-view consistency level ("complete", "strong", "convergent")
+    #: the ``SystemConfig.manager_kind`` name a concrete subclass answers
+    #: to (see ``repro.viewmgr.MANAGERS``)
+    kind: str
+    #: single-view consistency level, one of ``repro.merge.selection.LEVELS``
     level = "complete"
+    #: constructor keyword -> the ``SystemConfig`` field the builder fills
+    #: it from (on top of the simulator, definition, schemas and wiring)
+    config_args: dict[str, str] = {"mode": "manager_mode"}
 
     def __init__(
         self,
         sim: "Simulator",
         definition: ViewDefinition,
         base_schemas: Mapping[str, Schema],
+        *,  # subclasses add keywords of their own behind these
         name: str | None = None,
         merge_name: str = "merge",
         service_name: str = "basedata",
@@ -299,25 +306,16 @@ class ViewManager(Process):
         start_version = batch[0].update_id - 1
         query_id = next(self._query_ids)
         self._outstanding_query = query_id
-        if self.mode == "snapshot":
-            query = SnapshotQuery(
-                query_id,
-                self.name,
-                self.definition.base_relations(),
-                version=start_version,
-            )
-        elif self.mode == "compensate":
-            query = SnapshotQuery(
-                query_id,
-                self.name,
-                self.definition.base_relations(),
-                version=None,
-                undo_from=start_version,
-            )
-        else:  # naive: current state, no undo information requested
-            query = SnapshotQuery(
-                query_id, self.name, self.definition.base_relations(), version=None
-            )
+        # snapshot: the multiversion state as of the batch start;
+        # compensate: the current state plus the undo information back to
+        # the batch start; naive: the current state as it happens to be.
+        query = SnapshotQuery(
+            query_id,
+            self.name,
+            self.definition.base_relations(),
+            version=start_version if self.mode == "snapshot" else None,
+            undo_from=start_version if self.mode == "compensate" else None,
+        )
         self.send(self.service_name, query)
 
     def _on_snapshot(self, response: SnapshotResponse) -> None:
@@ -432,9 +430,9 @@ class ViewManager(Process):
             # the recovery path — the computed state survives in-process
             # — so the guard applies only to cache-backed managers.
             return
-        action_list = self.build_action_list(covered, view_delta)
-        self.send(self.merge_name, ActionListMessage(action_list))
-        self.action_lists_sent += 1
+        for action_list in self.build_action_lists(covered, view_delta):
+            self.send(self.merge_name, ActionListMessage(action_list))
+            self.action_lists_sent += 1
         self.updates_processed += len(covered)
         self._applied_version = covered[-1]
         self._computing = False
@@ -446,6 +444,13 @@ class ViewManager(Process):
             # or a restart would re-send this action list.
             self._cache.on_handled(self)
         self._maybe_start()
+
+    def build_action_lists(
+        self, covered: tuple[int, ...], view_delta: Delta
+    ) -> list[ActionList]:
+        """The lists one computed batch is sent as, in sending order
+        (subclass hook; at least one, so the merge sees progress)."""
+        return [self.build_action_list(covered, view_delta)]
 
     def build_action_list(
         self, covered: tuple[int, ...], view_delta: Delta

@@ -15,6 +15,7 @@ from repro.viewmgr.base import ViewManager
 class CompleteViewManager(ViewManager):
     """One action list per update: complete single-view sequences."""
 
+    kind = "complete"
     level = "complete"
 
     def select_batch(self) -> list[UpdateForView]:

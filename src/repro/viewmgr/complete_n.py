@@ -15,17 +15,10 @@ manager never waits indefinitely on a quiet view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
-
 from repro.errors import ViewManagerError
 from repro.messages import UpdateForView
-from repro.relational.expressions import ViewDefinition
-from repro.relational.schema import Schema
 from repro.sim.process import Process
-from repro.viewmgr.base import CostModel, ViewManager, default_cost
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.kernel import Simulator
+from repro.viewmgr.base import ViewManager
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,30 +32,13 @@ class EndOfBlock:
 class CompleteNViewManager(ViewManager):
     """Processes its relevant updates in global blocks of N."""
 
+    kind = "complete-n"
     level = "complete-n"
+    config_args = {**ViewManager.config_args, "n": "block_size"}
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        definition: ViewDefinition,
-        base_schemas: Mapping[str, Schema],
-        n: int,
-        name: str | None = None,
-        merge_name: str = "merge",
-        service_name: str = "basedata",
-        mode: str = "cached",
-        compute_cost: CostModel = default_cost,
-    ) -> None:
-        super().__init__(
-            sim,
-            definition,
-            base_schemas,
-            name=name,
-            merge_name=merge_name,
-            service_name=service_name,
-            mode=mode,
-            compute_cost=compute_cost,
-        )
+    def __init__(self, *args, n: int, **kwargs) -> None:
+        """``n`` is the block size; the rest is :class:`ViewManager`'s."""
+        super().__init__(*args, **kwargs)
         if n < 1:
             raise ViewManagerError(f"block size N must be >= 1, got {n}")
         self.n = n

@@ -15,7 +15,7 @@ lists immediately, the warehouse inherits exactly that guarantee.
 
 from __future__ import annotations
 
-from repro.messages import ActionListMessage, UpdateForView
+from repro.messages import UpdateForView
 from repro.relational.delta import Delta
 from repro.viewmgr.actions import ActionList
 from repro.viewmgr.base import ViewManager
@@ -24,42 +24,22 @@ from repro.viewmgr.base import ViewManager
 class ConvergentViewManager(ViewManager):
     """Eventually correct, intermediate states unconstrained."""
 
+    kind = "convergent"
     level = "convergent"
 
     def select_batch(self) -> list[UpdateForView]:
         return [self._buffer.popleft()]
 
-    def _emit(
-        self,
-        covered: tuple[int, ...],
-        view_delta: Delta,
-        epoch: int | None = None,
-    ) -> None:
-        if (
-            self._cache is not None
-            and epoch is not None
-            and epoch != self._epoch
-        ):
-            return  # stale pre-crash emit; see ViewManager._emit
+    def build_action_lists(
+        self, covered: tuple[int, ...], view_delta: Delta
+    ) -> list[ActionList]:
+        """Deletions, then insertions, as two separately applied lists."""
         deletions = Delta({row: -count for row, count in view_delta.deletions()})
         insertions = Delta(dict(view_delta.insertions()))
-        emitted = 0
-        for part in (deletions, insertions):
-            if not part:
-                continue
-            action_list = ActionList.from_delta(self.view, self.name, covered, part)
-            self.send(self.merge_name, ActionListMessage(action_list))
-            emitted += 1
-        if not emitted:
-            # Still announce progress with an empty list, like the others.
-            empty = ActionList.from_delta(self.view, self.name, covered, Delta())
-            self.send(self.merge_name, ActionListMessage(empty))
-        self.action_lists_sent += max(emitted, 1)
-        self.updates_processed += len(covered)
-        self._applied_version = covered[-1]
-        self._computing = False
-        self._current_batch = []
-        self._pending_emit = None
-        if self._cache is not None:
-            self._cache.on_handled(self)  # see ViewManager._emit
-        self._maybe_start()
+        parts = [part for part in (deletions, insertions) if part]
+        # Nothing changed: still announce progress with one empty list,
+        # like the others.
+        return [
+            ActionList.from_delta(self.view, self.name, covered, part)
+            for part in parts or [Delta()]
+        ]

@@ -16,42 +16,20 @@ that motivates the correct managers in this package.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
-
 from repro.messages import UpdateForView
-from repro.relational.expressions import ViewDefinition
-from repro.relational.schema import Schema
-from repro.viewmgr.base import CostModel, ViewManager, default_cost
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.kernel import Simulator
+from repro.viewmgr.base import ViewManager
 
 
 class NaiveViewManager(ViewManager):
     """Computes deltas against whatever base state it happens to read."""
 
+    kind = "naive"
     level = "broken"
+    config_args = {}
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        definition: ViewDefinition,
-        base_schemas: Mapping[str, Schema],
-        name: str | None = None,
-        merge_name: str = "merge",
-        service_name: str = "basedata",
-        compute_cost: CostModel = default_cost,
-    ) -> None:
-        super().__init__(
-            sim,
-            definition,
-            base_schemas,
-            name=name,
-            merge_name=merge_name,
-            service_name=service_name,
-            mode="naive",
-            compute_cost=compute_cost,
-        )
+    def __init__(self, *args, **kwargs) -> None:
+        """:class:`ViewManager`'s arguments, minus ``mode``."""
+        super().__init__(*args, mode="naive", **kwargs)
 
     def select_batch(self) -> list[UpdateForView]:
         return [self._buffer.popleft()]

@@ -14,49 +14,28 @@ last refresh.  Quiet periods (no relevant updates) ship nothing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
-
 from repro.errors import ViewManagerError
 from repro.messages import UpdateForView
 from repro.relational.columnar import evaluate_columnar
 from repro.relational.delta import Delta
-from repro.relational.expressions import ViewDefinition
-from repro.relational.schema import Schema
 from repro.viewmgr.actions import ActionList
-from repro.viewmgr.base import CostModel, ViewManager, default_cost
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.kernel import Simulator
+from repro.viewmgr.base import ViewManager
 
 
 class PeriodicRefreshManager(ViewManager):
     """Recomputes the whole view on a timer; strong to the merge process."""
 
+    kind = "periodic"
     level = "strong"
+    config_args = {"period": "refresh_period"}
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        definition: ViewDefinition,
-        base_schemas: Mapping[str, Schema],
-        period: float,
-        name: str | None = None,
-        merge_name: str = "merge",
-        service_name: str = "basedata",
-        compute_cost: CostModel = default_cost,
-    ) -> None:
+    def __init__(self, *args, period: float, **kwargs) -> None:
+        """``period`` is the refresh interval; the rest is
+        :class:`ViewManager`'s, minus ``mode``."""
         if period <= 0:
             raise ViewManagerError(f"refresh period must be positive, got {period}")
-        super().__init__(
-            sim,
-            definition,
-            base_schemas,
-            name=name,
-            merge_name=merge_name,
-            service_name=service_name,
-            mode="cached",  # refresh recomputes from the local replica
-            compute_cost=compute_cost,
-        )
+        # refresh recomputes from the local replica
+        super().__init__(*args, mode="cached", **kwargs)
         self.period = period
         self._refresh_due = False
         self._tick_scheduled = False

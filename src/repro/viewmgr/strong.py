@@ -15,45 +15,21 @@ behaviour the Painting Algorithm exists to coordinate.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
-
 from repro.errors import ViewManagerError
 from repro.messages import UpdateForView
-from repro.relational.expressions import ViewDefinition
-from repro.relational.schema import Schema
-from repro.viewmgr.base import CostModel, ViewManager, default_cost
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.kernel import Simulator
+from repro.viewmgr.base import ViewManager
 
 
 class StrongViewManager(ViewManager):
     """Batches queued updates into one action list per computation."""
 
+    kind = "strong"
     level = "strong"
+    config_args = {**ViewManager.config_args, "batch_max": "batch_max"}
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        definition: ViewDefinition,
-        base_schemas: Mapping[str, Schema],
-        name: str | None = None,
-        merge_name: str = "merge",
-        service_name: str = "basedata",
-        mode: str = "cached",
-        compute_cost: CostModel = default_cost,
-        batch_max: int | None = None,
-    ) -> None:
-        super().__init__(
-            sim,
-            definition,
-            base_schemas,
-            name=name,
-            merge_name=merge_name,
-            service_name=service_name,
-            mode=mode,
-            compute_cost=compute_cost,
-        )
+    def __init__(self, *args, batch_max: int | None = None, **kwargs) -> None:
+        """``batch_max`` caps a batch; the rest is :class:`ViewManager`'s."""
+        super().__init__(*args, **kwargs)
         if batch_max is not None and batch_max < 1:
             raise ViewManagerError(f"batch_max must be >= 1, got {batch_max}")
         self.batch_max = batch_max

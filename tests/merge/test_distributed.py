@@ -5,7 +5,6 @@ import pytest
 from repro.errors import MergeError
 from repro.merge.distributed import (
     estimate_plan_cost,
-    group_for_view,
     partition_views,
     view_to_group_map,
 )
@@ -150,14 +149,3 @@ class TestViewToGroupMap:
     def test_empty(self):
         assert view_to_group_map([]) == {}
 
-
-class TestGroupForView:
-    def test_finds_group_but_warns(self):
-        groups = [("A", "B"), ("C",)]
-        with pytest.warns(DeprecationWarning, match="view_to_group_map"):
-            assert group_for_view(groups, "C") == ("C",)
-
-    def test_missing_view(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(MergeError):
-                group_for_view([("A",)], "Z")

@@ -6,8 +6,10 @@ from repro.errors import ReproError
 from repro.merge.complete_n import CompleteNMerge
 from repro.merge.pa import PaintingAlgorithm
 from repro.merge.passthrough import PassThroughMerge
+from repro.merge.selection import ALGORITHMS
 from repro.merge.spa import SimplePaintingAlgorithm
 from repro.merge.submission import (
+    POLICIES,
     BatchingPolicy,
     DbmsDependencyPolicy,
     DependencySequencedPolicy,
@@ -16,7 +18,15 @@ from repro.merge.submission import (
 )
 from repro.sources.update import Update
 from repro.system.builder import WarehouseSystem
-from repro.system.config import SystemConfig
+from repro.system.config import (
+    MANAGER_KINDS,
+    MERGE_ALGORITHMS,
+    SUBMISSION_POLICIES,
+    SystemConfig,
+)
+from repro.viewmgr import MANAGERS
+from repro.viewmgr.strong import StrongViewManager
+from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
 from repro.workloads.schemas import (
     paper_views_example1,
     paper_views_example2,
@@ -38,6 +48,20 @@ class TestConfigValidation:
             {"merge_groups": 0},
             {"block_size": 0},
             {"manager_kinds": {"V1": "psychic"}},
+            # forwarded unchecked before the validation table: each was a
+            # ViewManagerError / MergeError / WarehouseError at build, or
+            # (a negative cost) a SimulationError in the middle of the run
+            {"manager_mode": "bogus"},
+            {"manager_mode": "naive"},  # the anomaly is manager_kind="naive"
+            {"batch_max": 0},
+            {"submission_batch_size": 0},
+            {"warehouse_executors": 0},
+            {"refresh_period": 0.0},
+            {"merge_message_cost": -1.0},
+            {"service_query_cost": -0.5},
+            {"warehouse_txn_overhead": -1.0},
+            {"warehouse_action_cost": -0.1},
+            {"latency_vm_merge": -1.0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -49,6 +73,119 @@ class TestConfigValidation:
             manager_kind="complete", manager_kinds={"V2": "strong"}
         )
         assert config.manager_levels(("V1", "V2")) == ["complete", "strong"]
+
+    def test_optional_and_modelled_values_pass_the_range_rules(self):
+        from repro.sim.network import ExponentialLatency
+
+        SystemConfig(batch_max=None, latency_vm_merge=ExponentialLatency(1.0))
+
+
+class TestRegistries:
+    """A configuration name is a registry key; the builder constructs
+    exactly the class registered under it."""
+
+    def test_name_tuples_are_the_registries_in_order(self):
+        assert MANAGER_KINDS == tuple(MANAGERS) == (
+            "complete", "strong", "complete-n", "periodic", "convergent", "naive"
+        )
+        assert MERGE_ALGORITHMS == tuple(ALGORITHMS) == (
+            "auto", "spa", "pa", "passthrough", "complete-n"
+        )
+        assert SUBMISSION_POLICIES == tuple(POLICIES) == (
+            "eager", "sequential", "dependency-sequenced", "dbms-dependency",
+            "batching",
+        )
+        assert all(cls.kind == kind for kind, cls in MANAGERS.items())
+        assert all(cls.name == name for name, cls in POLICIES.items())
+
+    def test_builder_constructs_the_registered_class(self):
+        def build(**kwargs):
+            return WarehouseSystem(
+                paper_world(), paper_views_example1(), SystemConfig(**kwargs)
+            )
+
+        for kind, cls in MANAGERS.items():
+            managers = build(manager_kind=kind).view_managers.values()
+            assert {type(m) for m in managers} == {cls}, kind
+        for name, cls in ALGORITHMS.items():
+            if cls is not None:  # "auto" is the weakest-level rule
+                merge = build(merge_algorithm=name).merge_processes[0]
+                assert type(merge.algorithm) is cls, name
+        for name, cls in POLICIES.items():
+            merge = build(submission_policy=name).merge_processes[0]
+            assert type(merge.policy) is cls, name
+
+    def test_registered_manager_needs_no_other_edit(self, monkeypatch):
+        """The docs/extending.md recipe, executed: declare, register, run."""
+
+        class PairwiseManager(StrongViewManager):
+            """Processes its relevant updates at most two at a time."""
+
+            kind = "pairwise"
+            level = "strong"
+
+            def select_batch(self):
+                return [
+                    self._buffer.popleft()
+                    for _ in range(min(2, len(self._buffer)))
+                ]
+
+        with pytest.raises(ReproError):
+            SystemConfig(manager_kind="pairwise")
+        monkeypatch.setitem(MANAGERS, PairwiseManager.kind, PairwiseManager)
+        config = SystemConfig(manager_kinds={"V2": "pairwise"}, seed=7)
+        assert config.manager_levels(("V1", "V2")) == ["complete", "strong"]
+        world = paper_world()
+        system = WarehouseSystem(world, paper_views_example1(), config)
+        assert type(system.view_managers["V2"]) is PairwiseManager
+        assert isinstance(system.merge_processes[0].algorithm, PaintingAlgorithm)
+        assert system.expected_level() == "strong"
+        spec = WorkloadSpec(updates=30, rate=4.0, seed=7, mix=(0.6, 0.2, 0.2))
+        post_stream(system, UpdateStreamGenerator(world, spec).transactions())
+        system.run()
+        assert system.check_mvc("strong").ok
+        assert system.view_managers["V2"].action_lists_sent < 30  # it batched
+
+
+class TestRequiredLevel:
+    """``MergeAlgorithm.requires_level`` is checked when the system is
+    built, not discovered by a MergeError in the middle of the run."""
+
+    @pytest.mark.parametrize(
+        "kind,algorithm",
+        [
+            ("strong", "spa"),
+            ("periodic", "spa"),
+            ("complete-n", "spa"),
+            ("strong", "complete-n"),
+            ("convergent", "pa"),
+        ],
+    )
+    def test_manager_below_the_algorithm_is_rejected(self, kind, algorithm):
+        config = SystemConfig(
+            manager_kinds={"V2": kind}, merge_algorithm=algorithm
+        )
+        cls = ALGORITHMS[algorithm]
+        with pytest.raises(ReproError) as error:
+            WarehouseSystem(paper_world(), paper_views_example1(), config)
+        for named in ("'V2'", repr(kind), MANAGERS[kind].level,
+                      repr(algorithm), cls.requires_level):
+            assert named in str(error.value)
+
+    @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != "auto"])
+    def test_naive_managers_run_under_any_algorithm(self, algorithm):
+        system = WarehouseSystem(
+            paper_world(), paper_views_example1(),
+            SystemConfig(manager_kind="naive", merge_algorithm=algorithm),
+        )
+        assert type(system.merge_processes[0].algorithm) is ALGORITHMS[algorithm]
+
+    def test_stronger_managers_are_accepted(self):
+        system = WarehouseSystem(
+            paper_world(), paper_views_example1(),
+            SystemConfig(manager_kind="complete", merge_algorithm="passthrough"),
+        )
+        assert system.expected_level() == "convergent"
 
 
 class TestAssembly:

@@ -3,16 +3,29 @@ must verify the MVC level the configuration promises.
 
 This is the compact end-to-end contract of the whole library: whatever
 knobs a user turns (within the safe set), `expected_level()` states the
-guarantee and the run delivers it.
+guarantee and the run delivers it.  The full grid at the end drops "within
+the safe set": every registered name combination is either refused when
+it is constructed or keeps its promise.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.conformance.oracle import fleet_expected_level
+from repro.errors import ReproError
+from repro.merge.selection import ALGORITHMS, at_least
+from repro.merge.submission import POLICIES
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
+from repro.viewmgr import MANAGERS
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
-from repro.workloads.schemas import paper_views_example2, paper_world
+from repro.workloads.schemas import (
+    paper_views_example2,
+    paper_views_example3,
+    paper_world,
+)
 
 KINDS = ("complete", "strong", "complete-n", "periodic", "convergent")
 SAFE_POLICIES = (
@@ -66,8 +79,6 @@ def test_randomized_safe_configurations_meet_their_promise(
     kind, policy, mode, groups, filtering, executors, seed
 ):
     """The capstone property: ANY safe configuration delivers its promise."""
-    from repro.workloads.schemas import paper_views_example3
-
     if kind in ("periodic", "convergent"):
         mode = "cached"  # these managers recompute/derive locally
     world = paper_world()
@@ -99,3 +110,56 @@ def test_randomized_safe_configurations_meet_their_promise(
         f"filtering={filtering} executors={executors} seed={seed}: "
         f"promised {promised}, got: {report.reason}"
     )
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+@pytest.mark.parametrize("kind", list(MANAGERS))
+def test_full_grid_is_refused_or_keeps_its_promise(kind, algorithm):
+    """Every registered kind x algorithm x policy x merge_groups in {1, 4}.
+
+    A configuration is refused with a ``ReproError`` when it is constructed
+    exactly when its managers' level is below what the algorithm requires;
+    every other one drains 40 updates without an exception and passes the
+    check for the level it promises, and the two promise functions agree.
+    A naive fleet only has to build: its drain is the anomaly demo and may
+    end in a ``RelationError`` or an inconsistent warehouse.
+    """
+    level = MANAGERS[kind].level
+    algorithm_cls = ALGORITHMS[algorithm]
+    refused = (
+        algorithm_cls is not None
+        and level != "broken"
+        and not at_least(level, algorithm_cls.requires_level)
+    )
+    for policy, groups in itertools.product(POLICIES, (1, 4)):
+        where = f"{kind} / {algorithm} / {policy} / merge_groups={groups}"
+        world = paper_world()
+        try:
+            system = WarehouseSystem(
+                world,
+                paper_views_example3(),
+                SystemConfig(
+                    manager_kind=kind,
+                    merge_algorithm=algorithm,
+                    submission_policy=policy,
+                    merge_groups=groups,
+                    refresh_period=12.0,
+                    seed=13,
+                    trace_enabled=False,
+                ),
+            )
+        except ReproError:
+            assert refused, f"{where}: refused"
+            continue
+        assert not refused, f"{where}: accepted"
+        if level == "broken":
+            assert fleet_expected_level(system) is None, where
+            continue
+        spec = WorkloadSpec(updates=40, rate=2.0, seed=13,
+                            mix=(0.6, 0.2, 0.2), arrivals="poisson")
+        post_stream(system, UpdateStreamGenerator(world, spec).transactions())
+        system.run()
+        promised = system.expected_level()
+        assert promised == fleet_expected_level(system), where
+        report = system.check_mvc(promised)
+        assert report, f"{where}: promised {promised}, got: {report.reason}"

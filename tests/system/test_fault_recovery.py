@@ -15,6 +15,7 @@ from repro.cache.store import CacheConfig
 from repro.conformance.oracle import check_real_run
 from repro.errors import ReproError
 from repro.faults import CrashSpec, FaultPlan
+from repro.sources.update import Update
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
@@ -132,6 +133,56 @@ class TestCrashScheduling:
         system.run()
         assert system.process_by_name("vm:V1").crashes == 1
         assert system.check_mvc("complete").ok
+
+    def test_convergent_manager_crashed_before_emit_sends_its_lists_once(self):
+        """A cache-backed convergent manager dies between computing a batch
+        and emitting it.  The restart re-schedules the checkpointed emit
+        and the pre-crash emit event still fires afterwards: the
+        stale-epoch guard must drop it, or the deletion and the insertion
+        list of the batch reach the merge twice."""
+
+        def drive(crashes=()):
+            system = WarehouseSystem(
+                paper_world(), paper_views_example1(),
+                SystemConfig(manager_kind="convergent", cache=CacheConfig(),
+                             fault_plan=FaultPlan(seed=5, crashes=crashes)),
+            )
+            system.post_update(Update.insert("S", {"B": 2, "C": 3}), 1.0)
+            # V1 = R JOIN S loses [1,2,3] and gains [1,2,5]: two lists.
+            system.post_update(
+                Update.modify("S", {"B": 2, "C": 3}, {"B": 2, "C": 5}), 10.0
+            )
+            system.post_update(Update.insert("S", {"B": 2, "C": 7}), 20.0)
+            try:
+                system.run()
+            finally:
+                system.close()
+            return system
+
+        clean = drive()
+        compute = next(
+            event for event in clean.sim.trace.of_kind("vm_compute")
+            if event.process == "vm:V1" and event.detail["covered"] == (2,)
+        )
+        assert compute.detail["delta"] == 2  # one deletion, one insertion
+        cost = compute.detail["cost"]
+        # Down at the middle of the compute delay, up again before its end.
+        crashed = drive(
+            (CrashSpec("vm:V1", at=compute.time + cost / 2,
+                       restart_after=cost / 4),)
+        )
+        manager = crashed.process_by_name("vm:V1")
+        assert (manager.crashes, manager.cache_restores) == (1, 1)
+        assert manager.cache_fallbacks == 0
+        untouched = clean.process_by_name("vm:V1")
+        assert manager.action_lists_sent == untouched.action_lists_sent == 4
+        assert (
+            crashed.merge_processes[0].algorithm.als_received
+            == clean.merge_processes[0].algorithm.als_received
+        )
+        assert crashed.check_mvc("convergent").ok
+        for view in ("V1", "V2"):
+            assert crashed.store.view(view) == clean.store.view(view)
 
 
 CACHED_CRASH_PLAN = FaultPlan(

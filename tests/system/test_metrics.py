@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.obs.registry import percentile
 from repro.sources.update import Update
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
-from repro.system.metrics import _percentile, collect_metrics, staleness_per_update
+from repro.system.metrics import collect_metrics, staleness_per_update
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
 from repro.workloads.schemas import paper_views_example1, paper_world
 
@@ -75,28 +76,28 @@ class TestPercentile:
     nearest-rank-via-round(), which biased p95 to the max on small samples)."""
 
     def test_empty_and_singleton(self):
-        assert _percentile([], 0.95) == 0.0
-        assert _percentile([3.0], 0.95) == 3.0
+        assert percentile([], 0.95) == 0.0
+        assert percentile([3.0], 0.95) == 3.0
 
     def test_interpolates_between_order_statistics(self):
         # position = 0.95 * 9 = 8.55 -> 9 + 0.55 * (10 - 9)
         values = [float(i) for i in range(1, 11)]
-        assert _percentile(values, 0.95) == pytest.approx(9.55)
+        assert percentile(values, 0.95) == pytest.approx(9.55)
         # position = 0.5 * 3 = 1.5 -> midpoint of the middle pair
-        assert _percentile([1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(2.5)
+        assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(2.5)
 
     def test_endpoints(self):
         values = [5.0, 1.0, 3.0]
-        assert _percentile(values, 0.0) == 1.0
-        assert _percentile(values, 1.0) == 5.0
+        assert percentile(values, 0.0) == 1.0
+        assert percentile(values, 1.0) == 5.0
 
     def test_unsorted_input_handled(self):
-        assert _percentile([9.0, 1.0, 5.0], 0.5) == 5.0
+        assert percentile([9.0, 1.0, 5.0], 0.5) == 5.0
 
     def test_small_sample_not_biased_to_max(self):
         # The old round() implementation returned 10.0 (the max) here.
         values = [float(i) for i in range(1, 11)]
-        assert _percentile(values, 0.95) < max(values)
+        assert percentile(values, 0.95) < max(values)
 
 
 class TestCollect:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check that repository documentation references resolve.
 
-Scans every tracked ``*.md`` file and verifies four kinds of reference:
+Scans every tracked ``*.md`` file and verifies five kinds of reference:
 
 * **markdown links** — each relative ``[text](target)`` must point at an
   existing file (anchors and external ``http(s)``/``mailto`` links are
@@ -16,7 +16,11 @@ Scans every tracked ``*.md`` file and verifies four kinds of reference:
 * **dotted names** — in the reference documentation (``docs/*.md``,
   ``README.md``, ``DESIGN.md``; the logs such as CHANGES.md name the past
   on purpose) every ``repro.<module>[.<attr>...]`` token must resolve by
-  import + ``getattr``, so a deleted class can't stay documented.
+  import + ``getattr``, so a deleted class can't stay documented;
+* **configuration fields** — in the same documents plus
+  ``EXPERIMENTS.md``, every keyword written inside a ``SystemConfig(...)``
+  call, in prose or in a fenced block, must be a field of the live
+  dataclass, so a removed or renamed knob can't survive in the docs.
 
 Exits non-zero listing every broken reference — run by the ``docs`` CI
 job and usable locally:
@@ -44,6 +48,9 @@ _CLI = re.compile(r"python -m repro\s+([a-z][a-z-]*)")
 _DOTTED = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
 #: a last segment that makes the token a file name (``--out repro.json``)
 _FILE_SUFFIXES = frozenset({"json", "jsonl", "md", "py", "txt"})
+#: the start of a configuration call, and a keyword at an argument's start
+_CONFIG_CALL = re.compile(r"\bSystemConfig\(")
+_KEYWORD = re.compile(r"\s*(\w+)\s*=(?!=)")
 
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
 
@@ -91,6 +98,48 @@ def names_checked(path: Path, root: Path) -> bool:
     return path.parent == root / "docs" or path in (
         root / "README.md", root / "DESIGN.md"
     )
+
+
+def config_checked(path: Path, root: Path) -> bool:
+    """Documents whose ``SystemConfig(...)`` calls a reader may copy."""
+    return names_checked(path, root) or path == root / "EXPERIMENTS.md"
+
+
+def config_fields() -> frozenset[str]:
+    """The field names of the live ``SystemConfig`` dataclass."""
+    import dataclasses
+
+    from repro.system.config import SystemConfig
+
+    return frozenset(f.name for f in dataclasses.fields(SystemConfig))
+
+
+def unknown_config_keywords(
+    text: str, fields: frozenset[str]
+) -> list[tuple[int, str]]:
+    """Keywords of ``SystemConfig(...)`` calls that name no field.
+
+    Calls may span lines and nest other calls (``cache=CacheConfig(root=d)``):
+    only keywords that start an argument of the ``SystemConfig`` call itself
+    are checked.  An unclosed call (prose that trails off) is read to the
+    end of its paragraph.
+    """
+    unknown = []
+    for call in _CONFIG_CALL.finditer(text):
+        at, depth, argument_start = call.end(), 1, True
+        while at < len(text) and depth and not text.startswith("\n\n", at):
+            if argument_start and depth == 1:
+                keyword = _KEYWORD.match(text, at)
+                if keyword and keyword[1] not in fields:
+                    lineno = text.count("\n", 0, keyword.start(1)) + 1
+                    unknown.append(
+                        (lineno, f"unknown SystemConfig field -> {keyword[1]}")
+                    )
+            char = text[at]
+            depth += (char in "([{") - (char in ")]}")
+            argument_start = char == ","
+            at += 1
+    return unknown
 
 
 def broken_references(
@@ -141,18 +190,22 @@ def main() -> int:
     root = Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "src"))
     subcommands = cli_subcommands()
+    fields = config_fields()
     failures = 0
     checked = 0
     for path in iter_markdown(root):
         checked += 1
-        for lineno, message in broken_references(path, root, subcommands):
+        broken = broken_references(path, root, subcommands)
+        if config_checked(path, root):
+            broken += unknown_config_keywords(path.read_text(), fields)
+        for lineno, message in sorted(broken):
             failures += 1
             print(f"{path.relative_to(root)}:{lineno}: {message}")
     if failures:
         print(f"\n{failures} broken reference(s) across {checked} markdown files")
         return 1
-    print(f"ok: all links, src/ paths, CLI commands and dotted names "
-          f"resolve ({checked} markdown files)")
+    print(f"ok: all links, src/ paths, CLI commands, dotted names and "
+          f"SystemConfig fields resolve ({checked} markdown files)")
     return 0
 
 
