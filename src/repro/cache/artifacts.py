@@ -42,7 +42,7 @@ from repro.cache.keys import (
 )
 from repro.cache.store import ArtifactStore, CacheConfig
 from repro.errors import CacheIntegrityError, CacheMiss
-from repro.relational.columnar import counts_to_rows, layout_of, rows_to_counts
+from repro.relational.columnar import counts_to_rows
 from repro.relational.database import Database
 from repro.relational.delta import Delta
 from repro.relational.plan import MaintenancePlan
@@ -61,9 +61,10 @@ PAYLOAD_FORMAT = 1
 ENGINE = "columnar"
 
 
-def _encode_relation(layout: tuple[str, ...], counts_by_row) -> tuple:
+def _encode_relation(relation: Relation) -> tuple:
     """(layout, {value-tuple: count}) — plain data, stable to pickle."""
-    return (layout, rows_to_counts(layout, dict(counts_by_row)))
+    store = relation.columnar()
+    return (store.layout, dict(store.counts_view()))
 
 
 def _decode_relation(encoded: tuple, schema) -> Relation:
@@ -92,17 +93,15 @@ class SystemCacheBinding:
     ) -> str:
         """Digest of a (possibly filtered) initial base relation, memoized.
 
-        ``counts`` is only consulted on the first call per
-        ``(relation, filter_repr)`` — replicas seeded from the same
-        initial snapshot through the same filter are identical, so the
-        digest is too.
+        ``counts`` (value tuples of ``layout``) is only consulted on the
+        first call per ``(relation, filter_repr)`` — replicas seeded from
+        the same initial snapshot through the same filter are identical,
+        so the digest is too.
         """
         memo_key = (relation, filter_repr)
         digest = self._initial_digests.get(memo_key)
         if digest is None:
-            digest = relation_digest(
-                layout, rows_to_counts(layout, dict(counts))
-            )
+            digest = relation_digest(layout, counts)
             self._initial_digests[memo_key] = digest
         return digest
 
@@ -192,16 +191,16 @@ class ViewCacheBinding:
         self.version_vector = {}
         self._layouts = {}
         for name in sorted(vm.definition.base_relations()):
-            layout = layout_of(vm.base_schemas[name].names)
+            layout = vm.base_schemas[name].layout
             self._layouts[name] = layout
             self.version_vector[name] = self.system.initial_digest(
                 name,
                 self._filters_repr.get(name, ""),
                 layout,
-                replica.relation(name).counts_view(),
+                replica.relation(name).columnar().counts_view(),
             )
         view_schema = vm.definition.expression.infer_schema(vm.base_schemas)
-        self._view_layout = layout_of(view_schema.names)
+        self._view_layout = view_schema.layout
         self._view_schema = view_schema
         self._seed_key = artifact_key("view-seed", self._key_material())
         self._seed_payload = None
@@ -234,9 +233,7 @@ class ViewCacheBinding:
             "format": PAYLOAD_FORMAT,
             "kind": "seed",
             "view": self.view,
-            "contents": _encode_relation(
-                self._view_layout, contents.counts_view()
-            ),
+            "contents": _encode_relation(contents),
             "aux": aux,
         }
         self.store.put(self._seed_key, pickle.dumps(payload))
@@ -246,7 +243,7 @@ class ViewCacheBinding:
     def advance(self, deltas: Mapping[str, Delta]) -> None:
         """Roll the version vector over one applied (filtered) batch."""
         for name, delta in deltas.items():
-            counts = rows_to_counts(self._layouts[name], dict(delta.counts()))
+            counts = delta.tuple_counts(self._layouts[name])
             if counts:  # an empty delta is the identity: digest unchanged
                 self.version_vector[name] = advance_digest(
                     self.version_vector[name], counts
@@ -295,10 +292,7 @@ class ViewCacheBinding:
             "view": self.view,
             "vv": dict(self.version_vector),
             "replica": {
-                name: _encode_relation(
-                    self._layouts[name],
-                    replica.relation(name).counts_view(),
-                )
+                name: _encode_relation(replica.relation(name))
                 for name in sorted(self._layouts)
             },
             "aux": vm._plan.export_aux() if vm._plan is not None else {},
@@ -309,8 +303,9 @@ class ViewCacheBinding:
                 if pending is None
                 else (
                     tuple(pending[0]),
-                    _encode_relation(
-                        self._view_layout, pending[1].counts()
+                    (
+                        self._view_layout,
+                        dict(pending[1].tuple_counts(self._view_layout)),
                     ),
                 )
             ),

@@ -59,8 +59,3 @@ def collapse_consecutive(values: Sequence[object]) -> list[object]:
     return collapsed
 
 
-def view_sequence(
-    values: Sequence[Mapping[str, Relation]], view: str
-) -> list[Relation]:
-    """Extract one view's value sequence from per-state dictionaries."""
-    return [state[view] for state in values]

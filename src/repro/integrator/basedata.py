@@ -114,10 +114,9 @@ class BaseDataService(Process):
     def _respond(self, query: SnapshotQuery) -> None:
         version = self._db.version if query.version is None else query.version
         state = self._db.as_of(version)
-        # Zero-copy: ``state`` is a frozen snapshot, so its count mappings
-        # can be shipped as read-only views instead of per-query copies.
+        # The rows of the answer are built here, off the snapshot's stores.
         contents: dict[str, Mapping[Row, int]] = {
-            relation: state.relation(relation).counts_view()
+            relation: state.relation(relation).columnar().to_rows()
             for relation in sorted(query.relations)
         }
         undo: tuple[tuple[int, Update], ...] = ()

@@ -27,8 +27,8 @@ position-keyed and batch-oriented:
 
 :func:`evaluate_columnar` runs a full select-project-join-aggregate
 evaluation through these kernels and loads the result in bulk
-(:meth:`Relation.from_tuple_counts`: one column-wise schema check, rows
-from the compiled builder).  It is the production recompute: view
+(:meth:`Relation.from_tuple_counts`: one column-wise schema check, the
+tuple bag becomes the result's store).  It is the production recompute: view
 managers materialize ``V(ss_0)`` with it, the periodic manager and
 ``MaterializedView`` refresh with it.  It is property-tested bag-for-bag
 equal to the row-dict oracle :func:`~repro.relational.algebra.evaluate`.
@@ -90,37 +90,30 @@ def compile_row_builder(layout: Layout) -> Callable[[tuple], Row]:
     inlines everything ``Row._from_sorted_items`` would do per row: the
     items tuple is a constant-shaped display (no ``zip``), the slots are
     stored directly (no ``object.__setattr__`` calls), and the cached
-    sorted-names slot is pre-seeded with ``layout`` itself so a later
-    ``values_tuple`` round-trip takes its positional fast path.
+    sorted-names and positional-values slots are pre-seeded with
+    ``layout`` and the tuple itself, so a later ``values_tuple``
+    round-trip hands the same tuple back.
     """
     builder = _ROW_BUILDER_CACHE.get(layout)
     if builder is None:
-        pairs = ", ".join(f"({name!r}, t[{i}])" for i, name in enumerate(layout))
+        pairs = "".join(f"({name!r}, t[{i}]), " for i, name in enumerate(layout))
         source = (
             "def _build(t, _new=_new, _Row=_Row, _dict=dict, _hash=hash,"
             " _layout=_layout):\n"
             "    row = _new(_Row)\n"
-            f"    items = ({pairs},)\n"
+            f"    items = ({pairs})\n"
             "    row._items = items\n"
             "    row._dict = _dict(items)\n"
             "    row._hash = _hash(items)\n"
             "    row._projections = None\n"
             "    row._names = _layout\n"
+            "    row._values = t\n"
             "    return row\n"
         )
         namespace = {"_new": object.__new__, "_Row": Row, "_layout": layout}
         exec(source, namespace)  # noqa: S102 - source built from repr'd names
         builder = _ROW_BUILDER_CACHE[layout] = namespace["_build"]
     return builder
-
-
-def row_of(layout: Layout, values: tuple) -> Row:
-    """Rebuild a facade :class:`Row` from a layout-positioned value tuple.
-
-    ``layout`` is sorted, so the compiled builder yields already-normalised
-    items and the row skips its usual merge/sort construction work.
-    """
-    return compile_row_builder(layout)(values)
 
 
 def counts_to_rows(layout: Layout, counts: Mapping[tuple, int]) -> dict[Row, int]:
@@ -552,10 +545,6 @@ class AggregateKernel:
         """
         self._fold(groups, counts.items())
 
-    def output(self, key: tuple, state: list) -> tuple:
-        """The output tuple (layout order) for one live group."""
-        return self._build(key, state)
-
     def delta_pass(
         self, groups: Mapping[tuple, list], contributions: Mapping[tuple, list]
     ) -> tuple[dict[tuple, int], dict[tuple, list]]:
@@ -584,8 +573,8 @@ class AggregateKernel:
 class ColumnIndex:
     """A bag index over layout-positioned tuples: key -> {tuple: count}.
 
-    The one index type: every probe, on a base relation's columnar twin
-    or on a plan's auxiliary materialization, reads one of these.  Buckets
+    The one index type: every probe, on a base relation's store or on a
+    plan's auxiliary materialization, reads one of these.  Buckets
     are zero-copy views and key extraction is positional
     (:func:`make_key`), so probes never touch attribute names.
     """
@@ -614,7 +603,7 @@ class ColumnIndex:
     def apply_signed(self, counts: Mapping[tuple, int]) -> None:
         """Fold a signed tuple bag in as one bulk pass.
 
-        The index twin of :meth:`ColumnarRelation.apply_signed` — the
+        The index half of :meth:`ColumnarRelation.apply_signed` — the
         caller has already validated that no bucket entry underflows.
         Emptied buckets are dropped so probe misses stay dict misses.
         """
@@ -657,9 +646,6 @@ class ColumnIndex:
         found = self._buckets.get(key)
         return found if found is not None else EMPTY_COUNTS
 
-    def key_of(self, t: tuple) -> object:
-        return self._key(t)
-
     def __len__(self) -> int:
         return len(self._buckets)
 
@@ -671,8 +657,10 @@ class ColumnarRelation:
     """A bag of layout-positioned value tuples with a multiplicity vector.
 
     The storage is ``{value-tuple: multiplicity}`` — attribute names
-    appear only in the layout, never per row.  Mutations keep all
-    :class:`ColumnIndex` probe structures in lockstep.
+    appear only in the layout, never per row.  Every mutation also
+    updates the :class:`ColumnIndex` probe structures built so far.
+    This is the one store of a :class:`~repro.relational.relation.Relation`,
+    which checks rows against its schema before they land here.
     :meth:`column_vectors` decomposes the bag into per-position
     value vectors aligned with the multiplicity vector — the scan-order
     view vectorized full evaluation and index rebuilds read.
@@ -695,17 +683,28 @@ class ColumnarRelation:
                     self._counts[t] = c
                     self._size += c
 
-    # -- facade conversions -------------------------------------------------
     @classmethod
-    def from_rows(
-        cls, layout: Iterable[str], counts: Mapping[Row, int]
+    def _adopt(
+        cls, layout: Layout, counts: dict[tuple, int], size: int
     ) -> "ColumnarRelation":
-        """Build from the facade's ``Row -> count`` bag."""
-        table = cls(layout)
-        table._counts = rows_to_counts(table.layout, counts)
-        table._size = sum(table._counts.values())
+        """Wrap an already-validated counts dict without copying.
+
+        Internal: ``layout`` must be sorted, ``counts`` an owned dict of
+        positive multiplicities and ``size`` their sum.
+        """
+        table = object.__new__(cls)
+        table.layout = layout
+        table._counts = counts
+        table._size = size
+        table._indexes = {}
         return table
 
+    def copy(self) -> "ColumnarRelation":
+        """An independent copy of the bag (tuples are shared, indexes are
+        not carried)."""
+        return self._adopt(self.layout, dict(self._counts), self._size)
+
+    # -- facade conversions -------------------------------------------------
     def to_rows(self) -> dict[Row, int]:
         """The facade view: ``Row -> count`` (a fresh dict)."""
         return counts_to_rows(self.layout, self._counts)
@@ -747,7 +746,8 @@ class ColumnarRelation:
         return columns, mults
 
     def index_on(self, attrs: Iterable[str]) -> ColumnIndex:
-        """The column index keyed on ``attrs`` (lazy build, then lockstep)."""
+        """The column index keyed on ``attrs``: built on first use, kept
+        current by every mutation after."""
         key = tuple(attrs)
         index = self._indexes.get(key)
         if index is None:
@@ -845,7 +845,7 @@ class ColumnarRelation:
 
 
 class ColumnarDelta:
-    """A signed tuple bag: the columnar twin of the facade ``Delta``.
+    """A signed tuple bag: the columnar form of the facade ``Delta``.
 
     Positive counts are insertions, negative counts deletions; zero
     counts are dropped at construction.  Batches convert once at the
@@ -869,7 +869,7 @@ class ColumnarDelta:
     def from_delta(cls, layout: Iterable[str], delta) -> "ColumnarDelta":
         """Convert a facade :class:`~repro.relational.delta.Delta`."""
         out = cls(layout)
-        out._counts = rows_to_counts(out.layout, delta.counts())
+        out._counts = delta.tuple_counts(out.layout)
         return out
 
     @classmethod
@@ -936,10 +936,8 @@ def evaluate_columnar(expr: Expression, db) -> "Relation":
     Bag-for-bag equal to the row-dict reference
     :func:`repro.relational.algebra.evaluate` (property-tested in
     ``tests/relational/test_columnar_properties.py``).  Base relations
-    are read through their lockstep columnar stores
-    (:meth:`Relation.columnar`), so repeated evaluations share them: every
-    evaluation over ``db`` converts a base relation at most once.  The
-    result is loaded in bulk and carries no twin of its own.
+    are read straight off their stores (:meth:`Relation.columnar`) and the
+    result is loaded in bulk: no ``Row`` is built on either side.
     """
     from repro.relational.relation import Relation
 

@@ -114,15 +114,6 @@ class Database:
         snap._frozen = True
         return snap
 
-    def state_fingerprint(self) -> int:
-        """A hash of the full contents — handy for fast state comparison."""
-        return hash(
-            tuple(
-                (name, frozenset(self._relations[name].counts()))
-                for name in sorted(self._relations)
-            )
-        )
-
     def same_state_as(self, other: "Database") -> bool:
         if set(self._relations) != set(other._relations):
             return False

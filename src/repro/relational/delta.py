@@ -39,6 +39,7 @@ from repro.relational.algebra import (
     aggregate_counts,
     join_counts,
 )
+from repro.relational.columnar import rows_to_counts
 from repro.relational.expressions import (
     Aggregate,
     BaseRelation,
@@ -99,6 +100,12 @@ class Delta:
         callers that need an independent ``dict`` must copy explicitly.
         """
         return MappingProxyType(self._counts)
+
+    def tuple_counts(self, layout: tuple[str, ...]) -> dict[tuple, int]:
+        """The signed counts keyed by ``layout``-positioned value tuples:
+        the form stores and plans consume (a fresh dict; each row hands
+        back the value tuple it remembers)."""
+        return rows_to_counts(layout, self._counts)
 
     def count(self, row: Row) -> int:
         return self._counts.get(row, 0)
@@ -181,12 +188,14 @@ class Delta:
 
     def _apply_unchecked(self, relation: Relation) -> None:
         """Apply without re-validating — caller ran ``check_applicable``."""
+        store = relation.columnar()
+        layout = store.layout
         for row, count in self._counts.items():
             if count < 0:
-                relation.delete(row, -count)
+                store.delete(row.values_tuple(layout), -count)
         for row, count in self._counts.items():
             if count > 0:
-                relation._add(row, count)
+                store.insert(row.values_tuple(layout), count)
 
 
 def propagate_delta(

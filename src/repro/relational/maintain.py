@@ -12,7 +12,7 @@ Maintenance runs through a compiled
 self-maintained aggregates, columnar batch kernels — O(|delta|) per
 update, see ``docs/engine.md``).  The initial contents and ``refresh``
 come from :func:`~repro.relational.columnar.evaluate_columnar` over the
-same columnar twins the plan probes; ``verify`` is the one caller of the
+same stores the plan probes; ``verify`` is the one caller of the
 row-dict oracle :func:`~repro.relational.algebra.evaluate`, because it is
 the check against it.  An expression built from a node class
 the compiler does not know is rejected by the constructor with
@@ -42,7 +42,7 @@ from repro.relational.relation import Relation
 
 
 class MaterializedView:
-    """A view result kept in lockstep with its base data."""
+    """A view result kept current with its base data."""
 
     def __init__(self, definition: ViewDefinition, database: Database) -> None:
         self.definition = definition

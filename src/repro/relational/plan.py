@@ -28,7 +28,7 @@ Per-update cost drops from O(|base|) to O(|delta| x matching rows).
 merges/aggregate folds run as kernels compiled once per (operator,
 layout) by :mod:`repro.relational.columnar`; probes read
 :class:`~repro.relational.columnar.ColumnIndex` structures on each
-relation's lockstep columnar store.  Facade ``Row``/``Delta`` objects
+relation's columnar store.  Facade ``Row``/``Delta`` objects
 appear only at the batch boundary (base deltas in, view delta out).
 Every node answers ``delta`` / ``advance`` / ``rebuild`` / ``describe``,
 join inputs also ``probe`` / ``probe_table``.  ``docs/engine.md`` walks
@@ -86,9 +86,7 @@ from repro.relational.columnar import (
     compile_projection,
     counts_to_rows,
     join_counts_columnar,
-    layout_of,
     make_key,
-    rows_to_counts,
 )
 from repro.relational.delta import Delta
 from repro.relational.expressions import (
@@ -111,14 +109,14 @@ class PlanUnsupported(ExpressionError):
 # ---------------------------------------------------------------------------
 
 class _CBaseNode:
-    """A base-relation leaf over the relation's lockstep columnar store.
+    """A base-relation leaf over the relation's columnar store.
 
-    ``delta`` converts the batch's facade :class:`Delta` to a tuple bag
-    exactly once per batch per relation (memoized under
-    ``("bd", name)`` in the staging dict — every node and plan in a
-    library round reuses the conversion).  Probes re-fetch the columnar
+    ``delta`` reads the batch's facade :class:`Delta` as a tuple bag (the
+    delta converts itself once, :meth:`Delta.tuple_counts`; the bag is
+    also staged under ``("bd", name)``, where ``propagate_counts`` puts
+    a batch that never was a ``Delta``).  Probes re-fetch the columnar
     store and its :class:`ColumnIndex` per call, so a ``clear``/
-    ``replace_all`` (which drops the store) can never leave a stale
+    ``replace_all`` (which starts a fresh store) can never leave a stale
     probe structure behind.
     """
 
@@ -131,7 +129,7 @@ class _CBaseNode:
             )
         self.name = name
         self.relation = relation
-        self.layout = layout_of(relation.schema.names)
+        self.layout = relation.schema.layout
         self.probe_key = probe_key
         self.probes = 0
 
@@ -140,7 +138,7 @@ class _CBaseNode:
         if memo in staged:
             return staged[memo]
         delta = deltas.get(self.name)
-        out = rows_to_counts(self.layout, delta.counts()) if delta else EMPTY_COUNTS
+        out = delta.tuple_counts(self.layout) if delta else EMPTY_COUNTS
         staged[memo] = out
         return out
 

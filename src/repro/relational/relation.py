@@ -4,7 +4,9 @@ A :class:`Relation` is a bag of :class:`~repro.relational.rows.Row` objects
 with positive multiplicities, optionally validated against a
 :class:`~repro.relational.schema.Schema`.  Bag semantics (rather than set
 semantics) are what make counting-based incremental view maintenance
-correct under projection and join.
+correct under projection and join.  The bag is stored once, as the value
+tuples of a :class:`~repro.relational.columnar.ColumnarRelation`; a
+``Row`` exists at this API's edge only (``docs/engine.md``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import RelationError, SchemaError
-from repro.relational.columnar import ColumnarRelation, compile_row_builder
+from repro.relational.columnar import ColumnarRelation
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
 
@@ -34,12 +36,19 @@ class Relation:
     """A multiset of rows.
 
     Supports insert/delete with multiplicities, iteration (each row
-    repeated by its count), equality as bags, cheap copying, and a lazily
-    built columnar twin (:meth:`columnar`, the home of the probe indexes)
-    kept in lockstep by ``insert``/``delete``.
+    repeated by its count), equality as bags and cheap copying.  Its one
+    store is :meth:`columnar` (the home of the probe indexes): rows given
+    to the relation are converted on the way in, rows read from it are
+    built on demand by the layout's compiled builder.
+
+    The store's layout is the schema's sorted attribute names.  A relation
+    without a schema takes the heading of the first row it is given and
+    from then on rejects a row of any other heading with
+    :class:`SchemaError`; :meth:`clear` forgets that heading.  Empty
+    relations are equal whatever their layouts.
     """
 
-    __slots__ = ("_schema", "_counts", "_size", "_store")
+    __slots__ = ("_schema", "_store")
 
     def __init__(
         self,
@@ -47,9 +56,7 @@ class Relation:
         rows: Iterable[Row | Mapping[str, object]] = (),
     ) -> None:
         self._schema = schema
-        self._counts: dict[Row, int] = {}
-        self._size = 0
-        self._store: ColumnarRelation | None = None
+        self.clear()
         self._fill(rows)
 
     # -- construction helpers --------------------------------------------
@@ -63,9 +70,7 @@ class Relation:
             if not _is_count(type(count)) or count < 0:
                 raise _bad_multiplicity(row, count)
             if count:
-                rel._check(row)
-                rel._counts[row] = count
-                rel._size += count
+                rel.insert(row, count)
         return rel
 
     @classmethod
@@ -82,9 +87,8 @@ class Relation:
         validates row by row: here the tuples are checked against the
         schema column-wise (:meth:`Schema.validate_columns`), the
         multiplicities (each a positive ``int``) in two passes, and the
-        rows come from the layout's compiled builder.  No columnar twin is
-        attached: a store relation would pay its lockstep upkeep on every
-        commit.
+        checked bag becomes the store in one dict copy: no ``Row`` is
+        built.
         """
         schema.validate_columns(layout, counts)
         multiplicities = counts.values()
@@ -97,18 +101,18 @@ class Relation:
                 for t, c in counts.items()
                 if not _is_count(type(c)) or c <= 0
             )
-        rel = cls(schema)
-        rel._counts = dict(
-            zip(map(compile_row_builder(layout), counts), multiplicities)
+        rel = object.__new__(cls)
+        rel._schema = schema
+        rel._store = ColumnarRelation._adopt(
+            layout, dict(counts), sum(multiplicities)
         )
-        rel._size = sum(multiplicities)
         return rel
 
     def copy(self) -> "Relation":
-        """Return an independent copy (rows are immutable and shared)."""
-        dup = Relation(self._schema)
-        dup._counts = dict(self._counts)
-        dup._size = self._size
+        """Return an independent copy (value tuples are immutable and shared)."""
+        dup = object.__new__(Relation)
+        dup._schema = self._schema
+        dup._store = self._store.copy()
         return dup
 
     # -- basic properties --------------------------------------------------
@@ -118,86 +122,92 @@ class Relation:
 
     def __len__(self) -> int:
         """Total number of rows, counting multiplicity."""
-        return self._size
+        return len(self._store)
 
     def distinct_count(self) -> int:
         """Number of distinct rows."""
-        return len(self._counts)
+        return self._store.distinct_count()
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return bool(self._store)
 
     def __iter__(self) -> Iterator[Row]:
-        for row, count in self._counts.items():
+        for row, count in self.counts():
             for _ in range(count):
                 yield row
 
     def counts(self) -> Iterator[tuple[Row, int]]:
         """Iterate (row, multiplicity) pairs."""
-        return iter(self._counts.items())
+        return iter(self._store.to_rows().items())
 
     def counts_view(self) -> Mapping[Row, int]:
-        """A zero-copy read-only view of the row->multiplicity mapping.
+        """The row->multiplicity mapping as of this call, read-only.
 
-        The view aliases live state: it reflects subsequent mutations and
-        must not be held across them by callers that need a snapshot (use
-        ``dict(rel.counts_view())`` for that).
+        Built from the store on every call (one ``Row`` per distinct
+        row): a snapshot, which later mutations do not show in.
         """
-        return MappingProxyType(self._counts)
+        return MappingProxyType(self._store.to_rows())
 
     def columnar(self) -> ColumnarRelation:
-        """The columnar twin of this relation, built lazily on first use.
+        """The store of this relation: the bag as layout-positioned tuples.
 
-        The store, and every :class:`~repro.relational.columnar.ColumnIndex`
-        built on it with ``columnar().index_on(attrs)``, is kept in
-        lockstep by ``insert``/``delete`` and dropped by ``clear()`` (so
-        out-of-band ``replace_all`` cannot desync it); ``copy()`` does not
-        carry it.
-        Requires a schema — the schema's attribute set is the columnar
-        layout, and schema validation is what guarantees every row fits
-        it.  See ``docs/engine.md`` for the facade contract.
+        Every :class:`~repro.relational.columnar.ColumnIndex` built on it
+        with ``columnar().index_on(attrs)`` follows ``insert``/``delete``/
+        deltas; ``clear()`` and ``replace_all()`` start a fresh store, so
+        re-fetch it (and its indexes) after one of those; ``copy()``
+        copies the bag, not the indexes.  Writing to it directly bypasses
+        the schema check.  See ``docs/engine.md`` for the facade contract.
         """
-        store = self._store
-        if store is None:
-            if self._schema is None:
-                raise RelationError(
-                    "columnar storage requires a schema (the layout)"
-                )
-            store = ColumnarRelation.from_rows(self._schema.names, self._counts)
-            self._store = store
-        return store
+        return self._store
+
+    def _key(self, row: Row) -> tuple | None:
+        """``row`` as the store keys it, or ``None`` for a row of another
+        heading, which the store therefore does not hold."""
+        layout = self._store.layout
+        return row.values_tuple(layout) if row.sorted_names() == layout else None
 
     def multiplicity(self, row: Row) -> int:
-        return self._counts.get(row, 0)
+        return self._store.multiplicity(self._key(row))
 
     def __contains__(self, row: object) -> bool:
-        return row in self._counts
+        return isinstance(row, Row) and self._key(row) in self._store
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        return self._counts == other._counts
+        mine, theirs = self._store, other._store
+        return mine == theirs or not (mine or theirs)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._counts.items()))
+        return hash(frozenset(self._store.counts_view().items()))
 
     def __repr__(self) -> str:
-        preview = ", ".join(repr(r) for r in sorted(self._counts)[:4])
+        preview = ", ".join(repr(r) for r in sorted(self._store.to_rows())[:4])
         if self.distinct_count() > 4:
             preview += ", ..."
-        return f"Relation(|{self._size}| {preview})"
+        return f"Relation(|{len(self)}| {preview})"
 
     def sorted_rows(self) -> list[Row]:
         """All rows (with multiplicity) in a deterministic order."""
+        counts = self._store.to_rows()
         result: list[Row] = []
-        for row in sorted(self._counts):
-            result.extend([row] * self._counts[row])
+        for row in sorted(counts):
+            result.extend([row] * counts[row])
         return result
 
     # -- mutation ----------------------------------------------------------
     def _check(self, row: Row) -> None:
+        """Raise :class:`SchemaError` unless ``row`` fits the schema or,
+        without one, the heading (which the first row checked fixes)."""
         if self._schema is not None:
             self._schema.validate(row._dict)
+        elif not self._store.layout:
+            self._store.layout = row.sorted_names()
+        elif row.sorted_names() != self._store.layout:
+            raise SchemaError(
+                f"{row} does not have the heading {self._store.layout} of "
+                f"the rows this schemaless relation holds"
+            )
 
     def _coerce(self, row: Row | Mapping[str, object]) -> Row:
         return row if isinstance(row, Row) else Row(row)
@@ -208,34 +218,20 @@ class Relation:
             raise RelationError(f"insert count must be positive, got {count}")
         row = self._coerce(row)
         self._check(row)
-        self._add(row, count)
-
-    def _add(self, row: Row, count: int) -> None:
-        """``insert`` minus the checks, for a row already known to fit —
-        ``Delta.check_applicable`` validated it, or it came out of a
-        relation with this schema."""
-        self._counts[row] = self._counts.get(row, 0) + count
-        self._size += count
-        if self._store is not None:
-            self._store.insert(row.values_tuple(self._store.layout), count)
+        self._store.insert(row.values_tuple(self._store.layout), count)
 
     def delete(self, row: Row | Mapping[str, object], count: int = 1) -> None:
         """Delete ``count`` copies of ``row``; the row must be present."""
         if count <= 0:
             raise RelationError(f"delete count must be positive, got {count}")
         row = self._coerce(row)
-        present = self._counts.get(row, 0)
+        key = self._key(row)
+        present = self._store.multiplicity(key)
         if present < count:
             raise RelationError(
                 f"cannot delete {count} copies of {row}: only {present} present"
             )
-        if present == count:
-            del self._counts[row]
-        else:
-            self._counts[row] = present - count
-        self._size -= count
-        if self._store is not None:
-            self._store.delete(row.values_tuple(self._store.layout), count)
+        self._store.delete(key, count)
 
     def modify(
         self,
@@ -253,9 +249,12 @@ class Relation:
             raise
 
     def clear(self) -> None:
-        self._counts.clear()
-        self._size = 0
-        self._store = None
+        """Empty the relation by starting a fresh store (no indexes; for a
+        schemaless relation, no heading)."""
+        schema = self._schema
+        self._store = ColumnarRelation._adopt(
+            schema.layout if schema is not None else (), {}, 0
+        )
 
     def replace_all(self, rows: Iterable[Row]) -> None:
         """Replace the entire contents (periodic-refresh semantics)."""
@@ -266,14 +265,13 @@ class Relation:
         """Load ``rows`` into this (empty) relation.
 
         A :class:`Relation` carrying an equal schema has validated every
-        row already, so its counts are adopted in one dict copy; anything
+        row already, so its bag is adopted in one dict copy; anything
         else is inserted, and so validated, row by row.
         """
         if isinstance(rows, Relation) and (
             self._schema is None or rows._schema == self._schema
         ):
-            self._counts = dict(rows._counts)
-            self._size = rows._size
+            self._store = rows._store.copy()
         else:
             for row in rows:
                 self.insert(row)

@@ -29,7 +29,7 @@ class Row(Mapping[str, object]):
     were built.
     """
 
-    __slots__ = ("_items", "_dict", "_hash", "_projections", "_names")
+    __slots__ = ("_items", "_dict", "_hash", "_projections", "_names", "_values")
 
     def __init__(self, values: Mapping[str, object] | None = None, **kwargs: object):
         merged: dict[str, object] = dict(values) if values else {}
@@ -45,6 +45,7 @@ class Row(Mapping[str, object]):
         object.__setattr__(self, "_hash", hash(items))
         object.__setattr__(self, "_projections", None)
         object.__setattr__(self, "_names", None)
+        object.__setattr__(self, "_values", None)
 
     @classmethod
     def _from_sorted_items(cls, items: tuple) -> "Row":
@@ -59,6 +60,7 @@ class Row(Mapping[str, object]):
         object.__setattr__(row, "_hash", hash(items))
         object.__setattr__(row, "_projections", None)
         object.__setattr__(row, "_names", None)
+        object.__setattr__(row, "_values", None)
         return row
 
     # -- Mapping protocol ------------------------------------------------
@@ -121,11 +123,17 @@ class Row(Mapping[str, object]):
         This is the row -> columnar boundary conversion.  When ``layout``
         equals the row's own sorted names (the common case — schema
         validation guarantees every row of a schema'd relation carries
-        exactly the schema's attributes), values are read straight off
-        the normalised items with no per-name lookup.
+        exactly the schema's attributes), the answer is the row's
+        positional value tuple, which it remembers: the tuple a compiled
+        builder made the row from, else one read off the normalised items
+        on the first call.
         """
         if layout == self.sorted_names():
-            return tuple(map(_ITEM_VALUE, self._items))
+            values = self._values
+            if values is None:
+                values = tuple(map(_ITEM_VALUE, self._items))
+                object.__setattr__(self, "_values", values)
+            return values
         return tuple(self[name] for name in layout)
 
     def project(self, names: Iterable[str]) -> "Row":
@@ -172,10 +180,6 @@ class Row(Mapping[str, object]):
                 )
             merged[name] = value
         return Row(merged)
-
-    def joins_with(self, other: "Row", on: Iterable[str]) -> bool:
-        """True if both rows agree on every attribute in ``on``."""
-        return all(self[name] == other[name] for name in on)
 
     def replace(self, **changes: object) -> "Row":
         """Return a copy with some attribute values replaced."""

@@ -83,7 +83,7 @@ class Schema:
     Schemas are immutable and hashable so they can be compared and cached.
     """
 
-    __slots__ = ("_attributes", "_names", "_by_name", "_hash")
+    __slots__ = ("_attributes", "_names", "_layout", "_by_name", "_hash")
 
     def __init__(self, attributes: Iterable[Attribute | str]) -> None:
         attrs: list[Attribute] = []
@@ -98,6 +98,7 @@ class Schema:
             raise SchemaError("a schema must have at least one attribute")
         object.__setattr__(self, "_attributes", tuple(attrs))
         object.__setattr__(self, "_names", tuple(names))
+        object.__setattr__(self, "_layout", tuple(sorted(names)))
         object.__setattr__(self, "_by_name", {a.name: a for a in attrs})
         object.__setattr__(self, "_hash", hash(tuple(attrs)))
 
@@ -108,6 +109,12 @@ class Schema:
     @property
     def names(self) -> tuple[str, ...]:
         return self._names
+
+    @property
+    def layout(self) -> tuple[str, ...]:
+        """The names sorted: the order a row's normalised items, and so a
+        stored value tuple, line up in."""
+        return self._layout
 
     def __contains__(self, name: object) -> bool:
         return name in self._by_name
@@ -166,7 +173,7 @@ class Schema:
         ``accepts`` depends on a value's class alone, so that is the check
         ``validate`` makes row by row, and a failure carries its message.
         """
-        if layout != tuple(sorted(self._names)):
+        if layout != self._layout:
             if set(layout) != self._by_name.keys():
                 self._reject_names(layout)
             raise SchemaError(

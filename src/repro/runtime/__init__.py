@@ -16,25 +16,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import ReproError
 from repro.runtime.base import DesRuntime, Runtime
+from repro.runtime.parallel import ProcsRuntime, ThreadsRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.system.config import SystemConfig
 
+#: ``SystemConfig.runtime`` name -> class, in the order configs and
+#: ``--help`` list them.  A new runtime declares ``name`` and is added here.
+RUNTIMES: dict[str, type[Runtime]] = {
+    cls.name: cls for cls in (DesRuntime, ThreadsRuntime, ProcsRuntime)
+}
+
 
 def create_runtime(config: "SystemConfig") -> Runtime:
     """The runtime a configuration asks for (validated by the config)."""
-    if config.runtime == "des":
-        return DesRuntime(config)
-    # Imported lazily: DES-only runs never pay for threading machinery.
-    from repro.runtime.parallel import ProcsRuntime, ThreadsRuntime
-
-    if config.runtime == "threads":
-        return ThreadsRuntime(config)
-    if config.runtime == "procs":
-        return ProcsRuntime(config)
-    raise ReproError(f"unknown runtime {config.runtime!r}")
+    return RUNTIMES[config.runtime](config)
 
 
-__all__ = ["DesRuntime", "Runtime", "create_runtime"]
+__all__ = ["RUNTIMES", "DesRuntime", "Runtime", "create_runtime"]

@@ -64,7 +64,7 @@ import threading
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import SimulationError
-from repro.relational.columnar import counts_to_rows, layout_of, rows_to_counts
+from repro.relational.columnar import counts_to_rows
 from repro.relational.delta import Delta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -80,10 +80,7 @@ def _publish_child_state(
     from repro.cache.artifacts import encode_child_state
 
     replica_counts = {
-        name: (
-            layouts[name],
-            rows_to_counts(layouts[name], replica.relation(name).counts_view()),
-        )
+        name: (layouts[name], replica.relation(name).columnar().counts_view())
         for name in replica.relation_names
     }
     key, payload = encode_child_state(
@@ -234,7 +231,7 @@ class ComputeServer:
         replicas = {m.view: m._replica for m in managers}
         base_layouts = {
             m.view: {
-                relation: layout_of(m.base_schemas[relation].names)
+                relation: m.base_schemas[relation].layout
                 for relation in m.definition.base_relations()
             }
             for m in managers
@@ -359,7 +356,7 @@ class RemoteViewPlan:
 
     def propagate(self, deltas: Mapping[str, Delta]) -> Delta:
         raw = {
-            relation: rows_to_counts(self._base_layouts[relation], delta.counts())
+            relation: delta.tuple_counts(self._base_layouts[relation])
             for relation, delta in deltas.items()
             if len(delta)
         }
@@ -446,7 +443,7 @@ def start_compute_fleet(
             servers.append(server)
             for manager in bucket:
                 base_layouts = {
-                    relation: layout_of(manager.base_schemas[relation].names)
+                    relation: manager.base_schemas[relation].layout
                     for relation in manager.definition.base_relations()
                 }
                 manager.use_remote_plan(

@@ -61,7 +61,8 @@ class SilentSource(Process):
             raise SourceError(
                 f"silent source {self.name!r} does not own {sorted(foreign)}"
             )
-        committed = self.world.commit(transaction, self.sim.now)
+        with self.world.commit_lock:
+            committed = self.world.commit(transaction, self.sim.now)
         self.transactions_committed += 1
         self.trace("silent_commit", seq=committed.sequence)
         return committed

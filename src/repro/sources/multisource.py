@@ -45,7 +45,8 @@ class GlobalTransactionCoordinator(Process):
     def execute(self, updates: Iterable[Update]) -> CommittedTransaction:
         """Commit all ``updates`` as one global transaction."""
         transaction = SourceTransaction(self.name, tuple(updates))
-        committed = self.world.commit(transaction, self.sim.now)
+        with self.world.commit_lock:
+            committed = self.world.commit(transaction, self.sim.now)
         self.transactions_committed += 1
         sources = sorted(
             {self.world.owner_of(rel) for rel in transaction.relations}

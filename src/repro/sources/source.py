@@ -58,7 +58,8 @@ class Source(Process):
                 f"use a GlobalTransactionCoordinator for multi-source "
                 f"transactions (§6.2)"
             )
-        committed = self.world.commit(transaction, self.sim.now)
+        with self.world.commit_lock:
+            committed = self.world.commit(transaction, self.sim.now)
         self.transactions_committed += 1
         self.trace(
             "src_commit",

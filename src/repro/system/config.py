@@ -21,6 +21,7 @@ from repro.faults.plan import FaultPlan
 from repro.merge.selection import ALGORITHMS
 from repro.merge.submission import POLICIES
 from repro.obs.freshness import SloPolicy
+from repro.runtime import RUNTIMES as _RUNTIMES
 from repro.sim.network import LatencyModel
 from repro.sim.scheduler import Scheduler
 from repro.viewmgr import MANAGERS
@@ -33,7 +34,7 @@ MANAGER_KINDS = tuple(MANAGERS)
 MERGE_ALGORITHMS = tuple(ALGORITHMS)
 SUBMISSION_POLICIES = tuple(POLICIES)
 MERGE_ROUTERS = ("coalesce", "hash")
-RUNTIMES = ("des", "threads", "procs")
+RUNTIMES = tuple(_RUNTIMES)
 #: the correct pre-state modes; the broken one is ``NaiveViewManager``'s
 #: own and is asked for as ``manager_kind="naive"``
 MANAGER_MODES = tuple(mode for mode in PRE_STATE_MODES if mode != "naive")
@@ -45,7 +46,7 @@ _NAMES = {
     "submission_policy": POLICIES,
     "merge_router": MERGE_ROUTERS,
     "manager_mode": MANAGER_MODES,
-    "runtime": RUNTIMES,
+    "runtime": _RUNTIMES,
 }
 #: range rules: field -> (comparison, bound).  ``None`` (an optional field
 #: left unset) and a ``LatencyModel`` (which validates itself) pass.

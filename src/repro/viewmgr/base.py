@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from time import perf_counter_ns
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.errors import ViewManagerError
 from repro.messages import (
@@ -47,7 +47,7 @@ from repro.messages import (
     SnapshotResponse,
     UpdateForView,
 )
-from repro.relational.columnar import evaluate_columnar
+from repro.relational.columnar import compile_filter, evaluate_columnar
 from repro.relational.database import Database
 from repro.relational.delta import Delta, propagate_delta, updates_to_deltas
 from repro.relational.expressions import ViewDefinition
@@ -195,12 +195,17 @@ class ViewManager(Process):
         """Install local base-relation replicas from the initial source state."""
         replica = Database()
         for relation in sorted(self.definition.base_relations()):
-            rows: Iterable[Row] = initial.relation(relation)
-            if self._replica_filters.get(relation) is not None:
-                rows = (
-                    row for row in rows if self._row_admissible(relation, row)
-                )
-            replica.create_relation(relation, self.base_schemas[relation], rows)
+            schema = self.base_schemas[relation]
+            rows = initial.relation(relation)
+            predicate = self._replica_filters.get(relation)
+            if predicate is not None:
+                store = rows.columnar()
+                keep = compile_filter(predicate, store.layout)
+                if keep is not None:
+                    rows = Relation.from_tuple_counts(
+                        store.layout, keep(store.counts_view()), schema
+                    )
+            replica.create_relation(relation, schema, rows)
         self._replica = replica
         # Cached mode processes every batch against this one stable
         # database, so maintenance runs through a compiled indexed plan
@@ -237,9 +242,8 @@ class ViewManager(Process):
     def materialize_initial(self, initial: Database) -> Relation:
         """Compute the view's initial contents (``V(ss_0)``).
 
-        Evaluated on ``initial`` itself, the system's ss_0 snapshot: its
-        relations keep the columnar twins the evaluation builds, so all
-        views over a base relation share one conversion of it.
+        Evaluated on ``initial`` itself, the system's ss_0 snapshot, whose
+        stores the kernels read as they are.
         """
         if self._cache is not None:
             cached = self._cache.seed_contents()

@@ -154,8 +154,8 @@ class ViewStore:
         """Apply every action list of ``txn`` atomically; record the state.
 
         A failing action undoes the ones before it, last first, on the
-        live relations themselves (which keep their identity, indexes and
-        columnar twins), and nothing is recorded.
+        live relations themselves (which keep their identity and their
+        stores' indexes), and nothing is recorded.
         """
         targets = [
             self.view(al.view) for al in txn.action_lists
@@ -239,7 +239,3 @@ class ViewStore:
     @property
     def current_state(self) -> WarehouseState:
         return self._history[-1]
-
-    def states_of_view(self, name: str) -> list[Relation]:
-        """The (single-view) warehouse state sequence for one view."""
-        return [state.view(name) for state in self._history]

@@ -9,7 +9,6 @@ from repro.consistency.mvc import (
 from repro.consistency.states import (
     replay_source_states,
     source_view_values,
-    view_sequence,
 )
 from repro.relational.database import Database
 from repro.relational.delta import Delta
@@ -56,7 +55,7 @@ class TestReplay:
         values = source_view_values(states, DEFS)
         assert len(values) == 2
         assert len(values[1]["V"]) == 1
-        assert view_sequence(values, "V")[0].distinct_count() == 0
+        assert values[0]["V"].distinct_count() == 0
 
 
 class TestMvcCheckers:

@@ -2,7 +2,7 @@
 
 Covers the storage (ColumnarRelation / ColumnIndex / ColumnarDelta), the
 compiled kernels (filters, projections, merges, aggregate folds), the
-facade hooks (Row.values_tuple, Relation.columnar lockstep), vectorized
+facade hooks (Row.values_tuple, Relation.columnar), vectorized
 full evaluation, and the plan built from them against the two other
 engines there are (the stateless delta rules and full recomputation).
 """
@@ -19,10 +19,11 @@ from repro.relational.columnar import (
     compile_filter,
     compile_merge,
     compile_projection,
+    compile_row_builder,
     evaluate_columnar,
     layout_of,
     make_key,
-    row_of,
+    rows_to_counts,
 )
 from repro.relational.database import Database
 from repro.relational.delta import Delta
@@ -40,6 +41,11 @@ from repro.relational.relation import Relation
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
 from tests.relational.oracle import assert_matches_oracles
+
+
+def row_of(layout, values) -> Row:
+    """The facade row of a layout-positioned value tuple."""
+    return compile_row_builder(layout)(values)
 
 
 def make_db() -> Database:
@@ -120,7 +126,7 @@ class TestColumnarRelation:
 
     def test_row_facade_round_trip(self):
         counts = {Row(A=1, B=2): 2, Row(A=3, B=4): 1}
-        table = ColumnarRelation.from_rows(("A", "B"), counts)
+        table = ColumnarRelation(("A", "B"), rows_to_counts(("A", "B"), counts))
         assert table.to_rows() == counts
 
 
@@ -284,9 +290,11 @@ class TestRelationFacade:
         assert rel.columnar().to_rows() == dict(rel.counts_view())
 
     def test_schemaless_relation_has_no_columnar_store(self):
-        rel = Relation(None, [Row(A=1)])
-        with pytest.raises(RelationError):
-            rel.columnar()
+        """...of its own kind: its store is laid out by its first row."""
+        assert Relation().columnar().layout == ()
+        rel = Relation(None, [Row(B=2, A=1)])
+        assert rel.columnar().layout == ("A", "B")
+        assert dict(rel.columnar().counts_view()) == {(1, 2): 1}
 
 
 class TestEvaluateColumnar:

@@ -70,13 +70,6 @@ class TestDatabase:
         db2.apply_deltas({"R": Delta.insert(Row(a=2))})
         assert not db1.same_state_as(db2)
 
-    def test_fingerprint_changes_with_content(self):
-        db = Database()
-        db.create_relation("R", Schema(["a"]))
-        before = db.state_fingerprint()
-        db.apply_deltas({"R": Delta.insert(Row(a=1))})
-        assert db.state_fingerprint() != before
-
 
 class TestVersionedDatabase:
     def test_initial_version_zero(self):

@@ -70,11 +70,13 @@ class TestRelationIndexes:
         assert (200, 0) in dup.columnar().index_on(("B",)).bucket(0)
 
     def test_counts_view_is_zero_copy_and_readonly(self):
+        """Read-only still; built at call time, so no longer live."""
         rel = self.make()
         view = rel.counts_view()
         assert view[Row(A=0, B=0)] == 1
         rel.insert(Row(A=99, B=0))
-        assert view[Row(A=99, B=0)] == 1  # live view
+        assert Row(A=99, B=0) not in view  # as of the call
+        assert rel.counts_view()[Row(A=99, B=0)] == 1
         with pytest.raises(TypeError):
             view[Row(A=5, B=5)] = 3  # type: ignore[index]
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import RelationError, SchemaError
 from repro.relational.columnar import counts_to_rows, layout_of
+from repro.relational.delta import Delta
 from repro.relational.relation import Relation
 from repro.relational.rows import Row
 from repro.relational.schema import Attribute, AttrType, Schema
@@ -43,10 +44,28 @@ class TestBasics:
             rel.insert(Row(a=1))
 
     def test_schemaless_relation_accepts_anything(self):
+        """...of one heading: the first row it is given fixes the layout."""
         rel = Relation()
         rel.insert(Row(x=1))
+        assert rel.columnar().layout == ("x",)
+        with pytest.raises(SchemaError, match="heading"):
+            rel.insert(Row(y=2))
+        with pytest.raises(SchemaError, match="heading"):
+            Delta.insert(Row(x=2, y=2)).apply_to(rel)
+        assert Row(y=2) not in rel and rel.multiplicity(Row(x=1, y=2)) == 0
+        with pytest.raises(RelationError, match="only 0 present"):
+            rel.delete(Row(y=2))
+        assert rel.sorted_rows() == [Row(x=1)]
+        rel.clear()  # forgets the inferred heading
         rel.insert(Row(y=2))
-        assert len(rel) == 2
+        assert rel.sorted_rows() == [Row(y=2)]
+
+    def test_empty_relations_are_equal_whatever_their_layout(self):
+        emptied = Relation(rows=[Row(x=1)])
+        emptied.delete(Row(x=1))
+        assert emptied == Relation() == Relation(Schema(["a", "b"]))
+        assert hash(emptied) == hash(Relation())
+        assert Relation(rows=[Row(x=1)]) != Relation(rows=[Row(y=1)])
 
     def test_iteration_respects_multiplicity(self, rel):
         rel.insert(Row(a=1, b=2), count=2)
@@ -238,7 +257,8 @@ def test_bulk_load_equals_the_row_by_row_load(case):
     assert bulk == reference and bulk.schema is schema
     assert len(bulk) == len(reference) == sum(counts.values())
     assert type(len(bulk)) is int
-    assert bulk._store is None  # no twin: a store relation would upkeep it
+    assert dict(bulk.columnar().counts_view()) == counts  # the one store
+    assert bulk.columnar().counts_view() is not counts
     for row, count in bulk.counts():
         twin = Row(dict(row))  # built the slow way
         assert row == twin and hash(row) == hash(twin)

@@ -61,10 +61,6 @@ class TestDerivation:
         with pytest.raises(SchemaError, match="conflicts"):
             Row(b=1).merge(Row(b=2))
 
-    def test_joins_with(self):
-        assert Row(a=1, b=2).joins_with(Row(b=2, c=3), ["b"])
-        assert not Row(a=1, b=2).joins_with(Row(b=9, c=3), ["b"])
-
     def test_replace(self):
         assert Row(a=1, b=2).replace(b=9) == Row(a=1, b=9)
 

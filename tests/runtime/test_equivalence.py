@@ -10,6 +10,8 @@ oracle at the level the configuration advertises.
 
 from __future__ import annotations
 
+import sys
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -147,3 +149,36 @@ class TestDesDefaultUnchanged:
         b, _ = run_once("des", 25, 42)
         assert a.digest == b.digest
         assert a.runtime == "des"
+
+
+class TestSourceCommitsUnderThreads:
+    def test_200_runs_commit_in_clock_order(self):
+        """Sources on different workers commit into one world: each must
+        read its clock and commit as one step.  With the interpreter
+        switching threads every microsecond, a clock read outside the
+        world's commit lock is overtaken within a few dozen runs
+        (``SourceError: commit at time ... precedes last commit``)."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(200):
+                world = paper_world()
+                system = WarehouseSystem(
+                    world, paper_views_example2(),
+                    SystemConfig(runtime="threads", workers=2, seed=seed),
+                )
+                spec = WorkloadSpec(
+                    updates=40, rate=0.2, seed=seed, mix=(0.3, 0.5, 0.2),
+                    value_range=40, arrivals="poisson",
+                )
+                post_stream(
+                    system, UpdateStreamGenerator(world, spec).transactions()
+                )
+                try:
+                    system.run()
+                finally:
+                    system.close()
+                times = [committed.commit_time for committed in world.log]
+                assert len(times) == 40 and times == sorted(times), seed
+        finally:
+            sys.setswitchinterval(previous)

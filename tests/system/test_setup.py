@@ -12,10 +12,12 @@ import sys
 
 import pytest
 
-from repro.relational import algebra
+from repro.relational import algebra, columnar
 from repro.relational.algebra import evaluate
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
+from repro.sources.transactions import SourceTransaction
+from repro.sources.update import Update
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
 from repro.workloads.schemas import (
@@ -31,9 +33,20 @@ from repro.workloads.schemas import (
 from tests.conftest import preloaded_star_world
 
 
+def replace_everywhere(monkeypatch, owner, name, replacement):
+    """Set ``owner.name``, in every ``repro`` module that imported the
+    function by name as well."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, replacement)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro."):
+            for alias, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, alias, replacement)
+
+
 def count_calls(monkeypatch, owner, name):
-    """Replace ``owner.name`` by a counting wrapper, in every ``repro``
-    module that imported a function by name as well; returns the tally."""
+    """Replace ``owner.name`` by a counting wrapper; returns the tally."""
     original = getattr(owner, name)
     calls = []
 
@@ -41,12 +54,7 @@ def count_calls(monkeypatch, owner, name):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counted)
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("repro."):
-            for alias, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, alias, counted)
+    replace_everywhere(monkeypatch, owner, name, counted)
     return calls
 
 
@@ -75,6 +83,55 @@ def test_build_cost_does_not_grow_with_the_preloaded_rows(monkeypatch):
     # Row by row these grew by 2.5 validations and 5 rows per fact row.
     assert small["validate"] == large["validate"]
     assert small["Row.__init__"] == large["Row.__init__"]
+
+
+def rows_built(monkeypatch, fact_rows: int) -> tuple[int, int]:
+    """Rows built from value tuples by the set-up, and by a cached-mode
+    drain of updates that read and write the fact table."""
+    world = preloaded_star_world(fact_rows)
+    original = columnar.compile_row_builder
+    built = []
+
+    def counting_builder(layout):
+        build = original(layout)
+        return lambda values: built.append(layout) or build(values)
+
+    def sale(number, **values):
+        return {"sale": number, "prod": 3, "store": 1, "qty": 9, **values}
+
+    updates = [Update.insert("Sales", sale(10**6 + n)) for n in range(8)]
+    updates += [
+        Update.modify("Sales", sale(10**6 + n), sale(10**6 + n, qty=2, prod=5))
+        for n in range(4)
+    ]
+    updates += [Update.delete("Sales", sale(10**6 + n)) for n in range(4, 8)]
+    with monkeypatch.context() as patch:
+        replace_everywhere(patch, columnar, "compile_row_builder", counting_builder)
+        system = WarehouseSystem(
+            world, star_views(selective=True, aggregates=True),
+            SystemConfig(record_history=False),
+        )
+        by_setup = len(built)
+        owner = world.owner_of("Sales")
+        for time, update in enumerate(updates, start=1):
+            system.post(SourceTransaction.single(owner, update), float(time))
+        system.run()
+        by_drain = len(built) - by_setup
+    assert len(system.store.view("SaleDetail")) == fact_rows + 4
+    for definition in system.definitions:  # builds rows: after the count
+        assert system.store.view(definition.name) == evaluate(
+            definition.expression, world.current
+        )
+    return by_setup, by_drain
+
+
+def test_stored_tuples_are_not_turned_into_rows(monkeypatch):
+    """Set-up builds no ``Row`` at all, and a drain only the rows of the
+    view deltas it sends: as many over 2 000 stored fact rows as over 500."""
+    small = rows_built(monkeypatch, 500)
+    large = rows_built(monkeypatch, 2000)
+    assert small[0] == large[0] == 0
+    assert small[1] == large[1] > 0
 
 
 def _bank():

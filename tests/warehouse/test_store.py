@@ -98,7 +98,7 @@ class TestApply:
 
     def test_states_of_view(self, store):
         store.apply(delta_txn(1, "V2", Delta.insert(Row(B=1)), 1), 1.0)
-        sequence = store.states_of_view("V2")
+        sequence = [state.view("V2") for state in store.history]
         assert len(sequence) == 2
         assert len(sequence[0]) == 0 and len(sequence[1]) == 1
 
