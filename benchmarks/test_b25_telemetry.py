@@ -1,19 +1,16 @@
-"""B25 — Telemetry overhead and cross-runtime reconciliation.
+"""B25 — Telemetry overhead.
 
 Paper question: none directly — like B18 this is infrastructure due
-diligence, now for the *runtime-spanning* telemetry layer.  B18 bounded
-the cost of the passive trace/registry; B25 bounds the cost of the
-active instruments added on top of it: the live freshness/SLO monitor
-(probed after every DES event), the per-plan-node profiler (a staging
-dict lookup per operator call plus timing when armed), and the per-view
-compute twins.  It also proves the cross-process collector tells the
-truth: a ``procs`` run's child-side row counters must reconcile exactly
-with a DES run's registry on the same seeded workload.
+diligence, now for the live telemetry layer.  B18 bounded the cost of the
+passive trace/registry; B25 bounds the cost of the active instruments
+added on top of it: the live freshness/SLO monitor (probed after every
+DES event) and the per-plan-node profiler (a staging dict lookup per
+operator call plus timing when armed).
 
-Method, overhead half (B18's discipline): the B1 workload (80 updates at
-rate 10, seed 21) twice per round — everything enabled (freshness
-monitor + SLO evaluator + plan profiler) vs everything off — interleaved
-best-of-N CPU time with GC disabled, asserting
+Method (B18's discipline): the B1 workload (80 updates at rate 10, seed
+21) twice per round — everything enabled (freshness monitor + SLO
+evaluator + plan profiler) vs everything off — interleaved best-of-N CPU
+time with GC disabled, asserting
 
 * full telemetry slows the run by **less than 15%** (B18's bar),
 * telemetry does not perturb the simulation: identical virtual makespan
@@ -21,15 +18,9 @@ best-of-N CPU time with GC disabled, asserting
 * the instrumented arm actually bought the goods: monitor samples,
   ``view_staleness`` gauges, ``plan_node_*`` counters.
 
-Method, reconciliation half: an insert-only workload (row totals are
-batch-boundary-invariant) run under ``procs`` and under DES; per view,
-the children's ``proc_compute_rows_out`` (shipped over the pipe by the
-collector, origin-labelled per shard) must equal both runs'
-``vm_compute_rows``.
-
 Metrics read: CPU time for the ratio; ``sim.now``/``warehouse.commits``
 for invariance; ``view_staleness``/``plan_node_calls``/
-``proc_compute_rows_out``/``vm_compute_rows`` for the payoff checks.
+``vm_compute_batches`` for the payoff checks.
 """
 
 from __future__ import annotations
@@ -141,52 +132,3 @@ def test_b25_telemetry_overhead(benchmark, report, bench_out):
         f"live telemetry costs {overhead:.1%} on the B1 workload "
         f"(budget {MAX_OVERHEAD:.0%})"
     )
-
-
-def test_b25_procs_reconciles_with_des(report, bench_out):
-    """Collector truthfulness: child counters == DES registry, per view."""
-    from repro.system.builder import WarehouseSystem
-    from repro.workloads.generator import UpdateStreamGenerator, post_stream
-
-    def run(config: SystemConfig) -> WarehouseSystem:
-        world = paper_world()
-        spec = WorkloadSpec(updates=50, rate=8.0, seed=33,
-                            mix=(1.0, 0.0, 0.0))  # insert-only
-        system = WarehouseSystem(world, paper_views_example2(), config)
-        post_stream(system, UpdateStreamGenerator(world, spec).transactions())
-        system.run()
-        return system
-
-    des = run(SystemConfig(seed=33))
-    procs = run(SystemConfig(seed=33, runtime="procs", workers=2))
-    try:
-        rows = {}
-        table = []
-        for view in sorted(des.view_managers):
-            des_rows = des.sim.metrics.value("vm_compute_rows", view=view)
-            shipped = sum(
-                metric.value
-                for metric in procs.sim.metrics.family("proc_compute_rows_out")
-                if dict(metric.labels).get("view") == view
-            )
-            rows[view] = des_rows
-            table.append([view, int(des_rows), int(shipped)])
-            assert shipped == des_rows > 0
-        origins = {
-            dict(m.labels)["origin"]
-            for m in procs.sim.metrics.family("proc_compute_requests")
-        }
-        report("B25 — procs collector vs DES registry (insert-only, seed 33):")
-        report(fmt_table(["view", "des rows", "procs child rows"], table))
-        report(f"shard origins: {sorted(origins)}")
-        assert origins
-
-        bench_out("b25", {
-            "b25_reconcile": {
-                "rows_per_view": {k: int(v) for k, v in rows.items()},
-                "shards": len(origins),
-            },
-        })
-    finally:
-        procs.close()
-        des.close()

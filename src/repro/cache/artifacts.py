@@ -430,69 +430,9 @@ class MergeCacheBinding:
         return pickle.loads(raw)
 
 
-# -- procs runtime: publish/fetch across the fork boundary ------------------
-
-
-def encode_child_state(
-    view: str,
-    expr_repr: str,
-    replica_counts: Mapping[str, tuple],
-    aux: Mapping,
-) -> tuple[str, bytes]:
-    """Key + payload for a compute-server child's shard state.
-
-    ``replica_counts`` maps relation name to an already-encoded
-    ``(layout, {value-tuple: count})`` pair (children hold columnar
-    state natively).  The key derives from the same material as a view
-    checkpoint — definition, engine, and the version vector recomputed
-    from the shipped contents — so a parent (or a later run) can verify
-    what state the shard had reached.
-    """
-    vv = {
-        name: relation_digest(layout, counts)
-        for name, (layout, counts) in sorted(replica_counts.items())
-    }
-    key = artifact_key(
-        "view-child",
-        {
-            "format": PAYLOAD_FORMAT,
-            "view": view,
-            "expr": expr_repr,
-            "engine": ENGINE,
-            "vv": vv,
-        },
-    )
-    payload = pickle.dumps(
-        {
-            "format": PAYLOAD_FORMAT,
-            "kind": "child",
-            "view": view,
-            "expr": expr_repr,
-            "engine": ENGINE,
-            "vv": vv,
-            "replica": {
-                name: (tuple(layout), dict(counts))
-                for name, (layout, counts) in replica_counts.items()
-            },
-            "aux": dict(aux),
-        }
-    )
-    return key, payload
-
-
-def decode_child_state(payload: bytes) -> dict:
-    """Inverse of :func:`encode_child_state` (plain dict, no live objects)."""
-    decoded = pickle.loads(payload)
-    if decoded.get("format") != PAYLOAD_FORMAT or decoded.get("kind") != "child":
-        raise CacheIntegrityError("not a child-state artifact payload")
-    return decoded
-
-
 __all__ = [
     "PAYLOAD_FORMAT",
     "MergeCacheBinding",
     "SystemCacheBinding",
     "ViewCacheBinding",
-    "decode_child_state",
-    "encode_child_state",
 ]

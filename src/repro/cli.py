@@ -17,7 +17,7 @@ Commands:
   ``--live`` renders the registry periodically while the run executes.
 * ``top``   — run a workload while rendering the live metrics registry
   (family-level, one-screen) on a wall-clock interval; most useful with
-  ``--runtime threads``/``procs`` where the run takes real time.
+  ``--runtime threads`` where the run takes real time.
 * ``conformance`` — the schedule-exploration engine: ``explore`` hunts a
   configuration's seed space for MVC violations (and shrinks what it
   finds), ``replay`` re-executes a saved reproducer byte-for-byte, and
@@ -237,8 +237,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _check_runtime_flags(args: argparse.Namespace) -> None:
     if args.workers is not None and args.runtime == "des":
         raise SystemExit(
-            "--workers only applies to parallel runtimes; "
-            "pick --runtime threads or --runtime procs"
+            "--workers only applies to the parallel runtime; "
+            "pick --runtime threads"
         )
 
 
@@ -506,10 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_runtime_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--runtime", choices=RUNTIMES, default="des",
                        help="execution backend: des (virtual time, default), "
-                       "threads (wall clock, worker threads), procs (threads "
-                       "+ per-shard compute processes); see docs/runtime.md")
+                       "threads (wall clock, worker threads); see "
+                       "docs/runtime.md")
         p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker-fleet size for parallel runtimes "
+                       help="worker-fleet size for --runtime threads "
                        "(default: the machine's core count; rejected "
                        "under --runtime des)")
 
@@ -537,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="T",
                        help="sample per-view staleness / queue depth / VUT "
                        "occupancy every T time units (virtual under des, "
-                       "wall seconds under threads/procs)")
+                       "wall seconds under threads)")
         p.add_argument("--slo-staleness", type=float, default=None,
                        metavar="T",
                        help="SLO: breach when any view's staleness exceeds T "
@@ -579,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "names starting with PREFIX, e.g. proc_ or chan_)")
     ins.add_argument("--live", action="store_true",
                      help="render the registry periodically while the run "
-                     "executes (most useful with --runtime threads/procs)")
+                     "executes (most useful with --runtime threads)")
     ins.add_argument("--live-interval", type=float, default=1.0, metavar="S",
                      help="seconds between --live frames (default 1.0)")
 

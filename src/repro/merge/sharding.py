@@ -203,8 +203,8 @@ def groups_by_shard(view_to_merge: Mapping[str, str]) -> dict[str, tuple[str, ..
     """Invert a view → merge-process routing map into per-shard view tuples.
 
     The canonical grouping every per-shard consumer (the conformance
-    oracle's ``shard:`` checks, the procs runtime's compute fleet, the
-    MQO report) needs: shard names sorted, each shard's views sorted.
+    oracle's ``shard:`` checks, the MQO report) needs: shard names
+    sorted, each shard's views sorted.
     """
     shards: dict[str, list[str]] = {}
     for view, merge_name in view_to_merge.items():

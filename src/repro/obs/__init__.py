@@ -13,9 +13,6 @@ Layered over the simulator's :class:`~repro.sim.tracing.Trace`:
   JSONL event log, plain-text timeline;
 * :mod:`repro.obs.promexport` — metrics serialisation: Prometheus text
   exposition and JSON snapshots;
-* :mod:`repro.obs.collector` — cross-process telemetry: forked compute
-  servers drain their counters/histograms/events over the pipe protocol
-  into the parent's locked registry and thread-safe trace;
 * :mod:`repro.obs.freshness` — live per-view staleness, VUT occupancy
   and merge-queue gauges with an online SLO evaluator;
 * :mod:`repro.obs.profiler` — opt-in per-plan-node timing for compiled
@@ -24,11 +21,6 @@ Layered over the simulator's :class:`~repro.sim.tracing.Trace`:
 See ``docs/observability.md`` for the model and worked examples.
 """
 
-from repro.obs.collector import (
-    ShardTelemetry,
-    drain_registry,
-    merge_payload,
-)
 from repro.obs.export import (
     read_chrome_trace,
     read_jsonl,
@@ -81,9 +73,6 @@ __all__ = [
     "STALENESS_KINDS",
     "FreshnessMonitor",
     "SloPolicy",
-    "ShardTelemetry",
-    "drain_registry",
-    "merge_payload",
     "parse_prometheus",
     "to_prometheus",
     "to_snapshot",

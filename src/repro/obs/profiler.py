@@ -21,9 +21,8 @@ Results accumulate here and publish into a
 (``plan_node_calls`` / ``plan_node_time_ns`` / ``plan_node_rows_in`` /
 ``plan_node_rows_out``, labelled by node).  Publishing is *delta-based*:
 each call emits only the increment since the previous publish, so the
-end-of-run flush in :class:`~repro.system.builder.WarehouseSystem` and a
-compute-server's per-drain publish can both repeat freely without
-double-counting.
+flush :class:`~repro.system.builder.WarehouseSystem` makes after every
+drain and again on close repeats freely without double-counting.
 """
 
 from __future__ import annotations

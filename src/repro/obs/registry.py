@@ -29,19 +29,16 @@ Design notes:
   quantiles (the parallel runtimes pass a registry-wide default bound).
 
 Every instrument additionally carries an ``origin`` tag — which runtime
-substrate recorded it (``des``, ``worker-thread``, or a compute-server
-``<shard>:<pid>``).  Origin is *not* part of the ``(name, labels)``
-identity, so existing lookups are unaffected; it shows up in summaries,
-``format()`` and the exporters.  Cross-process metrics merged by
-:mod:`repro.obs.collector` carry their origin as an explicit label too,
-so sibling shards never collide.
+substrate recorded it (``des`` or ``worker-thread``).  Origin is *not*
+part of the ``(name, labels)`` identity, so existing lookups are
+unaffected; it shows up in summaries, ``format()`` and the exporters.
 """
 
 from __future__ import annotations
 
 import random as _random
 import threading as _threading
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 #: sentinel: "use the registry's default histogram bound"
 _DEFAULT_BOUND = object()
@@ -222,27 +219,6 @@ class Histogram(Metric):
             if slot < self._bound:
                 self._values[slot] = value
 
-    def absorb(
-        self,
-        count: int,
-        total: float,
-        maximum: float | None,
-        values: Iterable[float],
-    ) -> None:
-        """Fold a drained sibling histogram in (cross-process collector).
-
-        ``count``/``total``/``maximum`` stay exact; retained observations
-        are concatenated and (in bounded mode) deterministically
-        down-sampled back to the reservoir size.
-        """
-        self._count += count
-        self._total += total
-        if maximum is not None and (self._max is None or maximum > self._max):
-            self._max = maximum
-        self._values.extend(values)
-        if self._bound is not None and len(self._values) > self._bound:
-            self._values = self._rng.sample(self._values, self._bound)
-
     @property
     def bound(self) -> int | None:
         """Reservoir size, or None for exact (unbounded) storage."""
@@ -336,16 +312,6 @@ class _LockedHistogram(Histogram):
     def observe(self, value: float) -> None:
         with self._lock:
             super().observe(value)
-
-    def absorb(
-        self,
-        count: int,
-        total: float,
-        maximum: float | None,
-        values: Iterable[float],
-    ) -> None:
-        with self._lock:
-            super().absorb(count, total, maximum, values)
 
 
 #: plain instrument class -> its locked twin (``locked=True`` registries)

@@ -46,20 +46,18 @@ import random
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.errors import SimulationError
 from repro.obs.registry import MetricsRegistry
-from repro.runtime.base import Runtime
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import ThreadSafeTrace
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.system.builder import WarehouseSystem
-    from repro.system.config import SystemConfig
-
 #: sentinel telling a worker thread to exit its loop
 _STOP = object()
+#: seconds a worker gets to reach ``_STOP`` once a run is abandoned as
+#: hung: it already had a whole ``timeout`` in which it finished nothing
+_HUNG_JOIN_GRACE = 0.2
 
 
 class Mailbox:
@@ -103,6 +101,16 @@ class Mailbox:
             self._items.append(item)
             self._ready.notify()
 
+    def stop(self) -> None:
+        """Queue the worker's exit behind what is already here.
+
+        Ignores the capacity: shutdown must get through a full mailbox,
+        whose worker may be the very one a run is being abandoned for.
+        """
+        with self._ready:
+            self._items.append(_STOP)
+            self._ready.notify_all()
+
     def get(self) -> object:
         with self._ready:
             while not self._items:
@@ -118,8 +126,7 @@ class ParallelKernel:
 
     Worker threads are created per :meth:`run` call and joined before it
     returns, so between runs (and at build/seed time) the kernel is
-    strictly single-threaded — which is what lets the process-pool
-    runtime fork safely before the first run.
+    strictly single-threaded.
     """
 
     def __init__(
@@ -163,12 +170,6 @@ class ParallelKernel:
         # thread while run() is live, since there is no per-event hook a
         # wall-clock kernel could cheaply offer.
         self._probes: list[Callable[[], None]] = []
-
-    @property
-    def clock_epoch(self) -> float:
-        """The monotonic instant ``now`` counts from (forked children
-        align their telemetry timestamps against this)."""
-        return self._t0
 
     def add_probe(self, probe: Callable[[], None]) -> None:
         """Invoke ``probe()`` periodically while :meth:`run` executes."""
@@ -350,6 +351,7 @@ class ParallelKernel:
             )
             sampler.start()
 
+        hung = False
         try:
             # Inject the pre-run workload in (virtual time, post order):
             # each source's transactions reach its home worker in workload
@@ -359,96 +361,56 @@ class ParallelKernel:
                     index = self._worker_index(key)
                 self._mailboxes[index].put(event, timeout=self._timeout)
 
-            deadline = (
-                None if self._timeout is None else time.monotonic() + self._timeout
-            )
+            # A no-progress deadline: re-armed whenever an event finishes,
+            # so a healthy run may outlast ``timeout`` and only a fleet
+            # that completes nothing for that long is reported.
             with self._idle:
+                progress, since = self._events_executed, time.monotonic()
                 while self._pending > 0 and self._failure is None:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise SimulationError(
-                            f"parallel run made no quiescence within "
+                    if self._events_executed != progress:
+                        progress, since = self._events_executed, time.monotonic()
+                    elif (
+                        self._timeout is not None
+                        and time.monotonic() - since > self._timeout
+                    ):
+                        hung = True
+                        self._failure = SimulationError(
+                            f"parallel run finished no event in "
                             f"{self._timeout}s; {self._pending} event(s) "
                             f"still pending (hung worker?)"
                         )
+                        break
                     self._idle.wait(0.05)
+        except SimulationError as full:
+            # A staged event met a mailbox that stayed full for a whole
+            # timeout.  Recorded as the run's failure, so the workers
+            # drain what they hold instead of running half a workload.
+            hung = True
+            with self._lock:
+                if self._failure is None:
+                    self._failure = full
         finally:
             if sampler is not None:
                 sampler_stop.set()
                 sampler.join(timeout=self._timeout)
             for mailbox in self._mailboxes:
-                mailbox.put(_STOP)
+                mailbox.stop()
+            grace = _HUNG_JOIN_GRACE if hung else self._timeout
             for thread in threads:
-                thread.join(timeout=self._timeout)
+                thread.join(timeout=grace)
+            stuck = [thread.name for thread in threads if thread.is_alive()]
             with self._lock:
                 self._running = False
                 self._mailboxes = []
 
+        if stuck:
+            # The threads are daemons and cannot be killed; the kernel's
+            # event counts are theirs to corrupt, so it is not reusable.
+            raise SimulationError(
+                f"worker thread(s) {', '.join(stuck)} still running "
+                f"{grace}s after shutdown was requested; the handler "
+                f"they execute never returned"
+            ) from self._failure
         if self._failure is not None:
             raise self._failure
         return self._events_executed - executed_before
-
-
-class ThreadsRuntime(Runtime):
-    """Every process executes on a worker-thread fleet under a wall clock."""
-
-    name = "threads"
-
-    def __init__(self, config: "SystemConfig") -> None:
-        self._kernel = ParallelKernel(
-            seed=config.seed,
-            workers=config.workers,
-            mailbox_capacity=config.mailbox_capacity,
-            timeout=config.runtime_timeout,
-        )
-
-    @property
-    def kernel(self) -> ParallelKernel:
-        return self._kernel
-
-
-class ProcsRuntime(ThreadsRuntime):
-    """Threads runtime plus a forked compute-server fleet for view plans.
-
-    The GIL serialises the thread fleet's pure-python maintenance work, so
-    this mode moves the expensive part — the columnar
-    :meth:`~repro.relational.plan.MaintenancePlan.propagate_counts` probe
-    — into per-merge-shard OS processes (:mod:`repro.runtime.procpool`).
-    Tuple batches pickle cheaply; the calling view-manager thread blocks
-    on the pipe with the GIL released, so shards genuinely overlap on
-    real cores.
-    """
-
-    name = "procs"
-
-    def __init__(self, config: "SystemConfig") -> None:
-        super().__init__(config)
-        self._fleet = None
-
-    @property
-    def fleet(self):
-        """The live :class:`~repro.runtime.procpool.ComputeFleet` (or None)."""
-        return self._fleet
-
-    def start(self, system: "WarehouseSystem") -> None:
-        from repro.runtime.procpool import start_compute_fleet
-
-        # Fork now: replicas are seeded, and no worker thread exists yet
-        # (ParallelKernel only spawns threads inside run()).
-        self._fleet = start_compute_fleet(
-            system,
-            workers=system.config.workers,
-            timeout=system.config.runtime_timeout,
-        )
-
-    def collect(self, system: "WarehouseSystem") -> int:
-        """Drain every compute server's telemetry into the parent kernel."""
-        if self._fleet is None:
-            return 0
-        return self._fleet.collect_into(
-            self._kernel.metrics, self._kernel.trace
-        )
-
-    def close(self) -> None:
-        if self._fleet is not None:
-            self._fleet.stop()
-            self._fleet = None

@@ -56,7 +56,7 @@ from repro.merge.selection import (
 from repro.merge.submission import POLICIES
 from repro.relational.database import Database
 from repro.relational.expressions import ViewDefinition
-from repro.runtime import create_runtime
+from repro.runtime import RUNTIMES
 from repro.sim.network import Channel, LatencyModel, LossyChannel, ReliableChannel
 from repro.sim.process import Process
 from repro.sources.multisource import GlobalTransactionCoordinator
@@ -91,8 +91,7 @@ class WarehouseSystem:
         self.world = world
         self.definitions = tuple(definitions)
         self.config = config if config is not None else SystemConfig()
-        self.runtime = create_runtime(self.config)
-        self.sim = self.runtime.kernel
+        self.sim = RUNTIMES[self.config.runtime](self.config)
         self.sim.trace.enabled = self.config.trace_enabled
         self.sim.trace.kinds = self.config.trace_kinds
         self._initial_state = world.current.snapshot()
@@ -124,7 +123,7 @@ class WarehouseSystem:
         # and shard queue/VUT occupancy on the configured tick (and its
         # SLO evaluator arms when a policy is set); plan profiling times
         # every propagate.  Probes run per executed event under des and
-        # from the kernel's sampler thread under threads/procs.
+        # from the kernel's sampler thread under threads.
         self.monitor = None
         cfg = self.config
         if cfg.freshness_tick is not None or cfg.slo is not None:
@@ -143,10 +142,6 @@ class WarehouseSystem:
             self.plan_profiler = PlanProfiler()
             for manager in self.view_managers.values():
                 manager.enable_plan_profiling(self.plan_profiler)
-        # Runtimes with external resources attach them here: the system is
-        # wired and seeded, and no run has spawned worker threads yet (the
-        # procs fleet must fork inside exactly that window).
-        self.runtime.start(self)
 
     # ------------------------------------------------------------------ build
     def _connect(self, source: Process, destination: Process,
@@ -453,22 +448,19 @@ class WarehouseSystem:
     def _finalise_telemetry(self) -> None:
         """Fold all deferred telemetry into the kernel's registry.
 
-        Takes a closing freshness sample, publishes accumulated profiler
-        stats, and drains the procs fleet's shard payloads.  Additive and
-        idempotent, so it runs after every unbounded drain and again on
-        close (a bounded-run caller who never drains fully still gets its
-        numbers before the runtime shuts down).
+        Takes a closing freshness sample and publishes accumulated
+        profiler stats.  Additive and idempotent, so it runs after every
+        unbounded drain and again on close (a bounded-run caller who never
+        drains fully still gets its numbers).
         """
         if self.monitor is not None:
             self.monitor.sample()
         if self.plan_profiler is not None:
             self.plan_profiler.publish_into(self.sim.metrics)
-        self.runtime.collect(self)
 
     def close(self) -> None:
-        """Release runtime resources (the procs compute fleet); idempotent."""
+        """Publish closing telemetry, remove a private cache; idempotent."""
         self._finalise_telemetry()
-        self.runtime.close()
         if self._owned_cache_root is not None:
             shutil.rmtree(self._owned_cache_root, ignore_errors=True)
             self._owned_cache_root = None

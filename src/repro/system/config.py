@@ -81,8 +81,8 @@ _CLOCK_RULES = (
     (
         "virtual",
         lambda cfg: cfg.workers is not None,
-        "workers only applies to parallel runtimes "
-        "(runtime='threads' or 'procs'); the DES kernel is "
+        "workers only applies to the parallel runtime "
+        "(runtime='threads'); the DES kernel is "
         "single-threaded by design",
     ),
     (
@@ -181,9 +181,9 @@ class SystemConfig:
     scheduler: Scheduler | None = None
 
     # execution runtime (see repro.runtime and docs/runtime.md).
-    # "des" is the virtual-time simulator; "threads"/"procs" execute on
-    # real cores under a wall clock.  ``workers`` sizes the worker fleet
-    # (parallel runtimes only; None = the machine's core count);
+    # "des" is the virtual-time simulator; "threads" executes on worker
+    # threads under a wall clock.  ``workers`` sizes the worker fleet
+    # (threads only; None = the machine's core count);
     # ``mailbox_capacity`` bounds per-worker mailboxes (None = unbounded
     # — bounded mailboxes can deadlock on message cycles and then raise
     # after ``runtime_timeout``); ``runtime_timeout`` is the hung-worker
@@ -194,14 +194,11 @@ class SystemConfig:
     runtime_timeout: float = 60.0
 
     # telemetry (see repro.obs and docs/observability.md).
-    # ``collect_telemetry`` lets the procs runtime's forked compute
-    # servers ship their counters/histograms/trace events back to the
-    # parent registry; ``freshness_tick`` enables the live staleness
-    # monitor (sampling period: virtual time under des, wall seconds
-    # under threads/procs); ``slo`` arms its threshold evaluator (and
-    # implies a monitor even without a tick); ``profile_plans`` turns on
-    # per-plan-node and per-propagate timing.
-    collect_telemetry: bool = True
+    # ``freshness_tick`` enables the live staleness monitor (sampling
+    # period: virtual time under des, wall seconds under threads);
+    # ``slo`` arms its threshold evaluator (and implies a monitor even
+    # without a tick); ``profile_plans`` turns on per-plan-node and
+    # per-propagate timing.
     freshness_tick: float | None = None
     slo: SloPolicy | None = None
     profile_plans: bool = False

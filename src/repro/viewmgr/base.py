@@ -114,10 +114,6 @@ class ViewManager(Process):
         self._computing = False
         self._replica: Database | None = None
         self._plan: MaintenancePlan | None = None
-        # Remote propagate endpoint (procs runtime): when set, cached-mode
-        # delta computation round-trips a compute server instead of the
-        # local plan (see repro.runtime.procpool.RemoteViewPlan).
-        self._remote_plan = None
         # Per-relation sigma-restriction (selection filtering, [7]): rows a
         # view's selections provably reject are kept out of the replica
         # and out of incoming deltas — they can never contribute.
@@ -221,23 +217,6 @@ class ViewManager(Process):
         self._plan = MaintenancePlan(
             self.definition.expression, replica, preload=preload
         )
-
-    def use_remote_plan(self, remote) -> None:
-        """Offload cached-mode propagation to a compute server.
-
-        ``remote`` needs one method, ``propagate(deltas) -> Delta``, with
-        the same pre-state contract as the local plan's.  The server owns
-        the authoritative plan/replica pair from here on; the local
-        replica still advances (cheap row application) so a fallback or
-        inspection sees current base state, but the local plan's auxiliary
-        state is no longer maintained.
-        """
-        if self.mode != "cached":
-            raise ViewManagerError(
-                f"{self.name} runs mode={self.mode!r}; remote plans need "
-                f"cached mode (a standing replica to fork)"
-            )
-        self._remote_plan = remote
 
     def materialize_initial(self, initial: Database) -> Relation:
         """Compute the view's initial contents (``V(ss_0)``).
@@ -358,8 +337,7 @@ class ViewManager(Process):
         """Time every propagate; profile the local plan's nodes if present.
 
         ``profiler`` is shared across managers when the builder passes
-        one (so a system-wide report aggregates per-node); remote plans
-        profile inside their compute server instead.
+        one (so a system-wide report aggregates per-node).
         """
         self._profile = True
         metrics = self.sim.metrics
@@ -378,14 +356,7 @@ class ViewManager(Process):
             updates_to_deltas(u for msg in batch for u in msg.updates)
         )
         t0 = perf_counter_ns() if self._profile else 0
-        if advance_replica and self._remote_plan is not None:
-            # Remote path (procs runtime): the compute server propagates
-            # against its forked plan and advances its own replica; we
-            # mirror the base-state advance locally and skip the (now
-            # unmaintained) local plan entirely.
-            view_delta = self._remote_plan.propagate(deltas)
-            pre_state.apply_deltas(deltas)
-        elif advance_replica:
+        if advance_replica:
             # Indexed path: probe the replica's column indexes and the
             # plan's auxiliary state instead of rescanning base relations.
             view_delta = self._plan.propagate(deltas)

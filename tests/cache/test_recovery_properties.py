@@ -7,9 +7,9 @@ drives that claim over random SPJ and aggregate views, random delta
 batches (inserts *and* deletes of live rows), and a random crash point:
 
 * the **artifact level** round-trips the replica and the plan's
-  auxiliary state through real store bytes
-  (:func:`~repro.cache.artifacts.encode_child_state` → ``put`` →
-  ``get`` → :func:`~repro.cache.artifacts.decode_child_state` →
+  auxiliary state through real store bytes (the plain-data shape a view
+  checkpoint has: ``(layout, counts)`` per relation plus
+  ``export_aux()``, pickled → ``put`` → ``get`` →
   ``MaintenancePlan(..., preload=...)``) at a crash point mid-stream and
   demands bag-identical view deltas, view contents, and replicas after
   the remaining batches;
@@ -19,11 +19,13 @@ batches (inserts *and* deletes of live rows), and a random crash point:
   workload, with MVC-complete intact.
 """
 
+import pickle
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.artifacts import decode_child_state, encode_child_state
+from repro.cache.keys import artifact_key, relation_digest
 from repro.cache.store import ArtifactStore, CacheConfig
 from repro.faults.plan import CrashSpec, FaultPlan
 from repro.relational.columnar import counts_to_rows, layout_of, rows_to_counts
@@ -199,15 +201,25 @@ def _crash_and_restore(expr, initial, batches, crash_at, store):
         )
         for name in SCHEMAS
     }
-    key, payload = encode_child_state(
-        "V", str(expr), replica_counts, plan.export_aux()
+    key = artifact_key(
+        "view-checkpoint",
+        {
+            "view": "V",
+            "expr": str(expr),
+            "vv": {
+                name: relation_digest(layout, counts)
+                for name, (layout, counts) in sorted(replica_counts.items())
+            },
+        },
     )
-    store.put(key, payload)
+    store.put(
+        key,
+        pickle.dumps({"replica": replica_counts, "aux": plan.export_aux()}),
+    )
     del db, plan
 
     # -- restart: rebuild replica + plan from verified store bytes --------
-    decoded = decode_child_state(store.get(key))
-    assert decoded["engine"] == "columnar"
+    decoded = pickle.loads(store.get(key))
     restored = Database()
     for name, (layout, counts) in decoded["replica"].items():
         decoded_bag = counts_to_rows(tuple(layout), counts)

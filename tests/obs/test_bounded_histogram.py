@@ -96,23 +96,3 @@ class TestRegistryDefaults:
         assert histogram.bound == 64
         assert len(histogram.values()) == 64
         assert histogram.count == 200
-
-
-class TestAbsorb:
-    def test_absorb_keeps_scalars_exact(self):
-        histogram = Histogram("h", (), bound=8)
-        histogram.absorb(100, 450.0, 9.0, [1.0, 2.0, 3.0])
-        histogram.absorb(50, 50.0, 20.0, [4.0])
-        assert histogram.count == 150
-        assert histogram.total == 500.0
-        assert histogram.max == 20.0
-
-    def test_absorb_downsamples_to_bound(self):
-        histogram = Histogram("h", (), bound=8)
-        histogram.absorb(100, 0.0, 1.0, [float(v) for v in range(100)])
-        assert len(histogram.values()) == 8
-
-    def test_exact_mode_absorb_concatenates(self):
-        histogram = Histogram("h", ())
-        histogram.absorb(3, 6.0, 3.0, [1.0, 2.0, 3.0])
-        assert histogram.values() == (1.0, 2.0, 3.0)

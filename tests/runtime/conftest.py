@@ -1,9 +1,9 @@
 """Shared guards for the runtime tests.
 
 ``pytest-timeout`` is not vendored in this environment, so the
-hung-worker guard the multiprocess tests need is an autouse SIGALRM
+hung-worker guard the worker-thread tests need is an autouse SIGALRM
 fixture: any test in this directory that wedges (a deadlocked mailbox, a
-hung compute server) is killed after ``HARD_TIMEOUT_S`` wall seconds
+worker that never joins) is killed after ``HARD_TIMEOUT_S`` wall seconds
 instead of hanging the suite.  CI layers a job-level ``timeout-minutes``
 on top.
 """

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime import RUNTIMES
 
 
 class TestParsing:
@@ -17,9 +18,9 @@ class TestParsing:
 
     def test_sweep_accepts_runtime_and_workers(self):
         args = build_parser().parse_args(
-            ["sweep", "--runtime", "procs", "--workers", "2"]
+            ["sweep", "--runtime", "threads", "--workers", "2"]
         )
-        assert args.runtime == "procs"
+        assert args.runtime == "threads"
         assert args.workers == 2
 
     def test_inspect_accepts_runtime(self):
@@ -34,6 +35,14 @@ class TestParsing:
     def test_unknown_runtime_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--runtime", "gpu"])
+
+    def test_removed_procs_runtime_refused_with_accepted_names(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--runtime", "procs"])
+        message = capsys.readouterr().err
+        assert "'procs'" in message
+        for name in RUNTIMES:
+            assert repr(name) in message
 
 
 class TestWorkersUnderDes:

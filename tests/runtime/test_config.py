@@ -6,12 +6,19 @@ import pytest
 
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
-from repro.system.config import RUNTIMES, SystemConfig
+from repro.runtime import RUNTIMES
+from repro.system.config import SystemConfig
 
 
 class TestRuntimeValidation:
     def test_runtimes_tuple(self):
-        assert RUNTIMES == ("des", "threads", "procs")
+        assert tuple(RUNTIMES) == ("des", "threads")
+
+    def test_removed_procs_runtime_refused_with_accepted_names(self):
+        with pytest.raises(ReproError, match="procs") as refused:
+            SystemConfig(runtime="procs")
+        for name in RUNTIMES:
+            assert repr(name) in str(refused.value)
 
     def test_default_is_des(self):
         assert SystemConfig().runtime == "des"

@@ -1,23 +1,25 @@
 """Runtime equivalence: parallel runs end where the DES run ends.
 
-The wall-clock runtimes may interleave work differently from the DES
+A wall-clock runtime may interleave work differently from the DES
 kernel (that's the point), but per-source FIFO and per-process
 serialization guarantee every backend drives the base relations through
 the same final state — so the final warehouse stores must be
 bag-identical, and every real-runtime history must pass the conformance
-oracle at the level the configuration advertises.
+oracle at the level the configuration advertises.  One table, every
+runtime in ``RUNTIMES`` but ``des``: a runtime added there is held to it.
 """
 
 from __future__ import annotations
 
 import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.conformance.oracle import check_real_run
 from repro.system.builder import WarehouseSystem
-from repro.system.config import SystemConfig
+from repro.system.config import RUNTIMES, SystemConfig
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
 from repro.workloads.schemas import (
     clustered_views,
@@ -53,7 +55,7 @@ def run_once(
         merge_groups=merges,
         merge_router="hash" if merges > 1 else "coalesce",
         runtime=runtime,
-        workers=workers,
+        workers=None if runtime == "des" else workers,
         seed=seed,
     )
     system = WarehouseSystem(world, views, config)
@@ -69,7 +71,35 @@ def run_once(
     return report, stores
 
 
-class TestThreadsEquivalence:
+#: every runtime that executes for real, each held to the DES result
+REAL_RUNTIMES = [name for name in RUNTIMES if name != "des"]
+
+#: scenario -> run_once arguments: paper views (one merge, then complete-N
+#: whose trailing block only the end-of-stream flush closes) and clustered
+#: views hash-routed over three merges (per-shard ``shard:`` oracle scopes)
+SCENARIOS = {
+    "paper": dict(updates=40, seed=7, workers=2),
+    "paper-complete-n": dict(
+        updates=24, seed=5, manager="complete-n", workers=2
+    ),
+    "sharded-clustered": dict(
+        updates=40, seed=11, merges=3, workers=3, clustered=True
+    ),
+}
+
+
+@pytest.mark.parametrize("runtime", REAL_RUNTIMES)
+class TestRuntimeEquivalence:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_matches_des(self, runtime, scenario):
+        des_report, des_stores = run_once("des", **SCENARIOS[scenario])
+        real_report, real_stores = run_once(runtime, **SCENARIOS[scenario])
+        assert real_stores == des_stores
+        assert des_report.ok, [str(v) for v in des_report.violations]
+        assert real_report.ok, [str(v) for v in real_report.violations]
+        assert real_report.runtime == runtime
+        assert real_report.digest  # the history reduced to a pinning digest
+
     @settings(
         max_examples=8,
         deadline=None,
@@ -81,62 +111,16 @@ class TestThreadsEquivalence:
         manager=st.sampled_from(["complete", "strong", "convergent"]),
         workers=st.sampled_from([1, 2, 4]),
     )
-    def test_random_workloads_bag_identical(self, updates, seed, manager, workers):
+    def test_random_workloads_bag_identical(
+        self, runtime, updates, seed, manager, workers
+    ):
         des_report, des_stores = run_once("des", updates, seed, manager)
-        par_report, par_stores = run_once(
-            "threads", updates, seed, manager, workers=workers
+        real_report, real_stores = run_once(
+            runtime, updates, seed, manager, workers=workers
         )
-        assert par_stores == des_stores
+        assert real_stores == des_stores
         assert des_report.ok, [str(v) for v in des_report.violations]
-        assert par_report.ok, [str(v) for v in par_report.violations]
-        assert par_report.runtime == "threads"
-        assert par_report.digest  # the history reduced to a pinning digest
-
-    def test_sharded_threads_matches_des(self):
-        des_report, des_stores = run_once(
-            "des", 40, 11, merges=3, clustered=True
-        )
-        par_report, par_stores = run_once(
-            "threads", 40, 11, merges=3, workers=3, clustered=True
-        )
-        assert par_stores == des_stores
-        # Per-shard MVC oracle: check_real_run includes shard: scopes for
-        # multi-merge systems; an empty violations tuple covers them.
-        assert des_report.ok and par_report.ok
-
-    def test_complete_n_flush_survives_threads(self):
-        des_report, des_stores = run_once("des", 24, 5, manager="complete-n")
-        par_report, par_stores = run_once(
-            "threads", 24, 5, manager="complete-n", workers=2
-        )
-        assert par_stores == des_stores
-        assert des_report.ok and par_report.ok
-
-
-class TestProcsEquivalence:
-    def test_procs_matches_des(self):
-        des_report, des_stores = run_once("des", 40, 7)
-        pro_report, pro_stores = run_once("procs", 40, 7, workers=2)
-        assert pro_stores == des_stores
-        assert pro_report.ok, [str(v) for v in pro_report.violations]
-        assert pro_report.runtime == "procs"
-
-    def test_procs_sharded_matches_des(self):
-        des_report, des_stores = run_once(
-            "des", 30, 13, merges=3, clustered=True
-        )
-        pro_report, pro_stores = run_once(
-            "procs", 30, 13, merges=3, workers=3, clustered=True
-        )
-        assert pro_stores == des_stores
-        assert des_report.ok and pro_report.ok
-
-    def test_procs_reruns_back_to_back(self):
-        # Fleet forking must stay safe across sequential systems (workers
-        # joined between runs; fork happens in a thread-free window).
-        first = run_once("procs", 10, 1, workers=2)
-        second = run_once("procs", 10, 1, workers=2)
-        assert first[1] == second[1]
+        assert real_report.ok, [str(v) for v in real_report.violations]
 
 
 class TestDesDefaultUnchanged:

@@ -179,3 +179,46 @@ class TestParallelKernel:
             kernel.schedule(0.0, channels[i % 3].deliver, i)
         kernel.run()
         assert actor.counter == 30
+
+
+class TestDeadlines:
+    """``timeout`` bounds the time without progress, and shutdown itself."""
+
+    def test_healthy_run_may_outlast_the_timeout(self):
+        kernel = ParallelKernel(workers=1, timeout=0.3)
+        for _ in range(20):
+            kernel.schedule(0.0, time.sleep, 0.04)
+        started = time.monotonic()
+        assert kernel.run() == 20
+        assert time.monotonic() - started > 0.3
+
+    def test_stuck_handler_reported_within_about_one_timeout(self):
+        kernel = ParallelKernel(workers=2, timeout=0.5)
+        release = threading.Event()
+        kernel.schedule(0.0, release.wait, 30.0)
+        started = time.monotonic()
+        try:
+            with pytest.raises(SimulationError, match="repro-worker0") as stuck:
+                kernel.run()
+        finally:
+            release.set()
+        assert time.monotonic() - started < 1.5
+        assert "finished no event" in str(stuck.value.__cause__)
+
+    def test_shutdown_gets_past_a_full_mailbox(self):
+        # Three events for one worker whose mailbox holds one: the first
+        # blocks, the second fills the mailbox, the third cannot be
+        # staged.  Shutdown then has to reach a worker that frees no room.
+        kernel = ParallelKernel(workers=1, mailbox_capacity=1, timeout=0.3)
+        release = threading.Event()
+        for _ in range(3):
+            kernel.schedule(0.0, release.wait, 30.0)
+        started = time.monotonic()
+        try:
+            with pytest.raises(SimulationError, match="repro-worker0") as stuck:
+                kernel.run()
+        finally:
+            release.set()
+        assert time.monotonic() - started < 3.0
+        assert isinstance(stuck.value.__cause__, SimulationError)
+        assert "stayed full" in str(stuck.value.__cause__)

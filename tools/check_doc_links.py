@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check that repository documentation references resolve.
 
-Scans every tracked ``*.md`` file and verifies five kinds of reference:
+Scans every tracked ``*.md`` file and verifies six kinds of reference:
 
 * **markdown links** — each relative ``[text](target)`` must point at an
   existing file (anchors and external ``http(s)``/``mailto`` links are
@@ -20,7 +20,11 @@ Scans every tracked ``*.md`` file and verifies five kinds of reference:
 * **configuration fields** — in the same documents plus
   ``EXPERIMENTS.md``, every keyword written inside a ``SystemConfig(...)``
   call, in prose or in a fenced block, must be a field of the live
-  dataclass, so a removed or renamed knob can't survive in the docs.
+  dataclass, so a removed or renamed knob can't survive in the docs;
+* **runtime names** — in those documents, every ``--runtime X`` and
+  ``runtime="X"`` (alternatives as ``"X"|"Y"`` included) must be a key of
+  ``repro.runtime.RUNTIMES``, so the docs can't offer a runtime that is
+  gone.
 
 Exits non-zero listing every broken reference — run by the ``docs`` CI
 job and usable locally:
@@ -51,6 +55,12 @@ _FILE_SUFFIXES = frozenset({"json", "jsonl", "md", "py", "txt"})
 #: the start of a configuration call, and a keyword at an argument's start
 _CONFIG_CALL = re.compile(r"\bSystemConfig\(")
 _KEYWORD = re.compile(r"\s*(\w+)\s*=(?!=)")
+#: a runtime asked for: the CLI flag, or the configuration keyword with
+#: one quoted name or several joined by ``|``
+_RUNTIME_FLAG = re.compile(r"--runtime[ =]([a-z]\w*)")
+_RUNTIME_KEYWORD = re.compile(
+    r"""\bruntime\s*=\s*((?:["']\w+["'])(?:\s*\|\s*["']\w+["'])*)"""
+)
 
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
 
@@ -142,6 +152,23 @@ def unknown_config_keywords(
     return unknown
 
 
+def unknown_runtime_names(
+    text: str, runtimes: tuple[str, ...]
+) -> list[tuple[int, str]]:
+    """``--runtime X`` / ``runtime="X"`` mentions naming no runtime."""
+    unknown = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        names = _RUNTIME_FLAG.findall(line)
+        for quoted in _RUNTIME_KEYWORD.findall(line):
+            names += re.findall(r"\w+", quoted)
+        unknown += [
+            (lineno, f"unknown runtime -> {name} (valid: {', '.join(runtimes)})")
+            for name in names
+            if name not in runtimes
+        ]
+    return unknown
+
+
 def broken_references(
     path: Path, root: Path, subcommands: frozenset[str]
 ) -> list[tuple[int, str]]:
@@ -191,21 +218,26 @@ def main() -> int:
     sys.path.insert(0, str(root / "src"))
     subcommands = cli_subcommands()
     fields = config_fields()
+    from repro.runtime import RUNTIMES
+
     failures = 0
     checked = 0
     for path in iter_markdown(root):
         checked += 1
         broken = broken_references(path, root, subcommands)
         if config_checked(path, root):
-            broken += unknown_config_keywords(path.read_text(), fields)
+            text = path.read_text()
+            broken += unknown_config_keywords(text, fields)
+            broken += unknown_runtime_names(text, tuple(RUNTIMES))
         for lineno, message in sorted(broken):
             failures += 1
             print(f"{path.relative_to(root)}:{lineno}: {message}")
     if failures:
         print(f"\n{failures} broken reference(s) across {checked} markdown files")
         return 1
-    print(f"ok: all links, src/ paths, CLI commands, dotted names and "
-          f"SystemConfig fields resolve ({checked} markdown files)")
+    print(f"ok: all links, src/ paths, CLI commands, dotted names, "
+          f"SystemConfig fields and runtime names resolve "
+          f"({checked} markdown files)")
     return 0
 
 
