@@ -3,11 +3,12 @@
 The columnar core (see docs/engine.md) exists so a source batch that
 arrives as *raw value tuples* can flow to applied view deltas without
 ever materializing a ``Row``: ``MaintenancePlan.propagate_counts`` /
-``PlanLibrary.propagate_all_counts`` take ``{tuple: signed count}``
-batches, push them through source-generated kernels, and the resulting
-:class:`~repro.relational.columnar.ColumnarDelta` applies to a
-:class:`~repro.relational.columnar.ColumnarRelation` store in one
-vectorized call.  What is timed is **ingest to applied view delta**.
+``PlanLibrary.propagate_all`` take ``{tuple: signed count}`` batches,
+push them through source-generated kernels, and the resulting
+:class:`~repro.relational.delta.Delta` (the one signed tuple bag: there
+is no second, row-keyed delta to compare it with) applies to a view's
+:class:`~repro.relational.relation.Relation` in one vectorized call.
+What is timed is **ingest to applied view delta**.
 
 The row-dict plan family this benchmark was first written against
 (``engine="rows"``: lift the batch into ``Row``/``Delta``, interpret
@@ -48,12 +49,7 @@ import random
 import time
 
 from repro.relational.algebra import evaluate
-from repro.relational.columnar import (
-    ColumnarRelation,
-    evaluate_columnar,
-    layout_of,
-    rows_to_counts,
-)
+from repro.relational.columnar import evaluate_columnar, layout_of
 from repro.relational.database import Database
 from repro.relational.delta import Delta, propagate_delta
 from repro.relational.expressions import (
@@ -141,11 +137,6 @@ def micro_batch(rel: str, size: int, seed: int) -> dict[tuple, int]:
         t = (rng.randrange(doms[0]), rng.randrange(doms[1]))
         counts[t] = counts.get(t, 0) + (1 if rng.random() >= 0.3 else -1)
     return {t: c for t, c in counts.items() if c}
-
-
-def lift(layout: tuple[str, ...], batch: dict[tuple, int]) -> Delta:
-    """Raw batch -> facade Delta (untimed: base advancement and guards)."""
-    return Delta({Row(dict(zip(layout, t))): c for t, c in batch.items()})
 
 
 def time_micro_op(db, rel, expr, size, iters) -> float:
@@ -238,7 +229,7 @@ def e2e_views() -> dict:
 
 
 def run_e2e_columnar(world, stream) -> tuple[float, dict[str, dict[Row, int]]]:
-    """Timed per batch: propagate_all_counts + store application + advance.
+    """Timed per batch: propagate_all + store application + advance.
 
     Base-relation advancement (``db.apply_deltas``) is untimed — it is
     not what the engine does.
@@ -248,27 +239,22 @@ def run_e2e_columnar(world, stream) -> tuple[float, dict[str, dict[Row, int]]]:
     lib = PlanLibrary(db)
     for name, expr in views.items():
         lib.compile(name, expr)
-    stores = {}
-    for name, expr in views.items():
-        rel = evaluate_columnar(expr, db)
-        layout = layout_of(rel.schema.names)
-        stores[name] = ColumnarRelation(layout, rows_to_counts(layout, rel.counts_view()))
+    stores = {name: evaluate_columnar(expr, db) for name, expr in views.items()}
     # warmup (never advanced, nothing applied): builds every lazy probe
     # index and compiles every kernel outside the timed region
     for name, attrs in E2E_SCHEMAS.items():
-        lib.propagate_all_counts({name: {(0,) * len(attrs): 1}})
+        lib.propagate_all({name: {(0,) * len(attrs): 1}})
 
     timed = 0.0
     for rel_name, batch in stream:
         start = time.perf_counter()
-        view_deltas = lib.propagate_all_counts({rel_name: batch})
+        view_deltas = lib.propagate_all({rel_name: batch})
         for vname, d in view_deltas.items():
             d.apply_to(stores[vname])
         lib.advance_all()
         timed += time.perf_counter() - start
-        layout = layout_of(E2E_SCHEMAS[rel_name])
-        db.apply_deltas({rel_name: lift(layout, batch)})
-    return timed, {name: store.to_rows() for name, store in stores.items()}
+        db.apply_deltas({rel_name: Delta(batch, layout_of(E2E_SCHEMAS[rel_name]))})
+    return timed, {name: dict(store.counts_view()) for name, store in stores.items()}
 
 
 # -- guards -----------------------------------------------------------------
@@ -290,16 +276,14 @@ def test_b22_engine_equivalence_guard():
     mats = {name: evaluate(expr, db) for name, expr in views.items()}
 
     for rel_name, batch in _small_stream(world, batches=8, batch=80, dom=60):
-        lifted = lift(layout_of(E2E_SCHEMAS[rel_name]), batch)
-        out = lib.propagate_all_counts({rel_name: batch})
+        lifted = Delta(batch, layout_of(E2E_SCHEMAS[rel_name]))
+        out = lib.propagate_all({rel_name: batch})
         for vname, expr in views.items():
-            assert out[vname].to_delta() == propagate_delta(
-                expr, db, {rel_name: lifted}
-            )
+            assert out[vname] == propagate_delta(expr, db, {rel_name: lifted})
         db.apply_deltas({rel_name: lifted})
         lib.advance_all()
         for vname, expr in views.items():
-            out[vname].to_delta().apply_to(mats[vname])
+            out[vname].apply_to(mats[vname])
             assert mats[vname] == evaluate(expr, db)
 
 
@@ -405,7 +389,7 @@ def test_b22_end_to_end(benchmark, report, bench_out):
         db = e2e_db(world)
         for rel_name, batch in stream:
             layout = layout_of(E2E_SCHEMAS[rel_name])
-            db.apply_deltas({rel_name: lift(layout, batch)})
+            db.apply_deltas({rel_name: Delta(batch, layout)})
         expected = {
             name: dict(evaluate(expr, db).counts_view())
             for name, expr in e2e_views().items()

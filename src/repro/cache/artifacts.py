@@ -42,7 +42,6 @@ from repro.cache.keys import (
 )
 from repro.cache.store import ArtifactStore, CacheConfig
 from repro.errors import CacheIntegrityError, CacheMiss
-from repro.relational.columnar import counts_to_rows
 from repro.relational.database import Database
 from repro.relational.delta import Delta
 from repro.relational.plan import MaintenancePlan
@@ -70,13 +69,6 @@ def _encode_relation(relation: Relation) -> tuple:
 def _decode_relation(encoded: tuple, schema) -> Relation:
     layout, counts = encoded
     return Relation.from_tuple_counts(tuple(layout), counts, schema)
-
-
-def _decode_delta(encoded: tuple | None) -> Delta | None:
-    if encoded is None:
-        return None
-    layout, counts = encoded
-    return Delta(counts_to_rows(tuple(layout), counts))
 
 
 class SystemCacheBinding:
@@ -243,10 +235,9 @@ class ViewCacheBinding:
     def advance(self, deltas: Mapping[str, Delta]) -> None:
         """Roll the version vector over one applied (filtered) batch."""
         for name, delta in deltas.items():
-            counts = delta.tuple_counts(self._layouts[name])
-            if counts:  # an empty delta is the identity: digest unchanged
+            if delta:  # an empty delta is the identity: digest unchanged
                 self.version_vector[name] = advance_digest(
-                    self.version_vector[name], counts
+                    self.version_vector[name], delta.tuple_counts()
                 )
 
     # -- checkpoints -------------------------------------------------------
@@ -303,10 +294,7 @@ class ViewCacheBinding:
                 if pending is None
                 else (
                     tuple(pending[0]),
-                    (
-                        self._view_layout,
-                        dict(pending[1].tuple_counts(self._view_layout)),
-                    ),
+                    (self._view_layout, dict(pending[1].tuple_counts())),
                 )
             ),
             "computing": vm._computing,
@@ -378,11 +366,10 @@ class ViewCacheBinding:
         vm._buffer = deque(payload["buffer"])
         vm._current_batch = list(payload["current_batch"])
         pending = payload["pending_emit"]
-        vm._pending_emit = (
-            None
-            if pending is None
-            else (tuple(pending[0]), _decode_delta(pending[1]))
-        )
+        if pending is not None:
+            covered, (layout, counts) = pending
+            pending = (tuple(covered), Delta(counts, tuple(layout)))
+        vm._pending_emit = pending
         vm._computing = payload["computing"]
         vm._applied_version = payload["applied_version"]
         vm.action_lists_sent = payload["action_lists_sent"]

@@ -25,7 +25,6 @@ from repro.errors import SourceError
 from repro.messages import NumberedUpdate, SnapshotQuery, SnapshotResponse
 from repro.relational.database import Database, VersionedDatabase
 from repro.relational.delta import updates_to_deltas
-from repro.relational.rows import Row
 from repro.relational.schema import Schema
 from repro.sim.process import Process
 from repro.sources.update import Update
@@ -114,11 +113,11 @@ class BaseDataService(Process):
     def _respond(self, query: SnapshotQuery) -> None:
         version = self._db.version if query.version is None else query.version
         state = self._db.as_of(version)
-        # The rows of the answer are built here, off the snapshot's stores.
-        contents: dict[str, Mapping[Row, int]] = {
-            relation: state.relation(relation).columnar().to_rows()
-            for relation in sorted(query.relations)
-        }
+        # The snapshot is immutable, so its stores' bags go out as they are.
+        contents = {}
+        for relation in sorted(query.relations):
+            store = state.relation(relation).columnar()
+            contents[relation] = (store.layout, store.counts_view())
         undo: tuple[tuple[int, Update], ...] = ()
         if query.undo_from is not None:
             undo = self._undo_since(query.undo_from, version, query.relations)

@@ -18,11 +18,16 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import IntegratorError
 from repro.integrator.relevance import RelevanceFilter
-from repro.messages import NumberedUpdate, RelMessage, UpdateForView, UpdateNotification
+from repro.messages import (
+    EndOfBlock,
+    NumberedUpdate,
+    RelMessage,
+    UpdateForView,
+    UpdateNotification,
+)
 from repro.relational.expressions import ViewDefinition
 from repro.relational.schema import Schema
 from repro.sim.process import Process
-from repro.viewmgr.complete_n import EndOfBlock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator

@@ -9,6 +9,7 @@ message                   direction
 UpdateNotification        source / coordinator -> integrator
 RelMessage                integrator -> merge process(es)
 UpdateForView             integrator -> view manager
+EndOfBlock                integrator -> view manager (complete-N)
 SnapshotQuery/Response    view manager <-> base-data service
 ActionListMessage         view manager -> merge process
 WarehouseTransactionMsg   merge process -> warehouse
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
-
-from repro.relational.rows import Row
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports (no cycles)
     from repro.sources.transactions import SourceTransaction
@@ -77,6 +76,14 @@ class UpdateForView:
 
 
 @dataclass(frozen=True, slots=True)
+class EndOfBlock:
+    """Integrator marker: every update with id <= ``through`` was numbered."""
+
+    block: int
+    through: int
+
+
+@dataclass(frozen=True, slots=True)
 class SnapshotQuery:
     """A view manager asks the base-data service for base relations.
 
@@ -96,15 +103,19 @@ class SnapshotQuery:
 class SnapshotResponse:
     """Answer to a :class:`SnapshotQuery`.
 
-    ``contents`` maps relation name to a ``{Row: count}`` bag at
-    ``version``.  In autonomous-source mode ``undo_updates`` lists the
-    integrator-numbered updates in ``(undo_from, version]`` touching the
-    requested relations, so the requester can roll the state back.
+    ``contents`` maps relation name to its bag at ``version`` as
+    ``(layout, {value tuple: count})``, the tuples positioned by the
+    layout (the relation's sorted attribute names): what
+    :meth:`Relation.from_tuple_counts` loads, and read-only, being the
+    service's own snapshot.  In autonomous-source mode ``undo_updates``
+    lists the integrator-numbered updates in ``(undo_from, version]``
+    touching the requested relations, so the requester can roll the state
+    back.
     """
 
     query_id: int
     version: int
-    contents: Mapping[str, Mapping[Row, int]]
+    contents: Mapping[str, tuple[tuple[str, ...], Mapping[tuple, int]]]
     undo_updates: tuple[tuple[int, Update], ...] = ()
 
 
@@ -191,6 +202,7 @@ __all__ = [
     "NumberedUpdate",
     "RelMessage",
     "UpdateForView",
+    "EndOfBlock",
     "SnapshotQuery",
     "SnapshotResponse",
     "ActionListMessage",

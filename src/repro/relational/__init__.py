@@ -8,10 +8,10 @@ propagation, versioned databases, and a small view-definition parser.
 The engine is deliberately self-contained — the paper's algorithms are
 data-model independent, but its examples and our workloads are relational.
 
-Storage is two-layered: the public row-dict facade (``Row``/``Relation``/
-``Delta``) and the columnar core underneath it
-(:mod:`repro.relational.columnar` — position-keyed tuple bags with
-compiled batch kernels), which the maintenance plans run on.
+Storage is two-layered: the public row facade (``Row``, which
+``Relation`` and ``Delta`` take and hand out) and the columnar core they
+keep their bags in (:mod:`repro.relational.columnar` — position-keyed
+tuple bags with compiled batch kernels), which the maintenance plans run on.
 ``docs/engine.md`` documents the layout and the facade contract.
 """
 
@@ -19,7 +19,6 @@ from repro.relational.schema import Attribute, AttrType, Schema
 from repro.relational.rows import Row
 from repro.relational.relation import Relation
 from repro.relational.columnar import (
-    ColumnarDelta,
     ColumnarRelation,
     ColumnIndex,
     evaluate_columnar,
@@ -59,7 +58,6 @@ __all__ = [
     "Row",
     "Relation",
     "ColumnarRelation",
-    "ColumnarDelta",
     "ColumnIndex",
     "evaluate_columnar",
     "Attr",

@@ -1,10 +1,11 @@
 """Columnar relation storage and vectorized (compiled) delta kernels.
 
-This module is the raw-speed core underneath the row-dict facade
-(:class:`~repro.relational.rows.Row` / :class:`~repro.relational.relation.Relation`
-/ :class:`~repro.relational.delta.Delta` — see ``docs/engine.md`` for the
-facade contract).  The facade stays the public API; everything here is
-position-keyed and batch-oriented:
+This module is the raw-speed core underneath the row facade
+(:class:`~repro.relational.rows.Row`, which
+:class:`~repro.relational.relation.Relation` and
+:class:`~repro.relational.delta.Delta` build when read — see
+``docs/engine.md`` for the facade contract).  The facade stays the public
+API; everything here is position-keyed and batch-oriented:
 
 * a **layout** is a sorted tuple of attribute names.  Because rows
   normalise their attributes the same way (sorted by name), a row with
@@ -14,9 +15,10 @@ position-keyed and batch-oriented:
   plus lazily-maintained :class:`ColumnIndex` probe structures and
   on-demand column vectors (one value list per attribute position,
   aligned with a multiplicity vector).
-* :class:`ColumnarDelta` is the signed-count (insertions > 0,
-  deletions < 0) tuple bag, applied to a :class:`ColumnarRelation` in one
-  validated batch.
+* a :class:`~repro.relational.delta.Delta` is the signed-count
+  (insertions > 0, deletions < 0) tuple bag, applied to a
+  :class:`ColumnarRelation` in one validated batch
+  (:meth:`ColumnarRelation.apply_signed`).
 * predicates, projections and join merges are **compiled once per
   (operator, layout)** into position-indexed Python functions
   (:func:`compile_filter`, :func:`compile_projection`,
@@ -120,11 +122,6 @@ def counts_to_rows(layout: Layout, counts: Mapping[tuple, int]) -> dict[Row, int
     """Convert a tuple bag back to the facade's ``Row -> count`` form."""
     build = compile_row_builder(layout)
     return {build(t): c for t, c in counts.items()}
-
-
-def rows_to_counts(layout: Layout, counts: Mapping[Row, int]) -> dict[tuple, int]:
-    """Convert a ``Row -> count`` bag to layout-positioned tuples."""
-    return {row.values_tuple(layout): c for row, c in counts.items()}
 
 
 def make_key(layout: Layout, attrs: tuple[str, ...]) -> Callable[[tuple], object]:
@@ -787,9 +784,8 @@ class ColumnarRelation:
         """Apply a signed tuple bag as one validated batch.
 
         Each tuple carries one *net* count, so application order between
-        tuples cannot matter (the modify-safety the facade
-        :meth:`Delta.apply_to` gets from deletes-first is automatic
-        here), and the whole batch lands as one vectorized pass over the
+        tuples cannot matter (a modify never spuriously underflows), and
+        the whole batch lands as one vectorized pass over the
         counts dict plus one bulk pass per live index — no per-row
         :meth:`insert`/:meth:`delete` calls.  Underflow still raises
         with the relation untouched, but the check rides the application
@@ -842,88 +838,6 @@ class ColumnarRelation:
     def __repr__(self) -> str:
         return (f"ColumnarRelation({'|'.join(self.layout)} "
                 f"|{self._size}| {self.distinct_count()} distinct)")
-
-
-class ColumnarDelta:
-    """A signed tuple bag: the columnar form of the facade ``Delta``.
-
-    Positive counts are insertions, negative counts deletions; zero
-    counts are dropped at construction.  Batches convert once at the
-    facade boundary (:meth:`from_delta` / :meth:`to_delta`) and apply to
-    a :class:`ColumnarRelation` in one validated call.
-    """
-
-    __slots__ = ("layout", "_counts")
-
-    def __init__(
-        self, layout: Iterable[str], counts: Mapping[tuple, int] | None = None
-    ) -> None:
-        self.layout: Layout = layout_of(layout)
-        self._counts: dict[tuple, int] = {}
-        if counts:
-            for t, c in counts.items():
-                if c:
-                    self._counts[t] = c
-
-    @classmethod
-    def from_delta(cls, layout: Iterable[str], delta) -> "ColumnarDelta":
-        """Convert a facade :class:`~repro.relational.delta.Delta`."""
-        out = cls(layout)
-        out._counts = delta.tuple_counts(out.layout)
-        return out
-
-    @classmethod
-    def _adopt(cls, layout: Layout, counts: dict[tuple, int]) -> "ColumnarDelta":
-        """Wrap an already-validated counts dict without copying.
-
-        Internal: ``layout`` must be sorted and ``counts`` an owned,
-        zero-free dict (what plan nodes produce) — the zero-filtering
-        copy of ``__init__`` is exactly the per-output-row cost the
-        batch path exists to avoid.
-        """
-        out = object.__new__(cls)
-        out.layout = layout
-        out._counts = counts
-        return out
-
-    def to_delta(self):
-        """Convert back to the facade :class:`Delta`."""
-        from repro.relational.delta import Delta
-
-        return Delta(counts_to_rows(self.layout, self._counts))
-
-    def counts(self) -> Mapping[tuple, int]:
-        return MappingProxyType(self._counts)
-
-    def is_empty(self) -> bool:
-        return not self._counts
-
-    def __bool__(self) -> bool:
-        return bool(self._counts)
-
-    def __len__(self) -> int:
-        """Total magnitude: rows inserted plus rows deleted."""
-        return sum(abs(c) for c in self._counts.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ColumnarDelta):
-            return NotImplemented
-        return self.layout == other.layout and self._counts == other._counts
-
-    def combined(self, other: "ColumnarDelta") -> "ColumnarDelta":
-        """The delta equivalent to applying self then ``other``."""
-        counts = defaultdict(int, self._counts)
-        for t, c in other._counts.items():
-            counts[t] += c
-        return ColumnarDelta(self.layout, counts)
-
-    def apply_to(self, table: ColumnarRelation) -> None:
-        table.apply_signed(self._counts)
-
-    def __repr__(self) -> str:
-        parts = [f"{'+' if c > 0 else ''}{c}*{t!r}"
-                 for t, c in sorted(self._counts.items())]
-        return f"ColumnarDelta({', '.join(parts)})"
 
 
 # ---------------------------------------------------------------------------

@@ -81,15 +81,21 @@ class Database:
     def apply_deltas(self, deltas: Mapping[str, Delta]) -> None:
         """Apply several deltas atomically.
 
-        Every delta is validated against its relation before anything is
-        mutated, so a bad delta raises with the database untouched —
-        callers never see a half-applied batch.
+        Each delta applies all or nothing, and when one fails the ones
+        applied before it are taken back: a bad delta raises with the
+        database untouched, callers never see a half-applied batch.
         """
         self._check_mutable()
-        for name, delta in deltas.items():
-            delta.check_applicable(self.relation(name))
-        for name, delta in deltas.items():
-            delta._apply_unchecked(self.relation(name))
+        applied: list[tuple[Delta, Relation]] = []
+        try:
+            for name, delta in deltas.items():
+                relation = self.relation(name)
+                delta.apply_to(relation)
+                applied.append((delta, relation))
+        except Exception:
+            for delta, relation in reversed(applied):
+                delta.negated()._apply_unchecked(relation)
+            raise
 
     # -- snapshots ------------------------------------------------------------
     def snapshot(self) -> "Database":

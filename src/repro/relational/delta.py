@@ -1,7 +1,8 @@
 """Incremental (counting-style) delta propagation for SPJ expressions.
 
-A :class:`Delta` is a signed-count bag of rows: positive counts are
-insertions, negative counts are deletions.  ``propagate_delta`` pushes base
+A :class:`Delta` is a signed-count bag (of value tuples, read as rows at
+this API's edge): positive counts are insertions, negative counts are
+deletions.  ``propagate_delta`` pushes base
 relation deltas through an expression using the classic counting rules
 (Gupta & Mumick; Griffin & Libkin for bags):
 
@@ -32,14 +33,14 @@ from collections import defaultdict
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.errors import ExpressionError, RelationError
+from repro.errors import ExpressionError, SchemaError
 from repro.relational.algebra import (
     DatabaseLike,
     _eval_counts,
     aggregate_counts,
     join_counts,
 )
-from repro.relational.columnar import rows_to_counts
+from repro.relational.columnar import counts_to_rows
 from repro.relational.expressions import (
     Aggregate,
     BaseRelation,
@@ -48,7 +49,7 @@ from repro.relational.expressions import (
     Project,
     Select,
 )
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, _check_counts
 from repro.relational.rows import Row
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -56,16 +57,58 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Delta:
-    """A signed multiset of rows (insertions > 0, deletions < 0)."""
+    """A signed bag of value tuples over one sorted ``layout``: insertions
+    carry positive counts, deletions negative ones, and no count is zero.
 
-    __slots__ = ("_counts",)
+    The one change-set form: stores apply it, plans propagate it, action
+    lists and artifacts carry it.  It is built from ``layout``-positioned
+    tuples or, at the API edge, from :class:`Row`s of one heading (then
+    the layout); it keeps tuples either way and builds ``Row``s when read
+    row-wise, as a :class:`Relation` does.  Deltas are immutable; empty
+    ones are equal whatever their layouts.
+    """
 
-    def __init__(self, counts: Mapping[Row, int] | None = None) -> None:
-        self._counts: dict[Row, int] = {}
-        if counts:
-            for row, count in counts.items():
-                if count:
-                    self._counts[row] = count
+    __slots__ = ("layout", "_counts")
+
+    def __init__(
+        self,
+        counts: Mapping[Row, int] | Mapping[tuple, int] | None = None,
+        layout: tuple[str, ...] | None = None,
+    ) -> None:
+        """``counts`` maps rows to signed counts or, with ``layout`` given,
+        value tuples positioned by it.  A count that is not an ``int`` is a
+        :class:`RelationError`, rows of differing headings a
+        :class:`SchemaError`; whether the tuples fit a relation is decided
+        when the delta meets one (:meth:`apply_to`)."""
+        if layout is None:
+            layout, tuples = (), {}
+            for row, count in (counts or {}).items():
+                names = row.sorted_names()
+                if names != layout:
+                    if layout:
+                        raise SchemaError(
+                            f"{row} does not have the heading {layout} of "
+                            f"the other rows of the delta"
+                        )
+                    layout = names
+                tuples[row.values_tuple(names)] = count
+        else:
+            layout, tuples = tuple(layout), dict(counts or {})
+        _check_counts(tuples, positive=False)
+        if 0 in tuples.values():
+            tuples = {t: c for t, c in tuples.items() if c}
+        self.layout = layout
+        self._counts = tuples
+
+    @classmethod
+    def _adopt(cls, layout: tuple[str, ...], counts: dict[tuple, int]) -> "Delta":
+        """Wrap, without copying, a dict nothing will write to again:
+        ``layout`` sorted, ``counts`` zero-free ``int``s (what kernels and
+        the algebra below produce)."""
+        delta = object.__new__(cls)
+        delta.layout = layout
+        delta._counts = counts
+        return delta
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -85,38 +128,34 @@ class Delta:
     @classmethod
     def between(cls, old: Relation, new: Relation) -> "Delta":
         """The delta that transforms ``old`` into ``new``."""
-        counts: dict[Row, int] = defaultdict(int)
-        for row, count in new.counts():
-            counts[row] += count
-        for row, count in old.counts():
-            counts[row] -= count
-        return cls(counts)
+        before, after = old.columnar(), new.columnar()
+        added = cls._adopt(after.layout, dict(after.counts_view()))
+        held = cls._adopt(before.layout, dict(before.counts_view()))
+        return added.combined(held.negated())
 
     # -- inspection ----------------------------------------------------------
-    def counts(self) -> Mapping[Row, int]:
-        """Zero-copy read-only view of the signed row->count mapping.
-
-        Deltas are immutable after construction, so the view is stable;
-        callers that need an independent ``dict`` must copy explicitly.
-        """
+    def tuple_counts(self) -> Mapping[tuple, int]:
+        """Zero-copy read-only view of the signed counts, keyed by the
+        ``layout``-positioned value tuples."""
         return MappingProxyType(self._counts)
 
-    def tuple_counts(self, layout: tuple[str, ...]) -> dict[tuple, int]:
-        """The signed counts keyed by ``layout``-positioned value tuples:
-        the form stores and plans consume (a fresh dict; each row hands
-        back the value tuple it remembers)."""
-        return rows_to_counts(layout, self._counts)
+    def counts(self) -> Mapping[Row, int]:
+        """The signed row->count mapping, read-only; the rows are built
+        at the call."""
+        return MappingProxyType(counts_to_rows(self.layout, self._counts))
 
     def count(self, row: Row) -> int:
-        return self._counts.get(row, 0)
+        if row.sorted_names() != self.layout:
+            return 0
+        return self._counts.get(row.values_tuple(self.layout), 0)
 
     def insertions(self) -> list[tuple[Row, int]]:
         """(row, count) pairs with positive counts, deterministic order."""
-        return [(r, c) for r, c in sorted(self._counts.items()) if c > 0]
+        return [(r, c) for r, c in sorted(self.counts().items()) if c > 0]
 
     def deletions(self) -> list[tuple[Row, int]]:
         """(row, count) pairs as positive deletion counts, deterministic order."""
-        return [(r, -c) for r, c in sorted(self._counts.items()) if c < 0]
+        return [(r, -c) for r, c in sorted(self.counts().items()) if c < 0]
 
     def is_empty(self) -> bool:
         return not self._counts
@@ -126,12 +165,14 @@ class Delta:
 
     def __len__(self) -> int:
         """Total magnitude: rows inserted plus rows deleted."""
-        return sum(abs(c) for c in self._counts.values())
+        return sum(map(abs, self._counts.values()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Delta):
             return NotImplemented
-        return self._counts == other._counts
+        return self._counts == other._counts and (
+            self.layout == other.layout or not self._counts
+        )
 
     def __hash__(self) -> int:
         return hash(frozenset(self._counts.items()))
@@ -139,63 +180,55 @@ class Delta:
     def __repr__(self) -> str:
         parts = [
             f"{'+' if c > 0 else ''}{c}*{row!r}"
-            for row, c in sorted(self._counts.items())
+            for row, c in sorted(self.counts().items())
         ]
         return f"Delta({', '.join(parts)})"
 
     # -- algebra ---------------------------------------------------------------
     def combined(self, other: "Delta") -> "Delta":
         """The delta equivalent to applying self then ``other``."""
-        counts = defaultdict(int, self._counts)
-        for row, count in other._counts.items():
-            counts[row] += count
-        return Delta(counts)
+        if not other._counts:
+            return self
+        if not self._counts:
+            return other
+        if self.layout != other.layout:
+            raise SchemaError(
+                f"cannot combine deltas over {self.layout} and {other.layout}"
+            )
+        counts = dict(self._counts)
+        for t, count in other._counts.items():
+            count += counts.get(t, 0)
+            if count:
+                counts[t] = count
+            else:
+                del counts[t]
+        return Delta._adopt(self.layout, counts)
 
     def negated(self) -> "Delta":
-        return Delta({row: -c for row, c in self._counts.items()})
-
-    def check_applicable(self, relation: Relation) -> None:
-        """Raise unless the whole delta can be applied: :class:`RelationError`
-        on underflow, :class:`~repro.errors.SchemaError` for an inserted row
-        that does not fit the relation's schema.
-
-        Split out from :meth:`apply_to` so multi-relation appliers (e.g.
-        ``Database.apply_deltas``) can validate every delta before
-        mutating anything, instead of dry-running on a full copy.  Nothing
-        else can fail, so an applied delta is all or nothing — which is
-        what lets ``ViewStore.apply`` undo a failed transaction with
-        :meth:`negated` deltas instead of a pre-copy.
-        """
-        for row, count in self._counts.items():
-            if count > 0:
-                relation._check(row)
-            elif relation.multiplicity(row) < -count:
-                raise RelationError(
-                    f"delta deletes {-count} copies of {row} but relation "
-                    f"holds {relation.multiplicity(row)}"
-                )
+        return Delta._adopt(self.layout, {t: -c for t, c in self._counts.items()})
 
     def apply_to(self, relation: Relation) -> None:
-        """Mutate ``relation`` by this delta.
+        """Mutate ``relation`` by this delta, or raise and leave it alone.
 
-        Deletions are applied first so a modify (delete+insert of rows that
-        may collide) never spuriously underflows.  Raises
-        :class:`RelationError` if a deletion exceeds the multiplicity
-        present — that always indicates a maintenance bug upstream.
+        :class:`~repro.errors.SchemaError` unless the delta fits the
+        relation (its layout; the arity and domains of the tuples it
+        inserts), decided before anything is written;
+        :class:`RelationError` if a deletion exceeds the multiplicity held
+        (always a maintenance bug upstream), which the store's pass finds
+        itself and rolls back.  All or nothing either way, which is what
+        lets ``Database.apply_deltas`` and ``ViewStore.apply`` undo a
+        failed batch with :meth:`negated` deltas instead of a pre-copy.
         """
-        self.check_applicable(relation)
+        if self._counts:
+            relation._check_columns(
+                self.layout, [t for t, c in self._counts.items() if c > 0]
+            )
         self._apply_unchecked(relation)
 
     def _apply_unchecked(self, relation: Relation) -> None:
-        """Apply without re-validating — caller ran ``check_applicable``."""
-        store = relation.columnar()
-        layout = store.layout
-        for row, count in self._counts.items():
-            if count < 0:
-                store.delete(row.values_tuple(layout), -count)
-        for row, count in self._counts.items():
-            if count > 0:
-                store.insert(row.values_tuple(layout), count)
+        """Apply without the schema check: a delta that was applied
+        before (a replay), or the negation of one (an undo)."""
+        relation.columnar().apply_signed(self._counts)
 
 
 def propagate_delta(
@@ -358,6 +391,8 @@ def updates_to_deltas(updates: Iterable["Update"]) -> dict[str, Delta]:
     """
     merged: dict[str, Delta] = {}
     for update in updates:
-        existing = merged.get(update.relation, Delta())
-        merged[update.relation] = existing.combined(update.as_delta())
+        delta, earlier = update.as_delta(), merged.get(update.relation)
+        merged[update.relation] = (
+            delta if earlier is None else earlier.combined(delta)
+        )
     return merged

@@ -28,8 +28,9 @@ Per-update cost drops from O(|base|) to O(|delta| x matching rows).
 merges/aggregate folds run as kernels compiled once per (operator,
 layout) by :mod:`repro.relational.columnar`; probes read
 :class:`~repro.relational.columnar.ColumnIndex` structures on each
-relation's columnar store.  Facade ``Row``/``Delta`` objects
-appear only at the batch boundary (base deltas in, view delta out).
+relation's columnar store.  A batch comes in and a view delta goes out
+as a :class:`~repro.relational.delta.Delta`, which holds that same form:
+no ``Row`` is built on either side.
 Every node answers ``delta`` / ``advance`` / ``rebuild`` / ``describe``,
 join inputs also ``probe`` / ``probe_table``.  ``docs/engine.md`` walks
 through the layout; the test suite holds every plan delta equal to both
@@ -72,19 +73,17 @@ from collections import defaultdict
 from time import perf_counter_ns
 from typing import Mapping
 
-from repro.errors import ExpressionError
+from repro.errors import ExpressionError, SchemaError
 from repro.obs.profiler import PROF_KEY
 from repro.relational.columnar import (
     EMPTY_COUNTS,
     AggregateKernel,
-    ColumnarDelta,
     ColumnarRelation,
     _eval_columnar,
     compile_filter,
     compile_join_probe,
     compile_merge,
     compile_projection,
-    counts_to_rows,
     join_counts_columnar,
     make_key,
 )
@@ -111,10 +110,9 @@ class PlanUnsupported(ExpressionError):
 class _CBaseNode:
     """A base-relation leaf over the relation's columnar store.
 
-    ``delta`` reads the batch's facade :class:`Delta` as a tuple bag (the
-    delta converts itself once, :meth:`Delta.tuple_counts`; the bag is
-    also staged under ``("bd", name)``, where ``propagate_counts`` puts
-    a batch that never was a ``Delta``).  Probes re-fetch the columnar
+    ``delta`` hands out the tuple bag of the batch's :class:`Delta` for
+    this relation as it is (a delta of another layout is a
+    :class:`~repro.errors.SchemaError`).  Probes re-fetch the columnar
     store and its :class:`ColumnIndex` per call, so a ``clear``/
     ``replace_all`` (which starts a fresh store) can never leave a stale
     probe structure behind.
@@ -134,13 +132,15 @@ class _CBaseNode:
         self.probes = 0
 
     def delta(self, deltas: Mapping[str, Delta], staged: dict) -> Mapping[tuple, int]:
-        memo = ("bd", self.name)
-        if memo in staged:
-            return staged[memo]
         delta = deltas.get(self.name)
-        out = delta.tuple_counts(self.layout) if delta else EMPTY_COUNTS
-        staged[memo] = out
-        return out
+        if not delta:
+            return EMPTY_COUNTS
+        if delta.layout != self.layout:
+            raise SchemaError(
+                f"delta for {self.name!r} is laid out as {delta.layout}, "
+                f"the relation as {self.layout}"
+            )
+        return delta._counts
 
     def probe(self, key) -> Mapping[tuple, int]:
         self.probes += 1
@@ -301,23 +301,6 @@ class _CMatInput:
                 + f"aux materialization [indexed on {self.probe_key}, "
                 + f"{len(self.store)} rows] of:")
         return [head] + self.node.describe(depth + 1)
-
-
-def _adopt_counts(root, counts, base_counts) -> ColumnarDelta:
-    """Engine-native root counts -> a :class:`ColumnarDelta`, no copy.
-
-    Operator nodes produce owned, zero-free dicts, which
-    ``ColumnarDelta._adopt`` can alias directly.  A pass-through root (a
-    bare base relation, or TRUE-selects over one) hands back one of the
-    *caller's* batch mappings, so anything identical to a ``base_counts``
-    value — or not a plain dict at all — pays the validating constructor
-    instead of aliasing caller-owned state.
-    """
-    if not isinstance(counts, dict) or any(
-        counts is batch for batch in base_counts.values()
-    ):
-        return ColumnarDelta(root.layout, counts)
-    return ColumnarDelta._adopt(root.layout, counts)
 
 
 class _CJoinNode:
@@ -485,6 +468,17 @@ class _CAggregateNode:
         return [head] + self.child.describe(depth + 1)
 
 
+def _as_deltas(database, batch: Mapping[str, object]) -> dict[str, Delta]:
+    """``batch`` with every raw ``{tuple: signed count}`` mapping read as a
+    :class:`Delta` in the layout of the relation it names."""
+    return {
+        name: delta
+        if isinstance(delta, Delta)
+        else Delta(delta, database.relation(name).schema.layout)
+        for name, delta in batch.items()
+    }
+
+
 class MaintenancePlan:
     """An expression compiled for indexed incremental maintenance.
 
@@ -598,10 +592,6 @@ class MaintenancePlan:
         return self._intern(("input", expr, on), build)
 
     # -- maintenance -------------------------------------------------------
-    def _to_delta(self, counts) -> Delta:
-        """The facade boundary: tuple-keyed counts -> a facade Delta."""
-        return Delta(counts_to_rows(self._root.layout, counts))
-
     def propagate(self, base_deltas: Mapping[str, Delta]) -> Delta:
         """The view delta induced by ``base_deltas`` on the pre-state.
 
@@ -609,35 +599,29 @@ class MaintenancePlan:
         mutated.  Stages the per-subexpression deltas that a following
         :meth:`advance` will fold into the auxiliary structures.
         """
-        self._staged = {}
-        if self.profiler is not None:
-            self._staged[PROF_KEY] = self.profiler
-        counts = self._root.delta(base_deltas, self._staged)
-        self.propagations += 1
-        return self._to_delta(counts)
+        return self._round(_as_deltas(self._db, base_deltas), {}, self.profiler)
 
     def propagate_counts(
         self, base_counts: Mapping[str, Mapping[tuple, int]]
-    ) -> ColumnarDelta:
-        """Fully-columnar :meth:`propagate`: tuple bags in, tuple bag out.
-
-        ``base_counts`` maps relation names to signed non-zero counts
-        keyed by layout-positioned value tuples (attribute names sorted —
-        the same order :func:`~repro.relational.columnar.layout_of`
-        produces).
-        The batch never crosses the facade: no ``Row`` objects are built
-        on either side, which is where a batch pipeline's constant factor
-        lives (see docs/engine.md).  Staging/advance semantics are
-        identical to :meth:`propagate`.
+    ) -> Delta:
+        """:meth:`propagate` for a batch that never was a :class:`Delta`:
+        ``base_counts`` maps relation names to signed counts keyed by
+        value tuples in the relation's layout (attribute names sorted).
         """
-        self._staged = {}
-        if self.profiler is not None:
-            self._staged[PROF_KEY] = self.profiler
-        for name, counts in base_counts.items():
-            self._staged[("bd", name)] = counts
-        counts = self._root.delta({}, self._staged)
+        return self._round(_as_deltas(self._db, base_counts), {}, self.profiler)
+
+    def _round(self, deltas: Mapping[str, Delta], staged: dict, profiler) -> Delta:
+        """One propagation against ``staged`` (a library shares one
+        staging dict, and its profiler, between the plans of a round)."""
+        if profiler is not None:
+            staged[PROF_KEY] = profiler
+        self._staged = staged
+        counts = self._root.delta(deltas, staged)
         self.propagations += 1
-        return _adopt_counts(self._root, counts, base_counts)
+        # A non-empty result is an operator node's own zero-free dict or,
+        # under a pass-through root, the bag of one of the batch's
+        # (immutable) deltas: safe to share either way.
+        return Delta._adopt(self._root.layout, counts) if counts else Delta()
 
     def advance(self) -> None:
         """Fold the most recent :meth:`propagate`'s staged deltas in.
@@ -716,8 +700,7 @@ class PlanLibrary:
 
     * :meth:`propagate_all` runs every plan against one shared staging
       dict — per-batch node memoization means each shared node computes
-      its delta exactly once per round (even the batch's Row->tuple
-      base-delta conversion is shared);
+      its delta exactly once per round;
     * :meth:`advance_all` advances every plan; stateful shared nodes
       (aux materializations, aggregate group states) consume their staged
       entry on first advance and no-op after, so shared state moves
@@ -765,43 +748,18 @@ class PlanLibrary:
         return plan
 
     # -- maintenance -------------------------------------------------------
-    def propagate_all(self, base_deltas: Mapping[str, Delta]) -> dict[str, Delta]:
-        """Every view's delta for one batch, shared work computed once."""
+    def propagate_all(
+        self, base_deltas: Mapping[str, Delta | Mapping[tuple, int]]
+    ) -> dict[str, Delta]:
+        """Every view's delta for one batch (:class:`Delta`s, or raw signed
+        counts keyed by layout-positioned tuples), shared work computed
+        once."""
+        deltas = _as_deltas(self._db, base_deltas)
         staged: dict = {}
-        if self.profiler is not None:
-            staged[PROF_KEY] = self.profiler
-        out: dict[str, Delta] = {}
-        for name, plan in self.plans.items():
-            plan._staged = staged
-            out[name] = plan._to_delta(plan._root.delta(base_deltas, staged))
-            plan.propagations += 1
-        return out
-
-    def propagate_all_counts(
-        self, base_counts: Mapping[str, Mapping[tuple, int]]
-    ) -> dict[str, ColumnarDelta]:
-        """Fully-columnar :meth:`propagate_all`: one raw batch, every view.
-
-        The library twin of :meth:`MaintenancePlan.propagate_counts`:
-        ``base_counts`` holds signed counts keyed by layout-positioned
-        tuples, the shared staging dict carries them straight into every
-        plan's base nodes, and each view's delta comes back as a
-        :class:`~repro.relational.columnar.ColumnarDelta` — no ``Row``
-        is built anywhere in the round.
-        """
-        staged: dict = {}
-        if self.profiler is not None:
-            staged[PROF_KEY] = self.profiler
-        for name, counts in base_counts.items():
-            staged[("bd", name)] = counts
-        out: dict[str, ColumnarDelta] = {}
-        for name, plan in self.plans.items():
-            plan._staged = staged
-            out[name] = _adopt_counts(
-                plan._root, plan._root.delta({}, staged), base_counts
-            )
-            plan.propagations += 1
-        return out
+        return {
+            name: plan._round(deltas, staged, self.profiler)
+            for name, plan in self.plans.items()
+        }
 
     def advance_all(self) -> None:
         """Advance every plan's auxiliary state exactly once for the batch."""

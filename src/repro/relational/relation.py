@@ -32,6 +32,24 @@ def _bad_multiplicity(row: object, count: object) -> RelationError:
     return RelationError(f"multiplicity {count} for {row} is not positive")
 
 
+def _check_counts(counts: Mapping[object, int], positive: bool) -> None:
+    """Raise :class:`RelationError` unless every count of a bag is an
+    ``int`` and, for the multiplicities of a relation, ``positive`` (a
+    delta's are signed): decided over the classes and the minimum, a pass
+    per bad bag only."""
+    values = counts.values()
+    classes = set(map(type, values))
+    if (classes <= {int} or all(map(_is_count, classes))) and not (
+        positive and counts and min(values) <= 0
+    ):
+        return
+    raise next(
+        _bad_multiplicity(key, count)
+        for key, count in counts.items()
+        if not _is_count(type(count)) or (positive and count <= 0)
+    )
+
+
 class Relation:
     """A multiset of rows.
 
@@ -56,8 +74,7 @@ class Relation:
         rows: Iterable[Row | Mapping[str, object]] = (),
     ) -> None:
         self._schema = schema
-        self.clear()
-        self._fill(rows)
+        self.replace_all(rows)
 
     # -- construction helpers --------------------------------------------
     @classmethod
@@ -91,20 +108,11 @@ class Relation:
         built.
         """
         schema.validate_columns(layout, counts)
-        multiplicities = counts.values()
-        classes = set(map(type, multiplicities))
-        if not all(map(_is_count, classes)) or (
-            counts and min(multiplicities) <= 0
-        ):
-            raise next(
-                _bad_multiplicity(t, c)
-                for t, c in counts.items()
-                if not _is_count(type(c)) or c <= 0
-            )
+        _check_counts(counts, positive=True)
         rel = object.__new__(cls)
         rel._schema = schema
         rel._store = ColumnarRelation._adopt(
-            layout, dict(counts), sum(multiplicities)
+            layout, dict(counts), sum(counts.values())
         )
         return rel
 
@@ -209,6 +217,20 @@ class Relation:
                 f"the rows this schemaless relation holds"
             )
 
+    def _check_columns(self, layout: tuple[str, ...], tuples: list[tuple]) -> None:
+        """:meth:`_check` for a batch of ``layout``-positioned value tuples."""
+        if self._schema is not None:
+            self._schema.validate_columns(layout, tuples)
+            return
+        held = self._store.layout or layout
+        if layout != held or set(map(len, tuples)) - {len(layout)}:
+            raise SchemaError(
+                f"tuples laid out as {layout} do not have the heading {held} "
+                f"of the rows this schemaless relation holds"
+            )
+        if tuples:
+            self._store.layout = held
+
     def _coerce(self, row: Row | Mapping[str, object]) -> Row:
         return row if isinstance(row, Row) else Row(row)
 
@@ -256,13 +278,9 @@ class Relation:
             schema.layout if schema is not None else (), {}, 0
         )
 
-    def replace_all(self, rows: Iterable[Row]) -> None:
-        """Replace the entire contents (periodic-refresh semantics)."""
-        self.clear()
-        self._fill(rows)
-
-    def _fill(self, rows: Iterable[Row | Mapping[str, object]]) -> None:
-        """Load ``rows`` into this (empty) relation.
+    def replace_all(self, rows: Iterable[Row | Mapping[str, object]]) -> None:
+        """Replace the entire contents (periodic-refresh semantics) by
+        starting a fresh store.
 
         A :class:`Relation` carrying an equal schema has validated every
         row already, so its bag is adopted in one dict copy; anything
@@ -273,5 +291,6 @@ class Relation:
         ):
             self._store = rows._store.copy()
         else:
+            self.clear()
             for row in rows:
                 self.insert(row)

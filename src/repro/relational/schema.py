@@ -53,6 +53,9 @@ _PYTHON_TYPES = {
     AttrType.STR: str,
     AttrType.BOOL: bool,
 }
+#: per type, the value classes :meth:`AttrType.accepts` has said yes to (its
+#: verdict depends on a value's class alone)
+_ACCEPTED: dict[AttrType, set[type]] = {attr_type: set() for attr_type in AttrType}
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +86,7 @@ class Schema:
     Schemas are immutable and hashable so they can be compared and cached.
     """
 
-    __slots__ = ("_attributes", "_names", "_layout", "_by_name", "_hash")
+    __slots__ = ("_attributes", "_names", "_layout", "_by_name", "_hash", "_columns")
 
     def __init__(self, attributes: Iterable[Attribute | str]) -> None:
         attrs: list[Attribute] = []
@@ -101,6 +104,14 @@ class Schema:
         object.__setattr__(self, "_layout", tuple(sorted(names)))
         object.__setattr__(self, "_by_name", {a.name: a for a in attrs})
         object.__setattr__(self, "_hash", hash(tuple(attrs)))
+        # per layout position: the attribute, the value classes known to
+        # fit its type, and the reader of that position of a value tuple
+        by_name = self._by_name
+        columns = (
+            (by_name[name], _ACCEPTED[by_name[name].type], itemgetter(position))
+            for position, name in enumerate(self._layout)
+        )
+        object.__setattr__(self, "_columns", tuple(columns))
 
     @property
     def attributes(self) -> tuple[Attribute, ...]:
@@ -169,9 +180,10 @@ class Schema:
         schema names, the only order in which a tuple lines up with a
         row's normalised items), every tuple must have the layout's arity,
         and for each attribute the *classes* present in its column are put
-        to :meth:`AttrType.accepts`, one value per class: the verdict of
-        ``accepts`` depends on a value's class alone, so that is the check
-        ``validate`` makes row by row, and a failure carries its message.
+        to :meth:`AttrType.accepts`, one value per class not accepted
+        before: the verdict of ``accepts`` depends on a value's class
+        alone, so that is the check ``validate`` makes row by row, and a
+        failure carries its message.
         """
         if layout != self._layout:
             if set(layout) != self._by_name.keys():
@@ -179,9 +191,12 @@ class Schema:
             raise SchemaError(
                 f"layout {layout} is not the sorted attribute names of {self!r}"
             )
-        if set(map(type, tuples)) - {tuple} or set(map(len, tuples)) - {
-            len(layout)
-        }:
+        if not tuples:
+            return
+        if not (
+            {tuple}.issuperset(map(type, tuples))
+            and {len(layout)}.issuperset(map(len, tuples))
+        ):
             bad = next(
                 t for t in tuples
                 if type(t) is not tuple or len(t) != len(layout)
@@ -190,15 +205,14 @@ class Schema:
                 f"{bad!r} is not a tuple of the {len(layout)} values of "
                 f"layout {layout}"
             )
-        for attr in self._attributes:
-            position = layout.index(attr.name)
-            column = map(itemgetter(position), tuples)
-            for cls in set(map(type, column)):
+        for attr, accepted, value_of in self._columns:
+            for cls in set(map(type, map(value_of, tuples))) - accepted:
                 witness = next(
-                    t[position] for t in tuples if type(t[position]) is cls
+                    v for v in map(value_of, tuples) if type(v) is cls
                 )
                 if not attr.type.accepts(witness):
                     raise _misfit(attr, witness)
+                accepted.add(cls)
 
     def project(self, names: Iterable[str]) -> "Schema":
         """Return the sub-schema containing only ``names`` (in given order)."""

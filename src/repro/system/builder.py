@@ -351,10 +351,11 @@ class WarehouseSystem:
 
     def _build_integrator(self) -> None:
         cfg = self.config
-        kinds = {cfg.kind_for(d.name) for d in self.definitions}
         # Complete-N managers and merges close their blocks on the
         # integrator's markers and need a REL for every update.
-        complete_n = cfg.merge_algorithm == "complete-n" or "complete-n" in kinds
+        complete_n = ALGORITHMS[cfg.merge_algorithm] is CompleteNMerge or any(
+            manager.needs_block_markers for manager in self.view_managers.values()
+        )
         self.integrator = Integrator(
             self.sim,
             self.definitions,

@@ -100,7 +100,10 @@ _CLOCK_RULES = (
     ),
     (
         "wall",
-        lambda cfg: "periodic" in {cfg.manager_kind, *cfg.manager_kinds.values()},
+        lambda cfg: any(
+            MANAGERS[kind].needs_virtual_timers
+            for kind in {cfg.manager_kind, *cfg.manager_kinds.values()}
+        ),
         "periodic managers re-arm virtual timers and would "
         "spin under runtime {runtime!r}; use runtime='des'",
     ),

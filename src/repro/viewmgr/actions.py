@@ -2,8 +2,8 @@
 
 ``AL^x_j`` (paper §3.3) carries "the operations necessary to make view
 V_x consistent with the source state existing after U_j was performed".
-Here the operations are a signed-count :class:`Delta` plus an optional
-full-replacement flag (for periodic-refresh managers, §6.3).
+Here the operations are a signed-count :class:`Delta` or a full
+replacement of the view's contents (for periodic-refresh managers, §6.3).
 
 ``covered`` lists every update id the list accounts for: a complete
 manager covers exactly ``(j,)``; a strongly consistent manager may cover
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from repro.errors import ViewManagerError
 from repro.relational.delta import Delta
 from repro.relational.relation import Relation
-from repro.relational.rows import Row
 
 
 class ActionKind(enum.Enum):
@@ -35,15 +34,15 @@ class Action:
     view: str
     kind: ActionKind
     delta: Delta = Delta()
-    replacement: tuple[tuple[Row, int], ...] = ()
+    #: the new contents of a REPLACE; read-only, being shared with every
+    #: copy of the action
+    replacement: Relation = Relation()
 
     def apply_to(self, relation: Relation) -> None:
         if self.kind is ActionKind.APPLY_DELTA:
             self.delta.apply_to(relation)
         else:
-            relation.clear()
-            for row, count in self.replacement:
-                relation.insert(row, count)
+            relation.replace_all(self.replacement)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,12 +101,9 @@ class ActionList:
         covered: tuple[int, ...],
         rows: Relation,
     ) -> "ActionList":
-        """A full-view replacement (periodic refresh, §6.3)."""
-        action = Action(
-            view,
-            ActionKind.REPLACE,
-            replacement=tuple(sorted(rows.counts())),
-        )
+        """A full-view replacement (periodic refresh, §6.3); ``rows`` is
+        the caller's to give away."""
+        action = Action(view, ActionKind.REPLACE, replacement=rows)
         return cls(view, manager, covered[-1], covered, (action,))
 
     @property

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 from repro.errors import ViewManagerError
 from repro.messages import (
     ActionListMessage,
+    EndOfBlock,
     SnapshotQuery,
     SnapshotResponse,
     UpdateForView,
@@ -54,7 +55,6 @@ from repro.relational.expressions import ViewDefinition
 from repro.relational.plan import MaintenancePlan
 from repro.relational.predicates import Predicate
 from repro.relational.relation import Relation
-from repro.relational.rows import Row
 from repro.relational.schema import Schema
 from repro.sim.process import Process
 from repro.viewmgr.actions import ActionList
@@ -85,6 +85,11 @@ class ViewManager(Process):
     #: constructor keyword -> the ``SystemConfig`` field the builder fills
     #: it from (on top of the simulator, definition, schemas and wiring)
     config_args: dict[str, str] = {"mode": "manager_mode"}
+    #: re-arms virtual-time timers, which a wall-clock runtime cannot honour
+    needs_virtual_timers = False
+    #: closes its batches on the integrator's :class:`EndOfBlock` markers,
+    #: so the integrator must send them (and a REL for every update)
+    needs_block_markers = False
 
     def __init__(
         self,
@@ -154,23 +159,13 @@ class ViewManager(Process):
         """
         self._replica_filters = dict(filters)
 
-    def _row_admissible(self, relation: str, row: Row) -> bool:
-        predicate = self._replica_filters.get(relation)
-        return predicate is None or predicate.evaluate(row)
-
     def _filter_deltas(self, deltas: dict[str, Delta]) -> dict[str, Delta]:
-        if not self._replica_filters:
-            return deltas
-        return {
-            relation: Delta(
-                {
-                    row: count
-                    for row, count in delta.counts().items()
-                    if self._row_admissible(relation, row)
-                }
-            )
-            for relation, delta in deltas.items()
-        }
+        for relation, predicate in self._replica_filters.items():
+            delta = deltas.get(relation)
+            keep = compile_filter(predicate, delta.layout) if delta else None
+            if keep is not None:
+                deltas[relation] = Delta(keep(delta.tuple_counts()), delta.layout)
+        return deltas
 
     def install_cache(self, binding) -> None:
         """Attach a :class:`~repro.cache.artifacts.ViewCacheBinding`.
@@ -244,7 +239,7 @@ class ViewManager(Process):
             self._maybe_start()
         elif isinstance(message, SnapshotResponse):
             self._on_snapshot(message)
-        elif type(message).__name__ == "EndOfBlock":
+        elif isinstance(message, EndOfBlock):
             # Block markers are broadcast to every manager in complete-N
             # systems; only CompleteNViewManager acts on them (it overrides
             # handle), the rest ignore them.
@@ -313,24 +308,23 @@ class ViewManager(Process):
     def _build_pre_state(self, response: SnapshotResponse) -> Database:
         db = Database()
         for relation in sorted(self.definition.base_relations()):
-            counts = response.contents.get(relation)
-            if counts is None:
+            bag = response.contents.get(relation)
+            if bag is None:
                 # An absent relation is a malformed answer, not an empty
                 # relation: computing on would send a wrong action list.
                 raise ViewManagerError(
                     f"{self.name}: snapshot response {response.query_id} "
                     f"lacks base relation {relation!r}"
                 )
-            target = db.create_relation(relation, self.base_schemas[relation])
-            for row, count in counts.items():
-                target.insert(row, count)
+            schema = self.base_schemas[relation]
+            db.create_relation(
+                relation, schema, Relation.from_tuple_counts(*bag, schema)
+            )
         if self.mode == "compensate":
-            # Roll back every update that committed after our batch start,
-            # in reverse order, to reconstruct the pre-state.
-            for _update_id, update in sorted(
-                response.undo_updates, key=lambda pair: pair[0], reverse=True
-            ):
-                update.as_delta().negated().apply_to(db.relation(update.relation))
+            # Roll back every update that committed after our batch start
+            # (their net effect, negated) to reconstruct the pre-state.
+            later = updates_to_deltas(u for _id, u in response.undo_updates)
+            db.apply_deltas({r: delta.negated() for r, delta in later.items()})
         return db
 
     def enable_plan_profiling(self, profiler=None) -> None:

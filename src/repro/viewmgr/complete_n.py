@@ -14,19 +14,10 @@ manager never waits indefinitely on a quiet view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from repro.errors import ViewManagerError
-from repro.messages import UpdateForView
+from repro.messages import EndOfBlock, UpdateForView
 from repro.sim.process import Process
 from repro.viewmgr.base import ViewManager
-
-
-@dataclass(frozen=True, slots=True)
-class EndOfBlock:
-    """Integrator marker: every update with id <= ``through`` was numbered."""
-
-    block: int
-    through: int
 
 
 class CompleteNViewManager(ViewManager):
@@ -35,6 +26,7 @@ class CompleteNViewManager(ViewManager):
     kind = "complete-n"
     level = "complete-n"
     config_args = {**ViewManager.config_args, "n": "block_size"}
+    needs_block_markers = True
 
     def __init__(self, *args, n: int, **kwargs) -> None:
         """``n`` is the block size; the rest is :class:`ViewManager`'s."""

@@ -34,8 +34,9 @@ class ConvergentViewManager(ViewManager):
         self, covered: tuple[int, ...], view_delta: Delta
     ) -> list[ActionList]:
         """Deletions, then insertions, as two separately applied lists."""
-        deletions = Delta({row: -count for row, count in view_delta.deletions()})
-        insertions = Delta(dict(view_delta.insertions()))
+        counts, layout = view_delta.tuple_counts(), view_delta.layout
+        deletions = Delta({t: c for t, c in counts.items() if c < 0}, layout)
+        insertions = Delta({t: c for t, c in counts.items() if c > 0}, layout)
         parts = [part for part in (deletions, insertions) if part]
         # Nothing changed: still announce progress with one empty list,
         # like the others.

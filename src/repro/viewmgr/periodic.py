@@ -28,6 +28,7 @@ class PeriodicRefreshManager(ViewManager):
     kind = "periodic"
     level = "strong"
     config_args = {"period": "refresh_period"}
+    needs_virtual_timers = True
 
     def __init__(self, *args, period: float, **kwargs) -> None:
         """``period`` is the refresh interval; the rest is

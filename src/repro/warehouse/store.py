@@ -168,9 +168,7 @@ class ViewStore:
                         # Saved before the change: putting the old rows
                         # back is right however far a failing replace got.
                         saved = Action(
-                            action.view,
-                            ActionKind.REPLACE,
-                            replacement=tuple(target.counts()),
+                            action.view, ActionKind.REPLACE, replacement=target.copy()
                         )
                         undo.append((target, saved))
                         action.apply_to(target)

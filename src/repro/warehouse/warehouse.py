@@ -84,7 +84,7 @@ class WarehouseProcess(Process):
     def execution_time(self, txn: WarehouseTransaction) -> float:
         """Execution cost: fixed overhead plus per-changed-row work."""
         changed_rows = sum(
-            len(action.delta) + len(action.replacement)
+            len(action.delta) + action.replacement.distinct_count()
             for al in txn.action_lists
             for action in al.actions
         )

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.cache.keys import artifact_key, relation_digest
 from repro.cache.store import ArtifactStore, CacheConfig
 from repro.faults.plan import CrashSpec, FaultPlan
-from repro.relational.columnar import counts_to_rows, layout_of, rows_to_counts
+from repro.relational.columnar import counts_to_rows, layout_of
 from repro.relational.database import Database
 from repro.relational.delta import Delta
 from repro.relational.expressions import (
@@ -195,10 +195,7 @@ def _crash_and_restore(expr, initial, batches, crash_at, store):
     # -- crash: everything live is lost except the published artifact ----
     layouts = {name: layout_of(SCHEMAS[name].names) for name in SCHEMAS}
     replica_counts = {
-        name: (
-            layouts[name],
-            rows_to_counts(layouts[name], db.relation(name).counts_view()),
-        )
+        name: (layouts[name], dict(db.relation(name).columnar().counts_view()))
         for name in SCHEMAS
     }
     key = artifact_key(

@@ -77,7 +77,7 @@ class TestQueries:
         sim.run()
         _time, response = client.responses[0]
         assert response.version == 1
-        assert response.contents["R"] == {Row(A=0): 1, Row(A=1): 1}
+        assert response.contents["R"] == (("A",), {(0,): 1, (1,): 1})
 
     def test_historic_version_query(self, rig):
         sim, _service, client, driver = rig
@@ -92,7 +92,7 @@ class TestQueries:
         sim.run()
         response = client.responses[0][1]
         assert response.version == 1
-        assert Row(A=2) not in response.contents["R"]
+        assert response.contents["R"] == (("A",), {(0,): 1, (1,): 1})
 
     def test_future_version_query_deferred(self, rig):
         sim, service, client, driver = rig

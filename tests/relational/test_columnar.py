@@ -1,6 +1,6 @@
 """Unit tests for the columnar core and its row-dict facade contract.
 
-Covers the storage (ColumnarRelation / ColumnIndex / ColumnarDelta), the
+Covers the storage (ColumnarRelation / ColumnIndex), the
 compiled kernels (filters, projections, merges, aggregate folds), the
 facade hooks (Row.values_tuple, Relation.columnar), vectorized
 full evaluation, and the plan built from them against the two other
@@ -13,7 +13,6 @@ from repro.errors import ExpressionError, RelationError, SchemaError
 from repro.relational.algebra import evaluate
 from repro.relational.columnar import (
     AggregateKernel,
-    ColumnarDelta,
     ColumnarRelation,
     ColumnIndex,
     compile_filter,
@@ -23,7 +22,6 @@ from repro.relational.columnar import (
     evaluate_columnar,
     layout_of,
     make_key,
-    rows_to_counts,
 )
 from repro.relational.database import Database
 from repro.relational.delta import Delta
@@ -126,7 +124,9 @@ class TestColumnarRelation:
 
     def test_row_facade_round_trip(self):
         counts = {Row(A=1, B=2): 2, Row(A=3, B=4): 1}
-        table = ColumnarRelation(("A", "B"), rows_to_counts(("A", "B"), counts))
+        table = ColumnarRelation(
+            ("A", "B"), {row.values_tuple(("A", "B")): c for row, c in counts.items()}
+        )
         assert table.to_rows() == counts
 
 
@@ -155,30 +155,6 @@ class TestColumnIndex:
         table = ColumnarRelation(("A", "B"))
         assert table.index_on(("B",)) is table.index_on(("B",))
         assert isinstance(table.index_on(("B",)), ColumnIndex)
-
-
-class TestColumnarDelta:
-    def test_facade_round_trip(self):
-        delta = Delta({Row(A=1, B=2): 2, Row(A=3, B=4): -1})
-        cd = ColumnarDelta.from_delta(("A", "B"), delta)
-        assert cd.to_delta() == delta
-        assert len(cd) == 3
-
-    def test_zero_counts_dropped(self):
-        assert ColumnarDelta(("A",), {(1,): 0}).is_empty()
-
-    def test_combined_cancels(self):
-        a = ColumnarDelta(("A",), {(1,): 2})
-        b = ColumnarDelta(("A",), {(1,): -2, (2,): 1})
-        assert a.combined(b) == ColumnarDelta(("A",), {(2,): 1})
-
-    def test_apply_to_batches_through_validation(self):
-        table = ColumnarRelation(("A",), {(1,): 1})
-        ColumnarDelta(("A",), {(1,): -1, (5,): 2}).apply_to(table)
-        assert dict(table.counts_view()) == {(5,): 2}
-        with pytest.raises(RelationError):
-            ColumnarDelta(("A",), {(5,): -3}).apply_to(table)
-        assert dict(table.counts_view()) == {(5,): 2}
 
 
 class TestCompiledKernels:

@@ -5,12 +5,14 @@ for ANY supported expression over R(A,B), S(B,C) and ANY applicable mixed
 delta sequence,
 
 * ``evaluate_columnar`` equals the row-dict ``evaluate``;
-* the plan's propagated delta, through both ingestion paths (facade
-  ``propagate`` and all-tuple ``propagate_counts``), equals the stateless
-  ``propagate_delta`` AND the recompute difference — at every step of a
-  multi-batch sequence, so the columnar auxiliary state (aux
+* the plan's propagated delta, through both entries (``propagate`` with
+  ``Delta``s and ``propagate_counts`` with raw tuple mappings), equals the
+  stateless ``propagate_delta`` AND the recompute difference — at every
+  step of a multi-batch sequence, so the columnar auxiliary state (aux
   materializations, aggregate group states) is exercised after
-  advancing, not just from a fresh compile.
+  advancing, not just from a fresh compile;
+* a ``Delta`` built from rows and one built from the same bag's value
+  tuples are one value.
 
 Deterministic edge cases ride along: empty relations, all-delete deltas
 that empty the database, and duplicate-row multiplicities.
@@ -18,10 +20,12 @@ that empty the database, and duplicate-row multiplicities.
 
 from __future__ import annotations
 
+import pickle
+
 from hypothesis import given, settings, strategies as st
 
 from repro.relational.algebra import evaluate
-from repro.relational.columnar import ColumnarDelta, evaluate_columnar
+from repro.relational.columnar import evaluate_columnar
 from repro.relational.database import Database
 from repro.relational.delta import Delta
 from repro.relational.expressions import (
@@ -35,6 +39,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.plan import MaintenancePlan
 from repro.relational.predicates import compare
+from repro.relational.relation import Relation
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
 from tests.relational.oracle import assert_matches_oracles
@@ -162,14 +167,54 @@ def test_columnar_plan_equals_recompute_and_legacy(data):
         out = plan.propagate(deltas)
         assert_matches_oracles(expr, db, deltas, out)
         out_t = plan_t.propagate_counts({
-            name: ColumnarDelta.from_delta(SCHEMAS[name].names, delta).counts()
-            for name, delta in deltas.items()
+            name: dict(delta.tuple_counts()) for name, delta in deltas.items()
         })
-        assert out_t.to_delta() == out
+        assert out_t == out and hash(out_t) == hash(out)
         db.apply_deltas(deltas)
         db_t.apply_deltas(deltas)
         plan.advance()
         plan_t.advance()
+
+
+SIGNED_BAGS = st.dictionaries(
+    rows_for(("A", "B")), st.integers(min_value=-3, max_value=3), max_size=6
+)
+
+
+def as_tuples(bag: dict[Row, int]) -> dict[tuple, int]:
+    return {(row["A"], row["B"]): count for row, count in bag.items()}
+
+
+@given(bag=SIGNED_BAGS, other=SIGNED_BAGS)
+@settings(max_examples=150, deadline=None)
+def test_row_built_and_tuple_built_deltas_are_one_value(bag, other):
+    by_row, by_tuple = Delta(bag), Delta(as_tuples(bag), ("A", "B"))
+    assert by_row == by_tuple and hash(by_row) == hash(by_tuple)
+    assert len(by_row) == len(by_tuple) == sum(map(abs, bag.values()))
+    assert by_tuple.counts() == {row: c for row, c in bag.items() if c}
+    assert by_row.negated() == by_tuple.negated() == Delta(
+        {row: -c for row, c in bag.items()}
+    )
+    summed = {row: bag.get(row, 0) + other.get(row, 0) for row in {**bag, **other}}
+    assert (
+        by_row.combined(Delta(as_tuples(other), ("A", "B")))
+        == by_tuple.combined(Delta(other))
+        == Delta(summed)
+    )
+    for delta in (by_row, by_tuple):
+        copy = pickle.loads(pickle.dumps(delta))
+        assert copy == delta and copy.layout == delta.layout
+    # applied to a relation holding what the bag deletes, both leave the
+    # bag's insertions (and a relation lacking a row refuses both)
+    held = {row: -c for row, c in bag.items() if c < 0}
+    results = []
+    for delta in (by_row, by_tuple):
+        relation = Relation.from_counts(held, SCHEMAS["R"])
+        delta.apply_to(relation)
+        results.append(relation)
+    assert results[0] == results[1] == Relation.from_counts(
+        {row: c for row, c in bag.items() if c > 0}, SCHEMAS["R"]
+    )
 
 
 @given(data=st.data())

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SchemaError, SourceError
+from repro.errors import RelationError, SchemaError, SourceError
 from repro.relational.database import Database, VersionedDatabase
 from repro.relational.delta import Delta
 from repro.relational.relation import Relation
@@ -37,15 +37,27 @@ class TestDatabase:
 
     def test_a_row_that_does_not_fit_fails_before_anything_changes(self):
         vdb = two_relations()
-        bad = {
-            "R": Delta({Row(a=0): -1, Row(a=5): 1}),
-            "S": Delta({Row(b=0): -1, Row(b=1): 1, Row(zzz=1): 1}),
-        }
-        with pytest.raises(SchemaError):
-            vdb.commit(bad)
+        fine = Delta({Row(a=0): -1, Row(a=5): 1})
+        with pytest.raises(SchemaError):  # no delta holds two headings
+            vdb.commit({
+                "R": fine,
+                "S": Delta({Row(b=0): -1, Row(b=1): 1, Row(zzz=1): 1}),
+            })
+        misfits = [
+            Delta({(0,): -1, (1,): 1, ("1",): 1}, ("b",)),  # a value's class
+            Delta({(0,): -1, (1, 2): 1}, ("b",)),  # a tuple's arity
+            Delta({(0,): -1, (1,): 1}, ("zzz",)),  # the layout
+            Delta.insert(Row(zzz=1)),
+        ]
+        for bad in misfits:
+            with pytest.raises(SchemaError):
+                vdb.commit({"R": fine, "S": bad})
+        with pytest.raises(RelationError):  # found while applying: taken back
+            vdb.commit({"R": fine, "S": Delta({Row(b=1): 1, Row(b=7): -1})})
         assert vdb.version == 0
         assert db_contents(vdb.current) == db_contents(vdb.as_of(0))
         assert db_contents(vdb.current)["S"] == {Row(b=0): 1}
+        assert db_contents(vdb.current)["R"] == {Row(a=0): 1}
 
     def test_snapshot_is_frozen(self):
         db = Database()

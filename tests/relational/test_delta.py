@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RelationError
+from repro.errors import RelationError, SchemaError
 from repro.relational.algebra import evaluate
 from repro.relational.database import Database
 from repro.relational.delta import Delta, propagate_delta
@@ -67,6 +67,96 @@ class TestDelta:
     def test_equality_and_hash(self):
         assert Delta.insert(Row(a=1)) == Delta({Row(a=1): 1})
         assert hash(Delta.insert(Row(a=1))) == hash(Delta({Row(a=1): 1}))
+
+
+class TestTupleBuiltDelta:
+    """The same bag given as ``layout``-positioned value tuples."""
+
+    def test_row_built_equals_tuple_built(self):
+        by_row = Delta({Row(A=1, B=2): 2, Row(A=3, B=4): -1})
+        by_tuple = Delta({(1, 2): 2, (3, 4): -1}, ("A", "B"))
+        assert by_row == by_tuple and hash(by_row) == hash(by_tuple)
+        assert by_row.layout == by_tuple.layout == ("A", "B")
+        assert by_tuple.counts() == {Row(A=1, B=2): 2, Row(A=3, B=4): -1}
+        assert dict(by_row.tuple_counts()) == {(1, 2): 2, (3, 4): -1}
+        assert len(by_tuple) == 3
+        assert repr(by_row) == repr(by_tuple)
+        assert by_tuple != Delta({(1, 2): 2, (3, 4): -1}, ("A", "C"))
+
+    def test_zero_counts_dropped(self):
+        assert Delta({(1,): 0}, ("A",)).is_empty()
+        assert Delta({(1,): 0}, ("A",)) == Delta() == Delta({Row(B=1): 0})
+
+    def test_combined_cancels(self):
+        a = Delta({(1,): 2}, ("A",))
+        b = Delta({(1,): -2, (2,): 1}, ("A",))
+        assert a.combined(b) == Delta({(2,): 1}, ("A",)) == Delta.insert(Row(A=2))
+        assert a.combined(Delta()) == a == Delta().combined(a)
+        with pytest.raises(SchemaError):
+            a.combined(Delta.insert(Row(B=1)))
+
+    def test_apply_to_batches_through_validation(self):
+        relation = Relation(Schema(["A"]), [Row(A=1)])
+        index = relation.columnar().index_on(("A",))
+        Delta({(1,): -1, (5,): 2}, ("A",)).apply_to(relation)
+        assert relation.counts_view() == {Row(A=5): 2}
+        with pytest.raises(RelationError):
+            Delta({(7,): 1, (5,): -3}, ("A",)).apply_to(relation)
+        assert relation.counts_view() == {Row(A=5): 2}
+        assert dict(index.bucket(5)) == {(5,): 2} and not index.bucket(7)
+
+
+class TestMalformedDelta:
+    """A malformed delta fails typed: at construction what the delta alone
+    shows, at application what only the relation can tell."""
+
+    @pytest.mark.parametrize("count", [True, 1.5, 2.0, "1", None])
+    def test_a_count_that_is_not_an_int_is_refused_at_construction(self, count):
+        with pytest.raises(RelationError):
+            Delta({Row(a=1): count})
+        with pytest.raises(RelationError):
+            Delta({(1,): 1, (2,): count}, ("a",))
+
+    def test_rows_of_differing_headings_are_refused_at_construction(self):
+        with pytest.raises(SchemaError):
+            Delta({Row(a=1): 1, Row(b=2): 1})
+        with pytest.raises(SchemaError):
+            Delta({Row(a=1): 1, Row(a=2, b=2): -1})
+
+    @pytest.mark.parametrize(
+        "counts, layout",
+        [
+            pytest.param({(1,): 1}, ("a", "b"), id="short"),
+            pytest.param({(1, 2, 3): 1}, ("a", "b"), id="long"),
+            pytest.param({(1, "x"): 1}, ("a", "b"), id="str-in-int"),
+            pytest.param({(1, True): 1, (1, 2): -1}, ("a", "b"), id="bool-in-int"),
+            pytest.param({(1, 2): 1}, ("b", "a"), id="unsorted-layout"),
+            pytest.param({(1, 2): -1}, ("a", "c"), id="other-names"),
+            pytest.param({Row(a=1): 1}, None, id="row-missing-b"),
+            pytest.param({Row(a=1, b=2, c=3): -1}, None, id="row-extra-c"),
+        ],
+    )
+    def test_a_misfit_is_a_schema_error_at_apply_and_changes_nothing(
+        self, counts, layout
+    ):
+        relation = Relation(Schema(["a", "b"]), [Row(a=1, b=2)])
+        with pytest.raises(SchemaError):
+            Delta(counts, layout).apply_to(relation)
+        assert relation.counts_view() == {Row(a=1, b=2): 1}
+
+    def test_a_schemaless_relation_holds_one_heading(self):
+        relation = Relation(rows=[Row(a=1, b=2)])
+        for delta in (
+            Delta({(1,): 1}, ("a", "b")),
+            Delta({(1, 2): 1}, ("a", "c")),
+            Delta.insert(Row(a=1)),
+        ):
+            with pytest.raises(SchemaError):
+                delta.apply_to(relation)
+        assert relation.counts_view() == {Row(a=1, b=2): 1}
+        Delta().apply_to(relation)  # an empty delta fits anything
+        Delta({(1, 2): 1}, ("a", "b")).apply_to(relation)
+        assert relation.counts_view() == {Row(a=1, b=2): 2}
 
 
 def _db() -> Database:

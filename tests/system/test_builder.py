@@ -25,6 +25,7 @@ from repro.system.config import (
     SystemConfig,
 )
 from repro.viewmgr import MANAGERS
+from repro.viewmgr.complete_n import CompleteNViewManager
 from repro.viewmgr.strong import StrongViewManager
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
 from repro.workloads.schemas import (
@@ -145,6 +146,42 @@ class TestRegistries:
         system.run()
         assert system.check_mvc("strong").ok
         assert system.view_managers["V2"].action_lists_sent < 30  # it batched
+
+
+    def test_what_a_manager_needs_is_read_off_its_class(self, monkeypatch):
+        """Timers and block markers are declared by the manager class: a
+        kind registered under any name gets the clock rule and the
+        integrator's markers that ``periodic`` / ``complete-n`` get."""
+
+        class TickingManager(StrongViewManager):
+            kind = "ticking"
+            needs_virtual_timers = True
+
+        class BlockwiseManager(CompleteNViewManager):
+            kind = "blockwise"
+
+        monkeypatch.setitem(MANAGERS, "ticking", TickingManager)
+        monkeypatch.setitem(MANAGERS, "blockwise", BlockwiseManager)
+        SystemConfig(manager_kinds={"V1": "ticking"})
+        with pytest.raises(ReproError, match="re-arm virtual timers"):
+            SystemConfig(manager_kinds={"V1": "ticking"}, runtime="threads")
+        assert {
+            kind for kind, cls in MANAGERS.items() if cls.needs_virtual_timers
+        } == {"periodic", "ticking"}
+
+        def integrator(**kwargs):
+            config = SystemConfig(block_size=4, **kwargs)
+            return WarehouseSystem(
+                paper_world(), paper_views_example3(), config
+            ).integrator
+
+        assert integrator().block_size is None
+        for asks in ({"manager_kinds": {"V1": "blockwise"}},
+                     {"manager_kind": "complete-n"},
+                     {"merge_algorithm": "complete-n",
+                      "manager_kind": "complete-n"}):
+            assert integrator(**asks).block_size == 4, asks
+            assert integrator(**asks).send_empty_rels, asks
 
 
 class TestRequiredLevel:

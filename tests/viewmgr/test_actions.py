@@ -18,7 +18,7 @@ class TestAction:
 
     def test_replace(self):
         action = Action(
-            "V", ActionKind.REPLACE, replacement=((Row(a=7), 2),)
+            "V", ActionKind.REPLACE, replacement=Relation(rows=[Row(a=7)] * 2)
         )
         rel = Relation(rows=[Row(a=1)])
         action.apply_to(rel)

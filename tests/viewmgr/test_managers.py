@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import messages
 from repro.errors import ViewManagerError
 from repro.integrator.basedata import BaseDataService
 from repro.messages import ActionListMessage, NumberedUpdate, UpdateForView
@@ -258,6 +259,20 @@ class TestCompleteNManager:
         with pytest.raises(ViewManagerError):
             CompleteNViewManager(sim, VIEW, SCHEMAS, n=0)
 
+    def test_a_block_marker_is_told_by_its_class_not_its_name(self):
+        """Every manager is sent the markers and all but complete-N ignore
+        them; a message of another class that happens to be called
+        ``EndOfBlock`` is as unknown as any."""
+        assert EndOfBlock is messages.EndOfBlock
+        look_alike = type("EndOfBlock", (), {})()
+        sim, manager, merge, _service, driver = rig(StrongViewManager)
+        sim.schedule(0.0, driver.send, manager.name, EndOfBlock(1, 2))
+        sim.run()
+        assert merge.lists == [] and manager.idle()
+        sim.schedule(1.0, driver.send, manager.name, look_alike)
+        with pytest.raises(ViewManagerError, match="cannot handle EndOfBlock"):
+            sim.run()
+
 
 class TestPeriodicManager:
     def test_refresh_replaces_view(self):
@@ -270,7 +285,7 @@ class TestPeriodicManager:
         time, al = merge.lists[0]
         assert time >= 10.0
         assert al.actions[0].kind.value == "replace"
-        assert al.actions[0].replacement == ((Row(A=1, B=2, C=3), 1),)
+        assert al.actions[0].replacement.counts_view() == {Row(A=1, B=2, C=3): 1}
 
     def test_every_refresh_ships_the_recompute_oracle(self):
         sim, manager, merge, _service, driver = rig(
@@ -297,7 +312,7 @@ class TestPeriodicManager:
             expected = evaluate(VIEW.expression, truth)
             (action,) = action_list.actions
             assert action.kind.value == "replace"
-            assert dict(action.replacement) == dict(expected.counts())
+            assert action.replacement == expected
 
     def test_quiet_period_ships_nothing(self):
         sim, manager, merge, _service, _driver = rig(

@@ -155,7 +155,7 @@ class TestMalformedResponse:
         update = Update.insert("S", {"B": 2, "C": 7})
         driver.send(manager.name, UpdateForView(1, "V", (update,)))
         sim.run()  # the manager has asked query 1 and is waiting
-        without_s = SnapshotResponse(1, 0, {"R": {Row(A=1, B=2): 1}})
+        without_s = SnapshotResponse(1, 0, {"R": (("A", "B"), {(1, 2): 1})})
         driver.send(manager.name, without_s)
         with pytest.raises(
             ViewManagerError, match=r"vm:V: snapshot response 1 lacks .*'S'"

@@ -379,9 +379,13 @@ class TestFailedTransaction:
 
     def test_a_row_that_does_not_fit_the_schema_fails_before_any_change(self, store):
         store.apply(delta_txn(1, "V2", Delta.insert(Row(B=1)), 1), 1.0)
-        bad = Delta({Row(B=1): -1, Row(B=2): 1, Row(Z=3): 1})
-        with pytest.raises(SchemaError):
-            store.apply(delta_txn(2, "V2", bad, 2), 2.0)
+        for bad in (
+            Delta({(1,): -1, (2,): 1, ("3",): 1}, ("B",)),
+            Delta({(1,): -1, (2,): 1}, ("Z",)),
+            Delta({Row(Z=3): 1}),
+        ):
+            with pytest.raises(SchemaError):
+                store.apply(delta_txn(2, "V2", bad, 2), 2.0)
         assert live_contents(store)["V2"] == {Row(B=1): 1}
         assert len(store.commit_log) == 1
 
@@ -389,7 +393,9 @@ class TestFailedTransaction:
         store = ViewStore(V3_DEFS, SCHEMAS)
         store.apply(delta_txn(1, "V3", Delta.insert(Row(A=1), 2), 1), 1.0)
         half = Action(
-            "V3", ActionKind.REPLACE, replacement=((Row(A=5), 1), (Row(Z=1), 1))
+            "V3",
+            ActionKind.REPLACE,
+            replacement=Relation(rows=[Row(A=5), Row(A="x")]),
         )
         lists = (ActionList("V3", "m", 2, (2,), (half,)),)
         with pytest.raises(SchemaError):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check that repository documentation references resolve.
 
-Scans every tracked ``*.md`` file and verifies six kinds of reference:
+Scans every tracked ``*.md`` file and verifies seven kinds of reference:
 
 * **markdown links** — each relative ``[text](target)`` must point at an
   existing file (anchors and external ``http(s)``/``mailto`` links are
@@ -17,6 +17,11 @@ Scans every tracked ``*.md`` file and verifies six kinds of reference:
   ``README.md``, ``DESIGN.md``; the logs such as CHANGES.md name the past
   on purpose) every ``repro.<module>[.<attr>...]`` token must resolve by
   import + ``getattr``, so a deleted class can't stay documented;
+* **bare class names** — in the same documents, a code span that starts
+  with a CamelCase name (`` `Name` ``, `` `Name.attr` ``, `` `Name(...)` ``)
+  must start with a name some ``repro`` module defines or a builtin,
+  unless its sentence says the name is gone or it is one of the few
+  names that are not code of ours (``NOT_OURS``);
 * **configuration fields** — in the same documents plus
   ``EXPERIMENTS.md``, every keyword written inside a ``SystemConfig(...)``
   call, in prose or in a fenced block, must be a field of the live
@@ -52,6 +57,17 @@ _CLI = re.compile(r"python -m repro\s+([a-z][a-z-]*)")
 _DOTTED = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
 #: a last segment that makes the token a file name (``--out repro.json``)
 _FILE_SUFFIXES = frozenset({"json", "jsonl", "md", "py", "txt"})
+#: an inline code span, and the CamelCase name one may start with (capital
+#: first, a lower-case letter somewhere: ``LEVELS`` and ``V1`` are not names
+#: of classes)
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_CLASS_NAME = re.compile(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*(?=$|[.(\[])")
+#: where one sentence ends, and what a sentence about a deleted name says
+_SENTENCE_END = re.compile(r"(?<=[.!?;])\s+")
+_SAYS_GONE = re.compile(r"\b(gone|went|deleted|retired|removed|no longer)\b")
+#: CamelCase in a code span that is not code of ours: the paper's
+#: pseudo-code procedures and the star schema's fact table
+NOT_OURS = frozenset({"ProcessRow", "ApplyRows", "Sales"})
 #: the start of a configuration call, and a keyword at an argument's start
 _CONFIG_CALL = re.compile(r"\bSystemConfig\(")
 _KEYWORD = re.compile(r"\s*(\w+)\s*=(?!=)")
@@ -113,6 +129,49 @@ def names_checked(path: Path, root: Path) -> bool:
 def config_checked(path: Path, root: Path) -> bool:
     """Documents whose ``SystemConfig(...)`` calls a reader may copy."""
     return names_checked(path, root) or path == root / "EXPERIMENTS.md"
+
+
+def defined_names() -> frozenset[str]:
+    """Every name some ``repro`` module defines or imports, plus builtins."""
+    import builtins
+    import pkgutil
+
+    import repro
+
+    names = set(vars(builtins))
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):  # importing it runs the CLI
+            names.update(vars(importlib.import_module(info.name)))
+    return frozenset(names)
+
+
+def unknown_bare_names(text: str, defined: frozenset[str]) -> list[tuple[int, str]]:
+    """CamelCase names at the start of a code span that nothing defines.
+
+    Fenced blocks are executable examples (``tools/run_doc_snippets.py``
+    runs them) and are skipped; a sentence that says a name is gone may
+    name it.
+    """
+    prose, in_fence = [], False
+    for line in text.splitlines():
+        fence = bool(_FENCE.match(line.strip()))
+        prose.append("" if fence or in_fence else line)
+        in_fence ^= fence
+    unknown, lineno = [], 1
+    for paragraph in "\n".join(prose).split("\n\n"):
+        at = 0
+        for sentence in _SENTENCE_END.split(paragraph):
+            start = paragraph.index(sentence, at)
+            at = start + len(sentence)
+            if _SAYS_GONE.search(sentence):
+                continue
+            for span in _CODE_SPAN.finditer(sentence):
+                name = _CLASS_NAME.match(span[1])
+                if name and name[0] not in defined and name[0] not in NOT_OURS:
+                    line = lineno + paragraph.count("\n", 0, start + span.start())
+                    unknown.append((line, f"no repro module defines -> {name[0]}"))
+        lineno += paragraph.count("\n") + 2
+    return unknown
 
 
 def config_fields() -> frozenset[str]:
@@ -218,6 +277,7 @@ def main() -> int:
     sys.path.insert(0, str(root / "src"))
     subcommands = cli_subcommands()
     fields = config_fields()
+    defined = defined_names()
     from repro.runtime import RUNTIMES
 
     failures = 0
@@ -225,6 +285,8 @@ def main() -> int:
     for path in iter_markdown(root):
         checked += 1
         broken = broken_references(path, root, subcommands)
+        if names_checked(path, root):
+            broken += unknown_bare_names(path.read_text(), defined)
         if config_checked(path, root):
             text = path.read_text()
             broken += unknown_config_keywords(text, fields)
@@ -235,7 +297,7 @@ def main() -> int:
     if failures:
         print(f"\n{failures} broken reference(s) across {checked} markdown files")
         return 1
-    print(f"ok: all links, src/ paths, CLI commands, dotted names, "
+    print(f"ok: all links, src/ paths, CLI commands, dotted and bare names, "
           f"SystemConfig fields and runtime names resolve "
           f"({checked} markdown files)")
     return 0
