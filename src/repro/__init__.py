@@ -93,10 +93,9 @@ from repro.merge import (
     shard_view_groups,
 )
 from repro.consistency import (
-    check_mvc_complete,
-    check_mvc_convergent,
-    check_mvc_strong,
-    classify_mvc,
+    Replay,
+    check_mvc_ordered,
+    classify_mvc_ordered,
     replay_source_states,
 )
 from repro.obs import (
@@ -109,7 +108,7 @@ from repro.obs import (
     write_timeline,
     write_trace,
 )
-from repro.cache import ArtifactStore, CacheConfig, CacheServer, artifact_key
+from repro.cache import ArtifactStore, CacheConfig, artifact_key
 from repro.conformance import (
     Explorer,
     Reproducer,
@@ -194,10 +193,9 @@ __all__ = [
     "shard_view_groups",
     # consistency
     "replay_source_states",
-    "check_mvc_complete",
-    "check_mvc_strong",
-    "check_mvc_convergent",
-    "classify_mvc",
+    "Replay",
+    "check_mvc_ordered",
+    "classify_mvc_ordered",
     # observability
     "Lineage",
     "UpdateLineage",
@@ -210,7 +208,6 @@ __all__ = [
     # cache
     "ArtifactStore",
     "CacheConfig",
-    "CacheServer",
     "artifact_key",
     # conformance
     "ScenarioSpec",

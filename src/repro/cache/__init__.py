@@ -19,10 +19,6 @@ store:
   bindings that hook the store into view managers (seed artifacts +
   per-message crash checkpoints) and merge processes (durable
   :class:`~repro.merge.process.MergeCheckpoint` s).
-* :mod:`repro.cache.server` — an in-process :class:`CacheServer` actor
-  serving gets/puts over the simulator's channel layer, so merge shards
-  and freshly spawned replicas can fetch each other's artifacts without
-  a shared filesystem.
 
 Wire it through ``SystemConfig(cache=CacheConfig(...))``; recovery falls
 back to the PR-1 replay path on any miss or digest mismatch.  See
@@ -36,12 +32,10 @@ from repro.cache.keys import (
     relation_digest,
 )
 from repro.cache.store import ArtifactStore, CacheConfig
-from repro.cache.server import CacheServer
 
 __all__ = [
     "ArtifactStore",
     "CacheConfig",
-    "CacheServer",
     "advance_digest",
     "artifact_key",
     "canon_bytes",

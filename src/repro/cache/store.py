@@ -55,8 +55,7 @@ class CacheConfig:
     path to share artifacts across systems (warm restart).
     ``checkpoint_views`` restricts per-message crash checkpointing to the
     named views (``None`` = every cached-mode view); seed artifacts are
-    always published.  ``server`` additionally wires an in-process
-    :class:`~repro.cache.server.CacheServer` actor into the system.
+    always published.
     ``stale_refs`` is a fault-injection knob for the conformance suite:
     ref updates lag one publish behind, modelling a lost ref write — the
     artifact a restart then finds is *valid but stale*, which the oracle
@@ -67,7 +66,6 @@ class CacheConfig:
     max_bytes: int | None = None
     max_artifacts: int | None = None
     namespace: str = "default"
-    server: bool = True
     checkpoint_views: tuple[str, ...] | None = None
     stale_refs: bool = False
 

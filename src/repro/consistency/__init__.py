@@ -16,27 +16,25 @@ sequences and says whether (and how) they correspond:
 * single-view **completeness** — strong, plus every source state is
   reflected (the view walks through *all* of ``V(ss_0) .. V(ss_f)``);
 * the **MVC** variants of each — identical definitions with the per-view
-  equality ``=`` replaced by the all-views-at-once equality ``≈`` (§2.3).
+  equality ``=`` replaced by the all-views-at-once equality ``≈`` (§2.3),
+  which makes a joint verdict a conjunction of per-view facts over one
+  replayed schedule: :class:`Replay` walks a finished run once and every
+  scope (one view, a pair, a shard, the fleet) is read off it.
 
 The checkers are the oracles for the whole test suite: SPA runs must be
 MVC-complete, PA runs MVC-strongly-consistent, pass-through runs
 MVC-convergent — for *any* message interleaving.
 """
 
-from repro.consistency.states import replay_source_states, source_view_values
+from repro.consistency.states import replay_source_states
 from repro.consistency.checker import (
     ConsistencyReport,
     check_complete,
     check_convergent,
     check_strong,
 )
-from repro.consistency.mvc import (
-    check_mvc_complete,
-    check_mvc_convergent,
-    check_mvc_strong,
-    classify_mvc,
-)
 from repro.consistency.ordered import (
+    Replay,
     check_mvc_ordered,
     classify_mvc_ordered,
     reconstruct_schedule,
@@ -44,15 +42,11 @@ from repro.consistency.ordered import (
 
 __all__ = [
     "replay_source_states",
-    "source_view_values",
     "ConsistencyReport",
     "check_convergent",
     "check_strong",
     "check_complete",
-    "check_mvc_convergent",
-    "check_mvc_strong",
-    "check_mvc_complete",
-    "classify_mvc",
+    "Replay",
     "check_mvc_ordered",
     "classify_mvc_ordered",
     "reconstruct_schedule",

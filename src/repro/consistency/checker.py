@@ -131,17 +131,3 @@ def check_complete(
         f"warehouse walked through {len(ws)} distinct states, source "
         f"through {len(ss)}",
     )
-
-
-def strongest_level(
-    warehouse_values: Sequence[object],
-    source_values: Sequence[object],
-) -> str:
-    """Classify a run: 'complete' > 'strong' > 'convergent' > 'inconsistent'."""
-    if check_complete(warehouse_values, source_values):
-        return "complete"
-    if check_strong(warehouse_values, source_values):
-        return "strong"
-    if check_convergent(warehouse_values, source_values):
-        return "convergent"
-    return "inconsistent"

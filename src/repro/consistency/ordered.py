@@ -1,85 +1,276 @@
-"""Order-aware MVC checkers.
+"""One replay of a finished run; every scope's verdict is read off it.
 
 The painting algorithms may apply independent updates out of numbering
-order ("some actions corresponding to later updates may be applied before
-actions for earlier ones, provided that those updates do not affect the
-same views" — §4.1).  The §2 definitions cover this: consistency is judged
-against *a* consistent source state sequence, i.e. the state sequence of
-**any** serial schedule equivalent to the real one.
+order (§4.1), and §2 judges consistency against the state sequence of
+**any** serial schedule equivalent to the real one.  §2.3 gets MVC from
+the single-view definitions by "replacing = by ≈": views are mutually
+consistent at a warehouse state exactly when *each* equals its definition
+on the *same* source state.  Over one replayed schedule the verdict for
+any set of views is therefore a conjunction of per-view facts, and
+:class:`Replay` gathers them in two passes (``docs/consistency.md``):
 
-These checkers therefore
+* over the schedule ``R`` the warehouse applied (each transaction's
+  covered update ids, concatenated), which must be conflict-equivalent to
+  the commit schedule ``S``: updates touching a common base relation in
+  numbering order, cross-relation ones commute.  What breaks that counts
+  against the views over the relation, so a scope only answers for what
+  it reads;
+* over ``S`` in numbering order, for each view's source value sequence.
+  Its last element decides the final comparison, which catches an unsound
+  relevance filter: updates missing from ``R`` must have been
+  value-invisible for the final states to agree.
 
-1. reconstruct the application schedule ``R`` from the warehouse history
-   (the concatenation of each transaction's covered update ids);
-2. verify ``R`` is conflict-equivalent to the commit schedule ``S`` —
-   sufficient condition: updates touching a common base relation appear in
-   their original numbering order (same-relation updates never commute
-   conservatively; cross-relation ones always do);
-3. replay ``R`` over the initial base state and require each warehouse
-   state vector to equal the evaluated views at its cumulative prefix;
-4. require the final warehouse state to equal the evaluation at the full
-   schedule ``S`` — this also catches an unsound relevance filter, since
-   updates missing from ``R`` (never routed to any view) must be
-   value-invisible for the final states to agree.
-
-Completeness additionally requires every applied transaction to advance
-the warehouse by at most one update *relevant to the checked views* (no
-batching of visible changes, no skipped states).  Relevance matters when
-checking a **subset** of the views (the conformance engine checks view
-pairs): a transaction from another merge group may legally batch several
-updates, but since those touch none of the checked views' base relations
-they are value-invisible here and do not break the checked views'
-walk through every source state.
+The cost is two ``evaluate`` calls per (update, view over a relation it
+touches) plus one per view for ``ss_0``, however many scopes are asked
+about afterwards.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
-from repro.consistency.checker import ConsistencyReport
+from repro.consistency.checker import (
+    ConsistencyReport,
+    check_complete,
+    check_convergent,
+    check_strong,
+)
+from repro.consistency.states import scratch_copy
+from repro.errors import ReproError, WarehouseError
+from repro.merge.selection import CHECKED_LEVELS, achieved_level
 from repro.relational.algebra import evaluate
 from repro.relational.database import Database
 from repro.relational.expressions import ViewDefinition
+from repro.relational.relation import Relation
 from repro.sources.transactions import SourceTransaction
 from repro.warehouse.store import WarehouseState
+
+_OUT_OF_ORDER = "updates U{} and U{} both touch {!r} but were applied out of order"
+
+#: the §2.2 definition of each checked level, over one view's two sequences
+_SINGLE_VIEW = dict(
+    zip(CHECKED_LEVELS, (check_complete, check_strong, check_convergent))
+)
 
 
 def reconstruct_schedule(history: Sequence[WarehouseState]) -> list[int]:
     """``R``: update ids in warehouse application order."""
-    schedule: list[int] = []
-    for state in history:
-        schedule.extend(state.covered_rows)
-    return schedule
+    return [update_id for state in history for update_id in state.covered_rows]
 
 
-def _conflict_order_ok(
-    schedule: Sequence[int],
-    transactions: Mapping[int, SourceTransaction],
-) -> str | None:
-    """Check same-relation updates keep numbering order; None if ok."""
-    last_seen: dict[str, int] = {}
-    for update_id in schedule:
-        for relation in transactions[update_id].relations:
-            previous = last_seen.get(relation)
-            if previous is not None and previous > update_id:
-                return (
-                    f"updates U{previous} and U{update_id} both touch "
-                    f"{relation!r} but were applied out of order"
-                )
-            last_seen[relation] = update_id
-    return None
+class Replay:
+    """The facts of one finished run that every consistency verdict needs.
 
+    ``source_values[view]`` and ``warehouse_values[view]`` are the view's
+    collapsed value sequences (``V(ss_0) .. V(ss_f)`` in numbering order,
+    and its contents over ``history``).  ``diverged[view]`` is the first
+    history position, with the reason, from which the view no longer
+    follows a legal schedule: it differs from its definition over the
+    replayed prefix, or an update on one of its relations was unknown,
+    applied twice, out of order, or could not be applied.
+    """
 
-def _evaluate_views(
-    state: Database, definitions: Sequence[ViewDefinition]
-) -> tuple:
-    return tuple(evaluate(d.expression, state) for d in definitions)
+    def __init__(
+        self,
+        history: Sequence[WarehouseState],
+        initial: Database,
+        numbered: Sequence[tuple[int, SourceTransaction, float]],
+        definitions: Sequence[ViewDefinition],
+    ) -> None:
+        self._expressions = {d.name: d.expression for d in definitions}
+        self._relations = {d.name: d.base_relations() for d in definitions}
+        self._views_over: dict[str, list[str]] = {}
+        for name, relations in self._relations.items():
+            for relation in relations:
+                self._views_over.setdefault(relation, []).append(name)
+        self._empty = not history
+        # record_history=False keeps ws_0 and the latest state only.
+        gaps = (s.index for at, s in enumerate(history) if s.index != at)
+        self._gap = next(gaps, None)
+        transactions = {update_id: txn for update_id, txn, _time in numbered}
+        start = self._evaluate_over(self._views_over, initial)
 
+        self.source_values = {name: [value] for name, value in start.items()}
+        source = scratch_copy(initial)
+        for update_id in sorted(transactions):
+            txn = transactions[update_id]
+            source.apply_deltas(txn.deltas())
+            for name, value in self._evaluate_over(txn.relations, source).items():
+                if value != self.source_values[name][-1]:
+                    self.source_values[name].append(value)
 
-def _warehouse_vector(
-    state: WarehouseState, definitions: Sequence[ViewDefinition]
-) -> tuple:
-    return tuple(state.view(d.name) for d in definitions)
+        self._walk(history, transactions, scratch_copy(initial), start)
+        self.final_ok = {
+            name: bool(values) and values[-1] == self.source_values[name][-1]
+            for name, values in self.warehouse_values.items()
+        }
+
+    def _evaluate_over(
+        self, relations: Iterable[str], state: Database
+    ) -> dict[str, Relation]:
+        """The views a change to ``relations`` can move, evaluated on ``state``."""
+        views = {v for r in relations for v in self._views_over.get(r, ())}
+        return {name: evaluate(self._expressions[name], state) for name in views}
+
+    def _off_schedule(self, relations: Iterable[str], at: int, reason: str) -> None:
+        for relation in relations:
+            for name in self._views_over.get(relation, ()):
+                self.diverged.setdefault(name, (at, reason))
+
+    def _walk(
+        self,
+        history: Sequence[WarehouseState],
+        transactions: dict[int, SourceTransaction],
+        replayed: Database,
+        expected: dict[str, Relation],
+    ) -> None:
+        """``R``: every update goes into one scratch state at its first
+        occurrence, only the views over its relations are re-evaluated, and
+        a view is compared (exactly) with its expectation only where it was
+        written or the expectation moved."""
+        self.warehouse_values: dict[str, list[Relation]] = {
+            name: [] for name in self._expressions
+        }
+        self.diverged: dict[str, tuple[int, str]] = {}
+        # What a scope re-examines against its own relations: updates over
+        # several relations, and transactions covering several updates.
+        self._spanning: list[tuple[int, frozenset[str]]] = []
+        self._batches: list[tuple[int, int, list[frozenset[str]]]] = []
+        seen: set[int] = set()
+        last_seen: dict[str, int] = {}
+        previous: dict[str, Relation] = {}
+        for at, state in enumerate(history):
+            covered = []
+            moved: set[str] = set()
+            for update_id in state.covered_rows:
+                where = f"update U{update_id} of warehouse state #{state.index}"
+                txn = transactions.get(update_id)
+                if txn is None:  # it may touch anything
+                    self._off_schedule(self._views_over, at, f"{where} is unknown")
+                    continue
+                covered.append(txn.relations)
+                if update_id in seen:
+                    self._off_schedule(txn.relations, at, f"{where} was applied twice")
+                    continue
+                seen.add(update_id)
+                if len(txn.relations) > 1:
+                    self._spanning.append((update_id, txn.relations))
+                for relation, delta in txn.deltas().items():
+                    earlier = last_seen.get(relation, update_id)
+                    last_seen[relation] = update_id
+                    if earlier > update_id:
+                        reason = _OUT_OF_ORDER.format(earlier, update_id, relation)
+                        self._off_schedule([relation], at, reason)
+                    try:
+                        replayed.apply_delta(relation, delta)
+                    except ReproError as error:
+                        self._off_schedule(
+                            [relation], at,
+                            f"{where} cannot be applied to the replayed "
+                            f"{relation!r}: {error}",
+                        )
+                fresh = self._evaluate_over(txn.relations, replayed)
+                expected.update(fresh)
+                moved.update(fresh)
+            if len(covered) > 1:
+                self._batches.append((at, state.txn_id, covered))
+            for name, values in self.warehouse_values.items():
+                value = state.view(name)
+                # A relation shared with the state before was not written;
+                # if its expectation did not move either, the comparison
+                # made there still stands.
+                written = value is not previous.get(name)
+                previous[name] = value
+                if written and (not values or values[-1] != value):
+                    values.append(value)
+                if (written or name in moved) and value != expected[name]:
+                    self.diverged.setdefault(
+                        name,
+                        (at, f"view {name!r} at warehouse state #{state.index} "
+                         f"(after txn {state.txn_id}) does not match its "
+                         f"definition over the replayed schedule prefix"),
+                    )
+
+    # -- verdicts --------------------------------------------------------------
+    def _scope(self, level: str, views: Iterable[str] | None) -> tuple[str, ...]:
+        if level not in CHECKED_LEVELS:
+            raise ReproError(f"unknown MVC level {level!r}")
+        if level != "convergent" and self._gap is not None:
+            raise WarehouseError(
+                f"history jumps to warehouse state #{self._gap}: {level!r} "
+                f"needs every state, i.e. a run with record_history=True"
+            )
+        return tuple(self._expressions if views is None else views)
+
+    def check(
+        self, level: str, views: Iterable[str] | None = None
+    ) -> ConsistencyReport:
+        """The joint (§2.3) verdict for ``views`` (default: all) at ``level``."""
+        reason = self._broken(level, self._scope(level, views))
+        return ConsistencyReport(reason is None, f"mvc-{level}", reason or "")
+
+    def check_view(self, view: str, level: str) -> ConsistencyReport:
+        """The single-view (§2.2) verdict on the view's two value sequences."""
+        self._scope(level, (view,))
+        sequences = self.warehouse_values[view], self.source_values[view]
+        return _SINGLE_VIEW[level](*sequences)
+
+    def classify(self, views: Iterable[str] | None = None) -> str:
+        """The strongest level ``views`` (default: all) jointly achieved."""
+        return achieved_level(lambda level: self.check(level, views))
+
+    def classify_view(self, view: str) -> str:
+        """The strongest single-view level ``view`` achieved."""
+        return achieved_level(lambda level: self.check_view(view, level))
+
+    def _broken(self, level: str, views: tuple[str, ...]) -> str | None:
+        """Why ``views`` are not jointly ``level``; None when they are."""
+        if self._empty:
+            return "empty warehouse history"
+        if level != "convergent":
+            relations = frozenset().union(*(self._relations[v] for v in views))
+            reason = self._spanning_disorder(relations)
+            if reason is not None:
+                return reason
+            at, reason = min(
+                (self.diverged[v] for v in views if v in self.diverged),
+                default=(None, None),
+            )
+            # Completeness: one source state per warehouse state, so no
+            # transaction up to there may carry two updates the views see
+            # (one of another merge group may batch what they cannot).
+            for batch, txn_id, covered in self._batches if level == "complete" else ():
+                if reason is not None and batch > at:
+                    break
+                relevant = sum(not r.isdisjoint(relations) for r in covered)
+                if relevant > 1:
+                    return (
+                        f"transaction {txn_id} advances the checked views "
+                        f"by {relevant} updates; completeness requires "
+                        f"one source state per warehouse state"
+                    )
+            if reason is not None:
+                return reason
+        stale = [v for v in views if not self.final_ok[v]]
+        if stale:
+            return (
+                f"final warehouse state of {stale} does not reflect the final "
+                f"source state (a skipped update was not value-invisible)"
+            )
+        return None
+
+    def _spanning_disorder(self, relations: frozenset[str]) -> str | None:
+        """Two updates a scope reading ``relations`` sees may also meet in
+        a relation it does not read; only updates over several can."""
+        last_seen: dict[str, int] = {}
+        for update_id, touched in self._spanning:
+            if not touched.isdisjoint(relations):
+                for relation in touched:
+                    earlier = last_seen.get(relation, update_id)
+                    last_seen[relation] = update_id
+                    if earlier > update_id:
+                        return _OUT_OF_ORDER.format(earlier, update_id, relation)
+        return None
 
 
 def check_mvc_ordered(
@@ -89,97 +280,8 @@ def check_mvc_ordered(
     definitions: Sequence[ViewDefinition],
     level: str = "strong",
 ) -> ConsistencyReport:
-    """Verify MVC at ``level`` ("strong" or "complete") against schedule R."""
-    transactions = {update_id: txn for update_id, txn, _time in numbered}
-    schedule = reconstruct_schedule(history)
-    label = f"mvc-{level}"
-    checked_relations = frozenset().union(
-        *(frozenset(d.base_relations()) for d in definitions)
-    )
-
-    unknown = [u for u in schedule if u not in transactions]
-    if unknown:
-        return ConsistencyReport(
-            False, label, f"warehouse applied unknown updates {unknown}"
-        )
-    # Transactions from other merge groups (§6.1 sharding) may cover
-    # updates touching none of the checked views' base relations — e.g. a
-    # convergent shard splitting a modify across two warehouse
-    # transactions.  Those updates are value-invisible to the checked
-    # views, so they are excluded from the order checks and the replay
-    # (the completeness walk below already filters the same way).
-    visible = [
-        u
-        for u in schedule
-        if not checked_relations.isdisjoint(transactions[u].relations)
-    ]
-    if len(set(visible)) != len(visible):
-        return ConsistencyReport(
-            False, label, f"some update applied twice in schedule {visible}"
-        )
-    reason = _conflict_order_ok(visible, transactions)
-    if reason is not None:
-        return ConsistencyReport(False, label, reason)
-
-    # Replay R prefix by prefix and compare against each warehouse state.
-    scratch = initial.snapshot()
-    scratch._frozen = False
-    if not history:
-        return ConsistencyReport(False, label, "empty warehouse history")
-    if _warehouse_vector(history[0], definitions) != _evaluate_views(
-        scratch, definitions
-    ):
-        return ConsistencyReport(
-            False, label, "initial warehouse state does not reflect ss_0"
-        )
-    applied = 0
-    for state in history[1:]:
-        if level == "complete":
-            relevant = [
-                u
-                for u in state.covered_rows
-                if not checked_relations.isdisjoint(transactions[u].relations)
-            ]
-            if len(relevant) > 1:
-                return ConsistencyReport(
-                    False,
-                    label,
-                    f"transaction {state.txn_id} advances the checked views "
-                    f"by {len(relevant)} updates; completeness requires "
-                    f"one source state per warehouse state",
-                )
-        for update_id in state.covered_rows:
-            if checked_relations.isdisjoint(transactions[update_id].relations):
-                continue  # value-invisible (see the `visible` filter above)
-            scratch.apply_deltas(transactions[update_id].deltas())
-            applied += 1
-        expected = _evaluate_views(scratch, definitions)
-        got = _warehouse_vector(state, definitions)
-        if got != expected:
-            return ConsistencyReport(
-                False,
-                label,
-                f"warehouse state #{state.index} (after txn {state.txn_id}, "
-                f"{applied} updates applied) does not match the replayed "
-                f"schedule prefix",
-            )
-
-    # Final check against the *full* commit schedule: updates never applied
-    # at the warehouse must have been value-invisible.
-    full = initial.snapshot()
-    full._frozen = False
-    for update_id in sorted(transactions):
-        full.apply_deltas(transactions[update_id].deltas())
-    if _warehouse_vector(history[-1], definitions) != _evaluate_views(
-        full, definitions
-    ):
-        return ConsistencyReport(
-            False,
-            label,
-            "final warehouse state does not reflect the final source state "
-            "(a skipped update was not value-invisible)",
-        )
-    return ConsistencyReport(True, label)
+    """Verify MVC at ``level`` against the schedule ``history`` applied."""
+    return Replay(history, initial, numbered, definitions).check(level)
 
 
 def classify_mvc_ordered(
@@ -189,17 +291,4 @@ def classify_mvc_ordered(
     definitions: Sequence[ViewDefinition],
 ) -> str:
     """Strongest level achieved: complete > strong > convergent > inconsistent."""
-    if check_mvc_ordered(history, initial, numbered, definitions, "complete"):
-        return "complete"
-    if check_mvc_ordered(history, initial, numbered, definitions, "strong"):
-        return "strong"
-    # Convergence: final state only.
-    full = initial.snapshot()
-    full._frozen = False
-    for _update_id, txn, _time in sorted(numbered):
-        full.apply_deltas(txn.deltas())
-    if history and _warehouse_vector(history[-1], definitions) == _evaluate_views(
-        full, definitions
-    ):
-        return "convergent"
-    return "inconsistent"
+    return Replay(history, initial, numbered, definitions).classify()

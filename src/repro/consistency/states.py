@@ -11,13 +11,17 @@ numbering that every VUT row, action list and warehouse transaction uses.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from repro.relational.algebra import evaluate
 from repro.relational.database import Database
-from repro.relational.expressions import ViewDefinition
-from repro.relational.relation import Relation
 from repro.sources.transactions import SourceTransaction
+
+
+def scratch_copy(initial: Database) -> Database:
+    """A private copy of ``initial`` to mutate step by step."""
+    scratch = initial.snapshot()
+    scratch._frozen = False
+    return scratch
 
 
 def replay_source_states(
@@ -26,23 +30,11 @@ def replay_source_states(
 ) -> list[Database]:
     """``ss_0 .. ss_f``: snapshots after each transaction, in given order."""
     states = [initial.snapshot()]
-    current = initial.snapshot()
-    current._frozen = False  # a private scratch copy we mutate step by step
+    current = scratch_copy(initial)
     for transaction in transactions:
         current.apply_deltas(transaction.deltas())
         states.append(current.snapshot())
     return states
-
-
-def source_view_values(
-    states: Sequence[Database],
-    definitions: Sequence[ViewDefinition],
-) -> list[dict[str, Relation]]:
-    """``V(ss_i)`` for every view and source state."""
-    return [
-        {d.name: evaluate(d.expression, state) for d in definitions}
-        for state in states
-    ]
 
 
 def collapse_consecutive(values: Sequence[object]) -> list[object]:

@@ -14,7 +14,7 @@ conformance oracle and the sweep all call it.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.errors import MergeError
 from repro.merge.base import MergeAlgorithm
@@ -72,6 +72,17 @@ def client_level(level: str) -> str | None:
     if level == "broken":
         return None
     return "strong" if level == "complete-n" else level
+
+
+#: the levels a finished run is checked at, strongest first: the declared
+#: ones a client may rely on as they stand.
+CHECKED_LEVELS = tuple(level for level in LEVELS if client_level(level) == level)
+
+
+def achieved_level(holds: Callable[[str], object]) -> str:
+    """The strongest checked level for which ``holds(level)`` is true, or
+    ``"inconsistent"``, the rank below them all."""
+    return next((level for level in CHECKED_LEVELS if holds(level)), "inconsistent")
 
 
 def delivered_level(algorithm: MergeAlgorithm, policy: SubmissionPolicy) -> str:

@@ -28,15 +28,8 @@ import shutil
 import tempfile
 
 from repro.cache.artifacts import SystemCacheBinding
-from repro.cache.server import CacheServer
 from repro.cache.store import ArtifactStore
-from repro.consistency import (
-    check_mvc_convergent,
-    check_mvc_ordered,
-    classify_mvc_ordered,
-    replay_source_states,
-)
-from repro.consistency.checker import ConsistencyReport
+from repro.consistency import ConsistencyReport, Replay, replay_source_states
 from repro.errors import FaultError, ReproError
 from repro.integrator.basedata import BaseDataService
 from repro.integrator.integrator import Integrator
@@ -97,7 +90,6 @@ class WarehouseSystem:
         self._initial_state = world.current.snapshot()
         self._owned_cache_root: str | None = None
         self.cache_store: ArtifactStore | None = None
-        self.cache_server: CacheServer | None = None
         self._cache_binding: SystemCacheBinding | None = None
         if self.config.cache is not None:
             cache_cfg = self.config.cache
@@ -226,16 +218,6 @@ class WarehouseSystem:
         self.coordinator = GlobalTransactionCoordinator(self.sim, self.world)
         self._connect(self.coordinator, self.integrator, _HOP_LATENCY)
 
-        # Cache server: fronts the artifact store over the channel layer
-        # so merge shards and freshly spawned replicas can fetch each
-        # other's artifacts without a shared filesystem (local restores
-        # still read the store directly — it is just a directory).
-        if self._cache_binding is not None and cfg.cache.server:
-            self.cache_server = CacheServer(self.sim, self.cache_store)
-            for peer in (*self.merge_processes, *self.view_managers.values()):
-                self._connect(peer, self.cache_server, 0.0)
-                self._connect(self.cache_server, peer, 0.0)
-
         # Process registry (used by fault plans and diagnostics).
         processes = (
             self.warehouse,
@@ -245,7 +227,6 @@ class WarehouseSystem:
             *self.merge_processes,
             *self.view_managers.values(),
             *self.sources.values(),
-            *((self.cache_server,) if self.cache_server is not None else ()),
         )
         self.processes: dict[str, Process] = {p.name: p for p in processes}
 
@@ -490,37 +471,28 @@ class WarehouseSystem:
             [txn for _id, txn, _time in self.integrator.numbered],
         )
 
+    def replay(self) -> Replay:
+        """The finished run replayed once; every scope's verdict is read
+        off the result (``check_mvc``, ``classify``, the conformance oracle)."""
+        return Replay(
+            self.history, self._initial_state, self.integrator.numbered,
+            self.definitions,
+        )
+
     def check_mvc(self, level: str = "auto") -> ConsistencyReport:
         """Check the run against an MVC level (or the expected one).
 
-        "complete" and "strong" use the order-aware checker (the painting
-        algorithms may legally reorder commuting updates); "convergent"
-        compares final states.
+        "complete" and "strong" follow the schedule the warehouse applied
+        (the painting algorithms may legally reorder commuting updates)
+        and need ``record_history``; "convergent" compares final states.
         """
         if level == "auto":
             level = self.expected_level()
-        if level in ("complete", "strong"):
-            return check_mvc_ordered(
-                self.history,
-                self._initial_state,
-                self.integrator.numbered,
-                self.definitions,
-                level,
-            )
-        if level == "convergent":
-            return check_mvc_convergent(
-                self.history, self.source_states(), self.definitions
-            )
-        raise ReproError(f"unknown MVC level {level!r}")
+        return self.replay().check(level)
 
     def classify(self) -> str:
         """The strongest MVC level this run actually achieved."""
-        return classify_mvc_ordered(
-            self.history,
-            self._initial_state,
-            self.integrator.numbered,
-            self.definitions,
-        )
+        return self.replay().classify()
 
     def expected_level(self) -> str:
         """The MVC level the configuration promises: the weakest its merge

@@ -120,46 +120,13 @@ class TestSystemIntegration:
                 == store_stats(cached_system.cache_store))
         assert cached_system.cache_store.puts > 0
 
-    def test_server_counters_track_attributes(self, cached_system):
-        registry = cached_system.sim.metrics
-        assert (registry.value("cache_server_publishes", process="cache")
-                == cached_system.cache_server.publishes_accepted)
-        served = sum(
-            metric.value
-            for metric in registry.family("cache_server_requests")
+    def test_cache_is_a_directory_not_an_actor(self, cached_system):
+        """A cached system has the processes and channels of an uncached
+        one: restores read the store directly, nothing is served."""
+        plain = WarehouseSystem(
+            paper_world(), paper_views_example2(), SystemConfig(seed=21)
         )
-        assert served == cached_system.cache_server.requests_served
-
-
-class TestServerCounters:
-    def test_hit_miss_publish_results_labelled(self, tmp_path):
-        from repro.cache.server import (
-            ArtifactPublish,
-            ArtifactRequest,
-            CacheServer,
-        )
-        from repro.sim.kernel import Simulator
-        from repro.sim.process import Process
-
-        class Client(Process):
-            def handle(self, message, sender):
-                pass
-
-        sim = Simulator()
-        server = CacheServer(sim, ArtifactStore(tmp_path / "served"))
-        client = Client(sim, "client")
-        client.connect(server, 1.0)
-        server.connect(client, 1.0)
-        key = artifact_key("test", {"name": "served"})
-        client.send(server, ArtifactPublish(key, b"payload"))
-        client.send(server, ArtifactRequest(1, key))
-        client.send(server, ArtifactRequest(2, artifact_key("test",
-                                                            {"name": "no"})))
-        sim.run()
-        registry = sim.metrics
-        assert registry.value("cache_server_publishes",
-                              process="cache") == 1.0
-        assert registry.value("cache_server_requests", process="cache",
-                              result="hit") == 1.0
-        assert registry.value("cache_server_requests", process="cache",
-                              result="miss") == 1.0
+        assert plain.cache_store is None
+        assert set(cached_system.processes) == set(plain.processes)
+        for name, process in plain.processes.items():
+            assert set(cached_system.processes[name].peers()) == set(process.peers())

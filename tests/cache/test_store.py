@@ -7,6 +7,7 @@ returns garbage), GC respects pins, and artifact keys are pure functions
 of their material — stable across processes and hash seeds.
 """
 
+import dataclasses
 import pickle
 import subprocess
 import sys
@@ -262,5 +263,5 @@ class TestCacheConfig:
     def test_defaults(self):
         cfg = CacheConfig()
         assert cfg.root is None
-        assert cfg.server is True
+        assert len(dataclasses.fields(cfg)) == 6  # no actor knob: the store is a directory
         assert cfg.stale_refs is False

@@ -7,10 +7,10 @@ from repro.consistency.checker import (
     check_complete,
     check_convergent,
     check_strong,
-    strongest_level,
 )
 from repro.consistency.states import collapse_consecutive
 from repro.errors import ConsistencyViolation
+from repro.merge.selection import CHECKED_LEVELS, achieved_level
 
 
 class TestCollapse:
@@ -83,6 +83,15 @@ class TestComplete:
 
 class TestLevels:
     def test_strongest_level_ladder(self):
+        """The one ladder (``merge.selection``) over the §2.2 definitions."""
+        assert CHECKED_LEVELS == ("complete", "strong", "convergent")
+        checks = dict(
+            zip(CHECKED_LEVELS, (check_complete, check_strong, check_convergent))
+        )
+
+        def strongest_level(ws, ss):
+            return achieved_level(lambda level: checks[level](ws, ss))
+
         assert strongest_level([0, 1, 2], [0, 1, 2]) == "complete"
         assert strongest_level([0, 2], [0, 1, 2]) == "strong"
         assert strongest_level([9, 2], [0, 1, 2]) == "convergent"

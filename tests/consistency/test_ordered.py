@@ -3,10 +3,12 @@
 import pytest
 
 from repro.consistency.ordered import (
+    Replay,
     check_mvc_ordered,
     classify_mvc_ordered,
     reconstruct_schedule,
 )
+from repro.errors import ReproError, WarehouseError
 from repro.relational.database import Database
 from repro.relational.delta import Delta
 from repro.relational.parser import parse_view
@@ -189,3 +191,104 @@ class TestClassify:
         updates = numbered(Update.insert("R", {"A": 1}))
         store = run_store([[(1, "VR", Delta.insert(Row(A=42)))]])
         assert classify_mvc_ordered(store.history, initial(), updates, DEFS) == "inconsistent"
+
+
+class TestReplayScopes:
+    """One replay answers for every set of views; what is wrong with the
+    schedule only counts against the scopes that can see it."""
+
+    def test_unreplayable_update_diverges_its_views_only(self):
+        """U1 was never covered (its view delta was empty when it was
+        propagated), so U2, which deletes the row U1 inserted, cannot be
+        applied to the replayed state: an answer, not a RelationError."""
+        updates = numbered(
+            Update.insert("R", {"A": 1}),
+            Update.delete("R", {"A": 1}),
+            Update.insert("S", {"B": 1}),
+        )
+        store = run_store(
+            [
+                [(2, "VR", Delta())],
+                [(3, "VS", Delta.insert(Row(B=1)))],
+            ]
+        )
+        replay = Replay(store.history, initial(), updates, DEFS)
+        report = replay.check("strong")
+        assert not report
+        assert "U2" in report.reason and "cannot be applied" in report.reason
+        assert replay.diverged.keys() == {"VR"}
+        assert replay.classify() == "convergent"  # R ends empty either way
+        assert replay.check("complete", ["VS"])
+        assert classify_mvc_ordered(store.history, initial(), updates, DEFS) == "convergent"
+
+    def test_duplicate_only_counts_where_it_is_seen(self):
+        updates = numbered(
+            Update.insert("R", {"A": 1}), Update.insert("S", {"B": 1})
+        )
+        store = run_store(
+            [
+                [(1, "VR", Delta.insert(Row(A=1)))],
+                [(1, "VR", Delta())],
+                [(2, "VS", Delta.insert(Row(B=1)))],
+            ]
+        )
+        replay = Replay(store.history, initial(), updates, DEFS)
+        assert "twice" in replay.check("strong", ["VR"]).reason
+        assert "twice" in replay.check("strong").reason
+        assert replay.check("complete", ["VS"])
+        assert replay.check("convergent")
+
+    def test_order_break_in_a_relation_the_scope_does_not_read(self):
+        """U1 over {R, T} and U2 over {T, S} meet in T; a scope reading R
+        and S sees both updates, so their order is its business."""
+        schemas = {**SCHEMAS, "T": Schema(["C"])}
+        db = initial()
+        db.create_relation("T", schemas["T"])
+        updates = [
+            (1, SourceTransaction("src", (Update.insert("R", {"A": 1}),
+                                          Update.insert("T", {"C": 1}))), 0.0),
+            (2, SourceTransaction("src", (Update.insert("T", {"C": 2}),
+                                          Update.insert("S", {"B": 1}))), 1.0),
+        ]
+        store = run_store(
+            [
+                [(2, "VS", Delta.insert(Row(B=1)))],
+                [(1, "VR", Delta.insert(Row(A=1)))],
+            ]
+        )
+        replay = Replay(store.history, db, updates, DEFS)
+        assert "out of order" in replay.check("strong").reason
+        assert replay.check("complete", ["VR"])
+        assert replay.check("complete", ["VS"])
+        assert replay.classify() == "convergent"
+
+    def test_truncated_history_answers_convergence_only(self):
+        """What record_history=False leaves: ws_0 and the latest state."""
+        updates = numbered(
+            Update.insert("R", {"A": 1}), Update.insert("S", {"B": 1})
+        )
+        store = run_store(
+            [
+                [(1, "VR", Delta.insert(Row(A=1)))],
+                [(2, "VS", Delta.insert(Row(B=1)))],
+            ]
+        )
+        history = (store.history[0], store.history[2])
+        replay = Replay(history, initial(), updates, DEFS)
+        assert replay.check("convergent")
+        assert replay.check_view("VR", "convergent")
+        for ask in (
+            lambda: replay.check("strong"),
+            lambda: replay.check("complete", ["VS"]),
+            lambda: replay.check_view("VR", "strong"),
+            replay.classify,
+            lambda: replay.classify_view("VS"),
+        ):
+            with pytest.raises(WarehouseError, match="record_history=True"):
+                ask()
+
+    def test_unknown_level_rejected(self):
+        replay = Replay(ViewStore(DEFS, SCHEMAS).history, initial(), [], DEFS)
+        assert replay.classify() == "complete"
+        with pytest.raises(ReproError, match="unknown MVC level"):
+            replay.check("complete-n")

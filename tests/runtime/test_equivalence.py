@@ -44,10 +44,11 @@ def run_once(
     manager: str = "complete",
     merges: int = 1,
     workers: int | None = None,
-    clustered: bool = False,
+    clusters: int = 0,
+    rate: float = 2.0,
 ):
-    if clustered:
-        world, views = clustered_world(3), clustered_views(3)
+    if clusters:
+        world, views = clustered_world(clusters), clustered_views(clusters, 3)
     else:
         world, views = paper_world(), paper_views_example2()
     config = SystemConfig(
@@ -60,7 +61,7 @@ def run_once(
     )
     system = WarehouseSystem(world, views, config)
     spec = WorkloadSpec(
-        updates=updates, rate=2.0, seed=seed, mix=(0.6, 0.2, 0.2),
+        updates=updates, rate=rate, seed=seed, mix=(0.6, 0.2, 0.2),
         arrivals="poisson",
     )
     post_stream(system, UpdateStreamGenerator(world, spec).transactions())
@@ -76,14 +77,19 @@ REAL_RUNTIMES = [name for name in RUNTIMES if name != "des"]
 
 #: scenario -> run_once arguments: paper views (one merge, then complete-N
 #: whose trailing block only the end-of-stream flush closes) and clustered
-#: views hash-routed over three merges (per-shard ``shard:`` oracle scopes)
+#: views hash-routed over three merges (per-shard ``shard:`` oracle scopes),
+#: then the same shape at B0's size (``clustered-36``: 36 views, 630 pairs),
+#: which the 40-update one stood in for while the oracle cost 39 s a run
 SCENARIOS = {
     "paper": dict(updates=40, seed=7, workers=2),
     "paper-complete-n": dict(
         updates=24, seed=5, manager="complete-n", workers=2
     ),
     "sharded-clustered": dict(
-        updates=40, seed=11, merges=3, workers=3, clustered=True
+        updates=40, seed=11, merges=3, workers=3, clusters=3
+    ),
+    "sharded-clustered-b0": dict(
+        updates=700, seed=3, merges=4, workers=2, clusters=12, rate=40.0
     ),
 }
 
