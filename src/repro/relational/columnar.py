@@ -844,7 +844,7 @@ class ColumnarRelation:
 # vectorized full evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_columnar(expr: Expression, db) -> "Relation":
+def evaluate_columnar(expr: Expression, db, memo: dict | None = None) -> "Relation":
     """Evaluate ``expr`` through the columnar kernels; returns a Relation.
 
     Bag-for-bag equal to the row-dict reference
@@ -856,36 +856,46 @@ def evaluate_columnar(expr: Expression, db) -> "Relation":
     from repro.relational.relation import Relation
 
     schema = expr.infer_schema(db.schemas)
-    layout, counts = _eval_columnar(expr, db)
+    layout, counts = _eval_columnar(expr, db, memo)
     return Relation.from_tuple_counts(layout, counts, schema)
 
 
-def _eval_columnar(expr: Expression, db) -> tuple[Layout, Mapping[tuple, int]]:
+def _eval_columnar(
+    expr: Expression, db, memo: dict | None = None
+) -> tuple[Layout, Mapping[tuple, int]]:
+    """``expr`` over ``db`` as ``(layout, tuple bag)``.  ``memo`` maps the
+    subexpressions evaluated over ``db`` so far to their (shared, read-only)
+    results and gains each one computed here."""
+    memo = {} if memo is None else memo
+    if expr in memo:
+        return memo[expr]
     if isinstance(expr, BaseRelation):
         store = db.relation(expr.name).columnar()
-        return store.layout, store.counts_view()
-    if isinstance(expr, Select):
-        layout, counts = _eval_columnar(expr.child, db)
+        result = store.layout, store.counts_view()
+    elif isinstance(expr, Select):
+        layout, counts = _eval_columnar(expr.child, db, memo)
         kernel = compile_filter(expr.predicate, layout)
-        return layout, (counts if kernel is None else kernel(counts))
-    if isinstance(expr, Project):
-        layout, counts = _eval_columnar(expr.child, db)
+        result = layout, (counts if kernel is None else kernel(counts))
+    elif isinstance(expr, Project):
+        layout, counts = _eval_columnar(expr.child, db, memo)
         out_layout, kernel = compile_projection(layout, expr.names)
-        return out_layout, kernel(counts)
-    if isinstance(expr, Join):
-        left_layout, left = _eval_columnar(expr.left, db)
-        right_layout, right = _eval_columnar(expr.right, db)
+        result = out_layout, kernel(counts)
+    elif isinstance(expr, Join):
+        left_layout, left = _eval_columnar(expr.left, db, memo)
+        right_layout, right = _eval_columnar(expr.right, db, memo)
         on = expr.join_attributes(db.schemas)
         out_layout, merge = compile_merge(left_layout, right_layout)
-        joined = join_counts_columnar(
+        result = out_layout, join_counts_columnar(
             left, right,
             make_key(left_layout, on), make_key(right_layout, on), merge,
         )
-        return out_layout, joined
-    if isinstance(expr, Aggregate):
-        layout, counts = _eval_columnar(expr.child, db)
+    elif isinstance(expr, Aggregate):
+        layout, counts = _eval_columnar(expr.child, db, memo)
         kernel = AggregateKernel(expr, layout)
-        return kernel.layout, kernel.aggregate(counts)
-    raise ExpressionError(
-        f"cannot evaluate expression of type {type(expr).__name__}"
-    )
+        result = kernel.layout, kernel.aggregate(counts)
+    else:
+        raise ExpressionError(
+            f"cannot evaluate expression of type {type(expr).__name__}"
+        )
+    memo[expr] = result
+    return result

@@ -254,16 +254,11 @@ class _CMatInput:
         self._db = db
         self.probe_key = probe_key
         self.probes = 0
-        if seed is not None:
-            # Warm start (repro.cache): adopt exported contents instead of
-            # re-evaluating the subexpression — the dominant cold-compile
-            # cost.  The seed's provenance is the caller's problem (cache
-            # keys tie it to the same expression/engine/base state).
-            layout, counts = tuple(seed[0]), dict(seed[1])
-        else:
-            layout, counts = _eval_columnar(expr, db)
-        self.layout = layout
-        self.store = ColumnarRelation(layout, counts)
+        # Warm start (a cache artifact or the build's memo, whose provenance
+        # is the caller's problem): copy it, skip the cold compile's evaluation.
+        layout, counts = seed if seed is not None else _eval_columnar(expr, db)
+        self.layout = tuple(layout)
+        self.store = ColumnarRelation(self.layout, counts)
 
     def delta(self, deltas, staged) -> Mapping[tuple, int]:
         if id(self) in staged:
@@ -414,14 +409,11 @@ class _CAggregateNode:
         self.layout = self._kernel.layout
         self._groups: dict[tuple, list] = {}
         if seed_groups is not None:
-            # Warm start: adopt exported group states (copied — the cache
-            # payload must stay immutable) instead of evaluating the child.
-            self._groups = {
-                key: list(state) for key, state in seed_groups.items()
-            }
+            # Warm start: adopt a copy of the group states (a seed stays
+            # immutable) instead of evaluating the child.
+            self._groups = {key: list(state) for key, state in seed_groups.items()}
         else:
-            _, counts = _eval_columnar(expr.child, db)
-            self._kernel.accumulate(self._groups, counts)
+            self._kernel.accumulate(self._groups, _eval_columnar(expr.child, db)[1])
 
     def delta(self, deltas, staged) -> Mapping[tuple, int]:
         memo = ("delta", id(self))
@@ -662,6 +654,14 @@ class MaintenancePlan:
                 }
         return out
 
+    def contents(self) -> Relation | None:
+        """An aggregate root's output, off its group states (else ``None``)."""
+        root = self._root
+        if not isinstance(root, _CAggregateNode):
+            return None
+        counts = {root._kernel._build(k, s): 1 for k, s in root._groups.items()}
+        return Relation.from_tuple_counts(root.layout, counts, self.schema)
+
     # -- inspection ---------------------------------------------------------
     def describe(self) -> str:
         """A textual rendering of the compiled plan tree."""
@@ -685,6 +685,33 @@ class MaintenancePlan:
     def __repr__(self) -> str:
         return (f"MaintenancePlan({self.expression}, "
                 f"propagations={self.propagations})")
+
+
+def warm_start(
+    expression: Expression, database, memo: dict | None, skip: set[str]
+) -> dict[str, object]:
+    """The ``preload=`` mapping :meth:`MaintenancePlan.export_aux` gives
+    after compiling ``expression`` over ``database``, evaluated through
+    ``memo``; entries over a relation in ``skip`` are left to the compile."""
+    out: dict[str, object] = {}
+    pending = [(expression, None)]  # with the join key it is an input on
+    while pending:
+        expr, on = pending.pop()
+        if isinstance(expr, BaseRelation):
+            continue
+        unfiltered = not expr.base_relations() & skip
+        if on is not None and unfiltered:
+            out[f"input|{on}|{expr}"] = _eval_columnar(expr, database, memo)
+        if isinstance(expr, Join):
+            on = ",".join(expr.join_attributes(database.schemas))
+            pending += [(expr.left, on), (expr.right, on)]
+            continue
+        pending.append((expr.child, None))
+        if isinstance(expr, Aggregate) and unfiltered:
+            layout, counts = _eval_columnar(expr.child, database, memo)
+            out[f"agg|{expr}"] = groups = {}
+            AggregateKernel(expr, layout).accumulate(groups, counts)
+    return out
 
 
 class PlanLibrary:

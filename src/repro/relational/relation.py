@@ -11,6 +11,7 @@ tuples of a :class:`~repro.relational.columnar.ColumnarRelation`; a
 
 from __future__ import annotations
 
+from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -82,13 +83,10 @@ class Relation:
         cls, counts: Mapping[Row, int], schema: Schema | None = None
     ) -> "Relation":
         """Build a relation directly from a row→count mapping."""
-        rel = cls(schema)
         for row, count in counts.items():
             if not _is_count(type(count)) or count < 0:
                 raise _bad_multiplicity(row, count)
-            if count:
-                rel.insert(row, count)
-        return rel
+        return cls(schema, (row for row, count in counts.items() for _ in range(count)))
 
     @classmethod
     def from_tuple_counts(
@@ -97,15 +95,12 @@ class Relation:
         counts: Mapping[tuple, int],
         schema: Schema,
     ) -> "Relation":
-        """Bulk-load a bag of ``layout``-positioned value tuples.
-
-        Equal, bag for bag and error class for error class, to
-        ``from_counts(counts_to_rows(layout, counts), schema)``, which
-        validates row by row: here the tuples are checked against the
-        schema column-wise (:meth:`Schema.validate_columns`), the
-        multiplicities (each a positive ``int``) in two passes, and the
-        checked bag becomes the store in one dict copy: no ``Row`` is
-        built.
+        """Bulk-load a bag of ``layout``-positioned value tuples: equal, bag
+        for bag and error class for error class, to ``from_counts(
+        counts_to_rows(layout, counts), schema)``, but no ``Row`` is built.
+        The tuples are checked column-wise (:meth:`Schema.validate_columns`),
+        the multiplicities (positive ``int``s) in two passes, and the bag
+        becomes the store in one dict copy.
         """
         schema.validate_columns(layout, counts)
         _check_counts(counts, positive=True)
@@ -283,14 +278,29 @@ class Relation:
         starting a fresh store.
 
         A :class:`Relation` carrying an equal schema has validated every
-        row already, so its bag is adopted in one dict copy; anything
-        else is inserted, and so validated, row by row.
+        row already, so its bag is adopted in one dict copy.  Anything else
+        is loaded column-wise: each row becomes a layout tuple (a ``dict``
+        without becoming a ``Row``), counted in first-occurrence order; a
+        row of another heading meets :meth:`_check` and every tuple (not
+        only the distinct ones: 1.0 counted into 1 still misfits an INT)
+        one :meth:`_check_columns`, so a defect fails as it did row by row.
         """
         if isinstance(rows, Relation) and (
             self._schema is None or rows._schema == self._schema
         ):
             self._store = rows._store.copy()
-        else:
-            self.clear()
-            for row in rows:
-                self.insert(row)
+            return
+        self.clear()
+        tuples: list[tuple] = []
+        for row in rows:
+            layout = self._store.layout
+            if type(row) is dict and layout and row.keys() == set(layout):
+                tuples.append(tuple([row[name] for name in layout]))
+                continue
+            row = self._coerce(row)
+            if row.sorted_names() != layout:
+                self._check(row)  # raises, or fixes a schemaless heading
+            tuples.append(row.values_tuple(self._store.layout))
+        counts = dict(Counter(tuples))
+        self._check_columns(self._store.layout, tuples)
+        self._store = ColumnarRelation._adopt(self._store.layout, counts, len(tuples))

@@ -291,6 +291,7 @@ class WarehouseSystem:
             if cfg.use_selection_filtering
             else None
         )
+        memo: dict = {}  # this build's evaluations over ss_0, each made once
         for definition in self.definitions:
             merge_name = self.view_to_merge[definition.name]
             manager_cls = manager_class(cfg.kind_for(definition.name))
@@ -324,9 +325,9 @@ class WarehouseSystem:
                     manager.install_cache(
                         self._cache_binding.for_view(definition.name)
                     )
-                manager.seed_replica(self._initial_state)
+                manager.seed_replica(self._initial_state, memo)
             self.store.initialize_view(
-                definition.name, manager.materialize_initial(self._initial_state)
+                definition.name, manager.materialize_initial(self._initial_state, memo)
             )
             self.view_managers[definition.name] = manager
 

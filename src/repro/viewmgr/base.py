@@ -52,7 +52,7 @@ from repro.relational.columnar import compile_filter, evaluate_columnar
 from repro.relational.database import Database
 from repro.relational.delta import Delta, propagate_delta, updates_to_deltas
 from repro.relational.expressions import ViewDefinition
-from repro.relational.plan import MaintenancePlan
+from repro.relational.plan import MaintenancePlan, warm_start
 from repro.relational.predicates import Predicate
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -182,9 +182,10 @@ class ViewManager(Process):
             )
         self._cache = binding
 
-    def seed_replica(self, initial: Database) -> None:
+    def seed_replica(self, initial: Database, memo: dict | None = None) -> None:
         """Install local base-relation replicas from the initial source state."""
         replica = Database()
+        filtered: set[str] = set()
         for relation in sorted(self.definition.base_relations()):
             schema = self.base_schemas[relation]
             rows = initial.relation(relation)
@@ -196,34 +197,36 @@ class ViewManager(Process):
                     rows = Relation.from_tuple_counts(
                         store.layout, keep(store.counts_view()), schema
                     )
+                    filtered.add(relation)
             replica.create_relation(relation, schema, rows)
         self._replica = replica
-        # Cached mode processes every batch against this one stable
-        # database, so maintenance runs through a compiled indexed plan
-        # (see docs/engine.md); query-back modes rebuild a pre-state per
-        # batch and run the stateless delta rules on it.  A cache binding
-        # fixes its key material here and may serve a seed artifact whose
-        # auxiliary state lets the compile skip its evaluation passes
-        # (the cold-start hot spot).
+        # Cached mode maintains through a compiled indexed plan over this one
+        # stable database (docs/engine.md).  The compile's evaluations (the
+        # cold-start hot spot) come from a cache binding's seed artifact,
+        # looked up here by its key material, or else from :func:`warm_start`.
         preload = None
         if self._cache is not None:
             self._cache.on_seeded(self)
             preload = self._cache.seed_aux()
+        if preload is None:
+            preload = warm_start(self.definition.expression, initial, memo, filtered)
         self._plan = MaintenancePlan(
             self.definition.expression, replica, preload=preload
         )
 
-    def materialize_initial(self, initial: Database) -> Relation:
-        """Compute the view's initial contents (``V(ss_0)``).
-
-        Evaluated on ``initial`` itself, the system's ss_0 snapshot, whose
-        stores the kernels read as they are.
-        """
+    def materialize_initial(
+        self, initial: Database, memo: dict | None = None
+    ) -> Relation:
+        """The view's initial contents (``V(ss_0)``): off the group states of
+        an aggregate root's plan, else evaluated through the build's ``memo``
+        on ``initial`` itself, the system's ss_0 snapshot, as its stores are."""
         if self._cache is not None:
             cached = self._cache.seed_contents()
             if cached is not None:
                 return cached
-        contents = evaluate_columnar(self.definition.expression, initial)
+        contents = self._plan.contents() if self._plan is not None else None
+        if contents is None:
+            contents = evaluate_columnar(self.definition.expression, initial, memo)
         if self._cache is not None:
             self._cache.publish_seed(self, contents)
         return contents

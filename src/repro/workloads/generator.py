@@ -7,14 +7,15 @@ A :class:`WorkloadSpec` describes rates and mixes; an
 every relation so deletes and modifies always target rows that will be
 live at execution time (per-relation streams are generated in time order
 and each relation belongs to exactly one source, so the mirror order
-matches the commit order).
+matches the commit order).  It holds the world's stored rows as value
+tuples and the rows it generates as emitted: a stored victim is built.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from repro.errors import ReproError
 from repro.relational.rows import Row
@@ -22,6 +23,9 @@ from repro.relational.schema import AttrType, Schema
 from repro.sources.transactions import SourceTransaction
 from repro.sources.update import Update
 from repro.sources.world import SourceWorld
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.system.builder import WarehouseSystem
 
 
 @dataclass
@@ -68,6 +72,9 @@ class WorkloadSpec:
             )
         if self.hot_keys < 1:
             raise ReproError(f"hot_keys must be >= 1, got {self.hot_keys}")
+        for name, weight in self.relation_weights.items():
+            if not 0 <= weight < float("inf"):
+                raise ReproError(f"relation weight {name!r}={weight!r} not in [0, inf)")
 
 
 class UpdateStreamGenerator:
@@ -77,15 +84,19 @@ class UpdateStreamGenerator:
         self.world = world
         self.spec = spec
         self._rng = random.Random(spec.seed)
-        self._mirror: dict[str, list[Row]] = {
-            name: list(world.current.relation(name))
-            for name in world.schemas
-        }
+        self._mirror: dict[str, list[tuple | Row]] = {}
+        for name in world.schemas:
+            counts = world.current.relation(name).columnar().counts_view()
+            self._mirror[name] = [t for t, c in counts.items() for _ in range(c)]
         self._relations = sorted(world.schemas)
         self._weights = [
             spec.relation_weights.get(name, 1.0) for name in self._relations
         ]
-        self._next_key = 1000  # distinct tail for generated key values
+        if set(spec.relation_weights) - set(self._relations) or not sum(self._weights):
+            raise ReproError(
+                f"relation_weights {dict(spec.relation_weights)} name relations "
+                f"not in {self._relations} or are all 0"
+            )
 
     # -- row synthesis -------------------------------------------------------
     def _random_value(self, attr_type: AttrType) -> object:
@@ -118,6 +129,8 @@ class UpdateStreamGenerator:
             return Update.insert(relation, row)
         victim_index = self._rng.randrange(len(mirror))
         victim = mirror[victim_index]
+        if not isinstance(victim, Row):
+            victim = Row(dict(zip(schema.layout, victim)))
         if kind == "delete":
             mirror.pop(victim_index)
             return Update.delete(relation, victim)
@@ -169,14 +182,10 @@ class UpdateStreamGenerator:
 
 
 def post_stream(
-    system: "WarehouseSystemLike",
+    system: "WarehouseSystem",
     stream: Sequence[tuple[float, SourceTransaction]],
 ) -> int:
     """Post a generated stream onto a built system; returns its length."""
     for time, transaction in stream:
         system.post(transaction, time)
     return len(stream)
-
-
-class WarehouseSystemLike:
-    """Protocol sketch for :func:`post_stream`."""

@@ -46,11 +46,12 @@ def unit_summary(units):
     return [(u.rows, tuple(al.view for al in u.action_lists)) for u in units]
 
 
-def preloaded_star_world(fact_rows: int) -> SourceWorld:
-    """``star_world`` with ``fact_rows`` sales in place before any commit."""
+def star_relations(fact_rows: int) -> list[tuple]:
+    """``(name, schema, owner, rows)`` of ``star_world``, with
+    ``fact_rows`` sales given as ``dict`` rows."""
     template = star_world(products=16, stores=4)
     rng = random.Random(fact_rows)
-    world = SourceWorld()
+    relations = []
     for name, schema in template.schemas.items():
         rows = list(template.current.relation(name))
         if name == "Sales":
@@ -59,5 +60,13 @@ def preloaded_star_world(fact_rows: int) -> SourceWorld:
                  "store": rng.randrange(4), "qty": rng.randrange(16)}
                 for sale in range(fact_rows)
             ]
-        world.create_relation(name, schema, template.owner_of(name), rows)
+        relations.append((name, schema, template.owner_of(name), rows))
+    return relations
+
+
+def preloaded_star_world(fact_rows: int) -> SourceWorld:
+    """``star_world`` with ``fact_rows`` sales in place before any commit."""
+    world = SourceWorld()
+    for relation in star_relations(fact_rows):
+        world.create_relation(*relation)
     return world

@@ -1,5 +1,7 @@
 """Tests for multiset relations."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,15 +195,20 @@ class TestSeedingFromARelation:
         source.insert(Row(a=3, b="w"))  # independent copies
         assert len(twin) == len(target) == 3
 
-    def test_other_schema_or_none_is_validated_row_by_row(self, validations):
+    def test_other_schema_or_none_is_checked(self):
         untyped = Relation(rows=self.ROWS)
-        assert Relation(self.SCHEMA, untyped) == untyped
-        assert len(validations) == 3
+        typed = Relation(self.SCHEMA, untyped)
+        assert typed == untyped and typed.schema == self.SCHEMA
+        assert typed.sorted_rows() == sorted(self.ROWS)
         other = Relation(Schema(["a", "b"]), [Row(a=1, b=2)])
-        with pytest.raises(SchemaError):
+        message = "attribute 'b' expects str, got 2 (int)"
+        with pytest.raises(SchemaError, match=re.escape(message)):
             Relation(self.SCHEMA, other)
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=re.escape(message)):
             Relation(self.SCHEMA, [Row(a=1, b="x")]).replace_all(other)
+        wider = Relation(rows=[Row(a=1, b="x", c=0)])
+        with pytest.raises(SchemaError, match=r"row has attributes \['c'\]"):
+            Relation(self.SCHEMA, wider)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Set-up: ws_0 = V(ss_0) for every view, from one columnar evaluation.
+"""Set-up: ws_0 = V(ss_0) for every view, each unit of work done once.
 
-Before the first update flows each view manager evaluates its definition
-over the initial source state (paper, Section 2.2).  That evaluation runs
-on the columnar engine and loads its result in bulk, so the row-dict
-recompute oracle (``algebra.evaluate``) is not part of a build and no
-per-row work is left in it: the counted calls below do not depend on how
-many rows are preloaded.
+Before the first update flows every view must hold V(ss_0) (paper,
+Section 2.2).  The world is loaded column-wise, the generator plans over
+the stored tuples, and a build evaluates each subexpression of ss_0 once
+(one memo per build) on the columnar engine, loading results in bulk: the
+row-dict recompute oracle (``algebra.evaluate``) is not part of a build
+and the counted calls below do not depend on how many rows are preloaded.
 """
 
 import sys
@@ -14,12 +14,15 @@ import pytest
 
 from repro.relational import algebra, columnar
 from repro.relational.algebra import evaluate
+from repro.relational.columnar import AggregateKernel
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
 from repro.sources.transactions import SourceTransaction
-from repro.sources.update import Update
+from repro.sources.update import Update, UpdateKind
+from repro.sources.world import SourceWorld
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
+from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec
 from repro.workloads.schemas import (
     bank_views,
     bank_world,
@@ -30,7 +33,7 @@ from repro.workloads.schemas import (
     paper_world,
     star_views,
 )
-from tests.conftest import preloaded_star_world
+from tests.conftest import preloaded_star_world, star_relations
 
 
 def replace_everywhere(monkeypatch, owner, name, replacement):
@@ -85,16 +88,83 @@ def test_build_cost_does_not_grow_with_the_preloaded_rows(monkeypatch):
     assert small["Row.__init__"] == large["Row.__init__"]
 
 
-def rows_built(monkeypatch, fact_rows: int) -> tuple[int, int]:
-    """Rows built from value tuples by the set-up, and by a cached-mode
-    drain of updates that read and write the fact table."""
-    world = preloaded_star_world(fact_rows)
+def counting_row_builds(patch) -> list:
+    """Count the rows the compiled tuple -> ``Row`` builders make."""
     original = columnar.compile_row_builder
     built = []
 
     def counting_builder(layout):
         build = original(layout)
         return lambda values: built.append(layout) or build(values)
+
+    replace_everywhere(patch, columnar, "compile_row_builder", counting_builder)
+    return built
+
+
+def setup_counts(monkeypatch, fact_rows: int) -> dict[str, int]:
+    """What each set-up phase does over ``fact_rows`` preloaded sales: load
+    the world, generate 120 fact-table updates, build the selective and
+    aggregate star views twice (two systems over one world)."""
+    relations = star_relations(fact_rows)
+    world = SourceWorld()
+    counts: dict[str, int] = {}
+    with monkeypatch.context() as patch:
+        rows = count_calls(patch, Row, "__init__")
+        validations = count_calls(patch, Schema, "validate")
+        built = counting_row_builds(patch)
+        for relation in relations:
+            world.create_relation(*relation)
+        counts["load: rows"] = len(rows) + len(built)
+        counts["load: validate"] = len(validations)
+        del rows[:], built[:]
+        spec = WorkloadSpec(
+            updates=120, seed=fact_rows, value_range=16,
+            relation_weights={"Sales": 1, "Product": 0, "Store": 0},
+        )
+        stream = UpdateStreamGenerator(world, spec).transactions()
+        kinds = [u.kind for _time, txn in stream for u in txn.updates]
+        # an insert or a delete carries one row, a modify two; at most
+        # one is built for each, none for a stored row no update names
+        emitted = len(kinds) + kinds.count(UpdateKind.MODIFY)
+        counts["generate: rows beyond those emitted"] = max(
+            0, len(rows) + len(built) - emitted
+        )
+    for build in ("first", "second"):
+        with monkeypatch.context() as patch:
+            joins = count_calls(patch, columnar, "join_counts_columnar")
+            folds = count_calls(patch, AggregateKernel, "accumulate")
+            system = WarehouseSystem(
+                world, star_views(selective=True, aggregates=True),
+                SystemConfig(record_history=False),
+            )
+        counts[f"{build} build: joins"] = len(joins)
+        counts[f"{build} build: folds"] = len(folds)
+        assert len(system.store.view("SaleDetail")) == fact_rows
+    return counts
+
+
+@pytest.mark.parametrize("fact_rows", [500, 2000])
+def test_set_up_does_each_unit_of_work_once(monkeypatch, fact_rows):
+    """Loading builds no ``Row`` and validates no row on its own; the
+    generator builds a ``Row`` only for a row it emits; a build joins
+    ``Sales`` with ``Product`` and with ``Store`` once each (five views
+    read them, two aggregate plans compile over them) and folds each
+    aggregate once, and a second build does all of that again."""
+    assert setup_counts(monkeypatch, fact_rows) == {
+        "load: rows": 0,
+        "load: validate": 0,
+        "generate: rows beyond those emitted": 0,
+        "first build: joins": 2,
+        "first build: folds": 2,
+        "second build: joins": 2,
+        "second build: folds": 2,
+    }
+
+
+def rows_built(monkeypatch, fact_rows: int) -> tuple[int, int]:
+    """Rows built from value tuples by the set-up, and by a cached-mode
+    drain of updates that read and write the fact table."""
+    world = preloaded_star_world(fact_rows)
 
     def sale(number, **values):
         return {"sale": number, "prod": 3, "store": 1, "qty": 9, **values}
@@ -106,7 +176,7 @@ def rows_built(monkeypatch, fact_rows: int) -> tuple[int, int]:
     ]
     updates += [Update.delete("Sales", sale(10**6 + n)) for n in range(4, 8)]
     with monkeypatch.context() as patch:
-        replace_everywhere(patch, columnar, "compile_row_builder", counting_builder)
+        built = counting_row_builds(patch)
         system = WarehouseSystem(
             world, star_views(selective=True, aggregates=True),
             SystemConfig(record_history=False),

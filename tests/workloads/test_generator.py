@@ -1,11 +1,15 @@
 """Tests for workload generation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
+from repro.relational.schema import Attribute, AttrType, Schema
 from repro.sources.update import UpdateKind
+from repro.sources.world import SourceWorld
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec
 from repro.workloads.schemas import paper_world
+from tests.workloads.reference import RowMirrorGenerator
 
 
 class TestSpecValidation:
@@ -18,11 +22,23 @@ class TestSpecValidation:
             {"mix": (0, 0, 0)},
             {"mix": (-1, 1, 1)},
             {"multi_update_fraction": 2.0},
+            {"relation_weights": {"Q": -1}},
+            {"relation_weights": {"R": 1, "Q": float("nan")}},
+            {"relation_weights": {"R": float("inf")}},
         ],
     )
     def test_bad_specs(self, kwargs):
         with pytest.raises(ReproError):
             WorkloadSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [{"Nope": 5}, {"R": 1, "Nope": 0}, {"R": 0, "S": 0, "T": 0, "Q": 0}],
+    )
+    def test_weights_must_name_the_worlds_relations_and_leave_one(self, weights):
+        spec = WorkloadSpec(relation_weights=weights)
+        with pytest.raises(ReproError, match="relation_weights"):
+            UpdateStreamGenerator(paper_world(), spec)
 
 
 class TestGeneration:
@@ -126,3 +142,65 @@ class TestGeneration:
         stream = UpdateStreamGenerator(world, spec).transactions()
         kinds = {u.kind for _t, txn in stream for u in txn.updates}
         assert kinds == {UpdateKind.INSERT}
+
+
+#: three relations over the four attribute types, two on one source
+MIXED = {
+    "R": (Schema([Attribute("a", AttrType.INT), Attribute("b", AttrType.STR)]), "s0"),
+    "S": (Schema([Attribute("b", AttrType.STR), Attribute("c", AttrType.FLOAT)]), "s0"),
+    "T": (Schema([Attribute("c", AttrType.FLOAT), Attribute("d", AttrType.BOOL)]), "s1"),
+}
+#: few values per type, so preloaded rows repeat
+FEW = {
+    AttrType.INT: st.integers(0, 2),
+    AttrType.STR: st.sampled_from(["v0", "v1"]),
+    AttrType.FLOAT: st.sampled_from([0.0, 1.0, 1]),
+    AttrType.BOOL: st.booleans(),
+}
+
+
+@st.composite
+def preloaded_worlds(draw):
+    rows = {
+        name: draw(st.lists(
+            st.fixed_dictionaries({a.name: FEW[a.type] for a in schema}),
+            max_size=6,
+        ))
+        for name, (schema, _owner) in MIXED.items()
+    }
+
+    def build():
+        world = SourceWorld()
+        for name, (schema, owner) in MIXED.items():
+            world.create_relation(name, schema, owner, rows[name])
+        return world
+
+    return build
+
+
+specs = st.builds(
+    WorkloadSpec,
+    updates=st.integers(0, 30),
+    rate=st.sampled_from([0.5, 1.0, 4.0]),
+    mix=st.tuples(*[st.sampled_from([0.0, 0.2, 1.0])] * 3).filter(any),
+    value_range=st.integers(1, 4),
+    arrivals=st.sampled_from(["uniform", "poisson"]),
+    relation_weights=st.dictionaries(
+        st.sampled_from(sorted(MIXED)), st.sampled_from([0, 0.5, 2])
+    ).filter(lambda w: sum(w.get(n, 1.0) for n in MIXED) > 0),
+    multi_update_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    hot_fraction=st.sampled_from([0.0, 0.5]),
+    hot_keys=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(deadline=None)
+@given(preloaded_worlds(), specs)
+def test_streams_equal_the_row_mirror_generators(build, spec):
+    """The tuple mirror draws what the ``Row`` mirror drew: the same
+    stream, whatever the preloaded rows (duplicates included) and spec."""
+    assert (
+        UpdateStreamGenerator(build(), spec).transactions()
+        == RowMirrorGenerator(build(), spec).transactions()
+    )
