@@ -34,7 +34,15 @@ KEY_FORMAT = 1
 
 
 def _canon(value: object, out: list[bytes]) -> None:
-    if isinstance(value, str):
+    if type(value) is int:  # a row's usual values first; not a bool
+        out.append(b"i:%d" % value)
+    elif isinstance(value, (tuple, list)):
+        out.append(b"(")
+        for item in value:
+            _canon(item, out)
+            out.append(b",")
+        out.append(b")")
+    elif isinstance(value, str):
         out.append(b"s:")
         out.append(value.encode("utf-8"))
     elif isinstance(value, bool):  # before int: bool is an int subclass
@@ -49,12 +57,6 @@ def _canon(value: object, out: list[bytes]) -> None:
         out.append(value)
     elif value is None:
         out.append(b"n")
-    elif isinstance(value, (tuple, list)):
-        out.append(b"(")
-        for item in value:
-            _canon(item, out)
-            out.append(b",")
-        out.append(b")")
     elif isinstance(value, (dict, Mapping)):
         out.append(b"{")
         for key in sorted(value, key=repr):
@@ -89,8 +91,8 @@ def relation_digest(
     """Digest a relation's full contents (value tuples with counts)."""
     h = hashlib.blake2b(digest_size=16)
     h.update(canon_bytes(tuple(layout)))
-    for values, count in sorted(counts.items(), key=lambda kv: repr(kv[0])):
-        _update_counted(h, values, count)
+    for values in sorted(counts, key=repr):
+        _update_counted(h, values, counts[values])
     return h.hexdigest()
 
 

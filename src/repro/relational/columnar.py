@@ -152,6 +152,7 @@ _OP_SOURCE = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _FILTER_CACHE: dict[tuple, Callable] = {}
 _PROJECT_CACHE: dict[tuple, Callable] = {}
 _MERGE_CACHE: dict[tuple, Callable] = {}
+_AGGREGATE_CACHE: dict[str, dict] = {}  # keyed by the kernel's source
 
 
 class _TupleRow(Mapping):
@@ -483,9 +484,6 @@ class AggregateKernel:
             else:
                 pos = child_layout.index(spec.attr)
                 lines.append(f"        s[{index}] += c * t[{pos}]")
-        env: dict = {}
-        exec(compile("\n".join(lines) + "\n", "<columnar-fold>", "exec"), env)
-        self._fold = env["_fold"]
         # the output builder: (key, state) -> layout-ordered tuple.  Kept
         # as a template over the state variable name so the delta pass
         # below can splice the same display in for old and new states.
@@ -499,11 +497,7 @@ class AggregateKernel:
         template = ", ".join(parts)
         if len(self.layout) == 1:
             template += ","
-        env = {}
-        body = template.format(state="s")
-        exec(compile(f"def _build(k, s):\n    return ({body})\n",
-                     "<columnar-aggregate>", "exec"), env)
-        self._build = env["_build"]
+        lines += ["def _build(k, s):", f"    return ({template.format(state='s')})"]
         # the delta pass: merge per-group contributions into the old
         # states and emit old-row deletions / new-row insertions, all in
         # one synthesized loop (state addition unrolled, output displays
@@ -511,8 +505,8 @@ class AggregateKernel:
         # value-only change can make the old and new output rows collide
         # (and cancel).
         merged = ", ".join(f"s[{i}] + d[{i}]" for i in range(self.width + 1))
-        source = (
-            "def _delta_pass(groups, contributions):\n"
+        source = "\n".join(lines) + (
+            "\ndef _delta_pass(groups, contributions):\n"
             "    out = {}\n"
             "    out_get = out.get\n"
             "    group_get = groups.get\n"
@@ -531,8 +525,12 @@ class AggregateKernel:
             "        new_states[k] = n\n"
             "    return out, new_states\n"
         )
-        env = {}
-        exec(compile(source, "<columnar-aggregate-delta>", "exec"), env)
+        # One compile per kernel shape: views of one shape share the code.
+        env = _AGGREGATE_CACHE.get(source)
+        if env is None:
+            env = _AGGREGATE_CACHE[source] = {}
+            exec(compile(source, "<columnar-aggregate>", "exec"), env)
+        self._fold, self._build = env["_fold"], env["_build"]
         self._delta_pass = env["_delta_pass"]
 
     def accumulate(self, groups: dict[tuple, list], counts: Mapping[tuple, int]) -> None:

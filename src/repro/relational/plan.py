@@ -500,9 +500,9 @@ class MaintenancePlan:
         # Warm-start auxiliary state (see export_aux): only private
         # compiles consume it — interned library nodes may be shared
         # with plans the seed knows nothing about.
-        self._preload = dict(preload) if preload and library is None else None
+        self._preload = dict(preload) if preload and library is None else {}
         self._root = self._compile(expression)
-        self._preload = None
+        self._preload = {}
         self._staged: dict = {}
         self.propagations = 0
         #: opt-in per-node profiler (see :mod:`repro.obs.profiler`); when
@@ -556,11 +556,7 @@ class MaintenancePlan:
             return _CJoinNode(left, right, on)
         if isinstance(expr, Aggregate):
             child = self._compile(expr.child)
-            seed_groups = (
-                self._preload.get(f"agg|{expr}")
-                if self._preload is not None
-                else None
-            )
+            seed_groups = self._preload.get(_preload_key(expr))
             return _CAggregateNode(expr, child, self._db, seed_groups)
         raise PlanUnsupported(
             f"no maintenance plan for {type(expr).__name__} nodes"
@@ -573,11 +569,7 @@ class MaintenancePlan:
                 expr.name, self._db.relation(expr.name), probe_key=on
             )
         else:
-            seed = (
-                self._preload.get(f"input|{','.join(on)}|{expr}")
-                if self._preload is not None
-                else None
-            )
+            seed = self._preload.get(_preload_key(expr, on))
             build = lambda: _CMatInput(
                 expr, self._compile(expr), self._db, on, seed
             )
@@ -642,13 +634,12 @@ class MaintenancePlan:
         out: dict[str, object] = {}
         for node in self._nodes:
             if isinstance(node, _CMatInput):
-                key = f"input|{','.join(node.probe_key)}|{node.expr}"
-                out[key] = (
+                out[_preload_key(node.expr, node.probe_key)] = (
                     tuple(node.layout),
                     dict(node.store.counts_view()),
                 )
             elif isinstance(node, _CAggregateNode):
-                out[f"agg|{node.expr}"] = {
+                out[_preload_key(node.expr)] = {
                     key: list(state)
                     for key, state in node._groups.items()
                 }
@@ -701,17 +692,22 @@ def warm_start(
             continue
         unfiltered = not expr.base_relations() & skip
         if on is not None and unfiltered:
-            out[f"input|{on}|{expr}"] = _eval_columnar(expr, database, memo)
+            out[_preload_key(expr, on)] = _eval_columnar(expr, database, memo)
         if isinstance(expr, Join):
-            on = ",".join(expr.join_attributes(database.schemas))
+            on = expr.join_attributes(database.schemas)
             pending += [(expr.left, on), (expr.right, on)]
             continue
         pending.append((expr.child, None))
         if isinstance(expr, Aggregate) and unfiltered:
             layout, counts = _eval_columnar(expr.child, database, memo)
-            out[f"agg|{expr}"] = groups = {}
+            out[_preload_key(expr)] = groups = {}
             AggregateKernel(expr, layout).accumulate(groups, counts)
     return out
+
+
+def _preload_key(expr: Expression, on: tuple[str, ...] | None = None) -> str:
+    """The ``preload=`` key of a join input probed on ``on``, else of a group-by."""
+    return f"agg|{expr}" if on is None else f"input|{','.join(on)}|{expr}"
 
 
 class PlanLibrary:

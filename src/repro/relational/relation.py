@@ -83,10 +83,13 @@ class Relation:
         cls, counts: Mapping[Row, int], schema: Schema | None = None
     ) -> "Relation":
         """Build a relation directly from a row→count mapping."""
+        rel = cls(schema)
         for row, count in counts.items():
             if not _is_count(type(count)) or count < 0:
                 raise _bad_multiplicity(row, count)
-        return cls(schema, (row for row, count in counts.items() for _ in range(count)))
+            if count:
+                rel.insert(row, count)
+        return rel
 
     @classmethod
     def from_tuple_counts(

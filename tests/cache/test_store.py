@@ -250,6 +250,18 @@ class TestKeyStability:
             relation_digest(layout, {(1, 2): 2})
         )
 
+    def test_encoding_and_digest_are_pinned(self):
+        # Artifact addresses are built from these bytes: a change to them
+        # orphans every stored artifact, so it must come with KEY_FORMAT.
+        value = (1, True, -2, 2.5, "é", None, b"y", (3, "x"), [0], {"k": 1})
+        assert canon_bytes(value) == (
+            b"(i:1,b:1,i:-2,f:2.5,s:\xc3\xa9,n,y:y,(i:3,s:x,),(i:0,),{s:k=i:1;},)"
+        )
+        counts = {(1, "x", 2.5): 2, (True, None, -7): 1, (0, "", 1.0): 3}
+        assert relation_digest(("A", "B", "C"), counts) == (
+            "675cefce3fd71155e5631b3d13c87074"
+        )
+
 
 class TestCacheConfig:
     def test_validation(self):
