@@ -16,9 +16,10 @@ first) view name, and the group walks clockwise to the first shard whose
 accumulated *estimated plan cost* stays under ``(1 + load_slack) x`` the
 fair share.  Two properties fall out:
 
-* **stability** — adding or removing a group (or a shard) moves only the
-  groups whose ring interval changed, not an arbitrary re-shuffle the
-  way modulo hashing would;
+* **stability** — adding or removing a group, or placing the same groups
+  on a fleet with one shard more or less, moves only the groups whose
+  ring interval changed, not an arbitrary re-shuffle the way modulo
+  hashing would;
 * **cost balance** — the walk is bounded by estimated
   :func:`~repro.merge.distributed.estimate_plan_cost`, not view count,
   so a shard full of three-way-join views is "full" earlier than one
@@ -86,36 +87,17 @@ class ShardRouter:
         self.replicas = replicas
         self.load_slack = load_slack
         self._shards = list(shards)
-        self._rebuild_ring()
-
-    def _rebuild_ring(self) -> None:
-        points = []
-        for shard in self._shards:
-            for replica in range(self.replicas):
-                points.append((stable_hash(f"{shard}#{replica}"), shard))
-        points.sort()
+        points = sorted(
+            (stable_hash(f"{shard}#{replica}"), shard)
+            for shard in self._shards
+            for replica in range(replicas)
+        )
         self._ring_hashes = [h for h, _ in points]
         self._ring_shards = [s for _, s in points]
 
-    # -- fleet membership ---------------------------------------------------
     @property
     def shards(self) -> tuple[str, ...]:
         return tuple(self._shards)
-
-    def add_shard(self, shard: str) -> None:
-        if shard in self._shards:
-            raise MergeError(f"shard {shard!r} already in the ring")
-        self._shards.append(shard)
-        self._rebuild_ring()
-
-    def remove_shard(self, shard: str) -> None:
-        try:
-            self._shards.remove(shard)
-        except ValueError:
-            raise MergeError(f"shard {shard!r} not in the ring") from None
-        if not self._shards:
-            raise MergeError("cannot remove the last shard")
-        self._rebuild_ring()
 
     # -- placement ----------------------------------------------------------
     @staticmethod

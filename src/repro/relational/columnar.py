@@ -151,7 +151,7 @@ _OP_SOURCE = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 #: simply skip the cache.
 _FILTER_CACHE: dict[tuple, Callable] = {}
 _PROJECT_CACHE: dict[tuple, Callable] = {}
-_MERGE_CACHE: dict[tuple, Callable] = {}
+_MERGE_CACHE: dict[tuple, tuple[Layout, Callable]] = {}
 _AGGREGATE_CACHE: dict[str, dict] = {}  # keyed by the kernel's source
 
 
@@ -325,11 +325,11 @@ def compile_merge(
     output tuple positionally (shared attributes are taken from the left
     operand — the join key guarantees they agree).
     """
-    out_layout = layout_of(set(left_layout) | set(right_layout))
     key = (left_layout, right_layout)
     cached = _MERGE_CACHE.get(key)
     if cached is not None:
-        return out_layout, cached
+        return cached
+    out_layout = layout_of(set(left_layout) | set(right_layout))
     parts = []
     for name in out_layout:
         if name in left_layout:
@@ -342,9 +342,8 @@ def compile_merge(
     env: dict = {}
     exec(compile(f"def _merge(l, r):\n    return ({body})\n",
                  "<columnar-merge>", "exec"), env)
-    merge = env["_merge"]
-    _MERGE_CACHE[key] = merge
-    return out_layout, merge
+    compiled = _MERGE_CACHE[key] = out_layout, env["_merge"]
+    return compiled
 
 
 #: fused probe-loop kernels, keyed by (delta layout, other layout, on, side)

@@ -14,33 +14,44 @@ The join rule is exact for arbitrary mixes of insertions and deletions
 thanks to signed multiplicities.
 
 ``propagate_delta`` here is the *stateless* implementation: it re-derives
-each join's old sides and re-evaluates aggregate inputs
-(``_eval_counts_group_restricted``) against the pre-state on every call,
-so it costs O(|base|) per update and needs nothing kept between calls.
-That makes it the path for a pre-state that exists for one batch only —
-the ``snapshot`` / ``compensate`` / ``naive`` view-manager modes, which
-fetch theirs per batch — and the reference the test suite and the
-benchmarks hold the plan against.  Standing state (cached-mode replicas,
+each join's old sides, and each touched aggregate group's old rows, from
+the pre-state on every call, so it costs O(|base|) per update and needs
+nothing kept between calls.  That makes it the path for a pre-state that
+exists for one batch only — the ``snapshot`` / ``compensate`` / ``naive``
+view-manager modes, which fetch theirs per batch.  It runs on the
+columnar kernels: the rules are compiled once per (expression, base
+relation layouts) from ``compile_filter`` / ``compile_projection`` /
+``compile_merge`` with ``make_key`` and ``join_counts_columnar`` /
+``AggregateKernel``, an old side is read off the pre-state's stores
+through ``_eval_columnar`` (one memo per call), and the result is adopted
+as a :class:`Delta`: no ``Row`` is built.  The same rules over ``Row``
+dicts live on in ``tests/relational/oracle.py`` as the independent
+reference.  Standing state (cached-mode replicas,
 :class:`~repro.relational.maintain.MaterializedView`) is maintained by the
-compiled :class:`~repro.relational.plan.MaintenancePlan` (columnar
-kernels, indexed probes, self-maintained aggregate state — see
-``docs/engine.md``), never by this module.
+compiled :class:`~repro.relational.plan.MaintenancePlan` (indexed probes,
+self-maintained aggregate state — see ``docs/engine.md``), never by this
+module.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.errors import ExpressionError, SchemaError
-from repro.relational.algebra import (
-    DatabaseLike,
-    _eval_counts,
-    aggregate_counts,
-    join_counts,
+from repro.relational.algebra import DatabaseLike
+from repro.relational.columnar import (
+    EMPTY_COUNTS,
+    AggregateKernel,
+    _eval_columnar,
+    compile_filter,
+    compile_merge,
+    compile_projection,
+    counts_to_rows,
+    join_counts_columnar,
+    make_key,
 )
-from repro.relational.columnar import counts_to_rows
 from repro.relational.expressions import (
     Aggregate,
     BaseRelation,
@@ -239,146 +250,116 @@ def propagate_delta(
     """Compute the view delta induced by ``base_deltas`` on ``expr``.
 
     ``pre_state`` must expose the base relations *before* the deltas were
-    applied.  Relations not mentioned in ``base_deltas`` are unchanged.
+    applied.  Relations not mentioned in ``base_deltas`` are unchanged; a
+    delta laid out otherwise than its relation is a :class:`SchemaError`.
     """
-    counts = _propagate(expr, pre_state, base_deltas)
-    return Delta(counts)
+    compiled = _RULES.get(expr)
+    if compiled is None:
+        compiled = _RULES[expr] = (sorted(expr.base_relations()), {})
+    names, by_layouts = compiled
+    schemas = pre_state.schemas
+    try:
+        layouts = tuple([schemas[name].layout for name in names])
+    except KeyError as missing:
+        raise ExpressionError(f"unknown base relation {missing}") from None
+    rules = by_layouts.get(layouts)
+    if rules is None:
+        rules = by_layouts[layouts] = _compile_rules(expr, schemas)
+    layout, rule = rules
+    counts = rule(base_deltas, pre_state, {})
+    return Delta._adopt(layout, counts) if counts else Delta()
 
 
-def _propagate(
-    expr: Expression,
-    pre: "DatabaseLike",
-    deltas: Mapping[str, Delta],
-) -> Mapping[Row, int]:
+#: expression -> (its base relations, {their layouts: (layout, rule)})
+_RULES: dict[Expression, tuple[list[str], dict[tuple, tuple]]] = {}
+
+
+def _compile_rules(expr: Expression, schemas) -> tuple[tuple[str, ...], Callable]:
+    """``(layout, rule)``: ``rule(deltas, pre, memo)`` is the delta of
+    ``expr`` as a zero-free tuple bag, old sides read off ``pre``."""
     if isinstance(expr, BaseRelation):
-        delta = deltas.get(expr.name)
-        # The view is read-only downstream, so no defensive copy is needed.
-        return delta.counts() if delta else {}
-    if isinstance(expr, Select):
-        child = _propagate(expr.child, pre, deltas)
-        return {r: c for r, c in child.items() if expr.predicate.evaluate(r)}
-    if isinstance(expr, Project):
-        child = _propagate(expr.child, pre, deltas)
-        out: dict[Row, int] = defaultdict(int)
-        for row, count in child.items():
-            out[row.project(expr.names)] += count
-        return {r: c for r, c in out.items() if c}
+        name, layout = expr.name, schemas[expr.name].layout
+
+        def base(deltas, pre, memo):
+            delta = deltas.get(name)
+            if delta and delta.layout != layout:
+                raise SchemaError(
+                    f"delta for {name!r} is laid out as {delta.layout}, "
+                    f"the relation as {layout}"
+                )
+            return delta._counts if delta else EMPTY_COUNTS
+
+        return layout, base
+    if isinstance(expr, (Select, Project)):
+        layout, child = _compile_rules(expr.child, schemas)
+        if isinstance(expr, Select):
+            kernel = compile_filter(expr.predicate, layout)
+            if kernel is None:
+                return layout, child
+        else:
+            layout, kernel = compile_projection(layout, expr.names)
+        return layout, lambda deltas, pre, memo: (
+            kernel(counts) if (counts := child(deltas, pre, memo)) else EMPTY_COUNTS
+        )
     if isinstance(expr, Join):
-        on = expr.join_attributes(pre.schemas)
-        d_left = _propagate(expr.left, pre, deltas)
-        d_right = _propagate(expr.right, pre, deltas)
-        # Skip evaluating an old side entirely when the opposite delta is
-        # empty — the common case when an update touches one relation.
-        out: dict[Row, int] = defaultdict(int)
-        if d_left:
-            right_old = _eval_counts(expr.right, pre)
-            for row, count in join_counts(d_left, right_old, on).items():
-                out[row] += count
-        if d_right:
-            left_old = _eval_counts(expr.left, pre)
-            for row, count in join_counts(left_old, d_right, on).items():
-                out[row] += count
-        if d_left and d_right:
-            for row, count in join_counts(d_left, d_right, on).items():
-                out[row] += count
-        return {r: c for r, c in out.items() if c}
+        return _compile_join(expr, schemas)
     if isinstance(expr, Aggregate):
-        return _propagate_aggregate(expr, pre, deltas)
+        return _compile_aggregate(expr, schemas)
     raise ExpressionError(f"cannot propagate through {type(expr).__name__}")
 
 
-def _propagate_aggregate(
-    expr: Aggregate,
-    pre: "DatabaseLike",
-    deltas: Mapping[str, Delta],
-) -> dict[Row, int]:
-    """Delta rule for count/sum group-bys.
+def _compile_join(expr: Join, schemas) -> tuple[tuple[str, ...], Callable]:
+    """d(L join R) = dL join R_old + L_old join dR + dL join dR, an old
+    side evaluated only when the opposite delta is not empty."""
+    on = expr.join_attributes(schemas)
+    left_layout, left = _compile_rules(expr.left, schemas)
+    right_layout, right = _compile_rules(expr.right, schemas)
+    layout, merge = compile_merge(left_layout, right_layout)
+    left_key, right_key = make_key(left_layout, on), make_key(right_layout, on)
 
-    Only the groups touched by the child delta can change.  For those
-    groups, re-derive the old and new aggregate rows (the new ones from
-    the old child restricted to affected groups plus the child delta —
-    count/sum are self-maintainable, so no other rows are needed) and emit
-    ``new - old``.  This handles group birth, death, and value-only
-    changes (e.g. a modify that leaves the group's row count intact).
-    """
-    d_child = _propagate(expr.child, pre, deltas)
-    if not d_child:
-        return {}
-    def key(row: Row) -> tuple:
-        return tuple(row[a] for a in expr.group_by)
+    def join(deltas, pre, memo):
+        d_left, d_right = left(deltas, pre, memo), right(deltas, pre, memo)
+        terms = []
+        if d_left:
+            old = _eval_columnar(expr.right, pre, memo)[1]
+            terms.append(join_counts_columnar(d_left, old, left_key, right_key, merge))
+        if d_right:
+            old = _eval_columnar(expr.left, pre, memo)[1]
+            terms.append(join_counts_columnar(old, d_right, left_key, right_key, merge))
+        if len(terms) < 2:  # one side changed (the common case), or none
+            return terms[0] if terms else EMPTY_COUNTS
+        terms.append(join_counts_columnar(d_left, d_right, left_key, right_key, merge))
+        out: dict[tuple, int] = defaultdict(int)
+        for term in terms:
+            for t, count in term.items():
+                out[t] += count
+        return {t: c for t, c in out.items() if c}
 
-    affected = {key(row) for row in d_child}
-    old_child = _eval_counts_group_restricted(
-        expr.child, pre, expr.group_by, affected
-    )
-    old_affected = {
-        row: count for row, count in old_child.items() if key(row) in affected
-    }
-    new_affected = dict(old_affected)
-    for row, count in d_child.items():
-        new_affected[row] = new_affected.get(row, 0) + count
-
-    old_agg = aggregate_counts(expr, old_affected)
-    new_agg = aggregate_counts(expr, new_affected)
-    out: dict[Row, int] = defaultdict(int)
-    for row, count in new_agg.items():
-        out[row] += count
-    for row, count in old_agg.items():
-        out[row] -= count
-    return {r: c for r, c in out.items() if c}
+    return layout, join
 
 
-def _eval_counts_group_restricted(
-    expr: Expression,
-    pre: "DatabaseLike",
-    group_by: tuple[str, ...],
-    affected: set[tuple],
-) -> Mapping[Row, int]:
-    """Evaluate ``expr`` keeping only rows whose group key is ``affected``.
+def _compile_aggregate(expr: Aggregate, schemas) -> tuple[tuple[str, ...], Callable]:
+    """Only the groups the child delta touches change: their old rows are
+    folded into group states, and the kernel's delta pass emits old-row
+    deletions and new-row insertions (birth, death, value-only change)."""
+    child_layout, child = _compile_rules(expr.child, schemas)
+    kernel = AggregateKernel(expr, child_layout)
+    group_of = make_key(child_layout, expr.group_by)
+    bare = len(expr.group_by) == 1  # make_key's key is the value itself
 
-    The group-key restriction is pushed down as far as possible so the
-    aggregate delta rule does not pay for re-joining and re-scanning
-    unaffected groups: any sub-expression whose output carries *all* the
-    group-by attributes gets filtered eagerly (sound because a dropped row
-    can only produce output rows with the same group key — group-by
-    attributes pass through selection, projection and join unchanged).
-    Sub-expressions missing some group attribute are evaluated in full.
-    """
-    if not group_by:
-        return _eval_counts(expr, pre)
+    def aggregate(deltas, pre, memo):
+        touched: dict[tuple, list] = {}
+        kernel.accumulate(touched, child(deltas, pre, memo))
+        if not touched:
+            return EMPTY_COUNTS
+        affected = {k[0] for k in touched} if bare else touched.keys()
+        old = _eval_columnar(expr.child, pre, memo)[1].items()
+        groups: dict[tuple, list] = {}
+        kernel.accumulate(groups, {t: c for t, c in old if group_of(t) in affected})
+        out, _ = kernel.delta_pass(groups, touched)
+        return {t: c for t, c in out.items() if c}
 
-    def keep(row: Row) -> bool:
-        return tuple(row[a] for a in group_by) in affected
-
-    def walk(node: Expression, can_filter: bool) -> Mapping[Row, int]:
-        if isinstance(node, BaseRelation):
-            counts = pre.relation(node.name).counts_view()
-            if can_filter and all(
-                a in pre.schemas[node.name] for a in group_by
-            ):
-                counts = {r: c for r, c in counts.items() if keep(r)}
-            return counts
-        if isinstance(node, Select):
-            child = walk(node.child, can_filter)
-            return {r: c for r, c in child.items() if node.predicate.evaluate(r)}
-        if isinstance(node, Project):
-            # Group attributes survive the projection (they are in the
-            # aggregate's input schema), so filtering below is sound.
-            child = walk(node.child, can_filter)
-            out: dict[Row, int] = defaultdict(int)
-            for row, count in child.items():
-                out[row.project(node.names)] += count
-            return dict(out)
-        if isinstance(node, Join):
-            on = node.join_attributes(pre.schemas)
-            left = walk(node.left, can_filter)
-            right = walk(node.right, can_filter)
-            return join_counts(left, right, on)
-        # Nested aggregates (or anything exotic): no pushdown below here.
-        return _eval_counts(node, pre)
-
-    counts = walk(expr, True)
-    return {r: c for r, c in counts.items() if keep(r)}
+    return kernel.layout, aggregate
 
 
 def updates_to_deltas(updates: Iterable["Update"]) -> dict[str, Delta]:

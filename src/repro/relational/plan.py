@@ -1,8 +1,8 @@
 """Compiled incremental-maintenance plans (indexed, columnar, vectorized).
 
 ``propagate_delta`` (:mod:`repro.relational.delta`) is correct but pays
-O(|base|) per update: its join rule materializes the *entire* opposite
-side of every join (``_eval_counts``) to match it against a delta, and its
+O(|base|) per update: its join rule evaluates the *entire* opposite side
+of every join (``_eval_columnar``) to match it against a delta, and its
 aggregate rule folds group state from a full child re-evaluation.  A
 :class:`MaintenancePlan` compiles a
 :class:`~repro.relational.expressions.ViewDefinition`'s expression once

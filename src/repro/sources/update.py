@@ -3,13 +3,14 @@
 The paper's examples use exactly these three kinds (§3.1: "each update is
 a single tuple insert, delete, or modification").  An :class:`Update`
 converts to a signed-count :class:`~repro.relational.delta.Delta` for the
-maintenance machinery.
+maintenance machinery, once: the source, the base-data service and every
+view manager that sees the update read the same ``Delta``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import SourceError
 from repro.relational.delta import Delta
@@ -32,6 +33,9 @@ class Update:
     kind: UpdateKind
     row: Row
     new_row: Row | None = None
+    #: the :meth:`as_delta` built on first call; not part of the value
+    #: (``==``, ``hash``, ``repr``) nor of the pickled state
+    _delta: Delta | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is UpdateKind.MODIFY:
@@ -55,12 +59,22 @@ class Update:
 
     # -- semantics ------------------------------------------------------------
     def as_delta(self) -> Delta:
-        if self.kind is UpdateKind.INSERT:
-            return Delta.insert(self.row)
-        if self.kind is UpdateKind.DELETE:
-            return Delta.delete(self.row)
-        assert self.new_row is not None
-        return Delta.modify(self.row, self.new_row)
+        """The update as a signed-count delta, built once (deltas are
+        immutable, so every reader may share it)."""
+        if self._delta is None:
+            if self.kind is UpdateKind.MODIFY:
+                delta = Delta.modify(self.row, self.new_row)
+            else:
+                delta = Delta({self.row: 1 if self.kind is UpdateKind.INSERT else -1})
+            object.__setattr__(self, "_delta", delta)
+        return self._delta
+
+    def __getstate__(self) -> list:
+        return [self.relation, self.kind, self.row, self.new_row]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(_SLOTS, [*state, None]):
+            object.__setattr__(self, name, value)
 
     def touched_rows(self) -> tuple[Row, ...]:
         """Rows whose values the relevance filter may inspect."""
@@ -73,6 +87,9 @@ class Update:
         if self.kind is UpdateKind.MODIFY:
             return f"modify {self.relation}: {self.row} -> {self.new_row}"
         return f"{self.kind.value} {self.relation}: {self.row}"
+
+
+_SLOTS = ("relation", "kind", "row", "new_row", "_delta")
 
 
 def _coerce(row: Row | dict) -> Row:

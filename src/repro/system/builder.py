@@ -30,7 +30,7 @@ import tempfile
 from repro.cache.artifacts import SystemCacheBinding
 from repro.cache.store import ArtifactStore
 from repro.consistency import ConsistencyReport, Replay, replay_source_states
-from repro.errors import FaultError, ReproError
+from repro.errors import FaultError, ReproError, SimulationError
 from repro.integrator.basedata import BaseDataService
 from repro.integrator.integrator import Integrator
 from repro.integrator.relevance import RelevanceFilter
@@ -89,6 +89,7 @@ class WarehouseSystem:
         self.sim.trace.kinds = self.config.trace_kinds
         self._initial_state = world.current.snapshot()
         self._owned_cache_root: str | None = None
+        self._closed = False
         self.cache_store: ArtifactStore | None = None
         self._cache_binding: SystemCacheBinding | None = None
         if self.config.cache is not None:
@@ -396,8 +397,14 @@ class WarehouseSystem:
         return algorithm_cls(views, name=name, **cfg.arguments_for(algorithm_cls))
 
     # -------------------------------------------------------------- workloads
+    def _check_open(self) -> None:
+        if self._closed:
+            raise SimulationError("the system is closed: it takes no more "
+                                  "updates and runs no more events")
+
     def post(self, transaction: SourceTransaction, at: float) -> None:
         """Schedule ``transaction`` at the owning source at virtual time ``at``."""
+        self._check_open()
         source = self.sources.get(transaction.origin)
         if source is None:
             raise ReproError(f"no source named {transaction.origin!r}")
@@ -410,11 +417,13 @@ class WarehouseSystem:
 
     def post_global(self, updates: Iterable[Update], at: float) -> None:
         """Schedule a §6.2 multi-source transaction via the coordinator."""
+        self._check_open()
         self.sim.schedule_at(at, self.coordinator.execute, tuple(updates))
 
     # ------------------------------------------------------------------- run
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Drive the simulation; flush trailing blocks/batches at the end."""
+        self._check_open()
         executed = self.sim.run(until=until, max_events=max_events)
         if until is None and max_events is None:
             # End-of-stream: close trailing complete-N blocks at the
@@ -442,7 +451,12 @@ class WarehouseSystem:
             self.plan_profiler.publish_into(self.sim.metrics)
 
     def close(self) -> None:
-        """Publish closing telemetry, remove a private cache; idempotent."""
+        """Publish closing telemetry, remove a private cache.  Terminal: a
+        later ``post*`` or ``run`` raises, results stay readable, a second
+        ``close()`` does nothing."""
+        if self._closed:
+            return
+        self._closed = True
         self._finalise_telemetry()
         if self._owned_cache_root is not None:
             shutil.rmtree(self._owned_cache_root, ignore_errors=True)

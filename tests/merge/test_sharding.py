@@ -52,16 +52,6 @@ class TestShardRouter:
         with pytest.raises(MergeError):
             ShardRouter(["a"], load_slack=-0.1)
 
-    def test_membership_errors(self):
-        router = ShardRouter(["a", "b"])
-        with pytest.raises(MergeError):
-            router.add_shard("a")
-        with pytest.raises(MergeError):
-            router.remove_shard("zzz")
-        router.remove_shard("b")
-        with pytest.raises(MergeError):
-            router.remove_shard("a")
-
     def test_deterministic_placement(self):
         groups = [tuple(sorted(g)) for g in (("A", "B"), ("C",), ("D",))]
         one = ShardRouter(["s0", "s1"]).assign(groups)
@@ -101,13 +91,12 @@ class TestShardRouter:
         assert max(cost_per_shard.values()) <= 1.1 * total / 2 + 10.0
 
     def test_stability_under_shard_add(self):
-        """Adding a shard moves only groups whose ring interval changed —
-        far fewer than a modulo-hash reshuffle (which moves ~ (n-1)/n)."""
+        """A fleet with one shard more moves only groups whose ring interval
+        changed — far fewer than a modulo-hash reshuffle (~ (n-1)/n)."""
         groups = [(f"V{i:03d}",) for i in range(200)]
-        router = ShardRouter([f"s{i}" for i in range(4)], load_slack=10.0)
-        before = router.assign(groups)
-        router.add_shard("s4")
-        after = router.assign(groups)
+        fleet = [f"s{i}" for i in range(5)]
+        before = ShardRouter(fleet[:4], load_slack=10.0).assign(groups)
+        after = ShardRouter(fleet, load_slack=10.0).assign(groups)
         moved = sum(1 for g in groups if before[g] != after[g])
         # the new shard owns ~1/5 of the ring; allow generous slop but
         # require far less churn than the ~4/5 modulo hashing causes.

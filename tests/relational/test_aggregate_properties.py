@@ -11,6 +11,7 @@ from repro.relational.expressions import Aggregate, AggregateSpec, BaseRelation,
 from repro.relational.predicates import compare
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
+from tests.relational.oracle import reference_delta
 
 VALUES = st.integers(min_value=0, max_value=3)
 
@@ -71,6 +72,7 @@ def test_aggregate_incremental_equals_recompute(data):
 
     before = evaluate(expr, db)
     view_delta = propagate_delta(expr, db, deltas)
+    assert view_delta == reference_delta(expr, db, deltas)
     db.apply_deltas(deltas)
     after = evaluate(expr, db)
 

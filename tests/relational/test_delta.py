@@ -2,16 +2,25 @@
 
 import pytest
 
-from repro.errors import RelationError, SchemaError
+from repro.errors import ExpressionError, RelationError, SchemaError
 from repro.relational.algebra import evaluate
 from repro.relational.database import Database
+from repro.relational import delta as delta_module
 from repro.relational.delta import Delta, propagate_delta
-from repro.relational.expressions import BaseRelation, Join, Project, Select
+from repro.relational.expressions import (
+    Aggregate,
+    AggregateSpec,
+    BaseRelation,
+    Join,
+    Project,
+    Select,
+)
 from repro.relational.parser import parse_view
 from repro.relational.predicates import compare
 from repro.relational.relation import Relation
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
+from tests.relational.oracle import assert_matches_oracles
 
 
 class TestDelta:
@@ -256,3 +265,105 @@ class TestPropagation:
         materialized = before.copy()
         delta.apply_to(materialized)
         assert materialized == after
+
+
+def _sales() -> Database:
+    db = Database()
+    db.create_relation("F", Schema(["id", "g", "q"]), [
+        Row(id=1, g=1, q=5), Row(id=2, g=1, q=7), Row(id=3, g=2, q=1),
+    ])
+    db.create_relation("D", Schema(["g", "zone"]), [
+        Row(g=1, zone=0), Row(g=2, zone=1), Row(g=3, zone=1),
+    ])
+    return db
+
+
+TOTALS = Aggregate(
+    ("zone",),
+    (AggregateSpec("count", "n"), AggregateSpec("sum", "total", "q")),
+    Join(BaseRelation("F"), BaseRelation("D")),
+)
+
+
+class TestCompiledRules:
+    """The tuple rules against the ``Row`` rules and the recompute, on the
+    cases that exercise each term of them."""
+
+    def check(self, expr, db, deltas):
+        view_delta = propagate_delta(expr, db, deltas)
+        assert_matches_oracles(expr, db, deltas, view_delta)
+        return view_delta
+
+    def test_deltas_on_both_join_sides(self):
+        deltas = {
+            "R": Delta({Row(A=9, B=2): 1, Row(A=1, B=2): -1, Row(A=7, B=6): 1}),
+            "S": Delta({Row(B=2, C=5): -1, Row(B=4, C=6): 1, Row(B=6, C=0): 2}),
+        }
+        delta = self.check(Join(BaseRelation("R"), BaseRelation("S")), _db(), deltas)
+        assert delta == Delta({
+            Row(A=1, B=2, C=5): -1,  # a deleted R row meets a deleted S row
+            Row(A=3, B=4, C=6): 1,  # an old R row meets a new S row
+            Row(A=7, B=6, C=0): 2,  # a new R row meets a new S row, twice
+        })
+
+    def test_a_modify_that_stays_within_its_group(self):
+        deltas = {"F": Delta.modify(Row(id=1, g=1, q=5), Row(id=1, g=1, q=6))}
+        delta = self.check(TOTALS, _sales(), deltas)
+        assert delta == Delta({Row(zone=0, n=2, total=12): -1,
+                               Row(zone=0, n=2, total=13): 1})
+
+    def test_a_modify_that_changes_nothing_visible_cancels(self):
+        expr = Aggregate(("g",), (AggregateSpec("count", "n"),), BaseRelation("F"))
+        deltas = {"F": Delta.modify(Row(id=1, g=1, q=5), Row(id=1, g=1, q=6))}
+        assert self.check(expr, _sales(), deltas).is_empty()
+
+    def test_group_death_and_birth(self):
+        deltas = {"F": Delta({Row(id=3, g=2, q=1): -1, Row(id=4, g=3, q=2): 1})}
+        delta = self.check(TOTALS, _sales(), deltas)
+        assert delta == Delta({Row(zone=1, n=1, total=1): -1,
+                               Row(zone=1, n=1, total=2): 1})
+        deltas = {"F": Delta.delete(Row(id=3, g=2, q=1))}
+        assert self.check(TOTALS, _sales(), deltas) == Delta.delete(
+            Row(zone=1, n=1, total=1)
+        )
+
+    def test_a_projection_whose_counts_cancel(self):
+        expr = Project(("C",), Join(BaseRelation("R"), BaseRelation("S")))
+        deltas = {"R": Delta({Row(A=1, B=2): -1, Row(A=8, B=2): 1})}
+        assert self.check(expr, _db(), deltas).is_empty()
+
+    @pytest.mark.parametrize("misfit", [
+        Delta({(9, 9, 9): 1}, ("A", "B", "C")),
+        Delta({(9,): 1}, ("A",)),
+        Delta.insert(Row(A=9, D=9)),
+    ], ids=["wider", "narrower", "renamed"])
+    def test_a_delta_laid_out_otherwise_than_its_relation(self, misfit):
+        for expr in (BaseRelation("R"), Join(BaseRelation("R"), BaseRelation("S"))):
+            with pytest.raises(SchemaError, match="laid out"):
+                propagate_delta(expr, _db(), {"R": misfit})
+
+    def test_a_pre_state_without_a_relation_the_expression_reads(self):
+        db = Database()
+        db.create_relation("R", Schema(["A", "B"]), [])
+        with pytest.raises(ExpressionError, match="'S'"):
+            propagate_delta(Join(BaseRelation("R"), BaseRelation("S")), db,
+                            {"R": Delta.insert(Row(A=1, B=2))})
+
+    def test_rules_are_compiled_once_per_expression_and_layouts(self, monkeypatch):
+        compiled = []
+        original = delta_module._compile_rules
+        monkeypatch.setattr(delta_module, "_RULES", {})
+        monkeypatch.setattr(
+            delta_module, "_compile_rules",
+            lambda expr, schemas: compiled.append(expr) or original(expr, schemas),
+        )
+        expr = Join(BaseRelation("R"), BaseRelation("S"))
+        for update in (Delta.insert(Row(A=5, B=2)), Delta.delete(Row(A=1, B=2))):
+            propagate_delta(expr, _db(), {"R": update})
+        parts = [expr, BaseRelation("R"), BaseRelation("S")]
+        assert compiled == parts
+        other = Database()
+        other.create_relation("R", Schema(["A", "B", "E"]), [])
+        other.create_relation("S", Schema(["B", "C"]), [])
+        propagate_delta(expr, other, {"R": Delta.insert(Row(A=5, B=2, E=0))})
+        assert compiled == parts + parts

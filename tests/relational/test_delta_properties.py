@@ -23,6 +23,7 @@ from repro.relational.expressions import (
 from repro.relational.predicates import compare
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
+from tests.relational.oracle import reference_delta
 
 VALUES = st.integers(min_value=0, max_value=4)
 
@@ -109,6 +110,7 @@ def test_incremental_equals_recomputation(data):
 
     view_before = evaluate(expr, db)
     view_delta = propagate_delta(expr, db, deltas)
+    assert view_delta == reference_delta(expr, db, deltas)
 
     db.apply_deltas(deltas)
     view_after = evaluate(expr, db)

@@ -3,10 +3,12 @@
 A bag is kept, moved and applied as layout-positioned value tuples (the
 store of a ``Relation``, the counts of a ``Delta``); a ``Row`` is what the
 two build when somebody reads them row-wise (``docs/engine.md``, the
-facade contract).  Two checks hold the pipeline to that: a cached-mode run
-from the end of set-up to the end of the drain builds no ``Row`` at all,
-and nothing in ``src/`` outside the three modules that own the boundary so
-much as names the tuple -> ``Row`` builders.
+facade contract).  Two checks hold the pipeline to that: a run from the
+end of set-up to the end of the drain builds no ``Row`` at all, whether
+its managers keep replicas (cached mode) or query the base data back
+(snapshot and compensate modes), and nothing in ``src/`` outside the three
+modules that own the boundary so much as names the tuple -> ``Row``
+builders.
 """
 
 import ast
@@ -50,9 +52,23 @@ def test_a_cached_mode_drain_builds_no_row(monkeypatch, build):
     """The generator's ``Update``s carry the only rows there are: posting
     them and draining the system constructs none (``Row(...)``) and builds
     none from a tuple (the products of ``compile_row_builder``)."""
-    world, views, spec = build()
     config = SystemConfig(seed=3, record_history=False, trace_enabled=True)
     assert config.manager_mode == "cached"
+    assert_drain_builds_no_row(monkeypatch, build, config)
+
+
+@pytest.mark.parametrize("kind, mode", [("strong", "compensate"),
+                                        ("complete", "snapshot")])
+def test_a_query_back_drain_builds_no_row(monkeypatch, kind, mode):
+    """The same with managers that keep no base data: the snapshot
+    answers, the compensation and the delta rules run on tuples too."""
+    config = SystemConfig(seed=3, record_history=False, trace_enabled=True,
+                          manager_kind=kind, manager_mode=mode)
+    assert_drain_builds_no_row(monkeypatch, ex2_steady, config)
+
+
+def assert_drain_builds_no_row(monkeypatch, build, config):
+    world, views, spec = build()
     system = WarehouseSystem(world, views, config)
     transactions = list(UpdateStreamGenerator(world, spec).transactions())
     original = columnar.compile_row_builder
