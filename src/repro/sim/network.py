@@ -89,6 +89,14 @@ class ExponentialLatency(LatencyModel):
         return f"ExponentialLatency({self.mean})"
 
 
+#: detail keys of the per-message ``msg_send`` / ``msg_recv`` records
+#: (a :class:`ReliableChannel` adds the frame's ``seq``)
+_SEND_KEYS = ("to", "message")
+_RECV_KEYS = ("sender", "message")
+_SEND_SEQ_KEYS = (*_SEND_KEYS, "seq")
+_RECV_SEQ_KEYS = (*_RECV_KEYS, "seq")
+
+
 class Channel:
     """A point-to-point FIFO channel between two processes."""
 
@@ -137,23 +145,17 @@ class Channel:
         deliver_at = max(now + delay, self._last_delivery)
         self._last_delivery = deliver_at
         self.messages_sent += 1
-        self._sim.trace.record(
-            now,
-            "msg_send",
-            self.source.name,
-            to=self.destination.name,
-            message=type(message).__name__,
+        self._sim.trace.record_fields(
+            now, "msg_send", self.source.name, _SEND_KEYS,
+            self.destination.name, type(message).__name__,
         )
         self._sim.schedule_at(deliver_at, self._deliver, message, lane=self.lane)
         return deliver_at
 
     def _deliver(self, message: object) -> None:
-        self._sim.trace.record(
-            self._sim.now,
-            "msg_recv",
-            self.destination.name,
-            sender=self.source.name,
-            message=type(message).__name__,
+        self._sim.trace.record_fields(
+            self._sim.now, "msg_recv", self.destination.name, _RECV_KEYS,
+            self.source.name, type(message).__name__,
         )
         self.destination.deliver(message, self.source)
 
@@ -255,12 +257,9 @@ class LossyChannel(Channel):
     def send(self, message: object) -> float:
         """Transmit once; returns the primary arrival time (``now`` if dropped)."""
         self.messages_sent += 1
-        self._sim.trace.record(
-            self._sim.now,
-            "msg_send",
-            self.source.name,
-            to=self.destination.name,
-            message=type(message).__name__,
+        self._sim.trace.record_fields(
+            self._sim.now, "msg_send", self.source.name, _SEND_KEYS,
+            self.destination.name, type(message).__name__,
         )
         arrival = self._transmit(message, self._deliver, self.faults)
         return arrival if arrival is not None else self._sim.now
@@ -345,13 +344,9 @@ class ReliableChannel(LossyChannel):
         self._unacked[seq] = message
         self._attempts[seq] = 0
         self.messages_sent += 1
-        self._sim.trace.record(
-            self._sim.now,
-            "msg_send",
-            self.source.name,
-            to=self.destination.name,
-            message=type(message).__name__,
-            seq=seq,
+        self._sim.trace.record_fields(
+            self._sim.now, "msg_send", self.source.name, _SEND_SEQ_KEYS,
+            self.destination.name, type(message).__name__, seq,
         )
         arrival = self._transmit_frame(seq)
         self._arm_timer(seq)
@@ -440,13 +435,9 @@ class ReliableChannel(LossyChannel):
             payload = self._reorder.pop(ready)
             self._in_mailbox.add(ready)
             self._expected += 1
-            self._sim.trace.record(
-                self._sim.now,
-                "msg_recv",
-                self.destination.name,
-                sender=self.source.name,
-                message=type(payload).__name__,
-                seq=ready,
+            self._sim.trace.record_fields(
+                self._sim.now, "msg_recv", self.destination.name, _RECV_SEQ_KEYS,
+                self.source.name, type(payload).__name__, ready,
             )
             self.destination.deliver(
                 payload, self.source, on_processed=lambda s=ready: self._on_processed(s)

@@ -33,6 +33,9 @@ from repro.sim.network import Channel, LatencyModel
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
 
+#: detail keys of a ``proc_msg`` record, before the message's lineage keys
+_PROC_MSG_KEYS = ("message", "sender", "wait", "service")
+
 
 class Process:
     """Base class for all simulated components.
@@ -205,15 +208,11 @@ class Process:
             self._flush()
         trace = self.sim.trace
         if trace.wants("proc_msg"):
-            trace.record(
-                now,
-                "proc_msg",
-                self.name,
-                message=type(message).__name__,
-                sender=sender.name,
-                wait=wait,
-                service=service,
-                **lineage_keys(message),
+            lineage = lineage_keys(message)
+            trace.record_fields(
+                now, "proc_msg", self.name, (*_PROC_MSG_KEYS, *lineage),
+                type(message).__name__, sender.name, wait, service,
+                *lineage.values(),
             )
         self.handle(message, sender)
         # Checkpoint hooks run after handle() so the saved state covers this
@@ -335,7 +334,9 @@ class Process:
 
     def trace(self, kind: str, **detail: object) -> None:
         """Record a trace event attributed to this process."""
-        self.sim.trace.record(self.sim.now, kind, self.name, **detail)
+        self.sim.trace.record_fields(
+            self.sim.now, kind, self.name, tuple(detail), *detail.values()
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

@@ -8,18 +8,27 @@ sequences; the observability layer (:mod:`repro.obs`) reconstructs causal
 lineage and exports traces to external viewers.
 
 Recording can be restricted to a set of event kinds (:attr:`Trace.kinds`)
-so high-rate runs only pay for the events they keep.  The filter is
-checked *before* any allocation, and callers that must build expensive
-``detail`` payloads should guard with :meth:`Trace.wants` first::
+so high-rate runs only pay for the events they keep: a rejected event
+stores nothing.  Its arguments are built by the caller before the filter
+runs (``record``'s ``**detail`` dict included), so callers that must build
+expensive payloads should guard with :meth:`Trace.wants` first::
 
     if sim.trace.wants("proc_msg"):
         sim.trace.record(now, "proc_msg", name, ids=expensive_ids(msg))
+
+Per-message call sites use :meth:`Trace.record_fields`, which takes the
+detail's keys as a tuple (a module-level constant) and its values
+positionally, so no dict is built at all.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import compress, starmap
 from typing import Callable, Collection, Iterable, Iterator
+
+from repro.errors import SimulationError
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,8 +45,8 @@ class TraceEvent:
         return f"[{self.time:10.3f}] {self.process:<16} {self.kind} {inner}"
 
 
-def _unflatten(raw: tuple) -> tuple[float, str, str, dict]:
-    """``(time, kind, process, detail)`` from a stored flat record."""
+def _unflatten(raw: list) -> tuple[float, str, str, dict]:
+    """``(time, kind, process, detail)`` from one stored record."""
     n = (len(raw) - 3) // 2
     return raw[0], raw[1], raw[2], dict(zip(raw[3:3 + n], raw[3 + n:]))
 
@@ -45,20 +54,28 @@ def _unflatten(raw: tuple) -> tuple[float, str, str, dict]:
 class Trace:
     """An append-only list of :class:`TraceEvent` with query helpers.
 
-    :meth:`record` sits on the simulator's hot path, so it appends one
-    flat tuple ``(time, kind, process, *keys, *values)`` and defers the
-    detail dict and the :class:`TraceEvent` to the first read: the cyclic
-    collector stops tracking a tuple of atomic values at its first pass,
-    but would re-walk a tuple that holds a dict in every full collection.
+    :meth:`record_fields` sits on the simulator's hot path, so a record is
+    one ``extend`` of a flat list: its fields ``(time, kind, process,
+    *keys, *values)`` are laid end to end in ``_pending``, its start offset
+    goes in an ``array('q')`` and its kind in a parallel list.  The detail
+    dict and the :class:`TraceEvent` are built on the first read.  No
+    object survives a record call, so recording adds nothing to the cyclic
+    collector's lists, and a record of atoms carries no object header.
     """
 
-    __slots__ = ("_events", "_pending", "enabled", "_kinds")
+    __slots__ = ("_events", "_pending", "_starts", "_pending_kinds",
+                 "enabled", "_kinds")
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
-        self._pending: list[tuple] = []  # flat records, see _unflatten
+        self._drop_pending()
         self.enabled = True
         self._kinds: frozenset[str] | None = None
+
+    def _drop_pending(self) -> None:
+        self._pending: list = []  # records end to end, see _unflatten
+        self._starts = array("q")  # each pending record's offset
+        self._pending_kinds: list[str] = []  # each pending record's kind
 
     # -- filtering ---------------------------------------------------------
     @property
@@ -68,6 +85,11 @@ class Trace:
 
     @kinds.setter
     def kinds(self, kinds: Iterable[str] | None) -> None:
+        if isinstance(kinds, str):
+            raise SimulationError(
+                f"trace kinds must be a collection of kinds, not the "
+                f"string {kinds!r}"
+            )
         self._kinds = None if kinds is None else frozenset(kinds)
 
     def wants(self, kind: str) -> bool:
@@ -75,24 +97,50 @@ class Trace:
         return self.enabled and (self._kinds is None or kind in self._kinds)
 
     def record(self, time: float, kind: str, process: str, **detail: object) -> None:
-        # Filter before any allocation: a rejected event must cost nothing
-        # beyond this check (the **detail dict is built by the call itself).
+        self.record_fields(time, kind, process, tuple(detail), *detail.values())
+
+    def record_fields(
+        self, time: float, kind: str, process: str, keys: tuple, *values: object
+    ) -> None:
+        """Record an event whose detail is ``dict(zip(keys, values))``."""
         if not self.enabled:
             return
         if self._kinds is not None and kind not in self._kinds:
             return
-        self._pending.append((time, kind, process, *detail, *detail.values()))
+        pending = self._pending
+        self._starts.append(len(pending))
+        self._pending_kinds.append(kind)
+        pending.extend((time, kind, process, *keys, *values))
+
+    def _records(
+        self, first: int = 0, kinds: Collection[str] | None = None
+    ) -> Iterator[list]:
+        """Pending records ``first`` onward (of ``kinds``), each as a list.
+
+        The kind is tested on ``_pending_kinds`` before a record is sliced
+        out; the pass runs in C, costs what it reads (a cursor near the end
+        reads little), and yields one record at a time.
+        """
+        pending = self._pending
+        ends = self._starts[first + 1:]
+        ends.append(len(pending))
+        bounds = zip(self._starts[first:], ends)
+        if kinds is not None:
+            wanted = map(frozenset(kinds).__contains__,
+                         self._pending_kinds[first:])
+            bounds = compress(bounds, wanted)
+        return map(pending.__getitem__, starmap(slice, bounds))
 
     def _materialise(self) -> list[TraceEvent]:
-        if self._pending:
+        if self._starts:
             self._events.extend(
-                TraceEvent(*_unflatten(raw)) for raw in self._pending
+                TraceEvent(*_unflatten(raw)) for raw in self._records()
             )
-            self._pending.clear()
+            self._drop_pending()
         return self._events
 
     def __len__(self) -> int:
-        return len(self._events) + len(self._pending)
+        return len(self._events) + len(self._starts)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._materialise())
@@ -127,17 +175,14 @@ class Trace:
         filtered consumer never revisits what it skipped.
         """
         built = self._events
-        cursor = len(built) + len(self._pending)
+        cursor = len(built) + len(self._starts)
         fresh: list[tuple[float, str, str, dict]] = [
             (e.time, e.kind, e.process, e.detail)
             for e in built[start:]
             if kinds is None or e.kind in kinds
         ]
-        fresh.extend(
-            _unflatten(raw)
-            for raw in self._pending[max(start - len(built), 0):]
-            if kinds is None or raw[1] in kinds
-        )
+        fresh.extend(map(_unflatten,
+                         self._records(max(start - len(built), 0), kinds)))
         return cursor, fresh
 
     def of_kind(self, kind: str) -> list[TraceEvent]:
@@ -163,7 +208,7 @@ class Trace:
 
     def clear(self) -> None:
         self._events.clear()
-        self._pending.clear()
+        self._drop_pending()
 
     def digest(self) -> str:
         """A stable SHA-256 over every recorded event.
@@ -186,20 +231,6 @@ class Trace:
             )
         return h.hexdigest()
 
-    def to_records(self, *kinds: str) -> list[dict]:
-        """JSON-serialisable event records (optionally filtered by kind)."""
-        wanted = set(kinds)
-        return [
-            {
-                "time": event.time,
-                "kind": event.kind,
-                "process": event.process,
-                **event.detail,
-            }
-            for event in self._materialise()
-            if not wanted or event.kind in wanted
-        ]
-
     def format(self, *kinds: str) -> str:
         """Pretty-print the trace (optionally filtered to some kinds)."""
         wanted = set(kinds)
@@ -213,11 +244,11 @@ class ThreadSafeTrace(Trace):
     """A :class:`Trace` whose mutators are serialised by a lock.
 
     The wall-clock runtimes (:mod:`repro.runtime`) record events from
-    many worker threads at once; ``list.append`` alone would keep the
-    pending list intact under the GIL, but materialisation racing a
-    recording worker could observe a half-drained pending list.  The DES
-    kernel keeps the lock-free base class — its hot loop is
-    single-threaded by construction.
+    many worker threads at once.  A record is three appends (its offset,
+    its kind, its fields), so a reader or a second recorder racing one
+    could see an offset without its fields; the lock makes each record
+    whole.  The DES kernel keeps the lock-free base class — its hot loop
+    is single-threaded by construction.
     """
 
     __slots__ = ("_lock",)
@@ -228,11 +259,11 @@ class ThreadSafeTrace(Trace):
 
         self._lock = threading.RLock()
 
-    def record(self, time: float, kind: str, process: str, **detail: object) -> None:
-        if self.wants(kind):
-            raw = (time, kind, process, *detail, *detail.values())
-            with self._lock:
-                self._pending.append(raw)
+    def record_fields(
+        self, time: float, kind: str, process: str, keys: tuple, *values: object
+    ) -> None:
+        with self._lock:
+            super().record_fields(time, kind, process, keys, *values)
 
     def _materialise(self) -> list[TraceEvent]:
         with self._lock:

@@ -211,10 +211,11 @@ class SystemConfig:
     record_history: bool = True
     trace_enabled: bool = True
     # Restrict tracing to these event kinds (None = record everything).
-    # Filtering happens before event allocation, so e.g.
-    # ``trace_kinds={"wh_commit"}`` cuts tracing cost on hot runs while
-    # keeping the events a given analysis needs.  ``repro.obs.lineage``
-    # needs at least ``LINEAGE_KINDS`` to reconstruct full chains.
+    # A filtered-out event stores nothing and the per-message sites build
+    # no dict for it, so e.g. ``trace_kinds={"wh_commit"}`` cuts tracing
+    # cost on hot runs while keeping the events a given analysis needs.
+    # ``repro.obs.lineage`` needs at least ``LINEAGE_KINDS`` to
+    # reconstruct full chains.  A bare string is rejected, not split.
     trace_kinds: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
@@ -249,6 +250,11 @@ class SystemConfig:
                 raise ReproError(
                     f"{name} must be a {cls.__name__}, got {type(value).__name__}"
                 )
+        if isinstance(self.trace_kinds, str):
+            raise ReproError(
+                f"trace_kinds must be a collection of event kinds, not the "
+                f"string {self.trace_kinds!r}"
+            )
         if self.scheduler is not None and not callable(
             getattr(self.scheduler, "adjust", None)
         ):

@@ -15,6 +15,7 @@ import hashlib
 import sys
 import threading
 import types
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from repro.system.config import SystemConfig
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
 from repro.workloads.schemas import paper_views_example2, paper_world
 from tests.sim.reference_process import ReferenceProcess
+from tests.sim.trace_records import to_records
 
 
 class GeneralPathScheduler(Scheduler):
@@ -437,9 +439,15 @@ class TestThreadsContract:
             trace.kinds = ("a", "b")
             trace.record(1.0, "a", "p", x=1, y=(2, 3))
             trace.record(2.0, "c", "p", dropped=True)
-            trace.record(3.0, "b", "q")
+            trace.record_fields(3.0, "b", "q", ())
+            trace.record_fields(4.0, "a", "q", ("to", "message"), "m", "M")
+            trace.record_fields(5.0, "c", "q", ("n",), 5)
         assert safe._pending == plain._pending == [
-            (1.0, "a", "p", "x", "y", 1, (2, 3)), (3.0, "b", "q")]
+            1.0, "a", "p", "x", "y", 1, (2, 3),
+            3.0, "b", "q",
+            4.0, "a", "q", "to", "message", "m", "M"]
+        assert safe._starts == plain._starts == array("q", [0, 7, 10])
+        assert safe._pending_kinds == plain._pending_kinds == ["a", "b", "a"]
         assert list(safe) == list(plain)
 
 
@@ -462,42 +470,64 @@ def oracle_digest(events) -> str:
     return h.hexdigest()
 
 
+def put(trace, entry: str, time: float, kind: str, process: str,
+        detail: dict) -> None:
+    """Record one event through the named entry point of ``trace``."""
+    if entry == "record":
+        trace.record(time, kind, process, **detail)
+    else:
+        trace.record_fields(time, kind, process, tuple(detail), *detail.values())
+
+
+ENTRIES = ("record", "record_fields")
+
+
 class TestFlatRecords:
-    def recorded(self, trace_type=Trace):
+    def recorded(self, trace_type=Trace, entry="record"):
         trace = trace_type()
         oracle = []
         for i, detail in enumerate(DETAILS * 2):
             event = (float(i), f"k{i % 3}", f"p{i % 2}", detail)
-            trace.record(event[0], event[1], event[2], **detail)
+            put(trace, entry, *event)
             oracle.append(event)
         return trace, oracle
 
-    @pytest.mark.parametrize("trace_type", [Trace, ThreadSafeTrace])
-    def test_round_trip(self, trace_type):
-        trace, oracle = self.recorded(trace_type)
+    @pytest.mark.parametrize("trace_type, entry", [
+        pytest.param(Trace, "record", id="Trace"),
+        pytest.param(ThreadSafeTrace, "record", id="ThreadSafeTrace"),
+        pytest.param(Trace, "record_fields", id="Trace-record_fields"),
+        pytest.param(ThreadSafeTrace, "record_fields",
+                     id="ThreadSafeTrace-record_fields"),
+    ])
+    def test_round_trip(self, trace_type, entry):
+        trace, oracle = self.recorded(trace_type, entry)
         assert len(trace) == len(oracle)
         assert trace.raw_events_since(0) == (len(oracle), oracle)
         assert trace.digest() == oracle_digest(oracle)
         assert [(e.time, e.kind, e.process, e.detail) for e in trace] == oracle
         assert [list(e.detail) for e in trace] == [list(d) for *_, d in oracle]
-        assert trace.to_records() == [
+        assert to_records(trace) == [
             {"time": t, "kind": k, "process": p, **d} for t, k, p, d in oracle]
-        assert trace.to_records("k1") == [
+        assert to_records(trace, "k1") == [
             {"time": t, "kind": k, "process": p, **d}
             for t, k, p, d in oracle if k == "k1"]
         assert trace[3].detail["nested"] == {"a": (1, [2])}
 
     def test_raw_reads_and_cursors_across_a_materialisation(self):
-        trace, oracle = self.recorded()
+        for entry in ENTRIES:
+            self.check_raw_reads_and_cursors(entry)
+
+    def check_raw_reads_and_cursors(self, entry):
+        trace, oracle = self.recorded(entry=entry)
         wanted = [e for e in oracle if e[1] in ("k0", "k2")]
         assert trace.raw_events_since(0, ("k0", "k2")) == (len(oracle), wanted)
         cursor, first = trace.raw_events_since(0)
         assert trace._pending and not trace._events  # nothing was built
-        trace.record(99.0, "k0", "late", n=1)
+        put(trace, entry, 99.0, "k0", "late", {"n": 1})
         later, events = trace.events_since(cursor)  # materialises everything
         assert [(e.time, e.detail) for e in events] == [(99.0, {"n": 1})]
-        trace.record(100.0, "k1", "later")
-        trace.record(101.0, "k0", "latest", ids=(4,))
+        put(trace, entry, 100.0, "k1", "later", {})
+        put(trace, entry, 101.0, "k0", "latest", {"ids": (4,)})
         assert trace._events and trace._pending  # built and pending mixed
         assert trace.raw_events_since(later) == (
             later + 2, [(100.0, "k1", "later", {}),
@@ -519,17 +549,44 @@ class TestFlatRecords:
         for i in range(200):
             trace.record(float(i), "msg_send", f"p{i}", to="merge",
                          message="RelMessage", seq=i, wait=i / 7)
-            trace.record(float(i), "proc_msg", f"p{i}", ids=(i, i + 1))
+            trace.record_fields(float(i), "proc_msg", f"p{i}", ("ids",),
+                                (i, i + 1))
         trace.record(1.0, "boxed", "p", rows=[1, 2])
+        # One list, one array, one list of kinds: no object per record.
+        assert len(trace._pending) == 200 * (3 + 8) + 200 * (3 + 2) + 5
+        assert len(trace._starts) == len(trace._pending_kinds) == 401
 
         def tracked_kinds() -> set[str]:
-            return {raw[1] for raw in trace._pending if gc.is_tracked(raw)}
+            return {raw[1] for raw in trace._records()
+                    if any(map(gc.is_tracked, raw))}
 
-        gc.collect()
-        # A record that holds a tuple waits for that tuple to go first.
+        # Only a value that is itself a container can be tracked.
         assert tracked_kinds() <= {"proc_msg", "boxed"}
         gc.collect()
         assert tracked_kinds() == {"boxed"}  # a list stays tracked
+
+    def test_a_record_of_atoms_adds_nothing_to_the_young_generation(self):
+        trace = Trace()
+        keys = ("to", "message", "seq")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            # Warm the interpreter's free lists before counting.
+            trace.record(0.0, "msg_send", "p", to="m", message="M", seq=0)
+            trace.record_fields(0.0, "msg_recv", "q", keys, "m", "M", 0)
+            before = gc.get_count()[0]
+            for i in range(10_000):
+                trace.record(float(i), "msg_send", "p", to="merge",
+                             message="RelMessage", seq=i)
+            for i in range(10_000):
+                trace.record_fields(float(i), "msg_recv", "q", keys, "merge",
+                                    "RelMessage", i)
+            after = gc.get_count()[0]
+        finally:
+            if enabled:
+                gc.enable()
+        assert after == before
+        assert len(trace) == 20_002
 
 
 # -- (f) what a run leaves behind, counted -----------------------------------------

@@ -1,5 +1,8 @@
 """Tests for trace recording and querying."""
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.sim.tracing import Trace, TraceEvent
 
 
@@ -15,6 +18,16 @@ class TestTrace:
         trace.enabled = False
         trace.record(1.0, "kind", "proc")
         assert len(trace) == 0
+
+    def test_a_string_of_kinds_is_rejected(self):
+        trace = Trace()
+        with pytest.raises(SimulationError, match="wh_commit"):
+            trace.kinds = "wh_commit"  # would be the set of its letters
+        assert trace.kinds is None
+        trace.kinds = ("wh_commit",)
+        trace.record(1.0, "wh_commit", "warehouse")
+        trace.record(2.0, "w", "warehouse")
+        assert [e.kind for e in trace] == ["wh_commit"]
 
     def test_of_kind(self):
         trace = Trace()

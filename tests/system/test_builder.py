@@ -63,6 +63,7 @@ class TestConfigValidation:
             {"warehouse_txn_overhead": -1.0},
             {"warehouse_action_cost": -0.1},
             {"latency_vm_merge": -1.0},
+            {"trace_kinds": "wh_commit"},  # was split into its letters
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -9,6 +9,7 @@ from repro.system.config import SystemConfig
 from repro.system.metrics import collect_metrics, staleness_per_update
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
 from repro.workloads.schemas import paper_views_example1, paper_world
+from tests.sim.trace_records import to_records
 
 
 @pytest.fixture(scope="module")
@@ -138,12 +139,12 @@ class TestTraceExport:
     def test_trace_records_serialisable(self, finished_system):
         import json
 
-        records = finished_system.sim.trace.to_records("wh_commit")
+        records = to_records(finished_system.sim.trace, "wh_commit")
         assert records
         assert all(r["kind"] == "wh_commit" for r in records)
         json.dumps(records, default=str)
 
     def test_trace_records_unfiltered(self, finished_system):
-        assert len(finished_system.sim.trace.to_records()) == len(
+        assert len(to_records(finished_system.sim.trace)) == len(
             finished_system.sim.trace
         )
