@@ -47,9 +47,11 @@ def run_mode(mode: str, kind: str):
         spec,
     )
     metrics = system.metrics()
+    # A cached fleet never queries back, so it has no base-data service.
+    service = system.service
     return (
         system.classify(),
-        system.service.queries_answered,
+        service.queries_answered if service is not None else 0,
         metrics.mean_staleness,
         metrics.makespan,
     )

@@ -30,8 +30,9 @@ def test_figure1_architecture(benchmark, report):
         ["view managers", ", ".join(sorted(system.view_managers))],
         ["merge process", ", ".join(m.name for m in system.merge_processes)],
         ["warehouse", system.warehouse.name],
-        ["base-data service", system.service.name],
     ]
+    if system.service is not None:  # built only for managers that query back
+        rows.append(["base-data service", system.service.name])
     report(fmt_table(["component", "instances"], rows))
 
     metrics = system.metrics()

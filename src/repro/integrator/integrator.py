@@ -8,8 +8,8 @@ On each committed-transaction report the integrator
 4. sends a copy of ``U_i`` to each relevant view manager;
 
 plus, in this implementation, feeds the numbered stream to the base-data
-service (so snapshot/compensate-mode view managers have something to
-query) and, for complete-N systems, broadcasts end-of-block markers.
+service if the system has one (for managers that query back) and, for
+complete-N systems, broadcasts end-of-block markers.
 """
 
 from __future__ import annotations

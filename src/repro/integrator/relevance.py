@@ -87,14 +87,17 @@ class RelevanceFilter:
     ) -> None:
         self.definitions = tuple(definitions)
         self.use_selections = use_selections
-        self._base_schemas = dict(base_schemas)
+        self._by_name = {d.name: d for d in self.definitions}
         self._by_relation: dict[str, list[ViewDefinition]] = {}
-        self._selections: dict[str, Predicate] = {}
+        # view -> each relation it reads -> its restricted predicate, worked
+        # out once per definition: a relevance check is then two lookups.
+        self._restricted: dict[str, dict[str, Predicate]] = {}
         for definition in self.definitions:
-            self._selections[definition.name] = _collect_selections(
-                definition.expression
-            )
+            selections = _collect_selections(definition.expression)
+            restricted = self._restricted[definition.name] = {}
             for relation in definition.base_relations():
+                names = frozenset(base_schemas[relation].names)
+                restricted[relation] = selections.restrict_to(names)
                 self._by_relation.setdefault(relation, []).append(definition)
 
     def restricted_predicate(self, view: str, relation: str) -> Predicate:
@@ -107,8 +110,7 @@ class RelevanceFilter:
         from routing *and* from the replica keeps deltas exact — including
         modifies that move a row across the selection boundary.
         """
-        schema = self._base_schemas[relation]
-        return self._selections[view].restrict_to(frozenset(schema.names))
+        return self._restricted[view][relation]
 
     def views_reading(self, relation: str) -> tuple[str, ...]:
         """Views whose definition mentions ``relation`` (base-relation test)."""
@@ -116,11 +118,11 @@ class RelevanceFilter:
 
     def is_relevant(self, definition: ViewDefinition, update: Update) -> bool:
         """Could ``update`` change ``definition``'s contents (now or later)?"""
-        if update.relation not in definition.base_relations():
+        predicate = self._restricted[definition.name].get(update.relation)
+        if predicate is None:
             return False
         if not self.use_selections:
             return True
-        predicate = self.restricted_predicate(definition.name, update.relation)
         return any(predicate.evaluate(row) for row in update.touched_rows())
 
     def relevant_views(self, updates: Iterable[Update]) -> frozenset[str]:
@@ -138,7 +140,7 @@ class RelevanceFilter:
         self, view: str, updates: Iterable[Update]
     ) -> tuple[Update, ...]:
         """The subset of a transaction's updates that ``view`` must see."""
-        definition = next(d for d in self.definitions if d.name == view)
+        definition = self._by_name[view]
         return tuple(
             u for u in updates if self.is_relevant(definition, u)
         )

@@ -7,7 +7,8 @@ architecture:
 
 * one :class:`Source` process per relation owner (plus an optional
   :class:`GlobalTransactionCoordinator` for §6.2 transactions);
-* the :class:`Integrator` and :class:`BaseDataService`;
+* the :class:`Integrator`, and the :class:`BaseDataService` when some
+  view manager queries back for its pre-state (none in a cached fleet);
 * one view manager per view, of the configured kind;
 * one or several merge processes (§6.1 partitioning) with the configured
   algorithm and submission policy;
@@ -189,7 +190,8 @@ class WarehouseSystem:
         self._schemas = dict(self.world.schemas)
 
         # Warehouse + store (views materialized at ss_0 by their managers)
-        # and the base-data service.
+        # and, if some manager's class and config make it query back (any
+        # mode but cached), the base-data service.
         self.store = ViewStore(
             self.definitions, self._schemas, record_history=cfg.record_history
         )
@@ -200,10 +202,14 @@ class WarehouseSystem:
             per_txn_overhead=cfg.warehouse_txn_overhead,
             per_action_cost=cfg.warehouse_action_cost,
         )
-        self.service = BaseDataService(
-            self.sim, per_query_cost=cfg.service_query_cost
-        )
-        self.service.seed(self._initial_state, self._schemas)
+        self.service: BaseDataService | None = None
+        modes = {manager_class(cfg.kind_for(d.name)).fixed_mode or cfg.manager_mode
+                 for d in self.definitions}
+        if modes != {"cached"}:
+            self.service = BaseDataService(
+                self.sim, per_query_cost=cfg.service_query_cost
+            )
+            self.service.seed(self._initial_state, self._schemas)
 
         self._build_merges()
         self._build_managers()
@@ -229,7 +235,7 @@ class WarehouseSystem:
             *self.view_managers.values(),
             *self.sources.values(),
         )
-        self.processes: dict[str, Process] = {p.name: p for p in processes}
+        self.processes: dict[str, Process] = {p.name: p for p in processes if p}
 
         # Scheduled crash/restart pairs from the fault plan.
         for crash in cfg.fault_plan.crashes if cfg.fault_plan is not None else ():
@@ -301,15 +307,16 @@ class WarehouseSystem:
                 definition,
                 self._schemas,
                 merge_name=merge_name,
-                service_name=self.service.name,
+                service_name=getattr(self.service, "name", None),
                 compute_cost=cfg.compute_cost,
                 **cfg.arguments_for(manager_cls),
             )
             self._connect(
                 manager, self._merge_by_name(merge_name), cfg.latency_vm_merge
             )
-            self._connect(manager, self.service, _HOP_LATENCY)
-            self._connect(self.service, manager, _HOP_LATENCY)
+            if self.service is not None:
+                self._connect(manager, self.service, _HOP_LATENCY)
+                self._connect(self.service, manager, _HOP_LATENCY)
             if relevance is not None:
                 # Keep the replica sigma-restricted in lockstep with the
                 # integrator's routing filter (see RelevanceFilter docs).
@@ -345,6 +352,7 @@ class WarehouseSystem:
             self._schemas,
             merge_groups={m.name: m.algorithm.views for m in self.merge_processes},
             view_manager_names={v: m.name for v, m in self.view_managers.items()},
+            service_name=getattr(self.service, "name", None),
             use_selection_filtering=cfg.use_selection_filtering,
             send_empty_rels=complete_n,
             block_size=cfg.block_size if complete_n else None,
@@ -353,7 +361,8 @@ class WarehouseSystem:
             self._connect(self.integrator, merge, cfg.latency_integrator_merge)
         for manager in self.view_managers.values():
             self._connect(self.integrator, manager, cfg.latency_integrator_vm)
-        self._connect(self.integrator, self.service, _SERVICE_FEED_LATENCY)
+        if self.service is not None:
+            self._connect(self.integrator, self.service, _SERVICE_FEED_LATENCY)
 
     def _merge_by_name(self, name: str) -> MergeProcess:
         for merge in self.merge_processes:

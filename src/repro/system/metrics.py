@@ -130,7 +130,7 @@ def collect_metrics(system: "WarehouseSystem") -> RunMetrics:
     makespan = system.sim.now
 
     processes: dict[str, ProcessStats] = {}
-    everyone = [system.integrator, system.service, system.warehouse]
+    everyone = [p for p in (system.integrator, system.service, system.warehouse) if p]
     everyone.extend(system.merge_processes)
     everyone.extend(system.view_managers.values())
     for process in everyone:

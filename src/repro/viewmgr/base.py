@@ -85,6 +85,8 @@ class ViewManager(Process):
     #: constructor keyword -> the ``SystemConfig`` field the builder fills
     #: it from (on top of the simulator, definition, schemas and wiring)
     config_args: dict[str, str] = {"mode": "manager_mode"}
+    #: the pre-state mode a subclass always runs (None: ``manager_mode``)
+    fixed_mode: str | None = None
     #: re-arms virtual-time timers, which a wall-clock runtime cannot honour
     needs_virtual_timers = False
     #: closes its batches on the integrator's :class:`EndOfBlock` markers,
@@ -99,7 +101,7 @@ class ViewManager(Process):
         *,  # subclasses add keywords of their own behind these
         name: str | None = None,
         merge_name: str = "merge",
-        service_name: str = "basedata",
+        service_name: str | None = "basedata",
         mode: str = "cached",
         compute_cost: CostModel = default_cost,
     ) -> None:

@@ -26,10 +26,11 @@ class NaiveViewManager(ViewManager):
     kind = "naive"
     level = "broken"
     config_args = {}
+    fixed_mode = "naive"
 
     def __init__(self, *args, **kwargs) -> None:
         """:class:`ViewManager`'s arguments, minus ``mode``."""
-        super().__init__(*args, mode="naive", **kwargs)
+        super().__init__(*args, mode=self.fixed_mode, **kwargs)
 
     def select_batch(self) -> list[UpdateForView]:
         return [self._buffer.popleft()]

@@ -28,6 +28,7 @@ class PeriodicRefreshManager(ViewManager):
     kind = "periodic"
     level = "strong"
     config_args = {"period": "refresh_period"}
+    fixed_mode = "cached"
     needs_virtual_timers = True
 
     def __init__(self, *args, period: float, **kwargs) -> None:
@@ -36,7 +37,7 @@ class PeriodicRefreshManager(ViewManager):
         if period <= 0:
             raise ViewManagerError(f"refresh period must be positive, got {period}")
         # refresh recomputes from the local replica
-        super().__init__(*args, mode="cached", **kwargs)
+        super().__init__(*args, mode=self.fixed_mode, **kwargs)
         self.period = period
         self._refresh_due = False
         self._tick_scheduled = False

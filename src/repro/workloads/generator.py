@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from repro.errors import ReproError
@@ -26,6 +27,8 @@ from repro.sources.world import SourceWorld
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system.builder import WarehouseSystem
+
+_KINDS = ("insert", "delete", "modify")
 
 
 @dataclass
@@ -89,10 +92,11 @@ class UpdateStreamGenerator:
             counts = world.current.relation(name).columnar().counts_view()
             self._mirror[name] = [t for t, c in counts.items() for _ in range(c)]
         self._relations = sorted(world.schemas)
-        self._weights = [
-            spec.relation_weights.get(name, 1.0) for name in self._relations
-        ]
-        if set(spec.relation_weights) - set(self._relations) or not sum(self._weights):
+        # ``choices`` draws the same given the weights or their sums, made once.
+        weights = [spec.relation_weights.get(name, 1.0) for name in self._relations]
+        self._relation_sums = list(accumulate(weights))
+        self._kind_sums = list(accumulate(spec.mix))
+        if set(spec.relation_weights) - set(self._relations) or not sum(weights):
             raise ReproError(
                 f"relation_weights {dict(spec.relation_weights)} name relations "
                 f"not in {self._relations} or are all 0"
@@ -120,7 +124,7 @@ class UpdateStreamGenerator:
     def _make_update(self, relation: str) -> Update:
         schema = self.world.schemas[relation]
         mirror = self._mirror[relation]
-        kind = self._rng.choices(("insert", "delete", "modify"), self.spec.mix)[0]
+        kind = self._rng.choices(_KINDS, cum_weights=self._kind_sums)[0]
         if kind != "insert" and not mirror:
             kind = "insert"  # nothing to delete/modify yet
         if kind == "insert":
@@ -139,7 +143,7 @@ class UpdateStreamGenerator:
         return Update.modify(relation, victim, replacement)
 
     def _pick_relation(self) -> str:
-        return self._rng.choices(self._relations, self._weights)[0]
+        return self._rng.choices(self._relations, cum_weights=self._relation_sums)[0]
 
     def _make_transaction(self) -> SourceTransaction:
         first = self._make_update(self._pick_relation())

@@ -6,6 +6,9 @@ the scheduler hook landed in the kernel.  The default configuration
 to event ordering, tie-breaking, or trace content shows up here first.
 If a digest moves, that is a determinism regression (or a deliberate
 trace-format change — recapture only with justification in the commit).
+They were last recaptured when a fleet of cached managers stopped building
+the base-data service: each is the earlier trace with that service's
+records (``msg_send`` to it, its ``msg_recv`` and ``proc_msg``) removed.
 """
 
 import pytest
@@ -17,11 +20,11 @@ from repro.workloads.schemas import paper_views_example2, paper_world
 
 GOLDEN = {
     ("complete", "dependency-sequenced", 13):
-        "8a6684c90b20021e38521f61b602c8feb0641bc50944e4444498a53441eb46b1",
+        "da2ef4b8916dddbc0eff5965a1a8c597bf1a81df9f5ad4996536d0b160c84edb",
     ("strong", "batching", 7):
-        "6a1f816184edb48ad2e4befaeb6063e6f12ad77682220a4c52898990db8c45f3",
+        "13f209df5edb3f38e3101c83c1a1ced5f4c39261e726287e11685a0bf0002c94",
     ("convergent", "sequential", 3):
-        "fd77b9098ee3738639774e795fa1c20716e4dc26edf5b037734f8bc1727682f2",
+        "03e40b47df12e27a2ebe11c9ec8755757a39883a124fb76d4c906ea7a680c41b",
 }
 
 
