@@ -13,9 +13,9 @@ regimes:
   bounded only by the straggler's backlog.
 
 Paper question: §4.2 — "the actual number [of VUT rows] is small in a
-system where no view manager is a bottleneck".  Reads: the ``vut_size``
-trace events (equivalently the ``merge_vut_size`` timeline gauge in
-``sim.metrics``) after every merge event, per regime.
+system where no view manager is a bottleneck".  Reads: the
+``merge_vut_size`` timeline gauge in ``sim.metrics``, one sample after
+every merge event, per regime.
 """
 
 from repro.system.builder import WarehouseSystem
@@ -47,7 +47,9 @@ def run(straggler: bool):
     post_stream(system, stream)
     system.run()
     sizes = [
-        int(e.detail["size"]) for e in system.sim.trace.of_kind("vut_size")
+        int(size)
+        for gauge in system.sim.metrics.family("merge_vut_size")
+        for _time, size in gauge.samples
     ]
     assert system.check_mvc("complete")
     return sizes

@@ -130,7 +130,6 @@ class MergeProcess(Process):
         vut = getattr(self.algorithm, "vut", None)
         if vut is not None:
             self._g_vut.set(len(vut), at=self.sim.now)
-            self.trace("vut_size", size=len(vut))
 
     def _offer(self, unit: ReadyUnit) -> None:
         txn = WarehouseTransaction(

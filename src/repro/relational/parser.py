@@ -293,14 +293,3 @@ class _Parser:
 def parse_view(text: str) -> ViewDefinition:
     """Parse ``"Name = SELECT ... FROM ... [WHERE ...]"`` into a definition."""
     return _Parser(text).view()
-
-
-def parse_query(text: str) -> Expression:
-    """Parse a bare ``SELECT`` query (no ``name =`` prefix)."""
-    parser = _Parser(text)
-    expr = parser.query()
-    if parser._peek() is not None:
-        token = parser._peek()
-        assert token is not None
-        raise ParseError(f"trailing input {token.text!r} at offset {token.position}")
-    return expr

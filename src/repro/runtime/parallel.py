@@ -233,10 +233,11 @@ class ParallelKernel:
     def _home_key(callback: Callable[..., None]) -> object:
         """The object whose state the callback mutates (its actor).
 
-        Bound methods of a :class:`Process` belong to that process;
-        a channel's ``_deliver`` belongs to the channel's *destination*
-        (delivery appends to the destination's inbox).  Unbound
-        callables fall back to a shared default worker.
+        Bound methods of a :class:`Process` belong to that process, so
+        a channel's delivery (the destination's bound ``deliver``) runs
+        on the destination's worker; a channel's own callbacks belong
+        to its *destination* too.  Unbound callables fall back to a
+        shared default worker.
         """
         target = getattr(callback, "__self__", None)
         if target is None:

@@ -89,14 +89,6 @@ class ExponentialLatency(LatencyModel):
         return f"ExponentialLatency({self.mean})"
 
 
-#: detail keys of the per-message ``msg_send`` / ``msg_recv`` records
-#: (a :class:`ReliableChannel` adds the frame's ``seq``)
-_SEND_KEYS = ("to", "message")
-_RECV_KEYS = ("sender", "message")
-_SEND_SEQ_KEYS = (*_SEND_KEYS, "seq")
-_RECV_SEQ_KEYS = (*_RECV_KEYS, "seq")
-
-
 class Channel:
     """A point-to-point FIFO channel between two processes."""
 
@@ -145,19 +137,11 @@ class Channel:
         deliver_at = max(now + delay, self._last_delivery)
         self._last_delivery = deliver_at
         self.messages_sent += 1
-        self._sim.trace.record_fields(
-            now, "msg_send", self.source.name, _SEND_KEYS,
-            self.destination.name, type(message).__name__,
+        self._sim.schedule_at(
+            deliver_at, self.destination.deliver, message, self.source,
+            lane=self.lane,
         )
-        self._sim.schedule_at(deliver_at, self._deliver, message, lane=self.lane)
         return deliver_at
-
-    def _deliver(self, message: object) -> None:
-        self._sim.trace.record_fields(
-            self._sim.now, "msg_recv", self.destination.name, _RECV_KEYS,
-            self.source.name, type(message).__name__,
-        )
-        self.destination.deliver(message, self.source)
 
     def __repr__(self) -> str:
         return (
@@ -219,11 +203,14 @@ class LossyChannel(Channel):
             return CLEAN_TRANSMISSION
         return faults.next_transmission()
 
-    def _transmit(self, message: object, deliver, faults: object | None):
+    def _transmit(
+        self, message: object, deliver, faults: object | None, *args: object
+    ):
         """Schedule the arrivals of one logical transmission.
 
-        Returns the primary copy's arrival time, or ``None`` if the network
-        dropped it (injected duplicates may still arrive).
+        Each surviving copy arrives as ``deliver(message, *args)``.
+        Returns the primary copy's arrival time, or ``None`` if the
+        network dropped it (injected duplicates may still arrive).
         """
         decision = self._next_transmission(faults)
         now = self._sim.now
@@ -245,23 +232,23 @@ class LossyChannel(Channel):
             # the kernel must not clamp scheduler perturbations here —
             # reordering is precisely the fault this channel models.
             self._sim.schedule_at(
-                arrival, deliver, message, lane=self.lane, ordered=False
+                arrival, deliver, message, *args, lane=self.lane, ordered=False
             )
         for _ in range(decision.duplicates):
             self.messages_duplicated += 1
             self._m_duplicated.inc()
             delay = self.latency.sample(self._sim.rng) + decision.extra_delay
-            self._sim.schedule(delay, deliver, message, lane=self.lane, ordered=False)
+            self._sim.schedule(
+                delay, deliver, message, *args, lane=self.lane, ordered=False
+            )
         return arrival
 
     def send(self, message: object) -> float:
         """Transmit once; returns the primary arrival time (``now`` if dropped)."""
         self.messages_sent += 1
-        self._sim.trace.record_fields(
-            self._sim.now, "msg_send", self.source.name, _SEND_KEYS,
-            self.destination.name, type(message).__name__,
+        arrival = self._transmit(
+            message, self.destination.deliver, self.faults, self.source
         )
-        arrival = self._transmit(message, self._deliver, self.faults)
         return arrival if arrival is not None else self._sim.now
 
 
@@ -344,10 +331,6 @@ class ReliableChannel(LossyChannel):
         self._unacked[seq] = message
         self._attempts[seq] = 0
         self.messages_sent += 1
-        self._sim.trace.record_fields(
-            self._sim.now, "msg_send", self.source.name, _SEND_SEQ_KEYS,
-            self.destination.name, type(message).__name__, seq,
-        )
         arrival = self._transmit_frame(seq)
         self._arm_timer(seq)
         return arrival if arrival is not None else self._sim.now
@@ -435,10 +418,6 @@ class ReliableChannel(LossyChannel):
             payload = self._reorder.pop(ready)
             self._in_mailbox.add(ready)
             self._expected += 1
-            self._sim.trace.record_fields(
-                self._sim.now, "msg_recv", self.destination.name, _RECV_SEQ_KEYS,
-                self.source.name, type(payload).__name__, ready,
-            )
             self.destination.deliver(
                 payload, self.source, on_processed=lambda s=ready: self._on_processed(s)
             )

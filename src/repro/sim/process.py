@@ -141,7 +141,8 @@ class Process:
         A message that finds the process idle, takes no service time and
         has no ``on_processed`` is handled before this returns when its
         zero-delay service event would run next anyway (``sim.quiet_now()``):
-        such a caller must deliver last in its event, as ``Channel._deliver`` does.
+        such a caller must deliver last in its event, as a channel's
+        delivery event (this method, scheduled by ``Channel.send``) does.
         """
         if self._crashed:
             self.count_lost()

@@ -1,11 +1,12 @@
 """Structured trace recording for simulation runs.
 
-Every interesting occurrence — a message send/delivery, a warehouse
-commit, a VUT transition — can be appended to the simulator's
-:class:`Trace`.  Benchmarks and the consistency checkers read traces back
-to compute metrics (freshness, throughput) and to reconstruct state
-sequences; the observability layer (:mod:`repro.obs`) reconstructs causal
-lineage and exports traces to external viewers.
+Every interesting occurrence — a message handled at the end of its hop
+(``proc_msg``, the one record per hop), a warehouse commit, a network
+fault — can be appended to the simulator's :class:`Trace`.  Benchmarks
+and the consistency checkers read traces back to compute metrics
+(freshness, throughput) and to reconstruct state sequences; the
+observability layer (:mod:`repro.obs`) reconstructs causal lineage and
+exports traces to external viewers.
 
 Recording can be restricted to a set of event kinds (:attr:`Trace.kinds`)
 so high-rate runs only pay for the events they keep: a rejected event

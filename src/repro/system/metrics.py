@@ -146,14 +146,9 @@ def collect_metrics(system: "WarehouseSystem") -> RunMetrics:
             p95_queue_wait=p95_wait,
         )
 
-    # VUT peak from the merges' registry gauges; the trace-scan fallback
-    # covers deserialised systems whose registry is gone but trace isn't.
     vut_peak = 0
     for gauge in system.sim.metrics.family("merge_vut_size"):
         vut_peak = max(vut_peak, int(gauge.max))
-    if vut_peak == 0:
-        for event in system.sim.trace.of_kind("vut_size"):
-            vut_peak = max(vut_peak, int(event.detail.get("size", 0)))
 
     committed = len(system.integrator.numbered)
     reflected = len(staleness)

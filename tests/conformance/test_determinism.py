@@ -6,9 +6,10 @@ the scheduler hook landed in the kernel.  The default configuration
 to event ordering, tie-breaking, or trace content shows up here first.
 If a digest moves, that is a determinism regression (or a deliberate
 trace-format change — recapture only with justification in the commit).
-They were last recaptured when a fleet of cached managers stopped building
-the base-data service: each is the earlier trace with that service's
-records (``msg_send`` to it, its ``msg_recv`` and ``proc_msg``) removed.
+They were last recaptured when a message hop became one trace record:
+each is the earlier trace with its ``msg_send``, ``msg_recv`` and
+``vut_size`` records removed (``proc_msg`` records the hop, and the
+``merge_vut_size`` timeline gauge keeps the VUT series).
 """
 
 import pytest
@@ -20,11 +21,11 @@ from repro.workloads.schemas import paper_views_example2, paper_world
 
 GOLDEN = {
     ("complete", "dependency-sequenced", 13):
-        "da2ef4b8916dddbc0eff5965a1a8c597bf1a81df9f5ad4996536d0b160c84edb",
+        "b02d5c51120d20c1c229481c552782e7c8330f3dc1831ec8a73607fe3fa1e212",
     ("strong", "batching", 7):
-        "13f209df5edb3f38e3101c83c1a1ced5f4c39261e726287e11685a0bf0002c94",
+        "1030f50c60ce45d6269cb01a99c7fdf00c8b22fe764f390edd39af73fcbdbffc",
     ("convergent", "sequential", 3):
-        "03e40b47df12e27a2ebe11c9ec8755757a39883a124fb76d4c906ea7a680c41b",
+        "f5bd19caaffea1960627467f08ca48724b207fdb9e09b62be458e6cd33d13d04",
 }
 
 

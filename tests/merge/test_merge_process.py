@@ -121,8 +121,9 @@ class TestMergeProcess:
         sim, _warehouse, merge, driver = rig
         sim.schedule(0.0, driver.send, "merge", RelMessage(1, frozenset({"V1"})))
         sim.run()
-        events = sim.trace.of_kind("vut_size")
-        assert events and events[-1].detail["size"] == 1
+        samples = sim.metrics.get("merge_vut_size", merge="merge").samples
+        assert samples and samples[-1] == (0.0, 1)
+        assert not sim.trace.of_kind("vut_size")  # the gauge keeps the series
 
     def test_flush_releases_algorithm_and_policy_holdings(self):
         """flush() drains complete-N trailing blocks AND batched policies."""

@@ -4,8 +4,18 @@ import pytest
 
 from repro.errors import ParseError
 from repro.relational.expressions import BaseRelation, Join, Project, Select
-from repro.relational.parser import parse_query, parse_view
+from repro.relational.parser import _Parser, parse_view
 from repro.relational.predicates import And, Comparison, Const, Not, Or
+
+
+def parse_query(text):
+    """Parse a bare ``SELECT`` query (no ``name =`` prefix)."""
+    parser = _Parser(text)
+    expr = parser.query()
+    token = parser._peek()
+    if token is not None:
+        raise ParseError(f"trailing input {token.text!r} at offset {token.position}")
+    return expr
 
 
 class TestBasics:

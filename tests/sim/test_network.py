@@ -12,6 +12,7 @@ from repro.sim.network import (
     ExponentialLatency,
     FixedLatency,
     LossyChannel,
+    ReliableChannel,
     Transmission,
     UniformLatency,
 )
@@ -88,8 +89,8 @@ class TestChannel:
         channel.send("x")
         sim.run()
         assert channel.messages_sent == 1
-        assert len(sim.trace.of_kind("msg_send")) == 1
-        assert len(sim.trace.of_kind("msg_recv")) == 1
+        [hop] = sim.trace.of_kind("proc_msg")  # the hop's one record
+        assert (hop.process, hop.detail["sender"]) == ("b", "a")
 
     def test_independent_channels_can_reorder(self):
         sim = Simulator()
@@ -186,3 +187,66 @@ class TestLossyChannel:
             return [m for _t, m, _s in b.received]
 
         assert run_once() == run_once()
+
+
+# -- a hop is one record ----------------------------------------------------------
+
+LATENCY = 1.5
+SERVICE = 2.0
+SEND_TIMES = (0.0, 10.0, 20.0)
+
+
+class SlowRecorder(Recorder):
+    def service_time(self, message):
+        return SERVICE
+
+
+def crashed_between_sends(sim, a, b):
+    sim.schedule(5.0, b.crash)
+    sim.schedule(15.0, b.restart)
+    return Channel(sim, a, b, FixedLatency(LATENCY))
+
+
+@pytest.mark.parametrize("build, arrivals, faults", [
+    (lambda sim, a, b: Channel(sim, a, b, FixedLatency(LATENCY)),
+     [1.5, 11.5, 21.5],
+     {}),
+
+    # clean, dropped, duplicated: the copy waits out the original's service
+    (lambda sim, a, b: LossyChannel(
+        sim, a, b, FixedLatency(LATENCY), faults=ScriptedFaults(
+            [Transmission(), Transmission(drop=True),
+             Transmission(duplicates=1)])),
+     [1.5, 21.5, 21.5],
+     {"msg_drop": 1}),
+
+    # the first two messages each arrive by their retransmission at +4;
+    # the last one's timer fires at 24, before its ack lands at 25, and
+    # the receiver suppresses that copy
+    (lambda sim, a, b: ReliableChannel(
+        sim, a, b, FixedLatency(LATENCY), faults=ScriptedFaults(
+            [Transmission(drop=True), Transmission(),
+             Transmission(drop=True)])),
+     [5.5, 15.5, 21.5],
+     {"msg_drop": 2, "msg_retransmit": 3}),
+
+    # the second message reaches a crashed process and is lost
+    (crashed_between_sends,
+     [1.5, 21.5],
+     {"msg_lost": 1, "crash": 1, "restart": 1}),
+])
+def test_a_hop_is_one_proc_msg_record(build, arrivals, faults):
+    sim = Simulator()
+    a, b = Recorder(sim, "a"), SlowRecorder(sim, "b")
+    channel = build(sim, a, b)
+    for i, at in enumerate(SEND_TIMES):
+        sim.schedule(at, channel.send, f"m{i}")
+    sim.run()
+
+    kinds = {event.kind for event in sim.trace}
+    assert not kinds & {"msg_send", "msg_recv", "vut_size"}
+    hops = sim.trace.of_kind("proc_msg")
+    assert len(hops) == b.messages_handled == len(arrivals)
+    assert [h.time - h.detail["service"] - h.detail["wait"]
+            for h in hops] == arrivals
+    assert {k: len(sim.trace.of_kind(k)) for k in faults} == faults

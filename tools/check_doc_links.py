@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check that repository documentation references resolve.
 
-Scans every tracked ``*.md`` file and verifies seven kinds of reference:
+Scans every tracked ``*.md`` file and verifies eight kinds of reference:
 
 * **markdown links** — each relative ``[text](target)`` must point at an
   existing file (anchors and external ``http(s)``/``mailto`` links are
@@ -29,7 +29,12 @@ Scans every tracked ``*.md`` file and verifies seven kinds of reference:
 * **runtime names** — in those documents, every ``--runtime X`` and
   ``runtime="X"`` (alternatives as ``"X"|"Y"`` included) must be a key of
   ``repro.runtime.RUNTIMES``, so the docs can't offer a runtime that is
-  gone.
+  gone;
+* **trace kinds** — every kind in the kinds table of
+  ``docs/observability.md`` (the table headed ``| kind |``) must be passed
+  as a string literal to some ``trace(``, ``record(`` or
+  ``record_fields(`` call in ``src/``, so the table can't list records
+  nothing emits.
 
 Exits non-zero listing every broken reference — run by the ``docs`` CI
 job and usable locally:
@@ -39,6 +44,7 @@ job and usable locally:
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import sys
@@ -77,6 +83,9 @@ _RUNTIME_FLAG = re.compile(r"--runtime[ =]([a-z]\w*)")
 _RUNTIME_KEYWORD = re.compile(
     r"""\bruntime\s*=\s*((?:["']\w+["'])(?:\s*\|\s*["']\w+["'])*)"""
 )
+#: the document holding the trace kinds table, and the calls that record
+TRACE_KINDS_DOC = Path("docs") / "observability.md"
+_TRACE_CALLS = frozenset({"trace", "record", "record_fields"})
 
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "#")
 
@@ -228,6 +237,44 @@ def unknown_runtime_names(
     return unknown
 
 
+def emitted_trace_kinds(src: Path) -> frozenset[str]:
+    """String literals passed to a recording call anywhere under ``src``."""
+    kinds = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name in _TRACE_CALLS:
+                kinds.update(arg.value for arg in node.args
+                             if isinstance(arg, ast.Constant)
+                             and isinstance(arg.value, str))
+    return frozenset(kinds)
+
+
+def unemitted_trace_kinds(
+    text: str, emitted: frozenset[str]
+) -> list[tuple[int, str]]:
+    """Kinds in the ``| kind |`` table's first column that nothing records."""
+    unknown, in_table = [], False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("| kind |"):
+            in_table = True
+            continue
+        if not line.startswith("|"):
+            in_table = False
+        if not in_table:
+            continue
+        unknown += [
+            (lineno, f"trace kind recorded nowhere in src/ -> {kind}")
+            for kind in _CODE_SPAN.findall(line.split("|")[1])
+            if kind not in emitted
+        ]
+    return unknown
+
+
 def broken_references(
     path: Path, root: Path, subcommands: frozenset[str]
 ) -> list[tuple[int, str]]:
@@ -278,6 +325,7 @@ def main() -> int:
     subcommands = cli_subcommands()
     fields = config_fields()
     defined = defined_names()
+    emitted = emitted_trace_kinds(root / "src")
     from repro.runtime import RUNTIMES
 
     failures = 0
@@ -291,6 +339,8 @@ def main() -> int:
             text = path.read_text()
             broken += unknown_config_keywords(text, fields)
             broken += unknown_runtime_names(text, tuple(RUNTIMES))
+        if path == root / TRACE_KINDS_DOC:
+            broken += unemitted_trace_kinds(path.read_text(), emitted)
         for lineno, message in sorted(broken):
             failures += 1
             print(f"{path.relative_to(root)}:{lineno}: {message}")
@@ -298,7 +348,7 @@ def main() -> int:
         print(f"\n{failures} broken reference(s) across {checked} markdown files")
         return 1
     print(f"ok: all links, src/ paths, CLI commands, dotted and bare names, "
-          f"SystemConfig fields and runtime names resolve "
+          f"SystemConfig fields, runtime names and trace kinds resolve "
           f"({checked} markdown files)")
     return 0
 
