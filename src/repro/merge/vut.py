@@ -169,13 +169,6 @@ class ViewUpdateTable:
             entry.state for entry in self._cells(row).values() if entry.state > row
         )
 
-    def rows_before(self, row: int) -> Iterator[int]:
-        """Existing row ids strictly smaller than ``row``, ascending."""
-        return iter(sorted(r for r in self._rows if r < row))
-
-    def rows_after(self, row: int) -> Iterator[int]:
-        return iter(sorted(r for r in self._rows if r > row))
-
     def next_red(self, row: int, view: str) -> int:
         """``nextRed(i, x)``: the next red entry below ``VUT[i, x]``, or 0."""
         column = self._column(view)

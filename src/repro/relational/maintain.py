@@ -11,10 +11,11 @@ Maintenance runs through a compiled
 :class:`~repro.relational.plan.MaintenancePlan` (indexed join probes,
 self-maintained aggregates, columnar batch kernels — O(|delta|) per
 update, see ``docs/engine.md``).  The initial contents and ``refresh``
-come from :func:`~repro.relational.columnar.evaluate_columnar` over the
-same stores the plan probes; ``verify`` is the one caller of the
-row-dict oracle :func:`~repro.relational.algebra.evaluate`, because it is
-the check against it.  An expression built from a node class
+come off a fresh plan (an aggregate root's group states), else from
+:func:`~repro.relational.columnar.evaluate_columnar` through the compile's
+memo; ``verify`` is the one caller of the row-dict oracle
+:func:`~repro.relational.algebra.evaluate`, because it is the check
+against it.  An expression built from a node class
 the compiler does not know is rejected by the constructor with
 :class:`~repro.relational.plan.PlanUnsupported`.
 
@@ -47,8 +48,7 @@ class MaterializedView:
     def __init__(self, definition: ViewDefinition, database: Database) -> None:
         self.definition = definition
         self.database = database
-        self._contents = evaluate_columnar(definition.expression, database)
-        self.plan = MaintenancePlan(definition.expression, database)
+        self.refresh()
         self.deltas_applied = 0
         self.rows_changed = 0
 
@@ -91,10 +91,12 @@ class MaterializedView:
     def refresh(self) -> None:
         """Recompute from scratch (periodic-refresh style).
 
-        Also rebuilds the plan's auxiliary state, so ``refresh`` is the
-        recovery handle after out-of-band database mutations.
+        Compiles a fresh plan, so ``refresh`` is also the recovery handle
+        after out-of-band database mutations.
         """
-        self._contents = evaluate_columnar(
-            self.definition.expression, self.database
-        )
-        self.plan.rebuild()
+        expression, memo = self.definition.expression, {}
+        self.plan = MaintenancePlan(expression, self.database, memo=memo)
+        contents = self.plan.contents()
+        if contents is None:
+            contents = evaluate_columnar(expression, self.database, memo)
+        self._contents = contents

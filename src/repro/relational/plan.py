@@ -14,7 +14,9 @@ the delta:
   (anything that is not a bare base relation) is materialized once at
   compile time — the self-maintenance style of Aziz & Batool
   (arXiv:1406.7685) — and thereafter maintained incrementally and probed
-  through its own index.
+  through its own index.  The compile alone decides a node's initial
+  state: a cache artifact's ``preload=`` entry, else an evaluation
+  through ``memo=``; node constructors never evaluate.
 * **Aggregates are self-maintained.**  Count/sum group-bys keep a
   per-group state table (row count + running sums), so an update needs
   only the child delta and the touched groups' old states.
@@ -31,8 +33,8 @@ layout) by :mod:`repro.relational.columnar`; probes read
 relation's columnar store.  A batch comes in and a view delta goes out
 as a :class:`~repro.relational.delta.Delta`, which holds that same form:
 no ``Row`` is built on either side.
-Every node answers ``delta`` / ``advance`` / ``rebuild`` / ``describe``,
-join inputs also ``probe`` / ``probe_table``.  ``docs/engine.md`` walks
+Every node answers ``delta`` / ``advance`` / ``describe``, join inputs
+also ``probe`` / ``probe_table``.  ``docs/engine.md`` walks
 through the layout; the test suite holds every plan delta equal to both
 ``propagate_delta`` and a full recompute.
 
@@ -104,7 +106,7 @@ class PlanUnsupported(ExpressionError):
 
 
 # ---------------------------------------------------------------------------
-# plan nodes (protocol: delta / probe / advance / rebuild / describe)
+# plan nodes (protocol: delta / probe / advance / describe)
 # ---------------------------------------------------------------------------
 
 class _CBaseNode:
@@ -157,9 +159,6 @@ class _CBaseNode:
     def advance(self, staged: dict) -> None:
         pass  # the caller advances the base database itself
 
-    def rebuild(self) -> None:
-        pass
-
     def describe(self, depth: int) -> list[str]:
         probe = f" [indexed on {self.probe_key}]" if self.probe_key is not None else ""
         return ["  " * depth + f"base {self.name}{probe}"]
@@ -194,9 +193,6 @@ class _CSelectNode:
     def advance(self, staged) -> None:
         self.child.advance(staged)
 
-    def rebuild(self) -> None:
-        self.child.rebuild()
-
     def describe(self, depth: int) -> list[str]:
         return ["  " * depth + f"select[{self.predicate}]"] + self.child.describe(depth + 1)
 
@@ -229,9 +225,6 @@ class _CProjectNode:
     def advance(self, staged) -> None:
         self.child.advance(staged)
 
-    def rebuild(self) -> None:
-        self.child.rebuild()
-
     def describe(self, depth: int) -> list[str]:
         names = ", ".join(self.names)
         return ["  " * depth + f"project[{names}]"] + self.child.describe(depth + 1)
@@ -240,23 +233,22 @@ class _CProjectNode:
 class _CMatInput:
     """A join input materialized as an auxiliary columnar relation.
 
-    ``delta`` computes the wrapped subexpression's delta and stages it;
-    ``advance`` applies the staged tuple bag to the auxiliary store in
-    one validated batch (:meth:`ColumnarRelation.apply_signed`), whose
-    :class:`ColumnIndex` on the join attributes is what ``probe`` reads.
+    The store starts as a copy of ``initial``, the ``(layout, counts)``
+    the compile hands in.  ``delta`` computes the wrapped subexpression's
+    delta and stages it; ``advance`` applies the staged tuple bag to the
+    auxiliary store in one validated batch
+    (:meth:`ColumnarRelation.apply_signed`), whose :class:`ColumnIndex`
+    on the join attributes is what ``probe`` reads.
     """
 
-    __slots__ = ("expr", "node", "store", "layout", "probe_key", "probes", "_db")
+    __slots__ = ("expr", "node", "store", "layout", "probe_key", "probes")
 
-    def __init__(self, expr: Expression, node, db, probe_key, seed=None) -> None:
+    def __init__(self, expr: Expression, node, probe_key, initial) -> None:
         self.expr = expr
         self.node = node
-        self._db = db
         self.probe_key = probe_key
         self.probes = 0
-        # Warm start (a cache artifact or the build's memo, whose provenance
-        # is the caller's problem): copy it, skip the cold compile's evaluation.
-        layout, counts = seed if seed is not None else _eval_columnar(expr, db)
+        layout, counts = initial
         self.layout = tuple(layout)
         self.store = ColumnarRelation(self.layout, counts)
 
@@ -285,11 +277,6 @@ class _CMatInput:
             # apply_signed validates deletions — any underflow here means
             # the base data was mutated behind the plan's back.
             self.store.apply_signed(counts)
-
-    def rebuild(self) -> None:
-        self.node.rebuild()
-        _, counts = _eval_columnar(self.expr, self._db)
-        self.store = ColumnarRelation(self.layout, counts)
 
     def describe(self, depth: int) -> list[str]:
         head = ("  " * depth
@@ -378,10 +365,6 @@ class _CJoinNode:
         self.left.advance(staged)
         self.right.advance(staged)
 
-    def rebuild(self) -> None:
-        self.left.rebuild()
-        self.right.rebuild()
-
     def describe(self, depth: int) -> list[str]:
         head = "  " * depth + f"join[on={self.on}]"
         return ([head] + self.left.describe(depth + 1)
@@ -396,24 +379,23 @@ class _CAggregateNode:
     old states (one synthesized loop — see
     :class:`~repro.relational.columnar.AggregateKernel`) and emits
     old-tuple deletions / new-tuple insertions for exactly the touched
-    groups.
+    groups.  The states start as a copy of ``seed_groups``, else as the
+    fold of ``child_counts``, the child's initial tuple bag.
     """
 
-    __slots__ = ("expr", "child", "layout", "_kernel", "_groups", "_db")
+    __slots__ = ("expr", "child", "layout", "_kernel", "_groups")
 
-    def __init__(self, expr: Aggregate, child, db, seed_groups=None) -> None:
+    def __init__(self, expr: Aggregate, child, seed_groups, child_counts) -> None:
         self.expr = expr
         self.child = child
-        self._db = db
         self._kernel = AggregateKernel(expr, child.layout)
         self.layout = self._kernel.layout
         self._groups: dict[tuple, list] = {}
         if seed_groups is not None:
-            # Warm start: adopt a copy of the group states (a seed stays
-            # immutable) instead of evaluating the child.
+            # a seed stays immutable: adopt a copy of its states
             self._groups = {key: list(state) for key, state in seed_groups.items()}
         else:
-            self._kernel.accumulate(self._groups, _eval_columnar(expr.child, db)[1])
+            self._kernel.accumulate(self._groups, child_counts)
 
     def delta(self, deltas, staged) -> Mapping[tuple, int]:
         memo = ("delta", id(self))
@@ -446,12 +428,6 @@ class _CAggregateNode:
             else:
                 self._groups.pop(key, None)
 
-    def rebuild(self) -> None:
-        self.child.rebuild()
-        self._groups = {}
-        _, counts = _eval_columnar(self.expr.child, self._db)
-        self._kernel.accumulate(self._groups, counts)
-
     def describe(self, depth: int) -> list[str]:
         aggs = ", ".join(str(a) for a in self.expr.aggregates)
         head = ("  " * depth
@@ -475,11 +451,12 @@ class MaintenancePlan:
     """An expression compiled for indexed incremental maintenance.
 
     Compilation evaluates each auxiliary materialization once (O(|base|),
-    amortized over the view's lifetime); every subsequent update costs
-    O(|delta| x matching rows).  The plan assumes the database advances
-    only through the coordinated ``propagate``/``apply_deltas``/
-    ``advance`` sequence — after any out-of-band mutation call
-    :meth:`rebuild`.
+    amortized over the view's lifetime), through ``memo`` (see
+    :func:`~repro.relational.columnar.evaluate_columnar`; a fresh one when
+    ``None``); every subsequent update costs O(|delta| x matching rows).
+    The plan assumes the database advances only through the coordinated
+    ``propagate``/``apply_deltas``/``advance`` sequence — after any
+    out-of-band mutation compile a fresh plan.
     """
 
     def __init__(
@@ -488,6 +465,7 @@ class MaintenancePlan:
         database,
         library: "PlanLibrary | None" = None,
         preload: Mapping[str, object] | None = None,
+        memo: dict | None = None,
     ) -> None:
         self.expression = expression
         self._db = database
@@ -501,8 +479,9 @@ class MaintenancePlan:
         # compiles consume it — interned library nodes may be shared
         # with plans the seed knows nothing about.
         self._preload = dict(preload) if preload and library is None else {}
+        self._memo = {} if memo is None else memo
         self._root = self._compile(expression)
-        self._preload = {}
+        self._preload, self._memo = {}, None
         self._staged: dict = {}
         self.propagations = 0
         #: opt-in per-node profiler (see :mod:`repro.obs.profiler`); when
@@ -556,8 +535,9 @@ class MaintenancePlan:
             return _CJoinNode(left, right, on)
         if isinstance(expr, Aggregate):
             child = self._compile(expr.child)
-            seed_groups = self._preload.get(_preload_key(expr))
-            return _CAggregateNode(expr, child, self._db, seed_groups)
+            seed = self._preload.get(_preload_key(expr))
+            counts = EMPTY_COUNTS if seed is not None else self._evaluate(expr.child)[1]
+            return _CAggregateNode(expr, child, seed, counts)
         raise PlanUnsupported(
             f"no maintenance plan for {type(expr).__name__} nodes"
         )
@@ -569,14 +549,20 @@ class MaintenancePlan:
                 expr.name, self._db.relation(expr.name), probe_key=on
             )
         else:
-            seed = self._preload.get(_preload_key(expr, on))
             build = lambda: _CMatInput(
-                expr, self._compile(expr), self._db, on, seed
+                expr, self._compile(expr), on,
+                self._preload.get(_preload_key(expr, on)) or self._evaluate(expr),
             )
         return self._intern(("input", expr, on), build)
 
+    def _evaluate(self, expr: Expression):
+        """``expr``'s initial ``(layout, counts)``, through the compile's memo."""
+        return _eval_columnar(expr, self._db, self._memo)
+
     # -- maintenance -------------------------------------------------------
-    def propagate(self, base_deltas: Mapping[str, Delta]) -> Delta:
+    def propagate(
+        self, base_deltas: Mapping[str, Delta | Mapping[tuple, int]]
+    ) -> Delta:
         """The view delta induced by ``base_deltas`` on the pre-state.
 
         Pure: neither the database nor the plan's auxiliary state is
@@ -585,14 +571,8 @@ class MaintenancePlan:
         """
         return self._round(_as_deltas(self._db, base_deltas), {}, self.profiler)
 
-    def propagate_counts(
-        self, base_counts: Mapping[str, Mapping[tuple, int]]
-    ) -> Delta:
-        """:meth:`propagate` for a batch that never was a :class:`Delta`:
-        ``base_counts`` maps relation names to signed counts keyed by
-        value tuples in the relation's layout (attribute names sorted).
-        """
-        return self._round(_as_deltas(self._db, base_counts), {}, self.profiler)
+    #: the name for a batch of raw ``{tuple: signed count}`` mappings
+    propagate_counts = propagate
 
     def _round(self, deltas: Mapping[str, Delta], staged: dict, profiler) -> Delta:
         """One propagation against ``staged`` (a library shares one
@@ -616,11 +596,6 @@ class MaintenancePlan:
         """
         self._root.advance(self._staged)
         self._staged = {}
-
-    def rebuild(self) -> None:
-        """Recompute all auxiliary state from the database (post-drift)."""
-        self._staged = {}
-        self._root.rebuild()
 
     def export_aux(self) -> dict[str, object]:
         """The plan's auxiliary state as plain data (for ``repro.cache``).
@@ -676,33 +651,6 @@ class MaintenancePlan:
     def __repr__(self) -> str:
         return (f"MaintenancePlan({self.expression}, "
                 f"propagations={self.propagations})")
-
-
-def warm_start(
-    expression: Expression, database, memo: dict | None, skip: set[str]
-) -> dict[str, object]:
-    """The ``preload=`` mapping :meth:`MaintenancePlan.export_aux` gives
-    after compiling ``expression`` over ``database``, evaluated through
-    ``memo``; entries over a relation in ``skip`` are left to the compile."""
-    out: dict[str, object] = {}
-    pending = [(expression, None)]  # with the join key it is an input on
-    while pending:
-        expr, on = pending.pop()
-        if isinstance(expr, BaseRelation):
-            continue
-        unfiltered = not expr.base_relations() & skip
-        if on is not None and unfiltered:
-            out[_preload_key(expr, on)] = _eval_columnar(expr, database, memo)
-        if isinstance(expr, Join):
-            on = expr.join_attributes(database.schemas)
-            pending += [(expr.left, on), (expr.right, on)]
-            continue
-        pending.append((expr.child, None))
-        if isinstance(expr, Aggregate) and unfiltered:
-            layout, counts = _eval_columnar(expr.child, database, memo)
-            out[_preload_key(expr)] = groups = {}
-            AggregateKernel(expr, layout).accumulate(groups, counts)
-    return out
 
 
 def _preload_key(expr: Expression, on: tuple[str, ...] | None = None) -> str:

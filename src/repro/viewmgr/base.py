@@ -52,7 +52,7 @@ from repro.relational.columnar import compile_filter, evaluate_columnar
 from repro.relational.database import Database
 from repro.relational.delta import Delta, propagate_delta, updates_to_deltas
 from repro.relational.expressions import ViewDefinition
-from repro.relational.plan import MaintenancePlan, warm_start
+from repro.relational.plan import MaintenancePlan
 from repro.relational.predicates import Predicate
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -187,7 +187,7 @@ class ViewManager(Process):
     def seed_replica(self, initial: Database, memo: dict | None = None) -> None:
         """Install local base-relation replicas from the initial source state."""
         replica = Database()
-        filtered: set[str] = set()
+        filtered = False
         for relation in sorted(self.definition.base_relations()):
             schema = self.base_schemas[relation]
             rows = initial.relation(relation)
@@ -199,21 +199,21 @@ class ViewManager(Process):
                     rows = Relation.from_tuple_counts(
                         store.layout, keep(store.counts_view()), schema
                     )
-                    filtered.add(relation)
+                    filtered = True
             replica.create_relation(relation, schema, rows)
         self._replica = replica
         # Cached mode maintains through a compiled indexed plan over this one
         # stable database (docs/engine.md).  The compile's evaluations (the
         # cold-start hot spot) come from a cache binding's seed artifact,
-        # looked up here by its key material, or else from :func:`warm_start`.
+        # looked up here by its key material, or else through the build's
+        # memo.  That memo holds ss_0, which a filtered replica is not.
         preload = None
         if self._cache is not None:
             self._cache.on_seeded(self)
             preload = self._cache.seed_aux()
-        if preload is None:
-            preload = warm_start(self.definition.expression, initial, memo, filtered)
         self._plan = MaintenancePlan(
-            self.definition.expression, replica, preload=preload
+            self.definition.expression, replica, preload=preload,
+            memo=None if filtered else memo,
         )
 
     def materialize_initial(

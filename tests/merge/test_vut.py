@@ -91,12 +91,6 @@ class TestQueries:
         vut.set_color(2, "V1", Color.GRAY)
         assert vut.white_rows_through(3, "V1") == (1, 3)
 
-    def test_rows_before_after(self, vut):
-        for row in (2, 4, 6):
-            vut.allocate_row(row, frozenset())
-        assert list(vut.rows_before(5)) == [2, 4]
-        assert list(vut.rows_after(3)) == [4, 6]
-
 
 class TestPurging:
     def test_purgeable(self, vut):

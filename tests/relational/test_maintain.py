@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConsistencyViolation
+from repro.relational import columnar
 from repro.relational.algebra import evaluate
+from repro.relational.columnar import AggregateKernel
 from repro.relational.database import Database
 from repro.relational.delta import Delta
 from repro.relational.maintain import MaterializedView
 from repro.relational.parser import parse_view
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
+from tests.system.test_setup import count_calls
 
 
 def make_db() -> Database:
@@ -72,6 +75,24 @@ class TestBasics:
         view = MaterializedView(agg, db)
         view.apply({"R": Delta.insert(Row(A=9, B=2))})
         assert view.contents.sorted_rows() == [Row(B=2, n=2)]
+        view.verify()
+
+    def test_contents_come_off_the_plan(self, monkeypatch):
+        """An aggregate over a join is joined and folded once, by the plan's
+        compile, at construction and per ``refresh``: the contents are read
+        off its group states."""
+        db = make_db()
+        totals = parse_view(
+            "T = SELECT B, count(*) AS n, sum(C) AS total FROM R JOIN S GROUP BY B"
+        )
+        with monkeypatch.context() as patch:
+            joins = count_calls(patch, columnar, "join_counts_columnar")
+            folds = count_calls(patch, AggregateKernel, "accumulate")
+            view = MaterializedView(totals, db)
+            assert (len(joins), len(folds)) == (1, 1)
+            view.refresh()
+            assert (len(joins), len(folds)) == (2, 2)
+        assert view.contents.sorted_rows() == [Row(B=2, n=1, total=3)]
         view.verify()
 
 

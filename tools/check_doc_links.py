@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check that repository documentation references resolve.
 
-Scans every tracked ``*.md`` file and verifies eight kinds of reference:
+Scans every tracked ``*.md`` file and verifies nine kinds of reference:
 
 * **markdown links** — each relative ``[text](target)`` must point at an
   existing file (anchors and external ``http(s)``/``mailto`` links are
@@ -17,6 +17,11 @@ Scans every tracked ``*.md`` file and verifies eight kinds of reference:
   ``README.md``, ``DESIGN.md``; the logs such as CHANGES.md name the past
   on purpose) every ``repro.<module>[.<attr>...]`` token must resolve by
   import + ``getattr``, so a deleted class can't stay documented;
+* **short module paths** — in the same documents, a code span that
+  starts ``a.b[.c...]`` where ``repro.a.b`` imports as a module must
+  resolve as ``repro.a.b.c...`` (`` `relational.plan.MaintenancePlan` ``),
+  unless it is a per-layer metric name of ``BENCHMARK.json``
+  (`` `merge.submission.share` ``);
 * **bare class names** — in the same documents, a code span that starts
   with a CamelCase name (`` `Name` ``, `` `Name.attr` ``, `` `Name(...)` ``)
   must start with a name some ``repro`` module defines or a builtin,
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -61,6 +67,8 @@ _SRC_PATH = re.compile(r"\bsrc/[\w./-]+")
 _CLI = re.compile(r"python -m repro\s+([a-z][a-z-]*)")
 #: dotted names into the package (not the tail of a path or longer name)
 _DOTTED = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
+#: a dotted name at the start of a code span, read as a path into ``repro``
+_SHORT_PATH = re.compile(r"[a-z_]\w*(?:\.\w+)+")
 #: a last segment that makes the token a file name (``--out repro.json``)
 _FILE_SUFFIXES = frozenset({"json", "jsonl", "md", "py", "txt"})
 #: an inline code span, and the CamelCase name one may start with (capital
@@ -126,6 +134,42 @@ def resolves(dotted: str) -> bool:
             return False
         return True
     return False
+
+
+def is_module(name: str) -> bool:
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
+
+
+def metric_names(root: Path) -> frozenset[str]:
+    """The per-layer metric names ``BENCHMARK.json`` declares."""
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+    return frozenset(metric["name"] for metric in declared["per_layer"])
+
+
+def unresolved_short_paths(
+    text: str, metrics: frozenset[str]
+) -> list[tuple[int, str]]:
+    """Code spans ``a.b.c`` under a module ``repro.a.b`` that do not resolve."""
+    unresolved, in_fence = [], False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if _FENCE.match(line.strip()):
+            in_fence = not in_fence
+        if in_fence:
+            continue
+        for span in _CODE_SPAN.findall(line):
+            path = _SHORT_PATH.match(span)
+            if path is None or path[0] in metrics:
+                continue
+            module = "repro." + ".".join(path[0].split(".")[:2])
+            if is_module(module) and not resolves("repro." + path[0]):
+                unresolved.append(
+                    (lineno, f"unresolvable name -> repro.{path[0]}")
+                )
+    return unresolved
 
 
 def names_checked(path: Path, root: Path) -> bool:
@@ -326,6 +370,7 @@ def main() -> int:
     fields = config_fields()
     defined = defined_names()
     emitted = emitted_trace_kinds(root / "src")
+    metrics = metric_names(root)
     from repro.runtime import RUNTIMES
 
     failures = 0
@@ -335,6 +380,7 @@ def main() -> int:
         broken = broken_references(path, root, subcommands)
         if names_checked(path, root):
             broken += unknown_bare_names(path.read_text(), defined)
+            broken += unresolved_short_paths(path.read_text(), metrics)
         if config_checked(path, root):
             text = path.read_text()
             broken += unknown_config_keywords(text, fields)
@@ -347,7 +393,7 @@ def main() -> int:
     if failures:
         print(f"\n{failures} broken reference(s) across {checked} markdown files")
         return 1
-    print(f"ok: all links, src/ paths, CLI commands, dotted and bare names, "
+    print(f"ok: all links, src/ paths, CLI commands, dotted, bare and short names, "
           f"SystemConfig fields, runtime names and trace kinds resolve "
           f"({checked} markdown files)")
     return 0
