@@ -1,41 +1,20 @@
-"""B21 — Sharded merge throughput and multi-query optimization.
+"""B21 — Sharded merge throughput.
 
-Two scale questions about the §6.1 distributed merge once the view suite
-grows past toy size:
-
-1. **Sharding** — 36 relation-disjoint clusters x 3 views = 108 views,
-   packed onto {1, 2, 4, 8} merge shards by the consistent-hash router
-   (``merge_router="hash"``).  With a per-message merge cost the single
-   merge process is the pipeline bottleneck; shards carry
-   relation-disjoint work concurrently, so aggregate throughput
-   (warehouse transactions per unit of simulated time) should scale with
-   the fleet while every arm preserves MVC-completeness.
-
-2. **MQO** — 40 views of one shard sharing an R ./ S prefix, compiled
-   through a :class:`~repro.relational.plan.PlanLibrary` versus 40
-   independent plans.  Interning shared subexpressions means one delta
-   probe per batch feeds every reader, so the library's index-probe
-   count should collapse by ~the sharing factor.
+A scale question about the §6.1 distributed merge once the view suite
+grows past toy size: 36 relation-disjoint clusters x 3 views = 108
+views, packed onto {1, 2, 4, 8} merge shards by the consistent-hash
+router (``merge_router="hash"``).  With a per-message merge cost the
+single merge process is the pipeline bottleneck; shards carry
+relation-disjoint work concurrently, so aggregate throughput (warehouse
+transactions per unit of simulated time) should scale with the fleet
+while every arm preserves MVC-completeness.
 
 Paper question: §6.1 "each group of views is assigned one merge
-process" — does the split actually buy throughput at warehouse scale,
-and how much maintenance work does same-shard sharing remove?  Reads:
-simulated throughput per shard count and measured probe reduction;
-emits BENCH_b21.json via ``--bench-out``.
+process" — does the split actually buy throughput at warehouse scale?
+Reads: simulated throughput per shard count; emits BENCH_b21.json via
+``--bench-out``.
 """
 
-from repro.relational.database import Database
-from repro.relational.delta import Delta, propagate_delta
-from repro.relational.expressions import (
-    BaseRelation,
-    Join,
-    Project,
-    Select,
-)
-from repro.relational.plan import MaintenancePlan, PlanLibrary
-from repro.relational.predicates import compare
-from repro.relational.rows import Row
-from repro.relational.schema import Schema
 from repro.system.config import SystemConfig
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.schemas import clustered_views, clustered_world
@@ -46,9 +25,6 @@ CLUSTERS = 36
 VIEWS_PER_CLUSTER = 3  # 108 views total
 UPDATES = 200
 SHARD_COUNTS = (1, 2, 4, 8)
-
-MQO_VIEWS = 40
-MQO_BATCHES = 40
 
 
 def run_sharded(shards: int):
@@ -152,117 +128,3 @@ def test_b21_sharded_merge_throughput(benchmark, report, bench_out):
         f"single merge — the shard router is not spreading the load"
     )
 
-
-# ---------------------------------------------------------------------------
-# MQO: one shard, many views over a shared join prefix
-# ---------------------------------------------------------------------------
-
-def mqo_db() -> Database:
-    db = Database()
-    db.create_relation(
-        "R", Schema(["A", "B"]), [Row(A=i, B=i % 8) for i in range(64)]
-    )
-    db.create_relation(
-        "S", Schema(["B", "C"]), [Row(B=i % 8, C=i) for i in range(32)]
-    )
-    return db
-
-
-MQO_JOIN = Join(BaseRelation("R"), BaseRelation("S"))
-MQO_EXPRS = {
-    f"V{i:02d}": Project(("A", "C"), Select(compare("C", "<", i), MQO_JOIN))
-    for i in range(MQO_VIEWS)
-}
-
-
-def mqo_stream():
-    """Insert fresh rows, then modify the row the stream itself added —
-    never a seed row, so the stream replays cleanly at any length."""
-    for k in range(MQO_BATCHES):
-        yield {"R": Delta.insert(Row(A=1_000 + k, B=k % 8))}
-        yield {"S": Delta.insert(Row(B=k % 8, C=200 + k))}
-        yield {
-            "S": Delta.modify(
-                Row(B=k % 8, C=200 + k), Row(B=(k + 1) % 8, C=200 + k)
-            )
-        }
-
-
-def test_b21_mqo_equivalence_guard():
-    """Library-compiled plans must match the unindexed delta rules."""
-    db_lib, db_legacy = mqo_db(), mqo_db()
-    library = PlanLibrary(db_lib)
-    for name, expr in MQO_EXPRS.items():
-        library.compile(name, expr)
-    for deltas in mqo_stream():
-        planned = library.propagate_all(deltas)
-        for name, expr in MQO_EXPRS.items():
-            assert planned[name] == propagate_delta(expr, db_legacy, deltas)
-        db_lib.apply_deltas(deltas)
-        db_legacy.apply_deltas(deltas)
-        library.advance_all()
-
-
-def test_b21_mqo_probe_reduction(report, bench_out):
-    db_lib, db_solo = mqo_db(), mqo_db()
-    library = PlanLibrary(db_lib)
-    for name, expr in MQO_EXPRS.items():
-        library.compile(name, expr)
-    solo = [MaintenancePlan(expr, db_solo) for expr in MQO_EXPRS.values()]
-
-    for deltas in mqo_stream():
-        library.propagate_all(deltas)
-        db_lib.apply_deltas(deltas)
-        library.advance_all()
-        for plan in solo:
-            plan.propagate(deltas)
-        db_solo.apply_deltas(deltas)
-        for plan in solo:
-            plan.advance()
-
-    lib_probes = library.probe_count()
-    solo_probes = sum(plan.probe_count() for plan in solo)
-    reduction = solo_probes / max(lib_probes, 1)
-    mqo = library.report()
-
-    report(f"B21 MQO — {MQO_VIEWS} views sharing an R ./ S prefix, "
-           f"{MQO_BATCHES * 3} delta batches:")
-    report(fmt_table(
-        ["arm", "index probes", "unique nodes"],
-        [
-            ["independent plans", solo_probes,
-             sum(plan.node_count() for plan in solo)],
-            ["plan library", lib_probes, mqo["unique_nodes"]],
-        ],
-    ))
-    report("")
-    report(f"Shape: sharing collapses delta probes {reduction:.1f}x; "
-           f"compile interned {mqo['nodes_saved']} duplicate nodes across "
-           f"{mqo['shared_subexpressions']} shared subexpressions.")
-
-    artifact = bench_out("b21_mqo", {
-        "benchmark": "b21_mqo_probe_reduction",
-        "question": "how much maintenance work does multi-query "
-                    "optimization remove within one merge shard?",
-        "views": MQO_VIEWS,
-        "batches": MQO_BATCHES * 3,
-        "units": "index_probes_total",
-        "independent_probes": solo_probes,
-        "library_probes": lib_probes,
-        "probe_reduction": round(reduction, 2),
-        "compile_report": {
-            "plans": mqo["plans"],
-            "total_nodes": mqo["total_nodes"],
-            "unique_nodes": mqo["unique_nodes"],
-            "nodes_saved": mqo["nodes_saved"],
-            "shared_subexpressions": mqo["shared_subexpressions"],
-        },
-    })
-    if artifact is not None:
-        report(f"wrote {artifact}")
-
-    assert reduction >= 10.0, (
-        f"the plan library removed only {reduction:.1f}x of the delta "
-        f"probes over {MQO_VIEWS} shared-prefix views — sharing is broken"
-    )
-    assert mqo["nodes_saved"] > 0

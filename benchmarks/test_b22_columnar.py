@@ -2,9 +2,8 @@
 
 The columnar core (see docs/engine.md) exists so a source batch that
 arrives as *raw value tuples* can flow to applied view deltas without
-ever materializing a ``Row``: ``MaintenancePlan.propagate_counts`` /
-``PlanLibrary.propagate_all`` take ``{tuple: signed count}`` batches,
-push them through source-generated kernels, and the resulting
+ever materializing a ``Row``: ``MaintenancePlan.propagate_counts``
+takes ``{tuple: signed count}`` batches, pushes them through source-generated kernels, and the resulting
 :class:`~repro.relational.delta.Delta` (the one signed tuple bag: there
 is no second, row-keyed delta to compare it with) applies to a view's
 :class:`~repro.relational.relation.Relation` in one vectorized call.
@@ -22,8 +21,8 @@ Two arms, mirroring earlier benchmarks:
   join, select-project-join, group-by aggregate — timed per input delta
   row, batch-propagated against 20k-row bases.
 * **end_to_end** (B1-shaped): the paper's Example 2 view suite
-  (V1 = R |><| S, V2 = S |><| T |><| Q, V3 = Q) maintained through a
-  :class:`~repro.relational.plan.PlanLibrary` over a mixed
+  (V1 = R |><| S, V2 = S |><| T |><| Q, V3 = Q) maintained through one
+  :class:`~repro.relational.plan.MaintenancePlan` per view over a mixed
   insert/delete update stream, timing propagation + view-store
   application + advance per batch.
 
@@ -32,9 +31,9 @@ Timing is best-of-N full repeats (single runs on this workload swing
 lazy index builds and kernel compilation are excluded — the same
 protocol B19 uses.  The guards hold the engine to the stateless delta
 rules and to recomputation at every step, and re-run the B19 scaling
-workload and the B21 MQO workload with their probe counts pinned (the
-counts repeat exactly), so a change to what those benchmarks measure
-shows up here as a number, not as a timing.
+workload with its probe count pinned (the count repeats exactly), so a
+change to what that benchmark measures shows up here as a number, not
+as a timing.
 
 Paper question: ROADMAP north star ("as fast as the hardware allows")
 — §7's performance study assumes maintenance keeps up with the source
@@ -60,7 +59,7 @@ from repro.relational.expressions import (
     Project,
     Select,
 )
-from repro.relational.plan import MaintenancePlan, PlanLibrary
+from repro.relational.plan import MaintenancePlan
 from repro.relational.predicates import compare
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
@@ -72,11 +71,9 @@ from benchmarks.test_b19_maintenance_scaling import (
     make_db as b19_make_db,
     update_stream as b19_update_stream,
 )
-from benchmarks.test_b21_sharded_merge import MQO_EXPRS, mqo_db, mqo_stream
 
-#: index probes the re-run guards must count (exact: the streams are seeded)
+#: index probes the re-run guard must count (exact: the stream is seeded)
 B19_PROBES = 300
-B21_PROBES = 160
 
 # -- micro arm (B9-shaped) --------------------------------------------------
 
@@ -229,29 +226,29 @@ def e2e_views() -> dict:
 
 
 def run_e2e_columnar(world, stream) -> tuple[float, dict[str, dict[Row, int]]]:
-    """Timed per batch: propagate_all + store application + advance.
+    """Timed per batch: every plan's propagate + store application +
+    advance.
 
     Base-relation advancement (``db.apply_deltas``) is untimed — it is
     not what the engine does.
     """
     db = e2e_db(world)
     views = e2e_views()
-    lib = PlanLibrary(db)
-    for name, expr in views.items():
-        lib.compile(name, expr)
+    plans = {name: MaintenancePlan(expr, db) for name, expr in views.items()}
     stores = {name: evaluate_columnar(expr, db) for name, expr in views.items()}
     # warmup (never advanced, nothing applied): builds every lazy probe
     # index and compiles every kernel outside the timed region
     for name, attrs in E2E_SCHEMAS.items():
-        lib.propagate_all({name: {(0,) * len(attrs): 1}})
+        for plan in plans.values():
+            plan.propagate_counts({name: {(0,) * len(attrs): 1}})
 
     timed = 0.0
     for rel_name, batch in stream:
         start = time.perf_counter()
-        view_deltas = lib.propagate_all({rel_name: batch})
-        for vname, d in view_deltas.items():
-            d.apply_to(stores[vname])
-        lib.advance_all()
+        for vname, plan in plans.items():
+            plan.propagate_counts({rel_name: batch}).apply_to(stores[vname])
+        for plan in plans.values():
+            plan.advance()
         timed += time.perf_counter() - start
         db.apply_deltas({rel_name: Delta(batch, layout_of(E2E_SCHEMAS[rel_name]))})
     return timed, {name: dict(store.counts_view()) for name, store in stores.items()}
@@ -270,18 +267,20 @@ def test_b22_engine_equivalence_guard():
     }
     db = e2e_db(world)
     views = e2e_views()
-    lib = PlanLibrary(db)
-    for name, expr in views.items():
-        lib.compile(name, expr)
+    plans = {name: MaintenancePlan(expr, db) for name, expr in views.items()}
     mats = {name: evaluate(expr, db) for name, expr in views.items()}
 
     for rel_name, batch in _small_stream(world, batches=8, batch=80, dom=60):
         lifted = Delta(batch, layout_of(E2E_SCHEMAS[rel_name]))
-        out = lib.propagate_all({rel_name: batch})
+        out = {
+            vname: plan.propagate_counts({rel_name: batch})
+            for vname, plan in plans.items()
+        }
         for vname, expr in views.items():
             assert out[vname] == propagate_delta(expr, db, {rel_name: lifted})
         db.apply_deltas({rel_name: lifted})
-        lib.advance_all()
+        for plan in plans.values():
+            plan.advance()
         for vname, expr in views.items():
             out[vname].apply_to(mats[vname])
             assert mats[vname] == evaluate(expr, db)
@@ -325,22 +324,6 @@ def test_b22_b19_rerun_guard():
         plan.advance()
     assert plan.probe_count() == B19_PROBES
 
-
-def test_b22_b21_rerun_guard():
-    """B21's MQO workload: per-view deltas equal to the stateless rules
-    and the library-wide probe count B21's probe-reduction result rests
-    on."""
-    db = mqo_db()
-    lib = PlanLibrary(db)
-    for name, expr in MQO_EXPRS.items():
-        lib.compile(name, expr)
-    for deltas in mqo_stream():
-        out = lib.propagate_all(deltas)
-        for name, expr in MQO_EXPRS.items():
-            assert out[name] == propagate_delta(expr, db, deltas)
-        db.apply_deltas(deltas)
-        lib.advance_all()
-    assert lib.probe_count() == B21_PROBES
 
 
 # -- benchmarks -------------------------------------------------------------

@@ -63,7 +63,6 @@ from repro.relational import (
     Delta,
     MaintenancePlan,
     MaterializedView,
-    PlanLibrary,
     Relation,
     Row,
     Schema,
@@ -166,7 +165,6 @@ __all__ = [
     "Aggregate",
     "AggregateSpec",
     "MaintenancePlan",
-    "PlanLibrary",
     "MaterializedView",
     "evaluate",
     "propagate_delta",

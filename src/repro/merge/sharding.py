@@ -184,9 +184,8 @@ class ShardRouter:
 def groups_by_shard(view_to_merge: Mapping[str, str]) -> dict[str, tuple[str, ...]]:
     """Invert a view → merge-process routing map into per-shard view tuples.
 
-    The canonical grouping every per-shard consumer (the conformance
-    oracle's ``shard:`` checks, the MQO report) needs: shard names
-    sorted, each shard's views sorted.
+    The canonical grouping the conformance oracle's ``shard:`` checks
+    need: shard names sorted, each shard's views sorted.
     """
     shards: dict[str, list[str]] = {}
     for view, merge_name in view_to_merge.items():

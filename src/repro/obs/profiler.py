@@ -1,10 +1,8 @@
 """Opt-in plan/kernel profiler for compiled maintenance plans.
 
-``mqo_report()`` says how much *structure* same-shard plans share; this
-profiler says where propagation *time* actually goes.  When enabled on a
-:class:`~repro.relational.plan.MaintenancePlan` (or a whole
-:class:`~repro.relational.plan.PlanLibrary`), every columnar operator
-node records per call:
+This profiler says where a plan's propagation *time* goes.  When enabled
+on a :class:`~repro.relational.plan.MaintenancePlan`, every columnar
+operator node records per call:
 
 * call count,
 * **exclusive** nanoseconds (child-delta time excluded — each node times
@@ -30,8 +28,9 @@ from __future__ import annotations
 from repro.obs.registry import MetricsRegistry
 
 #: staging-dict key carrying the active profiler through a plan's nodes.
-#: The staging dict otherwise holds ``("delta", id)``, ``("bd", name)``
-#: and ``id(node)`` keys, so a string sentinel can never collide.
+#: The staging dict otherwise holds only ``id(node)`` keys (aux-store
+#: deltas and aggregate states for ``advance``), so a string sentinel
+#: can never collide.
 PROF_KEY = "__profiler__"
 
 #: registry counter families the profiler publishes (index-matched to
@@ -111,7 +110,7 @@ class PlanProfiler:
         return bumped
 
     def format(self) -> str:
-        """An ``mqo_report()``-style table: where propagation time goes."""
+        """A per-node table: where propagation time goes."""
         stats = self.stats()
         if not stats:
             return "plan profiler: no propagations recorded"

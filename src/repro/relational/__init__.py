@@ -47,7 +47,7 @@ from repro.relational.algebra import evaluate
 from repro.relational.delta import Delta, propagate_delta
 from repro.relational.database import Database, VersionedDatabase
 from repro.relational.parser import parse_view
-from repro.relational.plan import MaintenancePlan, PlanLibrary, PlanUnsupported
+from repro.relational.plan import MaintenancePlan, PlanUnsupported
 from repro.relational.render import to_sql
 from repro.relational.maintain import MaterializedView
 
@@ -78,7 +78,6 @@ __all__ = [
     "ViewDefinition",
     "to_sql",
     "MaintenancePlan",
-    "PlanLibrary",
     "PlanUnsupported",
     "MaterializedView",
     "evaluate",

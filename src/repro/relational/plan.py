@@ -52,21 +52,6 @@ untouched; ``advance`` consumes the deltas staged by the most recent
 subclass the compiler has no node for raises :class:`PlanUnsupported` at
 compile time (the compiler covers all five built-in node classes, so this
 only rejects a caller-supplied one).
-
-**Multi-query optimization** (:class:`PlanLibrary`): views that live in
-the same merge shard usually share structure — the same join, the same
-selected prefix — and compiling each plan in isolation repeats that work
-per view per update.  A library compiles plans through a common-
-subexpression cache, so equal subexpressions (same expression, same
-probe role) become the *same* node object across plans: one delta probe
-feeds every view that reads it.  Per-batch node results are memoized in
-the shared staging dict and shared stateful nodes advance exactly once
-(Mistry/Roy/Ramamritham/Sudarshan, "Materialized View Selection and
-Maintenance Using Multi-Query Optimization", PODS/ICDE lineage — see
-PAPERS.md).  Library-compiled plans must be driven through
-:meth:`PlanLibrary.propagate_all` / :meth:`PlanLibrary.advance_all`; the
-library's :meth:`~PlanLibrary.report` gives the compile-time shared-node
-counts.
 """
 
 from __future__ import annotations
@@ -176,9 +161,6 @@ class _CSelectNode:
         self._filter = compile_filter(predicate, child.layout)
 
     def delta(self, deltas, staged) -> Mapping[tuple, int]:
-        memo = ("delta", id(self))
-        if memo in staged:
-            return staged[memo]
         child = self.child.delta(deltas, staged)
         prof = staged.get(PROF_KEY)
         t0 = perf_counter_ns() if prof is not None else 0
@@ -187,7 +169,6 @@ class _CSelectNode:
             out = child if self._filter is None else self._filter(child)
         if prof is not None:
             prof.node(self, perf_counter_ns() - t0, len(child), len(out))
-        staged[memo] = out
         return out
 
     def advance(self, staged) -> None:
@@ -208,9 +189,6 @@ class _CProjectNode:
         self.layout, self._project = compile_projection(child.layout, names)
 
     def delta(self, deltas, staged) -> Mapping[tuple, int]:
-        memo = ("delta", id(self))
-        if memo in staged:
-            return staged[memo]
         child = self.child.delta(deltas, staged)
         prof = staged.get(PROF_KEY)
         t0 = perf_counter_ns() if prof is not None else 0
@@ -219,7 +197,6 @@ class _CProjectNode:
             out = self._project(child)
         if prof is not None:
             prof.node(self, perf_counter_ns() - t0, len(child), len(out))
-        staged[memo] = out
         return out
 
     def advance(self, staged) -> None:
@@ -253,10 +230,7 @@ class _CMatInput:
         self.store = ColumnarRelation(self.layout, counts)
 
     def delta(self, deltas, staged) -> Mapping[tuple, int]:
-        if id(self) in staged:
-            return staged[id(self)]
-        counts = self.node.delta(deltas, staged)
-        staged[id(self)] = counts
+        staged[id(self)] = counts = self.node.delta(deltas, staged)
         return counts
 
     def probe(self, key) -> Mapping[tuple, int]:
@@ -269,10 +243,7 @@ class _CMatInput:
 
     def advance(self, staged) -> None:
         self.node.advance(staged)
-        # ``pop``: when plans share this node (PlanLibrary), the first
-        # owner's advance consumes the staged delta and later owners'
-        # advances are no-ops — never a double application.
-        counts = staged.pop(id(self), None)
+        counts = staged.get(id(self))
         if counts:
             # apply_signed validates deletions — any underflow here means
             # the base data was mutated behind the plan's back.
@@ -309,9 +280,6 @@ class _CJoinNode:
         self._probe_right = compile_join_probe(right.layout, left.layout, on, False)
 
     def delta(self, deltas, staged) -> Mapping[tuple, int]:
-        memo = ("delta", id(self))
-        if memo in staged:
-            return staged[memo]
         d_left = self.left.delta(deltas, staged)
         d_right = self.right.delta(deltas, staged)
         prof = staged.get(PROF_KEY)
@@ -320,7 +288,6 @@ class _CJoinNode:
         if not d_left and not d_right:
             if prof is not None:
                 prof.node(self, perf_counter_ns() - t0, 0, 0)
-            staged[memo] = EMPTY_COUNTS
             return EMPTY_COUNTS
         if not d_right:
             # single-sided batch (the common case): one fused probe loop,
@@ -330,7 +297,6 @@ class _CJoinNode:
             self.right.probes += len(d_left)
             if prof is not None:
                 prof.node(self, perf_counter_ns() - t0, rows_in, len(result))
-            staged[memo] = result
             return result
         if not d_left:
             result = {}
@@ -338,7 +304,6 @@ class _CJoinNode:
             self.left.probes += len(d_right)
             if prof is not None:
                 prof.node(self, perf_counter_ns() - t0, rows_in, len(result))
-            staged[memo] = result
             return result
         merge = self._merge
         out: dict[tuple, int] = defaultdict(int)
@@ -358,7 +323,6 @@ class _CJoinNode:
         result = {t: c for t, c in out.items() if c}
         if prof is not None:
             prof.node(self, perf_counter_ns() - t0, rows_in, len(result))
-        staged[memo] = result
         return result
 
     def advance(self, staged) -> None:
@@ -398,16 +362,12 @@ class _CAggregateNode:
             self._kernel.accumulate(self._groups, child_counts)
 
     def delta(self, deltas, staged) -> Mapping[tuple, int]:
-        memo = ("delta", id(self))
-        if memo in staged:
-            return staged[memo]
         d_child = self.child.delta(deltas, staged)
         prof = staged.get(PROF_KEY)
         t0 = perf_counter_ns() if prof is not None else 0
         if not d_child:
             if prof is not None:
                 prof.node(self, perf_counter_ns() - t0, 0, 0)
-            staged[memo] = EMPTY_COUNTS
             return EMPTY_COUNTS
         contributions: dict[tuple, list] = {}
         self._kernel.accumulate(contributions, d_child)
@@ -416,13 +376,11 @@ class _CAggregateNode:
         result = {t: c for t, c in out.items() if c}
         if prof is not None:
             prof.node(self, perf_counter_ns() - t0, len(d_child), len(result))
-        staged[memo] = result
         return result
 
     def advance(self, staged) -> None:
         self.child.advance(staged)
-        # ``pop`` for the same shared-node reason as _CMatInput.advance.
-        for key, state in staged.pop(id(self), {}).items():
+        for key, state in staged.get(id(self), {}).items():
             if state[0] != 0:
                 self._groups[key] = state
             else:
@@ -463,22 +421,17 @@ class MaintenancePlan:
         self,
         expression: Expression,
         database,
-        library: "PlanLibrary | None" = None,
         preload: Mapping[str, object] | None = None,
         memo: dict | None = None,
     ) -> None:
         self.expression = expression
         self._db = database
-        self._library = library
-        #: every node this plan reads, interned or private (may contain
-        #: duplicates when a subexpression occurs twice in the tree).
+        #: every node this plan reads, one object per occurrence in the tree
         self._nodes: list = []
         self._schemas = dict(database.schemas)
         self.schema = expression.infer_schema(self._schemas)
-        # Warm-start auxiliary state (see export_aux): only private
-        # compiles consume it — interned library nodes may be shared
-        # with plans the seed knows nothing about.
-        self._preload = dict(preload) if preload and library is None else {}
+        # warm-start auxiliary state (see export_aux)
+        self._preload = dict(preload) if preload else {}
         self._memo = {} if memo is None else memo
         self._root = self._compile(expression)
         self._preload, self._memo = {}, None
@@ -492,9 +445,7 @@ class MaintenancePlan:
     def enable_profiling(self, profiler=None):
         """Attach a :class:`~repro.obs.profiler.PlanProfiler` (made if None).
 
-        Library-compiled plans should enable profiling on the
-        :class:`PlanLibrary` instead — the library stages one profiler
-        for the whole round.  Returns the active profiler.
+        Returns the active profiler.
         """
         if profiler is None:
             from repro.obs.profiler import PlanProfiler
@@ -504,22 +455,10 @@ class MaintenancePlan:
         return profiler
 
     # -- compilation -------------------------------------------------------
-    def _intern(self, key: tuple, build):
-        """One node per distinct (expression, probe role) across the library.
-
-        Without a library every plan builds private nodes; with one,
-        equal keys resolve to the same object so plans share delta
-        evaluation, probes and auxiliary state.
-        """
-        if self._library is None:
-            node = build()
-        else:
-            node = self._library._intern(key, build)
+    def _compile(self, expr: Expression):
+        node = self._build(expr)
         self._nodes.append(node)
         return node
-
-    def _compile(self, expr: Expression):
-        return self._intern(("node", expr), lambda: self._build(expr))
 
     def _build(self, expr: Expression):
         if isinstance(expr, BaseRelation):
@@ -545,15 +484,14 @@ class MaintenancePlan:
     def _compile_input(self, expr: Expression, on: tuple[str, ...]):
         """Compile a join operand: indexed base probe or aux materialization."""
         if isinstance(expr, BaseRelation):
-            build = lambda: _CBaseNode(
-                expr.name, self._db.relation(expr.name), probe_key=on
-            )
+            node = _CBaseNode(expr.name, self._db.relation(expr.name), probe_key=on)
         else:
-            build = lambda: _CMatInput(
+            node = _CMatInput(
                 expr, self._compile(expr), on,
                 self._preload.get(_preload_key(expr, on)) or self._evaluate(expr),
             )
-        return self._intern(("input", expr, on), build)
+        self._nodes.append(node)
+        return node
 
     def _evaluate(self, expr: Expression):
         """``expr``'s initial ``(layout, counts)``, through the compile's memo."""
@@ -569,23 +507,19 @@ class MaintenancePlan:
         mutated.  Stages the per-subexpression deltas that a following
         :meth:`advance` will fold into the auxiliary structures.
         """
-        return self._round(_as_deltas(self._db, base_deltas), {}, self.profiler)
-
-    #: the name for a batch of raw ``{tuple: signed count}`` mappings
-    propagate_counts = propagate
-
-    def _round(self, deltas: Mapping[str, Delta], staged: dict, profiler) -> Delta:
-        """One propagation against ``staged`` (a library shares one
-        staging dict, and its profiler, between the plans of a round)."""
-        if profiler is not None:
-            staged[PROF_KEY] = profiler
+        staged: dict = {}
+        if self.profiler is not None:
+            staged[PROF_KEY] = self.profiler
         self._staged = staged
-        counts = self._root.delta(deltas, staged)
+        counts = self._root.delta(_as_deltas(self._db, base_deltas), staged)
         self.propagations += 1
         # A non-empty result is an operator node's own zero-free dict or,
         # under a pass-through root, the bag of one of the batch's
         # (immutable) deltas: safe to share either way.
         return Delta._adopt(self._root.layout, counts) if counts else Delta()
+
+    #: the name for a batch of raw ``{tuple: signed count}`` mappings
+    propagate_counts = propagate
 
     def advance(self) -> None:
         """Fold the most recent :meth:`propagate`'s staged deltas in.
@@ -633,20 +567,9 @@ class MaintenancePlan:
         """A textual rendering of the compiled plan tree."""
         return "\n".join(self._root.describe(0))
 
-    def node_count(self) -> int:
-        """Distinct node objects this plan reads (shared ones count once)."""
-        return len({id(node) for node in self._nodes})
-
     def probe_count(self) -> int:
-        """Total index probes issued by this plan's nodes so far.
-
-        Shared nodes report their library-wide probe totals — by design:
-        under MQO one probe serves every plan reading the node.
-        """
-        seen: dict[int, int] = {}
-        for node in self._nodes:
-            seen[id(node)] = getattr(node, "probes", 0)
-        return sum(seen.values())
+        """Total index probes issued by this plan's nodes so far."""
+        return sum(getattr(node, "probes", 0) for node in self._nodes)
 
     def __repr__(self) -> str:
         return (f"MaintenancePlan({self.expression}, "
@@ -657,125 +580,3 @@ def _preload_key(expr: Expression, on: tuple[str, ...] | None = None) -> str:
     """The ``preload=`` key of a join input probed on ``on``, else of a group-by."""
     return f"agg|{expr}" if on is None else f"input|{','.join(on)}|{expr}"
 
-
-class PlanLibrary:
-    """Multi-query optimization across the plans of one merge shard.
-
-    Compiling through a library interns every (subexpression, probe role)
-    once, so the compiled :class:`MaintenancePlan`s of same-shard views
-    literally share node objects: the join both views read is evaluated
-    once per batch, its auxiliary materialization is maintained once, and
-    one index probe feeds every reader.
-
-    The library owns the propagation round:
-
-    * :meth:`propagate_all` runs every plan against one shared staging
-      dict — per-batch node memoization means each shared node computes
-      its delta exactly once per round;
-    * :meth:`advance_all` advances every plan; stateful shared nodes
-      (aux materializations, aggregate group states) consume their staged
-      entry on first advance and no-op after, so shared state moves
-      forward exactly once per batch.
-
-    Do **not** drive a library-compiled plan's ``propagate``/``advance``
-    individually against different batches: shared stateful nodes can
-    only advance in lock-step.  (One batch, many views — that is the
-    point of sharing.)
-    """
-
-    def __init__(self, database) -> None:
-        self._db = database
-        self._interned: dict[tuple, object] = {}
-        self._uses: dict[tuple, int] = {}
-        self.plans: dict[str, MaintenancePlan] = {}
-        self.profiler = None
-
-    def enable_profiling(self, profiler=None):
-        """Profile every library round (one profiler, shared nodes once)."""
-        if profiler is None:
-            from repro.obs.profiler import PlanProfiler
-
-            profiler = PlanProfiler()
-        self.profiler = profiler
-        return profiler
-
-    # -- compilation -------------------------------------------------------
-    def _intern(self, key: tuple, build):
-        node = self._interned.get(key)
-        if node is None:
-            node = build()
-            self._interned[key] = node
-            self._uses[key] = 1
-        else:
-            self._uses[key] += 1
-        return node
-
-    def compile(self, name: str, expression: Expression) -> MaintenancePlan:
-        """Compile ``expression`` as view ``name``, sharing where possible."""
-        if name in self.plans:
-            raise ExpressionError(f"plan {name!r} already in the library")
-        plan = MaintenancePlan(expression, self._db, library=self)
-        self.plans[name] = plan
-        return plan
-
-    # -- maintenance -------------------------------------------------------
-    def propagate_all(
-        self, base_deltas: Mapping[str, Delta | Mapping[tuple, int]]
-    ) -> dict[str, Delta]:
-        """Every view's delta for one batch (:class:`Delta`s, or raw signed
-        counts keyed by layout-positioned tuples), shared work computed
-        once."""
-        deltas = _as_deltas(self._db, base_deltas)
-        staged: dict = {}
-        return {
-            name: plan._round(deltas, staged, self.profiler)
-            for name, plan in self.plans.items()
-        }
-
-    def advance_all(self) -> None:
-        """Advance every plan's auxiliary state exactly once for the batch."""
-        for plan in self.plans.values():
-            plan.advance()
-
-    # -- inspection ---------------------------------------------------------
-    def probe_count(self) -> int:
-        """Total index probes across all unique nodes in the library."""
-        return sum(
-            getattr(node, "probes", 0) for node in self._interned.values()
-        )
-
-    def report(self) -> dict:
-        """Compile-time sharing summary (the MQO report).
-
-        ``total_nodes`` counts node references across all plans (what N
-        independent compilations would have built); ``unique_nodes`` is
-        what the library actually holds; their difference is the work
-        sharing removed.  ``shared`` lists every subexpression with more
-        than one reader, heaviest first.
-        """
-        total = sum(len(plan._nodes) for plan in self.plans.values())
-        shared = [
-            {
-                "key": self._describe_key(key),
-                "readers": uses,
-            }
-            for key, uses in sorted(
-                self._uses.items(),
-                key=lambda item: (-item[1], self._describe_key(item[0])),
-            )
-            if uses > 1
-        ]
-        return {
-            "plans": len(self.plans),
-            "total_nodes": total,
-            "unique_nodes": len(self._interned),
-            "nodes_saved": total - len(self._interned),
-            "shared_subexpressions": len(shared),
-            "shared": shared,
-        }
-
-    @staticmethod
-    def _describe_key(key: tuple) -> str:
-        kind, expr = key[0], key[1]
-        suffix = f" probe={key[2]}" if kind == "input" else ""
-        return f"{expr}{suffix}"

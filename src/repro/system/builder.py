@@ -536,27 +536,3 @@ class WarehouseSystem:
                 "SystemConfig(profile_plans=True)"
             )
         return self.plan_profiler.format()
-
-    def mqo_report(self) -> dict[str, dict]:
-        """Per-shard multi-query-optimization report (compile-time).
-
-        For each merge process, compiles the shard's view expressions
-        through one :class:`~repro.relational.plan.PlanLibrary` against a
-        throwaway copy of ``ss_0`` and returns the library's shared-node
-        report — how much delta-probe work same-shard views share.
-        """
-        from repro.relational.plan import PlanLibrary
-
-        definitions = {d.name: d for d in self.definitions}
-        shards: dict[str, list[str]] = {}
-        for view, merge_name in sorted(self.view_to_merge.items()):
-            shards.setdefault(merge_name, []).append(view)
-        reports: dict[str, dict] = {}
-        for merge_name, views in sorted(shards.items()):
-            library = PlanLibrary(self._initial_state.snapshot())
-            for view in views:
-                library.compile(view, definitions[view].expression)
-            report = library.report()
-            report["views"] = views
-            reports[merge_name] = report
-        return reports

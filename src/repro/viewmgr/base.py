@@ -502,9 +502,5 @@ class ViewManager(Process):
             self._maybe_start()
 
     # -- inspection ------------------------------------------------------------
-    @property
-    def backlog(self) -> int:
-        return len(self._buffer) + len(self._current_batch)
-
     def idle(self) -> bool:
         return not self._buffer and not self._computing

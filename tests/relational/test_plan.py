@@ -65,18 +65,20 @@ def check_sequence(expr: Expression, db: Database, delta_batches) -> Maintenance
 
 class TestPlanEquivalence:
     def test_join_insert_delete_modify(self):
-        db = make_db()
-        check_sequence(
-            JOIN,
-            db,
-            [
-                {"R": Delta.insert(Row(A=50, B=1))},
-                {"S": Delta.insert(Row(B=1, C=99), 3)},
-                {"R": Delta.modify(Row(A=50, B=1), Row(A=50, B=2))},
-                {"R": Delta.delete(Row(A=0, B=0)),
-                 "S": Delta.delete(Row(B=0, C=0))},
-            ],
-        )
+        # the join, a select/project over it and a group-by over it
+        for expr in (JOIN, SPJ, TOTALS):
+            check_sequence(
+                expr,
+                make_db(),
+                [
+                    {"R": Delta.insert(Row(A=50, B=1))},
+                    {"S": Delta.insert(Row(B=1, C=99), 3)},
+                    {"R": Delta.modify(Row(A=50, B=1), Row(A=50, B=2))},
+                    {"R": Delta.delete(Row(A=0, B=0)),
+                     "S": Delta.delete(Row(B=0, C=0))},
+                    {"S": Delta.modify(Row(B=1, C=1), Row(B=3, C=1))},
+                ],
+            )
 
     def test_spj_pushes_delta_through_select_project(self):
         db = make_db()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check that repository documentation references resolve.
 
-Scans every tracked ``*.md`` file and verifies nine kinds of reference:
+Scans every tracked ``*.md`` file and verifies ten kinds of reference:
 
 * **markdown links** — each relative ``[text](target)`` must point at an
   existing file (anchors and external ``http(s)``/``mailto`` links are
@@ -27,6 +27,11 @@ Scans every tracked ``*.md`` file and verifies nine kinds of reference:
   must start with a name some ``repro`` module defines or a builtin,
   unless its sentence says the name is gone or it is one of the few
   names that are not code of ours (``NOT_OURS``);
+* **class members** — in the same documents, a code span that starts
+  ``Name.attr`` where ``Name`` is a class must name something the class
+  has: a method, property, class attribute, slot, dataclass field or a
+  ``self.attr =`` assignment in its body (or a base class's), unless its
+  sentence says the name is gone;
 * **configuration fields** — in the same documents plus
   ``EXPERIMENTS.md``, every keyword written inside a ``SystemConfig(...)``
   call, in prose or in a fenced block, must be a field of the live
@@ -184,33 +189,40 @@ def config_checked(path: Path, root: Path) -> bool:
     return names_checked(path, root) or path == root / "EXPERIMENTS.md"
 
 
-def defined_names() -> frozenset[str]:
-    """Every name some ``repro`` module defines or imports, plus builtins."""
+def defined_names() -> dict[str, list[object]]:
+    """Every name some ``repro`` module defines or imports, plus builtins,
+    with the distinct objects bound to it."""
     import builtins
     import pkgutil
 
     import repro
 
-    names = set(vars(builtins))
+    names: dict[str, list[object]] = {}
+    namespaces = [vars(builtins)]
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         if not info.name.endswith("__main__"):  # importing it runs the CLI
-            names.update(vars(importlib.import_module(info.name)))
-    return frozenset(names)
+            namespaces.append(vars(importlib.import_module(info.name)))
+    for namespace in namespaces:
+        for name, value in namespace.items():
+            bound = names.setdefault(name, [])
+            if not any(value is other for other in bound):
+                bound.append(value)
+    return names
 
 
-def unknown_bare_names(text: str, defined: frozenset[str]) -> list[tuple[int, str]]:
-    """CamelCase names at the start of a code span that nothing defines.
+def prose_spans(text: str):
+    """``(line, span)`` for every code span in a sentence that does not say
+    a name is gone.
 
     Fenced blocks are executable examples (``tools/run_doc_snippets.py``
-    runs them) and are skipped; a sentence that says a name is gone may
-    name it.
+    runs them) and are skipped.
     """
     prose, in_fence = [], False
     for line in text.splitlines():
         fence = bool(_FENCE.match(line.strip()))
         prose.append("" if fence or in_fence else line)
         in_fence ^= fence
-    unknown, lineno = [], 1
+    lineno = 1
     for paragraph in "\n".join(prose).split("\n\n"):
         at = 0
         for sentence in _SENTENCE_END.split(paragraph):
@@ -219,11 +231,64 @@ def unknown_bare_names(text: str, defined: frozenset[str]) -> list[tuple[int, st
             if _SAYS_GONE.search(sentence):
                 continue
             for span in _CODE_SPAN.finditer(sentence):
-                name = _CLASS_NAME.match(span[1])
-                if name and name[0] not in defined and name[0] not in NOT_OURS:
-                    line = lineno + paragraph.count("\n", 0, start + span.start())
-                    unknown.append((line, f"no repro module defines -> {name[0]}"))
+                line = lineno + paragraph.count("\n", 0, start + span.start())
+                yield line, span[1]
         lineno += paragraph.count("\n") + 2
+
+
+def unknown_bare_names(
+    text: str, defined: dict[str, list[object]]
+) -> list[tuple[int, str]]:
+    """CamelCase names at the start of a code span that nothing defines."""
+    unknown = []
+    for line, span in prose_spans(text):
+        name = _CLASS_NAME.match(span)
+        if name and name[0] not in defined and name[0] not in NOT_OURS:
+            unknown.append((line, f"no repro module defines -> {name[0]}"))
+    return unknown
+
+
+def instance_attributes(cls: type) -> frozenset[str]:
+    """Names assigned as ``self.<name>`` in the bodies of ``cls`` and its bases."""
+    import inspect
+    import textwrap
+
+    names = set()
+    for klass in cls.__mro__:
+        try:
+            source = textwrap.dedent(inspect.getsource(klass))
+        except (OSError, TypeError):
+            continue  # a builtin, or a class made at runtime
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                names.add(node.attr)
+    return frozenset(names)
+
+
+def has_member(cls: type, attr: str) -> bool:
+    """``cls`` has ``attr``: a method, property, class attribute, slot,
+    dataclass field or ``self.attr =`` assignment."""
+    return (hasattr(cls, attr)
+            or attr in getattr(cls, "__dataclass_fields__", ())
+            or attr in instance_attributes(cls))
+
+
+def unknown_members(
+    text: str, defined: dict[str, list[object]]
+) -> list[tuple[int, str]]:
+    """``Name.attr`` code spans where no class called ``Name`` has ``attr``."""
+    unknown = []
+    for line, span in prose_spans(text):
+        name = _CLASS_NAME.match(span)
+        if not name or not span.startswith(".", name.end()):
+            continue
+        classes = [c for c in defined.get(name[0], ()) if isinstance(c, type)]
+        attr = re.match(r"\w+", span[name.end() + 1:])
+        if classes and attr and not any(has_member(c, attr[0]) for c in classes):
+            unknown.append((line, f"no such member -> {name[0]}.{attr[0]}"))
     return unknown
 
 
@@ -380,6 +445,7 @@ def main() -> int:
         broken = broken_references(path, root, subcommands)
         if names_checked(path, root):
             broken += unknown_bare_names(path.read_text(), defined)
+            broken += unknown_members(path.read_text(), defined)
             broken += unresolved_short_paths(path.read_text(), metrics)
         if config_checked(path, root):
             text = path.read_text()
@@ -394,7 +460,7 @@ def main() -> int:
         print(f"\n{failures} broken reference(s) across {checked} markdown files")
         return 1
     print(f"ok: all links, src/ paths, CLI commands, dotted, bare and short names, "
-          f"SystemConfig fields, runtime names and trace kinds resolve "
+          f"class members, SystemConfig fields, runtime names and trace kinds resolve "
           f"({checked} markdown files)")
     return 0
 
