@@ -6,6 +6,10 @@ microbenchmarks (many rounds) over synthetic event streams:
 
 * VUT allocate/color/purge cycle,
 * SPA end-to-end event processing (n updates x 3 views),
+* SPA per event at two depths: that 3-view table, and a deep one (36
+  views in 12 clusters of 3, 600 RELs outstanding, per-view FIFO action
+  lists interleaved at random), whose ratio shows whether a probe's cost
+  grows with the table,
 * PA with batch-2 action lists over the same pattern.
 
 Paper question: §4 (implicitly) — is per-event merge bookkeeping cheap
@@ -90,6 +94,68 @@ def test_b9_spa_event_processing(benchmark, bench_out):
     assert units > 0
     _emit(bench_out, "spa_events", benchmark,
           "per-round cost of SPA end-to-end event processing")
+
+
+def _deep_events(clusters: int = 12, width: int = 3, rels: int = 600):
+    """RELs 1..rels, each relevant to views of one random cluster, then
+    every view's action lists in FIFO order, interleaved at random."""
+    rng = random.Random(9)
+    views = tuple(f"V{c}_{w}" for c in range(clusters) for w in range(width))
+    queues: dict[str, list[int]] = {view: [] for view in views}
+    events: list[tuple] = []
+    for update_id in range(1, rels + 1):
+        start = rng.randrange(clusters) * width
+        cluster = views[start:start + width]
+        relevant = (frozenset(v for v in cluster if rng.random() < 0.7)
+                    or frozenset(cluster[:1]))
+        events.append((update_id, relevant))
+        for view in relevant:
+            queues[view].append(update_id)
+    while any(queues.values()):
+        view = rng.choice([v for v, queue in queues.items() if queue])
+        events.append(make_al(view, [queues[view].pop(0)]))
+    return views, events
+
+
+def _shallow_events():
+    rels = _spa_events()
+    als = [make_al(view, [update_id])
+           for view in VIEWS for update_id, views in rels if view in views]
+    return VIEWS, [*rels, *als]
+
+
+def test_b9_spa_deep_vut(benchmark, bench_out):
+    """SPA ns per event with few rows outstanding and with 600: an indexed
+    table's probes do not walk columns, so the two should stay close.
+    Reported, not gated (the count-guards elsewhere pin behaviour)."""
+    import time
+
+    arms = {"shallow_3_views": _shallow_events(), "deep_36_views": _deep_events()}
+    best = dict.fromkeys(arms, float("inf"))
+
+    def both():
+        for arm, (views, events) in arms.items():
+            spa = SimplePaintingAlgorithm(views)
+            start = time.perf_counter()
+            for event in events:
+                if isinstance(event, tuple):
+                    spa.receive_rel(*event)
+                else:
+                    spa.receive_action_list(event)
+            elapsed = time.perf_counter() - start
+            assert spa.idle()
+            best[arm] = min(best[arm], elapsed / len(events))
+
+    benchmark.pedantic(both, rounds=9, iterations=1)
+    ns = {arm: round(seconds * 1e9) for arm, seconds in best.items()}
+    bench_out("b9_spa_deep", {
+        "benchmark": "b9_spa_deep",
+        "question": "does SPA's cost per event grow with the VUT's depth?",
+        "units": "ns_per_event",
+        "arms": {arm: {"ns_per_event": value} for arm, value in ns.items()},
+        "events": {arm: len(events) for arm, (_, events) in arms.items()},
+        "deep_over_shallow": round(ns["deep_36_views"] / ns["shallow_3_views"], 3),
+    })
 
 
 def test_b9_pa_event_processing_batched(benchmark, bench_out):

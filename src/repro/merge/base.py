@@ -16,10 +16,14 @@ shares:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import MergeError
 from repro.viewmgr.actions import ActionList
+
+#: the sort key that puts one row's action lists in view order
+by_view = attrgetter("view")
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,7 +36,6 @@ class ReadyUnit:
 
     rows: tuple[int, ...]
     action_lists: tuple[ActionList, ...]
-    detail: dict = field(default_factory=dict, compare=False)
 
     @property
     def views(self) -> frozenset[str]:
@@ -76,19 +79,20 @@ class MergeAlgorithm:
                 f"REL{update_id} arrived after REL{self._last_rel_id}; the "
                 f"integrator must send RELs in increasing order"
             )
-        unknown = views - self._view_set
-        if unknown:
-            raise MergeError(f"REL{update_id} names unknown views {sorted(unknown)}")
+        if not views <= self._view_set:
+            unknown = sorted(views - self._view_set)
+            raise MergeError(f"REL{update_id} names unknown views {unknown}")
         self._last_rel_id = update_id
         self.rels_received += 1
         ready = self._on_rel(update_id, views)
-        ready.extend(self._release_pending())
+        if self._pending:
+            ready.extend(self._release_pending())
         self.units_emitted += len(ready)
         return ready
 
     def receive_action_list(self, action_list: ActionList) -> list[ReadyUnit]:
         """Process one ``AL^x_j``; returns any units that became ready."""
-        if action_list.view not in self.views:
+        if action_list.view not in self._view_set:
             raise MergeError(
                 f"{action_list} targets view {action_list.view!r}, which is "
                 f"not handled by merge {self.name!r} (views: {self.views})"
@@ -99,6 +103,8 @@ class MergeAlgorithm:
                 f"{action_list} overlaps an earlier list from {manager!r} "
                 f"(last covered {self._last_al_id[manager]})"
             )
+        # Recorded on arrival, so a held list's duplicate is refused now.
+        self._last_al_id[manager] = action_list.last_update
         self.als_received += 1
         if action_list.last_update > self._last_rel_id:
             # The REL for (part of) this batch has not arrived; hold the
@@ -106,7 +112,6 @@ class MergeAlgorithm:
             # suffices for every covered id.
             self._pending[action_list.last_update].append(action_list)
             return []
-        self._last_al_id[manager] = action_list.last_update
         ready = self._on_action_list(action_list)
         self.units_emitted += len(ready)
         return ready
@@ -117,7 +122,6 @@ class MergeAlgorithm:
             if last_update > self._last_rel_id:
                 break
             for action_list in self._pending.pop(last_update):
-                self._last_al_id[action_list.manager] = action_list.last_update
                 ready.extend(self._on_action_list(action_list))
         return ready
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.errors import MergeError
-from repro.merge.base import MergeAlgorithm, ReadyUnit
-from repro.merge.vut import Color, ViewUpdateTable
+from repro.merge.base import MergeAlgorithm, ReadyUnit, by_view
+from repro.merge.vut import GRAY, RED, WHITE, ViewUpdateTable
 from repro.viewmgr.actions import ActionList
 
 
@@ -68,12 +68,10 @@ class CompleteNMerge(MergeAlgorithm):
                 f"complete-{self.n} managers must flush at block boundaries"
             )
         for row in action_list.covered:
-            if self.vut.color(row, action_list.view) is not Color.WHITE:
-                raise MergeError(
-                    f"{action_list}: entry [{row}, {action_list.view}] is "
-                    f"{self.vut.color(row, action_list.view)}, expected white"
-                )
-            self.vut.set_color(row, action_list.view, Color.RED)
+            try:
+                self.vut.set_color(row, action_list.view, RED, WHITE)
+            except MergeError as error:
+                raise MergeError(f"{action_list}: {error}") from None
         self._wt[action_list.last_update].append(action_list)
         return self._release_blocks()
 
@@ -98,16 +96,16 @@ class CompleteNMerge(MergeAlgorithm):
         rows: list[int] = []
         lists: list[ActionList] = []
         for row in remaining:
-            if self.vut.has_color(row, Color.WHITE):
+            if self.vut.has_color(row, WHITE):
                 raise MergeError(
                     f"cannot flush: row {row} still waits for action lists"
                 )
             if row in self._relevant_rows:
                 rows.append(row)
                 self._relevant_rows.discard(row)
-            for view in self.vut.views_with_color(row, Color.RED):
-                self.vut.set_color(row, view, Color.GRAY)
-            lists.extend(sorted(self._wt.pop(row, ()), key=lambda al: al.view))
+            for view in self.vut.views_with_color(row, RED):
+                self.vut.set_color(row, view, GRAY)
+            lists.extend(sorted(self._wt.pop(row, ()), key=by_view))
             self.vut.purge(row)
         self._next_block = self._block_of(remaining[-1]) + 1
         if not rows:
@@ -123,7 +121,7 @@ class CompleteNMerge(MergeAlgorithm):
             return False
         # ...and every relevant entry must have its action list.
         for row in range(start, end + 1):
-            if row in self.vut and self.vut.has_color(row, Color.WHITE):
+            if row in self.vut and self.vut.has_color(row, WHITE):
                 return False
         return True
 
@@ -137,9 +135,9 @@ class CompleteNMerge(MergeAlgorithm):
             if row in self._relevant_rows:
                 rows.append(row)
                 self._relevant_rows.discard(row)
-            for view in self.vut.views_with_color(row, Color.RED):
-                self.vut.set_color(row, view, Color.GRAY)
-            lists.extend(sorted(self._wt.pop(row, ()), key=lambda al: al.view))
+            for view in self.vut.views_with_color(row, RED):
+                self.vut.set_color(row, view, GRAY)
+            lists.extend(sorted(self._wt.pop(row, ()), key=by_view))
             self.vut.purge(row)
         if not rows:
             return None  # the whole block was irrelevant to this merge

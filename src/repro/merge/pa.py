@@ -37,8 +37,8 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.errors import MergeError
-from repro.merge.base import MergeAlgorithm, ReadyUnit
-from repro.merge.vut import Color, ViewUpdateTable
+from repro.merge.base import MergeAlgorithm, ReadyUnit, by_view
+from repro.merge.vut import GRAY, RED, WHITE, ViewUpdateTable
 from repro.viewmgr.actions import ActionList
 
 
@@ -79,7 +79,7 @@ class PaintingAlgorithm(MergeAlgorithm):
                 f"relevant updates"
             )
         for row in whites:
-            self.vut.set_color(row, view, Color.RED)
+            self.vut.set_color(row, view, RED)
             self.vut.set_state(row, view, last)
         self._wt[last].append(action_list)
         self._try_row(last)
@@ -103,21 +103,25 @@ class PaintingAlgorithm(MergeAlgorithm):
             # Applied and purged previously (its column entries are gray
             # from this group's perspective); nothing more to gather.
             return True
+        vut = self.vut
         # Line 2: an action list for this row has not arrived.
-        if self.vut.has_color(row, Color.WHITE):
+        if vut.has_color(row, WHITE):
             return False
         # Line 3: tentatively add this row to the application group.
         self._apply_rows.add(row)
         # Line 4: earlier unapplied (red) lists from the same managers must
         # be applied first — pull their rows in, or fail.
-        for view in self.vut.views_with_color(row, Color.RED):
-            for earlier in self.vut.earlier_red_rows(row, view):
+        reds = vut.views_with_color(row, RED)
+        for view in reds:
+            for earlier in vut.earlier_red_rows(row, view):
                 if not self._gather(earlier):
                     return False
         # Line 5: entries batched forward must be applied together with the
-        # batch's last row.
-        for state in self.vut.forward_states(row):
-            if not self._gather(state):
+        # batch's last row.  A state is written as its entry turns red, and
+        # a row's reds turn gray as it is purged: only reds carry states.
+        for view in reds:
+            state = vut.state(row, view)
+            if state > row and not self._gather(state):
                 return False
         return True
 
@@ -126,33 +130,32 @@ class PaintingAlgorithm(MergeAlgorithm):
         group = tuple(sorted(self._apply_rows))
         if not group:
             return
+        vut = self.vut
         # Line 6: red -> gray across the group.
+        painted = []
         for row in group:
-            for view in self.vut.views_with_color(row, Color.RED):
-                self.vut.set_color(row, view, Color.GRAY)
+            for view in vut.views_with_color(row, RED):
+                vut.set_color(row, view, GRAY)
+                painted.append((row, view))
         # Line 7: all actions in all rows of the group form one transaction,
         # ordered by row so earlier updates' actions precede later ones.
         lists: list[ActionList] = []
         for row in group:
-            lists.extend(sorted(self._wt.pop(row, ()), key=lambda al: al.view))
+            lists.extend(sorted(self._wt.pop(row, ()), key=by_view))
         if lists:
             self._emitted.append(ReadyUnit(group, tuple(lists)))
         # Line 8: reset ApplyRows.
         self._apply_rows = set()
         # Line 9 candidates: applying this group may unblock later rows.
-        followers: set[int] = set()
-        for row in group:
-            for view in self.vut.views_with_color(row, Color.GRAY):
-                follower = self.vut.next_red(row, view)
-                if follower:
-                    followers.add(follower)
+        followers = {vut.next_red(row, view) for row, view in painted}
+        followers.discard(0)
         # Line 10: purge rows that are now fully black/gray.
         for row in group:
-            if row in self.vut and self.vut.purgeable(row):
-                self.vut.purge(row)
+            if row in vut and vut.purgeable(row):
+                vut.purge(row)
         # Line 9: each cascading attempt starts with a fresh ApplyRows.
         for follower in sorted(followers):
-            if follower in self.vut:
+            if follower in vut:
                 self._try_row(follower)
 
     # -- inspection ------------------------------------------------------------

@@ -40,6 +40,10 @@ from repro.warehouse.txn import WarehouseTransaction
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
+# The detail keys of the two per-unit trace records.
+_READY_KEYS = ("txn", "rows")
+_SUBMIT_KEYS = ("txn", "rows", "after")
+
 
 @dataclass(frozen=True, slots=True)
 class MergeCheckpoint:
@@ -101,11 +105,9 @@ class MergeProcess(Process):
         return txn_id
 
     def _submit_to_warehouse(self, message: WarehouseTransactionMsg) -> None:
-        self.trace(
-            "merge_submit",
-            txn=message.txn.txn_id,
-            rows=message.txn.covered_rows,
-            after=message.sequenced_after,
+        self.sim.trace.record_fields(
+            self.sim.now, "merge_submit", self.name, _SUBMIT_KEYS,
+            message.txn.txn_id, message.txn.covered_rows, message.sequenced_after,
         )
         self.send(self.warehouse_name, message)
 
@@ -139,7 +141,10 @@ class MergeProcess(Process):
             covered_rows=unit.rows,
         )
         self.transactions_formed += 1
-        self.trace("merge_ready", txn=txn.txn_id, rows=unit.rows)
+        self.sim.trace.record_fields(
+            self.sim.now, "merge_ready", self.name, _READY_KEYS,
+            txn.txn_id, unit.rows,
+        )
         self.policy.offer(txn)
 
     def flush(self) -> None:

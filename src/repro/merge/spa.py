@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.errors import MergeError
-from repro.merge.base import MergeAlgorithm, ReadyUnit
-from repro.merge.vut import Color, ViewUpdateTable
+from repro.merge.base import MergeAlgorithm, ReadyUnit, by_view
+from repro.merge.vut import GRAY, RED, WHITE, ViewUpdateTable
 from repro.viewmgr.actions import ActionList
 
 
@@ -50,12 +50,12 @@ class SimplePaintingAlgorithm(MergeAlgorithm):
     # -- event hooks ---------------------------------------------------------
     def _on_rel(self, update_id: int, views: frozenset[str]) -> list[ReadyUnit]:
         self.vut.allocate_row(update_id, views)
-        self._emitted = []
-        # A row relevant to no view in this merge's scope is trivially
-        # appliable (and in the single-merge case represents an update
-        # relevant to no view at all): emit nothing, purge immediately.
-        self._process_row(update_id)
-        return self._emitted
+        if not views:
+            # A row relevant to no view in this merge's scope is trivially
+            # appliable (and in the single-merge case represents an update
+            # relevant to no view at all): emit nothing, purge immediately.
+            self.vut.purge(update_id)
+        return []
 
     def _on_action_list(self, action_list: ActionList) -> list[ReadyUnit]:
         if self.strict and len(action_list.covered) != 1:
@@ -66,48 +66,44 @@ class SimplePaintingAlgorithm(MergeAlgorithm):
             )
         self._emitted = []
         for row in action_list.covered:
-            if self.vut.color(row, action_list.view) is not Color.WHITE:
-                raise MergeError(
-                    f"{action_list}: VUT[{row}, {action_list.view}] is "
-                    f"{self.vut.color(row, action_list.view)}, expected white"
-                )
-            self.vut.set_color(row, action_list.view, Color.RED)
+            try:
+                self.vut.set_color(row, action_list.view, RED, WHITE)
+            except MergeError as error:
+                raise MergeError(f"{action_list}: {error}") from None
         self._wt[action_list.last_update].append(action_list)
         self._process_row(action_list.covered[0])
         return self._emitted
 
     # -- Procedure ProcessRow(i), Algorithm 1 ------------------------------------
     def _process_row(self, row: int) -> None:
-        if row not in self.vut:
+        vut = self.vut
+        if row not in vut:
             return  # already applied and purged by an earlier recursion
         # Line 1: some action in this row has not yet arrived.
-        if self.vut.has_color(row, Color.WHITE):
+        if vut.has_color(row, WHITE):
             return
         # Line 2: lists from the same view manager must be applied in the
-        # order generated — an earlier red entry in any red column blocks.
-        for view in self.vut.views_with_color(row, Color.RED):
-            if self.vut.earlier_red_rows(row, view):
-                return
-        # Line 3: mark this row's lists as being applied.
-        reds = self.vut.views_with_color(row, Color.RED)
+        # order generated — an earlier red entry in any red column blocks,
+        # so this row must head every one of its red columns.
+        reds = vut.views_with_color(row, RED)
         for view in reds:
-            self.vut.set_color(row, view, Color.GRAY)
+            if vut.first_red(view) != row:
+                return
+        # Lines 3 and 5: mark this row's lists as being applied, which pops
+        # it off each red column; the column's new head is nextRed.
+        followers = set()
+        for view in reds:
+            vut.set_color(row, view, GRAY)
+            followers.add(vut.first_red(view))
+        followers.discard(0)
         # Line 4: apply all actions in WT_i as a single warehouse transaction.
-        lists = tuple(sorted(self._wt.pop(row, ()), key=lambda al: al.view))
+        lists = tuple(sorted(self._wt.pop(row, ()), key=by_view))
         if lists:
             self._emitted.append(ReadyUnit((row,), lists))
-        # Line 5: applying this row may unblock the next red in each column.
-        followers = sorted(
-            {
-                self.vut.next_red(row, view)
-                for view in reds
-                if self.vut.next_red(row, view)
-            }
-        )
         # Line 6: purge row i (before recursing keeps the table minimal and
         # is safe — gray entries never gate a later row).
-        self.vut.purge(row)
-        for follower in followers:
+        vut.purge(row)
+        for follower in sorted(followers):
             self._process_row(follower)
 
     # -- inspection ---------------------------------------------------------------

@@ -144,8 +144,10 @@ class Gauge(Metric):
 
     def set(self, value: float, at: float | None = None) -> None:
         self._value = value
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
         if self._samples is not None:
             self._samples.append((0.0 if at is None else at, value))
 

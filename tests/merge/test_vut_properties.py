@@ -7,17 +7,22 @@ Driven through random legal operation sequences, the table must maintain:
 * ``next_red`` always returns the minimal red row strictly below;
 * ``white_rows_through`` is exactly the white subset at or below a row.
 
-The table stores rows sparsely with a per-column row index; a dense
-dict-of-dicts model (the old layout) is the oracle for every query.
+The table stores rows sparsely and indexes its white and red cells per
+row and per column; a dense dict-of-dicts model (the old layout) is the
+oracle for every query, and a copy, a pickle round trip or a load from
+the cells alone must answer as the original does.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MergeError
-from repro.merge.vut import Color, ViewUpdateTable
+from repro.merge.vut import Color, Entry, ViewUpdateTable
 
 VIEWS = ("V1", "V2", "V3")
 
@@ -112,6 +117,9 @@ class DenseModel:
     def views_with_color(self, row, color):
         return tuple(v for v in self.views if self.rows[row][v][0] is color)
 
+    def first_red(self, view):
+        return self.next_red(0, view)
+
     def next_red(self, row, view):
         later = [r for r in sorted(self.rows)
                  if r > row and self.rows[r][view][0] is Color.RED]
@@ -127,9 +135,6 @@ class DenseModel:
 
     def purgeable(self, row):
         return all(c in (Color.BLACK, Color.GRAY) for c, _ in self.rows[row].values())
-
-    def forward_states(self, row):
-        return tuple(s for _, s in self.rows[row].values() if s > row)
 
     def snapshot(self):
         return {
@@ -169,6 +174,8 @@ def assert_same_answers(vut: ViewUpdateTable, model: DenseModel) -> None:
     assert vut.snapshot() == model.snapshot()
     assert vut.render() == model.render(False)
     assert vut.render(show_state=True) == model.render(True)
+    for view in MODEL_VIEWS:
+        assert vut.first_red(view) == model.first_red(view)
     for row in range(0, 14):  # probes need not name an existing row
         assert (row in vut) == (row in model.rows)
         for view in MODEL_VIEWS:
@@ -183,7 +190,6 @@ def assert_same_answers(vut: ViewUpdateTable, model: DenseModel) -> None:
             assert vut.views_with_color(row, color) == model.views_with_color(row, color)
             assert vut.has_color(row, color) == bool(model.views_with_color(row, color))
         assert vut.purgeable(row) == model.purgeable(row)
-        assert vut.forward_states(row) == model.forward_states(row)
 
 
 @given(steps=model_steps)
@@ -223,3 +229,117 @@ def test_sparse_table_matches_dense_model(steps):
             for r in done:
                 del model.rows[r]
         assert_same_answers(vut, model)
+
+
+# -- the merge's own interleavings, and the table's copies ----------------------
+
+
+def cells_only(model: DenseModel) -> ViewUpdateTable:
+    """A table loaded from a cells-only state built off the model (every
+    cell stored, black ones too), as an older pickle would carry it."""
+    table = ViewUpdateTable.__new__(ViewUpdateTable)
+    table.__setstate__({
+        "_views": model.views,
+        "_rows": {row: {v: Entry(c, s) for v, (c, s) in cells.items()}
+                  for row, cells in model.rows.items()},
+    })
+    return table
+
+
+TWINS = {
+    "deepcopy": lambda vut, model: copy.deepcopy(vut),
+    "pickle": lambda vut, model: pickle.loads(pickle.dumps(vut)),
+    "cells": lambda vut, model: cells_only(model),
+}
+merge_steps = st.lists(
+    st.one_of(
+        # REL: the next row, relevant to some views.
+        st.tuples(st.just("rel"), st.frozensets(st.sampled_from(MODEL_VIEWS))),
+        # An action list: paint the view's first ``k`` white rows red with
+        # state = the last of them (a PA batch; SPA's is k = 1), or its
+        # ``k``-th white row alone (painting out of row order).
+        st.tuples(st.just("batch"), st.sampled_from(MODEL_VIEWS),
+                  st.integers(min_value=1, max_value=3)),
+        st.tuples(st.just("one"), st.sampled_from(MODEL_VIEWS),
+                  st.integers(min_value=0, max_value=3)),
+        # Apply a row: its reds turn gray and it is purged if it can be.
+        st.tuples(st.just("apply"), st.integers(min_value=0, max_value=8)),
+        st.tuples(st.just("purge_completed")),
+        st.tuples(st.just("twin"), st.sampled_from(sorted(TWINS))),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(steps=merge_steps)
+@settings(max_examples=200, deadline=None)
+def test_merge_interleavings_match_dense_model(steps):
+    """RELs in ascending order, action lists painting runs of whites red in
+    and out of row order, rows applied, purged singly and all at once, and
+    the table swapped for a deep copy, a pickle round trip or a cells-only
+    load: after every step the indexed answers are the dense model's."""
+    vut, model = ViewUpdateTable(MODEL_VIEWS), DenseModel(MODEL_VIEWS)
+    next_row = 1
+    for kind, *args in steps:
+        if kind == "rel":
+            vut.allocate_row(next_row, args[0])
+            model.allocate_row(next_row, args[0])
+            next_row += 1
+        elif kind in ("batch", "one"):
+            view, k = args
+            whites = model.white_rows_through(next_row, view)
+            run = whites[:k] if kind == "batch" else whites[k:k + 1]
+            for row in run:
+                vut.set_color(row, view, Color.RED, Color.WHITE)
+                vut.set_state(row, view, run[-1])
+                model.rows[row][view] = [Color.RED, run[-1]]
+        elif kind == "apply":
+            live = sorted(model.rows)
+            if not live:
+                continue
+            row = live[args[0] % len(live)]
+            if vut.has_color(row, Color.WHITE):
+                with pytest.raises(MergeError, match="white or red"):
+                    vut.purge(row)
+                continue
+            for view in vut.views_with_color(row, Color.RED):
+                vut.set_color(row, view, Color.GRAY)
+                model.rows[row][view][0] = Color.GRAY
+            vut.purge(row)
+            del model.rows[row]
+        elif kind == "purge_completed":
+            done = tuple(r for r in sorted(model.rows) if model.purgeable(r))
+            assert vut.purge_completed() == done
+            for r in done:
+                del model.rows[r]
+        else:
+            twin = TWINS[args[0]](vut, model)
+            assert_same_answers(twin, model)
+            vut = twin  # keep painting the copy: its indexes must be live
+        assert_same_answers(vut, model)
+
+
+def test_copies_carry_the_cells_alone():
+    """The indexes are derived: a pickle holds the views and the cells, and
+    a deep copy shares no index with the original."""
+    vut = ViewUpdateTable(("V1", "V2"))
+    vut.allocate_row(1, frozenset({"V1", "V2"}))
+    vut.set_color(1, "V1", Color.RED)
+    assert set(vut.__getstate__()) == {"_views", "_rows"}
+    twin = copy.deepcopy(vut)
+    twin.set_color(1, "V2", Color.RED)
+    assert vut.has_color(1, Color.WHITE) and not twin.has_color(1, Color.WHITE)
+    assert vut.first_red("V2") == 0 and twin.first_red("V2") == 1
+
+
+def test_expected_color_refusal_leaves_the_cell():
+    vut = ViewUpdateTable(("V1", "V2"))
+    vut.allocate_row(1, frozenset({"V1"}))
+    vut.set_color(1, "V1", Color.RED, Color.WHITE)
+    for view in ("V1", "V2"):  # a red cell, then a black one
+        before = vut.snapshot()
+        with pytest.raises(MergeError, match="expected white"):
+            vut.set_color(1, view, Color.RED, Color.WHITE)
+        assert vut.snapshot() == before
+    assert vut.first_red("V1") == 1 and not vut.has_color(1, Color.WHITE)
