@@ -41,7 +41,7 @@ def run_sharded(shards: int):
             merge_message_cost=0.4,
             warehouse_executors=16,
             warehouse_txn_overhead=0.05,
-            trace_enabled=False,
+            trace_kinds=frozenset(),
             seed=11,
         ),
         spec,

@@ -246,6 +246,7 @@ class ScenarioSpec:
             ),
             scheduler=scheduler,
             seed=run_seed,
+            trace_kinds=None,  # digests cover every kind
         )
 
     def build(

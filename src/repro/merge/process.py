@@ -105,10 +105,12 @@ class MergeProcess(Process):
         return txn_id
 
     def _submit_to_warehouse(self, message: WarehouseTransactionMsg) -> None:
-        self.sim.trace.record_fields(
-            self.sim.now, "merge_submit", self.name, _SUBMIT_KEYS,
-            message.txn.txn_id, message.txn.covered_rows, message.sequenced_after,
-        )
+        if self.sim.trace.wants("merge_submit"):
+            self.sim.trace.record_fields(
+                self.sim.now, "merge_submit", self.name, _SUBMIT_KEYS,
+                message.txn.txn_id, message.txn.covered_rows,
+                message.sequenced_after,
+            )
         self.send(self.warehouse_name, message)
 
     # -- message handling -------------------------------------------------------
@@ -141,10 +143,11 @@ class MergeProcess(Process):
             covered_rows=unit.rows,
         )
         self.transactions_formed += 1
-        self.sim.trace.record_fields(
-            self.sim.now, "merge_ready", self.name, _READY_KEYS,
-            txn.txn_id, unit.rows,
-        )
+        if self.sim.trace.wants("merge_ready"):
+            self.sim.trace.record_fields(
+                self.sim.now, "merge_ready", self.name, _READY_KEYS,
+                txn.txn_id, unit.rows,
+            )
         self.policy.offer(txn)
 
     def flush(self) -> None:

@@ -27,8 +27,9 @@ sampler thread during ``run()``.  Gauges recorded: ``view_staleness``
 merge shard).
 
 Staleness ingestion needs the ``int_number`` and ``wh_commit`` trace
-kinds; with tracing disabled or those kinds filtered out, the monitor
-still samples queue depth, VUT occupancy and their SLOs.
+kinds, which a default run records; with those kinds filtered out
+(``trace_kinds=frozenset()``, say), the monitor still samples queue
+depth, VUT occupancy and their SLOs.
 """
 
 from __future__ import annotations

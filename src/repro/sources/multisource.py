@@ -48,15 +48,15 @@ class GlobalTransactionCoordinator(Process):
         with self.world.commit_lock:
             committed = self.world.commit(transaction, self.sim.now)
         self.transactions_committed += 1
-        sources = sorted(
-            {self.world.owner_of(rel) for rel in transaction.relations}
-        )
-        self.trace(
-            "global_commit",
-            seq=committed.sequence,
-            sources=tuple(sources),
-            relations=tuple(sorted(transaction.relations)),
-        )
+        if self.sim.trace.wants("global_commit"):
+            self.trace(
+                "global_commit",
+                seq=committed.sequence,
+                sources=tuple(sorted(
+                    {self.world.owner_of(rel) for rel in transaction.relations}
+                )),
+                relations=tuple(sorted(transaction.relations)),
+            )
         self.send(
             self.integrator_name,
             UpdateNotification(transaction, self.sim.now, committed.sequence),

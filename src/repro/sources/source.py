@@ -51,7 +51,8 @@ class Source(Process):
                 f"source {self.name!r} asked to run a transaction from "
                 f"{transaction.origin!r}"
             )
-        foreign = transaction.relations - self.relations
+        foreign = [r for r in transaction.relations
+                   if not self.world.owns(self.name, r)]
         if foreign:
             raise SourceError(
                 f"source {self.name!r} does not own relations {sorted(foreign)}; "
@@ -61,11 +62,12 @@ class Source(Process):
         with self.world.commit_lock:
             committed = self.world.commit(transaction, self.sim.now)
         self.transactions_committed += 1
-        self.trace(
-            "src_commit",
-            seq=committed.sequence,
-            relations=tuple(sorted(transaction.relations)),
-        )
+        if self.sim.trace.wants("src_commit"):
+            self.trace(
+                "src_commit",
+                seq=committed.sequence,
+                relations=tuple(sorted(transaction.relations)),
+            )
         self.send(
             self.integrator_name,
             UpdateNotification(transaction, self.sim.now, committed.sequence),

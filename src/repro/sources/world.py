@@ -61,6 +61,10 @@ class SourceWorld:
         except KeyError:
             raise SourceError(f"unknown relation {relation!r}") from None
 
+    def owns(self, owner: str, relation: str) -> bool:
+        """Does source ``owner`` own ``relation`` (``False`` if unknown)?"""
+        return self._owners.get(relation) == owner
+
     def relations_of(self, owner: str) -> frozenset[str]:
         return frozenset(n for n, o in self._owners.items() if o == owner)
 

@@ -377,12 +377,9 @@ class ViewManager(Process):
             self._cache.advance(deltas)
         covered = tuple(msg.update_id for msg in batch)
         cost = self.compute_cost(len(batch), len(view_delta) + 1)
-        self.trace(
-            "vm_compute",
-            covered=covered,
-            delta=len(view_delta),
-            cost=round(cost, 4),
-        )
+        if self.sim.trace.wants("vm_compute"):
+            self.trace("vm_compute", covered=covered,
+                       delta=len(view_delta), cost=round(cost, 4))
         self._pending_emit = (covered, view_delta)
         self.sim.schedule(cost, self._emit, covered, view_delta, self._epoch)
 

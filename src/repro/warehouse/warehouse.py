@@ -78,7 +78,8 @@ class WarehouseProcess(Process):
             txn = message.txn
             self._executing[txn.txn_id] = message
             cost = self.execution_time(txn)
-            self.trace("wh_start", txn=txn.txn_id, cost=round(cost, 4))
+            if self.sim.trace.wants("wh_start"):
+                self.trace("wh_start", txn=txn.txn_id, cost=round(cost, 4))
             self.sim.schedule(cost, self._complete, message)
 
     def execution_time(self, txn: WarehouseTransaction) -> float:

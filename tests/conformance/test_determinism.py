@@ -9,7 +9,9 @@ trace-format change — recapture only with justification in the commit).
 They were last recaptured when a message hop became one trace record:
 each is the earlier trace with its ``msg_send``, ``msg_recv`` and
 ``vut_size`` records removed (``proc_msg`` records the hop, and the
-``merge_vut_size`` timeline gauge keeps the VUT series).
+``merge_vut_size`` timeline gauge keeps the VUT series).  The runs ask
+for every trace kind (``trace_kinds=None``); a default run records only
+the freshness endpoints.
 """
 
 import pytest
@@ -32,7 +34,8 @@ GOLDEN = {
 def run_digest(manager, policy, seed):
     world = paper_world()
     config = SystemConfig(
-        manager_kind=manager, submission_policy=policy, seed=seed
+        manager_kind=manager, submission_policy=policy, seed=seed,
+        trace_kinds=None,
     )
     system = WarehouseSystem(world, paper_views_example2(), config)
     spec = WorkloadSpec(

@@ -23,7 +23,8 @@ from repro.workloads.schemas import paper_views_example2, paper_world
 
 def run_system(scheduler=None, seed=0):
     world = paper_world()
-    config = SystemConfig(manager_kind="complete", seed=seed, scheduler=scheduler)
+    config = SystemConfig(manager_kind="complete", seed=seed, scheduler=scheduler,
+                          trace_kinds=None)
     system = WarehouseSystem(world, paper_views_example2(), config)
     spec = WorkloadSpec(updates=15, rate=2.0, seed=seed, mix=(0.6, 0.2, 0.2))
     post_stream(system, UpdateStreamGenerator(world, spec).transactions())

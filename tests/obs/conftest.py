@@ -17,10 +17,9 @@ def run_paper_system(config: SystemConfig | None = None,
     world = paper_world()
     spec = WorkloadSpec(updates=updates, rate=rate, seed=seed,
                         mix=(0.6, 0.2, 0.2))
-    system = WarehouseSystem(
-        world, paper_views_example2(),
-        config if config is not None else SystemConfig(seed=seed),
-    )
+    if config is None:  # the exporters and lineage read every kind
+        config = SystemConfig(seed=seed, trace_kinds=None)
+    system = WarehouseSystem(world, paper_views_example2(), config)
     post_stream(system, UpdateStreamGenerator(world, spec).transactions())
     system.run()
     return system

@@ -108,7 +108,8 @@ class TestUnderFaults:
     @pytest.fixture(scope="class")
     def faulted(self):
         system = run_paper_system(
-            SystemConfig(seed=3, fault_plan=self.PLAN), updates=20, seed=3
+            SystemConfig(seed=3, fault_plan=self.PLAN, trace_kinds=None),
+            updates=20, seed=3
         )
         # the scenario is vacuous unless the network actually misbehaved
         assert system.sim.trace.of_kind("msg_retransmit")
@@ -145,8 +146,8 @@ def test_hop_timestamps_monotone(seed, rate):
     """Property: for any workload, every chain's hop times are
     non-decreasing, start at the source commit, and end no earlier than
     the warehouse commit that reflects the update."""
-    system = run_paper_system(SystemConfig(seed=seed), updates=12,
-                              rate=rate, seed=seed)
+    system = run_paper_system(SystemConfig(seed=seed, trace_kinds=None),
+                              updates=12, rate=rate, seed=seed)
     lineage = Lineage.from_system(system)
     for chain in lineage.all():
         times = [hop.time for hop in chain.hops]

@@ -52,7 +52,7 @@ def test_a_cached_mode_drain_builds_no_row(monkeypatch, build):
     """The generator's ``Update``s carry the only rows there are: posting
     them and draining the system constructs none (``Row(...)``) and builds
     none from a tuple (the products of ``compile_row_builder``)."""
-    config = SystemConfig(seed=3, record_history=False, trace_enabled=True)
+    config = SystemConfig(seed=3, record_history=False, trace_kinds=None)
     assert config.manager_mode == "cached"
     assert_drain_builds_no_row(monkeypatch, build, config)
 
@@ -62,7 +62,7 @@ def test_a_cached_mode_drain_builds_no_row(monkeypatch, build):
 def test_a_query_back_drain_builds_no_row(monkeypatch, kind, mode):
     """The same with managers that keep no base data: the snapshot
     answers, the compensation and the delta rules run on tuples too."""
-    config = SystemConfig(seed=3, record_history=False, trace_enabled=True,
+    config = SystemConfig(seed=3, record_history=False, trace_kinds=None,
                           manager_kind=kind, manager_mode=mode)
     assert_drain_builds_no_row(monkeypatch, ex2_steady, config)
 

@@ -183,7 +183,7 @@ class TestLockstep:
             world = paper_world()
             system = WarehouseSystem(world, paper_views_example2(), SystemConfig(
                 manager_kind=manager, submission_policy=policy, seed=seed,
-                scheduler=scheduler))
+                scheduler=scheduler, trace_kinds=None))
             spec = WorkloadSpec(updates=30, rate=2.0, seed=seed,
                                 mix=(0.6, 0.2, 0.2), arrivals="poisson",
                                 multi_update_fraction=0.2)
@@ -596,7 +596,7 @@ class TestAllocations:
         updates = 500
         world = paper_world()
         system = WarehouseSystem(world, paper_views_example2(),
-                                 SystemConfig(seed=3))
+                                 SystemConfig(seed=3, trace_kinds=None))
         spec = WorkloadSpec(updates=updates, rate=0.2, arrivals="poisson",
                             mix=(0.3, 0.5, 0.2), value_range=40, seed=3)
         post_stream(system, UpdateStreamGenerator(world, spec).transactions())

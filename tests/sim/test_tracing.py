@@ -15,7 +15,7 @@ class TestTrace:
 
     def test_disabled_trace_records_nothing(self):
         trace = Trace()
-        trace.enabled = False
+        trace.kinds = frozenset()
         trace.record(1.0, "kind", "proc")
         assert len(trace) == 0
 

@@ -60,6 +60,13 @@ class TestSource:
         with pytest.raises(SourceError, match="does not own"):
             alpha.execute(txn)
 
+    def test_rejects_unknown_relation(self, setup):
+        _sim, world, _integrator, alpha = setup
+        txn = SourceTransaction.single("alpha", Update.insert("Z", {"b": 1}))
+        with pytest.raises(SourceError, match=r"does not own relations \['Z'\]"):
+            alpha.execute(txn)
+        assert world.version == 0
+
     def test_reports_in_commit_order(self, setup):
         sim, _world, integrator, alpha = setup
         for i in range(5):

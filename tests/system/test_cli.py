@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -118,3 +120,23 @@ class TestRun:
         # must say so and exit non-zero.
         assert code == 1
         assert "FAILED" in out
+
+
+class TestTraceReaders:
+    """A run records only the freshness endpoints unless its trace is
+    read: ``--trace-out`` and ``inspect`` record every kind."""
+
+    HOP_CHAIN = ("src_commit", "proc_msg", "int_number", "vm_compute",
+                 "merge_ready", "merge_submit", "wh_start", "wh_commit")
+
+    def test_trace_out_writes_every_kind(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        assert main(["run", "--trace-out", str(path)]) == 0
+        events = json.loads(path.read_text())["traceEvents"]
+        assert set(self.HOP_CHAIN) <= {e.get("cat") for e in events}
+
+    def test_inspect_prints_a_full_hop_chain(self, capsys):
+        assert main(["inspect", "--slowest", "1"]) == 0
+        out = capsys.readouterr().out
+        for kind in self.HOP_CHAIN:
+            assert f" {kind} " in out, kind

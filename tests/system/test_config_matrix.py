@@ -52,7 +52,7 @@ def test_promise_matrix(kind, policy):
             block_size=4,
             refresh_period=15.0,
             seed=13,
-            trace_enabled=False,
+            trace_kinds=frozenset(),
         ),
     )
     post_stream(system, stream)
@@ -98,7 +98,7 @@ def test_randomized_safe_configurations_meet_their_promise(
             block_size=3,
             refresh_period=12.0,
             seed=seed,
-            trace_enabled=False,
+            trace_kinds=frozenset(),
         ),
     )
     post_stream(system, stream)
@@ -147,7 +147,7 @@ def test_full_grid_is_refused_or_keeps_its_promise(kind, algorithm):
                     merge_groups=groups,
                     refresh_period=12.0,
                     seed=13,
-                    trace_enabled=False,
+                    trace_kinds=frozenset(),
                 ),
             )
         except ReproError:

@@ -23,7 +23,7 @@ def test_history_off_long_run_converges():
         SystemConfig(
             manager_kind="strong",
             record_history=False,
-            trace_enabled=False,
+            trace_kinds=frozenset(),
             seed=77,
         ),
     )

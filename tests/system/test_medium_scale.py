@@ -45,7 +45,7 @@ def test_soak_300_updates(kind, level):
             latency_integrator_vm=UniformLatency(0.1, 3.0),
             latency_vm_merge=UniformLatency(0.1, 3.0),
             seed=99,
-            trace_enabled=False,
+            trace_kinds=frozenset(),
         ),
     )
     post_stream(system, stream)
@@ -77,7 +77,7 @@ def test_soak_distributed_clustered():
             submission_policy="dbms-dependency",
             warehouse_executors=4,
             seed=123,
-            trace_enabled=False,
+            trace_kinds=frozenset(),
         ),
     )
     post_stream(system, stream)

@@ -18,7 +18,8 @@ def finished_system():
     spec = WorkloadSpec(updates=20, rate=2.0, seed=4, mix=(0.7, 0.15, 0.15))
     stream = UpdateStreamGenerator(world, spec).transactions()
     system = WarehouseSystem(world, paper_views_example1(),
-                             SystemConfig(manager_kind="complete"))
+                             SystemConfig(manager_kind="complete",
+                                          trace_kinds=None))
     post_stream(system, stream)
     system.run()
     return system

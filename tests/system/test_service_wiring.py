@@ -55,7 +55,7 @@ def run(config):
     ({"manager_kind": "complete", "manager_kinds": {"V2": "naive"}}, True),
 ])
 def test_service_exists_exactly_when_a_manager_queries_back(config, queries_back):
-    system = run(SystemConfig(seed=3, **config))
+    system = run(SystemConfig(seed=3, trace_kinds=None, **config))
 
     assert (system.service is not None) == queries_back
     assert ("basedata" in system.processes) == queries_back

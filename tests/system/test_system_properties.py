@@ -37,7 +37,7 @@ def build_and_run(seed, kind, policy, jitter, updates=25):
         latency_vm_merge=UniformLatency(0.0, jitter),
         latency_integrator_merge=UniformLatency(0.0, jitter),
         record_history=True,
-        trace_enabled=False,
+        trace_kinds=frozenset(),
     )
     system = WarehouseSystem(world, paper_views_example2(), config)
     post_stream(system, stream)
@@ -85,7 +85,7 @@ def test_heavy_tailed_latencies_do_not_break_mvc(seed):
             latency_vm_merge=ExponentialLatency(3.0),
             latency_integrator_merge=ExponentialLatency(3.0),
             seed=seed,
-            trace_enabled=False,
+            trace_kinds=frozenset(),
         ),
     )
     post_stream(system, stream)
@@ -117,7 +117,7 @@ def test_distributed_merge_preserves_completeness(seed, groups):
     system = WarehouseSystem(
         world, paper_views_example3(),
         SystemConfig(manager_kind="complete", merge_groups=groups,
-                     seed=seed, trace_enabled=False),
+                     seed=seed, trace_kinds=frozenset()),
     )
     post_stream(system, stream)
     system.run()
@@ -137,7 +137,7 @@ def test_selection_filtering_preserves_completeness(seed):
     system = WarehouseSystem(
         world, star_views(selective=True),
         SystemConfig(manager_kind="complete", use_selection_filtering=True,
-                     seed=seed, trace_enabled=False),
+                     seed=seed, trace_kinds=frozenset()),
     )
     post_stream(system, stream)
     system.run()
@@ -156,7 +156,7 @@ def test_aggregate_views_preserve_completeness(seed):
     stream = UpdateStreamGenerator(world, spec).transactions()
     system = WarehouseSystem(
         world, star_views(selective=False, aggregates=True),
-        SystemConfig(manager_kind="complete", seed=seed, trace_enabled=False),
+        SystemConfig(manager_kind="complete", seed=seed, trace_kinds=frozenset()),
     )
     post_stream(system, stream)
     system.run()
