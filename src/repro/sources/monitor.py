@@ -56,7 +56,8 @@ class SilentSource(Process):
                 f"silent source {self.name!r} asked to run a transaction "
                 f"from {transaction.origin!r}"
             )
-        foreign = transaction.relations - self.relations
+        foreign = [r for r in transaction.relations
+                   if not self.world.owns(self.name, r)]
         if foreign:
             raise SourceError(
                 f"silent source {self.name!r} does not own {sorted(foreign)}"
@@ -64,7 +65,8 @@ class SilentSource(Process):
         with self.world.commit_lock:
             committed = self.world.commit(transaction, self.sim.now)
         self.transactions_committed += 1
-        self.trace("silent_commit", seq=committed.sequence)
+        if self.sim.trace.wants("silent_commit"):
+            self.trace("silent_commit", seq=committed.sequence)
         return committed
 
     def execute_update(self, update: Update) -> CommittedTransaction:
@@ -122,7 +124,8 @@ class SnapshotDiffMonitor(Process):
                 UpdateNotification(transaction, self.sim.now),
             )
             self.reports += 1
-            self.trace("monitor_report", updates=len(updates))
+            if self.sim.trace.wants("monitor_report"):
+                self.trace("monitor_report", updates=len(updates))
         if self.stop_after is None or self.sim.now + self.period <= self.stop_after:
             self.sim.schedule(self.period, self._poll)
 

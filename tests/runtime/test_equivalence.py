@@ -58,6 +58,7 @@ def run_once(
         runtime=runtime,
         workers=None if runtime == "des" else workers,
         seed=seed,
+        trace_kinds=None,  # the digest covers every kind
     )
     system = WarehouseSystem(world, views, config)
     spec = WorkloadSpec(

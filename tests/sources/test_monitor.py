@@ -54,6 +54,13 @@ class TestSilentSource:
                 SourceTransaction.single("other", Update.insert("L", {"a": 9}))
             )
 
+    def test_rejects_unknown_relation(self, rig):
+        _sim, world, source, _monitor, _sink = rig
+        txn = SourceTransaction.single("legacy", Update.insert("Z", {"a": 9}))
+        with pytest.raises(SourceError, match=r"does not own \['Z'\]"):
+            source.execute(txn)
+        assert world.version == 0
+
 
 class TestMonitor:
     def test_diff_reported_once_per_poll(self, rig):
