@@ -43,192 +43,69 @@ Packages:
   crash-restart for view managers and merge processes
 """
 
-from repro.errors import (
-    ConsistencyViolation,
-    FaultError,
-    MergeError,
-    ReproError,
-    SchemaError,
-    SourceError,
-    ViewManagerError,
-    WarehouseError,
-)
-from repro.faults import ChannelFaultModel, CrashSpec, FaultPlan
-from repro.relational import (
-    Aggregate,
-    AggregateSpec,
-    Attribute,
-    AttrType,
-    Database,
-    Delta,
-    MaintenancePlan,
-    MaterializedView,
-    Relation,
-    Row,
-    Schema,
-    ViewDefinition,
-    evaluate,
-    parse_view,
-    propagate_delta,
-    to_sql,
-)
-from repro.relational.catalog import dump_views, load_views, parse_catalog
-from repro.sources import (
-    GlobalTransactionCoordinator,
-    SilentSource,
-    SnapshotDiffMonitor,
-    Source,
-    SourceTransaction,
-    SourceWorld,
-    Update,
-    UpdateKind,
-)
-from repro.merge import (
-    PaintingAlgorithm,
-    ShardRouter,
-    SimplePaintingAlgorithm,
-    ViewUpdateTable,
-    partition_views,
-    shard_view_groups,
-)
-from repro.consistency import (
-    Replay,
-    check_mvc_ordered,
-    classify_mvc_ordered,
-    replay_source_states,
-)
-from repro.obs import (
-    Lineage,
-    LineageHop,
-    MetricsRegistry,
-    UpdateLineage,
-    write_chrome_trace,
-    write_jsonl,
-    write_timeline,
-    write_trace,
-)
-from repro.cache import ArtifactStore, CacheConfig, artifact_key
-from repro.conformance import (
-    Explorer,
-    Reproducer,
-    ScenarioSpec,
-    run_matrix,
-)
-from repro.system import (
-    RunMetrics,
-    SweepRow,
-    SystemConfig,
-    WarehouseSystem,
-    format_sweep,
-    sweep,
-)
-from repro.workloads import (
-    UpdateStreamGenerator,
-    WorkloadSpec,
-    bank_views,
-    bank_world,
-    paper_views_example1,
-    paper_views_example2,
-    paper_views_example3,
-    paper_views_example5,
-    paper_world,
-    star_views,
-    star_world,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ReproError",
-    "SchemaError",
-    "SourceError",
-    "ViewManagerError",
-    "MergeError",
-    "WarehouseError",
-    "ConsistencyViolation",
-    "FaultError",
-    # faults
-    "FaultPlan",
-    "CrashSpec",
-    "ChannelFaultModel",
-    # relational
-    "Attribute",
-    "AttrType",
-    "Schema",
-    "Row",
-    "Relation",
-    "Delta",
-    "Database",
-    "ViewDefinition",
-    "Aggregate",
-    "AggregateSpec",
-    "MaintenancePlan",
-    "MaterializedView",
-    "evaluate",
-    "propagate_delta",
-    "parse_view",
-    "to_sql",
-    "parse_catalog",
-    "load_views",
-    "dump_views",
-    # sources
-    "Update",
-    "UpdateKind",
-    "SourceTransaction",
-    "SourceWorld",
-    "Source",
-    "GlobalTransactionCoordinator",
-    "SilentSource",
-    "SnapshotDiffMonitor",
-    # merge
-    "ViewUpdateTable",
-    "SimplePaintingAlgorithm",
-    "PaintingAlgorithm",
-    "ShardRouter",
-    "partition_views",
-    "shard_view_groups",
-    # consistency
-    "replay_source_states",
-    "Replay",
-    "check_mvc_ordered",
-    "classify_mvc_ordered",
-    # observability
-    "Lineage",
-    "UpdateLineage",
-    "LineageHop",
-    "MetricsRegistry",
-    "write_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_timeline",
-    # cache
-    "ArtifactStore",
-    "CacheConfig",
-    "artifact_key",
-    # conformance
-    "ScenarioSpec",
-    "Explorer",
-    "Reproducer",
-    "run_matrix",
-    # system
-    "SystemConfig",
-    "WarehouseSystem",
-    "RunMetrics",
-    "sweep",
-    "SweepRow",
-    "format_sweep",
-    # workloads
-    "paper_world",
-    "paper_views_example1",
-    "paper_views_example2",
-    "paper_views_example3",
-    "paper_views_example5",
-    "bank_world",
-    "bank_views",
-    "star_world",
-    "star_views",
-    "WorkloadSpec",
-    "UpdateStreamGenerator",
-]
+#: module -> the names the package exports from it.  A name is imported
+#: on first use (PEP 562), so ``import repro`` loads only what a caller
+#: reaches for: a default run never loads the conformance engine, the
+#: cache, fault plans or the exporters.
+_EXPORTS = {
+    "repro.errors": (
+        "ReproError", "SchemaError", "SourceError", "ViewManagerError",
+        "MergeError", "WarehouseError", "ConsistencyViolation", "FaultError",
+    ),
+    "repro.faults": ("FaultPlan", "CrashSpec", "ChannelFaultModel"),
+    "repro.relational": (
+        "Attribute", "AttrType", "Schema", "Row", "Relation", "Delta",
+        "Database", "ViewDefinition", "Aggregate", "AggregateSpec",
+        "MaintenancePlan", "MaterializedView", "evaluate", "propagate_delta",
+        "parse_view", "to_sql",
+    ),
+    "repro.relational.catalog": ("parse_catalog", "load_views", "dump_views"),
+    "repro.sources": (
+        "Update", "UpdateKind", "SourceTransaction", "SourceWorld", "Source",
+        "GlobalTransactionCoordinator", "SilentSource", "SnapshotDiffMonitor",
+    ),
+    "repro.merge": (
+        "ViewUpdateTable", "SimplePaintingAlgorithm", "PaintingAlgorithm",
+        "ShardRouter", "partition_views", "shard_view_groups",
+    ),
+    "repro.consistency": (
+        "replay_source_states", "Replay", "check_mvc_ordered",
+        "classify_mvc_ordered",
+    ),
+    "repro.obs": (
+        "Lineage", "UpdateLineage", "LineageHop", "MetricsRegistry",
+        "write_trace", "write_chrome_trace", "write_jsonl", "write_timeline",
+    ),
+    "repro.cache": ("ArtifactStore", "CacheConfig", "artifact_key"),
+    "repro.conformance": ("ScenarioSpec", "Explorer", "Reproducer", "run_matrix"),
+    "repro.system": (
+        "SystemConfig", "WarehouseSystem", "RunMetrics", "sweep", "SweepRow",
+        "format_sweep",
+    ),
+    "repro.workloads": (
+        "paper_world", "paper_views_example1", "paper_views_example2",
+        "paper_views_example3", "paper_views_example5", "bank_world",
+        "bank_views", "star_world", "star_views", "WorkloadSpec",
+        "UpdateStreamGenerator",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

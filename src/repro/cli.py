@@ -190,7 +190,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.system.sweep import format_sweep, sweep
+    from repro.system.sweeps import format_sweep, sweep
 
     world_factory = lambda: SCHEMAS[args.schema]()[0]  # noqa: E731
     views_factory = lambda: SCHEMAS[args.schema]()[1]  # noqa: E731

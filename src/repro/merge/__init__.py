@@ -25,52 +25,41 @@ The algorithms are plain (simulator-free) classes driven by
 wraps one of them as a simulated Figure-1 process.
 """
 
-from repro.merge.vut import Color, Entry, ViewUpdateTable
-from repro.merge.base import MergeAlgorithm, ReadyUnit
-from repro.merge.spa import SimplePaintingAlgorithm
-from repro.merge.pa import PaintingAlgorithm
-from repro.merge.passthrough import PassThroughMerge
-from repro.merge.complete_n import CompleteNMerge
-from repro.merge.selection import choose_algorithm, weakest_level
-from repro.merge.submission import (
-    BatchingPolicy,
-    DbmsDependencyPolicy,
-    DependencySequencedPolicy,
-    EagerPolicy,
-    SequentialPolicy,
-    SubmissionPolicy,
-)
-from repro.merge.process import MergeProcess
-from repro.merge.distributed import (
-    estimate_plan_cost,
-    partition_views,
-    view_to_group_map,
-)
-from repro.merge.sharding import ShardAssignment, ShardRouter, shard_view_groups
+from importlib import import_module
 
-__all__ = [
-    "Color",
-    "Entry",
-    "ViewUpdateTable",
-    "MergeAlgorithm",
-    "ReadyUnit",
-    "SimplePaintingAlgorithm",
-    "PaintingAlgorithm",
-    "PassThroughMerge",
-    "CompleteNMerge",
-    "choose_algorithm",
-    "weakest_level",
-    "SubmissionPolicy",
-    "EagerPolicy",
-    "SequentialPolicy",
-    "DependencySequencedPolicy",
-    "DbmsDependencyPolicy",
-    "BatchingPolicy",
-    "MergeProcess",
-    "ShardAssignment",
-    "ShardRouter",
-    "estimate_plan_cost",
-    "partition_views",
-    "shard_view_groups",
-    "view_to_group_map",
-]
+#: module -> the names the package exports from it, each imported on first
+#: use (PEP 562): a run that routes no shards loads no shard router.
+_EXPORTS = {
+    "repro.merge.vut": ("Color", "Entry", "ViewUpdateTable"),
+    "repro.merge.base": ("MergeAlgorithm", "ReadyUnit"),
+    "repro.merge.spa": ("SimplePaintingAlgorithm",),
+    "repro.merge.pa": ("PaintingAlgorithm",),
+    "repro.merge.passthrough": ("PassThroughMerge",),
+    "repro.merge.complete_n": ("CompleteNMerge",),
+    "repro.merge.selection": ("choose_algorithm", "weakest_level"),
+    "repro.merge.submission": (
+        "SubmissionPolicy", "EagerPolicy", "SequentialPolicy",
+        "DependencySequencedPolicy", "DbmsDependencyPolicy", "BatchingPolicy",
+    ),
+    "repro.merge.process": ("MergeProcess",),
+    "repro.merge.sharding": ("ShardAssignment", "ShardRouter", "shard_view_groups"),
+    "repro.merge.distributed": (
+        "estimate_plan_cost", "partition_views", "view_to_group_map",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

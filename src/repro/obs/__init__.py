@@ -21,69 +21,45 @@ Layered over the simulator's :class:`~repro.sim.tracing.Trace`:
 See ``docs/observability.md`` for the model and worked examples.
 """
 
-from repro.obs.export import (
-    read_chrome_trace,
-    read_jsonl,
-    to_chrome_trace,
-    to_jsonl,
-    to_timeline,
-    write_chrome_trace,
-    write_jsonl,
-    write_timeline,
-    write_trace,
-)
-from repro.obs.freshness import STALENESS_KINDS, FreshnessMonitor, SloPolicy
-from repro.obs.lineage import (
-    LINEAGE_KINDS,
-    Lineage,
-    LineageError,
-    LineageHop,
-    UpdateLineage,
-)
-from repro.obs.profiler import PROF_KEY, PlanProfiler
-from repro.obs.promexport import (
-    parse_prometheus,
-    to_prometheus,
-    to_snapshot,
-    write_metrics,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metric,
-    MetricsRegistry,
-    percentile,
-)
+from importlib import import_module
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metric",
-    "MetricsRegistry",
-    "percentile",
-    "LINEAGE_KINDS",
-    "Lineage",
-    "LineageError",
-    "LineageHop",
-    "UpdateLineage",
-    "PROF_KEY",
-    "PlanProfiler",
-    "STALENESS_KINDS",
-    "FreshnessMonitor",
-    "SloPolicy",
-    "parse_prometheus",
-    "to_prometheus",
-    "to_snapshot",
-    "write_metrics",
-    "read_chrome_trace",
-    "read_jsonl",
-    "to_chrome_trace",
-    "to_jsonl",
-    "to_timeline",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_timeline",
-    "write_trace",
-]
+#: module -> the names the package exports from it, each imported on first
+#: use (PEP 562): the kernel's ``repro.obs.registry`` import loads no
+#: exporter, lineage, freshness monitor or profiler.
+_EXPORTS = {
+    "repro.obs.registry": (
+        "Counter", "Gauge", "Histogram", "Metric", "MetricsRegistry",
+        "percentile",
+    ),
+    "repro.obs.lineage": (
+        "LINEAGE_KINDS", "Lineage", "LineageError", "LineageHop",
+        "UpdateLineage",
+    ),
+    "repro.obs.profiler": ("PROF_KEY", "PlanProfiler"),
+    "repro.obs.freshness": ("FreshnessMonitor", "SloPolicy"),
+    "repro.sim.tracing": ("STALENESS_KINDS",),
+    "repro.obs.promexport": (
+        "parse_prometheus", "to_prometheus", "to_snapshot", "write_metrics",
+    ),
+    "repro.obs.export": (
+        "read_chrome_trace", "read_jsonl", "to_chrome_trace", "to_jsonl",
+        "to_timeline", "write_chrome_trace", "write_jsonl", "write_timeline",
+        "write_trace",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

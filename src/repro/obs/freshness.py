@@ -38,12 +38,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
+from repro.sim.tracing import STALENESS_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.system.builder import WarehouseSystem
-
-#: trace kinds the staleness derivation consumes
-STALENESS_KINDS = frozenset({"int_number", "wh_commit"})
 
 
 @dataclass(frozen=True)

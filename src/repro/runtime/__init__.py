@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.runtime.parallel import ParallelKernel
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.runtime.parallel import ParallelKernel
     from repro.system.config import SystemConfig
 
 
@@ -33,7 +33,9 @@ def _des(config: "SystemConfig") -> Simulator:
     return Simulator(seed=config.seed, scheduler=config.scheduler)
 
 
-def _threads(config: "SystemConfig") -> ParallelKernel:
+def _threads(config: "SystemConfig") -> "ParallelKernel":
+    from repro.runtime.parallel import ParallelKernel
+
     return ParallelKernel(
         seed=config.seed,
         workers=config.workers,

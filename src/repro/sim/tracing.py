@@ -32,6 +32,10 @@ from typing import Callable, Collection, Iterable, Iterator
 
 from repro.errors import SimulationError
 
+#: the freshness endpoints (an update's numbering, its warehouse commit):
+#: what a default run records, and all the staleness derivation consumes
+STALENESS_KINDS = frozenset({"int_number", "wh_commit"})
+
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:

@@ -8,16 +8,30 @@ exposes the state histories plus consistency verdicts and performance
 metrics.
 """
 
-from repro.system.config import SystemConfig
-from repro.system.builder import WarehouseSystem
-from repro.system.metrics import RunMetrics
-from repro.system.sweep import SweepRow, format_sweep, sweep
+from importlib import import_module
 
-__all__ = [
-    "SystemConfig",
-    "WarehouseSystem",
-    "RunMetrics",
-    "sweep",
-    "SweepRow",
-    "format_sweep",
-]
+#: module -> the names the package exports from it, each imported on first
+#: use (PEP 562): building and running a system loads neither the metrics
+#: collector nor the parameter sweeps.
+_EXPORTS = {
+    "repro.system.config": ("SystemConfig",),
+    "repro.system.builder": ("WarehouseSystem",),
+    "repro.system.metrics": ("RunMetrics",),
+    "repro.system.sweeps": ("sweep", "SweepRow", "format_sweep"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

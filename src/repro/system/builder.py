@@ -23,14 +23,8 @@ driven with :meth:`run`, and the results are read back through
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import shutil
-import tempfile
-
-from repro.cache.artifacts import SystemCacheBinding
-from repro.cache.store import ArtifactStore
-from repro.consistency import ConsistencyReport, Replay, replay_source_states
 from repro.errors import FaultError, ReproError, SimulationError
 from repro.integrator.basedata import BaseDataService
 from repro.integrator.integrator import Integrator
@@ -38,7 +32,6 @@ from repro.integrator.relevance import RelevanceFilter
 from repro.merge.base import MergeAlgorithm
 from repro.merge.complete_n import CompleteNMerge
 from repro.merge.distributed import partition_views
-from repro.merge.sharding import shard_view_groups
 from repro.merge.process import MergeProcess
 from repro.merge.selection import (
     ALGORITHMS,
@@ -59,10 +52,15 @@ from repro.sources.transactions import SourceTransaction
 from repro.sources.update import Update
 from repro.sources.world import SourceWorld
 from repro.system.config import SystemConfig, manager_class
-from repro.system.metrics import RunMetrics, collect_metrics
 from repro.viewmgr.base import ViewManager
 from repro.warehouse.store import ViewStore
 from repro.warehouse.warehouse import WarehouseProcess
+
+if TYPE_CHECKING:  # pragma: no cover - opt-in subsystems load where used
+    from repro.cache.artifacts import SystemCacheBinding
+    from repro.cache.store import ArtifactStore
+    from repro.consistency import ConsistencyReport, Replay
+    from repro.system.metrics import RunMetrics
 
 # Latencies of the hops no study varies (the others are SystemConfig's
 # ``latency_*`` fields): one time unit each, except the integrator's feed of
@@ -108,6 +106,11 @@ class WarehouseSystem:
         self.cache_store: ArtifactStore | None = None
         self._cache_binding: SystemCacheBinding | None = None
         if self.config.cache is not None:
+            import tempfile
+
+            from repro.cache.artifacts import SystemCacheBinding
+            from repro.cache.store import ArtifactStore
+
             cache_cfg = self.config.cache
             root = cache_cfg.root
             if root is None:
@@ -266,6 +269,8 @@ class WarehouseSystem:
         """
         cfg = self.config
         if cfg.merge_router == "hash" and cfg.merge_groups > 1:
+            from repro.merge.sharding import shard_view_groups
+
             groups = shard_view_groups(self.definitions, cfg.merge_groups)
         else:
             groups = partition_views(self.definitions, max_groups=cfg.merge_groups)
@@ -482,6 +487,8 @@ class WarehouseSystem:
         self._closed = True
         self._finalise_telemetry()
         if self._owned_cache_root is not None:
+            import shutil
+
             shutil.rmtree(self._owned_cache_root, ignore_errors=True)
             self._owned_cache_root = None
 
@@ -504,6 +511,8 @@ class WarehouseSystem:
 
     def source_states(self) -> list[Database]:
         """``ss_0 .. ss_f`` replayed in integrator numbering order."""
+        from repro.consistency import replay_source_states
+
         return replay_source_states(
             self._initial_state,
             [txn for _id, txn, _time in self.integrator.numbered],
@@ -512,6 +521,8 @@ class WarehouseSystem:
     def replay(self) -> Replay:
         """The finished run replayed once; every scope's verdict is read
         off the result (``check_mvc``, ``classify``, the conformance oracle)."""
+        from repro.consistency import Replay
+
         return Replay(
             self.history, self._initial_state, self.integrator.numbered,
             self.definitions,
@@ -540,6 +551,8 @@ class WarehouseSystem:
         )
 
     def metrics(self) -> RunMetrics:
+        from repro.system.metrics import collect_metrics
+
         return collect_metrics(self)
 
     def profile_report(self) -> str:

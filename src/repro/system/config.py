@@ -13,19 +13,23 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping
+from importlib import import_module
+from typing import TYPE_CHECKING, Mapping
 
-from repro.cache.store import CacheConfig
 from repro.errors import ReproError
-from repro.faults.plan import FaultPlan
 from repro.merge.selection import ALGORITHMS
 from repro.merge.submission import POLICIES
-from repro.obs.freshness import STALENESS_KINDS, SloPolicy
 from repro.runtime import RUNTIMES as _RUNTIMES
 from repro.sim.network import LatencyModel
 from repro.sim.scheduler import Scheduler
+from repro.sim.tracing import STALENESS_KINDS
 from repro.viewmgr import MANAGERS
 from repro.viewmgr.base import PRE_STATE_MODES, CostModel, ViewManager, default_cost
+
+if TYPE_CHECKING:  # pragma: no cover - the opt-in subsystems load when set
+    from repro.cache.store import CacheConfig
+    from repro.faults.plan import FaultPlan
+    from repro.obs.freshness import SloPolicy
 
 # The name tuples are the registries' keys, in registry order: they are
 # what the CLI offers as ``choices``.  Validation reads the registries
@@ -70,8 +74,13 @@ _RANGES = {
     "latency_vm_merge": (">=", 0),
 }
 _COMPARE = {">=": operator.ge, ">": operator.gt}
-#: type rules: optional field -> the class its value must be
-_TYPES = {"fault_plan": FaultPlan, "cache": CacheConfig, "slo": SloPolicy}
+#: type rules: optional field -> (module, class) its value must be an
+#: instance of.  The module is imported only when the field is set.
+_TYPES = {
+    "fault_plan": ("repro.faults.plan", "FaultPlan"),
+    "cache": ("repro.cache.store", "CacheConfig"),
+    "slo": ("repro.obs.freshness", "SloPolicy"),
+}
 #: clock rules: (the clock that cannot honour the feature, is the feature
 #: asked for?, complaint).  ``workers`` sizes a fleet the single-threaded
 #: DES kernel does not have; fault timers and schedule perturbation are
@@ -245,11 +254,13 @@ class SystemConfig:
                 raise ReproError(
                     f"{name} must be {comparison} {bound}, got {value}"
                 )
-        for name, cls in _TYPES.items():
+        for name, (module, cls) in _TYPES.items():
             value = getattr(self, name)
-            if value is not None and not isinstance(value, cls):
+            if value is not None and not isinstance(
+                value, getattr(import_module(module), cls)
+            ):
                 raise ReproError(
-                    f"{name} must be a {cls.__name__}, got {type(value).__name__}"
+                    f"{name} must be a {cls}, got {type(value).__name__}"
                 )
         if isinstance(self.trace_kinds, str):
             raise ReproError(

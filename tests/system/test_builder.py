@@ -70,6 +70,15 @@ class TestConfigValidation:
         with pytest.raises(ReproError):
             SystemConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"cache": "x"}, "cache must be a CacheConfig, got str"),
+        ({"fault_plan": 1}, "fault_plan must be a FaultPlan, got int"),
+        ({"slo": "tight"}, "slo must be a SloPolicy, got str"),
+    ])
+    def test_opt_in_fields_type_checked(self, kwargs, message):
+        with pytest.raises(ReproError, match=message):
+            SystemConfig(**kwargs)
+
     def test_manager_levels(self):
         config = SystemConfig(
             manager_kind="complete", manager_kinds={"V2": "strong"}

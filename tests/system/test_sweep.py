@@ -1,7 +1,7 @@
 """Tests for the parameter-sweep utility."""
 
 from repro.system.config import SystemConfig
-from repro.system.sweep import SweepRow, format_sweep, sweep
+from repro.system.sweeps import SweepRow, format_sweep, sweep
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.schemas import paper_views_example1, paper_world
 
