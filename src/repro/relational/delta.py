@@ -18,7 +18,8 @@ each join's old sides, and each touched aggregate group's old rows, from
 the pre-state on every call, so it costs O(|base|) per update and needs
 nothing kept between calls.  That makes it the path for a pre-state that
 exists for one batch only — the ``snapshot`` / ``compensate`` / ``naive``
-view-manager modes, which fetch theirs per batch.  It runs on the
+view-manager modes, which fetch theirs per batch (only the relations
+``pre_state_reads`` names: the old sides the rules probe).  It runs on the
 columnar kernels: the rules are compiled once per (expression, base
 relation layouts) from ``compile_filter`` / ``compile_projection`` /
 ``compile_merge`` with ``make_key`` and ``join_counts_columnar`` /
@@ -36,6 +37,7 @@ module.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
@@ -267,11 +269,37 @@ def propagate_delta(
         rules = by_layouts[layouts] = _compile_rules(expr, schemas)
     layout, rule = rules
     counts = rule(base_deltas, pre_state, {})
-    return Delta._adopt(layout, counts) if counts else Delta()
+    return Delta._adopt(layout, counts) if counts else EMPTY_DELTA
 
+
+#: the one empty delta every propagation without an effect returns
+EMPTY_DELTA = Delta()
 
 #: expression -> (its base relations, {their layouts: (layout, rule)})
 _RULES: dict[Expression, tuple[list[str], dict[tuple, tuple]]] = {}
+
+
+@cache
+def pre_state_reads(expr: Expression, changed: frozenset[str]) -> frozenset[str]:
+    """The base relations whose pre-state ``propagate_delta(expr, ...)`` may
+    read when the deltas name relations of ``changed``: a join's side
+    opposite a changed side, an aggregate's child when that changed.  An
+    over-approximation (a delta may be empty), memoised per argument pair."""
+    if isinstance(expr, BaseRelation):
+        return frozenset()
+    if isinstance(expr, (Select, Project)):
+        return pre_state_reads(expr.child, changed)
+    if isinstance(expr, Join):
+        reads = frozenset()
+        for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
+            reads |= pre_state_reads(side, changed)
+            if not changed.isdisjoint(side.base_relations()):
+                reads |= other.base_relations()
+        return reads
+    if isinstance(expr, Aggregate):
+        below = expr.child.base_relations()
+        return frozenset() if changed.isdisjoint(below) else below
+    raise ExpressionError(f"cannot propagate through {type(expr).__name__}")
 
 
 def _compile_rules(expr: Expression, schemas) -> tuple[tuple[str, ...], Callable]:

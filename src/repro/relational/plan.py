@@ -74,7 +74,7 @@ from repro.relational.columnar import (
     join_counts_columnar,
     make_key,
 )
-from repro.relational.delta import Delta
+from repro.relational.delta import EMPTY_DELTA, Delta
 from repro.relational.expressions import (
     Aggregate,
     BaseRelation,
@@ -516,7 +516,7 @@ class MaintenancePlan:
         # A non-empty result is an operator node's own zero-free dict or,
         # under a pass-through root, the bag of one of the batch's
         # (immutable) deltas: safe to share either way.
-        return Delta._adopt(self._root.layout, counts) if counts else Delta()
+        return Delta._adopt(self._root.layout, counts) if counts else EMPTY_DELTA
 
     #: the name for a batch of raw ``{tuple: signed count}`` mappings
     propagate_counts = propagate

@@ -51,6 +51,7 @@ from repro.messages import (
 from repro.relational.columnar import compile_filter, evaluate_columnar
 from repro.relational.database import Database
 from repro.relational.delta import Delta, propagate_delta, updates_to_deltas
+from repro.relational.delta import pre_state_reads
 from repro.relational.expressions import ViewDefinition
 from repro.relational.plan import MaintenancePlan
 from repro.relational.predicates import Predicate
@@ -127,7 +128,7 @@ class ViewManager(Process):
         self._replica_filters: dict[str, "Predicate"] = {}
         self._applied_version = 0
         self._query_ids = itertools.count(1)
-        self._outstanding_query: int | None = None
+        self._outstanding_query: SnapshotQuery | None = None
         self._current_batch: list[UpdateForView] = []
         self.action_lists_sent = 0
         self.updates_processed = 0
@@ -287,32 +288,35 @@ class ViewManager(Process):
 
     def _send_query(self, batch: list[UpdateForView]) -> None:
         start_version = batch[0].update_id - 1
-        query_id = next(self._query_ids)
-        self._outstanding_query = query_id
+        # Only the old sides the delta rules read (none for V3 = Q).
         # snapshot: the multiversion state as of the batch start;
         # compensate: the current state plus the undo information back to
         # the batch start; naive: the current state as it happens to be.
-        query = SnapshotQuery(
-            query_id,
+        changed = frozenset([u.relation for msg in batch for u in msg.updates])
+        self._outstanding_query = query = SnapshotQuery(
+            next(self._query_ids),
             self.name,
-            self.definition.base_relations(),
+            pre_state_reads(self.definition.expression, changed),
             version=start_version if self.mode == "snapshot" else None,
             undo_from=start_version if self.mode == "compensate" else None,
         )
         self.send(self.service_name, query)
 
     def _on_snapshot(self, response: SnapshotResponse) -> None:
-        if response.query_id != self._outstanding_query:
+        query = self._outstanding_query
+        if query is None or response.query_id != query.query_id:
             raise ViewManagerError(
                 f"{self.name} got stale snapshot response {response.query_id}"
             )
         self._outstanding_query = None
-        pre_state = self._build_pre_state(response)
+        pre_state = self._build_pre_state(query, response)
         self._compute_from(pre_state, advance_replica=False)
 
-    def _build_pre_state(self, response: SnapshotResponse) -> Database:
-        db = Database()
-        for relation in sorted(self.definition.base_relations()):
+    def _build_pre_state(
+        self, query: SnapshotQuery, response: SnapshotResponse
+    ) -> "_PreState":
+        relations = {}
+        for relation in sorted(query.relations):
             bag = response.contents.get(relation)
             if bag is None:
                 # An absent relation is a malformed answer, not an empty
@@ -321,16 +325,23 @@ class ViewManager(Process):
                     f"{self.name}: snapshot response {response.query_id} "
                     f"lacks base relation {relation!r}"
                 )
-            schema = self.base_schemas[relation]
-            db.create_relation(
-                relation, schema, Relation.from_tuple_counts(*bag, schema)
+            relations[relation] = Relation.from_tuple_counts(
+                *bag, self.base_schemas[relation]
             )
-        if self.mode == "compensate":
-            # Roll back every update that committed after our batch start
-            # (their net effect, negated) to reconstruct the pre-state.
-            later = updates_to_deltas(u for _id, u in response.undo_updates)
-            db.apply_deltas({r: delta.negated() for r, delta in later.items()})
-        return db
+        later = updates_to_deltas(
+            u for _id, u in response.undo_updates if self.mode == "compensate"
+        )
+        unasked = (response.contents.keys() | later.keys()) - query.relations
+        if unasked:
+            raise ViewManagerError(
+                f"{self.name}: snapshot response {response.query_id} carries "
+                f"{sorted(unasked)}, which its query did not ask for"
+            )
+        # Roll back every update that committed after our batch start
+        # (their net effect, negated) to reconstruct the pre-state.
+        for relation, delta in later.items():
+            delta.negated().apply_to(relations[relation])
+        return _PreState(self, relations)
 
     def enable_plan_profiling(self, profiler=None) -> None:
         """Time every propagate; profile the local plan's nodes if present.
@@ -349,7 +360,9 @@ class ViewManager(Process):
         if self._plan is not None:
             self._plan.enable_profiling(profiler)
 
-    def _compute_from(self, pre_state: Database, advance_replica: bool) -> None:
+    def _compute_from(
+        self, pre_state: "Database | _PreState", advance_replica: bool
+    ) -> None:
         batch = self._current_batch
         deltas = self._filter_deltas(
             updates_to_deltas(u for msg in batch for u in msg.updates)
@@ -501,3 +514,21 @@ class ViewManager(Process):
     # -- inspection ------------------------------------------------------------
     def idle(self) -> bool:
         return not self._buffer and not self._computing
+
+
+class _PreState:
+    """One query-back batch's pre-state (a ``DatabaseLike``): the manager's
+    base schemas and only the relations the delta rules read.  Reading any
+    other raises at once rather than computing on an empty relation."""
+
+    __slots__ = ("schemas", "_relations", "_owner")
+
+    def __init__(self, owner: ViewManager, relations: dict[str, Relation]):
+        self.schemas = owner.base_schemas
+        self._relations = relations
+        self._owner = owner.name
+
+    def relation(self, name: str) -> Relation:
+        if name not in self._relations:
+            raise ViewManagerError(f"{self._owner}: the pre-state holds no {name!r}")
+        return self._relations[name]

@@ -12,14 +12,27 @@ each is the earlier trace with its ``msg_send``, ``msg_recv`` and
 ``merge_vut_size`` timeline gauge keeps the VUT series).  The runs ask
 for every trace kind (``trace_kinds=None``); a default run records only
 the freshness endpoints.
+
+``QUERY_BACK`` pins the query-back modes (``snapshot`` / ``compensate`` /
+``naive``) the same way, plus a digest of the final warehouse stores:
+they were captured while every batch still fetched all of its view's base
+relations, and hold now that it fetches only the old sides its delta
+rules read.
 """
+
+import hashlib
 
 import pytest
 
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
-from repro.workloads.schemas import paper_views_example2, paper_world
+from repro.workloads.schemas import (
+    paper_views_example2,
+    paper_world,
+    star_views,
+    star_world,
+)
 
 GOLDEN = {
     ("complete", "dependency-sequenced", 13):
@@ -51,6 +64,62 @@ def run_digest(manager, policy, seed):
     return system.sim.trace.digest()
 
 
+#: config name -> (SystemConfig fields, trace digest, final-store digest)
+QUERY_BACK = {
+    "strong-compensate-pa": (
+        dict(manager_kind="strong", manager_mode="compensate",
+             merge_algorithm="pa"),
+        "68fe0c366671773033620c36c9817638c4609b30c44550b7640ec28def26f0b7",
+        "1131ac0cbead9d241c24062be59a96b3365f3dd7553e9f4abe0ffc08d10d5322",
+    ),
+    "complete-snapshot-spa": (
+        dict(manager_kind="complete", manager_mode="snapshot",
+             merge_algorithm="spa"),
+        "f0de9036ac8b0a784c28b56ea9639dd9934587ae8e334e865071211ad53df93c",
+        "1131ac0cbead9d241c24062be59a96b3365f3dd7553e9f4abe0ffc08d10d5322",
+    ),
+    # V2's naive manager diverges (the anomaly it exists to show): the
+    # pin holds its wrong final store too.
+    "complete-n-naive": (
+        dict(manager_kind="complete-n", manager_mode="compensate",
+             manager_kinds={"V2": "naive"}),
+        "264f481d75b91524b3b1b1ac58d6c1c39fe9c484b5f9c52c8338e2a1dd7c3842",
+        "f5eb43c33781a8be9fdf3d3ea4ed31c7be36c8bfb44eb5d491ded23289a45dc5",
+    ),
+    "star-compensate-filtering": (
+        dict(manager_mode="compensate", use_selection_filtering=True),
+        "c536fb67f818f562f53f32f7de562c6df74b38e995b8e9bc79220c26d2c0f304",
+        "555a6fc7440f5aee55ce80a18623c060051bef07c68d98a03174d9e63dc829fa",
+    ),
+}
+
+
+def run_query_back(name, seed=7):
+    """(trace digest, final-store digest) of 40 updates under ``name``."""
+    fields = QUERY_BACK[name][0]
+    star = name.startswith("star")
+    world = star_world() if star else paper_world()
+    views = (
+        star_views(selective=True, aggregates=True)
+        if star else paper_views_example2()
+    )
+    config = SystemConfig(seed=seed, trace_kinds=None, **fields)
+    system = WarehouseSystem(world, views, config)
+    spec = WorkloadSpec(
+        updates=40, rate=2.0, seed=seed, mix=(0.6, 0.2, 0.2),
+        arrivals="poisson", multi_update_fraction=0.2,
+    )
+    post_stream(system, UpdateStreamGenerator(world, spec).transactions())
+    system.run()
+    stores = hashlib.sha256()
+    for definition in system.definitions:
+        store = system.store.view(definition.name).columnar()
+        stores.update(repr((
+            definition.name, store.layout, sorted(store.counts_view().items())
+        )).encode())
+    return system.sim.trace.digest(), stores.hexdigest()
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize("key", sorted(GOLDEN))
     def test_default_schedule_unchanged(self, key):
@@ -60,3 +129,7 @@ class TestGoldenDigests:
     def test_digest_is_stable_across_reruns(self):
         key = ("complete", "dependency-sequenced", 13)
         assert run_digest(*key) == run_digest(*key)
+
+    @pytest.mark.parametrize("name", sorted(QUERY_BACK))
+    def test_query_back_run_unchanged(self, name):
+        assert run_query_back(name) == QUERY_BACK[name][1:]

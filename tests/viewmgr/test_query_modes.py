@@ -12,13 +12,18 @@ from repro.messages import (
 )
 from repro.relational.database import Database
 from repro.relational.parser import parse_view
+from repro.relational.relation import Relation
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sources.update import Update
+from repro.system.builder import WarehouseSystem
+from repro.system.config import SystemConfig
 from repro.viewmgr.complete import CompleteViewManager
 from repro.viewmgr.strong import StrongViewManager
+from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
+from repro.workloads.schemas import paper_views_example2, paper_world
 
 SCHEMAS = {"R": Schema(["A", "B"]), "S": Schema(["B", "C"])}
 VIEW = parse_view("V = SELECT * FROM R JOIN S")
@@ -139,27 +144,125 @@ class TestStaleResponseGuard:
             sim.run()
 
 
+class QuerySink(Process):
+    """A base-data service that records the queries and never answers."""
+
+    def __init__(self, sim, name="basedata"):
+        super().__init__(sim, name)
+        self.queries = []
+
+    def handle(self, message, sender):
+        self.queries.append(message)
+
+
+def asked(mode, view=VIEW):
+    """A manager that has sent query 1 for one insert into S and waits."""
+    sim = Simulator()
+    merge = MergeSink(sim)
+    service = QuerySink(sim)
+    manager = StrongViewManager(sim, view, SCHEMAS, mode=mode)
+    manager.connect(merge, 1.0)
+    manager.connect(service, 0.0)
+    driver = MergeSink(sim, "driver")
+    driver.connect(manager, 0.0)
+    update = Update.insert("S", {"B": 2, "C": 7})
+    driver.send(manager.name, UpdateForView(1, view.name, (update,)))
+    sim.run()
+    return sim, manager, merge, service, driver
+
+
 class TestMalformedResponse:
+    """A response must answer its query: every relation asked for (the old
+    sides the delta rules read), nothing else, and no undo update of a
+    relation not asked for.  A bad one raises and sends nothing."""
+
     @pytest.mark.parametrize("mode", ["snapshot", "compensate", "naive"])
     def test_response_lacking_a_base_relation_is_rejected(self, mode):
         """An absent relation is not an empty one: computing on would send
-        a wrong action list, so the manager raises and sends nothing."""
-        sim = Simulator()
-        merge = MergeSink(sim)
-        silent_service = MergeSink(sim, "basedata")  # never answers
-        manager = StrongViewManager(sim, VIEW, SCHEMAS, mode=mode)
-        manager.connect(merge, 1.0)
-        manager.connect(silent_service, 0.0)
-        driver = MergeSink(sim, "driver")
-        driver.connect(manager, 0.0)
-        update = Update.insert("S", {"B": 2, "C": 7})
-        driver.send(manager.name, UpdateForView(1, "V", (update,)))
-        sim.run()  # the manager has asked query 1 and is waiting
-        without_s = SnapshotResponse(1, 0, {"R": (("A", "B"), {(1, 2): 1})})
-        driver.send(manager.name, without_s)
+        a wrong action list, so the manager raises and sends nothing.  The
+        batch changes S, so R is the one old side asked for."""
+        sim, manager, merge, service, driver = asked(mode)
+        assert service.queries[0].relations == {"R"}
+        driver.send(manager.name, SnapshotResponse(1, 0, {}))
         with pytest.raises(
-            ViewManagerError, match=r"vm:V: snapshot response 1 lacks .*'S'"
+            ViewManagerError, match=r"vm:V: snapshot response 1 lacks .*'R'"
         ):
             sim.run()
         sim.run()  # nothing was scheduled behind the failure
         assert merge.lists == [] and manager.action_lists_sent == 0
+
+    @pytest.mark.parametrize("mode", ["snapshot", "compensate", "naive"])
+    def test_response_with_an_unrequested_relation_is_rejected(self, mode):
+        sim, manager, merge, _service, driver = asked(mode)
+        extra = SnapshotResponse(1, 0, {
+            "R": (("A", "B"), {(1, 2): 1}),
+            "S": (("B", "C"), {}),
+        })
+        driver.send(manager.name, extra)
+        with pytest.raises(
+            ViewManagerError,
+            match=r"vm:V: snapshot response 1 carries \['S'\], which its query",
+        ):
+            sim.run()
+        sim.run()
+        assert merge.lists == [] and manager.action_lists_sent == 0
+
+    def test_undo_update_on_an_unrequested_relation_is_rejected(self):
+        sim, manager, merge, _service, driver = asked("compensate")
+        undo = ((1, Update.insert("S", {"B": 2, "C": 7})),)
+        response = SnapshotResponse(1, 1, {"R": (("A", "B"), {(1, 2): 1})}, undo)
+        driver.send(manager.name, response)
+        with pytest.raises(ViewManagerError, match=r"carries \['S'\]"):
+            sim.run()
+        sim.run()
+        assert merge.lists == [] and manager.action_lists_sent == 0
+
+    @pytest.mark.parametrize("mode", ["snapshot", "compensate", "naive"])
+    def test_view_reading_no_old_side_asks_for_nothing(self, mode):
+        """``V3 = Q`` reads no pre-state: its query names no relation, and
+        the empty answer still yields the batch's action list."""
+        view = parse_view("W = SELECT * FROM S")
+        sim, manager, merge, service, driver = asked(mode, view)
+        assert service.queries[0].relations == frozenset()
+        driver.send(manager.name, SnapshotResponse(1, 1, {}))
+        sim.run()
+        assert [al.covered for _t, al in merge.lists] == [(1,)]
+        assert merge.lists[0][1].net_delta().counts() == {Row(B=2, C=7): 1}
+
+    def test_read_set_bug_fails_loudly(self, monkeypatch):
+        """A pre-state holds only what was asked for: a rule reading any
+        other relation raises instead of computing on an empty one."""
+        monkeypatch.setattr(
+            "repro.viewmgr.base.pre_state_reads", lambda expr, changed: frozenset()
+        )
+        sim, manager, merge, service, driver = asked("snapshot")
+        assert service.queries[0].relations == frozenset()
+        driver.send(manager.name, SnapshotResponse(1, 0, {}))
+        with pytest.raises(ViewManagerError, match=r"vm:V: the pre-state holds no 'R'"):
+            sim.run()
+        assert merge.lists == [] and manager.action_lists_sent == 0
+
+
+def test_query_back_loads_only_the_old_sides_read(monkeypatch):
+    """The ``ex2-queryback`` benchmark's config over 400 updates: each
+    batch loads the old sides its delta rules read (none for ``V3 = Q``,
+    one of ``R``/``S`` for ``V1``), not every base relation of its view.
+    When each batch still loaded every one, this run made 1 040 loads."""
+    world = paper_world()
+    config = SystemConfig(manager_kind="strong", manager_mode="compensate", seed=3)
+    system = WarehouseSystem(world, paper_views_example2(), config)
+    spec = WorkloadSpec(updates=400, rate=0.5, arrivals="poisson",
+                        mix=(0.3, 0.5, 0.2), value_range=40, seed=3)
+    post_stream(system, UpdateStreamGenerator(world, spec).transactions())
+    loads = []
+    load = Relation.from_tuple_counts
+
+    def counted(*args):
+        loads.append(args[0])
+        return load(*args)
+
+    monkeypatch.setattr(Relation, "from_tuple_counts", staticmethod(counted))
+    system.run()
+    assert system.service.queries_answered == 465
+    assert len(loads) == 635
+    assert system.check_mvc("strong").ok
