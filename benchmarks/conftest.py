@@ -104,9 +104,7 @@ def timed_run_system(
     """Like :func:`run_system`, also returning ``run()``'s wall seconds.
 
     The timer brackets only the drain — build, seeding and stream posting
-    are excluded — so the number is comparable between the DES backend
-    (where ``run()`` burns CPU but no simulated resource waits) and the
-    wall-clock runtimes (where it includes real thread/process overlap).
+    are excluded — so the number is the CPU the kernel burns on the run.
     """
     stream = UpdateStreamGenerator(world, spec).transactions()
     system = WarehouseSystem(world, views, config)

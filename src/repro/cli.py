@@ -16,8 +16,7 @@ Commands:
   with queue-wait vs service breakdowns) and the metrics registry;
   ``--live`` renders the registry periodically while the run executes.
 * ``top``   — run a workload while rendering the live metrics registry
-  (family-level, one-screen) on a wall-clock interval; most useful with
-  ``--runtime threads`` where the run takes real time.
+  (family-level, one-screen) on a wall-clock interval.
 * ``conformance`` — the schedule-exploration engine: ``explore`` hunts a
   configuration's seed space for MVC violations (and shrinks what it
   finds), ``replay`` re-executes a saved reproducer byte-for-byte, and
@@ -61,7 +60,6 @@ from repro.system.config import (
     MANAGER_KINDS,
     MANAGER_MODES,
     MERGE_ALGORITHMS,
-    RUNTIMES,
     SUBMISSION_POLICIES,
     SystemConfig,
     manager_class,
@@ -194,7 +192,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     world_factory = lambda: SCHEMAS[args.schema]()[0]  # noqa: E731
     views_factory = lambda: SCHEMAS[args.schema]()[1]  # noqa: E731
-    _check_runtime_flags(args)
     variants = {}
     for kind in args.variants.split(","):
         kind = kind.strip()
@@ -204,8 +201,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise SystemExit(str(error)) from None
         variants[kind] = SystemConfig(
             manager_kind=kind,
-            runtime=args.runtime,
-            workers=args.workers,
             seed=args.seed,
             **({"trace_kinds": None} if args.trace_out else {}),
         )
@@ -237,14 +232,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if all(r.verified for r in rows) else 1
 
 
-def _check_runtime_flags(args: argparse.Namespace) -> None:
-    if args.workers is not None and args.runtime == "des":
-        raise SystemExit(
-            "--workers only applies to the parallel runtime; "
-            "pick --runtime threads"
-        )
-
-
 def _slo_from_flags(args: argparse.Namespace):
     """A SloPolicy from --slo-* flags, or None when none are set."""
     staleness = getattr(args, "slo_staleness", None)
@@ -266,7 +253,6 @@ def _build_system(args: argparse.Namespace) -> WarehouseSystem:
         from repro.relational.catalog import load_views
 
         views = load_views(args.views_file)
-    _check_runtime_flags(args)
     # lineage (inspect) and an exported trace read every kind
     reads_trace = args.command == "inspect" or getattr(args, "trace_out", None)
     config = SystemConfig(
@@ -278,8 +264,6 @@ def _build_system(args: argparse.Namespace) -> WarehouseSystem:
         use_selection_filtering=args.filtering,
         warehouse_executors=args.executors,
         merge_message_cost=args.merge_cost,
-        runtime=args.runtime,
-        workers=args.workers,
         seed=args.seed,
         freshness_tick=getattr(args, "freshness_tick", None),
         slo=_slo_from_flags(args),
@@ -345,34 +329,29 @@ def _label_suffix(metric) -> str:
     return ",".join(v for _k, v in metric.labels) or metric.name
 
 
+#: events per bounded slice of a live run; the renderer looks at the
+#: clock between two slices
+_LIVE_SLICE_EVENTS = 100
+
+
 def _run_live(system: WarehouseSystem, interval: float) -> None:
     """Drive the run while rendering the registry every ``interval`` s.
 
-    The renderer runs on a side thread reading the locked registry, so
-    it works under the wall-clock runtimes while workers are hot; a DES
-    run usually finishes before the first frame and just prints the
-    final state.
+    The run executes in bounded ``run(max_events=...)`` slices and a frame
+    is printed between two slices once ``interval`` wall seconds have
+    passed; the last ``run()`` drains and flushes, so the final state is
+    the one an unsliced run reaches.
     """
-    import threading
     import time as _time
 
-    stop = threading.Event()
-
-    def _frames() -> None:
-        while not stop.wait(interval):
+    last = _time.monotonic()
+    while system.run(max_events=_LIVE_SLICE_EVENTS) == _LIVE_SLICE_EVENTS:
+        if _time.monotonic() - last >= interval:
             print(f"\n-- live registry @ wall {_time.strftime('%H:%M:%S')} "
                   f"(sim t={system.sim.now:.2f}) --")
             print(_format_top(system.sim.metrics))
-
-    painter = threading.Thread(
-        target=_frames, name="repro-top", daemon=True
-    )
-    painter.start()
-    try:
-        system.run()
-    finally:
-        stop.set()
-        painter.join(timeout=1.0)
+            last = _time.monotonic()
+    system.run()
 
 
 def _finish_telemetry_output(system: WarehouseSystem,
@@ -509,16 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="replay a worked example's VUT trace")
     trace.add_argument("example", choices=sorted(_TRACES))
 
-    def add_runtime_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--runtime", choices=RUNTIMES, default="des",
-                       help="execution backend: des (virtual time, default), "
-                       "threads (wall clock, worker threads); see "
-                       "docs/runtime.md")
-        p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker-fleet size for --runtime threads "
-                       "(default: the machine's core count; rejected "
-                       "under --runtime des)")
-
     def add_system_flags(p: argparse.ArgumentParser,
                          updates: int = 100) -> None:
         p.add_argument("--schema", choices=sorted(SCHEMAS), default="paper")
@@ -535,15 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--filtering", action="store_true",
                        help="enable selection-condition relevance filtering")
-        add_runtime_flags(p)
         p.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write the run's trace; format from extension "
                        "(.json Perfetto, .jsonl event log, .txt timeline)")
         p.add_argument("--freshness-tick", type=float, default=None,
                        metavar="T",
                        help="sample per-view staleness / queue depth / VUT "
-                       "occupancy every T time units (virtual under des, "
-                       "wall seconds under threads)")
+                       "occupancy every T units of virtual time")
         p.add_argument("--slo-staleness", type=float, default=None,
                        metavar="T",
                        help="SLO: breach when any view's staleness exceeds T "
@@ -584,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also dump the metrics registry (optionally only "
                      "names starting with PREFIX, e.g. proc_ or chan_)")
     ins.add_argument("--live", action="store_true",
-                     help="render the registry periodically while the run "
-                     "executes (most useful with --runtime threads)")
+                     help="render the registry every --live-interval wall "
+                     "seconds, between bounded slices of the run")
     ins.add_argument("--live-interval", type=float, default=1.0, metavar="S",
                      help="seconds between --live frames (default 1.0)")
 
@@ -609,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--updates", type=int, default=80)
     swp.add_argument("--rate", type=float, default=2.0)
     swp.add_argument("--seed", type=int, default=0)
-    add_runtime_flags(swp)
     swp.add_argument("--trace-out", default=None, metavar="PATH",
                      help="write one trace file per variant "
                      "(trace.json -> trace-<variant>.json)")

@@ -194,7 +194,7 @@ class Explorer:
             )
         finally:
             # Cache-enabled scenarios own a temp artifact store; every
-            # explored seed must release it (and any runtime resources).
+            # explored seed must release it.
             system.close()
 
     # -- exploration ---------------------------------------------------------

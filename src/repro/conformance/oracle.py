@@ -114,55 +114,6 @@ def check_run(system: WarehouseSystem) -> list[Violation]:
     return violations
 
 
-@dataclass(frozen=True)
-class RealRunReport:
-    """The conformance verdict on one wall-clock (parallel-runtime) run.
-
-    ``digest`` is the run's observable history reduced to the SHA-256 the
-    explorer pins its reproducers with (``Trace.digest``): equal digests
-    mean byte-for-byte identical histories, and a digest with no
-    ``violations`` certifies that this interleaving lies inside the
-    schedule space the oracle accepts.
-    """
-
-    runtime: str
-    digest: str
-    events: int
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        verdict = (
-            "conformant"
-            if self.ok
-            else "; ".join(str(v) for v in self.violations)
-        )
-        return (
-            f"[{self.runtime}] {self.events} events, "
-            f"digest {self.digest[:12]}…: {verdict}"
-        )
-
-
-def check_real_run(system: WarehouseSystem) -> RealRunReport:
-    """Validate a finished run on *any* runtime with the full oracle.
-
-    :func:`check_run` reads the warehouse state sequence and the
-    integrator's numbering, never the clock, so the same promises are
-    checkable whether the history came from the DES kernel or from real
-    threads: every interleaving the hardware produces must keep the
-    advertised MVC level, like every schedule the explorer enumerates.
-    """
-    return RealRunReport(
-        runtime=system.config.runtime,
-        digest=system.sim.trace.digest(),
-        events=system.sim.events_executed,
-        violations=tuple(check_run(system)),
-    )
-
-
 def check_run_at(system: WarehouseSystem, level: str) -> list[Violation]:
     """Check the whole fleet at an explicit ``level``, whatever the
     configuration promises: how the explorer shows that naive or periodic
@@ -174,9 +125,7 @@ def check_run_at(system: WarehouseSystem, level: str) -> list[Violation]:
 
 
 __all__ = [
-    "RealRunReport",
     "Violation",
-    "check_real_run",
     "check_run",
     "check_run_at",
     "effective_view_levels",

@@ -5,7 +5,7 @@ Layered over the simulator's :class:`~repro.sim.tracing.Trace`:
 * :mod:`repro.obs.registry` — typed metrics (counters, gauges,
   histograms — exact or reservoir-bounded) that processes, channels, and
   merges register on ``sim.metrics`` as they run, each tagged with the
-  runtime ``origin`` that recorded it;
+  registry's ``origin``;
 * :mod:`repro.obs.lineage` — per-update causal reconstruction
   (source commit → integrator → view manager → merge → warehouse) from
   trace events;

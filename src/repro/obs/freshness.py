@@ -2,7 +2,7 @@
 
 :mod:`repro.system.metrics` computes per-update staleness *post mortem*,
 from the full trace of a finished run.  This module watches the same
-signals **while the system is serving traffic**, in all three runtimes:
+signals **while the system is serving traffic**:
 
 * **Per-view staleness** — how far the warehouse lags behind the newest
   source commit, derived incrementally from the lineage hop chain the
@@ -10,19 +10,17 @@ signals **while the system is serving traffic**, in all three runtimes:
   ``update_id`` (committed at ``commit_time``) as *pending* for every
   view in its ``rel`` routing set; a ``wh_commit`` event clears the
   committed ``rows`` for its ``views``.  A view's staleness at sample
-  time is ``now - oldest pending commit_time`` (0 when fully caught up).
-  Times are virtual under the DES kernel and wall seconds under the
-  parallel kernels — the same clock the trace itself uses.
+  time is ``now - oldest pending commit_time`` (0 when fully caught up),
+  in the simulator's virtual time, the clock the trace itself uses.
 * **VUT occupancy and merge-queue depth** — read directly off each merge
   process on every tick.
 * **SLO evaluation** — an optional :class:`SloPolicy` turns thresholds
   into ``slo_breaches{kind=}`` counters and ``slo_breach`` trace events,
   and the CLI turns a non-zero breach count into exit code 2.
 
-Sampling is tick-gated (:meth:`FreshnessMonitor.maybe_sample`): the DES
+Sampling is tick-gated (:meth:`FreshnessMonitor.maybe_sample`): the
 kernel invokes the probe after every executed event and the monitor
-decides whether a tick has elapsed; the parallel kernels poll it from a
-sampler thread during ``run()``.  Gauges recorded: ``view_staleness``
+decides whether a tick has elapsed.  Gauges recorded: ``view_staleness``
 (per view), ``monitor_queue_depth`` and ``monitor_vut_occupancy`` (per
 merge shard).
 
@@ -49,7 +47,7 @@ class SloPolicy:
     """Freshness service-level objectives; ``None`` disables a check.
 
     ``max_staleness`` bounds any view's lag behind the newest source
-    commit (virtual time under DES, wall seconds otherwise);
+    commit (in virtual time);
     ``max_queue_depth`` bounds any merge shard's inbox; ``max_vut``
     bounds any merge shard's views-update-table occupancy.
     """

@@ -9,8 +9,8 @@ in the two formats external tooling expects:
   ``# TYPE`` block per metric family.  Counters and gauges export their
   scalar value; histograms export Prometheus *summary* families
   (``quantile=`` samples plus ``_sum``/``_count``).  An instrument's
-  ``origin`` tag is exported as an ``origin=`` label so a scrape of a
-  multi-runtime run keeps shard provenance.
+  ``origin`` tag is exported as an ``origin=`` label, so a scrape keeps
+  the registry's provenance.
 * :func:`to_snapshot` — a JSON-serialisable snapshot (``to_dict`` plus a
   small ``meta`` header) that round-trips losslessly through
   ``json.dumps``/``loads``.
@@ -19,10 +19,8 @@ in the two formats external tooling expects:
 :func:`repro.obs.export.write_trace` does for traces: ``.prom``/``.txt``
 get the text exposition, ``.json`` gets the snapshot.
 
-All rendering goes through each instrument's ``summary()`` — a single
-mutator-free read per instrument — so exporting a *locked* registry while
-worker threads write concurrently never observes a torn value (see
-``tests/obs/test_exporter_concurrency.py``).
+All rendering goes through each instrument's ``summary()``, a single
+mutator-free read per instrument.
 """
 
 from __future__ import annotations

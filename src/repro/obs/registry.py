@@ -22,26 +22,22 @@ Design notes:
   how VUT occupancy *over time* is recorded.
 * **Histogram** — stores observations for exact quantiles.  The run sizes
   this library simulates (10⁴–10⁵ events) make exact storage cheaper and
-  more honest than bucketed approximation — so exact mode stays the DES
-  default.  Long wall-clock runs *do* grow beyond memory, so a histogram
-  can be created with ``bound=N``: exact count/total/mean/max are kept,
-  but only an Algorithm-R reservoir of ``N`` observations backs the
-  quantiles (the parallel runtimes pass a registry-wide default bound).
+  more honest than bucketed approximation — so exact mode is the
+  default.  A histogram created with ``bound=N`` keeps exact
+  count/total/mean/max, but only an Algorithm-R reservoir of ``N``
+  observations backs the quantiles, for instruments that would otherwise
+  grow beyond memory.
 
-Every instrument additionally carries an ``origin`` tag — which runtime
-substrate recorded it (``des`` or ``worker-thread``).  Origin is *not*
-part of the ``(name, labels)`` identity, so existing lookups are
-unaffected; it shows up in summaries, ``format()`` and the exporters.
+Every instrument additionally carries an ``origin`` tag — the registry's
+provenance (``des`` for the simulator's).  Origin is *not* part of the
+``(name, labels)`` identity, so existing lookups are unaffected; it shows
+up in summaries, ``format()`` and the exporters.
 """
 
 from __future__ import annotations
 
 import random as _random
-import threading as _threading
 from typing import Callable, Iterator, Mapping
-
-#: sentinel: "use the registry's default histogram bound"
-_DEFAULT_BOUND = object()
 
 
 def percentile(values: list[float], fraction: float) -> float:
@@ -87,7 +83,7 @@ class Metric:
 
     def _tagged(self, summary: dict) -> dict:
         # origin is a provenance tag, not identity; omit it when unset so
-        # summaries of plain single-runtime registries stay byte-identical
+        # summaries of untagged registries stay byte-identical
         if self.origin:
             summary["origin"] = self.origin
         return summary
@@ -186,7 +182,7 @@ class Histogram(Metric):
     With ``bound=N`` the histogram keeps exact ``count``/``total``/
     ``mean``/``max`` but retains only an Algorithm-R reservoir of ``N``
     observations to back the quantiles, so memory stays O(N) on
-    arbitrarily long wall-clock runs.  The reservoir RNG is seeded from
+    arbitrarily long runs.  The reservoir RNG is seeded from
     the instrument's identity, keeping retained samples reproducible
     across runs and processes.
     """
@@ -264,108 +260,25 @@ class Histogram(Metric):
         return self._tagged(out)
 
 
-class _LockedCounter(Counter):
-    """Counter whose increments are serialised (parallel runtimes)."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...]) -> None:
-        super().__init__(name, labels)
-        self._lock = _threading.Lock()
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            super().inc(amount)
-
-
-class _LockedGauge(Gauge):
-    """Gauge whose samples are serialised (parallel runtimes)."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(
-        self,
-        name: str,
-        labels: tuple[tuple[str, str], ...],
-        timeline: bool = False,
-    ) -> None:
-        super().__init__(name, labels, timeline=timeline)
-        self._lock = _threading.Lock()
-
-    def set(self, value: float, at: float | None = None) -> None:
-        with self._lock:
-            super().set(value, at=at)
-
-
-class _LockedHistogram(Histogram):
-    """Histogram whose observations are serialised (parallel runtimes)."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(
-        self,
-        name: str,
-        labels: tuple[tuple[str, str], ...],
-        bound: int | None = None,
-    ) -> None:
-        super().__init__(name, labels, bound=bound)
-        self._lock = _threading.Lock()
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            super().observe(value)
-
-
-#: plain instrument class -> its locked twin (``locked=True`` registries)
-_LOCKED = {Counter: _LockedCounter, Gauge: _LockedGauge,
-           Histogram: _LockedHistogram}
-
-
 class MetricsRegistry:
-    """Get-or-create home for every instrument of one simulation run.
+    """Get-or-create home for every instrument of one simulation run."""
 
-    With ``locked=True`` every instrument's mutators are serialised by a
-    per-instrument lock and get-or-create itself is guarded, so processes
-    sharing an instrument across worker threads (the wall-clock runtimes,
-    :mod:`repro.runtime`) record without read-modify-write races.  The
-    default stays lock-free: the DES kernel is single-threaded and its
-    instrument updates sit on the simulation hot path.
-    """
+    __slots__ = ("_metrics", "origin", "_publishers")
 
-    __slots__ = ("_metrics", "_locked", "_lock", "origin", "_histogram_bound",
-                 "_publishers")
-
-    def __init__(
-        self,
-        locked: bool = False,
-        origin: str = "",
-        histogram_bound: int | None = None,
-    ) -> None:
+    def __init__(self, origin: str = "") -> None:
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], Metric] = {}
-        self._locked = locked
-        self._lock = _threading.Lock() if locked else None
         #: provenance tag stamped on every instrument this registry creates
         self.origin = origin
-        #: default reservoir bound for histograms (None = exact storage)
-        self._histogram_bound = histogram_bound
         self._publishers: list[Callable[[], None]] = []
 
     def on_read(self, publish: Callable[[], None]) -> Callable[[], None]:
         """Run ``publish()`` before every query answers.
 
         A publisher hands statistics its owner keeps in plain attributes to
-        instruments it has already bound.  With ``locked=True`` it runs under
-        the registry lock, so it must not call back into the registry.
-        Returns the publisher as the registry runs it, for an owner that
-        must publish early (a full buffer).
+        instruments it has already bound; it must not call back into the
+        registry.  Returns ``publish``, for an owner that must publish
+        early (a full buffer).
         """
-        if self._lock is not None:
-            lock, unlocked = self._lock, publish
-
-            def publish() -> None:
-                with lock:
-                    unlocked()
-
         self._publishers.append(publish)
         return publish
 
@@ -380,19 +293,9 @@ class MetricsRegistry:
     def _get_or_create(self, cls: type, name: str, labels: Mapping[str, str],
                        **kwargs: object) -> Metric:
         key = (name, self._label_key(labels))
-        if self._lock is None:
-            return self._create(cls, name, key, **kwargs)
-        with self._lock:
-            return self._create(cls, name, key, **kwargs)
-
-    def _create(self, cls: type, name: str,
-                key: tuple[str, tuple[tuple[str, str], ...]],
-                **kwargs: object) -> Metric:
         metric = self._metrics.get(key)
         if metric is None:
-            metric = (_LOCKED[cls] if self._locked else cls)(
-                name, key[1], **kwargs
-            )
+            metric = cls(name, key[1], **kwargs)
             metric.origin = self.origin
             self._metrics[key] = metric
         elif not isinstance(metric, cls):
@@ -410,10 +313,8 @@ class MetricsRegistry:
         return gauge  # type: ignore[return-value]
 
     def histogram(
-        self, name: str, bound: object = _DEFAULT_BOUND, **labels: str
+        self, name: str, bound: int | None = None, **labels: str
     ) -> Histogram:
-        if bound is _DEFAULT_BOUND:
-            bound = self._histogram_bound
         return self._get_or_create(  # type: ignore[return-value]
             Histogram, name, labels, bound=bound
         )

@@ -60,8 +60,8 @@ class Process:
         self._crashed = False
         self._epoch = 0
         self._incoming: list[Channel] = []
-        # Load statistics, written only by the thread that runs this
-        # process's events and handed to the instruments by _publish.
+        # Load statistics, written by this process's events and handed to
+        # the instruments by _publish.
         self.messages_handled = 0
         self.busy_time = 0.0
         self.messages_lost = 0
@@ -80,7 +80,7 @@ class Process:
         self._h_wait = metrics.histogram("proc_queue_wait", process=name)
         self._h_service = metrics.histogram("proc_service_time", process=name)
         # The owner publishes once it holds this many observations: memory
-        # stays bounded on a wall-clock run that nobody reads.
+        # stays bounded on a long run that nobody reads.
         self._flush_at = 2 * (self._h_wait.bound or 4096)
         self._flush = metrics.on_read(self._publish)
 
@@ -284,13 +284,7 @@ class Process:
 
     # -- statistics --------------------------------------------------------------
     def _publish(self) -> None:
-        """Leave the instruments as feeding them per message would have.
-
-        May run on a reader's thread beside the owner's (the registry lock
-        serialises publishers): it reads each total once and cuts whole
-        (wait, service) pairs off the buffer with a slice and a ``del``,
-        each atomic against the owner's ``append``.
-        """
+        """Leave the instruments as feeding them per message would have."""
         self._m_handled.advance_to(self.messages_handled)
         self._m_busy.advance_to(self.busy_time)
         self._m_lost.advance_to(self.messages_lost)
@@ -300,11 +294,10 @@ class Process:
             for depth in self._min_queue, self.max_queue_length, len(self._inbox):
                 self._g_queue.set(depth)
         observed = self._observed
-        batch = observed[:len(observed) & -2]  # the owner may be mid-pair
-        del observed[:len(batch)]
-        for wait, service in zip(batch[::2], batch[1::2]):
+        for wait, service in zip(observed[::2], observed[1::2]):
             self._h_wait.observe(wait)
             self._h_service.observe(service)
+        observed.clear()
 
     @property
     def queue_length(self) -> int:

@@ -240,50 +240,3 @@ class Trace:
             str(e) for e in self._materialise() if not wanted or e.kind in wanted
         ]
         return "\n".join(lines)
-
-
-class ThreadSafeTrace(Trace):
-    """A :class:`Trace` whose mutators are serialised by a lock.
-
-    The wall-clock runtimes (:mod:`repro.runtime`) record events from
-    many worker threads at once.  A record is three appends (its offset,
-    its kind, its fields), so a reader or a second recorder racing one
-    could see an offset without its fields; the lock makes each record
-    whole.  The DES kernel keeps the lock-free base class — its hot loop
-    is single-threaded by construction.
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        import threading
-
-        self._lock = threading.RLock()
-
-    def record_fields(
-        self, time: float, kind: str, process: str, keys: tuple, *values: object
-    ) -> None:
-        with self._lock:
-            super().record_fields(time, kind, process, keys, *values)
-
-    def _materialise(self) -> list[TraceEvent]:
-        with self._lock:
-            return super()._materialise()
-
-    def events_since(self, start: int) -> tuple[int, list[TraceEvent]]:
-        # Hold the lock across materialise + slice: a recording worker
-        # could otherwise extend the list between the two reads and the
-        # cursor would skip its events.
-        with self._lock:
-            return super().events_since(start)
-
-    def raw_events_since(
-        self, start: int, kinds: Collection[str] | None = None
-    ) -> tuple[int, list[tuple[float, str, str, dict]]]:
-        with self._lock:
-            return super().raw_events_since(start, kinds)
-
-    def clear(self) -> None:
-        with self._lock:
-            super().clear()

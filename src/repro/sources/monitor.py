@@ -62,8 +62,7 @@ class SilentSource(Process):
             raise SourceError(
                 f"silent source {self.name!r} does not own {sorted(foreign)}"
             )
-        with self.world.commit_lock:
-            committed = self.world.commit(transaction, self.sim.now)
+        committed = self.world.commit(transaction, self.sim.now)
         self.transactions_committed += 1
         if self.sim.trace.wants("silent_commit"):
             self.trace("silent_commit", seq=committed.sequence)

@@ -45,8 +45,7 @@ class GlobalTransactionCoordinator(Process):
     def execute(self, updates: Iterable[Update]) -> CommittedTransaction:
         """Commit all ``updates`` as one global transaction."""
         transaction = SourceTransaction(self.name, tuple(updates))
-        with self.world.commit_lock:
-            committed = self.world.commit(transaction, self.sim.now)
+        committed = self.world.commit(transaction, self.sim.now)
         self.transactions_committed += 1
         if self.sim.trace.wants("global_commit"):
             self.trace(

@@ -59,8 +59,7 @@ class Source(Process):
                 f"use a GlobalTransactionCoordinator for multi-source "
                 f"transactions (§6.2)"
             )
-        with self.world.commit_lock:
-            committed = self.world.commit(transaction, self.sim.now)
+        committed = self.world.commit(transaction, self.sim.now)
         self.transactions_committed += 1
         if self.sim.trace.wants("src_commit"):
             self.trace(

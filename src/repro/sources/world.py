@@ -4,9 +4,7 @@
 relation across all sources, in a :class:`VersionedDatabase`.  Source
 processes commit transactions into it one at a time, which realises the
 paper's assumption that "the execution of source transactions is
-serializable" (§2.1): the simulator's event loop serialises them, and on
-the wall-clock runtimes, where sources run on several threads, the
-world's :attr:`~SourceWorld.commit_lock` does.
+serializable" (§2.1): the simulator's event loop serialises them.
 
 The world records the committed-transaction log — the schedule
 ``S = U1; U2; ... Uf`` — and exposes the consistent source state sequence
@@ -15,7 +13,6 @@ The world records the committed-transaction log — the schedule
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Mapping
 
 from repro.errors import SourceError
@@ -33,10 +30,6 @@ class SourceWorld:
         self._db = VersionedDatabase()
         self._log: list[CommittedTransaction] = []
         self._owners: dict[str, str] = {}
-        #: held by :meth:`commit`.  A source reads its clock and commits
-        #: under this (re-entrant) lock, so that no other source commits in
-        #: between with a later time.
-        self.commit_lock = threading.RLock()
 
     # -- schema / ownership ------------------------------------------------
     def create_relation(
@@ -77,19 +70,18 @@ class SourceWorld:
         The commit position in the log is the transaction's place in the
         serial schedule S.
         """
-        with self.commit_lock:
-            if self._log and time < self._log[-1].commit_time:
-                raise SourceError(
-                    f"commit at time {time} precedes last commit "
-                    f"at {self._log[-1].commit_time}"
-                )
-            for relation in transaction.relations:
-                if relation not in self._owners:
-                    raise SourceError(f"unknown relation {relation!r}")
-            version = self._db.commit(transaction.deltas())
-            committed = CommittedTransaction(version, time, transaction)
-            self._log.append(committed)
-            return committed
+        if self._log and time < self._log[-1].commit_time:
+            raise SourceError(
+                f"commit at time {time} precedes last commit "
+                f"at {self._log[-1].commit_time}"
+            )
+        for relation in transaction.relations:
+            if relation not in self._owners:
+                raise SourceError(f"unknown relation {relation!r}")
+        version = self._db.commit(transaction.deltas())
+        committed = CommittedTransaction(version, time, transaction)
+        self._log.append(committed)
+        return committed
 
     # -- history -----------------------------------------------------------------
     @property

@@ -43,7 +43,7 @@ from repro.merge.selection import (
 from repro.merge.submission import POLICIES
 from repro.relational.database import Database
 from repro.relational.expressions import ViewDefinition
-from repro.runtime import RUNTIMES
+from repro.sim.kernel import Simulator
 from repro.sim.network import Channel, LatencyModel, LossyChannel, ReliableChannel
 from repro.sim.process import Process
 from repro.sources.multisource import GlobalTransactionCoordinator
@@ -93,7 +93,8 @@ class WarehouseSystem:
         self.world = world
         self.definitions = tuple(definitions)
         self.config = config if config is not None else SystemConfig()
-        self.sim = RUNTIMES[self.config.runtime](self.config)
+        self.sim = Simulator(seed=self.config.seed,
+                             scheduler=self.config.scheduler)
         kinds = self.config.trace_kinds
         if kinds:
             kinds = set(kinds).union(*(
@@ -133,8 +134,7 @@ class WarehouseSystem:
         # Live telemetry: the freshness monitor samples per-view staleness
         # and shard queue/VUT occupancy on the configured tick (and its
         # SLO evaluator arms when a policy is set); plan profiling times
-        # every propagate.  Probes run per executed event under des and
-        # from the kernel's sampler thread under threads.
+        # every propagate.  Probes run after every executed event.
         self.monitor = None
         cfg = self.config
         if cfg.freshness_tick is not None or cfg.slo is not None:

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Mapping
 from repro.errors import ReproError
 from repro.merge.selection import ALGORITHMS
 from repro.merge.submission import POLICIES
-from repro.runtime import RUNTIMES as _RUNTIMES
 from repro.sim.network import LatencyModel
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import STALENESS_KINDS
@@ -38,7 +37,6 @@ MANAGER_KINDS = tuple(MANAGERS)
 MERGE_ALGORITHMS = tuple(ALGORITHMS)
 SUBMISSION_POLICIES = tuple(POLICIES)
 MERGE_ROUTERS = ("coalesce", "hash")
-RUNTIMES = tuple(_RUNTIMES)
 #: the correct pre-state modes; the broken one is ``NaiveViewManager``'s
 #: own and is asked for as ``manager_kind="naive"``
 MANAGER_MODES = tuple(mode for mode in PRE_STATE_MODES if mode != "naive")
@@ -50,7 +48,6 @@ _NAMES = {
     "submission_policy": POLICIES,
     "merge_router": MERGE_ROUTERS,
     "manager_mode": MANAGER_MODES,
-    "runtime": _RUNTIMES,
 }
 #: range rules: field -> (comparison, bound).  ``None`` (an optional field
 #: left unset) and a ``LatencyModel`` (which validates itself) pass.
@@ -60,10 +57,7 @@ _RANGES = {
     "batch_max": (">=", 1),
     "submission_batch_size": (">=", 1),
     "warehouse_executors": (">=", 1),
-    "workers": (">=", 1),
-    "mailbox_capacity": (">=", 1),
     "refresh_period": (">", 0),
-    "runtime_timeout": (">", 0),
     "freshness_tick": (">", 0),
     "merge_message_cost": (">=", 0),
     "service_query_cost": (">=", 0),
@@ -81,42 +75,6 @@ _TYPES = {
     "cache": ("repro.cache.store", "CacheConfig"),
     "slo": ("repro.obs.freshness", "SloPolicy"),
 }
-#: clock rules: (the clock that cannot honour the feature, is the feature
-#: asked for?, complaint).  ``workers`` sizes a fleet the single-threaded
-#: DES kernel does not have; fault timers and schedule perturbation are
-#: meaningless without a virtual clock, and a periodic manager's zero-delay
-#: self-rescheduling timer would spin a worker forever.
-_CLOCK_RULES = (
-    (
-        "virtual",
-        lambda cfg: cfg.workers is not None,
-        "workers only applies to the parallel runtime "
-        "(runtime='threads'); the DES kernel is "
-        "single-threaded by design",
-    ),
-    (
-        "wall",
-        lambda cfg: cfg.fault_plan is not None,
-        "fault plans need virtual-time timers; runtime "
-        "{runtime!r} cannot honour one (use runtime='des')",
-    ),
-    (
-        "wall",
-        lambda cfg: cfg.scheduler is not None,
-        "schedule-perturbing schedulers only apply to "
-        "runtime='des'; runtime {runtime!r} orders events "
-        "by real execution",
-    ),
-    (
-        "wall",
-        lambda cfg: any(
-            MANAGERS[kind].needs_virtual_timers
-            for kind in {cfg.manager_kind, *cfg.manager_kinds.values()}
-        ),
-        "periodic managers re-arm virtual timers and would "
-        "spin under runtime {runtime!r}; use runtime='des'",
-    ),
-)
 
 
 def manager_class(kind: str, view: str | None = None) -> type[ViewManager]:
@@ -192,22 +150,9 @@ class SystemConfig:
     # instance (see repro.sim.scheduler and repro.conformance).
     scheduler: Scheduler | None = None
 
-    # execution runtime (see repro.runtime and docs/runtime.md).
-    # "des" is the virtual-time simulator; "threads" executes on worker
-    # threads under a wall clock.  ``workers`` sizes the worker fleet
-    # (threads only; None = the machine's core count);
-    # ``mailbox_capacity`` bounds per-worker mailboxes (None = unbounded
-    # — bounded mailboxes can deadlock on message cycles and then raise
-    # after ``runtime_timeout``); ``runtime_timeout`` is the hung-worker
-    # guard in wall seconds.
-    runtime: str = "des"
-    workers: int | None = None
-    mailbox_capacity: int | None = None
-    runtime_timeout: float = 60.0
-
     # telemetry (see repro.obs and docs/observability.md).
     # ``freshness_tick`` enables the live staleness monitor (sampling
-    # period: virtual time under des, wall seconds under threads);
+    # period in virtual time);
     # ``slo`` arms its threshold evaluator (and implies a monitor even
     # without a tick); ``profile_plans`` turns on per-plan-node and
     # per-propagate timing.
@@ -274,10 +219,6 @@ class SystemConfig:
                 f"scheduler must provide adjust(time, lane), "
                 f"got {type(self.scheduler).__name__}"
             )
-        clock = "virtual" if self.runtime == "des" else "wall"
-        for rejecting_clock, asked_for, complaint in _CLOCK_RULES:
-            if rejecting_clock == clock and asked_for(self):
-                raise ReproError(complaint.format(runtime=self.runtime))
 
     def kind_for(self, view: str) -> str:
         return self.manager_kinds.get(view, self.manager_kind)

@@ -88,8 +88,6 @@ class ViewManager(Process):
     config_args: dict[str, str] = {"mode": "manager_mode"}
     #: the pre-state mode a subclass always runs (None: ``manager_mode``)
     fixed_mode: str | None = None
-    #: re-arms virtual-time timers, which a wall-clock runtime cannot honour
-    needs_virtual_timers = False
     #: closes its batches on the integrator's :class:`EndOfBlock` markers,
     #: so the integrator must send them (and a REL for every update)
     needs_block_markers = False

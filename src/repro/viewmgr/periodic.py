@@ -29,7 +29,6 @@ class PeriodicRefreshManager(ViewManager):
     level = "strong"
     config_args = {"period": "refresh_period"}
     fixed_mode = "cached"
-    needs_virtual_timers = True
 
     def __init__(self, *args, period: float, **kwargs) -> None:
         """``period`` is the refresh interval; the rest is

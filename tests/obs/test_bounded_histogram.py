@@ -74,25 +74,3 @@ class TestBoundedMode:
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError, match="bound"):
             Histogram("h", (), bound=0)
-
-
-class TestRegistryDefaults:
-    def test_registry_level_default_bound(self):
-        registry = MetricsRegistry(histogram_bound=8)
-        histogram = registry.histogram("h")
-        assert histogram.bound == 8
-
-    def test_explicit_bound_overrides_default(self):
-        registry = MetricsRegistry(histogram_bound=8)
-        assert registry.histogram("wide", bound=32).bound == 32
-        assert registry.histogram("exact", bound=None).bound is None
-
-    def test_parallel_registry_histograms_are_bounded(self):
-        registry = MetricsRegistry(locked=True, origin="worker-thread",
-                                   histogram_bound=64)
-        histogram = registry.histogram("h")
-        for value in range(200):
-            histogram.observe(float(value))
-        assert histogram.bound == 64
-        assert len(histogram.values()) == 64
-        assert histogram.count == 200

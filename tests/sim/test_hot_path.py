@@ -12,22 +12,18 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import sys
-import threading
 import types
-from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.registry import Histogram, MetricsRegistry
-from repro.runtime.parallel import ParallelKernel
 from repro.sim.kernel import Simulator
 from repro.sim.network import ReliableChannel, UniformLatency
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import ThreadSafeTrace, Trace
+from repro.sim.tracing import Trace
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
@@ -167,9 +163,6 @@ class TestLockstep:
         sim.schedule(2.0, lambda: None)
         sim.run()
         assert seen == [False, True]  # the first still has its twin due at 1.0
-
-    def test_parallel_kernel_is_never_quiet(self):
-        assert ParallelKernel(workers=1).quiet_now() is False
 
     @pytest.mark.parametrize("key", [
         ("complete", "dependency-sequenced", 13),
@@ -345,7 +338,9 @@ class TestPublishOnRead:
     def test_bounded_histograms_keep_the_fed_reservoir(self):
         def run(base):
             sim = Simulator(seed=11)
-            sim.metrics = MetricsRegistry(histogram_bound=5)
+            for name in ("proc_queue_wait", "proc_service_time"):
+                for node in ("n0", "n1"):  # the nodes get these instruments
+                    sim.metrics.histogram(name, bound=5, process=node)
             Node = flooding(base)
             nodes = [Node(sim, f"n{i}", s) for i, s in enumerate((0.3, 0.0))]
             nodes[0].connect(nodes[1], UniformLatency(0.1, 0.9))
@@ -370,88 +365,7 @@ class TestPublishOnRead:
             counter.advance_to(2.5)
 
 
-# -- (d) a reader thread beside the owners ---------------------------------------------
-
-class TestThreadsContract:
-    def test_concurrent_reads_lose_and_duplicate_nothing(self):
-        bound, messages = 8, 3000
-        kernel = ParallelKernel(workers=3, timeout=60.0)
-        kernel.metrics = MetricsRegistry(
-            locked=True, origin="worker-thread", histogram_bound=bound)
-        longest = []
-
-        class Relay(Process):
-            def handle(self, message, sender):
-                longest.append(len(self._observed))
-                if message > 0:
-                    self.send(self.peers()[0], message - 1)
-
-        ring = [Relay(kernel, f"r{i}") for i in range(3)]
-        for i, node in enumerate(ring):
-            node.connect(ring[(i + 1) % 3])
-        kernel.schedule(0.0, ring[0].send, "r1", messages - 1)
-
-        stop = threading.Event()
-        reads, failures = [], []
-
-        def reader():
-            try:
-                while not stop.is_set():
-                    dump = kernel.metrics.to_dict()
-                    reads.append(sum(
-                        s["value"] for k, s in dump.items()
-                        if k.startswith("proc_messages_handled")))
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                failures.append(exc)
-
-        thread = threading.Thread(target=reader, daemon=True)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            thread.start()
-            kernel.run()
-        finally:
-            stop.set()
-            thread.join(timeout=30.0)
-            sys.setswitchinterval(interval)
-        assert not thread.is_alive() and not failures
-        assert reads == sorted(reads) and len(reads) > 1  # totals never fall
-
-        registry = kernel.metrics
-        handled = [registry.value("proc_messages_handled", process=n.name)
-                   for n in ring]
-        assert sum(handled) == messages == sum(n.messages_handled for n in ring)
-        sent = sum(m.value for m in registry.family("chan_messages_sent"))
-        assert sent == messages
-        for node, count in zip(ring, handled):
-            for name in ("proc_queue_wait", "proc_service_time"):
-                histogram = registry.get(name, process=node.name)
-                assert histogram.count == count
-                assert len(histogram.values()) == bound
-            assert not node._observed
-        # The owner publishes a full buffer before it handles the message:
-        # never more than ``bound`` (wait, service) pairs, reader or not.
-        assert max(longest) < 2 * bound
-
-    def test_thread_safe_trace_stores_the_same_flat_records(self):
-        plain, safe = Trace(), ThreadSafeTrace()
-        for trace in (plain, safe):
-            trace.kinds = ("a", "b")
-            trace.record(1.0, "a", "p", x=1, y=(2, 3))
-            trace.record(2.0, "c", "p", dropped=True)
-            trace.record_fields(3.0, "b", "q", ())
-            trace.record_fields(4.0, "a", "q", ("to", "message"), "m", "M")
-            trace.record_fields(5.0, "c", "q", ("n",), 5)
-        assert safe._pending == plain._pending == [
-            1.0, "a", "p", "x", "y", 1, (2, 3),
-            3.0, "b", "q",
-            4.0, "a", "q", "to", "message", "m", "M"]
-        assert safe._starts == plain._starts == array("q", [0, 7, 10])
-        assert safe._pending_kinds == plain._pending_kinds == ["a", "b", "a"]
-        assert list(safe) == list(plain)
-
-
-# -- (e) flat trace records ---------------------------------------------------------
+# -- (d) flat trace records ---------------------------------------------------------
 
 DETAILS = [
     {},
@@ -494,10 +408,7 @@ class TestFlatRecords:
 
     @pytest.mark.parametrize("trace_type, entry", [
         pytest.param(Trace, "record", id="Trace"),
-        pytest.param(ThreadSafeTrace, "record", id="ThreadSafeTrace"),
         pytest.param(Trace, "record_fields", id="Trace-record_fields"),
-        pytest.param(ThreadSafeTrace, "record_fields",
-                     id="ThreadSafeTrace-record_fields"),
     ])
     def test_round_trip(self, trace_type, entry):
         trace, oracle = self.recorded(trace_type, entry)
@@ -589,7 +500,7 @@ class TestFlatRecords:
         assert len(trace) == 20_002
 
 
-# -- (f) what a run leaves behind, counted -----------------------------------------
+# -- (e) what a run leaves behind, counted -----------------------------------------
 
 class TestAllocations:
     def test_example_2_adds_at_most_20_tracked_objects_an_update(self):

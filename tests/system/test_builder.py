@@ -41,6 +41,14 @@ class TestConfigValidation:
         SystemConfig()
 
     @pytest.mark.parametrize(
+        "field", ["runtime", "workers", "mailbox_capacity", "runtime_timeout"]
+    )
+    def test_removed_runtime_fields_are_unknown_keywords(self, field):
+        # the DES kernel is the one runtime: no field, alias or shim is left
+        with pytest.raises(TypeError, match=field):
+            SystemConfig(**{field: 1})
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"manager_kind": "psychic"},
@@ -159,25 +167,14 @@ class TestRegistries:
 
 
     def test_what_a_manager_needs_is_read_off_its_class(self, monkeypatch):
-        """Timers and block markers are declared by the manager class: a
-        kind registered under any name gets the clock rule and the
-        integrator's markers that ``periodic`` / ``complete-n`` get."""
-
-        class TickingManager(StrongViewManager):
-            kind = "ticking"
-            needs_virtual_timers = True
+        """Block markers are declared by the manager class: a kind
+        registered under any name gets the integrator's markers that
+        ``complete-n`` gets."""
 
         class BlockwiseManager(CompleteNViewManager):
             kind = "blockwise"
 
-        monkeypatch.setitem(MANAGERS, "ticking", TickingManager)
         monkeypatch.setitem(MANAGERS, "blockwise", BlockwiseManager)
-        SystemConfig(manager_kinds={"V1": "ticking"})
-        with pytest.raises(ReproError, match="re-arm virtual timers"):
-            SystemConfig(manager_kinds={"V1": "ticking"}, runtime="threads")
-        assert {
-            kind for kind, cls in MANAGERS.items() if cls.needs_virtual_timers
-        } == {"periodic", "ticking"}
 
         def integrator(**kwargs):
             config = SystemConfig(block_size=4, **kwargs)

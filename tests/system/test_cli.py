@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -20,6 +21,13 @@ class TestParser:
     def test_bad_choice_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--manager", "psychic"])
+
+    @pytest.mark.parametrize("flag", ["--runtime", "--workers"])
+    @pytest.mark.parametrize("command", ["run", "inspect", "top", "sweep"])
+    def test_removed_runtime_flags_are_unknown(self, command, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, flag, "2"])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestDemo:
@@ -140,3 +148,53 @@ class TestTraceReaders:
         out = capsys.readouterr().out
         for kind in self.HOP_CHAIN:
             assert f" {kind} " in out, kind
+
+
+class TestLiveView:
+    """``inspect --live`` and ``top`` render between bounded slices of
+    the run; the slicing must not change where the run ends."""
+
+    @staticmethod
+    def systems(monkeypatch) -> list:
+        built = []
+        build = cli._build_system
+
+        def keep(args):
+            built.append(build(args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_build_system", keep)
+        return built
+
+    def test_inspect_live_ends_where_a_plain_run_ends(self, capsys,
+                                                      monkeypatch):
+        built = self.systems(monkeypatch)
+        # 43 updates leave complete-N blocks of 4 with a trailing one that
+        # only the end-of-run flush closes: a live run that skipped the
+        # flush would end elsewhere
+        flags = ["--manager", "complete-n", "--updates", "43", "--seed", "5"]
+        assert main(["inspect", "--live", "--live-interval", "1e-9",
+                     *flags]) == 0
+        live_out = capsys.readouterr().out
+        assert main(["inspect", *flags]) == 0
+        plain_out = capsys.readouterr().out
+        assert live_out.count("-- live registry @ wall") >= 2
+        assert "-- live registry" not in plain_out
+        assert live_out.split("\nschema=", 1)[1] == plain_out.split(
+            "schema=", 1)[1]
+
+        live, plain = built
+        assert live.check_mvc() == plain.check_mvc()
+        assert live.check_mvc().ok
+        for d in plain.definitions:
+            assert sorted(live.store.view(d.name).counts()) == sorted(
+                plain.store.view(d.name).counts()), d.name
+        assert live.warehouse.commits == plain.warehouse.commits
+        assert live.sim.trace.digest() == plain.sim.trace.digest()
+
+    def test_top_prints_frames_and_the_final_registry(self, capsys):
+        assert main(["top", "--interval", "1e-9", "--updates", "40",
+                     "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("-- live registry @ wall") >= 2
+        assert "-- final registry" in out

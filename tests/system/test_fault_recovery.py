@@ -12,7 +12,7 @@ either a protocol error or an MVC violation — never silently absorbed.
 import pytest
 
 from repro.cache.store import CacheConfig
-from repro.conformance.oracle import check_real_run
+from repro.conformance.oracle import check_run
 from repro.errors import ReproError
 from repro.faults import CrashSpec, FaultPlan
 from repro.sources.update import Update
@@ -284,23 +284,19 @@ class TestCachedRecovery:
             system.close()
 
 
-class TestThreadsRuntimeCrash:
-    """Crash/restart on the wall-clock runtime (the latent PR-1 gap: only
-    merge checkpoints were covered, and only under DES).
+class TestCrashBetweenRuns:
+    """Crash/restart driven directly between two ``run()`` calls, with no
+    fault plan: the kernel is idle then, which is when a real deployment
+    would observe a dead process, and the full history-level oracle
+    judges the result."""
 
-    Parallel runtimes reject fault plans (no virtual-time timers), so the
-    crash is driven directly between ``run()`` calls — the kernel is
-    single-threaded then, which is exactly when a real deployment would
-    observe a dead worker — and the full history-level oracle judges the
-    result."""
-
-    def _threads_system(self, cache, seed=7, updates=24):
+    def _split_system(self, cache, seed=7, updates=24):
         world = paper_world()
         system = WarehouseSystem(
             world, paper_views_example1(),
             SystemConfig(
-                manager_kind="complete", seed=seed, runtime="threads",
-                workers=2, cache=CacheConfig() if cache else None,
+                manager_kind="complete", seed=seed,
+                cache=CacheConfig() if cache else None,
             ),
         )
         spec = WorkloadSpec(updates=updates, rate=2.0, seed=seed,
@@ -309,39 +305,43 @@ class TestThreadsRuntimeCrash:
         half = len(stream) // 2
         return system, stream[:half], stream[half:]
 
+    @staticmethod
+    def _resume(system, stream):
+        """Post ``stream`` shifted to start one time unit after the clock
+        the first drain left behind."""
+        start = stream[0][0] - system.sim.now - 1.0
+        post_stream(system, [(time - start, txn) for time, txn in stream])
+
     @pytest.mark.parametrize("cache", [False, True], ids=["replay", "cached"])
     def test_view_manager_crash_between_runs(self, cache):
-        system, first, second = self._threads_system(cache)
+        system, first, second = self._split_system(cache)
         try:
             post_stream(system, first)
             system.run()
             vm = system.process_by_name("vm:V1")
             vm.crash()
             vm.restart()
-            post_stream(system, second)
+            self._resume(system, second)
             system.run()
             assert vm.crashes == 1
             if cache:
                 assert vm.cache_restores == 1
-            report = check_real_run(system)
-            assert report.ok, [str(v) for v in report.violations]
-            assert report.runtime == "threads"
+            assert check_run(system) == []
         finally:
             system.close()
 
     def test_merge_crash_between_runs_with_cache(self):
-        system, first, second = self._threads_system(cache=True)
+        system, first, second = self._split_system(cache=True)
         try:
             post_stream(system, first)
             system.run()
             merge = system.merge_processes[0]
             merge.crash()
             merge.restart()
-            post_stream(system, second)
+            self._resume(system, second)
             system.run()
             assert merge.crashes == 1
             assert merge.cache_restores == 1
-            report = check_real_run(system)
-            assert report.ok, [str(v) for v in report.violations]
+            assert check_run(system) == []
         finally:
             system.close()

@@ -129,7 +129,7 @@ print(json.dumps(stages))
 OPT_IN = (
     "repro.conformance", "repro.cache", "repro.faults", "repro.obs.export",
     "repro.obs.promexport", "repro.obs.lineage", "repro.obs.freshness",
-    "repro.runtime.parallel", "repro.system.sweeps", "repro.system.metrics",
+    "repro.system.sweeps", "repro.system.metrics",
     "repro.consistency",
 )
 
@@ -181,11 +181,7 @@ class TestWhatARunImports:
         ("",
          "freshness_tick=1.0",
          "repro.obs.freshness"),
-
-        ("",
-         "runtime='threads', workers=2",
-         "repro.runtime.parallel"),
-    ], ids=["cache", "fault_plan", "slo", "freshness_tick", "runtime"])
+    ], ids=["cache", "fault_plan", "slo", "freshness_tick"])
     def test_an_opt_in_field_loads_its_module(
         self, default_run, setup, fields, module
     ):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Check that repository documentation references resolve.
 
-Scans every tracked ``*.md`` file and verifies ten kinds of reference:
+Scans every tracked ``*.md`` file and verifies nine kinds of reference:
 
 * **markdown links** — each relative ``[text](target)`` must point at an
   existing file (anchors and external ``http(s)``/``mailto`` links are
@@ -36,10 +36,6 @@ Scans every tracked ``*.md`` file and verifies ten kinds of reference:
   ``EXPERIMENTS.md``, every keyword written inside a ``SystemConfig(...)``
   call, in prose or in a fenced block, must be a field of the live
   dataclass, so a removed or renamed knob can't survive in the docs;
-* **runtime names** — in those documents, every ``--runtime X`` and
-  ``runtime="X"`` (alternatives as ``"X"|"Y"`` included) must be a key of
-  ``repro.runtime.RUNTIMES``, so the docs can't offer a runtime that is
-  gone;
 * **trace kinds** — every kind in the kinds table of
   ``docs/observability.md`` (the table headed ``| kind |``) must be passed
   as a string literal to some ``trace(``, ``record(`` or
@@ -90,12 +86,6 @@ NOT_OURS = frozenset({"ProcessRow", "ApplyRows", "Sales"})
 #: the start of a configuration call, and a keyword at an argument's start
 _CONFIG_CALL = re.compile(r"\bSystemConfig\(")
 _KEYWORD = re.compile(r"\s*(\w+)\s*=(?!=)")
-#: a runtime asked for: the CLI flag, or the configuration keyword with
-#: one quoted name or several joined by ``|``
-_RUNTIME_FLAG = re.compile(r"--runtime[ =]([a-z]\w*)")
-_RUNTIME_KEYWORD = re.compile(
-    r"""\bruntime\s*=\s*((?:["']\w+["'])(?:\s*\|\s*["']\w+["'])*)"""
-)
 #: the document holding the trace kinds table, and the calls that record
 TRACE_KINDS_DOC = Path("docs") / "observability.md"
 _TRACE_CALLS = frozenset({"trace", "record", "record_fields"})
@@ -329,23 +319,6 @@ def unknown_config_keywords(
     return unknown
 
 
-def unknown_runtime_names(
-    text: str, runtimes: tuple[str, ...]
-) -> list[tuple[int, str]]:
-    """``--runtime X`` / ``runtime="X"`` mentions naming no runtime."""
-    unknown = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        names = _RUNTIME_FLAG.findall(line)
-        for quoted in _RUNTIME_KEYWORD.findall(line):
-            names += re.findall(r"\w+", quoted)
-        unknown += [
-            (lineno, f"unknown runtime -> {name} (valid: {', '.join(runtimes)})")
-            for name in names
-            if name not in runtimes
-        ]
-    return unknown
-
-
 def emitted_trace_kinds(src: Path) -> frozenset[str]:
     """String literals passed to a recording call anywhere under ``src``."""
     kinds = set()
@@ -436,7 +409,6 @@ def main() -> int:
     defined = defined_names()
     emitted = emitted_trace_kinds(root / "src")
     metrics = metric_names(root)
-    from repro.runtime import RUNTIMES
 
     failures = 0
     checked = 0
@@ -448,9 +420,7 @@ def main() -> int:
             broken += unknown_members(path.read_text(), defined)
             broken += unresolved_short_paths(path.read_text(), metrics)
         if config_checked(path, root):
-            text = path.read_text()
-            broken += unknown_config_keywords(text, fields)
-            broken += unknown_runtime_names(text, tuple(RUNTIMES))
+            broken += unknown_config_keywords(path.read_text(), fields)
         if path == root / TRACE_KINDS_DOC:
             broken += unemitted_trace_kinds(path.read_text(), emitted)
         for lineno, message in sorted(broken):
@@ -460,7 +430,7 @@ def main() -> int:
         print(f"\n{failures} broken reference(s) across {checked} markdown files")
         return 1
     print(f"ok: all links, src/ paths, CLI commands, dotted, bare and short names, "
-          f"class members, SystemConfig fields, runtime names and trace kinds resolve "
+          f"class members, SystemConfig fields and trace kinds resolve "
           f"({checked} markdown files)")
     return 0
 
