@@ -65,29 +65,8 @@ from repro.system.config import (
     manager_class,
 )
 from repro.viewmgr.actions import ActionList
-from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
-from repro.workloads.schemas import (
-    bank_views,
-    bank_world,
-    clustered_views,
-    clustered_world,
-    paper_views_example1,
-    paper_views_example2,
-    paper_views_example3,
-    paper_world,
-    star_views,
-    star_world,
-)
-
-SCHEMAS = {
-    "paper": lambda: (paper_world(), paper_views_example2()),
-    "paper-ex1": lambda: (paper_world(), paper_views_example1()),
-    "paper-ex3": lambda: (paper_world(), paper_views_example3()),
-    "bank": lambda: (bank_world(customers=8), bank_views()),
-    "star": lambda: (star_world(), star_views()),
-    "star-agg": lambda: (star_world(), star_views(aggregates=True)),
-    "clustered": lambda: (clustered_world(3), clustered_views(3)),
-}
+from repro.workloads.generator import WorkloadSpec
+from repro.workloads.schemas import SCHEMAS, paper_views_example1, paper_world
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -190,8 +169,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.system.sweeps import format_sweep, sweep
 
-    world_factory = lambda: SCHEMAS[args.schema]()[0]  # noqa: E731
-    views_factory = lambda: SCHEMAS[args.schema]()[1]  # noqa: E731
     variants = {}
     for kind in args.variants.split(","):
         kind = kind.strip()
@@ -199,18 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             manager_class(kind)
         except ReproError as error:
             raise SystemExit(str(error)) from None
-        variants[kind] = SystemConfig(
-            manager_kind=kind,
-            seed=args.seed,
-            **({"trace_kinds": None} if args.trace_out else {}),
-        )
-    spec = WorkloadSpec(
-        updates=args.updates,
-        rate=args.rate,
-        seed=args.seed,
-        mix=(0.6, 0.2, 0.2),
-        arrivals="poisson",
-    )
+        variants[kind] = {"manager_kind": kind}
     on_system = None
     if args.trace_out:
         from pathlib import Path
@@ -225,8 +191,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             write_trace(system.sim.trace, path)
             print(f"trace ({name}): {path}")
 
-    rows = sweep(world_factory, views_factory, spec, variants,
-                 on_system=on_system)
+    rows = sweep(_scenario(args), variants, args.seed, on_system=on_system,
+                 **({"trace_kinds": None} if args.trace_out else {}))
     print(f"schema={args.schema}  updates={args.updates}  rate={args.rate}")
     print(format_sweep(rows))
     return 0 if all(r.verified for r in rows) else 1
@@ -234,28 +200,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _slo_from_flags(args: argparse.Namespace):
     """A SloPolicy from --slo-* flags, or None when none are set."""
-    staleness = getattr(args, "slo_staleness", None)
-    queue = getattr(args, "slo_queue", None)
-    vut = getattr(args, "slo_vut", None)
-    if staleness is None and queue is None and vut is None:
+    if args.slo_staleness is None and args.slo_queue is None \
+            and args.slo_vut is None:
         return None
     from repro.obs.freshness import SloPolicy
 
-    return SloPolicy(
-        max_staleness=staleness, max_queue_depth=queue, max_vut=vut
+    return SloPolicy(max_staleness=args.slo_staleness,
+                     max_queue_depth=args.slo_queue, max_vut=args.slo_vut)
+
+
+def _scenario(args: argparse.Namespace, **config: object):
+    """The scenario the schema and workload flags describe: one fixed
+    stream seeded by ``--seed``, FIFO tie-breaks, ``config`` overrides."""
+    from repro.conformance.scenario import ScenarioSpec
+
+    return ScenarioSpec(
+        schema=args.schema,
+        views=getattr(args, "views_file", None) or 0,
+        workload=WorkloadSpec(updates=args.updates, rate=args.rate,
+                              seed=args.seed, arrivals="poisson"),
+        vary_workload=False,
+        config=config,
+        scheduler="fifo",
     )
 
 
 def _build_system(args: argparse.Namespace) -> WarehouseSystem:
-    """Assemble one loaded (not yet run) system from run/inspect flags."""
-    world, views = SCHEMAS[args.schema]()
-    if getattr(args, "views_file", None):
-        from repro.relational.catalog import load_views
-
-        views = load_views(args.views_file)
-    # lineage (inspect) and an exported trace read every kind
-    reads_trace = args.command == "inspect" or getattr(args, "trace_out", None)
-    config = SystemConfig(
+    """Assemble one loaded (not yet run) system from run/inspect/top flags."""
+    spec = _scenario(
+        args,
         manager_kind=args.manager,
         merge_algorithm=args.algorithm,
         submission_policy=args.policy,
@@ -264,29 +237,16 @@ def _build_system(args: argparse.Namespace) -> WarehouseSystem:
         use_selection_filtering=args.filtering,
         warehouse_executors=args.executors,
         merge_message_cost=args.merge_cost,
-        seed=args.seed,
-        freshness_tick=getattr(args, "freshness_tick", None),
+    )
+    # lineage (inspect) and an exported trace read every kind
+    reads_trace = args.command == "inspect" or args.trace_out
+    return spec.build(
+        args.seed,
+        freshness_tick=args.freshness_tick,
         slo=_slo_from_flags(args),
-        profile_plans=getattr(args, "profile", False),
+        profile_plans=args.profile,
         **({"trace_kinds": None} if reads_trace else {}),
     )
-    spec = WorkloadSpec(
-        updates=args.updates,
-        rate=args.rate,
-        seed=args.seed,
-        mix=(0.6, 0.2, 0.2),
-        arrivals="poisson",
-    )
-    system = WarehouseSystem(world, views, config)
-    post_stream(system, UpdateStreamGenerator(world, spec).transactions())
-    return system
-
-
-def _build_and_run(args: argparse.Namespace) -> WarehouseSystem:
-    """Assemble + drive one system from run/inspect-style flags."""
-    system = _build_system(args)
-    system.run()
-    return system
 
 
 def _format_top(registry, prefix: str = "") -> str:
@@ -363,14 +323,13 @@ def _finish_telemetry_output(system: WarehouseSystem,
         print(system.monitor.format())
         if system.monitor.breaches:
             exit_code = 2
-    if getattr(args, "profile", False):
+    if args.profile:
         print("\nplan profile (heaviest nodes first):")
         print(system.profile_report())
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
+    if args.metrics_out:
         from repro.obs import write_metrics
 
-        written = write_metrics(system.sim.metrics, metrics_out)
+        written = write_metrics(system.sim.metrics, args.metrics_out)
         print(f"metrics: {written}")
     return exit_code
 
@@ -384,7 +343,8 @@ def _write_trace_out(system: WarehouseSystem, path: str | None) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    system = _build_and_run(args)
+    system = _build_system(args)
+    system.run()
     metrics = system.metrics()
     print(f"schema={args.schema} views={len(system.definitions)} "
           f"manager={args.manager} merge x{len(system.merge_processes)} "
@@ -416,11 +376,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.obs import Lineage
 
-    if getattr(args, "live", False):
-        system = _build_system(args)
+    system = _build_system(args)
+    if args.live:
         _run_live(system, args.live_interval)
     else:
-        system = _build_and_run(args)
+        system.run()
     lineage = Lineage.from_system(system)
     print(f"schema={args.schema} manager={args.manager} "
           f"updates={args.updates} rate={args.rate} seed={args.seed}")
@@ -475,6 +435,19 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def add_scenario_flags(p: argparse.ArgumentParser, updates: int) -> None:
+    """The flags every scenario-building command shares (``run``,
+    ``inspect``, ``top``, ``conformance explore``)."""
+    p.add_argument("--schema", choices=sorted(SCHEMAS), default="paper")
+    p.add_argument("--manager", choices=MANAGER_KINDS, default="complete")
+    p.add_argument("--algorithm", choices=MERGE_ALGORITHMS, default="auto")
+    p.add_argument("--policy", choices=SUBMISSION_POLICIES,
+                   default="dependency-sequenced")
+    p.add_argument("--merges", type=int, default=1)
+    p.add_argument("--updates", type=int, default=updates)
+    p.add_argument("--rate", type=float, default=2.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -490,17 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_system_flags(p: argparse.ArgumentParser,
                          updates: int = 100) -> None:
-        p.add_argument("--schema", choices=sorted(SCHEMAS), default="paper")
-        p.add_argument("--manager", choices=MANAGER_KINDS, default="complete")
-        p.add_argument("--algorithm", choices=MERGE_ALGORITHMS, default="auto")
-        p.add_argument("--policy", choices=SUBMISSION_POLICIES,
-                       default="dependency-sequenced")
+        add_scenario_flags(p, updates)
         p.add_argument("--mode", choices=MANAGER_MODES, default="cached")
-        p.add_argument("--merges", type=int, default=1)
         p.add_argument("--executors", type=int, default=1)
         p.add_argument("--merge-cost", type=float, default=0.0)
-        p.add_argument("--updates", type=int, default=updates)
-        p.add_argument("--rate", type=float, default=2.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--filtering", action="store_true",
                        help="enable selection-condition relevance filtering")
@@ -606,25 +572,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "demo": _cmd_demo,
+    "trace": _cmd_trace,
+    "run": _cmd_run,
+    "sweep": _cmd_sweep,
+    "inspect": _cmd_inspect,
+    "top": _cmd_top,
+    "cache": _cmd_cache,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "demo":
-        return _cmd_demo(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "inspect":
-        return _cmd_inspect(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
     if args.command == "conformance":
         from repro.conformance.cli import dispatch
 
         return dispatch(args)
-    return _cmd_run(args)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,8 +5,9 @@ a single deterministic run only witnesses one interleaving.  This package
 turns the simulator into a model checker (in the Jepsen/TLC tradition):
 
 * :mod:`~repro.conformance.scenario` — :class:`ScenarioSpec`, a
-  JSON-serializable description of one configuration under test (world,
-  views, workload, fleet, merge algorithm, faults, scheduler kind);
+  JSON-serializable description of one configuration under test (a
+  schema, a ``WorkloadSpec``, ``SystemConfig`` overrides and a scheduler
+  kind), and the one place a run is assembled;
 * :mod:`~repro.conformance.oracle` — what each configuration promises
   (per view, per pair, fleet-wide) and whether a finished run kept it;
 * :mod:`~repro.conformance.explorer` — drive many seeded runs, turn
@@ -43,12 +44,11 @@ from repro.conformance.oracle import (
     effective_view_levels,
     fleet_expected_level,
 )
-from repro.conformance.scenario import SCENARIO_SCHEMAS, ScenarioSpec
+from repro.conformance.scenario import ScenarioSpec
 from repro.conformance.shrink import ddmin
 
 __all__ = [
     "GUARANTEE_MATRIX",
-    "SCENARIO_SCHEMAS",
     "Explorer",
     "Finding",
     "MatrixResult",

@@ -19,15 +19,11 @@ import argparse
 
 from repro.conformance.explorer import Explorer, Reproducer, replay
 from repro.conformance.matrix import run_matrix
-from repro.conformance.scenario import SCENARIO_SCHEMAS, ScenarioSpec
+from repro.conformance.scenario import SCHEDULER_KINDS, ScenarioSpec
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
-from repro.system.config import (
-    MANAGER_KINDS,
-    MERGE_ALGORITHMS,
-    SUBMISSION_POLICIES,
-    manager_class,
-)
+from repro.system.config import manager_class
+from repro.workloads.generator import WorkloadSpec
 
 
 def parse_fleet(text: str) -> dict[str, str]:
@@ -73,21 +69,30 @@ def parse_faults(text: str) -> FaultPlan:
 
 
 def spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
-    return ScenarioSpec(
-        schema=args.schema,
-        views=args.views,
-        updates=args.updates,
-        rate=args.rate,
-        multi_update_fraction=args.multi_update,
-        workload_seed=args.workload_seed,
-        vary_workload=not args.pin_workload,
+    """The scenario the ``explore`` flags describe."""
+    config = dict(
         manager_kind=args.manager,
-        manager_kinds=parse_fleet(args.managers) if args.managers else {},
         merge_algorithm=args.algorithm,
         merge_groups=args.merges,
         submission_policy=args.policy,
         refresh_period=args.refresh_period,
-        fault_plan=parse_faults(args.faults) if args.faults else None,
+    )
+    if args.managers:
+        config["manager_kinds"] = parse_fleet(args.managers)
+    if args.faults:
+        config["fault_plan"] = parse_faults(args.faults)
+    return ScenarioSpec(
+        schema=args.schema,
+        views=args.views,
+        workload=WorkloadSpec(
+            updates=args.updates,
+            rate=args.rate,
+            multi_update_fraction=args.multi_update,
+            arrivals="poisson",
+            seed=args.workload_seed,
+        ),
+        vary_workload=not args.pin_workload,
+        config=config,
         scheduler=args.scheduler,
         delay_rate=args.delay_rate,
         max_delay=args.max_delay,
@@ -166,6 +171,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def add_conformance_parser(sub: argparse._SubParsersAction) -> None:
     """Attach the ``conformance`` subcommand tree to the main CLI."""
+    from repro.cli import add_scenario_flags
+
     conf = sub.add_parser(
         "conformance",
         help="schedule-exploration conformance engine (hunt/shrink/replay)",
@@ -175,22 +182,12 @@ def add_conformance_parser(sub: argparse._SubParsersAction) -> None:
     explore = csub.add_parser(
         "explore", help="hunt a configuration's seed space for violations"
     )
-    explore.add_argument("--schema", choices=sorted(SCENARIO_SCHEMAS),
-                         default="paper")
+    add_scenario_flags(explore, updates=12)
     explore.add_argument("--views", type=int, default=0,
                          help="use only the first N views (0 = all)")
-    explore.add_argument("--manager", choices=MANAGER_KINDS,
-                         default="complete")
     explore.add_argument("--managers", default=None, metavar="V=KIND,...",
                          help="per-view manager kinds (mixed fleets)")
-    explore.add_argument("--algorithm", choices=MERGE_ALGORITHMS,
-                         default="auto")
-    explore.add_argument("--policy", choices=SUBMISSION_POLICIES,
-                         default="dependency-sequenced")
-    explore.add_argument("--merges", type=int, default=1)
     explore.add_argument("--refresh-period", type=float, default=15.0)
-    explore.add_argument("--updates", type=int, default=12)
-    explore.add_argument("--rate", type=float, default=2.0)
     explore.add_argument("--multi-update", type=float, default=0.2,
                          metavar="FRAC",
                          help="fraction of multi-update transactions")
@@ -198,7 +195,7 @@ def add_conformance_parser(sub: argparse._SubParsersAction) -> None:
     explore.add_argument("--pin-workload", action="store_true",
                          help="same update stream every run "
                          "(search interleavings only)")
-    explore.add_argument("--scheduler", choices=("fifo", "random", "delay"),
+    explore.add_argument("--scheduler", choices=SCHEDULER_KINDS,
                          default="delay")
     explore.add_argument("--delay-rate", type=float, default=0.15)
     explore.add_argument("--max-delay", type=float, default=3.0)
@@ -231,11 +228,8 @@ def add_conformance_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def dispatch(args: argparse.Namespace) -> int:
-    if args.conformance_command == "explore":
-        return _cmd_explore(args)
-    if args.conformance_command == "replay":
-        return _cmd_replay(args)
-    return _cmd_matrix(args)
+    commands = {"explore": _cmd_explore, "replay": _cmd_replay, "matrix": _cmd_matrix}
+    return commands[args.conformance_command](args)
 
 
 __all__ = [

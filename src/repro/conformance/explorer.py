@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.conformance.oracle import Violation, check_run, check_run_at
-from repro.conformance.scenario import ScenarioSpec
+from repro.conformance.scenario import ScenarioSpec, decode, encode
 from repro.conformance.shrink import ddmin
 from repro.errors import ReproError
 from repro.sim.scheduler import DelayInjectingScheduler, Perturbation
 
-REPRODUCER_FORMAT = "mvc-conformance-repro/1"
+REPRODUCER_FORMAT = "mvc-conformance-repro/2"
 
 
 @dataclass
@@ -78,19 +78,7 @@ class Reproducer:
         return ScenarioSpec.from_dict(self.scenario)
 
     def to_dict(self) -> dict:
-        return {
-            "format": self.format,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "perturbations": (
-                None
-                if self.perturbations is None
-                else [p.to_dict() for p in self.perturbations]
-            ),
-            "violation": self.violation,
-            "trace_sha256": self.trace_sha256,
-            "level": self.level,
-        }
+        return encode(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -102,19 +90,7 @@ class Reproducer:
                 f"unknown reproducer format {data.get('format')!r} "
                 f"(expected {REPRODUCER_FORMAT})"
             )
-        perts = data.get("perturbations")
-        return cls(
-            scenario=data["scenario"],
-            seed=int(data["seed"]),
-            perturbations=(
-                None
-                if perts is None
-                else [Perturbation.from_dict(p) for p in perts]
-            ),
-            violation=dict(data["violation"]),
-            trace_sha256=data["trace_sha256"],
-            level=data.get("level"),
-        )
+        return decode(cls, data)
 
     @classmethod
     def from_json(cls, text: str) -> "Reproducer":
@@ -170,7 +146,8 @@ class Explorer:
     def execute(self, seed: int, scheduler=None) -> RunResult:
         """Build + run + check one seed; exceptions become violations."""
         self.runs_executed += 1
-        system = self.spec.build(run_seed=seed, scheduler=scheduler)
+        # every kind is recorded: the run's identity is its trace digest
+        system = self.spec.build(seed, scheduler, trace_kinds=None)
         used = system.sim.scheduler
         try:
             try:

@@ -21,9 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.cache.store import CacheConfig
 from repro.conformance.explorer import Explorer, Finding, Reproducer, replay
-from repro.conformance.scenario import ScenarioSpec
+from repro.conformance.scenario import SCENARIO_CONFIG, ScenarioSpec
 from repro.faults.plan import CrashSpec, FaultPlan
+from repro.workloads.generator import WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -42,17 +44,19 @@ class MatrixRow:
             raise ValueError(f"row {self.name!r}: violates rows need check_level")
 
 
-def _row_spec(**overrides) -> ScenarioSpec:
-    base = dict(
-        schema="paper",
-        updates=12,
-        rate=2.0,
-        mix=(0.7, 0.15, 0.15),
-        multi_update_fraction=0.2,
-        scheduler="delay",
+def _row_spec(schema: str = "paper", updates: int = 12, **config) -> ScenarioSpec:
+    """A row's scenario: ``updates`` updates over ``schema`` under ``config``."""
+    return ScenarioSpec(
+        schema=schema,
+        workload=WorkloadSpec(
+            updates=updates,
+            rate=2.0,
+            mix=(0.7, 0.15, 0.15),
+            multi_update_fraction=0.2,
+            arrivals="poisson",
+        ),
+        config={**SCENARIO_CONFIG, **config},
     )
-    base.update(overrides)
-    return ScenarioSpec(**base)
 
 
 GUARANTEE_MATRIX: tuple[MatrixRow, ...] = (
@@ -154,7 +158,7 @@ GUARANTEE_MATRIX: tuple[MatrixRow, ...] = (
         _row_spec(
             manager_kind="complete",
             merge_algorithm="spa",
-            cache=True,
+            cache=CacheConfig(),
             fault_plan=FaultPlan(
                 seed=11,
                 crashes=(
@@ -170,7 +174,7 @@ GUARANTEE_MATRIX: tuple[MatrixRow, ...] = (
         _row_spec(
             manager_kind="complete",
             merge_algorithm="spa",
-            cache=True,
+            cache=CacheConfig(),
             fault_plan=FaultPlan(
                 seed=13,
                 drop_rate=0.05,
@@ -189,8 +193,7 @@ GUARANTEE_MATRIX: tuple[MatrixRow, ...] = (
         _row_spec(
             manager_kind="complete",
             merge_algorithm="spa",
-            cache=True,
-            cache_stale_refs=True,
+            cache=CacheConfig(stale_refs=True),
             fault_plan=FaultPlan(
                 seed=19,
                 crashes=(CrashSpec("vm:V1", at=5.0, restart_after=2.0),),
@@ -208,6 +211,22 @@ GUARANTEE_MATRIX: tuple[MatrixRow, ...] = (
     MatrixRow(
         "periodic-fleet-breaks-complete",
         _row_spec(manager_kind="periodic", refresh_period=15.0),
+        "violates",
+        check_level="complete",
+    ),
+    # The §4.3 hazard: eager submission orders nothing, so on several
+    # warehouse executors a later transaction commits before an earlier
+    # one it depends on.  Such a fleet promises nothing; the row shows
+    # that a run of it is not complete.  The warehouse overlaps
+    # transactions only under load, hence the longer stream.
+    MatrixRow(
+        "eager-concurrent-executors-breaks",
+        _row_spec(
+            updates=30,
+            manager_kind="complete",
+            submission_policy="eager",
+            warehouse_executors=3,
+        ),
         "violates",
         check_level="complete",
     ),

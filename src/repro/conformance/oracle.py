@@ -52,13 +52,11 @@ class Violation:
 def effective_view_levels(system: WarehouseSystem) -> dict[str, str | None]:
     """Per view: the weaker of its manager's and merge process's promise."""
     levels: dict[str, str | None] = {}
+    executors = system.config.warehouse_executors
     for view, manager in system.view_managers.items():
-        promised = client_level(manager.level)
-        if promised is not None:
-            merge = system._merge_by_name(system.view_to_merge[view])
-            delivered = delivered_level(merge.algorithm, merge.policy)
-            promised = weakest_level((promised, delivered))
-        levels[view] = promised
+        merge = system._merge_by_name(system.view_to_merge[view])
+        delivered = delivered_level(merge.algorithm, merge.policy, executors)
+        levels[view] = client_level(weakest_level((manager.level, delivered)))
     return levels
 
 

@@ -1,31 +1,36 @@
-"""Scenario specifications: one JSON-serializable description per hunt.
+"""Scenario specifications: one serialisable description per run.
 
-A :class:`ScenarioSpec` fixes everything about a conformance run *except*
-the schedule: the source world and view suite, the workload, the
-view-manager fleet, the merge algorithm and submission policy, and an
-optional fault plan.  The :class:`~repro.conformance.explorer.Explorer`
-then drives many seeded runs of the same spec, each with a differently
-seeded scheduler, searching for an interleaving that violates the
-configuration's advertised consistency level.
+A :class:`ScenarioSpec` is a thin wrapper over the objects a run is made
+of: a named schema (the source world and its view suite), a
+:class:`~repro.workloads.generator.WorkloadSpec`, a mapping of
+:class:`~repro.system.config.SystemConfig` keyword overrides, and the
+scheduler the explorer perturbs each run with.  :meth:`ScenarioSpec.build`
+is the one place a run is assembled: the CLI's ``run`` / ``inspect`` /
+``top`` / ``sweep``, :func:`repro.system.sweeps.sweep` and the
+:class:`~repro.conformance.explorer.Explorer` all build through it.
 
-Serialization is part of the contract: a spec round-trips through JSON so
+Serialisation is part of the contract: a spec round-trips through JSON so
 a found-and-shrunk violation can be stored as a standalone reproducer
 file and re-executed later with ``python -m repro conformance replay``.
+One codec (:func:`encode` / :func:`decode`) carries every dataclass a
+spec holds; a value it cannot carry raises instead of being dropped.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from importlib import import_module
+from typing import Mapping
 
 from repro.cache.store import CacheConfig
 from repro.errors import ReproError
-from repro.faults.plan import CrashSpec, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.relational.expressions import ViewDefinition
-from repro.relational.parser import parse_view
 from repro.sim.scheduler import (
     DelayInjectingScheduler,
     Perturbation,
@@ -34,183 +39,158 @@ from repro.sim.scheduler import (
 )
 from repro.sources.world import SourceWorld
 from repro.system.builder import WarehouseSystem
-from repro.system.config import SystemConfig
+from repro.system.config import _TYPES, SystemConfig
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
-from repro.workloads.schemas import (
-    bank_views,
-    bank_world,
-    paper_views_example1,
-    paper_views_example2,
-    paper_views_example3,
-    paper_world,
-)
+from repro.workloads.schemas import SCHEMAS
 
 SCHEDULER_KINDS = ("fifo", "random", "delay")
+#: the overrides of a spec given no ``config``: periodic managers refresh
+#: inside the short exploration workloads
+SCENARIO_CONFIG: Mapping[str, object] = {"refresh_period": 15.0}
+#: the ``SystemConfig`` fields that watch a run without steering it; only
+#: :meth:`ScenarioSpec.build` sets them, never a spec
+OBSERVE_FIELDS = frozenset({"trace_kinds", "slo", "freshness_tick", "profile_plans"})
+#: what a spec may override: everything but the per-run seed, scheduler
+#: and observers
+_OVERRIDABLE = frozenset(
+    f.name for f in dataclasses.fields(SystemConfig)
+) - OBSERVE_FIELDS - {"seed", "scheduler"}
 
 
-def _paper_views_wide() -> list[ViewDefinition]:
-    """A four-view suite over the paper's relations (fleet-size sweeps)."""
-    return [
-        parse_view("V1 = SELECT * FROM R JOIN S"),
-        parse_view("V2 = SELECT * FROM S JOIN T JOIN Q"),
-        parse_view("V3 = SELECT * FROM Q"),
-        parse_view("V4 = SELECT * FROM T JOIN Q"),
-    ]
+def encode(value: object) -> object:
+    """The JSON form of ``value``: scalars, lists, string-keyed mappings and
+    dataclasses field by field (a ``WorkloadSpec``, ``FaultPlan``,
+    ``CacheConfig``, a reproducer).  Anything else is a ``ReproError`` (a
+    callable cost model, a latency model, a cache root on this host),
+    never silently dropped."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [encode(item) for item in value]
+    if isinstance(value, Mapping) and all(isinstance(key, str) for key in value):
+        return {key: encode(item) for key, item in value.items()}
+    if isinstance(value, CacheConfig) and value.root is not None:
+        raise ReproError(
+            f"cannot encode cache root {value.root!r}: a scenario's runs "
+            f"each get a private store"
+        )
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    raise ReproError(f"cannot encode {type(value).__name__} {value!r} in a scenario")
 
 
-#: schema registry: name -> (world factory, view-suite factory)
-SCENARIO_SCHEMAS: dict[
-    str, tuple[Callable[[], SourceWorld], Callable[[], list[ViewDefinition]]]
-] = {
-    "paper": (paper_world, paper_views_example2),
-    "paper-ex1": (paper_world, paper_views_example1),
-    "paper-ex3": (paper_world, paper_views_example3),
-    "paper-wide": (paper_world, _paper_views_wide),
-    "bank": (lambda: bank_world(customers=6), bank_views),
-}
+def decode(cls: type, data: object) -> object:
+    """Rebuild the dataclass ``cls`` from its :func:`encode` form.
+
+    A field annotated as a dataclass, a homogeneous tuple or list, or an
+    optional one of those is rebuilt from its JSON form; an unknown key
+    raises.
+    """
+    if not isinstance(data, Mapping):
+        raise ReproError(f"a {cls.__name__} is a JSON object, not {data!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ReproError(f"unknown {cls.__name__} fields {sorted(unknown)}")
+    return cls(**{name: _decode_as(hints[name], value) for name, value in data.items()})
 
 
-def fault_plan_to_dict(plan: FaultPlan) -> dict:
-    """A JSON-ready rendering of a :class:`FaultPlan`."""
-    return {
-        "seed": plan.seed,
-        "drop_rate": plan.drop_rate,
-        "duplicate_rate": plan.duplicate_rate,
-        "delay_spike_rate": plan.delay_spike_rate,
-        "delay_spike": plan.delay_spike,
-        "crashes": [
-            {"process": c.process, "at": c.at, "restart_after": c.restart_after}
-            for c in plan.crashes
-        ],
-        "reliable": plan.reliable,
-        "retransmit_timeout": plan.retransmit_timeout,
-        "backoff_factor": plan.backoff_factor,
-        "timeout_cap": plan.timeout_cap,
-    }
+def _decode_as(hint: object, value: object) -> object:
+    if value is None:
+        return None
+    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+        return decode(hint, value)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (tuple, list):
+        return origin(_decode_as(args[0], item) for item in value)
+    if origin in (typing.Union, types.UnionType):
+        arms = [arm for arm in args if arm is not type(None)]
+        if len(arms) == 1:
+            return _decode_as(arms[0], value)
+    return value
 
 
-def fault_plan_from_dict(data: dict) -> FaultPlan:
-    """Inverse of :func:`fault_plan_to_dict`."""
-    return FaultPlan(
-        seed=int(data.get("seed", 0)),
-        drop_rate=float(data.get("drop_rate", 0.0)),
-        duplicate_rate=float(data.get("duplicate_rate", 0.0)),
-        delay_spike_rate=float(data.get("delay_spike_rate", 0.0)),
-        delay_spike=float(data.get("delay_spike", 10.0)),
-        crashes=tuple(
-            CrashSpec(
-                process=c["process"],
-                at=float(c["at"]),
-                restart_after=float(c.get("restart_after", 5.0)),
-            )
-            for c in data.get("crashes", ())
-        ),
-        reliable=bool(data.get("reliable", True)),
-        retransmit_timeout=float(data.get("retransmit_timeout", 4.0)),
-        backoff_factor=float(data.get("backoff_factor", 2.0)),
-        timeout_cap=float(data.get("timeout_cap", 32.0)),
-    )
+def _decode_override(name: str, value: object) -> object:
+    """A config override as ``SystemConfig`` takes it: a JSON object under
+    a field that holds an object (``config.py``'s ``_TYPES``) is decoded."""
+    if name in _TYPES and isinstance(value, Mapping):
+        module, cls = _TYPES[name]
+        return decode(getattr(import_module(module), cls), value)
+    return value
 
 
 @dataclass
 class ScenarioSpec:
-    """Everything about a conformance run except the schedule seed.
+    """Everything about a run except its seed and what observes it.
 
-    ``views`` restricts the schema's view suite to its first N views
-    (0 = all), which is how the property suite sweeps fleet sizes.
+    ``views`` keeps the schema's first N views (0 = all), which is how
+    the property suite sweeps fleet sizes, or names a view catalog file
+    that replaces the schema's suite.  ``config`` holds
+    :class:`~repro.system.config.SystemConfig` keyword overrides.
     ``scheduler`` picks the exploration mode (``fifo`` | ``random`` |
-    ``delay``); the per-run seed is supplied by the explorer, not stored
-    here.  With a ``fault_plan``, each run derives a distinct fault seed
-    from the run seed so faults are explored alongside interleavings.
+    ``delay``).  The run seed seeds the scheduler and the system, the
+    fault streams of a ``fault_plan`` and, with ``vary_workload``, the
+    update stream, so one spec explores faults and workloads alongside
+    interleavings.
     """
 
     schema: str = "paper"
-    views: int = 0
-    updates: int = 20
-    rate: float = 2.0
-    mix: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    arrivals: str = "poisson"
-    multi_update_fraction: float = 0.0
-    workload_seed: int = 0
-    manager_kind: str = "complete"
-    manager_kinds: Mapping[str, str] = field(default_factory=dict)
-    manager_mode: str = "cached"
-    merge_algorithm: str = "auto"
-    merge_groups: int = 1
-    merge_router: str = "coalesce"
-    submission_policy: str = "dependency-sequenced"
-    block_size: int = 4
-    refresh_period: float = 15.0
-    use_selection_filtering: bool = False
-    warehouse_executors: int = 1
-    fault_plan: FaultPlan | None = None
-    # Content-addressed materialization cache (repro.cache): each run
-    # gets a private temp store, so these knobs explore cache-backed
-    # crash recovery rather than cross-run warm restarts.
-    # ``cache_stale_refs`` is the negative branch — checkpoint refs lag
-    # one publish, so a restart restores a valid-but-stale artifact.
-    cache: bool = False
-    cache_stale_refs: bool = False
+    views: int | str = 0
+    workload: WorkloadSpec = field(
+        default_factory=lambda: WorkloadSpec(updates=20, rate=2.0, arrivals="poisson")
+    )
+    vary_workload: bool = True
+    config: Mapping[str, object] = field(default_factory=lambda: dict(SCENARIO_CONFIG))
     scheduler: str = "delay"
     delay_rate: float = 0.15
     max_delay: float = 3.0
     reorder_rate: float = 0.15
-    # Explore the workload alongside the schedule: each run derives its
-    # update stream from the run seed (replay stays exact because the
-    # reproducer stores that seed).  Set False to pin the stream and
-    # search interleavings only.
-    vary_workload: bool = True
 
     def __post_init__(self) -> None:
-        if self.schema not in SCENARIO_SCHEMAS:
+        if self.schema not in SCHEMAS:
             raise ReproError(
-                f"unknown scenario schema {self.schema!r} "
-                f"(have: {sorted(SCENARIO_SCHEMAS)})"
+                f"unknown scenario schema {self.schema!r} (have: {sorted(SCHEMAS)})"
             )
         if self.scheduler not in SCHEDULER_KINDS:
             raise ReproError(
                 f"unknown scheduler kind {self.scheduler!r} "
                 f"(have: {SCHEDULER_KINDS})"
             )
-        if self.views < 0:
+        if isinstance(self.views, int) and self.views < 0:
             raise ReproError(f"views must be >= 0, got {self.views}")
-        self.manager_kinds = dict(self.manager_kinds)
-        self.mix = tuple(self.mix)  # type: ignore[assignment]
+        refused = set(self.config) - _OVERRIDABLE
+        if refused:
+            raise ReproError(
+                f"a scenario's config cannot set {sorted(refused)}: the seed "
+                f"and scheduler come from the run, observers from build()"
+            )
+        self.config = {
+            name: _decode_override(name, value) for name, value in self.config.items()
+        }
 
-    # -- materialization ----------------------------------------------------
+    # -- assembly ------------------------------------------------------------
     def materialize(self) -> tuple[SourceWorld, list[ViewDefinition]]:
-        """A fresh world and the (possibly truncated) view suite."""
-        world_factory, views_factory = SCENARIO_SCHEMAS[self.schema]
+        """A fresh world and the view suite (truncated or from a file)."""
+        world_factory, views_factory = SCHEMAS[self.schema]
         world = world_factory()
+        if isinstance(self.views, str):
+            from repro.relational.catalog import load_views
+
+            return world, load_views(self.views)
         views = views_factory()
-        if self.views:
-            if self.views > len(views):
-                raise ReproError(
-                    f"schema {self.schema!r} has {len(views)} views, "
-                    f"cannot take {self.views}"
-                )
-            views = views[: self.views]
-        return world, views
+        if self.views > len(views):
+            raise ReproError(
+                f"schema {self.schema!r} has {len(views)} views, "
+                f"cannot take {self.views}"
+            )
+        return world, views[: self.views] if self.views else views
 
-    def workload(self, run_seed: int = 0) -> WorkloadSpec:
-        seed = self.workload_seed
-        if self.vary_workload:
-            seed = zlib.crc32(f"{self.workload_seed}:{run_seed}".encode("utf-8"))
-        return WorkloadSpec(
-            updates=self.updates,
-            rate=self.rate,
-            seed=seed,
-            mix=self.mix,
-            arrivals=self.arrivals,
-            multi_update_fraction=self.multi_update_fraction,
-        )
-
-    def fault_plan_for(self, run_seed: int) -> FaultPlan | None:
-        """The run's fault plan: same shape, run-seed-derived fault streams."""
-        if self.fault_plan is None:
-            return None
-        derived = zlib.crc32(f"{self.fault_plan.seed}:{run_seed}".encode("utf-8"))
-        return dataclasses.replace(self.fault_plan, seed=derived)
+    def workload_for(self, run_seed: int) -> WorkloadSpec:
+        """The run's workload: the spec's own, re-seeded per run unless pinned."""
+        if not self.vary_workload:
+            return self.workload
+        seed = zlib.crc32(f"{self.workload.seed}:{run_seed}".encode("utf-8"))
+        return dataclasses.replace(self.workload, seed=seed)
 
     def make_scheduler(self, run_seed: int) -> Scheduler:
         """A fresh scheduler of the configured kind, seeded for this run."""
@@ -225,96 +205,49 @@ class ScenarioSpec:
             reorder_rate=self.reorder_rate,
         )
 
-    def config(self, run_seed: int, scheduler: Scheduler | None) -> SystemConfig:
-        return SystemConfig(
-            manager_kind=self.manager_kind,
-            manager_kinds=dict(self.manager_kinds),
-            manager_mode=self.manager_mode,
-            merge_algorithm=self.merge_algorithm,
-            merge_groups=self.merge_groups,
-            merge_router=self.merge_router,
-            submission_policy=self.submission_policy,
-            block_size=self.block_size,
-            refresh_period=self.refresh_period,
-            use_selection_filtering=self.use_selection_filtering,
-            warehouse_executors=self.warehouse_executors,
-            fault_plan=self.fault_plan_for(run_seed),
-            cache=(
-                CacheConfig(stale_refs=self.cache_stale_refs)
-                if self.cache
-                else None
-            ),
-            scheduler=scheduler,
-            seed=run_seed,
-            trace_kinds=None,  # digests cover every kind
-        )
-
     def build(
-        self, run_seed: int = 0, scheduler: Scheduler | None = None
+        self, run_seed: int = 0, scheduler: Scheduler | None = None, **observe
     ) -> WarehouseSystem:
         """A fully wired system with the workload posted, ready to run.
 
         ``scheduler`` overrides the spec's own kind — the explorer passes
         a :meth:`DelayInjectingScheduler.replay` instance when re-running
-        a shrunk perturbation list.
+        a shrunk perturbation list.  ``observe`` sets the fields of
+        :data:`OBSERVE_FIELDS` (``trace_kinds=None`` to record every kind).
         """
+        unknown = set(observe) - OBSERVE_FIELDS
+        if unknown:
+            raise ReproError(
+                f"build() observes a run through {sorted(OBSERVE_FIELDS)}, "
+                f"not {sorted(unknown)}"
+            )
         world, views = self.materialize()
-        if scheduler is None:
-            scheduler = self.make_scheduler(run_seed)
-        system = WarehouseSystem(world, views, self.config(run_seed, scheduler))
+        overrides = dict(self.config)
+        plan = overrides.get("fault_plan")
+        if plan is not None:
+            # same shape, run-seed-derived fault streams
+            derived = zlib.crc32(f"{plan.seed}:{run_seed}".encode("utf-8"))
+            overrides["fault_plan"] = dataclasses.replace(plan, seed=derived)
+        config = SystemConfig(
+            **overrides,
+            scheduler=scheduler if scheduler is not None else self.make_scheduler(run_seed),
+            seed=run_seed,
+            **observe,
+        )
+        system = WarehouseSystem(world, views, config)
         post_stream(
             system,
-            UpdateStreamGenerator(world, self.workload(run_seed)).transactions(),
+            UpdateStreamGenerator(world, self.workload_for(run_seed)).transactions(),
         )
         return system
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict:
-        data = {
-            "schema": self.schema,
-            "views": self.views,
-            "updates": self.updates,
-            "rate": self.rate,
-            "mix": list(self.mix),
-            "arrivals": self.arrivals,
-            "multi_update_fraction": self.multi_update_fraction,
-            "workload_seed": self.workload_seed,
-            "manager_kind": self.manager_kind,
-            "manager_kinds": dict(self.manager_kinds),
-            "manager_mode": self.manager_mode,
-            "merge_algorithm": self.merge_algorithm,
-            "merge_groups": self.merge_groups,
-            "merge_router": self.merge_router,
-            "submission_policy": self.submission_policy,
-            "block_size": self.block_size,
-            "refresh_period": self.refresh_period,
-            "use_selection_filtering": self.use_selection_filtering,
-            "warehouse_executors": self.warehouse_executors,
-            "fault_plan": (
-                fault_plan_to_dict(self.fault_plan) if self.fault_plan else None
-            ),
-            "cache": self.cache,
-            "cache_stale_refs": self.cache_stale_refs,
-            "scheduler": self.scheduler,
-            "delay_rate": self.delay_rate,
-            "max_delay": self.max_delay,
-            "reorder_rate": self.reorder_rate,
-            "vary_workload": self.vary_workload,
-        }
-        return data
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
-        data = dict(data)
-        fault = data.get("fault_plan")
-        data["fault_plan"] = fault_plan_from_dict(fault) if fault else None
-        if "mix" in data:
-            data["mix"] = tuple(data["mix"])
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ReproError(f"unknown scenario fields {sorted(unknown)}")
-        return cls(**data)
+        return decode(cls, data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -324,37 +257,23 @@ class ScenarioSpec:
         return cls.from_dict(json.loads(text))
 
     def describe(self) -> str:
-        fleet = (
-            ",".join(f"{v}={k}" for v, k in sorted(self.manager_kinds.items()))
-            or self.manager_kind
+        """One line: the schema, every override, the workload, the scheduler."""
+        overrides = (
+            value.describe() if isinstance(value, FaultPlan) else f"{name}={value}"
+            for name, value in sorted(self.config.items())
         )
-        parts = [
-            f"schema={self.schema}",
-            f"fleet={fleet}",
-            f"merge={self.merge_algorithm}",
-            *(
-                [f"shards={self.merge_groups}({self.merge_router})"]
-                if self.merge_groups > 1
-                else []
-            ),
-            f"policy={self.submission_policy}",
-            f"updates={self.updates}@{self.rate:g}",
-            f"scheduler={self.scheduler}",
-        ]
-        if self.fault_plan is not None:
-            parts.append(self.fault_plan.describe())
-        if self.cache:
-            parts.append(
-                "cache=stale-refs" if self.cache_stale_refs else "cache=on"
-            )
-        return " ".join(parts)
+        workload = f"updates={self.workload.updates}@{self.workload.rate:g}"
+        return " ".join(
+            (f"schema={self.schema}", *overrides, workload, f"scheduler={self.scheduler}")
+        )
 
 
 __all__ = [
-    "SCENARIO_SCHEMAS",
+    "OBSERVE_FIELDS",
+    "SCENARIO_CONFIG",
     "SCHEDULER_KINDS",
     "ScenarioSpec",
-    "fault_plan_from_dict",
-    "fault_plan_to_dict",
     "Perturbation",
+    "decode",
+    "encode",
 ]

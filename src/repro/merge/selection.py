@@ -85,8 +85,17 @@ def achieved_level(holds: Callable[[str], object]) -> str:
     return next((level for level in CHECKED_LEVELS if holds(level)), "inconsistent")
 
 
-def delivered_level(algorithm: MergeAlgorithm, policy: SubmissionPolicy) -> str:
-    """The MVC level a merge process delivers to the views beneath it."""
+def delivered_level(
+    algorithm: MergeAlgorithm, policy: SubmissionPolicy, executors: int
+) -> str:
+    """The MVC level a merge process delivers to the views beneath it, over
+    a warehouse of ``executors`` concurrent executors.
+
+    A policy that does not order commits promises nothing ("broken", as a
+    broken manager does) once several executors may reorder them (§4.3).
+    """
+    if executors > 1 and not policy.orders_commits:
+        return "broken"
     level = client_level(algorithm.guarantees_level)
     if level == "complete" and not policy.preserves_completeness:
         level = "strong"  # batching advances several states at once (§4.3)

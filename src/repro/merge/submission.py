@@ -42,6 +42,9 @@ class SubmissionPolicy:
     name = "policy"
     #: True when the policy preserves one warehouse state per ready unit
     preserves_completeness = True
+    #: True when the policy itself keeps dependent transactions in order;
+    #: one that does not is safe only on a single warehouse executor
+    orders_commits = True
     #: constructor keyword -> the ``SystemConfig`` field that fills it
     config_args: dict[str, str] = {}
 
@@ -88,6 +91,7 @@ class EagerPolicy(SubmissionPolicy):
     """Submit immediately, attach nothing.  Unsafe by design (§4.3 hazard)."""
 
     name = "eager"
+    orders_commits = False
 
     def offer(self, txn: WarehouseTransaction) -> None:
         self._send(WarehouseTransactionMsg(txn))

@@ -4,8 +4,7 @@ Layered over the simulator's :class:`~repro.sim.tracing.Trace`:
 
 * :mod:`repro.obs.registry` — typed metrics (counters, gauges,
   histograms — exact or reservoir-bounded) that processes, channels, and
-  merges register on ``sim.metrics`` as they run, each tagged with the
-  registry's ``origin``;
+  merges register on ``sim.metrics`` as they run;
 * :mod:`repro.obs.lineage` — per-update causal reconstruction
   (source commit → integrator → view manager → merge → warehouse) from
   trace events;

@@ -8,9 +8,7 @@ in the two formats external tooling expects:
   <https://prometheus.io/docs/instrumenting/exposition_formats/>`_, one
   ``# TYPE`` block per metric family.  Counters and gauges export their
   scalar value; histograms export Prometheus *summary* families
-  (``quantile=`` samples plus ``_sum``/``_count``).  An instrument's
-  ``origin`` tag is exported as an ``origin=`` label, so a scrape keeps
-  the registry's provenance.
+  (``quantile=`` samples plus ``_sum``/``_count``).
 * :func:`to_snapshot` — a JSON-serialisable snapshot (``to_dict`` plus a
   small ``meta`` header) that round-trips losslessly through
   ``json.dumps``/``loads``.
@@ -56,8 +54,6 @@ def _escape(value: str) -> str:
 
 def _labels(metric, extra: dict[str, object] | None = None) -> str:
     pairs = [(k, v) for k, v in metric.labels]
-    if metric.origin:
-        pairs.append(("origin", metric.origin))
     if extra:
         pairs.extend(extra.items())
     if not pairs:
@@ -79,7 +75,7 @@ def to_prometheus(registry: MetricsRegistry, namespace: str = "repro") -> str:
 
     lines: list[str] = []
     for name in sorted(families):
-        metrics = sorted(families[name], key=lambda m: (m.labels, m.origin))
+        metrics = sorted(families[name], key=lambda m: m.labels)
         full = f"{_prom_name(namespace)}_{_prom_name(name)}" if namespace \
             else _prom_name(name)
         first = metrics[0]
@@ -126,7 +122,6 @@ def to_snapshot(registry: MetricsRegistry) -> dict:
     return {
         "meta": {
             "format": "repro-metrics-snapshot/1",
-            "origin": registry.origin,
             "instruments": len(registry),
         },
         "metrics": registry.to_dict(),

@@ -27,11 +27,6 @@ Design notes:
   count/total/mean/max, but only an Algorithm-R reservoir of ``N``
   observations backs the quantiles, for instruments that would otherwise
   grow beyond memory.
-
-Every instrument additionally carries an ``origin`` tag — the registry's
-provenance (``des`` for the simulator's).  Origin is *not* part of the
-``(name, labels)`` identity, so existing lookups are unaffected; it shows
-up in summaries, ``format()`` and the exporters.
 """
 
 from __future__ import annotations
@@ -62,12 +57,11 @@ def percentile(values: list[float], fraction: float) -> float:
 class Metric:
     """Base class: a named, labelled instrument."""
 
-    __slots__ = ("name", "labels", "origin")
+    __slots__ = ("name", "labels")
 
     def __init__(self, name: str, labels: tuple[tuple[str, str], ...]) -> None:
         self.name = name
         self.labels = labels
-        self.origin = ""
 
     @property
     def key(self) -> str:
@@ -80,13 +74,6 @@ class Metric:
     def summary(self) -> dict:
         """A JSON-serialisable snapshot of the instrument's state."""
         raise NotImplementedError
-
-    def _tagged(self, summary: dict) -> dict:
-        # origin is a provenance tag, not identity; omit it when unset so
-        # summaries of untagged registries stay byte-identical
-        if self.origin:
-            summary["origin"] = self.origin
-        return summary
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.key})"
@@ -118,7 +105,7 @@ class Counter(Metric):
         return self._value
 
     def summary(self) -> dict:
-        return self._tagged({"type": "counter", "value": self._value})
+        return {"type": "counter", "value": self._value}
 
 
 class Gauge(Metric):
@@ -173,7 +160,7 @@ class Gauge(Metric):
         }
         if self._samples is not None:
             out["samples"] = len(self._samples)
-        return self._tagged(out)
+        return out
 
 
 class Histogram(Metric):
@@ -257,18 +244,16 @@ class Histogram(Metric):
         }
         if self._bound is not None:
             out["bound"] = self._bound
-        return self._tagged(out)
+        return out
 
 
 class MetricsRegistry:
     """Get-or-create home for every instrument of one simulation run."""
 
-    __slots__ = ("_metrics", "origin", "_publishers")
+    __slots__ = ("_metrics", "_publishers")
 
-    def __init__(self, origin: str = "") -> None:
+    def __init__(self) -> None:
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], Metric] = {}
-        #: provenance tag stamped on every instrument this registry creates
-        self.origin = origin
         self._publishers: list[Callable[[], None]] = []
 
     def on_read(self, publish: Callable[[], None]) -> Callable[[], None]:
@@ -296,7 +281,6 @@ class MetricsRegistry:
         metric = self._metrics.get(key)
         if metric is None:
             metric = cls(name, key[1], **kwargs)
-            metric.origin = self.origin
             self._metrics[key] = metric
         elif not isinstance(metric, cls):
             raise TypeError(

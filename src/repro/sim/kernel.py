@@ -67,7 +67,7 @@ class Simulator:
         # On the fast path every tie-break is 0.0 and a mark is a bare time.
         self._lane_marks: dict[object, tuple[float, float] | float] = {}
         self.trace = Trace()
-        self.metrics = MetricsRegistry(origin="des")
+        self.metrics = MetricsRegistry()
         # Post-event probes (the freshness monitor): called after every
         # executed event.  Kept in a list checked by truthiness so a
         # probe-free run pays one falsy test per event and nothing else.

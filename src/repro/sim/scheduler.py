@@ -81,23 +81,6 @@ class Perturbation:
         if not isinstance(self.lane, tuple):
             object.__setattr__(self, "lane", tuple(self.lane))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lane": list(self.lane),
-            "index": self.index,
-            "amount": self.amount,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Perturbation":
-        return cls(
-            kind=data["kind"],
-            lane=tuple(data["lane"]),
-            index=int(data["index"]),
-            amount=float(data["amount"]),
-        )
-
 
 class Scheduler:
     """The default policy: FIFO tie-breaks, no injected latency.

@@ -534,9 +534,17 @@ class WarehouseSystem:
         "complete" and "strong" follow the schedule the warehouse applied
         (the painting algorithms may legally reorder commuting updates)
         and need ``record_history``; "convergent" compares final states.
+        A configuration that promises nothing ("broken") fails "auto":
+        no level vouches for its warehouse.
         """
         if level == "auto":
             level = self.expected_level()
+            if level == "broken":
+                from repro.consistency import ConsistencyReport
+
+                return ConsistencyReport(
+                    False, "mvc-broken", "the configuration promises no MVC level"
+                )
         return self.replay().check(level)
 
     def classify(self) -> str:
@@ -546,8 +554,10 @@ class WarehouseSystem:
     def expected_level(self) -> str:
         """The MVC level the configuration promises: the weakest its merge
         processes deliver (see :mod:`repro.merge.selection`)."""
+        executors = self.config.warehouse_executors
         return weakest_level(
-            delivered_level(m.algorithm, m.policy) for m in self.merge_processes
+            delivered_level(m.algorithm, m.policy, executors)
+            for m in self.merge_processes
         )
 
     def metrics(self) -> RunMetrics:

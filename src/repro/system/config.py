@@ -54,7 +54,6 @@ _NAMES = {
 _RANGES = {
     "merge_groups": (">=", 1),
     "block_size": (">=", 1),
-    "batch_max": (">=", 1),
     "submission_batch_size": (">=", 1),
     "warehouse_executors": (">=", 1),
     "refresh_period": (">", 0),
@@ -106,7 +105,6 @@ class SystemConfig:
     manager_kind: str = "complete"
     manager_kinds: Mapping[str, str] = field(default_factory=dict)
     manager_mode: str = "cached"  # one of MANAGER_MODES
-    batch_max: int | None = None  # strong managers: cap on batch size
     block_size: int = 4  # complete-N block size
     refresh_period: float = 50.0  # periodic managers
     compute_cost: CostModel = default_cost

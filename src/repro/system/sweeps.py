@@ -6,29 +6,26 @@ each, and compare metrics.  :func:`sweep` packages that shape as a public
 API so downstream users can run their own studies:
 
     rows = sweep(
-        world_factory=paper_world,
-        views_factory=paper_views_example2,
-        spec=WorkloadSpec(updates=100, rate=2.0, seed=7),
-        variants={
-            "spa": SystemConfig(manager_kind="complete"),
-            "pa":  SystemConfig(manager_kind="strong"),
-        },
+        ScenarioSpec(workload=WorkloadSpec(updates=100, rate=2.0, seed=7),
+                     vary_workload=False, config={}, scheduler="fifo"),
+        variants={"spa": {"manager_kind": "complete"},
+                  "pa": {"manager_kind": "strong"}},
     )
     print(format_sweep(rows))
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.merge.selection import at_least
-from repro.relational.expressions import ViewDefinition
-from repro.sources.world import SourceWorld
 from repro.system.builder import WarehouseSystem
-from repro.system.config import SystemConfig
 from repro.system.metrics import RunMetrics
-from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
+
+if TYPE_CHECKING:  # pragma: no cover - the caller passes the spec in
+    from repro.conformance.scenario import ScenarioSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,26 +43,28 @@ class SweepRow:
 
 
 def sweep(
-    world_factory: Callable[[], SourceWorld],
-    views_factory: Callable[[], Sequence[ViewDefinition]],
-    spec: WorkloadSpec,
-    variants: Mapping[str, SystemConfig],
+    scenario: ScenarioSpec,
+    variants: Mapping[str, Mapping[str, object]],
+    run_seed: int = 0,
     classify: bool = True,
     on_system: Callable[[str, WarehouseSystem], None] | None = None,
+    **observe: object,
 ) -> list[SweepRow]:
     """Run every variant on an identical workload; returns one row each.
 
-    A fresh world and stream are generated per variant (same seed, so the
-    workloads are identical), keeping variants fully independent.
-    ``on_system`` (if given) sees each finished system before it is
-    discarded — the hook trace/metrics exporters attach to.
+    A variant is a mapping of ``SystemConfig`` overrides laid over the
+    scenario's own; each is built afresh from ``scenario`` at ``run_seed``
+    (same workload, so the variants are fully independent), and
+    ``observe`` goes to :meth:`ScenarioSpec.build`.  ``on_system`` (if
+    given) sees each finished system before it is discarded — the hook
+    trace/metrics exporters attach to.
     """
     rows: list[SweepRow] = []
-    for name, config in variants.items():
-        world = world_factory()
-        stream = UpdateStreamGenerator(world, spec).transactions()
-        system = WarehouseSystem(world, list(views_factory()), config)
-        post_stream(system, stream)
+    for name, overrides in variants.items():
+        variant = dataclasses.replace(
+            scenario, config={**scenario.config, **overrides}
+        )
+        system = variant.build(run_seed, **observe)
         system.run()
         if on_system is not None:
             on_system(name, system)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.relational.expressions import (
     BaseRelation,
     Join,
@@ -71,6 +73,16 @@ def paper_views_example3() -> list[ViewDefinition]:
 
 # Example 5 uses the same views as Example 2.
 paper_views_example5 = paper_views_example2
+
+
+def paper_views_wide() -> list[ViewDefinition]:
+    """A four-view suite over the paper's relations (fleet-size sweeps)."""
+    return [
+        parse_view("V1 = SELECT * FROM R JOIN S"),
+        parse_view("V2 = SELECT * FROM S JOIN T JOIN Q"),
+        parse_view("V3 = SELECT * FROM Q"),
+        parse_view("V4 = SELECT * FROM T JOIN Q"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +282,23 @@ def star_views(selective: bool = True, aggregates: bool = False) -> list[ViewDef
             )
         )
     return views
+
+
+# ---------------------------------------------------------------------------
+# the named schemas a run or a conformance scenario picks from
+# ---------------------------------------------------------------------------
+
+#: name -> (world factory, view-suite factory): the CLI's ``--schema``
+#: choices and :attr:`repro.conformance.ScenarioSpec.schema`
+SCHEMAS: dict[
+    str, tuple[Callable[[], SourceWorld], Callable[[], list[ViewDefinition]]]
+] = {
+    "paper": (paper_world, paper_views_example2),
+    "paper-ex1": (paper_world, paper_views_example1),
+    "paper-ex3": (paper_world, paper_views_example3),
+    "paper-wide": (paper_world, paper_views_wide),
+    "bank": (lambda: bank_world(customers=8), bank_views),
+    "star": (star_world, star_views),
+    "star-agg": (star_world, lambda: star_views(aggregates=True)),
+    "clustered": (clustered_world, clustered_views),
+}

@@ -50,7 +50,7 @@ class TestExplore:
         assert code == 2
         assert "VIOLATION" in capsys.readouterr().out
         data = json.loads(out.read_text())
-        assert data["format"] == "mvc-conformance-repro/1"
+        assert data["format"] == "mvc-conformance-repro/2"
         assert data["level"] == "strong"
 
     def test_replay_round_trip(self, tmp_path, capsys):
@@ -72,5 +72,5 @@ class TestMatrix:
         ])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "14/14 rows conform" in out
+        assert "15/15 rows conform" in out
         assert (tmp_path / "naive-fleet-breaks-strong.json").exists()

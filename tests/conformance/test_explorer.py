@@ -9,29 +9,37 @@ from repro.conformance.oracle import (
     effective_view_levels,
     fleet_expected_level,
 )
-from repro.conformance.scenario import ScenarioSpec
+from repro.conformance.scenario import SCENARIO_CONFIG, ScenarioSpec
 from repro.errors import ReproError
 from repro.sim.scheduler import DelayInjectingScheduler
+from repro.workloads.generator import WorkloadSpec
+
+
+def spec(scheduler="delay", updates=20, **config):
+    """A paper-schema scenario of ``updates`` Poisson arrivals at rate 2."""
+    return ScenarioSpec(
+        workload=WorkloadSpec(
+            updates=updates,
+            rate=config.pop("rate", 2.0),
+            mix=config.pop("mix", (0.6, 0.2, 0.2)),
+            multi_update_fraction=config.pop("multi_update_fraction", 0.0),
+            arrivals="poisson",
+        ),
+        config={**SCENARIO_CONFIG, **config},
+        scheduler=scheduler,
+    )
 
 
 def naive_spec():
-    return ScenarioSpec(
-        schema="paper",
-        updates=12,
-        rate=2.0,
-        mix=(0.7, 0.15, 0.15),
-        scheduler="delay",
-        manager_kind="naive",
-    )
+    return spec(updates=12, mix=(0.7, 0.15, 0.15), manager_kind="naive")
 
 
 class TestOracle:
     def test_effective_levels_weakest_of_manager_and_merge(self):
-        spec = ScenarioSpec(
+        system = spec(
+            "fifo",
             manager_kinds={"V1": "complete", "V2": "strong", "V3": "convergent"},
-            scheduler="fifo",
-        )
-        system = spec.build()
+        ).build()
         levels = effective_view_levels(system)
         # merge "auto" picks the weakest algorithm for the whole group, so
         # even the complete manager's view is capped by the merge level.
@@ -39,16 +47,14 @@ class TestOracle:
         assert fleet_expected_level(system) == "convergent"
 
     def test_naive_fleet_promises_nothing(self):
-        system = ScenarioSpec(manager_kind="naive", scheduler="fifo").build()
+        system = spec("fifo", manager_kind="naive").build()
         assert fleet_expected_level(system) is None
         assert set(effective_view_levels(system).values()) == {None}
 
     def test_conformant_run_has_no_violations(self):
-        spec = ScenarioSpec(
-            updates=8, manager_kind="complete", merge_algorithm="spa",
-            scheduler="fifo",
-        )
-        system = spec.build()
+        system = spec(
+            "fifo", updates=8, manager_kind="complete", merge_algorithm="spa"
+        ).build()
         system.run()
         assert check_run(system) == []
 
@@ -68,11 +74,9 @@ class TestNegativeOracle:
         """A run that raises is reported, not propagated."""
         # High-rate naive workloads double-apply deltas and crash the
         # warehouse; hunt until we see one.
-        spec = ScenarioSpec(
-            schema="paper", updates=20, rate=4.0, scheduler="delay",
-            manager_kind="naive",
+        explorer = Explorer(
+            spec(rate=4.0, manager_kind="naive"), seeds=60, level="strong"
         )
-        explorer = Explorer(spec, seeds=60, level="strong")
         for seed in range(60):
             result = explorer.execute(seed)
             if any(v.level == "execution" for v in result.violations):
@@ -106,32 +110,34 @@ class TestShrinkAndReplay:
         assert again.trace_digest == finding.trace_digest
 
     def test_reproducer_format_guard(self):
-        with pytest.raises(ReproError, match="format"):
-            Reproducer.from_dict({"format": "something-else/9"})
+        # an unknown format, and the /1 files whose scenario copied the
+        # config field by field
+        for fmt in ("something-else/9", "mvc-conformance-repro/1"):
+            with pytest.raises(ReproError, match="format"):
+                Reproducer.from_dict({"format": fmt})
 
     def test_time_budget_caps_the_hunt(self):
-        spec = ScenarioSpec(
-            updates=8, manager_kind="complete", merge_algorithm="spa",
-            scheduler="delay",
+        explorer = Explorer(
+            spec(updates=8, manager_kind="complete", merge_algorithm="spa"),
+            seeds=10_000, time_budget=1.5,
         )
-        explorer = Explorer(spec, seeds=10_000, time_budget=1.5)
         explorer.explore()
         assert explorer.runs_executed < 10_000
 
 
 class TestPositiveHunts:
     def test_spa_fleet_survives_a_short_hunt(self):
-        spec = ScenarioSpec(
-            updates=10, rate=2.0, multi_update_fraction=0.2,
-            manager_kind="complete", merge_algorithm="spa", scheduler="delay",
+        explorer = Explorer(
+            spec(updates=10, multi_update_fraction=0.2,
+                 manager_kind="complete", merge_algorithm="spa"),
+            seeds=5, stop_on_first=False,
         )
-        explorer = Explorer(spec, seeds=5, stop_on_first=False)
         assert explorer.explore() == []
 
     def test_pa_fleet_survives_a_short_hunt(self):
-        spec = ScenarioSpec(
-            updates=10, rate=2.0, multi_update_fraction=0.2,
-            manager_kind="strong", merge_algorithm="pa", scheduler="delay",
+        explorer = Explorer(
+            spec(updates=10, multi_update_fraction=0.2,
+                 manager_kind="strong", merge_algorithm="pa"),
+            seeds=5, stop_on_first=False,
         )
-        explorer = Explorer(spec, seeds=5, stop_on_first=False)
         assert explorer.explore() == []

@@ -15,6 +15,7 @@ from repro.conformance.explorer import Explorer
 from repro.conformance.oracle import check_run, fleet_expected_level
 from repro.conformance.scenario import ScenarioSpec
 from repro.faults.plan import FaultPlan
+from repro.workloads.generator import WorkloadSpec
 
 SAFE_KINDS = ("complete", "strong", "complete-n", "periodic", "convergent")
 VIEW_NAMES = ("V1", "V2", "V3", "V4")
@@ -45,19 +46,27 @@ def scenario_specs(draw):
             )
         )
     )
-    return ScenarioSpec(
-        schema="paper-wide",
-        views=fleet_size,
+    workload = WorkloadSpec(
         updates=draw(st.integers(min_value=6, max_value=10)),
         rate=draw(st.sampled_from((1.0, 2.0, 4.0))),
         multi_update_fraction=draw(st.sampled_from((0.0, 0.25))),
+        arrivals="poisson",
+    )
+    config = dict(
         manager_kinds=kinds,
         merge_algorithm=algorithm,
         submission_policy=draw(
             st.sampled_from(("dependency-sequenced", "sequential", "batching"))
         ),
         refresh_period=15.0,
-        fault_plan=faults,
+    )
+    if faults is not None:
+        config["fault_plan"] = faults
+    return ScenarioSpec(
+        schema="paper-wide",
+        views=fleet_size,
+        workload=workload,
+        config=config,
         scheduler=draw(st.sampled_from(("random", "delay"))),
         delay_rate=0.3,
         reorder_rate=0.3,

@@ -10,6 +10,7 @@ from repro.conformance.matrix import (
     run_matrix,
     run_row,
 )
+from repro.conformance.oracle import fleet_expected_level
 from repro.conformance.scenario import ScenarioSpec
 
 
@@ -61,12 +62,22 @@ class TestNegativeRows:
         assert result.ok, result.reason
         assert result.reproducer_path is not None
         data = json.loads(result.reproducer_path.read_text())
-        assert data["format"] == "mvc-conformance-repro/1"
+        assert data["format"] == "mvc-conformance-repro/2"
         assert data["violation"]["level"] == "strong"
 
     def test_periodic_row_caught(self):
         result = run_row(row("periodic-fleet-breaks-complete"), seeds=10)
         assert result.ok, result.reason
+
+    def test_eager_row_on_three_executors_caught_and_replayable(self, tmp_path):
+        eager = row("eager-concurrent-executors-breaks")
+        system = eager.spec.build()
+        system.close()
+        assert fleet_expected_level(system) is None  # it promises nothing
+        result = run_row(eager, seeds=10, out_dir=tmp_path)
+        assert result.ok, result.reason
+        data = json.loads(result.reproducer_path.read_text())
+        assert data["violation"]["level"] in ("complete", "execution")
 
 
 class TestFailingRows:
@@ -104,6 +115,7 @@ class TestFullMatrix:
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == [
             "cached-restart-stale-artifact-breaks.json",
+            "eager-concurrent-executors-breaks.json",
             "naive-fleet-breaks-strong.json",
             "periodic-fleet-breaks-complete.json",
         ]

@@ -1,8 +1,11 @@
 """Scheduler plumbing: FIFO default, perturbation replay, causal safety."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.conformance.scenario import decode, encode
 from repro.errors import SimulationError
 from repro.faults.plan import ChannelFaultModel
 from repro.sim.kernel import Simulator
@@ -96,7 +99,7 @@ class TestSchedulerContract:
 class TestPerturbation:
     def test_round_trip(self):
         p = Perturbation("delay", ("a", "b"), 3, 1.25)
-        assert Perturbation.from_dict(p.to_dict()) == p
+        assert decode(Perturbation, json.loads(json.dumps(encode(p)))) == p
 
     def test_validation(self):
         with pytest.raises(SimulationError):

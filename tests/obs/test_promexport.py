@@ -48,12 +48,6 @@ class TestToPrometheus:
         assert samples['repro_latency_count{proc="merge"}'] == 4.0
         assert samples['repro_latency{proc="merge",quantile="0.5"}'] == 2.5
 
-    def test_origin_exported_as_label(self):
-        registry = MetricsRegistry(origin="worker-thread")
-        registry.counter("ops").inc(2)
-        samples = parse_prometheus(to_prometheus(registry))
-        assert samples == {'repro_ops{origin="worker-thread"}': 2.0}
-
     def test_namespace_override_and_empty(self):
         registry = MetricsRegistry()
         registry.counter("ops").inc()
@@ -91,12 +85,12 @@ class TestToPrometheus:
 
 class TestSnapshot:
     def test_meta_header(self):
-        registry = MetricsRegistry(origin="des")
+        registry = MetricsRegistry()
         registry.counter("ops").inc()
         snapshot = to_snapshot(registry)
-        assert snapshot["meta"]["format"] == "repro-metrics-snapshot/1"
-        assert snapshot["meta"]["origin"] == "des"
-        assert snapshot["meta"]["instruments"] == 1
+        assert snapshot["meta"] == {
+            "format": "repro-metrics-snapshot/1", "instruments": 1
+        }
 
     def test_round_trips_through_json(self, finished_system):
         snapshot = to_snapshot(finished_system.sim.metrics)

@@ -62,7 +62,7 @@ class TestConfigValidation:
             # (a negative cost) a SimulationError in the middle of the run
             {"manager_mode": "bogus"},
             {"manager_mode": "naive"},  # the anomaly is manager_kind="naive"
-            {"batch_max": 0},
+            {"merge_router": "random"},
             {"submission_batch_size": 0},
             {"warehouse_executors": 0},
             {"refresh_period": 0.0},
@@ -96,7 +96,7 @@ class TestConfigValidation:
     def test_optional_and_modelled_values_pass_the_range_rules(self):
         from repro.sim.network import ExponentialLatency
 
-        SystemConfig(batch_max=None, latency_vm_merge=ExponentialLatency(1.0))
+        SystemConfig(freshness_tick=None, latency_vm_merge=ExponentialLatency(1.0))
 
 
 class TestRegistries:

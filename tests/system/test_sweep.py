@@ -1,20 +1,24 @@
 """Tests for the parameter-sweep utility."""
 
-from repro.system.config import SystemConfig
+from repro.conformance.scenario import ScenarioSpec
 from repro.system.sweeps import SweepRow, format_sweep, sweep
 from repro.workloads.generator import WorkloadSpec
-from repro.workloads.schemas import paper_views_example1, paper_world
 
 
 def run_small_sweep():
     return sweep(
-        world_factory=paper_world,
-        views_factory=paper_views_example1,
-        spec=WorkloadSpec(updates=15, rate=2.0, seed=3, mix=(0.7, 0.15, 0.15)),
+        ScenarioSpec(
+            schema="paper-ex1",
+            workload=WorkloadSpec(updates=15, rate=2.0, seed=3, mix=(0.7, 0.15, 0.15)),
+            vary_workload=False,
+            config={},
+            scheduler="fifo",
+        ),
         variants={
-            "spa": SystemConfig(manager_kind="complete", seed=3),
-            "pa": SystemConfig(manager_kind="strong", seed=3),
+            "spa": {"manager_kind": "complete"},
+            "pa": {"manager_kind": "strong"},
         },
+        run_seed=3,
     )
 
 

@@ -155,24 +155,6 @@ class TestStrongManager:
         assert covered[0] == (1,)
         assert covered[1] == (2, 3, 4)  # everything queued went in one batch
 
-    def test_batch_max_caps_batch(self):
-        sim, manager, merge, _service, driver = rig(
-            StrongViewManager, compute_cost=lambda n, d: 10.0, batch_max=2
-        )
-        for i in range(5):
-            send_update(
-                sim, driver, manager, i + 1,
-                Update.insert("S", {"B": 2, "C": i}), at=float(i) * 0.1,
-            )
-        sim.run()
-        covered = [al.covered for _t, al in merge.lists]
-        assert covered == [(1,), (2, 3), (4, 5)]
-
-    def test_bad_batch_max(self):
-        sim = Simulator()
-        with pytest.raises(ViewManagerError):
-            StrongViewManager(sim, VIEW, SCHEMAS, batch_max=0)
-
     def test_compensate_mode_reconstructs_pre_state(self):
         """The current-state read is rolled back to the batch start."""
         sim, manager, merge, service, driver = rig(
