@@ -311,7 +311,8 @@ def _run_live(system: WarehouseSystem, interval: float) -> None:
                   f"(sim t={system.sim.now:.2f}) --")
             print(_format_top(system.sim.metrics))
             last = _time.monotonic()
-    system.run()
+    if system.warehouse.refused is None:
+        system.run()
 
 
 def _finish_telemetry_output(system: WarehouseSystem,
@@ -345,12 +346,16 @@ def _write_trace_out(system: WarehouseSystem, path: str | None) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     system = _build_system(args)
     system.run()
+    if system.warehouse.refused is not None:
+        print(f"run ended: {system.warehouse.refused}")
+        system.close()
+        return 1
     metrics = system.metrics()
     print(f"schema={args.schema} views={len(system.definitions)} "
           f"manager={args.manager} merge x{len(system.merge_processes)} "
           f"policy={args.policy}")
     print(metrics.format_row())
-    print(f"promised MVC level: {system.expected_level()}")
+    print(f"promised MVC level: {system.expected_level() or 'none'}")
     print(f"achieved MVC level: {system.classify()}")
     report = system.check_mvc("auto")
     print(f"verification: {'OK' if report else 'FAILED — ' + report.reason}")

@@ -41,8 +41,6 @@ from repro.conformance.oracle import (
     Violation,
     check_run,
     check_run_at,
-    effective_view_levels,
-    fleet_expected_level,
 )
 from repro.conformance.scenario import ScenarioSpec
 from repro.conformance.shrink import ddmin
@@ -61,8 +59,6 @@ __all__ = [
     "check_run",
     "check_run_at",
     "ddmin",
-    "effective_view_levels",
-    "fleet_expected_level",
     "replay",
     "run_matrix",
     "run_row",

@@ -1,17 +1,19 @@
 """The conformance oracle: what does a configuration *promise*, and did
 a finished run keep that promise?
 
-Per view, the effective guarantee is the weaker of what a client may rely
-on from the view's manager and what its merge process delivers; both
-readings, and the ordering that "weaker" refers to, are
-:mod:`repro.merge.selection`'s (``client_level``, ``delivered_level``,
-``weakest_level``), the same functions ``WarehouseSystem.expected_level``
-is made of.
+What each view and the fleet promise is read off
+:func:`repro.merge.selection.promise`, the function
+``WarehouseSystem.expected_level`` reads too: per view, the weaker of what
+a client may rely on from the view's manager and what its merge process
+delivers; ``None`` where nothing is promised.
+
+A run that ended at a refused warehouse transaction is one ``run``-scoped
+violation when the fleet promised something, and none otherwise.
 
 A finished run is replayed once (:class:`repro.consistency.Replay`) and
 every scope is read off that replay, following the §2 definitions: each
 view's value sequence against its source value sequence, then every pair
-of non-broken views, every shard and the whole fleet jointly over the
+of promising views, every shard and the whole fleet jointly over the
 schedule the warehouse applied, which accepts any legal reordering and
 rejects the cross-view anomalies single-view checks cannot see.
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from repro.consistency import ConsistencyReport
-from repro.merge.selection import client_level, delivered_level, weakest_level
+from repro.merge.selection import promise, weakest_level
 from repro.merge.sharding import groups_by_shard
 from repro.system.builder import WarehouseSystem
 
@@ -49,35 +51,17 @@ class Violation:
         return f"{self.scope} violates {self.level}: {self.reason}"
 
 
-def effective_view_levels(system: WarehouseSystem) -> dict[str, str | None]:
-    """Per view: the weaker of its manager's and merge process's promise."""
-    levels: dict[str, str | None] = {}
-    executors = system.config.warehouse_executors
-    for view, manager in system.view_managers.items():
-        merge = system._merge_by_name(system.view_to_merge[view])
-        delivered = delivered_level(merge.algorithm, merge.policy, executors)
-        levels[view] = client_level(weakest_level((manager.level, delivered)))
-    return levels
-
-
-def fleet_expected_level(system: WarehouseSystem) -> str | None:
-    """The fleet-wide promise: ``system.expected_level()``, or None if any
-    view's manager is broken — a fleet with a naive member promises
-    nothing jointly."""
-    if None in effective_view_levels(system).values():
-        return None
-    return system.expected_level()
-
-
 def check_run(system: WarehouseSystem) -> list[Violation]:
     """Every broken promise in a finished run (empty = conformant).
 
     The system must have been run to completion (``system.run()`` with no
     horizon) so the history covers the full update stream.
     """
+    view_levels, fleet_level = promise(system)
+    if system.warehouse.refused is not None:  # no states past it to judge
+        return check_run_at(system, fleet_level) if fleet_level else []
     replay = system.replay()
     violations: list[Violation] = []
-    view_levels = effective_view_levels(system)
 
     def judge(scope: str, level: str, report: ConsistencyReport) -> None:
         if not report:
@@ -105,7 +89,6 @@ def check_run(system: WarehouseSystem) -> list[Violation]:
         judge(scope, level, replay.check(level, views))
 
     # 3. fleet-wide at the weakest promised level.
-    fleet_level = fleet_expected_level(system)
     if fleet_level is not None:
         judge("fleet", fleet_level, replay.check(fleet_level))
 
@@ -119,6 +102,8 @@ def check_run_at(system: WarehouseSystem, level: str) -> list[Violation]:
     report = system.check_mvc(level)  # rejects an unknown level
     if report:
         return []
+    if system.warehouse.refused is not None:
+        return [Violation("run", "execution", report.reason)]
     return [Violation("fleet", level, report.reason)]
 
 
@@ -126,6 +111,4 @@ __all__ = [
     "Violation",
     "check_run",
     "check_run_at",
-    "effective_view_levels",
-    "fleet_expected_level",
 ]

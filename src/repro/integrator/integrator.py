@@ -32,6 +32,7 @@ from repro.sim.process import Process
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
     from repro.sources.transactions import SourceTransaction
+    from repro.sources.update import Update
 
 
 class Integrator(Process):
@@ -90,6 +91,24 @@ class Integrator(Process):
         if missing:
             raise IntegratorError(f"views {sorted(missing)} have no merge process")
 
+    def check_one_group(
+        self, updates: Sequence["Update"], relevant: frozenset[str] | None = None
+    ) -> None:
+        """Refuse a (§6.2 multi-update) transaction relevant to views of
+        several merge groups: no one merge could apply it atomically (§6.1).
+        ``relevant`` is its ``REL``, when known."""
+        if relevant is None:
+            relevant = self.filter.relevant_views(updates)
+        touched = [
+            merge for merge, group in self.merge_groups.items() if relevant & group
+        ]
+        if len(touched) > 1:
+            raise IntegratorError(
+                f"a transaction over {sorted({u.relation for u in updates})} "
+                f"is relevant to views in several merge groups "
+                f"({sorted(touched)}): no one merge can apply it atomically"
+            )
+
     # -- message handling ------------------------------------------------------
     def service_time(self, message: object) -> float:
         return self.per_update_cost
@@ -100,6 +119,8 @@ class Integrator(Process):
                 f"integrator cannot handle {type(message).__name__}"
             )
         transaction = message.transaction
+        relevant = self.filter.relevant_views(transaction.updates)
+        self.check_one_group(transaction.updates, relevant)
         self.updates_numbered += 1
         update_id = self.updates_numbered
         self.numbered.append((update_id, transaction, message.commit_time))
@@ -111,7 +132,6 @@ class Integrator(Process):
                 NumberedUpdate(update_id, transaction.updates),
             )
 
-        relevant = self.filter.relevant_views(transaction.updates)
         base_level = frozenset(
             view
             for update in transaction.updates
@@ -129,22 +149,7 @@ class Integrator(Process):
             commit_time=message.commit_time,
         )
 
-        # Step 3: REL_i to each merge owning some relevant view.  A single
-        # transaction must stay within one merge group: groups share no
-        # base relations (§6.1), so only a multi-update transaction could
-        # span groups — and then no single merge could apply it atomically.
-        touched_groups = [
-            merge
-            for merge, group in self.merge_groups.items()
-            if relevant & group
-        ]
-        if len(touched_groups) > 1:
-            raise IntegratorError(
-                f"transaction U{update_id} is relevant to views in several "
-                f"merge groups ({sorted(touched_groups)}); §6.1 partitioning "
-                f"cannot apply it atomically — use fewer merge groups or "
-                f"keep transactions within one group"
-            )
+        # Step 3: REL_i to each merge owning some relevant view.
         for merge, group in sorted(self.merge_groups.items()):
             subset = relevant & group
             if subset or self.send_empty_rels:

@@ -10,8 +10,8 @@ This package contains the paper's central contribution:
 * :class:`PaintingAlgorithm` (PA, §5) — merge algorithm for *strongly
   consistent* view managers; MVC-strongly-consistent and prompt.
 * Pass-through and complete-N merge policies (§6.3), and
-  :func:`choose_algorithm` implementing the weakest-level rule for mixed
-  view-manager fleets.
+  :func:`select_algorithm` implementing the weakest-level rule for mixed
+  view-manager fleets, beside :func:`promise`, what a fleet then promises.
 * Submission policies (§4.3) controlling warehouse commit order:
   sequential, dependency-sequenced, DBMS-dependency, batching (BWT), and
   the deliberately unsafe eager policy that exhibits the §4.3 hazard.
@@ -36,7 +36,7 @@ _EXPORTS = {
     "repro.merge.pa": ("PaintingAlgorithm",),
     "repro.merge.passthrough": ("PassThroughMerge",),
     "repro.merge.complete_n": ("CompleteNMerge",),
-    "repro.merge.selection": ("choose_algorithm", "weakest_level"),
+    "repro.merge.selection": ("promise", "select_algorithm", "weakest_level"),
     "repro.merge.submission": (
         "SubmissionPolicy", "EagerPolicy", "SequentialPolicy",
         "DependencySequencedPolicy", "DbmsDependencyPolicy", "BatchingPolicy",

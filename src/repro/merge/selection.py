@@ -7,22 +7,27 @@ example, if there are both complete and strongly consistent view managers
 in a system, a MP can always use PA to guarantee strong consistency."
 
 Everything that compares two levels, or turns what a component declares
-into what a warehouse client may rely on, is in this module: the builder
-(`WarehouseSystem.expected_level`, the ``requires_level`` check), the
-conformance oracle and the sweep all call it.
+into what a warehouse client may rely on, is in this module:
+:func:`select_algorithm` gives each merge group its algorithm, and
+:func:`promise` gives each view's promise and the fleet's (``None``: no
+promise), which the builder, the conformance oracle and the sweep read.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.errors import MergeError
+from repro.errors import MergeError, ReproError
 from repro.merge.base import MergeAlgorithm
 from repro.merge.complete_n import CompleteNMerge
 from repro.merge.pa import PaintingAlgorithm
 from repro.merge.passthrough import PassThroughMerge
 from repro.merge.spa import SimplePaintingAlgorithm
 from repro.merge.submission import SubmissionPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - both read this module
+    from repro.system.builder import WarehouseSystem
+    from repro.system.config import SystemConfig
 
 #: the levels a view manager may declare, strongest first; "broken"
 #: promises nothing and deliberately maps to the weakest coordination
@@ -42,6 +47,10 @@ ALGORITHMS: dict[str, type[MergeAlgorithm] | None] = {
     "passthrough": PassThroughMerge,
     "complete-n": CompleteNMerge,
 }
+
+#: what ``auto`` picks from, strongest first: the first algorithm whose
+#: ``requires_level`` a group's weakest manager meets (§6.3).
+AUTO = (SimplePaintingAlgorithm, PaintingAlgorithm, PassThroughMerge)
 
 
 def at_least(level: str, required: str) -> bool:
@@ -87,36 +96,57 @@ def achieved_level(holds: Callable[[str], object]) -> str:
 
 def delivered_level(
     algorithm: MergeAlgorithm, policy: SubmissionPolicy, executors: int
-) -> str:
-    """The MVC level a merge process delivers to the views beneath it, over
-    a warehouse of ``executors`` concurrent executors.
-
-    A policy that does not order commits promises nothing ("broken", as a
-    broken manager does) once several executors may reorder them (§4.3).
-    """
+) -> str | None:
+    """The MVC level a merge process delivers to its views over ``executors``
+    warehouse executors; none (``None``) where several may reorder the
+    commits of a policy that does not order them (§4.3)."""
     if executors > 1 and not policy.orders_commits:
-        return "broken"
+        return None
     level = client_level(algorithm.guarantees_level)
     if level == "complete" and not policy.preserves_completeness:
         level = "strong"  # batching advances several states at once (§4.3)
     return level
 
 
-def choose_algorithm(
-    views: tuple[str, ...],
-    levels: Iterable[str],
-    name: str = "merge",
-) -> MergeAlgorithm:
-    """Build the weakest-level-appropriate merge algorithm for ``views``.
+def promise(system: WarehouseSystem) -> tuple[dict[str, str | None], str | None]:
+    """Each view's promise, the weaker of what its manager declares and
+    what its merge process delivers, and the fleet's, the weakest of them;
+    ``None`` (no promise) for a naive manager's view, under a merge that
+    delivers nothing, and for a fleet with any such view."""
+    executors = system.config.warehouse_executors
+    delivered = {
+        view: delivered_level(merge.algorithm, merge.policy, executors)
+        for merge in system.merge_processes
+        for view in merge.algorithm.views
+    }
+    views = {
+        view: None if delivered[view] is None
+        else client_level(weakest_level((manager.level, delivered[view])))
+        for view, manager in system.view_managers.items()
+    }
+    fleet = None if None in views.values() else weakest_level(views.values())
+    return views, fleet
 
-    * all managers complete            -> SPA  (MVC-complete)
-    * complete-N present               -> PA   (treats blocks as batches)
-    * any strongly consistent manager  -> PA   (MVC-strong)
-    * any convergent (or broken) one   -> pass-through (convergence only)
-    """
-    level = weakest_level(levels)
-    if level == "complete":
-        return SimplePaintingAlgorithm(views, name=name)
-    if level in ("strong", "complete-n"):
-        return PaintingAlgorithm(views, name=name)
-    return PassThroughMerge(views, name=name)
+
+def select_algorithm(
+    views: tuple[str, ...], config: SystemConfig, name: str = "merge"
+) -> MergeAlgorithm:
+    """The merge algorithm ``config`` gives the group ``views``: ``auto``
+    follows :data:`AUTO` (complete-N managers alone keep their blocks, a
+    naive group meets none and gets pass-through); no algorithm may require
+    more than a manager declares, bar a naive one, which promises nothing."""
+    levels = config.manager_levels(views)
+    algorithm_cls = ALGORITHMS[config.merge_algorithm]
+    if algorithm_cls is None:
+        weakest = weakest_level(levels)
+        algorithm_cls = CompleteNMerge if set(levels) == {"complete-n"} else next(
+            (c for c in AUTO if at_least(weakest, c.requires_level)), PassThroughMerge)
+    for view, level in zip(views, levels):
+        if level != "broken" and not at_least(level, algorithm_cls.requires_level):
+            raise ReproError(
+                f"view {view!r}: its {config.kind_for(view)!r} manager is "
+                f"{level}, below the {algorithm_cls.requires_level} that "
+                f"merge_algorithm {config.merge_algorithm!r} requires "
+                f"('auto' picks the algorithm by the weakest level)"
+            )
+    return algorithm_cls(views, name=name, **config.arguments_for(algorithm_cls))

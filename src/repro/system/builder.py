@@ -25,21 +25,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.errors import FaultError, ReproError, SimulationError
+from repro.errors import FaultError, ReproError, SimulationError, WarehouseError
 from repro.integrator.basedata import BaseDataService
 from repro.integrator.integrator import Integrator
 from repro.integrator.relevance import RelevanceFilter
-from repro.merge.base import MergeAlgorithm
 from repro.merge.complete_n import CompleteNMerge
 from repro.merge.distributed import partition_views
 from repro.merge.process import MergeProcess
-from repro.merge.selection import (
-    ALGORITHMS,
-    at_least,
-    choose_algorithm,
-    delivered_level,
-    weakest_level,
-)
+from repro.merge.selection import CHECKED_LEVELS, promise, select_algorithm
 from repro.merge.submission import POLICIES
 from repro.relational.database import Database
 from repro.relational.expressions import ViewDefinition
@@ -280,7 +273,7 @@ class WarehouseSystem:
             name = "merge" if len(groups) == 1 else f"merge{index}"
             merge = MergeProcess(
                 self.sim,
-                self._make_algorithm(group, name),
+                select_algorithm(group, cfg, name),
                 name=name,
                 policy=policy_class(**cfg.arguments_for(policy_class)),
                 per_message_cost=cfg.merge_message_cost,
@@ -300,8 +293,7 @@ class WarehouseSystem:
             self._connect(merge, self.warehouse, _HOP_LATENCY)
             self._connect(self.warehouse, merge, _HOP_LATENCY)
             self.merge_processes.append(merge)
-        # Kept public: the conformance oracle derives per-view effective
-        # guarantee levels from each view's merge process.
+        # Kept public: the conformance oracle's shard scopes read it.
         self.view_to_merge = {
             view: merge.name
             for merge in self.merge_processes
@@ -318,6 +310,7 @@ class WarehouseSystem:
             else None
         )
         memo: dict = {}  # this build's evaluations over ss_0, each made once
+        merges = {merge.name: merge for merge in self.merge_processes}
         for definition in self.definitions:
             merge_name = self.view_to_merge[definition.name]
             manager_cls = manager_class(cfg.kind_for(definition.name))
@@ -330,9 +323,7 @@ class WarehouseSystem:
                 compute_cost=cfg.compute_cost,
                 **cfg.arguments_for(manager_cls),
             )
-            self._connect(
-                manager, self._merge_by_name(merge_name), cfg.latency_vm_merge
-            )
+            self._connect(manager, merges[merge_name], cfg.latency_vm_merge)
             if self.service is not None:
                 self._connect(manager, self.service, _HOP_LATENCY)
                 self._connect(self.service, manager, _HOP_LATENCY)
@@ -362,9 +353,9 @@ class WarehouseSystem:
         cfg = self.config
         # Complete-N managers and merges close their blocks on the
         # integrator's markers and need a REL for every update.
-        complete_n = ALGORITHMS[cfg.merge_algorithm] is CompleteNMerge or any(
-            manager.needs_block_markers for manager in self.view_managers.values()
-        )
+        complete_n = any(
+            isinstance(merge.algorithm, CompleteNMerge) for merge in self.merge_processes
+        ) or any(manager.needs_block_markers for manager in self.view_managers.values())
         self.integrator = Integrator(
             self.sim,
             self.definitions,
@@ -383,12 +374,6 @@ class WarehouseSystem:
         if self.service is not None:
             self._connect(self.integrator, self.service, _SERVICE_FEED_LATENCY)
 
-    def _merge_by_name(self, name: str) -> MergeProcess:
-        for merge in self.merge_processes:
-            if merge.name == name:
-                return merge
-        raise ReproError(f"no merge process named {name!r}")
-
     def process_by_name(self, name: str) -> Process:
         """Any Figure-1 process by name (e.g. "merge", "warehouse", "vm_V1")."""
         try:
@@ -398,41 +383,21 @@ class WarehouseSystem:
                 f"no process named {name!r} (have: {sorted(self.processes)})"
             ) from None
 
-    def _make_algorithm(
-        self, views: tuple[str, ...], name: str
-    ) -> MergeAlgorithm:
-        """The configured algorithm for one merge group, checked against
-        the levels of the managers it will coordinate."""
-        cfg = self.config
-        levels = cfg.manager_levels(views)
-        algorithm_cls = ALGORITHMS[cfg.merge_algorithm]
-        if algorithm_cls is None:
-            # auto: the weakest-level rule of §6.3 (a group of complete-N
-            # managers alone keeps its blocks).
-            if set(levels) != {"complete-n"}:
-                return choose_algorithm(views, levels, name=name)
-            algorithm_cls = CompleteNMerge
-        for view, level in zip(views, levels):
-            # A broken manager promises nothing and runs mechanically under
-            # any algorithm (one list per update): the anomaly demos.
-            if level != "broken" and not at_least(level, algorithm_cls.requires_level):
-                raise ReproError(
-                    f"view {view!r}: its {cfg.kind_for(view)!r} manager is "
-                    f"{level}, below the {algorithm_cls.requires_level} that "
-                    f"merge_algorithm {cfg.merge_algorithm!r} requires "
-                    f"('auto' picks the algorithm by the weakest level)"
-                )
-        return algorithm_cls(views, name=name, **cfg.arguments_for(algorithm_cls))
-
     # -------------------------------------------------------------- workloads
-    def _check_open(self) -> None:
+    def _check_open(self, updates: Sequence[Update] = ()) -> None:
         if self._closed:
             raise SimulationError("the system is closed: it takes no more "
                                   "updates and runs no more events")
+        if self.warehouse.refused is not None:
+            raise SimulationError(f"the run ended at a refused transaction "
+                                  f"({self.warehouse.refused}); it does not resume")
+        # §6.1 meets §6.2: groups share no relation, so one update spans none
+        if len(updates) > 1 and len(self.merge_processes) > 1:
+            self.integrator.check_one_group(updates)
 
     def post(self, transaction: SourceTransaction, at: float) -> None:
         """Schedule ``transaction`` at the owning source at virtual time ``at``."""
-        self._check_open()
+        self._check_open(transaction.updates)
         source = self.sources.get(transaction.origin)
         if source is None:
             raise ReproError(f"no source named {transaction.origin!r}")
@@ -445,25 +410,33 @@ class WarehouseSystem:
 
     def post_global(self, updates: Iterable[Update], at: float) -> None:
         """Schedule a §6.2 multi-source transaction via the coordinator."""
-        self._check_open()
-        self.sim.schedule_at(at, self.coordinator.execute, tuple(updates))
+        updates = tuple(updates)
+        self._check_open(updates)
+        self.sim.schedule_at(at, self.coordinator.execute, updates)
 
     # ------------------------------------------------------------------- run
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Drive the simulation; flush trailing blocks/batches at the end."""
+        """Drive the simulation; flush trailing blocks/batches at the end.
+        A transaction the store cannot apply ends the run for good, with the
+        store at its last commit (``warehouse.refused`` says why)."""
         self._check_open()
-        executed = self.sim.run(until=until, max_events=max_events)
-        if until is None and max_events is None:
-            # End-of-stream: close trailing complete-N blocks at the
-            # managers, let their lists propagate, then flush the merges.
-            for manager in self.view_managers.values():
-                manager.flush()
-            executed += self.sim.run()
-            for merge in self.merge_processes:
-                merge.flush()
-            executed += self.sim.run()
-            self._finalise_telemetry()
-        return executed
+        start = self.sim.events_executed
+        try:
+            self.sim.run(until=until, max_events=max_events)
+            if until is None and max_events is None:
+                # End-of-stream: close trailing complete-N blocks at the
+                # managers, let their lists propagate, then flush the merges.
+                for manager in self.view_managers.values():
+                    manager.flush()
+                self.sim.run()
+                for merge in self.merge_processes:
+                    merge.flush()
+                self.sim.run()
+                self._finalise_telemetry()
+        except WarehouseError as error:
+            if error is not self.warehouse.refused:
+                raise
+        return self.sim.events_executed - start
 
     def _finalise_telemetry(self) -> None:
         """Fold all deferred telemetry into the kernel's registry.
@@ -534,31 +507,27 @@ class WarehouseSystem:
         "complete" and "strong" follow the schedule the warehouse applied
         (the painting algorithms may legally reorder commuting updates)
         and need ``record_history``; "convergent" compares final states.
-        A configuration that promises nothing ("broken") fails "auto":
-        no level vouches for its warehouse.
+        A run that ended at a refused transaction fails every level, and a
+        configuration that promises nothing fails "auto".
         """
         if level == "auto":
             level = self.expected_level()
-            if level == "broken":
-                from repro.consistency import ConsistencyReport
+        if self.warehouse.refused is None and level is not None:
+            return self.replay().check(level)
+        if level not in (None, *CHECKED_LEVELS):
+            raise ReproError(f"unknown MVC level {level!r}")
+        from repro.consistency import ConsistencyReport
 
-                return ConsistencyReport(
-                    False, "mvc-broken", "the configuration promises no MVC level"
-                )
-        return self.replay().check(level)
+        return ConsistencyReport(False, f"mvc-{level or 'none'}", str(
+            self.warehouse.refused or "the configuration promises no MVC level"))
 
     def classify(self) -> str:
         """The strongest MVC level this run actually achieved."""
-        return self.replay().classify()
+        return "inconsistent" if self.warehouse.refused else self.replay().classify()
 
-    def expected_level(self) -> str:
-        """The MVC level the configuration promises: the weakest its merge
-        processes deliver (see :mod:`repro.merge.selection`)."""
-        executors = self.config.warehouse_executors
-        return weakest_level(
-            delivered_level(m.algorithm, m.policy, executors)
-            for m in self.merge_processes
-        )
+    def expected_level(self) -> str | None:
+        """The fleet's promise (:func:`repro.merge.selection.promise`)."""
+        return promise(self)[1]
 
     def metrics(self) -> RunMetrics:
         from repro.system.metrics import collect_metrics

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.errors import WarehouseError
+from repro.errors import RelationError, WarehouseError
 from repro.messages import CommitNotification, WarehouseTransactionMsg
 from repro.sim.process import Process
 from repro.warehouse.store import ViewStore
@@ -57,6 +57,8 @@ class WarehouseProcess(Process):
         self._awaiting_deps: list[WarehouseTransactionMsg] = []
         self._committed_ids: set[int] = set()
         self.commits = 0
+        #: why the store could not apply a transaction: the run ends there
+        self.refused: WarehouseError | None = None
 
     # -- message handling ----------------------------------------------------
     def handle(self, message: object, sender: Process) -> None:
@@ -118,7 +120,14 @@ class WarehouseProcess(Process):
 
     def _commit(self, message: WarehouseTransactionMsg) -> None:
         txn = message.txn
-        state = self.store.apply(txn, self.sim.now)
+        try:
+            state = self.store.apply(txn, self.sim.now)
+        except RelationError as error:  # the store rolled the transaction back
+            self.refused = WarehouseError(
+                f"warehouse transaction {txn.txn_id} from {txn.merge_name!r} "
+                f"refused: {error}"
+            )
+            raise self.refused from error
         self._committed_ids.add(txn.txn_id)
         self.commits += 1
         self.trace(

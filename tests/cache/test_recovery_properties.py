@@ -44,7 +44,7 @@ from repro.relational.predicates import Attr, Comparison, Const
 from repro.relational.rows import Row
 from repro.relational.schema import Schema
 from repro.system.builder import WarehouseSystem
-from repro.system.config import SystemConfig
+from repro.system.config import SystemConfig, manager_class
 from repro.workloads.generator import (
     UpdateStreamGenerator,
     WorkloadSpec,
@@ -333,4 +333,50 @@ class TestSystemLevelRecovery:
         pristine_views, pristine_report = _run_workload(seed)
         assert crashed_report, crashed_report.reason
         assert pristine_report, pristine_report.reason
+        assert crashed_views == pristine_views
+
+
+class TestSubclassStateRecovery:
+    """A periodic and a complete-N manager carry state of their own through
+    a checkpoint (``extra_durable_state``) and get it back on a warm
+    restart (``restore_extra_state``); the crashed run ends with the store
+    of an uncrashed one."""
+
+    @pytest.mark.parametrize("kind, key", [
+        ("periodic", "refresh_due"),
+        ("complete-n", "closed_through"),
+    ])
+    def test_warm_restart_restores_the_managers_own_state(
+        self, kind, key, monkeypatch
+    ):
+        restored = []
+        cls = manager_class(kind)
+        restore = cls.restore_extra_state
+
+        def spy(vm, state):
+            restored.append((vm.name, dict(state)))
+            restore(vm, state)
+
+        monkeypatch.setattr(cls, "restore_extra_state", spy)
+
+        def run(fault_plan=None, cache=None):
+            world = paper_world()
+            config = SystemConfig(manager_kind=kind, seed=4, block_size=3,
+                                  refresh_period=3.0, fault_plan=fault_plan,
+                                  cache=cache)
+            with WarehouseSystem(world, paper_views_example1(), config) as system:
+                spec = WorkloadSpec(updates=15, rate=2.0, seed=4,
+                                    mix=(0.7, 0.15, 0.15))
+                post_stream(system, UpdateStreamGenerator(world, spec).transactions())
+                system.run()
+                assert system.check_mvc("auto"), system.check_mvc("auto").reason
+                return system, _final_views(system)
+
+        plan = FaultPlan(seed=4, crashes=(
+            CrashSpec("vm:V1", at=4.0, restart_after=1.5),))
+        crashed, crashed_views = run(plan, CacheConfig())
+        assert crashed.view_managers["V1"].cache_restores == 1
+        assert [name for name, _ in restored] == ["vm:V1"]
+        assert set(restored[0][1]) == {key}
+        _, pristine_views = run()
         assert crashed_views == pristine_views

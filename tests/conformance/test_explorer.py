@@ -3,14 +3,10 @@
 import pytest
 
 from repro.conformance.explorer import Explorer, Reproducer, replay
-from repro.conformance.oracle import (
-    Violation,
-    check_run,
-    effective_view_levels,
-    fleet_expected_level,
-)
+from repro.conformance.oracle import Violation, check_run
 from repro.conformance.scenario import SCENARIO_CONFIG, ScenarioSpec
 from repro.errors import ReproError
+from repro.merge.selection import promise
 from repro.sim.scheduler import DelayInjectingScheduler
 from repro.workloads.generator import WorkloadSpec
 
@@ -40,16 +36,17 @@ class TestOracle:
             "fifo",
             manager_kinds={"V1": "complete", "V2": "strong", "V3": "convergent"},
         ).build()
-        levels = effective_view_levels(system)
+        levels, fleet = promise(system)
         # merge "auto" picks the weakest algorithm for the whole group, so
         # even the complete manager's view is capped by the merge level.
         assert levels["V3"] == "convergent"
-        assert fleet_expected_level(system) == "convergent"
+        assert fleet == system.expected_level() == "convergent"
 
     def test_naive_fleet_promises_nothing(self):
         system = spec("fifo", manager_kind="naive").build()
-        assert fleet_expected_level(system) is None
-        assert set(effective_view_levels(system).values()) == {None}
+        levels, fleet = promise(system)
+        assert fleet is None and system.expected_level() is None
+        assert set(levels.values()) == {None}
 
     def test_conformant_run_has_no_violations(self):
         system = spec(

@@ -12,7 +12,7 @@ is a real conformance bug; the explorer's shrinker then applies on top
 from hypothesis import given, settings, strategies as st
 
 from repro.conformance.explorer import Explorer
-from repro.conformance.oracle import check_run, fleet_expected_level
+from repro.conformance.oracle import check_run
 from repro.conformance.scenario import ScenarioSpec
 from repro.faults.plan import FaultPlan
 from repro.workloads.generator import WorkloadSpec
@@ -79,7 +79,7 @@ class TestAdvertisedGuarantees:
     def test_never_violates_advertised_level(self, spec, run_seed):
         system = spec.build(run_seed=run_seed)
         system.run()
-        assert fleet_expected_level(system) is not None  # sane fleets promise
+        assert system.expected_level() is not None  # sane fleets promise
         violations = check_run(system)
         assert violations == [], [str(v) for v in violations]
 

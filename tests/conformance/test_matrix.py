@@ -10,7 +10,6 @@ from repro.conformance.matrix import (
     run_matrix,
     run_row,
 )
-from repro.conformance.oracle import fleet_expected_level
 from repro.conformance.scenario import ScenarioSpec
 
 
@@ -73,7 +72,7 @@ class TestNegativeRows:
         eager = row("eager-concurrent-executors-breaks")
         system = eager.spec.build()
         system.close()
-        assert fleet_expected_level(system) is None  # it promises nothing
+        assert system.expected_level() is None  # it promises nothing
         result = run_row(eager, seeds=10, out_dir=tmp_path)
         assert result.ok, result.reason
         data = json.loads(result.reproducer_path.read_text())

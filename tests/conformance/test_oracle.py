@@ -31,7 +31,8 @@ ROWS = {row.name: row for row in GUARANTEE_MATRIX}
 
 def drained(row: str, seed: int) -> WarehouseSystem | None:
     """One explored run of a matrix row; None when the run itself dies
-    (naive fleets may: that is the explorer's ``execution`` finding)."""
+    (the explorer's ``execution`` finding).  A naive fleet's refused
+    warehouse transaction ends its run instead: ``warehouse.refused``."""
     system = ROWS[row].spec.build(run_seed=seed)
     try:
         system.run()

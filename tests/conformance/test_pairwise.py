@@ -12,9 +12,9 @@ Each row is explored under adversarial schedules: a configuration is
 refused at build exactly when its managers' level is below the
 algorithm's requirement, and one that builds never has its promise
 refuted.  One that promises nothing (a naive fleet, eager submission on
-several executors) must finish, or fail only with a typed
-``ReproError``.  Tier 1 explores 10 seeds a row; CI runs
-``keeps_its_promise`` at 200.
+several executors) must still finish every run: a warehouse transaction
+the store cannot apply ends it with a verdict, not an exception.  Tier 1
+explores 10 seeds a row; CI runs ``keeps_its_promise`` at 200.
 """
 
 import itertools
@@ -22,7 +22,6 @@ import itertools
 import pytest
 
 from repro.conformance.explorer import Explorer
-from repro.conformance.oracle import fleet_expected_level
 from repro.conformance.scenario import SCENARIO_CONFIG, ScenarioSpec
 from repro.errors import ReproError
 from repro.merge.selection import ALGORITHMS, at_least
@@ -253,19 +252,15 @@ def keeps_its_promise(config: dict, seeds: int) -> None:
         return
     system.close()
     assert not refused(config), f"{config} accepted"
-    if fleet_expected_level(system) is not None:
+    if system.expected_level() is not None:
         findings = Explorer(spec, seeds=seeds).explore()
         assert findings == [], (config, findings[0].seed,
                                 [str(v) for v in findings[0].violations])
         return
     for seed in range(seeds):
-        system = spec.build(seed)
-        try:
+        with spec.build(seed) as system:
             system.run()
-        except ReproError:
-            pass  # nothing promised: a typed failure is an answer
-        finally:
-            system.close()
+            assert system.expected_level() is None, (config, seed)
 
 
 @pytest.mark.parametrize("config", PAIRWISE)

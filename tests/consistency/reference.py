@@ -9,7 +9,8 @@ is compared against (``test_ordered_properties.py``,
 ``tests/conformance/test_oracle.py``), one scope and one level at a time.
 Below them, verbatim as well, is the ``check_run`` that drove them: every
 view evaluated at every source state, one schedule replay per pair, per
-shard and for the fleet.
+shard and for the fleet; only where it reads the promise from changed
+(:func:`repro.merge.selection.promise`).
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from repro.conformance.oracle import (
-    Violation,
-    effective_view_levels,
-    fleet_expected_level,
-)
+from repro.conformance.oracle import Violation
 from repro.consistency.checker import (
     ConsistencyReport,
     check_complete,
@@ -29,7 +26,7 @@ from repro.consistency.checker import (
     check_strong,
 )
 from repro.consistency.ordered import reconstruct_schedule
-from repro.merge.selection import weakest_level
+from repro.merge.selection import promise, weakest_level
 from repro.merge.sharding import groups_by_shard
 from repro.relational.algebra import evaluate
 from repro.relational.database import Database
@@ -269,7 +266,7 @@ def check_run(system) -> list[Violation]:
     horizon) so the history covers the full update stream.
     """
     violations: list[Violation] = []
-    view_levels = effective_view_levels(system)
+    view_levels, fleet_level = promise(system)
     definitions = {d.name: d for d in system.definitions}
 
     # 1. per-view §2 checks on value sequences.
@@ -310,7 +307,6 @@ def check_run(system) -> list[Violation]:
             )
 
     # 3. fleet-wide at the weakest promised level.
-    fleet_level = fleet_expected_level(system)
     if fleet_level is not None:
         violations += _joint_violations(
             system, source_states, "fleet", system.definitions, fleet_level

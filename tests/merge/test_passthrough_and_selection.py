@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.errors import MergeError
+from repro.errors import MergeError, ReproError
+from repro.merge.complete_n import CompleteNMerge
 from repro.merge.pa import PaintingAlgorithm
 from repro.merge.passthrough import PassThroughMerge
-from repro.merge.selection import choose_algorithm, weakest_level
+from repro.merge.selection import select_algorithm, weakest_level
 from repro.merge.spa import SimplePaintingAlgorithm
+from repro.system.config import SystemConfig
 
 from tests.conftest import empty_al, make_al, unit_summary
 
@@ -53,19 +55,39 @@ class TestWeakestLevel:
             weakest_level(["amazing"])
 
 
+def select(*kinds, algorithm="auto"):
+    """The algorithm a merge group of one view per manager kind gets."""
+    views = tuple(f"V{i}" for i in range(1, len(kinds) + 1))
+    config = SystemConfig(manager_kinds=dict(zip(views, kinds)),
+                          merge_algorithm=algorithm, block_size=3)
+    return select_algorithm(views, config, name="m")
+
+
 class TestChooseAlgorithm:
+    """The algorithm `select_algorithm` chooses for one merge group."""
+
     def test_all_complete_gives_spa(self):
-        algorithm = choose_algorithm(("V1",), ["complete", "complete"])
-        assert isinstance(algorithm, SimplePaintingAlgorithm)
+        assert isinstance(select("complete", "complete"), SimplePaintingAlgorithm)
 
     def test_any_strong_gives_pa(self):
-        algorithm = choose_algorithm(("V1",), ["complete", "strong"])
-        assert isinstance(algorithm, PaintingAlgorithm)
+        assert isinstance(select("complete", "strong"), PaintingAlgorithm)
 
     def test_complete_n_gives_pa(self):
-        algorithm = choose_algorithm(("V1",), ["complete-n"])
-        assert isinstance(algorithm, PaintingAlgorithm)
+        """A group of complete-N managers alone keeps its blocks; mixed
+        with any other level, PA treats a block as a batch."""
+        alone = select("complete-n", "complete-n")
+        assert isinstance(alone, CompleteNMerge) and alone.n == 3
+        assert isinstance(select("complete", "complete-n"), PaintingAlgorithm)
+        assert isinstance(select("complete-n", "strong"), PaintingAlgorithm)
 
     def test_any_convergent_gives_passthrough(self):
-        algorithm = choose_algorithm(("V1",), ["strong", "convergent"])
-        assert isinstance(algorithm, PassThroughMerge)
+        assert isinstance(select("strong", "convergent"), PassThroughMerge)
+
+    def test_naive_gets_passthrough_or_any_explicit_algorithm(self):
+        assert isinstance(select("naive", "complete"), PassThroughMerge)
+        assert isinstance(select("naive", algorithm="spa"), SimplePaintingAlgorithm)
+
+    def test_explicit_algorithm_above_a_manager_refused(self):
+        with pytest.raises(ReproError, match="below the complete"):
+            select("complete", "strong", algorithm="spa")
+        assert isinstance(select("complete", algorithm="pa"), PaintingAlgorithm)

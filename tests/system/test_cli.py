@@ -129,6 +129,62 @@ class TestRun:
         assert code == 1
         assert "FAILED" in out
 
+    def test_run_promising_nothing_says_none_and_fails(self, capsys):
+        code = main(["run", "--manager", "naive", "--updates", "20",
+                     "--seed", "2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "promised MVC level: none" in out
+        assert "FAILED — the configuration promises no MVC level" in out
+
+    def test_run_ended_by_a_refused_transaction_prints_one_line(self, capsys):
+        code = main(["run", "--manager", "naive", "--updates", "60",
+                     "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        [line] = captured.out.splitlines()
+        assert line.startswith("run ended: warehouse transaction ")
+        assert "refused: batch deletes" in line
+
+
+class TestCache:
+    """``repro cache stats`` / ``gc`` over a store a cached run filled."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        from repro.cache import CacheConfig
+        from repro.system.builder import WarehouseSystem
+        from repro.system.config import SystemConfig
+        from repro.workloads.schemas import paper_views_example1, paper_world
+
+        root = tmp_path / "cache"
+        with WarehouseSystem(paper_world(), paper_views_example1(),
+                             SystemConfig(cache=CacheConfig(root=str(root)))):
+            pass  # seeding the managers stores their artifacts
+        return root
+
+    def stats(self, out):
+        return {
+            name.strip(): int(value)
+            for name, value in (line.split(":") for line in out.splitlines()[1:])
+        }
+
+    def test_stats_reports_the_artifacts(self, root, capsys):
+        assert main(["cache", "stats", "--root", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == f"store: {root}"
+        assert self.stats(out)["artifacts"] >= 2
+
+    def test_gc_evicts_down_to_the_cap(self, root, capsys):
+        main(["cache", "stats", "--root", str(root)])
+        held = self.stats(capsys.readouterr().out)["artifacts"]
+        assert main(["cache", "gc", "--root", str(root),
+                     "--max-artifacts", "1"]) == 0
+        first, *rest = capsys.readouterr().out.splitlines()
+        assert first.startswith(f"evicted {held - 1} artifact(s), freed ")
+        assert self.stats("\n".join(rest))["artifacts"] == 1
+
 
 class TestTraceReaders:
     """A run records only the freshness endpoints unless its trace is

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import IntegratorError
 from repro.sources.update import Update
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
@@ -167,6 +168,26 @@ class TestMultiSource:
         assert system.check_mvc("complete")
         # The global txn got one VUT row / one warehouse transaction.
         assert system.history[1].covered_rows == (1,)
+
+    def test_transaction_spanning_merge_groups_refused_at_post(self):
+        """§6.1 meets §6.2: a global transaction whose updates two merge
+        groups would apply is refused when posted, before anything runs,
+        and the rest of the stream keeps its promise."""
+        world = paper_world()
+        system = WarehouseSystem(world, paper_views_example3(),
+                                 SystemConfig(merge_groups=2))
+        assert len(system.merge_processes) == 2
+        post_stream(system, UpdateStreamGenerator(world, WorkloadSpec(
+            updates=20, rate=2.0, seed=5)).transactions())
+        with pytest.raises(IntegratorError, match="several merge groups"):
+            system.post_global([Update.insert("S", {"B": 2, "C": 7}),
+                                Update.insert("Q", {"D": 4, "E": 1})], at=3.0)
+        # Within one group, a global transaction is accepted.
+        system.post_global([Update.insert("R", {"A": 9, "B": 2}),
+                            Update.insert("T", {"C": 2, "D": 9})], at=4.0)
+        system.run()
+        assert system.integrator.updates_numbered == 21
+        assert system.check_mvc("auto")
 
     def test_multi_update_stream(self):
         world = paper_world()
