@@ -127,7 +127,7 @@ def wall_clock_section(system: WarehouseSystem, wall_seconds: float) -> dict:
         "events_executed": events,
         "wall_events_per_sec": round(events / wall_seconds, 1)
         if wall_seconds > 0 else None,
-        "sim_throughput": round(system.metrics().throughput, 4),
+        "sim_throughput": round(system.report(classify=False).throughput, 4),
     }
 
 

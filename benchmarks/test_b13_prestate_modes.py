@@ -15,7 +15,7 @@ same MVC level.  The broken fourth option (``naive``: current-state reads,
 no compensation) is measured too, as the cautionary row.
 
 Paper question: §1.1 Problem 3 — where does delta computation get its
-pre-state?  Reads: ``RunMetrics.makespan`` / ``mean_staleness`` and
+pre-state?  Reads: ``RunReport.makespan`` / ``mean_staleness`` and
 service query counts per acquisition mode.
 """
 
@@ -46,11 +46,11 @@ def run_mode(mode: str, kind: str):
         ),
         spec,
     )
-    metrics = system.metrics()
+    metrics = system.report()
     # A cached fleet never queries back, so it has no base-data service.
     service = system.service
     return (
-        system.classify(),
+        metrics.achieved,
         service.queries_answered if service is not None else 0,
         metrics.mean_staleness,
         metrics.makespan,

@@ -10,7 +10,7 @@ N = 1 behaves like complete maintenance; larger N trades state granularity
 (fewer, coarser warehouse states) for amortised work.
 
 Paper question: §6.3 — what does complete-N's block size N trade?
-Reads: ``warehouse.commits``, ``RunMetrics.makespan`` /
+Reads: ``warehouse.commits``, ``RunReport.makespan`` /
 ``mean_staleness``, and the verified consistency ladder per N.
 """
 
@@ -38,10 +38,9 @@ def run_with_n(n: int):
         ),
         spec,
     )
-    metrics = system.metrics()
-    level = system.classify()
+    metrics = system.report()
     return system.warehouse.commits, metrics.makespan, \
-        metrics.mean_staleness, level
+        metrics.mean_staleness, metrics.achieved
 
 
 def test_b16_complete_n_sweep(benchmark, report):

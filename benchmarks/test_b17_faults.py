@@ -18,7 +18,7 @@ Shape claims:
 
 Paper question: §4's delivery assumption, inverted — what does winning
 reliability back cost when the network is faulty?  Reads:
-``RunMetrics.mean_staleness`` / ``p95_staleness`` / throughput, channel
+``RunReport.mean_staleness`` / ``p95_staleness`` / throughput, channel
 ``retransmissions`` / ``duplicates_suppressed`` (registry
 ``chan_retransmissions`` / ``chan_duplicates_suppressed``), and the
 ``msg_drop`` / ``msg_retransmit`` trace events per drop rate.
@@ -60,15 +60,16 @@ def run_once(drop_rate: float, crash: bool = False):
     system = run_system(paper_world(), paper_views_example1(), config, spec)
     retransmissions = len(system.sim.trace.of_kind("msg_retransmit"))
     drops = len(system.sim.trace.of_kind("msg_drop"))
+    metrics = system.report()
     return {
-        "metrics": system.metrics(),
+        "metrics": metrics,
         "mvc_ok": system.check_mvc("complete").ok,
-        "classify": system.classify(),
+        "classify": metrics.achieved,
         "drops": drops,
         "retransmissions": retransmissions,
         "merge_crashes": system.merge_processes[0].crashes,
         "merge_restores": system.merge_processes[0].restores,
-        "fingerprint": system.metrics().to_dict(),
+        "fingerprint": metrics.to_json(),
     }
 
 

@@ -5,8 +5,8 @@ grows past toy size: 36 relation-disjoint clusters x 3 views = 108
 views, packed onto {1, 2, 4, 8} merge shards by the consistent-hash
 router (``merge_router="hash"``).  With a per-message merge cost the
 single merge process is the pipeline bottleneck; shards carry
-relation-disjoint work concurrently, so aggregate throughput (warehouse
-transactions per unit of simulated time) should scale with the fleet
+relation-disjoint work concurrently, so aggregate throughput (updates
+reflected per unit of virtual time) should scale with the fleet
 while every arm preserves MVC-completeness.
 
 Paper question: §6.1 "each group of views is assigned one merge
@@ -56,9 +56,9 @@ def test_b21_sharded_merge_throughput(benchmark, report, bench_out):
 
     arms = {}
     for shards, (system, wall) in results.items():
-        metrics = system.metrics()
+        metrics = system.report(classify=False)
         merge_util = max(
-            metrics.process(m.name).utilisation
+            metrics.processes[m.name].utilisation
             for m in system.merge_processes
         )
         arms[shards] = {
@@ -75,7 +75,7 @@ def test_b21_sharded_merge_throughput(benchmark, report, bench_out):
     report(f"B21 — {CLUSTERS * VIEWS_PER_CLUSTER} views over {CLUSTERS} "
            f"disjoint clusters, hash-routed onto merge shards:")
     report(fmt_table(
-        ["shards", "merges", "makespan", "txns/time", "max merge util",
+        ["shards", "merges", "makespan", "upd/vtime", "max merge util",
          "MVC complete"],
         [
             [
@@ -100,7 +100,7 @@ def test_b21_sharded_merge_throughput(benchmark, report, bench_out):
         "views": CLUSTERS * VIEWS_PER_CLUSTER,
         "clusters": CLUSTERS,
         "updates": UPDATES,
-        "units": "warehouse_transactions_per_sim_time",
+        "units": "updates_reflected_per_sim_time",
         "arms": {
             str(shards): {
                 "merges": arm["merges"],

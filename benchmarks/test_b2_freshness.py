@@ -17,7 +17,7 @@ action lists), the premium stays bounded at moderate load, and everything
 degrades as the system approaches saturation.
 
 Paper question: §7 — "the effect of the merging process on view
-freshness".  Reads: ``RunMetrics.mean_staleness`` / ``p95_staleness`` /
+freshness".  Reads: ``RunReport.mean_staleness`` / ``p95_staleness`` /
 ``max_staleness`` — the per-update source-commit→warehouse-visibility
 lag, the same quantity ``UpdateLineage.latency`` reports per update
 (``python -m repro inspect`` shows where any one update's lag went).
@@ -41,7 +41,7 @@ def run_at(rate: float, name: str, config: SystemConfig):
         updates=100, rate=rate, seed=8, mix=(0.6, 0.2, 0.2), arrivals="poisson"
     )
     system = run_system(paper_world(), paper_views_example2(), config, spec)
-    return system.metrics()
+    return system.report(classify=False)
 
 
 def test_b2_freshness(benchmark, report):

@@ -18,7 +18,7 @@ Paper question: §7 / §6.1 — "under which update load the merge process
 becomes a bottleneck", and does the §6.1 split recover it?  Reads: merge
 ``utilisation()`` and ``mean_queue_length()`` (registry instruments
 ``proc_busy_time`` / ``proc_queue_length``) plus
-``RunMetrics.mean_staleness`` per rate.
+``RunReport.mean_staleness`` per rate.
 """
 
 from repro.system.config import SystemConfig
@@ -57,12 +57,12 @@ def run_at(rate: float, groups: int):
         ),
         spec,
     )
-    metrics = system.metrics()
+    metrics = system.report(classify=False)
     merge_util = max(
-        metrics.process(m.name).utilisation for m in system.merge_processes
+        metrics.processes[m.name].utilisation for m in system.merge_processes
     )
     merge_queue = max(
-        metrics.process(m.name).max_queue for m in system.merge_processes
+        metrics.processes[m.name].max_queue for m in system.merge_processes
     )
     assert system.check_mvc("complete")
     return merge_util, merge_queue, metrics.mean_staleness

@@ -16,7 +16,7 @@ size 1 remains MVC-complete).
 
 Paper question: §4.3 — what does batching (BWT) buy and what does it
 cost?  Reads: ``warehouse.commits`` (transaction count),
-``RunMetrics.makespan`` / ``mean_staleness``, and the verified MVC level
+``RunReport.makespan`` / ``mean_staleness``, and the verified MVC level
 per batch size.
 """
 
@@ -55,11 +55,10 @@ def test_b4_batching(benchmark, report):
         results = []
         for size in BATCH_SIZES:
             system = run_with_batch(size)
-            level = system.classify()
-            metrics = system.metrics()
+            metrics = system.report()
             results.append(
                 (size, system.warehouse.commits, metrics.makespan,
-                 metrics.mean_staleness, level)
+                 metrics.mean_staleness, metrics.achieved)
             )
         return results
 

@@ -15,7 +15,7 @@ with identical final views).
 Paper question: §3.2 — how much update traffic can selection-condition
 relevance filtering remove?  Reads: integrator ``update_copies_sent``
 and ``filtered_out``, per-manager ``messages_handled`` (registry
-``proc_messages_handled``), and ``RunMetrics.makespan``.
+``proc_messages_handled``), and ``RunReport.makespan``.
 """
 
 from repro.system.config import SystemConfig
@@ -50,12 +50,12 @@ def test_b6_relevance_filtering(benchmark, report):
     )
 
     def row(label, system):
-        metrics = system.metrics()
+        metrics = system.report(classify=False)
         return [
             label,
             system.integrator.update_copies_sent,
             system.integrator.filtered_out,
-            metrics.process("merge").messages_handled,
+            metrics.processes["merge"].messages_handled,
             f"{metrics.makespan:.0f}",
         ]
 

@@ -13,7 +13,7 @@ dependency-aware policies beat fully-sequential on makespan by overlapping
 independent transactions; the eager policy loses consistency.
 
 Paper question: §4.3 — which commit-order control to use ("each may be
-appropriate in different scenarios")?  Reads: ``RunMetrics.makespan`` /
+appropriate in different scenarios")?  Reads: ``RunReport.makespan`` /
 ``mean_staleness`` and the verified MVC level per policy.
 """
 
@@ -44,8 +44,8 @@ def run(policy: str):
         ),
         spec,
     )
-    metrics = system.metrics()
-    return system.classify(), metrics.makespan, metrics.mean_staleness
+    metrics = system.report()
+    return metrics.achieved, metrics.makespan, metrics.mean_staleness
 
 
 def test_b7_submission_policies(benchmark, report):

@@ -35,7 +35,7 @@ def test_figure1_architecture(benchmark, report):
         rows.append(["base-data service", system.service.name])
     report(fmt_table(["component", "instances"], rows))
 
-    metrics = system.metrics()
+    metrics = system.report()
     report("")
     report("Message traffic per process:")
     traffic = [
@@ -45,14 +45,14 @@ def test_figure1_architecture(benchmark, report):
     report(fmt_table(["process", "messages", "utilisation"], traffic))
     report("")
     report(f"updates: {metrics.updates_committed}, warehouse txns: "
-           f"{metrics.warehouse_transactions}, MVC: {system.classify()}")
+           f"{metrics.warehouse_transactions}, MVC: {metrics.achieved}")
 
     # Shape claims: all Figure-1 boxes exist and carried traffic; the run
     # is MVC-complete.
     assert len(system.sources) == 4
     assert len(system.view_managers) == 3
     assert len(system.merge_processes) == 1
-    assert metrics.process("integrator").messages_handled == 60
-    assert metrics.process("merge").messages_handled > 60  # RELs + ALs
-    assert metrics.process("warehouse").messages_handled > 0
+    assert metrics.processes["integrator"].messages_handled == 60
+    assert metrics.processes["merge"].messages_handled > 60  # RELs + ALs
+    assert metrics.processes["warehouse"].messages_handled > 0
     assert system.check_mvc("complete")

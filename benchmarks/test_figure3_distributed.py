@@ -42,9 +42,9 @@ def test_figure3_distributed_merge(benchmark, report):
 
     rows = []
     for label, system in (("single merge", single), ("two merges", split)):
-        metrics = system.metrics()
+        metrics = system.report(classify=False)
         max_util = max(
-            metrics.process(m.name).utilisation for m in system.merge_processes
+            metrics.processes[m.name].utilisation for m in system.merge_processes
         )
         rows.append(
             [
@@ -68,11 +68,11 @@ def test_figure3_distributed_merge(benchmark, report):
     assert single.check_mvc("complete") and split.check_mvc("complete")
     # The split must reduce the busiest merge's utilisation.
     single_util = max(
-        single.metrics().process(m.name).utilisation
+        single.report(classify=False).processes[m.name].utilisation
         for m in single.merge_processes
     )
     split_util = max(
-        split.metrics().process(m.name).utilisation
+        split.report(classify=False).processes[m.name].utilisation
         for m in split.merge_processes
     )
     assert split_util < single_util

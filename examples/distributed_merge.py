@@ -60,11 +60,11 @@ def run(groups: int):
     )
     post_stream(system, stream)
     system.run()
-    metrics = system.metrics()
+    metrics = system.report()
     merge_util = max(
-        metrics.process(m.name).utilisation for m in system.merge_processes
+        metrics.processes[m.name].utilisation for m in system.merge_processes
     )
-    ok = bool(system.check_mvc("complete"))
+    ok = metrics.verified
     return system, metrics, merge_util, ok
 
 

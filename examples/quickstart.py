@@ -49,8 +49,7 @@ def main() -> None:
     print(f"Warehouse transactions: {system.warehouse.commits} "
           f"(both views updated atomically in one)")
 
-    metrics = system.metrics()
-    print(f"\nRun metrics: {metrics.format_row()}")
+    print(f"\nRun report:\n{system.report().format()}")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ Packages:
   distributed merging
 * :mod:`repro.warehouse`   — view store + transactional applier
 * :mod:`repro.consistency` — executable §2 definitions (test oracles)
-* :mod:`repro.system`      — Figure-1 assembly, metrics
+* :mod:`repro.system`      — Figure-1 assembly, the run report
 * :mod:`repro.workloads`   — schemas and seeded update streams
 * :mod:`repro.obs`         — observability: causal lineage, metrics
   registry, trace exporters (Perfetto / JSONL / timeline)
@@ -83,8 +83,7 @@ _EXPORTS = {
     "repro.cache": ("ArtifactStore", "CacheConfig", "artifact_key"),
     "repro.conformance": ("ScenarioSpec", "Explorer", "Reproducer", "run_matrix"),
     "repro.system": (
-        "SystemConfig", "WarehouseSystem", "RunMetrics", "sweep", "SweepRow",
-        "format_sweep",
+        "SystemConfig", "WarehouseSystem", "RunReport", "format_reports", "sweep",
     ),
     "repro.workloads": (
         "paper_world", "paper_views_example1", "paper_views_example2",

@@ -7,8 +7,9 @@ Commands:
 * ``trace`` — replay a worked example (2, 3, 4 or 5) and print the VUT
   transitions like the paper's tables.
 * ``run``   — assemble a full system over a chosen schema/view suite,
-  drive a seeded workload through it, and print metrics plus the achieved
-  MVC level.  Every architectural knob is a flag.
+  drive a seeded workload through it, and print its run report: metrics,
+  the promised and achieved MVC level.  Every architectural knob is a
+  flag.
 * ``sweep`` — run several manager kinds on one identical workload and
   tabulate the comparison.
 * ``inspect`` — run a workload and interrogate its observability record:
@@ -22,7 +23,7 @@ Commands:
   finds), ``replay`` re-executes a saved reproducer byte-for-byte, and
   ``matrix`` checks the guarantee matrix (see ``docs/conformance.md``).
 
-``run``, ``sweep`` and ``inspect`` accept ``--trace-out PATH``; the
+``run``, ``sweep``, ``inspect`` and ``top`` accept ``--trace-out PATH``; the
 extension picks the format — ``.json`` is Chrome/Perfetto-loadable
 (https://ui.perfetto.dev), ``.jsonl`` a lossless event log, ``.txt`` a
 text timeline (see ``docs/observability.md``).  Such a run, and every
@@ -167,7 +168,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.system.sweeps import format_sweep, sweep
+    from repro.system.report import format_reports
+    from repro.system.sweeps import sweep
 
     variants = {}
     for kind in args.variants.split(","):
@@ -191,11 +193,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             write_trace(system.sim.trace, path)
             print(f"trace ({name}): {path}")
 
-    rows = sweep(_scenario(args), variants, args.seed, on_system=on_system,
-                 **({"trace_kinds": None} if args.trace_out else {}))
+    reports = sweep(_scenario(args), variants, args.seed, on_system=on_system,
+                    **({"trace_kinds": None} if args.trace_out else {}))
     print(f"schema={args.schema}  updates={args.updates}  rate={args.rate}")
-    print(format_sweep(rows))
-    return 0 if all(r.verified for r in rows) else 1
+    print(format_reports(reports))
+    return 0 if all(r.verified for r in reports) else 1
 
 
 def _slo_from_flags(args: argparse.Namespace):
@@ -315,56 +317,46 @@ def _run_live(system: WarehouseSystem, interval: float) -> None:
         system.run()
 
 
-def _finish_telemetry_output(system: WarehouseSystem,
-                             args: argparse.Namespace) -> int:
-    """Shared run/inspect/top epilogue; returns 2 on an SLO breach."""
-    exit_code = 0
-    if system.monitor is not None:
-        print()
-        print(system.monitor.format())
-        if system.monitor.breaches:
-            exit_code = 2
-    if args.profile:
-        print("\nplan profile (heaviest nodes first):")
-        print(system.profile_report())
+def _epilogue(system: WarehouseSystem, args: argparse.Namespace) -> int:
+    """The run/inspect/top ending: print the run's report, write the files
+    asked for, close.  Returns 1 when the run fails its promise, else 2 on
+    an SLO breach."""
+    report = system.report()
+    print(report.format())
     if args.metrics_out:
-        from repro.obs import write_metrics
+        from pathlib import Path
 
-        written = write_metrics(system.sim.metrics, args.metrics_out)
-        print(f"metrics: {written}")
-    return exit_code
+        path = Path(args.metrics_out)
+        if path.suffix.lower() == ".json":
+            import dataclasses
 
+            path.write_text(dataclasses.replace(
+                report, registry=system.sim.metrics.to_dict()).to_json(),
+                encoding="utf-8")
+        else:
+            from repro.obs import write_metrics
 
-def _write_trace_out(system: WarehouseSystem, path: str | None) -> None:
-    if path:
+            write_metrics(system.sim.metrics, path)
+        print(f"metrics: {path}")
+    if args.trace_out:
         from repro.obs import write_trace
 
-        written = write_trace(system.sim.trace, path)
+        written = write_trace(system.sim.trace, args.trace_out)
         print(f"trace: {written} ({len(system.sim.trace)} events)")
+    system.close()
+    if not report.verified:
+        return 1
+    return 2 if report.monitor and report.monitor["breaches"] else 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     system = _build_system(args)
     system.run()
-    if system.warehouse.refused is not None:
-        print(f"run ended: {system.warehouse.refused}")
-        system.close()
-        return 1
-    metrics = system.metrics()
-    print(f"schema={args.schema} views={len(system.definitions)} "
-          f"manager={args.manager} merge x{len(system.merge_processes)} "
-          f"policy={args.policy}")
-    print(metrics.format_row())
-    print(f"promised MVC level: {system.expected_level() or 'none'}")
-    print(f"achieved MVC level: {system.classify()}")
-    report = system.check_mvc("auto")
-    print(f"verification: {'OK' if report else 'FAILED — ' + report.reason}")
-    slo_exit = _finish_telemetry_output(system, args)
-    _write_trace_out(system, args.trace_out)
-    system.close()
-    if not report:
-        return 1
-    return slo_exit
+    if system.warehouse.refused is None:
+        print(f"schema={args.schema} views={len(system.definitions)} "
+              f"manager={args.manager} merge x{len(system.merge_processes)} "
+              f"policy={args.policy}")
+    return _epilogue(system, args)
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -373,9 +365,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
     print(f"\n-- final registry (sim t={system.sim.now:.2f}, "
           f"{len(system.sim.trace)} trace events) --")
     print(_format_top(system.sim.metrics, args.prefix or ""))
-    exit_code = _finish_telemetry_output(system, args)
-    system.close()
-    return exit_code
+    print()
+    return _epilogue(system, args)
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
@@ -416,10 +407,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
               + (f" (prefix {prefix!r})" if prefix else "") + ":")
         print(system.sim.metrics.format(prefix))
 
-    exit_code = _finish_telemetry_output(system, args)
-    _write_trace_out(system, args.trace_out)
-    system.close()
-    return exit_code
+    print()
+    return _epilogue(system, args)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -498,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "time, row volumes) and print the table")
         p.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write the final registry; format from extension "
-                       "(.prom/.txt Prometheus text, .json snapshot)")
+                       "(.prom/.txt Prometheus text, .json the run report "
+                       "with the registry in it)")
 
     run = sub.add_parser("run", help="run a configurable warehouse workload")
     add_system_flags(run)

@@ -11,7 +11,7 @@ Layered over the simulator's :class:`~repro.sim.tracing.Trace`:
 * :mod:`repro.obs.export` — trace serialisation: Chrome/Perfetto JSON,
   JSONL event log, plain-text timeline;
 * :mod:`repro.obs.promexport` — metrics serialisation: Prometheus text
-  exposition and JSON snapshots;
+  exposition;
 * :mod:`repro.obs.freshness` — live per-view staleness, VUT occupancy
   and merge-queue gauges with an online SLO evaluator;
 * :mod:`repro.obs.profiler` — opt-in per-plan-node timing for compiled
@@ -37,9 +37,7 @@ _EXPORTS = {
     "repro.obs.profiler": ("PROF_KEY", "PlanProfiler"),
     "repro.obs.freshness": ("FreshnessMonitor", "SloPolicy"),
     "repro.sim.tracing": ("STALENESS_KINDS",),
-    "repro.obs.promexport": (
-        "parse_prometheus", "to_prometheus", "to_snapshot", "write_metrics",
-    ),
+    "repro.obs.promexport": ("to_prometheus", "write_metrics"),
     "repro.obs.export": (
         "read_chrome_trace", "read_jsonl", "to_chrome_trace", "to_jsonl",
         "to_timeline", "write_chrome_trace", "write_jsonl", "write_timeline",

@@ -1,8 +1,9 @@
 """Live freshness/staleness monitoring with an online SLO evaluator.
 
-:mod:`repro.system.metrics` computes per-update staleness *post mortem*,
-from the full trace of a finished run.  This module watches the same
-signals **while the system is serving traffic**:
+:func:`repro.system.report.staleness_per_update` computes per-update
+staleness *post mortem*, from the warehouse commit log of a finished
+run.  This module watches the same signals **while the system is serving
+traffic**:
 
 * **Per-view staleness** — how far the warehouse lags behind the newest
   source commit, derived incrementally from the lineage hop chain the
@@ -225,24 +226,25 @@ class FreshnessMonitor:
             "shards": shards,
         }
 
-    def format(self) -> str:
-        """Human-readable snapshot (the CLI's end-of-run summary)."""
-        snap = self.snapshot()
-        lines = [
-            f"freshness monitor: {snap['samples']} sample(s), "
-            f"{snap['breaches']} SLO breach(es)"
-        ]
-        for view, entry in snap["staleness"].items():
-            lines.append(
-                f"  {view:<20} staleness now={entry['current']:.4g} "
-                f"max={entry['max']:.4g}"
-            )
-        for merge, entry in snap["shards"].items():
-            lines.append(
-                f"  {merge:<20} queue max={entry['queue_depth_max']:.4g} "
-                f"vut max={entry['vut_occupancy_max']:.4g}"
-            )
-        return "\n".join(lines)
+
+def format_snapshot(snap: dict) -> str:
+    """A :meth:`FreshnessMonitor.snapshot` as text, a line per view and
+    shard (the end of a CLI run, :meth:`repro.system.report.RunReport.format`)."""
+    lines = [
+        f"freshness monitor: {snap['samples']} sample(s), "
+        f"{snap['breaches']} SLO breach(es)"
+    ]
+    for view, entry in snap["staleness"].items():
+        lines.append(
+            f"  {view:<20} staleness now={entry['current']:.4g} "
+            f"max={entry['max']:.4g}"
+        )
+    for merge, entry in snap["shards"].items():
+        lines.append(
+            f"  {merge:<20} queue max={entry['queue_depth_max']:.4g} "
+            f"vut max={entry['vut_occupancy_max']:.4g}"
+        )
+    return "\n".join(lines)
 
 
-__all__ = ["STALENESS_KINDS", "FreshnessMonitor", "SloPolicy"]
+__all__ = ["STALENESS_KINDS", "FreshnessMonitor", "SloPolicy", "format_snapshot"]

@@ -2,7 +2,7 @@
 
 The paper's §7 asks *where time goes* between a source commit and the
 warehouse state that reflects it — which the end-of-run aggregates in
-:class:`~repro.system.metrics.RunMetrics` cannot answer.  This module
+:class:`~repro.system.report.RunReport` cannot answer.  This module
 reconstructs, per update, the full causal chain
 
     source commit → integrator numbering → view-manager delta computation

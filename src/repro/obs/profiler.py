@@ -109,24 +109,25 @@ class PlanProfiler:
                     bumped += 1
         return bumped
 
-    def format(self) -> str:
-        """A per-node table: where propagation time goes."""
-        stats = self.stats()
-        if not stats:
-            return "plan profiler: no propagations recorded"
-        total_ns = sum(entry["ns"] for entry in stats.values()) or 1
-        lines = [
-            f"{'node':<52} {'calls':>7} {'ms':>9} {'%':>6} "
-            f"{'rows_in':>9} {'rows_out':>9}"
-        ]
-        for label, entry in stats.items():
-            lines.append(
-                f"{label[:52]:<52} {entry['calls']:>7} "
-                f"{entry['ns'] / 1e6:>9.3f} "
-                f"{100.0 * entry['ns'] / total_ns:>6.1f} "
-                f"{entry['rows_in']:>9} {entry['rows_out']:>9}"
-            )
-        return "\n".join(lines)
+
+def format_stats(stats: dict[str, dict]) -> str:
+    """:meth:`PlanProfiler.stats` as a table, heaviest node first: where
+    propagation time goes."""
+    if not stats:
+        return "plan profiler: no propagations recorded"
+    total_ns = sum(entry["ns"] for entry in stats.values()) or 1
+    lines = [
+        f"{'node':<52} {'calls':>7} {'ms':>9} {'%':>6} "
+        f"{'rows_in':>9} {'rows_out':>9}"
+    ]
+    for label, entry in sorted(stats.items(), key=lambda item: -item[1]["ns"]):
+        lines.append(
+            f"{label[:52]:<52} {entry['calls']:>7} "
+            f"{entry['ns'] / 1e6:>9.3f} "
+            f"{100.0 * entry['ns'] / total_ns:>6.1f} "
+            f"{entry['rows_in']:>9} {entry['rows_out']:>9}"
+        )
+    return "\n".join(lines)
 
 
-__all__ = ["PROF_KEY", "PlanProfiler"]
+__all__ = ["PROF_KEY", "PlanProfiler", "format_stats"]

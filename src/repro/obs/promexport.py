@@ -1,21 +1,16 @@
-"""Metrics exporters: Prometheus text exposition and JSON snapshots.
+"""Metrics exporter: the Prometheus text exposition format.
 
 The registry's own :meth:`~repro.obs.registry.MetricsRegistry.to_dict` /
-``format`` are debugging views; this module renders the same instruments
-in the two formats external tooling expects:
-
-* :func:`to_prometheus` — the `text exposition format
-  <https://prometheus.io/docs/instrumenting/exposition_formats/>`_, one
-  ``# TYPE`` block per metric family.  Counters and gauges export their
-  scalar value; histograms export Prometheus *summary* families
-  (``quantile=`` samples plus ``_sum``/``_count``).
-* :func:`to_snapshot` — a JSON-serialisable snapshot (``to_dict`` plus a
-  small ``meta`` header) that round-trips losslessly through
-  ``json.dumps``/``loads``.
-
-:func:`write_metrics` dispatches on file extension the way
-:func:`repro.obs.export.write_trace` does for traces: ``.prom``/``.txt``
-get the text exposition, ``.json`` gets the snapshot.
+``format`` are debugging views; :func:`to_prometheus` renders the same
+instruments in the `text exposition format
+<https://prometheus.io/docs/instrumenting/exposition_formats/>`_ external
+tooling expects, one ``# TYPE`` block per metric family.  Counters and
+gauges export their scalar value; histograms export Prometheus *summary*
+families (``quantile=`` samples plus ``_sum``/``_count``).
+:func:`write_metrics` writes it to a ``.prom`` / ``.txt`` file.  The JSON
+record of a run is its report
+(:meth:`repro.system.report.RunReport.to_json`), which embeds
+``to_dict()``.
 
 All rendering goes through each instrument's ``summary()``, a single
 mutator-free read per instrument.
@@ -23,7 +18,6 @@ mutator-free read per instrument.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
@@ -100,60 +94,20 @@ def to_prometheus(registry: MetricsRegistry, namespace: str = "repro") -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_prometheus(text: str) -> dict[str, float]:
-    """Parse exposition text back to ``{sample_line_key: value}``.
-
-    A deliberately small inverse of :func:`to_prometheus` used by tests
-    (round-trip equality) and the live ``top`` view; it handles exactly
-    what :func:`to_prometheus` emits, not the full grammar.
-    """
-    samples: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.rpartition(" ")
-        samples[key] = float(value)
-    return samples
-
-
-def to_snapshot(registry: MetricsRegistry) -> dict:
-    """A JSON-serialisable snapshot of the whole registry."""
-    return {
-        "meta": {
-            "format": "repro-metrics-snapshot/1",
-            "instruments": len(registry),
-        },
-        "metrics": registry.to_dict(),
-    }
-
-
 def write_metrics(registry: MetricsRegistry, path: str | Path,
                   namespace: str = "repro") -> Path:
-    """Write the registry to ``path``, format chosen by extension.
-
-    ``.prom`` / ``.txt`` → Prometheus text exposition; ``.json`` → the
-    JSON snapshot.  Returns the path written.
-    """
+    """Write the registry to a ``.prom`` / ``.txt`` ``path`` in Prometheus
+    text exposition.  Returns the path written."""
     path = Path(path)
     suffix = path.suffix.lower()
-    if suffix in (".prom", ".txt"):
-        path.write_text(to_prometheus(registry, namespace=namespace),
-                        encoding="utf-8")
-    elif suffix == ".json":
-        path.write_text(json.dumps(to_snapshot(registry), indent=2,
-                                   sort_keys=True), encoding="utf-8")
-    else:
+    if suffix not in (".prom", ".txt"):
         raise ValueError(
-            f"unknown metrics format {suffix!r} for {path} "
-            f"(use .prom/.txt or .json)"
+            f"unknown metrics format {suffix!r} for {path} (use .prom/.txt; "
+            f"a run's JSON record is RunReport.to_json())"
         )
+    path.write_text(to_prometheus(registry, namespace=namespace),
+                    encoding="utf-8")
     return path
 
 
-__all__ = [
-    "parse_prometheus",
-    "to_prometheus",
-    "to_snapshot",
-    "write_metrics",
-]
+__all__ = ["to_prometheus", "write_metrics"]

@@ -5,7 +5,8 @@ Every :class:`~repro.sim.kernel.Simulator` owns a
 instruments against it (labelled by process or channel endpoint names), so
 an entire run's quantitative record lives in one queryable place instead
 of ad-hoc attributes scattered over the codebase.
-:mod:`repro.system.metrics` is a thin view over this registry.
+:class:`~repro.system.report.RunReport` reads the merges' VUT gauges and
+the processes' queue-wait histograms from it.
 
 Instruments are identified by ``(name, labels)``; asking the registry for
 the same identity twice returns the same instrument, so wiring code can be

@@ -4,20 +4,20 @@
 discusses (manager class, merge algorithm, submission policy, distributed
 merging, relevance filtering, latencies and costs);
 :class:`WarehouseSystem` wires the processes together, runs workloads, and
-exposes the state histories plus consistency verdicts and performance
-metrics.
+exposes the state histories, the consistency verdicts and the run report
+(:class:`RunReport`).
 """
 
 from importlib import import_module
 
 #: module -> the names the package exports from it, each imported on first
-#: use (PEP 562): building and running a system loads neither the metrics
-#: collector nor the parameter sweeps.
+#: use (PEP 562): building and running a system loads neither the run
+#: report nor the parameter sweeps.
 _EXPORTS = {
     "repro.system.config": ("SystemConfig",),
     "repro.system.builder": ("WarehouseSystem",),
-    "repro.system.metrics": ("RunMetrics",),
-    "repro.system.sweeps": ("sweep", "SweepRow", "format_sweep"),
+    "repro.system.report": ("RunReport", "format_reports"),
+    "repro.system.sweeps": ("sweep",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -18,7 +18,7 @@ architecture:
 Workloads are posted with :meth:`post` / :meth:`post_global`, the run is
 driven with :meth:`run`, and the results are read back through
 :attr:`history`, :meth:`source_states`, :meth:`check_mvc` and
-:meth:`metrics`.
+:meth:`report`.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - opt-in subsystems load where used
     from repro.cache.artifacts import SystemCacheBinding
     from repro.cache.store import ArtifactStore
     from repro.consistency import ConsistencyReport, Replay
-    from repro.system.metrics import RunMetrics
+    from repro.system.report import RunReport
 
 # Latencies of the hops no study varies (the others are SystemConfig's
 # ``latency_*`` fields): one time unit each, except the integrator's feed of
@@ -529,16 +529,10 @@ class WarehouseSystem:
         """The fleet's promise (:func:`repro.merge.selection.promise`)."""
         return promise(self)[1]
 
-    def metrics(self) -> RunMetrics:
-        from repro.system.metrics import collect_metrics
+    def report(self, classify: bool = True) -> RunReport:
+        """The finished run's :class:`~repro.system.report.RunReport`: its
+        numbers, its verdict (``classify=False`` skips the replay) and what
+        its observers saw."""
+        from repro.system.report import RunReport
 
-        return collect_metrics(self)
-
-    def profile_report(self) -> str:
-        """The plan profiler's per-node table (needs ``profile_plans``)."""
-        if self.plan_profiler is None:
-            raise ReproError(
-                "plan profiling is off; build with "
-                "SystemConfig(profile_plans=True)"
-            )
-        return self.plan_profiler.format()
+        return RunReport.of(self, classify)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ReproError
-from repro.obs.freshness import FreshnessMonitor, SloPolicy
+from repro.obs.freshness import FreshnessMonitor, SloPolicy, format_snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.sim.tracing import Trace
 from repro.system.config import SystemConfig
@@ -140,7 +140,7 @@ class TestReporting:
         assert snap["samples"] == 1 and snap["breaches"] == 0
         assert snap["staleness"]["V1"] == {"current": 0.0, "max": 0.0}
         assert snap["shards"]["merge"]["queue_depth_max"] == 2.0
-        text = monitor.format()
+        text = format_snapshot(snap)
         assert "freshness monitor: 1 sample(s), 0 SLO breach(es)" in text
         assert "V1" in text and "merge" in text
 

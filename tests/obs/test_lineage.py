@@ -66,8 +66,8 @@ class TestCompleteness:
             assert chain.warehouse_txns
 
     def test_latency_matches_metrics_staleness(self, finished_system):
-        """Lineage and RunMetrics measure the same quantity independently."""
-        from repro.system.metrics import staleness_per_update
+        """Lineage and the run report measure the same quantity independently."""
+        from repro.system.report import staleness_per_update
 
         staleness = staleness_per_update(finished_system)
         lineage = Lineage.from_system(finished_system)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ReproError
-from repro.obs.profiler import PROF_KEY, PlanProfiler
+from repro.obs.profiler import PROF_KEY, PlanProfiler, format_stats
 from repro.obs.registry import MetricsRegistry
 from repro.system.config import SystemConfig
 
@@ -87,9 +86,9 @@ class TestPublication:
 
     def test_format_empty_and_filled(self):
         profiler = PlanProfiler()
-        assert "no propagations" in profiler.format()
+        assert "no propagations" in format_stats(profiler.stats())
         profiler.node(_Node("aggregate[sum]"), 2_000_000, 10, 4)
-        table = profiler.format()
+        table = format_stats(profiler.stats())
         assert "aggregate[sum]" in table
         assert "calls" in table and "rows_out" in table
 
@@ -114,13 +113,16 @@ class TestSystemIntegration:
             assert registry.value("plan_propagate_time_ns", view=view) > 0
 
     def test_profile_report(self, profiled_system):
-        table = profiled_system.profile_report()
+        report = profiled_system.report(classify=False)
+        assert report.plan_profile
+        table = report.format()
         assert "node" in table and "calls" in table
 
     def test_profile_report_requires_enabling(self):
         system = run_paper_system(SystemConfig(seed=21))
-        with pytest.raises(ReproError):
-            system.profile_report()
+        report = system.report(classify=False)
+        assert report.plan_profile is None
+        assert "plan profile" not in report.format()
         assert not system.sim.metrics.family("plan_node_calls")
 
     def test_prof_key_staging(self):

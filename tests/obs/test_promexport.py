@@ -1,18 +1,37 @@
-"""Prometheus/JSON metric exporters: format, round-trips, dispatch."""
+"""Metric exports: the Prometheus text format and the registry inside a
+run report's JSON."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.obs.promexport import (
-    parse_prometheus,
-    to_prometheus,
-    to_snapshot,
-    write_metrics,
-)
+from repro.obs.promexport import to_prometheus, write_metrics
 from repro.obs.registry import MetricsRegistry
+from repro.system.report import RunReport
+
+
+def parse_prometheus(text: str) -> dict[str, float]:
+    """Parse exposition text back to ``{sample_line_key: value}``: the
+    round-trip inverse of exactly what :func:`to_prometheus` emits, not the
+    full grammar."""
+    samples: dict[str, float] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.rpartition(" ")
+        samples[key] = float(value)
+    return samples
+
+
+def with_registry(system, registry: MetricsRegistry) -> RunReport:
+    """``system``'s report with ``registry`` in it, as ``--metrics-out x.json``
+    writes it."""
+    return dataclasses.replace(system.report(classify=False),
+                               registry=registry.to_dict())
 
 
 def small_registry() -> MetricsRegistry:
@@ -84,21 +103,23 @@ class TestToPrometheus:
 
 
 class TestSnapshot:
-    def test_meta_header(self):
+    """The JSON snapshot of a registry is the ``registry`` of a run report."""
+
+    def test_meta_header(self, finished_system):
         registry = MetricsRegistry()
         registry.counter("ops").inc()
-        snapshot = to_snapshot(registry)
-        assert snapshot["meta"] == {
-            "format": "repro-metrics-snapshot/1", "instruments": 1
-        }
+        record = json.loads(with_registry(finished_system, registry).to_json())
+        assert record["format"] == "repro-run-report/1"
+        assert len(record["registry"]) == 1
 
     def test_round_trips_through_json(self, finished_system):
-        snapshot = to_snapshot(finished_system.sim.metrics)
-        assert json.loads(json.dumps(snapshot)) == snapshot
+        report = with_registry(finished_system, finished_system.sim.metrics)
+        assert RunReport.from_json(report.to_json()) == report
 
     def test_metrics_match_to_dict(self, finished_system):
         registry = finished_system.sim.metrics
-        assert to_snapshot(registry)["metrics"] == registry.to_dict()
+        record = json.loads(with_registry(finished_system, registry).to_json())
+        assert record["registry"] == registry.to_dict()
 
 
 class TestWriteMetrics:
@@ -109,11 +130,6 @@ class TestWriteMetrics:
     def test_txt_extension(self, tmp_path):
         path = write_metrics(small_registry(), tmp_path / "m.txt")
         assert "# TYPE" in path.read_text()
-
-    def test_json_extension(self, tmp_path):
-        path = write_metrics(small_registry(), tmp_path / "m.json")
-        loaded = json.loads(path.read_text())
-        assert loaded == to_snapshot(small_registry())
 
     def test_unknown_extension_raises(self, tmp_path):
         with pytest.raises(ValueError, match="unknown metrics format"):

@@ -137,13 +137,13 @@ class TestSimulationWiring:
         assert gauge.samples, "timeline gauge kept no samples"
         times = [t for t, _ in gauge.samples]
         assert times == sorted(times)
-        assert int(gauge.max) == finished_system.metrics().vut_peak
+        assert int(gauge.max) == finished_system.report(classify=False).vut_peak
 
     def test_queue_wait_histogram_feeds_metrics(self, finished_system):
         process = finished_system.merge_processes[0]
         count, mean, p95 = process.queue_wait_stats()
         assert count == process.messages_handled
         assert 0.0 <= mean <= p95 or count == 0
-        stats = finished_system.metrics().process(process.name)
+        stats = finished_system.report(classify=False).processes[process.name]
         assert stats.mean_queue_wait == pytest.approx(mean)
         assert stats.p95_queue_wait == pytest.approx(p95)

@@ -187,7 +187,7 @@ class TestLockstep:
         fast, slow = run(None), run(GeneralPathScheduler())
         assert fast.sim.trace.digest() == slow.sim.trace.digest()
         assert fast.sim.metrics.to_dict() == slow.sim.metrics.to_dict()
-        assert repr(fast.metrics()) == repr(slow.metrics())
+        assert repr(fast.report()) == repr(slow.report())
         assert fast.sim.events_executed < slow.sim.events_executed
 
 

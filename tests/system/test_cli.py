@@ -148,6 +148,30 @@ class TestRun:
         assert "refused: batch deletes" in line
 
 
+class TestMetricsOut:
+    """``--metrics-out``: ``.json`` is the run report with the registry in
+    it, ``.prom`` the registry in Prometheus text."""
+
+    def test_json_is_the_run_report(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        assert main(["run", "--updates", "20", "--seed", "3",
+                     "--metrics-out", str(path)]) == 0
+        assert f"metrics: {path}" in capsys.readouterr().out
+        record = json.loads(path.read_text())
+        assert record["format"] == "repro-run-report/1"
+        assert record["promised"] == record["achieved"] == "complete"
+        assert record["verified"] is True and record["refused"] is None
+        assert record["updates_committed"] == 20
+        assert record["registry"]["proc_messages_handled{process=merge}"][
+            "value"] == record["processes"]["merge"]["messages_handled"]
+
+    def test_prom_is_the_registry(self, tmp_path):
+        path = tmp_path / "run.prom"
+        assert main(["top", "--interval", "60", "--updates", "20",
+                     "--metrics-out", str(path)]) == 0
+        assert "# TYPE repro_proc_messages_handled counter" in path.read_text()
+
+
 class TestCache:
     """``repro cache stats`` / ``gc`` over a store a cached run filled."""
 

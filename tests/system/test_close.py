@@ -35,7 +35,7 @@ def results(system):
         len(system.history),
         system.replay().classify(),
         system.check_mvc().ok,
-        repr(system.metrics()),
+        repr(system.report()),
     )
 
 
@@ -54,7 +54,7 @@ ROWS = [
     ("history", lambda s, stream: s.history[-1].views, None),
     ("replay", lambda s, stream: s.replay().check("complete"), None),
     ("check_mvc", lambda s, stream: s.check_mvc("complete"), None),
-    ("metrics", lambda s, stream: s.metrics(), None),
+    ("metrics", lambda s, stream: s.report(), None),
 ]
 
 

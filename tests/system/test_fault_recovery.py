@@ -70,7 +70,7 @@ class TestRecovery:
         def run_once():
             system = faulted_system(CRASH_PLAN)
             system.run()
-            return system.metrics().to_dict()
+            return system.report(classify=False).to_json()
 
         assert run_once() == run_once()
 
@@ -245,7 +245,7 @@ class TestCachedRecovery:
             system = faulted_system(CACHED_CRASH_PLAN, cache=True)
             try:
                 system.run()
-                return system.metrics().to_dict()
+                return system.report(classify=False).to_json()
             finally:
                 system.close()
 

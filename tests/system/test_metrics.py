@@ -1,4 +1,4 @@
-"""Tests for run metrics."""
+"""Tests for the run report's numbers (staleness, load, throughput)."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.obs.registry import percentile
 from repro.sources.update import Update
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
-from repro.system.metrics import collect_metrics, staleness_per_update
+from repro.system.report import RunReport, format_reports, staleness_per_update
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
 from repro.workloads.schemas import paper_views_example1, paper_world
 from tests.sim.trace_records import to_records
@@ -64,10 +64,10 @@ class TestStaleness:
 
         off, on = run(False), run(True)
         assert len(off.history) == 2 < len(on.history)
-        metrics = off.metrics()
+        metrics = off.report(classify=False)
         assert metrics.updates_committed == metrics.updates_reflected == 10
         assert staleness_per_update(off) == staleness_per_update(on)
-        reference = on.metrics()
+        reference = on.report(classify=False)
         for name in ("mean_staleness", "p95_staleness", "max_staleness",
                      "throughput", "warehouse_transactions"):
             assert getattr(metrics, name) == getattr(reference, name)
@@ -104,7 +104,7 @@ class TestPercentile:
 
 class TestCollect:
     def test_metrics_fields(self, finished_system):
-        metrics = collect_metrics(finished_system)
+        metrics = RunReport.of(finished_system)
         assert metrics.updates_committed == 20
         assert metrics.warehouse_transactions == finished_system.warehouse.commits
         assert metrics.makespan == finished_system.sim.now
@@ -114,23 +114,24 @@ class TestCollect:
         assert metrics.vut_peak >= 1
 
     def test_per_process_stats_present(self, finished_system):
-        metrics = finished_system.metrics()
+        metrics = finished_system.report()
         for name in ("integrator", "merge", "warehouse", "vm:V1", "vm:V2"):
-            stats = metrics.process(name)
+            stats = metrics.processes[name]
             assert stats.messages_handled > 0
         assert metrics.messages_total >= sum(
             1 for _ in ("integrator", "merge", "warehouse")
         )
 
     def test_format_row(self, finished_system):
-        text = finished_system.metrics().format_row()
-        assert "staleness" in text and "updates=20" in text
+        text = format_reports([finished_system.report()])
+        assert "staleness" in text and "updates" in text
+        assert text.splitlines()[-1].split()[2] == "20"
 
     def test_to_dict_is_json_serialisable(self, finished_system):
         import json
 
-        record = finished_system.metrics().to_dict()
-        text = json.dumps(record)
+        text = finished_system.report().to_json()
+        record = json.loads(text)
         assert "warehouse_transactions" in text
         assert record["updates_committed"] == 20
         assert "merge" in record["processes"]

@@ -59,7 +59,7 @@ def test_service_exists_exactly_when_a_manager_queries_back(config, queries_back
 
     assert (system.service is not None) == queries_back
     assert ("basedata" in system.processes) == queries_back
-    assert ("basedata" in system.metrics().processes) == queries_back
+    assert ("basedata" in system.report(classify=False).processes) == queries_back
     if queries_back:
         assert system.service.version == system.integrator.updates_numbered
     else:

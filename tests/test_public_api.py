@@ -119,7 +119,7 @@ with WarehouseSystem(paper_world(), paper_views_example2(), config) as system:
     system.run()
     stages["run"] = loaded()
     stages["ok"] = system.check_mvc().ok
-    stages["reflected"] = system.metrics().updates_reflected
+    stages["reflected"] = system.report().updates_reflected
 stages["results"] = loaded()
 print(json.dumps(stages))
 """
@@ -129,7 +129,7 @@ print(json.dumps(stages))
 OPT_IN = (
     "repro.conformance", "repro.cache", "repro.faults", "repro.obs.export",
     "repro.obs.promexport", "repro.obs.lineage", "repro.obs.freshness",
-    "repro.system.sweeps", "repro.system.metrics",
+    "repro.system.sweeps", "repro.system.report",
     "repro.consistency",
 )
 
@@ -159,10 +159,10 @@ class TestWhatARunImports:
     def test_default_run_loads_no_opt_in_subsystem(self, default_run):
         assert opt_in(default_run["config"]) == []
         assert opt_in(default_run["run"]) == []
-        # results still work: the checker and collector load on first use
+        # results still work: the checker and the report load on first use
         assert default_run["ok"] is True
         assert default_run["reflected"] == 2
-        assert {"repro.consistency", "repro.system.metrics"} <= set(
+        assert {"repro.consistency", "repro.system.report"} <= set(
             default_run["results"])
 
     @pytest.mark.parametrize("setup, fields, module", [
