@@ -16,26 +16,30 @@ shares:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import attrgetter
 
 from repro.errors import MergeError
+from repro.record import Record
 from repro.viewmgr.actions import ActionList
 
 #: the sort key that puts one row's action lists in view order
 by_view = attrgetter("view")
 
 
-@dataclass(frozen=True, slots=True)
-class ReadyUnit:
+class ReadyUnit(Record):
     """Action lists that must be applied in one warehouse transaction.
 
     ``rows`` are the VUT rows the unit covers, ascending; ``action_lists``
     are ordered row-by-row so earlier updates' actions precede later ones.
+    Read-only once built.
     """
 
-    rows: tuple[int, ...]
-    action_lists: tuple[ActionList, ...]
+    __slots__ = ("rows", "action_lists")
+
+    def __init__(self, rows: tuple[int, ...],
+                 action_lists: tuple[ActionList, ...]) -> None:
+        self.rows = rows
+        self.action_lists = action_lists
 
     @property
     def views(self) -> frozenset[str]:

@@ -21,7 +21,6 @@ is preserved end-to-end (see ``docs/faults.md``).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import MergeError
@@ -34,6 +33,7 @@ from repro.messages import (
     WarehouseTransactionMsg,
 )
 from repro.sim.network import ReliableChannel
+from repro.record import Record
 from repro.sim.process import Process
 from repro.warehouse.txn import WarehouseTransaction
 
@@ -45,15 +45,21 @@ _READY_KEYS = ("txn", "rows")
 _SUBMIT_KEYS = ("txn", "rows", "after")
 
 
-@dataclass(frozen=True, slots=True)
-class MergeCheckpoint:
-    """A restorable snapshot of everything a merge process must not lose."""
+class MergeCheckpoint(Record):
+    """A restorable snapshot of everything a merge process must not lose;
+    read-only once built."""
 
-    algorithm: MergeAlgorithm
-    policy: SubmissionPolicy
-    next_txn_id: int
-    transactions_formed: int
-    channel_states: dict[str, tuple] = field(default_factory=dict)
+    __slots__ = ("algorithm", "policy", "next_txn_id", "transactions_formed",
+                 "channel_states")
+
+    def __init__(self, algorithm: MergeAlgorithm, policy: SubmissionPolicy,
+                 next_txn_id: int, transactions_formed: int,
+                 channel_states: dict[str, tuple] | None = None) -> None:
+        self.algorithm = algorithm
+        self.policy = policy
+        self.next_txn_id = next_txn_id
+        self.transactions_formed = transactions_formed
+        self.channel_states = {} if channel_states is None else channel_states
 
 
 class MergeProcess(Process):

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.errors import MergeError
+from repro.record import Record
 
 
 class Color(enum.Enum):
@@ -55,12 +55,16 @@ class Color(enum.Enum):
 WHITE, RED, GRAY, BLACK = Color.WHITE, Color.RED, Color.GRAY, Color.BLACK
 
 
-@dataclass(slots=True)
-class Entry:
-    """One VUT cell: a color plus PA's next-state pointer."""
+class Entry(Record):
+    """One VUT cell: a color plus PA's next-state pointer (mutable, so
+    unhashable)."""
 
-    color: Color = BLACK
-    state: int = 0
+    __slots__ = ("color", "state")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, color: Color = BLACK, state: int = 0) -> None:
+        self.color = color
+        self.state = state
 
     def __str__(self) -> str:
         return f"({self.color},{self.state})"

@@ -1,7 +1,8 @@
 """Message types exchanged between the Figure-1 processes.
 
-Every inter-process payload in the system is one of these immutable
-dataclasses.  Keeping them in one module documents the whole protocol:
+Every inter-process payload in the system is one of these records
+(:class:`repro.record.Record`: plain slotted classes, read-only by
+convention).  Keeping them in one module documents the whole protocol:
 
 ========================  ===========================================
 message                   direction
@@ -19,8 +20,9 @@ CommitNotification        warehouse -> merge process
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
+
+from repro.record import Record
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports (no cycles)
     from repro.sources.transactions import SourceTransaction
@@ -29,8 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports (no cycles)
     from repro.warehouse.txn import WarehouseTransaction
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateNotification:
+class UpdateNotification(Record):
     """A committed source transaction reported to the integrator.
 
     ``lineage_id`` is the source world's global commit sequence number —
@@ -39,29 +40,36 @@ class UpdateNotification:
     snapshot-diff monitor synthesizing transactions from state diffs).
     """
 
-    transaction: SourceTransaction
-    commit_time: float
-    lineage_id: int = 0
+    __slots__ = ("transaction", "commit_time", "lineage_id")
+
+    def __init__(self, transaction: SourceTransaction, commit_time: float,
+                 lineage_id: int = 0) -> None:
+        self.transaction = transaction
+        self.commit_time = commit_time
+        self.lineage_id = lineage_id
 
 
-@dataclass(frozen=True, slots=True)
-class NumberedUpdate:
+class NumberedUpdate(Record):
     """The integrator-numbered update stream fed to the base-data service."""
 
-    update_id: int
-    updates: tuple["Update", ...]
+    __slots__ = ("update_id", "updates")
+
+    def __init__(self, update_id: int, updates: tuple[Update, ...]) -> None:
+        self.update_id = update_id
+        self.updates = updates
 
 
-@dataclass(frozen=True, slots=True)
-class RelMessage:
+class RelMessage(Record):
     """``REL_i``: the set of views relevant to update ``update_id`` (§3.2)."""
 
-    update_id: int
-    views: frozenset[str]
+    __slots__ = ("update_id", "views")
+
+    def __init__(self, update_id: int, views: frozenset[str]) -> None:
+        self.update_id = update_id
+        self.views = views
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateForView:
+class UpdateForView(Record):
     """A copy of update ``update_id`` routed to one view manager (§3.2).
 
     ``updates`` carries the transaction's updates restricted to relations
@@ -70,21 +78,25 @@ class UpdateForView:
     transaction are not shipped).
     """
 
-    update_id: int
-    view: str
-    updates: tuple[Update, ...]
+    __slots__ = ("update_id", "view", "updates")
+
+    def __init__(self, update_id: int, view: str, updates: tuple[Update, ...]) -> None:
+        self.update_id = update_id
+        self.view = view
+        self.updates = updates
 
 
-@dataclass(frozen=True, slots=True)
-class EndOfBlock:
+class EndOfBlock(Record):
     """Integrator marker: every update with id <= ``through`` was numbered."""
 
-    block: int
-    through: int
+    __slots__ = ("block", "through")
+
+    def __init__(self, block: int, through: int) -> None:
+        self.block = block
+        self.through = through
 
 
-@dataclass(frozen=True, slots=True)
-class SnapshotQuery:
+class SnapshotQuery(Record):
     """A view manager asks the base-data service for base relations.
 
     ``version=None`` requests the current state (autonomous-source mode,
@@ -92,15 +104,18 @@ class SnapshotQuery:
     an integer requests that exact multiversion snapshot.
     """
 
-    query_id: int
-    requester: str
-    relations: frozenset[str]
-    version: int | None = None
-    undo_from: int | None = None
+    __slots__ = ("query_id", "requester", "relations", "version", "undo_from")
+
+    def __init__(self, query_id: int, requester: str, relations: frozenset[str],
+                 version: int | None = None, undo_from: int | None = None) -> None:
+        self.query_id = query_id
+        self.requester = requester
+        self.relations = relations
+        self.version = version
+        self.undo_from = undo_from
 
 
-@dataclass(frozen=True, slots=True)
-class SnapshotResponse:
+class SnapshotResponse(Record):
     """Answer to a :class:`SnapshotQuery`.
 
     ``contents`` maps relation name to its bag at ``version`` as
@@ -113,38 +128,49 @@ class SnapshotResponse:
     back.
     """
 
-    query_id: int
-    version: int
-    contents: Mapping[str, tuple[tuple[str, ...], Mapping[tuple, int]]]
-    undo_updates: tuple[tuple[int, Update], ...] = ()
+    __slots__ = ("query_id", "version", "contents", "undo_updates")
+
+    def __init__(self, query_id: int, version: int,
+                 contents: Mapping[str, tuple[tuple[str, ...], Mapping[tuple, int]]],
+                 undo_updates: tuple[tuple[int, Update], ...] = ()) -> None:
+        self.query_id = query_id
+        self.version = version
+        self.contents = contents
+        self.undo_updates = undo_updates
 
 
-@dataclass(frozen=True, slots=True)
-class ActionListMessage:
+class ActionListMessage(Record):
     """``AL^x_j`` sent by view manager x to the merge process (§3.3)."""
 
-    action_list: "ActionList"
+    __slots__ = ("action_list",)
+
+    def __init__(self, action_list: ActionList) -> None:
+        self.action_list = action_list
 
 
-@dataclass(frozen=True, slots=True)
-class WarehouseTransactionMsg:
+class WarehouseTransactionMsg(Record):
     """A warehouse transaction submitted by a merge process (§4.3)."""
 
-    txn: "WarehouseTransaction"
-    sequenced_after: tuple[int, ...] = ()
+    __slots__ = ("txn", "sequenced_after")
+
+    def __init__(self, txn: WarehouseTransaction,
+                 sequenced_after: tuple[int, ...] = ()) -> None:
+        self.txn = txn
+        self.sequenced_after = sequenced_after
 
 
-@dataclass(frozen=True, slots=True)
-class CommitNotification:
+class CommitNotification(Record):
     """The warehouse confirms that transaction ``txn_id`` committed."""
 
-    txn_id: int
-    commit_time: float
-    merge_name: str = ""
+    __slots__ = ("txn_id", "commit_time", "merge_name")
+
+    def __init__(self, txn_id: int, commit_time: float, merge_name: str = "") -> None:
+        self.txn_id = txn_id
+        self.commit_time = commit_time
+        self.merge_name = merge_name
 
 
-@dataclass(frozen=True, slots=True)
-class SequencedFrame:
+class SequencedFrame(Record):
     """Transport frame of :class:`~repro.sim.network.ReliableChannel`.
 
     Wraps one application payload with the channel sequence number the
@@ -153,15 +179,20 @@ class SequencedFrame:
     unwraps it before delivery.
     """
 
-    seq: int
-    payload: object
+    __slots__ = ("seq", "payload")
+
+    def __init__(self, seq: int, payload: object) -> None:
+        self.seq = seq
+        self.payload = payload
 
 
-@dataclass(frozen=True, slots=True)
-class AckFrame:
+class AckFrame(Record):
     """Cumulative acknowledgement: every frame ``seq <= ack`` was processed."""
 
-    ack: int
+    __slots__ = ("ack",)
+
+    def __init__(self, ack: int) -> None:
+        self.ack = ack
 
 
 def lineage_keys(message: object) -> dict[str, tuple[int, ...]]:

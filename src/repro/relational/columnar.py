@@ -147,8 +147,8 @@ def make_key(layout: Layout, attrs: tuple[str, ...]) -> Callable[[tuple], object
 _OP_SOURCE = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 #: kernel caches, keyed by (operator AST, layout).  Predicates and
-#: expressions are frozen dataclasses, so they hash; unhashable constants
-#: simply skip the cache.
+#: expressions are frozen records (``repro.record.Node``), so they hash;
+#: unhashable constants simply skip the cache.
 _FILTER_CACHE: dict[tuple, Callable] = {}
 _PROJECT_CACHE: dict[tuple, Callable] = {}
 _MERGE_CACHE: dict[tuple, tuple[Layout, Callable]] = {}

@@ -17,10 +17,10 @@ Schema inference walks the AST given the base-relation schemas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import ExpressionError
+from repro.record import Node
 from repro.relational.predicates import Predicate
 from repro.relational.schema import Schema
 
@@ -42,11 +42,13 @@ class Expression:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
-class BaseRelation(Expression):
+class BaseRelation(Expression, Node):
     """A reference to a named base relation at some source."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self._init(name)
 
     def base_relations(self) -> frozenset[str]:
         return frozenset((self.name,))
@@ -61,12 +63,13 @@ class BaseRelation(Expression):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Select(Expression):
+class Select(Expression, Node):
     """Bag selection ``sigma_predicate(child)``."""
 
-    predicate: Predicate
-    child: Expression
+    __slots__ = ("predicate", "child")
+
+    def __init__(self, predicate: Predicate, child: Expression) -> None:
+        self._init(predicate, child)
 
     def base_relations(self) -> frozenset[str]:
         return self.child.base_relations()
@@ -85,18 +88,17 @@ class Select(Expression):
         return f"select[{self.predicate}]({self.child})"
 
 
-@dataclass(frozen=True, slots=True)
-class Project(Expression):
+class Project(Expression, Node):
     """Bag projection onto ``names`` (duplicates preserved)."""
 
-    names: tuple[str, ...]
-    child: Expression
+    __slots__ = ("names", "child")
 
-    def __post_init__(self) -> None:
-        if not self.names:
+    def __init__(self, names: tuple[str, ...], child: Expression) -> None:
+        if not names:
             raise ExpressionError("projection needs at least one attribute")
-        if len(set(self.names)) != len(self.names):
-            raise ExpressionError(f"duplicate projection attributes: {self.names}")
+        if len(set(names)) != len(names):
+            raise ExpressionError(f"duplicate projection attributes: {names}")
+        self._init(names, child)
 
     def base_relations(self) -> frozenset[str]:
         return self.child.base_relations()
@@ -114,8 +116,7 @@ class Project(Expression):
         return f"project[{', '.join(self.names)}]({self.child})"
 
 
-@dataclass(frozen=True, slots=True)
-class Join(Expression):
+class Join(Expression, Node):
     """Equi-join of two sub-expressions.
 
     With ``on=None`` this is a natural join over all shared attribute
@@ -124,9 +125,11 @@ class Join(Expression):
     join degenerates to a cross product.
     """
 
-    left: Expression
-    right: Expression
-    on: tuple[str, ...] | None = field(default=None)
+    __slots__ = ("left", "right", "on")
+
+    def __init__(self, left: Expression, right: Expression,
+                 on: tuple[str, ...] | None = None) -> None:
+        self._init(left, right, on)
 
     def base_relations(self) -> frozenset[str]:
         return self.left.base_relations() | self.right.base_relations()
@@ -167,38 +170,35 @@ class Join(Expression):
 _AGG_FUNCTIONS = ("count", "sum")
 
 
-@dataclass(frozen=True, slots=True)
-class AggregateSpec:
+class AggregateSpec(Node):
     """One aggregate output column: ``fn(attr) AS alias``.
 
     ``count`` ignores ``attr`` (row count, multiplicities included);
     ``sum`` requires a numeric attribute.
     """
 
-    fn: str
-    alias: str
-    attr: str | None = None
+    __slots__ = ("fn", "alias", "attr")
 
-    def __post_init__(self) -> None:
-        if self.fn not in _AGG_FUNCTIONS:
+    def __init__(self, fn: str, alias: str, attr: str | None = None) -> None:
+        if fn not in _AGG_FUNCTIONS:
             raise ExpressionError(
-                f"unknown aggregate function {self.fn!r}; "
+                f"unknown aggregate function {fn!r}; "
                 f"supported: {_AGG_FUNCTIONS}"
             )
-        if not self.alias.isidentifier():
-            raise ExpressionError(f"bad aggregate alias {self.alias!r}")
-        if self.fn == "sum" and self.attr is None:
+        if not alias.isidentifier():
+            raise ExpressionError(f"bad aggregate alias {alias!r}")
+        if fn == "sum" and attr is None:
             raise ExpressionError("sum() needs an attribute")
-        if self.fn == "count" and self.attr is not None:
+        if fn == "count" and attr is not None:
             raise ExpressionError("count() takes no attribute (use count(*))")
+        self._init(fn, alias, attr)
 
     def __str__(self) -> str:
         inner = "*" if self.attr is None else self.attr
         return f"{self.fn}({inner}) AS {self.alias}"
 
 
-@dataclass(frozen=True, slots=True)
-class Aggregate(Expression):
+class Aggregate(Expression, Node):
     """Group-by aggregation with self-maintainable aggregates.
 
     Output schema: the ``group_by`` attributes followed by one column per
@@ -214,16 +214,16 @@ class Aggregate(Expression):
     paper's [12]/[8] auxiliary-view territory.
     """
 
-    group_by: tuple[str, ...]
-    aggregates: tuple[AggregateSpec, ...]
-    child: Expression
+    __slots__ = ("group_by", "aggregates", "child")
 
-    def __post_init__(self) -> None:
-        if not self.aggregates:
+    def __init__(self, group_by: tuple[str, ...], aggregates: tuple[AggregateSpec, ...],
+                 child: Expression) -> None:
+        if not aggregates:
             raise ExpressionError("an Aggregate needs at least one aggregate")
-        names = list(self.group_by) + [a.alias for a in self.aggregates]
+        names = list(group_by) + [a.alias for a in aggregates]
         if len(set(names)) != len(names):
             raise ExpressionError(f"duplicate output columns: {names}")
+        self._init(group_by, aggregates, child)
 
     def base_relations(self) -> frozenset[str]:
         return self.child.base_relations()
@@ -273,16 +273,15 @@ def join_all(*exprs: Expression) -> Expression:
     return result
 
 
-@dataclass(frozen=True, slots=True)
-class ViewDefinition:
+class ViewDefinition(Node):
     """A named materialized-view definition: ``name = expression``."""
 
-    name: str
-    expression: Expression
+    __slots__ = ("name", "expression")
 
-    def __post_init__(self) -> None:
-        if not self.name or not self.name.isidentifier():
-            raise ExpressionError(f"view name {self.name!r} is not an identifier")
+    def __init__(self, name: str, expression: Expression) -> None:
+        if not name or not name.isidentifier():
+            raise ExpressionError(f"view name {name!r} is not an identifier")
+        self._init(name, expression)
 
     def base_relations(self) -> frozenset[str]:
         return self.expression.base_relations()

@@ -21,9 +21,9 @@ Grammar (case-insensitive keywords)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from repro.errors import ParseError
+from repro.record import Record
 from repro.relational.expressions import (
     Aggregate,
     AggregateSpec,
@@ -64,11 +64,13 @@ _KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "number" | "string" | "cmp" | "punct" | "name" | "kw"
-    text: str
-    position: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "position")
+
+    def __init__(self, kind: str, text: str, position: int) -> None:
+        self.kind = kind  # "number" | "string" | "cmp" | "punct" | "name" | "kw"
+        self.text = text
+        self.position = position
 
 
 def _tokenize(text: str) -> list[_Token]:

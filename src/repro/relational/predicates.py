@@ -11,10 +11,10 @@ relation R cannot affect a view ``select p (... R ...)`` if the part of
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.errors import ExpressionError
+from repro.record import Node
 from repro.relational.rows import Row
 
 
@@ -22,11 +22,13 @@ from repro.relational.rows import Row
 # operands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Attr:
+class Attr(Node):
     """A reference to a named attribute of the input row."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self._init(name)
 
     def value(self, row: Mapping[str, object]) -> object:
         if self.name not in row:
@@ -40,11 +42,13 @@ class Attr:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
+class Const(Node):
     """A literal constant."""
 
-    literal: object
+    __slots__ = ("literal",)
+
+    def __init__(self, literal: object) -> None:
+        self._init(literal)
 
     def value(self, row: Mapping[str, object]) -> object:
         return self.literal
@@ -105,9 +109,13 @@ class Predicate:
         return Not(self)
 
 
-@dataclass(frozen=True, slots=True)
-class TruePredicate(Predicate):
+class TruePredicate(Predicate, Node):
     """The always-true predicate (selection with no condition)."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        self._init()
 
     def evaluate(self, row: Mapping[str, object]) -> bool:
         return True
@@ -125,17 +133,15 @@ class TruePredicate(Predicate):
 TRUE = TruePredicate()
 
 
-@dataclass(frozen=True, slots=True)
-class Comparison(Predicate):
+class Comparison(Predicate, Node):
     """``lhs op rhs`` where operands are attributes or constants."""
 
-    lhs: Operand
-    op: str
-    rhs: Operand
+    __slots__ = ("lhs", "op", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.op not in _OPS:
-            raise ExpressionError(f"unknown comparison operator {self.op!r}")
+    def __init__(self, lhs: Operand, op: str, rhs: Operand) -> None:
+        if op not in _OPS:
+            raise ExpressionError(f"unknown comparison operator {op!r}")
+        self._init(lhs, op, rhs)
 
     def evaluate(self, row: Mapping[str, object]) -> bool:
         left = self.lhs.value(row)
@@ -159,10 +165,11 @@ class Comparison(Predicate):
         return f"{self.lhs} {self.op} {self.rhs}"
 
 
-@dataclass(frozen=True, slots=True)
-class And(Predicate):
-    left: Predicate
-    right: Predicate
+class And(Predicate, Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Predicate, right: Predicate) -> None:
+        self._init(left, right)
 
     def evaluate(self, row: Mapping[str, object]) -> bool:
         return self.left.evaluate(row) and self.right.evaluate(row)
@@ -183,10 +190,11 @@ class And(Predicate):
         return f"({self.left} and {self.right})"
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Predicate):
-    left: Predicate
-    right: Predicate
+class Or(Predicate, Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Predicate, right: Predicate) -> None:
+        self._init(left, right)
 
     def evaluate(self, row: Mapping[str, object]) -> bool:
         return self.left.evaluate(row) or self.right.evaluate(row)
@@ -207,9 +215,11 @@ class Or(Predicate):
         return f"({self.left} or {self.right})"
 
 
-@dataclass(frozen=True, slots=True)
-class Not(Predicate):
-    child: Predicate
+class Not(Predicate, Node):
+    __slots__ = ("child",)
+
+    def __init__(self, child: Predicate) -> None:
+        self._init(child)
 
     def evaluate(self, row: Mapping[str, object]) -> bool:
         return not self.child.evaluate(row)

@@ -10,11 +10,11 @@ schemas on their common attribute names).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator
 
 from repro.errors import SchemaError
+from repro.record import Node
 
 
 class AttrType(enum.Enum):
@@ -58,16 +58,15 @@ _PYTHON_TYPES = {
 _ACCEPTED: dict[AttrType, set[type]] = {attr_type: set() for attr_type in AttrType}
 
 
-@dataclass(frozen=True, slots=True)
-class Attribute:
+class Attribute(Node):
     """A single named, typed column."""
 
-    name: str
-    type: AttrType = AttrType.INT
+    __slots__ = ("name", "type")
 
-    def __post_init__(self) -> None:
-        if not self.name or not self.name.isidentifier():
-            raise SchemaError(f"attribute name {self.name!r} is not an identifier")
+    def __init__(self, name: str, type: AttrType = AttrType.INT) -> None:
+        if not name or not name.isidentifier():
+            raise SchemaError(f"attribute name {name!r} is not an identifier")
+        self._init(name, type)
 
     def __str__(self) -> str:
         return f"{self.name}:{self.type.value}"

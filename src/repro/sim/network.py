@@ -25,11 +25,11 @@ machinery to drop that assumption and win it back:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.messages import AckFrame, SequencedFrame
+from repro.record import Record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -150,19 +150,22 @@ class Channel:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Transmission:
+class Transmission(Record):
     """One fault decision: what the network does to a single transmission.
 
     Produced by a fault model (see :class:`repro.faults.ChannelFaultModel`);
     consumed by :class:`LossyChannel`.  ``duplicates`` is the number of
     *extra* copies injected; ``extra_delay`` is added on top of the sampled
-    latency (a delay spike).
+    latency (a delay spike).  Read-only once built.
     """
 
-    drop: bool = False
-    duplicates: int = 0
-    extra_delay: float = 0.0
+    __slots__ = ("drop", "duplicates", "extra_delay")
+
+    def __init__(self, drop: bool = False, duplicates: int = 0,
+                 extra_delay: float = 0.0) -> None:
+        self.drop = drop
+        self.duplicates = duplicates
+        self.extra_delay = extra_delay
 
 
 #: the decision a perfect network makes for every transmission

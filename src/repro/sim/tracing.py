@@ -26,25 +26,29 @@ positionally, so no dict is built at all.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from itertools import compress, starmap
 from typing import Callable, Collection, Iterable, Iterator
 
 from repro.errors import SimulationError
+from repro.record import Record
 
 #: the freshness endpoints (an update's numbering, its warehouse commit):
 #: what a default run records, and all the staleness derivation consumes
 STALENESS_KINDS = frozenset({"int_number", "wh_commit"})
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One timestamped occurrence in a run."""
+class TraceEvent(Record, compare=("time", "kind", "process")):
+    """One timestamped occurrence in a run; ``detail`` is outside ``==``
+    and ``hash``.  Read-only once built."""
 
-    time: float
-    kind: str
-    process: str
-    detail: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("time", "kind", "process", "detail")
+
+    def __init__(self, time: float, kind: str, process: str,
+                 detail: dict | None = None) -> None:
+        self.time = time
+        self.kind = kind
+        self.process = process
+        self.detail = {} if detail is None else detail
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.detail.items())

@@ -9,23 +9,22 @@ it is a non-empty list of updates plus the name of the originating source
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import SourceError
+from repro.record import Record
 from repro.relational.delta import Delta, updates_to_deltas
 from repro.sources.update import Update
 
 
-@dataclass(frozen=True, slots=True)
-class SourceTransaction:
-    """An atomic group of base-data updates."""
+class SourceTransaction(Record):
+    """An atomic group of base-data updates; read-only once built."""
 
-    origin: str
-    updates: tuple[Update, ...]
+    __slots__ = ("origin", "updates")
 
-    def __post_init__(self) -> None:
-        if not self.updates:
+    def __init__(self, origin: str, updates: tuple[Update, ...]) -> None:
+        if not updates:
             raise SourceError("a transaction must contain at least one update")
+        self.origin = origin
+        self.updates = updates
 
     @classmethod
     def single(cls, origin: str, update: Update) -> "SourceTransaction":
@@ -45,14 +44,18 @@ class SourceTransaction:
         return f"Txn@{self.origin}[{inner}]"
 
 
-@dataclass(frozen=True, slots=True)
-class CommittedTransaction:
-    """A transaction that committed, with its global commit position."""
+class CommittedTransaction(Record, compare=("sequence", "commit_time", "transaction")):
+    """A transaction that committed, with its global commit position;
+    ``detail`` is outside ``==`` and ``hash``.  Read-only once built."""
 
-    sequence: int
-    commit_time: float
-    transaction: SourceTransaction
-    detail: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("sequence", "commit_time", "transaction", "detail")
+
+    def __init__(self, sequence: int, commit_time: float,
+                 transaction: SourceTransaction, detail: dict | None = None) -> None:
+        self.sequence = sequence
+        self.commit_time = commit_time
+        self.transaction = transaction
+        self.detail = {} if detail is None else detail
 
     @property
     def relations(self) -> frozenset[str]:

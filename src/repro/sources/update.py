@@ -10,10 +10,10 @@ view manager that sees the update read the same ``Delta``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from repro.errors import SourceError
 from repro.relational.delta import Delta
+from repro.record import Record
 from repro.relational.rows import Row
 
 
@@ -25,24 +25,27 @@ class UpdateKind(enum.Enum):
     MODIFY = "modify"
 
 
-@dataclass(frozen=True, slots=True)
-class Update:
-    """One single-row change to one base relation."""
+class Update(Record):
+    """One single-row change to one base relation; read-only once built.
 
-    relation: str
-    kind: UpdateKind
-    row: Row
-    new_row: Row | None = None
-    #: the :meth:`as_delta` built on first call; not part of the value
-    #: (``==``, ``hash``, ``repr``) nor of the pickled state
-    _delta: Delta | None = field(default=None, init=False, repr=False, compare=False)
+    ``_delta`` is the :meth:`as_delta` built on first call; not part of the
+    value (``==``, ``hash``, ``repr``) nor of the pickled state.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind is UpdateKind.MODIFY:
-            if self.new_row is None:
+    __slots__ = ("relation", "kind", "row", "new_row", "_delta")
+
+    def __init__(self, relation: str, kind: UpdateKind, row: Row,
+                 new_row: Row | None = None) -> None:
+        if kind is UpdateKind.MODIFY:
+            if new_row is None:
                 raise SourceError("MODIFY update needs a new_row")
-        elif self.new_row is not None:
-            raise SourceError(f"{self.kind.value} update must not carry a new_row")
+        elif new_row is not None:
+            raise SourceError(f"{kind.value} update must not carry a new_row")
+        self.relation = relation
+        self.kind = kind
+        self.row = row
+        self.new_row = new_row
+        self._delta: Delta | None = None
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -66,15 +69,15 @@ class Update:
                 delta = Delta.modify(self.row, self.new_row)
             else:
                 delta = Delta({self.row: 1 if self.kind is UpdateKind.INSERT else -1})
-            object.__setattr__(self, "_delta", delta)
+            self._delta = delta
         return self._delta
 
     def __getstate__(self) -> list:
         return [self.relation, self.kind, self.row, self.new_row]
 
     def __setstate__(self, state: list) -> None:
-        for name, value in zip(_SLOTS, [*state, None]):
-            object.__setattr__(self, name, value)
+        self.relation, self.kind, self.row, self.new_row = state
+        self._delta = None
 
     def touched_rows(self) -> tuple[Row, ...]:
         """Rows whose values the relevance filter may inspect."""
@@ -87,9 +90,6 @@ class Update:
         if self.kind is UpdateKind.MODIFY:
             return f"modify {self.relation}: {self.row} -> {self.new_row}"
         return f"{self.kind.value} {self.relation}: {self.row}"
-
-
-_SLOTS = ("relation", "kind", "row", "new_row", "_delta")
 
 
 def _coerce(row: Row | dict) -> Row:

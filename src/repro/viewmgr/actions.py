@@ -15,9 +15,10 @@ batch".
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from itertools import pairwise
 
 from repro.errors import ViewManagerError
+from repro.record import Record
 from repro.relational.delta import Delta
 from repro.relational.relation import Relation
 
@@ -27,16 +28,21 @@ class ActionKind(enum.Enum):
     REPLACE = "replace"
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
-    """A single operation against one warehouse view."""
+class Action(Record):
+    """A single operation against one warehouse view; read-only once built.
 
-    view: str
-    kind: ActionKind
-    delta: Delta = Delta()
-    #: the new contents of a REPLACE; read-only, being shared with every
-    #: copy of the action
-    replacement: Relation = Relation()
+    ``replacement`` is the new contents of a REPLACE; read-only, being
+    shared with every copy of the action.
+    """
+
+    __slots__ = ("view", "kind", "delta", "replacement")
+
+    def __init__(self, view: str, kind: ActionKind, delta: Delta = Delta(),
+                 replacement: Relation = Relation()) -> None:
+        self.view = view
+        self.kind = kind
+        self.delta = delta
+        self.replacement = replacement
 
     def apply_to(self, relation: Relation) -> None:
         if self.kind is ActionKind.APPLY_DELTA:
@@ -45,33 +51,35 @@ class Action:
             relation.replace_all(self.replacement)
 
 
-@dataclass(frozen=True, slots=True)
-class ActionList:
-    """``AL^x_j``: everything view ``view`` needs for updates ``covered``."""
+class ActionList(Record):
+    """``AL^x_j``: everything view ``view`` needs for updates ``covered``;
+    read-only once built."""
 
-    view: str
-    manager: str
-    last_update: int
-    covered: tuple[int, ...]
-    actions: tuple[Action, ...]
+    __slots__ = ("view", "manager", "last_update", "covered", "actions")
 
-    def __post_init__(self) -> None:
-        if not self.covered:
+    def __init__(self, view: str, manager: str, last_update: int,
+                 covered: tuple[int, ...], actions: tuple[Action, ...]) -> None:
+        if not covered:
             raise ViewManagerError("an action list must cover at least one update")
-        if list(self.covered) != sorted(set(self.covered)):
+        if any(a >= b for a, b in pairwise(covered)):
             raise ViewManagerError(
-                f"covered update ids must be strictly increasing: {self.covered}"
+                f"covered update ids must be strictly increasing: {covered}"
             )
-        if self.covered[-1] != self.last_update:
+        if covered[-1] != last_update:
             raise ViewManagerError(
-                f"last_update {self.last_update} must be the largest covered id "
-                f"{self.covered}"
+                f"last_update {last_update} must be the largest covered id "
+                f"{covered}"
             )
-        for action in self.actions:
-            if action.view != self.view:
+        for action in actions:
+            if action.view != view:
                 raise ViewManagerError(
-                    f"action for view {action.view!r} inside list for {self.view!r}"
+                    f"action for view {action.view!r} inside list for {view!r}"
                 )
+        self.view = view
+        self.manager = manager
+        self.last_update = last_update
+        self.covered = covered
+        self.actions = actions
 
     # -- constructors ---------------------------------------------------------
     @classmethod

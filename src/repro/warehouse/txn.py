@@ -2,41 +2,41 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import pairwise
 
 from repro.errors import WarehouseError
+from repro.record import Record
 from repro.viewmgr.actions import ActionList
 
 
-@dataclass(frozen=True, slots=True)
-class WarehouseTransaction:
+class WarehouseTransaction(Record):
     """An atomic bundle of action lists for the warehouse.
 
     ``covered_rows`` are the VUT row numbers (update ids) whose action
     lists this transaction applies; ``view_set`` is ``VS(WT)`` from §4.3 —
     the set of views the transaction updates.  Two transactions are
     *dependent* when their view sets intersect; dependent transactions
-    must commit in submission order.
+    must commit in submission order.  Read-only once built.
     """
 
-    txn_id: int
-    merge_name: str
-    action_lists: tuple[ActionList, ...]
-    covered_rows: tuple[int, ...]
-    # VS(WT), computed once: the submission policies probe it per offer
-    # and per commit, and the action lists never change.
-    _view_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("txn_id", "merge_name", "action_lists", "covered_rows", "_view_set")
 
-    def __post_init__(self) -> None:
-        if not self.covered_rows:
+    def __init__(self, txn_id: int, merge_name: str,
+                 action_lists: tuple[ActionList, ...],
+                 covered_rows: tuple[int, ...]) -> None:
+        if not covered_rows:
             raise WarehouseError("a warehouse transaction must cover some update")
-        if list(self.covered_rows) != sorted(set(self.covered_rows)):
+        if any(a >= b for a, b in pairwise(covered_rows)):
             raise WarehouseError(
-                f"covered rows must be strictly increasing: {self.covered_rows}"
+                f"covered rows must be strictly increasing: {covered_rows}"
             )
-        object.__setattr__(
-            self, "_view_set", frozenset(al.view for al in self.action_lists)
-        )
+        self.txn_id = txn_id
+        self.merge_name = merge_name
+        self.action_lists = action_lists
+        self.covered_rows = covered_rows
+        # VS(WT), computed once: the submission policies probe it per offer
+        # and per commit, and the action lists never change.
+        self._view_set = frozenset(al.view for al in action_lists)
 
     @property
     def view_set(self) -> frozenset[str]:

@@ -51,8 +51,8 @@ SAMPLES: dict[type, Expression] = {
         ("B",), (AggregateSpec("count", "n"), AggregateSpec("sum", "tot", "A")), R
     ),
 }
-#: the classes the module exports: ``__subclasses__`` also lists the
-#: pre-``slots=True`` twin of each dataclass and other tests' own subclasses
+#: the classes the module exports: ``__subclasses__`` also lists other
+#: tests' own subclasses
 NODE_CLASSES = [
     cls for cls in Expression.__subclasses__()
     if vars(expressions).get(cls.__name__) is cls

@@ -102,13 +102,22 @@ class TestPublicSurface:
 # A fresh interpreter builds and drains paper Example 2 with ``SystemConfig``
 # keywords from argv[2] (after the statement in argv[1]) and prints the
 # ``repro`` modules loaded after the config, after the drain, and after
-# reading the results.
+# reading the results, and the dataclasses those modules define after the
+# drain.
 _RUN = """
-import json, sys
+import dataclasses, json, sys
 from repro import SystemConfig, Update, WarehouseSystem, paper_views_example2, paper_world
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("repro"))
+
+def dataclasses_defined():
+    return sorted(
+        f"{name}.{cls.__qualname__}" for name in loaded()
+        for cls in vars(sys.modules[name]).values()
+        if isinstance(cls, type) and cls.__module__ == name
+        and dataclasses.is_dataclass(cls)
+    )
 
 exec(sys.argv[1])
 config = eval("SystemConfig(" + sys.argv[2] + ")")
@@ -118,6 +127,7 @@ with WarehouseSystem(paper_world(), paper_views_example2(), config) as system:
     system.post_update(Update.insert("R", {"A": 1, "B": 2}), at=2.0)
     system.run()
     stages["run"] = loaded()
+    stages["dataclasses"] = dataclasses_defined()
     stages["ok"] = system.check_mvc().ok
     stages["reflected"] = system.report().updates_reflected
 stages["results"] = loaded()
@@ -164,6 +174,21 @@ class TestWhatARunImports:
         assert default_run["reflected"] == 2
         assert {"repro.consistency", "repro.system.report"} <= set(
             default_run["results"])
+
+    def test_only_the_codec_records_are_dataclasses(self, default_run):
+        """``@dataclass`` runs ``exec`` over generated source at every
+        import; the run path's records are plain slotted classes
+        (``repro.record``), and only the records the scenario codec reads
+        with ``dataclasses.fields`` stay dataclasses."""
+        codec = {
+            "repro.system.config.SystemConfig",
+            "repro.workloads.generator.WorkloadSpec",
+            "repro.sim.scheduler.Perturbation",
+        }
+        found = set(default_run["dataclasses"])
+        assert not found - codec, (
+            f"a run-path record became a dataclass: {sorted(found - codec)}")
+        assert found == codec
 
     @pytest.mark.parametrize("setup, fields, module", [
         ("from repro.cache import CacheConfig",
