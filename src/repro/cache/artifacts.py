@@ -71,6 +71,16 @@ def _decode_relation(encoded: tuple, schema) -> Relation:
     return Relation.from_tuple_counts(tuple(layout), counts, schema)
 
 
+def _load(raw: bytes) -> object | None:
+    """Unpickle a verified payload; None when this code cannot load it
+    (written by other code: a missing class, another record layout)."""
+    try:
+        return pickle.loads(raw)
+    except (pickle.UnpicklingError, AttributeError, EOFError, ImportError,
+            LookupError, TypeError, ValueError):
+        return None
+
+
 class SystemCacheBinding:
     """Per-system cache plumbing shared by every view/merge binding."""
 
@@ -134,13 +144,15 @@ class _RefPublisher:
         else:
             self._store.set_ref(self._ref_name, key)
 
-    def resolve(self) -> bytes | None:
-        """Ref → verified payload, or None on dangling/miss/corruption."""
+    def resolve(self) -> object | None:
+        """Ref → the verified payload unpickled, or None on a dangling
+        ref, a miss, corruption or a payload this code cannot load (one
+        written by other code: a miss too, so the caller falls back)."""
         key = self._store.ref(self._ref_name)
         if key is None:
             return None
         try:
-            return self._store.get(key)
+            return _load(self._store.get(key))
         except (CacheMiss, CacheIntegrityError):
             return None
 
@@ -197,8 +209,8 @@ class ViewCacheBinding:
         self._seed_key = artifact_key("view-seed", self._key_material())
         self._seed_payload = None
         try:
-            payload = pickle.loads(self.store.get(self._seed_key))
-            if payload.get("format") == PAYLOAD_FORMAT:
+            payload = _load(self.store.get(self._seed_key))
+            if isinstance(payload, dict) and payload.get("format") == PAYLOAD_FORMAT:
                 self._seed_payload = payload
                 self.seed_hits += 1
         except (CacheMiss, CacheIntegrityError):
@@ -340,15 +352,14 @@ class ViewCacheBinding:
         """Rebuild the manager from its newest checkpoint artifact.
 
         Returns False — leaving the manager untouched — on a dangling
-        ref, a cache miss, a failed digest verification, or a payload
-        format mismatch; the caller then falls back to the replay path.
+        ref, a cache miss, a failed digest verification, a payload this
+        code cannot load or a payload format mismatch; the caller then
+        falls back to the replay path.
         """
-        raw = self._refs.resolve()
-        if raw is None:
-            return False
-        payload = pickle.loads(raw)
+        payload = self._refs.resolve()
         if (
-            payload.get("format") != PAYLOAD_FORMAT
+            not isinstance(payload, dict)
+            or payload.get("format") != PAYLOAD_FORMAT
             or payload.get("kind") != "checkpoint"
             or payload.get("view") != self.view
         ):
@@ -411,10 +422,9 @@ class MergeCacheBinding:
         return key
 
     def try_restore(self) -> "MergeCheckpoint | None":
-        raw = self._refs.resolve()
-        if raw is None:
-            return None
-        return pickle.loads(raw)
+        """The newest published checkpoint, or None (the caller then falls
+        back to its in-memory one)."""
+        return self._refs.resolve()
 
 
 __all__ = [

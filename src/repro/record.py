@@ -43,6 +43,10 @@ class Record:
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
 
+#: a ``None`` field's hash stand-in: before 3.12 ``hash(None)`` is an address
+_NONE_HASH = 0x5EED
+
+
 class Node(Record):
     """Frozen: ``_init`` sets the fields (in slot order) and the hash once."""
 
@@ -52,7 +56,9 @@ class Node(Record):
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
         try:
-            object.__setattr__(self, "_hash", hash(values))
+            object.__setattr__(self, "_hash", hash(tuple(
+                [_NONE_HASH if value is None else value for value in values]
+            )))
         except TypeError:  # an unhashable field: ``hash()`` raises when asked
             object.__setattr__(self, "_hash", None)
 

@@ -19,10 +19,10 @@ API; everything here is position-keyed and batch-oriented:
   (insertions > 0, deletions < 0) tuple bag, applied to a
   :class:`ColumnarRelation` in one validated batch
   (:meth:`ColumnarRelation.apply_signed`).
-* predicates, projections and join merges are **compiled once per
+* predicates, projections and joins are **compiled once per
   (operator, layout)** into position-indexed Python functions
   (:func:`compile_filter`, :func:`compile_projection`,
-  :func:`compile_merge`): attribute names are resolved to tuple positions
+  :func:`compile_join`): attribute names are resolved to tuple positions
   at compile time, and the batch kernels are synthesized comprehensions/
   loops so the per-row inner work is a few C-level tuple operations
   instead of dict lookups, ``Row`` construction and method dispatch.
@@ -40,7 +40,6 @@ same pieces.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -141,7 +140,7 @@ def make_key(layout: Layout, attrs: tuple[str, ...]) -> Callable[[tuple], object
 
 
 # ---------------------------------------------------------------------------
-# compiled kernels: predicates, projections, merges
+# compiled kernels: predicates, projections, joins
 # ---------------------------------------------------------------------------
 
 _OP_SOURCE = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -151,7 +150,6 @@ _OP_SOURCE = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 #: unhashable constants simply skip the cache.
 _FILTER_CACHE: dict[tuple, Callable] = {}
 _PROJECT_CACHE: dict[tuple, Callable] = {}
-_MERGE_CACHE: dict[tuple, tuple[Layout, Callable]] = {}
 _AGGREGATE_CACHE: dict[str, dict] = {}  # keyed by the kernel's source
 
 
@@ -316,34 +314,28 @@ def compile_projection(
     return out_layout, kernel
 
 
-def compile_merge(
-    left_layout: Layout, right_layout: Layout
-) -> tuple[Layout, Callable[[tuple, tuple], tuple]]:
-    """Compile the join tuple-concatenation for two layouts.
+def _key_source(layout: Layout, on: tuple[str, ...], var: str) -> str:
+    """The join key of tuple ``var`` as source: a bare value for one
+    attribute (:func:`make_key`'s convention), else a value tuple."""
+    positions = [layout.index(a) for a in on]
+    if len(positions) == 1:
+        return f"{var}[{positions[0]}]"
+    return "(" + "".join(f"{var}[{p}], " for p in positions) + ")"
 
-    Returns ``(output layout, merge)`` where ``merge(l, r)`` builds the
-    output tuple positionally (shared attributes are taken from the left
-    operand — the join key guarantees they agree).
-    """
-    key = (left_layout, right_layout)
-    cached = _MERGE_CACHE.get(key)
-    if cached is not None:
-        return cached
+
+def _merge_source(
+    left_layout: Layout, right_layout: Layout, left_var: str, right_var: str
+) -> tuple[Layout, str]:
+    """A join's output layout, and the tuple display building an output
+    tuple from a left tuple and a right tuple: a shared attribute is read
+    off the left one (the join key makes the two agree)."""
     out_layout = layout_of(set(left_layout) | set(right_layout))
-    parts = []
-    for name in out_layout:
-        if name in left_layout:
-            parts.append(f"l[{left_layout.index(name)}]")
-        else:
-            parts.append(f"r[{right_layout.index(name)}]")
-    body = ", ".join(parts)
-    if len(out_layout) == 1:
-        body += ","
-    env: dict = {}
-    exec(compile(f"def _merge(l, r):\n    return ({body})\n",
-                 "<columnar-merge>", "exec"), env)
-    compiled = _MERGE_CACHE[key] = out_layout, env["_merge"]
-    return compiled
+    parts = (
+        f"{left_var}[{left_layout.index(name)}], " if name in left_layout
+        else f"{right_var}[{right_layout.index(name)}], "
+        for name in out_layout
+    )
+    return out_layout, "(" + "".join(parts) + ")"
 
 
 #: fused probe-loop kernels, keyed by (delta layout, other layout, on, side)
@@ -361,48 +353,28 @@ def compile_join_probe(
     ``_probe(items, bucket_get, out)`` drives ``d_delta |><| other_old``
     with everything inlined in generated source: the join key is a
     positional display over the delta tuple, the bucket lookup is one
-    ``dict.get``, and the merged output tuple is the
-    :func:`compile_merge` display spliced directly into the inner loop —
-    no per-pair function calls at all.
+    ``dict.get``, and the merged output tuple is a display spliced
+    directly into the inner loop — no per-pair function calls at all.
 
     The output is written with a plain store (``out[k] = c * oc``), which
-    is exact for a *single* term: distinct ``(t, other)`` pairs always
-    merge to distinct output tuples (they differ on a delta-side or an
-    other-side-only attribute), so no accumulation can occur.  Callers
+    is exact for a *single* term (see :func:`compile_join`).  Callers
     mixing several terms into one dict must not use this kernel.
     """
     cache_key = (delta_layout, other_layout, on, delta_is_left)
     probe = _PROBE_CACHE.get(cache_key)
     if probe is not None:
         return probe
-    positions = tuple(delta_layout.index(a) for a in on)
-    if not positions:
-        key_expr = "()"
-    elif len(positions) == 1:
-        key_expr = f"t[{positions[0]}]"
+    if delta_is_left:
+        _, display = _merge_source(delta_layout, other_layout, "t", "o")
     else:
-        key_expr = "(" + ", ".join(f"t[{p}]" for p in positions) + ")"
-    out_layout = layout_of(set(delta_layout) | set(other_layout))
-    # shared attributes come from the join's LEFT operand (compile_merge's
-    # convention) — which is the delta side iff ``delta_is_left``
-    first, first_var = (delta_layout, "t") if delta_is_left else (other_layout, "o")
-    second, second_var = (other_layout, "o") if delta_is_left else (delta_layout, "t")
-    parts = []
-    for name in out_layout:
-        if name in first:
-            parts.append(f"{first_var}[{first.index(name)}]")
-        else:
-            parts.append(f"{second_var}[{second.index(name)}]")
-    display = ", ".join(parts)
-    if len(out_layout) == 1:
-        display += ","
+        _, display = _merge_source(other_layout, delta_layout, "o", "t")
     source = (
         "def _probe(items, bucket_get, out):\n"
         "    for t, c in items:\n"
-        f"        m = bucket_get({key_expr})\n"
+        f"        m = bucket_get({_key_source(delta_layout, on, 't')})\n"
         "        if m:\n"
         "            for o, oc in m.items():\n"
-        f"                out[({display})] = c * oc\n"
+        f"                out[{display}] = c * oc\n"
     )
     env: dict = {}
     exec(compile(source, "<columnar-probe>", "exec"), env)
@@ -410,36 +382,84 @@ def compile_join_probe(
     return probe
 
 
+#: generated hash joins, keyed by (left layout, right layout, on)
+_JOIN_CACHE: dict[tuple, tuple[Layout, Callable]] = {}
+
+#: one half of a generated join: index ``build`` by key, probe with ``scan``
+_JOIN_HALF = """\
+        table = {{}}
+        get = table.get
+        for {b}, {b}c in {build}.items():
+            k = {build_key}
+            m = get(k)
+            if m is None:
+                table[k] = [({b}, {b}c)]
+            else:
+                m.append(({b}, {b}c))
+        for {s}, {s}c in {scan}.items():
+            m = get({scan_key})
+            if m is not None:
+                for {b}, {b}c in m:
+                    out[{display}] = lc * rc
+"""
+
+
+def compile_join(
+    left_layout: Layout, right_layout: Layout, on: tuple[str, ...]
+) -> tuple[Layout, Callable[[Mapping[tuple, int], Mapping[tuple, int]], dict]]:
+    """Compile the hash join of two tuple bags on ``on``.
+
+    Returns ``(output layout, join)``: ``join(left, right)`` indexes the
+    smaller bag by its inlined positional key, probes the index with the
+    larger one and writes ``out[(display)] = lc * rc`` with plain stores.
+    That is exact for one join: the operands share no attribute outside
+    ``on``, so distinct pairs merge to distinct output tuples, and nonzero
+    counts (signed ones included) multiply to a nonzero count.  Compiled
+    once per (layouts, on) and cached.
+    """
+    cache_key = (left_layout, right_layout, on)
+    cached = _JOIN_CACHE.get(cache_key)
+    if cached is not None:
+        return cached
+    if set(on) != set(left_layout) & set(right_layout):
+        raise ExpressionError(
+            f"a join of {left_layout} with {right_layout} must match on "
+            f"their shared attributes, not on {on}"
+        )
+    out_layout, display = _merge_source(left_layout, right_layout, "l", "r")
+    keys = {"l": _key_source(left_layout, on, "l"),
+            "r": _key_source(right_layout, on, "r")}
+    halves = [
+        _JOIN_HALF.format(b=b, s=s, build=build, scan=scan, build_key=keys[b],
+                          scan_key=keys[s], display=display)
+        for b, s, build, scan in (("l", "r", "left", "right"),
+                                  ("r", "l", "right", "left"))
+    ]
+    source = (
+        "def _join(left, right):\n"
+        "    out = {}\n"
+        "    if not (left and right):\n        return out\n"
+        "    if len(left) <= len(right):\n"
+        f"{halves[0]}"
+        "    else:\n"
+        f"{halves[1]}"
+        "    return out\n"
+    )
+    env: dict = {}
+    exec(compile(source, "<columnar-join>", "exec"), env)
+    compiled = _JOIN_CACHE[cache_key] = out_layout, env["_join"]
+    return compiled
+
+
 def join_counts_columnar(
     left: Mapping[tuple, int],
     right: Mapping[tuple, int],
-    left_key: Callable[[tuple], object],
-    right_key: Callable[[tuple], object],
-    merge: Callable[[tuple, tuple], tuple],
+    join: Callable[[Mapping[tuple, int], Mapping[tuple, int]], dict],
 ) -> dict[tuple, int]:
-    """Hash-join two signed- or unsigned-count tuple bags.
-
-    Multiplicities multiply (counting semantics, signed counts included).
-    The hash table is built over the smaller side.
-    """
-    if not left or not right:
-        return {}
-    out: dict[tuple, int] = defaultdict(int)
-    if len(left) <= len(right):
-        table: dict = defaultdict(list)
-        for t, c in left.items():
-            table[left_key(t)].append((t, c))
-        for t, c in right.items():
-            for other, other_count in table.get(right_key(t), ()):
-                out[merge(other, t)] += c * other_count
-    else:
-        table = defaultdict(list)
-        for t, c in right.items():
-            table[right_key(t)].append((t, c))
-        for t, c in left.items():
-            for other, other_count in table.get(left_key(t), ()):
-                out[merge(t, other)] += c * other_count
-    return {t: c for t, c in out.items() if c}
+    """Hash-join two signed- or unsigned-count tuple bags with ``join``
+    from :func:`compile_join`: the one full-join entry point (set-up,
+    refresh, the query-back rules, a plan's cross term)."""
+    return join(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -881,11 +901,8 @@ def _eval_columnar(
         left_layout, left = _eval_columnar(expr.left, db, memo)
         right_layout, right = _eval_columnar(expr.right, db, memo)
         on = expr.join_attributes(db.schemas)
-        out_layout, merge = compile_merge(left_layout, right_layout)
-        result = out_layout, join_counts_columnar(
-            left, right,
-            make_key(left_layout, on), make_key(right_layout, on), merge,
-        )
+        out_layout, kernel = compile_join(left_layout, right_layout, on)
+        result = out_layout, join_counts_columnar(left, right, kernel)
     elif isinstance(expr, Aggregate):
         layout, counts = _eval_columnar(expr.child, db, memo)
         kernel = AggregateKernel(expr, layout)

@@ -22,7 +22,7 @@ view-manager modes, which fetch theirs per batch (only the relations
 ``pre_state_reads`` names: the old sides the rules probe).  It runs on the
 columnar kernels: the rules are compiled once per (expression, base
 relation layouts) from ``compile_filter`` / ``compile_projection`` /
-``compile_merge`` with ``make_key`` and ``join_counts_columnar`` /
+``compile_join`` (run through ``join_counts_columnar``) /
 ``AggregateKernel``, an old side is read off the pre-state's stores
 through ``_eval_columnar`` (one memo per call), and the result is adopted
 as a :class:`Delta`: no ``Row`` is built.  The same rules over ``Row``
@@ -48,7 +48,7 @@ from repro.relational.columnar import (
     AggregateKernel,
     _eval_columnar,
     compile_filter,
-    compile_merge,
+    compile_join,
     compile_projection,
     counts_to_rows,
     join_counts_columnar,
@@ -342,21 +342,20 @@ def _compile_join(expr: Join, schemas) -> tuple[tuple[str, ...], Callable]:
     on = expr.join_attributes(schemas)
     left_layout, left = _compile_rules(expr.left, schemas)
     right_layout, right = _compile_rules(expr.right, schemas)
-    layout, merge = compile_merge(left_layout, right_layout)
-    left_key, right_key = make_key(left_layout, on), make_key(right_layout, on)
+    layout, kernel = compile_join(left_layout, right_layout, on)
 
     def join(deltas, pre, memo):
         d_left, d_right = left(deltas, pre, memo), right(deltas, pre, memo)
         terms = []
         if d_left:
             old = _eval_columnar(expr.right, pre, memo)[1]
-            terms.append(join_counts_columnar(d_left, old, left_key, right_key, merge))
+            terms.append(join_counts_columnar(d_left, old, kernel))
         if d_right:
             old = _eval_columnar(expr.left, pre, memo)[1]
-            terms.append(join_counts_columnar(old, d_right, left_key, right_key, merge))
+            terms.append(join_counts_columnar(old, d_right, kernel))
         if len(terms) < 2:  # one side changed (the common case), or none
             return terms[0] if terms else EMPTY_COUNTS
-        terms.append(join_counts_columnar(d_left, d_right, left_key, right_key, merge))
+        terms.append(join_counts_columnar(d_left, d_right, kernel))
         out: dict[tuple, int] = defaultdict(int)
         for term in terms:
             for t, count in term.items():

@@ -26,15 +26,15 @@ the delta:
 Per-update cost drops from O(|base|) to O(|delta| x matching rows).
 
 **One node family.**  Deltas flow between nodes as layout-positioned
-**value tuples** with signed counts; predicates/projections/join
-merges/aggregate folds run as kernels compiled once per (operator,
+**value tuples** with signed counts; predicates/projections/joins/
+aggregate folds run as kernels compiled once per (operator,
 layout) by :mod:`repro.relational.columnar`; probes read
 :class:`~repro.relational.columnar.ColumnIndex` structures on each
 relation's columnar store.  A batch comes in and a view delta goes out
 as a :class:`~repro.relational.delta.Delta`, which holds that same form:
 no ``Row`` is built on either side.
 Every node answers ``delta`` / ``advance`` / ``describe``, join inputs
-also ``probe`` / ``probe_table``.  ``docs/engine.md`` walks
+also ``probe_table``.  ``docs/engine.md`` walks
 through the layout; the test suite holds every plan delta equal to both
 ``propagate_delta`` and a full recompute.
 
@@ -56,7 +56,6 @@ only rejects a caller-supplied one).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from time import perf_counter_ns
 from typing import Mapping
 
@@ -68,11 +67,10 @@ from repro.relational.columnar import (
     ColumnarRelation,
     _eval_columnar,
     compile_filter,
+    compile_join,
     compile_join_probe,
-    compile_merge,
     compile_projection,
     join_counts_columnar,
-    make_key,
 )
 from repro.relational.delta import EMPTY_DELTA, Delta
 from repro.relational.expressions import (
@@ -129,15 +127,11 @@ class _CBaseNode:
             )
         return delta._counts
 
-    def probe(self, key) -> Mapping[tuple, int]:
-        self.probes += 1
-        return self.relation.columnar().index_on(self.probe_key).bucket(key)
-
     def probe_table(self) -> Mapping[object, Mapping[tuple, int]]:
         """The probe index's raw bucket mapping, for fused probe loops.
 
-        Callers account probes themselves (one per delta tuple driven
-        through the loop, matching :meth:`probe`'s per-key counting).
+        Callers account probes themselves: ``probes`` counts one per delta
+        tuple driven through a loop.
         """
         return self.relation.columnar().index_on(self.probe_key).table()
 
@@ -233,10 +227,6 @@ class _CMatInput:
         staged[id(self)] = counts = self.node.delta(deltas, staged)
         return counts
 
-    def probe(self, key) -> Mapping[tuple, int]:
-        self.probes += 1
-        return self.store.index_on(self.probe_key).bucket(key)
-
     def probe_table(self) -> Mapping[object, Mapping[tuple, int]]:
         """Raw bucket mapping (see :meth:`_CBaseNode.probe_table`)."""
         return self.store.index_on(self.probe_key).table()
@@ -259,23 +249,20 @@ class _CMatInput:
 class _CJoinNode:
     """d(L |><| R) = dL |><| R_old + L_old |><| dR + dL |><| dR.
 
-    The old sides are never rebuilt: each single-delta term probes the
-    opposite input's column index with only the delta tuples' join keys.
-    Key extraction and the output-tuple merge are compiled positionally
-    at plan-compile time — no attribute names, no ``Row.merge``.
+    The old sides are never rebuilt: each single-delta term is one fused
+    probe loop over the opposite input's column index, driven by only the
+    delta tuples' join keys; the cross term is the compiled hash join.
+    Keys and output tuples are positional, compiled at plan-compile time.
     """
 
-    __slots__ = ("left", "right", "on", "layout",
-                 "_left_key", "_right_key", "_merge",
+    __slots__ = ("left", "right", "on", "layout", "_join",
                  "_probe_left", "_probe_right")
 
     def __init__(self, left, right, on) -> None:
         self.left = left
         self.right = right
         self.on = on
-        self.layout, self._merge = compile_merge(left.layout, right.layout)
-        self._left_key = make_key(left.layout, on)
-        self._right_key = make_key(right.layout, on)
+        self.layout, self._join = compile_join(left.layout, right.layout, on)
         self._probe_left = compile_join_probe(left.layout, right.layout, on, True)
         self._probe_right = compile_join_probe(right.layout, left.layout, on, False)
 
@@ -284,45 +271,28 @@ class _CJoinNode:
         d_right = self.right.delta(deltas, staged)
         prof = staged.get(PROF_KEY)
         t0 = perf_counter_ns() if prof is not None else 0
-        rows_in = len(d_left) + len(d_right)
-        if not d_left and not d_right:
-            if prof is not None:
-                prof.node(self, perf_counter_ns() - t0, 0, 0)
-            return EMPTY_COUNTS
-        if not d_right:
-            # single-sided batch (the common case): one fused probe loop,
-            # plain stores, provably no zero counts to filter
-            result: dict[tuple, int] = {}
-            self._probe_left(d_left.items(), self.right.probe_table().get, result)
+        # each term by itself: plain stores, provably no zero counts
+        terms: list[Mapping[tuple, int]] = []
+        if d_left:
+            terms.append(term := {})
+            self._probe_left(d_left.items(), self.right.probe_table().get, term)
             self.right.probes += len(d_left)
-            if prof is not None:
-                prof.node(self, perf_counter_ns() - t0, rows_in, len(result))
-            return result
-        if not d_left:
-            result = {}
-            self._probe_right(d_right.items(), self.left.probe_table().get, result)
+        if d_right:
+            terms.append(term := {})
+            self._probe_right(d_right.items(), self.left.probe_table().get, term)
             self.left.probes += len(d_right)
-            if prof is not None:
-                prof.node(self, perf_counter_ns() - t0, rows_in, len(result))
-            return result
-        merge = self._merge
-        out: dict[tuple, int] = defaultdict(int)
-        key_of, probe = self._left_key, self.right.probe
-        for t, count in d_left.items():
-            for other, other_count in probe(key_of(t)).items():
-                out[merge(t, other)] += count * other_count
-        key_of, probe = self._right_key, self.left.probe
-        for t, count in d_right.items():
-            for other, other_count in probe(key_of(t)).items():
-                out[merge(other, t)] += count * other_count
-        cross = join_counts_columnar(
-            d_left, d_right, self._left_key, self._right_key, merge
-        )
-        for t, count in cross.items():
-            out[t] += count
-        result = {t: c for t, c in out.items() if c}
+        result = terms[0] if terms else EMPTY_COUNTS
+        if d_left and d_right:
+            # the three terms may share output tuples: sum, then drop zeros
+            terms.append(join_counts_columnar(d_left, d_right, self._join))
+            get = result.get
+            for term in terms[1:]:
+                for t, count in term.items():
+                    result[t] = get(t, 0) + count
+            result = {t: c for t, c in result.items() if c}
         if prof is not None:
-            prof.node(self, perf_counter_ns() - t0, rows_in, len(result))
+            prof.node(self, perf_counter_ns() - t0, len(d_left) + len(d_right),
+                      len(result))
         return result
 
     def advance(self, staged) -> None:

@@ -12,8 +12,9 @@ tuples of a :class:`~repro.relational.columnar.ColumnarRelation`; a
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import RelationError, SchemaError
 from repro.relational.columnar import ColumnarRelation
@@ -31,6 +32,12 @@ def _bad_multiplicity(row: object, count: object) -> RelationError:
     if not _is_count(type(count)):
         return RelationError(f"multiplicity {count!r} for {row} is not an int")
     return RelationError(f"multiplicity {count} for {row} is not positive")
+
+
+def _taker(layout: tuple[str, ...]) -> Callable[[Mapping[str, object]], tuple]:
+    """The ``layout``-positioned value tuple of a mapping, in one call."""
+    take = itemgetter(*layout)
+    return take if len(layout) > 1 else lambda row: (take(row),)
 
 
 def _check_counts(counts: Mapping[object, int], positive: bool) -> None:
@@ -295,15 +302,18 @@ class Relation:
             return
         self.clear()
         tuples: list[tuple] = []
+        layout = self._store.layout
+        names, take = (set(layout), _taker(layout)) if layout else (None, None)
         for row in rows:
-            layout = self._store.layout
-            if type(row) is dict and layout and row.keys() == set(layout):
-                tuples.append(tuple([row[name] for name in layout]))
+            if type(row) is dict and row.keys() == names:
+                tuples.append(take(row))
                 continue
             row = self._coerce(row)
             if row.sorted_names() != layout:
                 self._check(row)  # raises, or fixes a schemaless heading
-            tuples.append(row.values_tuple(self._store.layout))
+                layout = self._store.layout
+                names, take = set(layout), _taker(layout)
+            tuples.append(row.values_tuple(layout))
         counts = dict(Counter(tuples))
         self._check_columns(self._store.layout, tuples)
         self._store = ColumnarRelation._adopt(self._store.layout, counts, len(tuples))

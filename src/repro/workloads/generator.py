@@ -14,15 +14,16 @@ tuples and the rows it generates as emitted: a stored victim is built.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from repro.errors import ReproError
 from repro.relational.rows import Row
-from repro.relational.schema import AttrType, Schema
+from repro.relational.schema import AttrType
 from repro.sources.transactions import SourceTransaction
-from repro.sources.update import Update
+from repro.sources.update import Update, UpdateKind
 from repro.sources.world import SourceWorld
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,11 +88,22 @@ class UpdateStreamGenerator:
         self.world = world
         self.spec = spec
         self._rng = random.Random(spec.seed)
+        schemas = world.schemas
         self._mirror: dict[str, list[tuple | Row]] = {}
-        for name in world.schemas:
+        for name in schemas:
             counts = world.current.relation(name).columnar().counts_view()
             self._mirror[name] = [t for t, c in counts.items() for _ in range(c)]
-        self._relations = sorted(world.schemas)
+        self._relations = sorted(schemas)
+        # per relation: its layout, and its attributes' types and layout
+        # positions in schema order (the order values are drawn in)
+        self._shapes = {
+            name: (schema.layout, [(a.type, schema.layout.index(a.name))
+                                   for a in schema])
+            for name, schema in schemas.items()
+        }
+        self._owners = {name: world.owner_of(name) for name in schemas}
+        self._peers = {owner: list(world.relations_of(owner))
+                       for owner in set(self._owners.values())}
         # ``choices`` draws the same given the weights or their sums, made once.
         weights = [spec.relation_weights.get(name, 1.0) for name in self._relations]
         self._relation_sums = list(accumulate(weights))
@@ -117,50 +129,54 @@ class UpdateStreamGenerator:
             return bool(self._rng.getrandbits(1))
         return f"v{self._rng.randrange(self.spec.value_range)}"
 
-    def _random_row(self, schema: Schema) -> Row:
-        return Row({a.name: self._random_value(a.type) for a in schema})
+    def _random_row(self, relation: str) -> Row:
+        """Values drawn in schema order, the row built in layout order."""
+        layout, draws = self._shapes[relation]
+        values = [None] * len(layout)
+        for attr_type, position in draws:
+            values[position] = self._random_value(attr_type)
+        return Row._from_sorted_items(tuple(zip(layout, values)))
 
     # -- update synthesis -------------------------------------------------------
     def _make_update(self, relation: str) -> Update:
-        schema = self.world.schemas[relation]
         mirror = self._mirror[relation]
-        kind = self._rng.choices(_KINDS, cum_weights=self._kind_sums)[0]
+        # ``choices(_KINDS, cum_weights=sums)[0]``'s own body: the same draws
+        sums = self._kind_sums
+        kind = _KINDS[bisect(sums, self._rng.random() * (sums[-1] + 0.0), 0, 2)]
         if kind != "insert" and not mirror:
             kind = "insert"  # nothing to delete/modify yet
         if kind == "insert":
-            row = self._random_row(schema)
+            row = self._random_row(relation)
             mirror.append(row)
-            return Update.insert(relation, row)
+            return Update(relation, UpdateKind.INSERT, row)
         victim_index = self._rng.randrange(len(mirror))
         victim = mirror[victim_index]
         if not isinstance(victim, Row):
-            victim = Row(dict(zip(schema.layout, victim)))
+            victim = Row._from_sorted_items(
+                tuple(zip(self._shapes[relation][0], victim))
+            )
         if kind == "delete":
             mirror.pop(victim_index)
-            return Update.delete(relation, victim)
-        replacement = self._random_row(schema)
+            return Update(relation, UpdateKind.DELETE, victim)
+        replacement = self._random_row(relation)
         mirror[victim_index] = replacement
-        return Update.modify(relation, victim, replacement)
-
-    def _pick_relation(self) -> str:
-        return self._rng.choices(self._relations, cum_weights=self._relation_sums)[0]
+        return Update(relation, UpdateKind.MODIFY, victim, replacement)
 
     def _make_transaction(self) -> SourceTransaction:
-        first = self._make_update(self._pick_relation())
-        updates = [first]
+        sums = self._relation_sums  # as in ``_make_update``
+        relation = self._relations[
+            bisect(sums, self._rng.random() * (sums[-1] + 0.0), 0, len(sums) - 1)]
+        first = self._make_update(relation)
+        origin = self._owners[relation]
         if self._rng.random() < self.spec.multi_update_fraction:
             # §6.2: a transaction touching 2-3 relations of one source.
-            origin = self.world.owner_of(first.relation)
-            candidates = [
-                r
-                for r in self.world.relations_of(origin)
-                if r != first.relation
-            ]
+            updates = [first]
+            candidates = [r for r in self._peers[origin] if r != relation]
             self._rng.shuffle(candidates)
-            for relation in candidates[: self._rng.randrange(1, 3)]:
-                updates.append(self._make_update(relation))
+            for other in candidates[: self._rng.randrange(1, 3)]:
+                updates.append(self._make_update(other))
             return SourceTransaction(origin, tuple(updates))
-        return SourceTransaction.single(self.world.owner_of(first.relation), first)
+        return SourceTransaction(origin, (first,))
 
     # -- stream assembly -------------------------------------------------------
     def transactions(self) -> list[tuple[float, SourceTransaction]]:

@@ -261,6 +261,8 @@ class TestKeyStability:
         assert relation_digest(("A", "B", "C"), counts) == (
             "675cefce3fd71155e5631b3d13c87074"
         )
+        ints = {(1, 2): 1, (10, -3): 2, (2**70, 0): 1}  # a row of ints only
+        assert relation_digest(("A", "B"), ints) == "ccdea10673427e1c37f965bc94537e99"
 
 
 class TestCacheConfig:

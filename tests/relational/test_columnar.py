@@ -1,7 +1,7 @@
 """Unit tests for the columnar core and its row-dict facade contract.
 
 Covers the storage (ColumnarRelation / ColumnIndex), the
-compiled kernels (filters, projections, merges, aggregate folds), the
+compiled kernels (filters, projections, joins, aggregate folds), the
 facade hooks (Row.values_tuple, Relation.columnar), vectorized
 full evaluation, and the plan built from them against the two other
 engines there are (the stateless delta rules and full recomputation).
@@ -16,7 +16,7 @@ from repro.relational.columnar import (
     ColumnarRelation,
     ColumnIndex,
     compile_filter,
-    compile_merge,
+    compile_join,
     compile_projection,
     compile_row_builder,
     evaluate_columnar,
@@ -206,11 +206,6 @@ class TestCompiledKernels:
         with pytest.raises(ExpressionError):
             compile_projection(("A", "B"), ("Z",))
 
-    def test_merge_takes_shared_attributes_from_left(self):
-        out_layout, merge = compile_merge(("A", "B"), ("B", "C"))
-        assert out_layout == ("A", "B", "C")
-        assert merge((1, 2), (2, 3)) == (1, 2, 3)
-
     def test_aggregate_kernel_counts_and_sums(self):
         expr = Aggregate(
             ("B",),
@@ -234,6 +229,112 @@ class TestCompiledKernels:
         expr = Aggregate(("B",), (AggregateSpec("count", "n"),), BaseRelation("R"))
         kernel = AggregateKernel(expr, ("A", "B"))
         assert kernel.aggregate({(1, 7): 1, (2, 7): -1}) == {}
+
+
+def evaluated_join(left_layout, left, right_layout, right, on):
+    """``left |><| right`` by :func:`algebra.evaluate`: each signed bag is
+    split into its positive and negative parts, and the join is the signed
+    sum of the four joins of those parts as relations."""
+    def parts(counts):
+        return [(sign, {t: sign * c for t, c in counts.items() if sign * c > 0})
+                for sign in (1, -1)]
+
+    total: dict[tuple, int] = {}
+    for left_sign, left_part in parts(left):
+        for right_sign, right_part in parts(right):
+            db = Database()
+            db.create_relation("L", Schema(left_layout), Relation.from_tuple_counts(
+                left_layout, left_part, Schema(left_layout)))
+            db.create_relation("R", Schema(right_layout), Relation.from_tuple_counts(
+                right_layout, right_part, Schema(right_layout)))
+            joined = evaluate(Join(BaseRelation("L"), BaseRelation("R"), on), db)
+            for t, c in joined.columnar().counts_view().items():
+                total[t] = total.get(t, 0) + left_sign * right_sign * c
+    return {t: c for t, c in total.items() if c}
+
+
+class TestJoinKernel:
+    """``compile_join`` against the row-dict join, one case per row."""
+
+    CASES = {
+        "one-attribute key": (
+            ("A", "B"), {(1, 0): 1, (2, 0): 2, (3, 1): 1, (4, 9): 1},
+            ("B", "C"), {(0, 5): 1, (0, 6): 3, (1, 7): 1},
+            ("B",),
+        ),
+        "two-attribute key": (
+            ("A", "B", "C"), {(1, 0, 0): 1, (2, 0, 1): 2, (3, 0, 0): 1},
+            ("B", "C", "D"), {(0, 0, 7): 2, (0, 1, 8): 1, (1, 0, 9): 1},
+            ("B", "C"),
+        ),
+        "cross product": (
+            ("A", "B"), {(1, 0): 1, (2, 0): 2},
+            ("C", "D"), {(5, 5): 1, (6, 5): 3, (7, 7): 1},
+            (),
+        ),
+        "one-attribute output": (
+            ("A",), {(1,): 2, (2,): 1, (3,): 1},
+            ("A",), {(1,): 3, (3,): 1, (4,): 5},
+            ("A",),
+        ),
+        "signed counts on both sides": (
+            ("A", "B"), {(1, 0): -1, (2, 0): 2, (3, 1): -3},
+            ("B", "C"), {(0, 5): -2, (0, 6): 1, (1, 7): 4},
+            ("B",),
+        ),
+        "empty left": (("A", "B"), {}, ("B", "C"), {(0, 5): 1}, ("B",)),
+        "empty right": (("A", "B"), {(1, 0): -1}, ("B", "C"), {}, ("B",)),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=list(CASES))
+    def test_equals_the_row_dict_join(self, case):
+        left_layout, left, right_layout, right, on = case
+        layout, join = compile_join(left_layout, right_layout, on)
+        assert layout == layout_of(set(left_layout) | set(right_layout))
+        assert join(left, right) == evaluated_join(
+            left_layout, left, right_layout, right, on
+        )
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=list(CASES))
+    def test_left_larger_and_right_larger_give_equal_bags(self, case):
+        """The smaller bag is indexed: with the operands swapped the other
+        half of the kernel runs (the left operand indexed where the right
+        one was, or the reverse) and gives an equal bag."""
+        left_layout, left, right_layout, right, on = case
+        _, join = compile_join(left_layout, right_layout, on)
+        _, swapped = compile_join(right_layout, left_layout, on)
+        assert join(left, right) == swapped(right, left)
+
+    def test_merge_takes_shared_attributes_from_left(self):
+        out_layout, join = compile_join(("A", "B"), ("B", "C"), ("B",))
+        assert out_layout == ("A", "B", "C")
+        assert join({(1, 2): 1}, {(2, 3): 1}) == {(1, 2, 3): 1}
+
+    def test_is_compiled_once_per_layouts_and_key(self):
+        assert compile_join(("A", "B"), ("B", "C"), ("B",)) is compile_join(
+            ("A", "B"), ("B", "C"), ("B",)
+        )
+
+    def test_a_shared_attribute_outside_the_key_is_refused(self):
+        with pytest.raises(ExpressionError, match="shared attributes"):
+            compile_join(("A", "B"), ("B", "C"), ())
+
+    def test_a_plan_batch_changing_both_sides_equals_a_recompute(self):
+        """A plan's join node sums its two probe terms and the cross term."""
+        expr = Join(BaseRelation("R"), BaseRelation("S"))
+        db = make_db()
+        plan = MaintenancePlan(expr, db)
+        deltas = {
+            "R": Delta({Row(A=50, B=1): 2, Row(A=0, B=0): -1, Row(A=1, B=1): -1}),
+            "S": Delta({Row(B=1, C=70): 1, Row(B=0, C=0): -1, Row(B=1, C=1): -1}),
+        }
+        before = evaluate(expr, db)
+        view_delta = plan.propagate(deltas)
+        assert_matches_oracles(expr, db, deltas, view_delta)
+        db.apply_deltas(deltas)
+        plan.advance()
+        view_delta.apply_to(before)
+        assert before == evaluate(expr, db)
 
 
 class TestRelationFacade:

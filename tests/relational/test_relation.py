@@ -164,6 +164,56 @@ class TestReplaceAll:
         assert not rel
 
 
+AB = Schema([Attribute("A", AttrType.INT), Attribute("B", AttrType.STR)])
+
+#: rows given to ``replace_all`` -> the store's layout and bag, or the error
+#: class and message a row-by-row load raised
+LOADS = {
+    "wrong type": (AB, [{"A": 1, "B": "x"}, {"B": "y", "A": "2"}], (
+        SchemaError, "attribute 'A' expects int, got '2' (str)")),
+    "wrong type, equal to a sound row": (AB, [{"A": 1, "B": "x"}, {"A": 1.0, "B": "x"}], (
+        SchemaError, "attribute 'A' expects int, got 1.0 (float)")),
+    "missing attribute": (AB, [{"A": 1, "B": "x"}, {"A": 2}], (
+        SchemaError, "row is missing attributes ['B']")),
+    "extra attribute": (AB, [{"A": 1, "B": "x"}, {"A": 2, "B": "y", "C": 3}], (
+        SchemaError, "row has attributes ['C'] not in schema")),
+    "schemaless: the first row's heading": (None, [{"B": 2, "A": 1}, {"A": 3, "B": 4}], (
+        ("A", "B"), {(1, 2): 1, (3, 4): 1})),
+    "schemaless: another heading": (None, [{"B": 2, "A": 1}, {"A": 3, "B": 4}, {"A": 3}], (
+        SchemaError, "Row(A=3) does not have the heading ('A', 'B') of the rows "
+        "this schemaless relation holds")),
+    "schemaless: a wider dict after a row": (None, [Row(A=1), {"A": 2, "B": 3}], (
+        SchemaError, "Row(A=2, B=3) does not have the heading ('A',) of the rows "
+        "this schemaless relation holds")),
+    "schemaless: one attribute": (None, [{"A": 1}, Row(A=1), {"A": 2}], (
+        ("A",), {(1,): 2, (2,): 1})),
+    "one-attribute schema": (Schema([Attribute("A", AttrType.INT)]), [{"A": 1}, {"A": 1}], (
+        ("A",), {(1,): 2})),
+    "one-attribute schema, wrong type": (
+        Schema([Attribute("A", AttrType.INT)]), [{"A": 1}, {"A": True}], (
+            SchemaError, "attribute 'A' expects int, got True (bool)")),
+    "mixed rows and dicts": (
+        AB, [Row(A=1, B="x"), {"A": 1, "B": "x"}, {"B": "y", "A": 2}, Row(B="y", A=2)],
+        (("A", "B"), {(1, "x"): 2, (2, "y"): 2})),
+    "mixed, a row of the wrong type": (AB, [{"A": 1, "B": "x"}, Row(A=1, B=2)], (
+        SchemaError, "attribute 'B' expects str, got 2 (int)")),
+}
+
+
+@pytest.mark.parametrize("case", LOADS.values(), ids=list(LOADS))
+def test_replace_all_loads_or_fails_as_row_by_row(case):
+    """A ``dict`` row is read in one call, and a bad one fails as it did."""
+    schema, rows, expected = case
+    rel = Relation(schema)
+    if isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error, match=re.escape(message) + "$"):
+            rel.replace_all(rows)
+        return
+    rel.replace_all(rows)
+    assert (rel.columnar().layout, dict(rel.columnar().counts_view())) == expected
+
+
 class TestSeedingFromARelation:
     """A relation with an equal schema is adopted; anything else is validated."""
 

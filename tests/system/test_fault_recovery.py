@@ -11,6 +11,7 @@ either a protocol error or an MVC violation — never silently absorbed.
 
 import pytest
 
+from repro.cache.keys import artifact_key
 from repro.cache.store import CacheConfig
 from repro.conformance.oracle import check_run
 from repro.errors import ReproError
@@ -280,6 +281,35 @@ class TestCachedRecovery:
             assert len(system.sim.trace.of_kind("cache_fallback")) == 1
             assert system.cache_store.integrity_failures >= 1
             assert system.check_mvc("complete").ok
+        finally:
+            system.close()
+
+
+    @pytest.mark.parametrize("name, planted_at", [("vm:V1", 9.5), ("merge", 14.0)])
+    def test_unloadable_artifacts_fall_back(self, name, planted_at):
+        """A digest-valid payload this code cannot unpickle (an artifact
+        written by other code) is planted under the crashed process's ref
+        between its crash and its restart (V1: 8.0-11.0, merge:
+        12.0-16.0): the restart counts it as a miss and falls back, a view
+        manager to replay, the merge to its in-memory checkpoint, and the
+        run still holds the promised level."""
+        system = faulted_system(CACHED_CRASH_PLAN, cache=True)
+        process = system.process_by_name(name)
+
+        def plant():
+            store = system.cache_store
+            suffix = "/vm/V1" if name == "vm:V1" else f"/merge/{name}"
+            (ref,) = [n for n in store.refs() if n.endswith(suffix)]
+            store.set_ref(ref, store.put(artifact_key("test", {"ref": ref}),
+                                         b"not a pickle"))
+
+        system.sim.schedule_at(planted_at, plant)
+        try:
+            system.run()
+            assert (process.crashes, process.cache_restores,
+                    process.cache_fallbacks) == (1, 0, 1)
+            assert system.check_mvc("complete").ok
+            assert system.report().verified
         finally:
             system.close()
 

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +223,26 @@ def test_compare_narrows_eq_and_hash_but_not_repr():
     a = TraceEvent(1.0, "k", "p", {"x": 1})
     b = TraceEvent(1.0, "k", "p", {"x": 2})
     assert a == b and hash(a) == hash(b) and repr(a) != repr(b)
+
+
+def test_node_hashes_repeat_across_processes():
+    """Before Python 3.12 ``hash(None)`` is the address of ``None``: a node
+    with a ``None`` field (a natural join, a ``count`` spec) hashes it as a
+    constant, so two interpreters under one ``PYTHONHASHSEED`` agree; a
+    node without one still hashes as its field tuple."""
+    script = (
+        "from repro.relational.expressions import AggregateSpec, BaseRelation, Join\n"
+        "from repro.relational.predicates import Const\n"
+        "R, S = BaseRelation('R'), BaseRelation('S')\n"
+        "print([hash(n) for n in (Join(R, S), Join(R, S, ('B',)),"
+        " AggregateSpec('count', 'n'), Const(None), R)])\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(root / "src"))
+    first, second = (
+        subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, check=True, env=env).stdout
+        for _ in range(2)
+    )
+    assert first == second
+    assert hash(BaseRelation("R")) == hash(("R",))

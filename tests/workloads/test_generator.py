@@ -1,5 +1,12 @@
 """Tests for workload generation."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +15,7 @@ from repro.relational.schema import Attribute, AttrType, Schema
 from repro.sources.update import UpdateKind
 from repro.sources.world import SourceWorld
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec
-from repro.workloads.schemas import paper_world
+from repro.workloads.schemas import clustered_world, paper_world, star_world
 from tests.workloads.reference import RowMirrorGenerator
 
 
@@ -204,3 +211,68 @@ def test_streams_equal_the_row_mirror_generators(build, spec):
         UpdateStreamGenerator(build(), spec).transactions()
         == RowMirrorGenerator(build(), spec).transactions()
     )
+
+
+def mixed_world() -> SourceWorld:
+    """``MIXED`` with a few preloaded rows, one of them twice."""
+    rows = {
+        "R": [{"a": 1, "b": "v0"}, {"a": 1, "b": "v0"}, {"b": "v1", "a": 2}],
+        "S": [{"b": "v0", "c": 1.0}],
+        "T": [{"c": 0.0, "d": True}, {"c": 1.0, "d": False}],
+    }
+    world = SourceWorld()
+    for name, (schema, owner) in MIXED.items():
+        world.create_relation(name, schema, owner, rows[name])
+    return world
+
+
+GOLDEN_WORKLOADS = {
+    "paper": lambda: (paper_world(), WorkloadSpec(
+        updates=400, seed=7, mix=(0.5, 0.25, 0.25), hot_fraction=0.3, hot_keys=2)),
+    # one source: a multi-update transaction shuffles three peers
+    "paper-one-source": lambda: (paper_world(sources=1), WorkloadSpec(
+        updates=300, seed=8, arrivals="poisson", multi_update_fraction=0.5)),
+    "clustered": lambda: (clustered_world(4), WorkloadSpec(
+        updates=300, rate=40.0, arrivals="poisson", seed=3,
+        multi_update_fraction=0.3)),
+    "star": lambda: (star_world(), WorkloadSpec(
+        updates=300, seed=5, value_range=16, hot_fraction=0.2, hot_keys=3,
+        relation_weights={"Sales": 3, "Product": 1, "Store": 0.5})),
+    "mixed": lambda: (mixed_world(), WorkloadSpec(
+        updates=300, seed=11, value_range=3, mix=(0.4, 0.3, 0.3),
+        hot_fraction=0.5, multi_update_fraction=0.5)),
+}
+
+#: sha256 of each stream's ``repr`` lines under ``PYTHONHASHSEED=0``, as the
+#: generator that built each ``Row`` from a dict and called ``choices`` drew it
+GOLDEN_STREAMS = {
+    "paper": "cedb16a20842b477475503535a26cadf7554c1cea16eec8f9e9f998198d95c9b",
+    "paper-one-source": "4276c37f370bef515bb16367672ab9f2d681ac632f336301381068262370ca85",
+    "clustered": "c348f1fc99e83e7a8a07b93582284083f1bd114df95246e6758bed307f597f57",
+    "star": "c78cc0e22ced351bf8dbbc6a6b59bb2c3464889b8f994b1586a710c02fe2d439",
+    "mixed": "bf36089651470c121f60ebb78960507d63ea6eec122663f14c30a6d504560c87",
+}
+
+
+def stream_digests() -> dict[str, str]:
+    digests = {}
+    for name, make in GOLDEN_WORKLOADS.items():
+        stream = UpdateStreamGenerator(*make()).transactions()
+        text = "\n".join(repr(pair) for pair in stream)
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+def test_streams_equal_the_golden_digests():
+    """Paper, one-source paper, clustered, weighted star and the four-type
+    world, under hot keys and multi-update transactions, draw the recorded
+    streams (in a fresh interpreter: ``relations_of`` is a set of names)."""
+    root = Path(__file__).resolve().parents[2]
+    script = ("import json\n"
+              "from tests.workloads.test_generator import stream_digests\n"
+              "print(json.dumps(stream_digests()))\n")
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env, cwd=root)
+    assert json.loads(out.stdout) == GOLDEN_STREAMS
