@@ -45,7 +45,7 @@ def run(period: float):
         # and batching *helps* — the B1/B2 effect, measured separately).
         SystemConfig(
             manager_kind="complete",
-            compute_cost=lambda n, d: 0.1,
+            compute_cost=(0.1, 0.0, 0.0),
             warehouse_txn_overhead=0.1,
             warehouse_action_cost=0.0,
         ),

@@ -72,7 +72,7 @@ def run(kind: str):
     # A2's delta computation is slower than A1's (realistic: different
     # view complexity) — the uncoordinated configuration then leaves long
     # windows where the auxiliaries disagree; SPA hides them entirely.
-    system.view_managers["A2"].compute_cost = lambda n, d: 5.0
+    system.view_managers["A2"].compute_cost = (5.0, 0.0, 0.0)
     for index, update in enumerate(scripted_updates()):
         system.post_update(update, at=0.5 + 0.4 * index)
     system.run()

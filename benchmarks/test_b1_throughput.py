@@ -66,7 +66,7 @@ def concurrent_makespan(kind: str, compute_unit: float) -> float:
         paper_views_example2(),
         SystemConfig(
             manager_kind=kind,
-            compute_cost=lambda n, d: compute_unit,
+            compute_cost=(compute_unit, 0.0, 0.0),
             warehouse_txn_overhead=1.0,
             warehouse_action_cost=0.0,
             seed=21,

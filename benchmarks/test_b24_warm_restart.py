@@ -18,6 +18,10 @@ clusters):
 * **warm**   — cache on, the store the cold arm just populated: the
   restart path under test.
 
+The replay and warm arms alternate ``BUILDS`` times and each reports its
+best build, so the speedup compares like with like; the cold arm builds
+once, since a second cold build would find the store full.
+
 Paper link: §4's SWEEP/merge correctness argument assumes each view
 manager owns a consistent materialized state; this experiment measures
 what it costs to *regain* that state after losing the process, and shows
@@ -59,6 +63,7 @@ CLUSTER_SIZES = (5, 15, 40)  # x3 views each: 15 / 45 / 120 views
 ROWS = 200  # rows per base relation
 SKEW = 4  # join-key domain: every join fans out to ROWS^2/SKEW rows
 SPEEDUP_FLOOR = 5.0  # asserted at the 100+ view size
+BUILDS = 5  # the replay and warm arms each take the best of this many builds
 
 
 def seeded_world(clusters: int) -> SourceWorld:
@@ -152,34 +157,42 @@ def test_b24_warm_restart_vs_replay(benchmark, report, bench_out, monkeypatch):
         for clusters in CLUSTER_SIZES:
             root = tempfile.mkdtemp(prefix="b24-store-")
             try:
-                before = dict(calls)
-                replay_sys, replay_s = timed_build(clusters, None)
-                replay_evaluations = {k: calls[k] - before[k] for k in calls}
-                replay_stores = warehouse_stores(replay_sys)
-                replay_sys.close()
-
                 cold_sys, cold_s = timed_build(clusters, root)
                 cold_puts = cold_sys.cache_store.puts
                 cold_sys.close()
 
-                before = dict(calls)
-                warm_sys, warm_s = timed_build(clusters, root)
-                warm_evaluations = {k: calls[k] - before[k] for k in calls}
-                warm_hits = warm_sys.cache_store.hits
-                warm_stores = warehouse_stores(warm_sys)
-                warm_sys.close()
+                # The compared arms alternate, so a burst of load on a
+                # shared host slows both; each keeps its best build.
+                arms = {"replay": None, "warm": root}
+                seconds = {arm: [] for arm in arms}
+                evaluated = {arm: dict.fromkeys(calls, 0) for arm in arms}
+                stores, warm_hits = [], []
+                for _ in range(BUILDS):
+                    for arm, arm_root in arms.items():
+                        before = dict(calls)
+                        system, took = timed_build(clusters, arm_root)
+                        seconds[arm].append(took)
+                        for k in calls:
+                            evaluated[arm][k] += calls[k] - before[k]
+                        stores.append(warehouse_stores(system))
+                        if arm_root is not None:
+                            warm_hits.append(system.cache_store.hits)
+                        system.close()
             finally:
                 shutil.rmtree(root, ignore_errors=True)
             results[clusters * 3] = {
                 "clusters": clusters,
-                "replay_s": replay_s,
+                "replay_s": min(seconds["replay"]),
                 "cold_s": cold_s,
-                "warm_s": warm_s,
+                "warm_s": min(seconds["warm"]),
                 "cold_puts": cold_puts,
-                "warm_hits": warm_hits,
-                "replay_evaluations": replay_evaluations,
-                "warm_evaluations": warm_evaluations,
-                "stores_match": warm_stores == replay_stores,
+                "warm_hits": min(warm_hits),
+                # per build, on average
+                "replay_evaluations": {
+                    k: n / BUILDS for k, n in evaluated["replay"].items()},
+                "warm_evaluations": {
+                    k: n / BUILDS for k, n in evaluated["warm"].items()},
+                "stores_match": all(s == stores[0] for s in stores),
             }
         return results
 

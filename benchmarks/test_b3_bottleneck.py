@@ -50,7 +50,7 @@ def run_at(rate: float, groups: int):
             warehouse_executors=4,
             # Keep delta computation cheap so the merge process — not the
             # view managers — is the contended resource under study.
-            compute_cost=lambda n, d: 0.05,
+            compute_cost=(0.05, 0.0, 0.0),
             warehouse_txn_overhead=0.05,
             warehouse_action_cost=0.0,
             seed=12,

@@ -38,12 +38,12 @@ def run(straggler: bool):
         paper_views_example2(),
         SystemConfig(
             manager_kind="complete",
-            compute_cost=lambda n, d: 0.2,
+            compute_cost=(0.2, 0.0, 0.0),
             seed=5,
         ),
     )
     if straggler:
-        system.view_managers["V2"].compute_cost = lambda n, d: 5.0
+        system.view_managers["V2"].compute_cost = (5.0, 0.0, 0.0)
     post_stream(system, stream)
     system.run()
     sizes = [

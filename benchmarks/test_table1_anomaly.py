@@ -21,12 +21,12 @@ def run(coordinated: bool) -> WarehouseSystem:
     system = WarehouseSystem(
         world,
         paper_views_example1(),
-        SystemConfig(manager_kind=kind, compute_cost=lambda n, d: 1.0),
+        SystemConfig(manager_kind=kind, compute_cost=(1.0, 0.0, 0.0)),
     )
     if not coordinated:
         # V2's delta computation is slower than V1's: the paper's t2 < t3
         # gap, during which the two views disagree.
-        system.view_managers["V2"].compute_cost = lambda n, d: 8.0
+        system.view_managers["V2"].compute_cost = (8.0, 0.0, 0.0)
     system.post_update(Update.insert("S", {"B": 2, "C": 3}), at=1.0)
     system.run()
     return system

@@ -60,9 +60,9 @@ _OVERRIDABLE = frozenset(
 def encode(value: object) -> object:
     """The JSON form of ``value``: scalars, lists, string-keyed mappings and
     dataclasses field by field (a ``WorkloadSpec``, ``FaultPlan``,
-    ``CacheConfig``, a reproducer).  Anything else is a ``ReproError`` (a
-    callable cost model, a latency model, a cache root on this host),
-    never silently dropped."""
+    ``CacheConfig``, a reproducer).  Anything else is a ``ReproError``,
+    never silently dropped; of the config values, only a cache root (a
+    path on one host) is refused."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (tuple, list)):
@@ -128,10 +128,9 @@ class ScenarioSpec:
     that replaces the schema's suite.  ``config`` holds
     :class:`~repro.system.config.SystemConfig` keyword overrides.
     ``scheduler`` picks the exploration mode (``fifo`` | ``random`` |
-    ``delay``).  The run seed seeds the scheduler and the system, the
-    fault streams of a ``fault_plan`` and, with ``vary_workload``, the
-    update stream, so one spec explores faults and workloads alongside
-    interleavings.
+    ``delay``).  The run seed seeds the scheduler, the fault streams of
+    a ``fault_plan`` and, with ``vary_workload``, the update stream, so
+    one spec explores faults and workloads alongside interleavings.
     """
 
     schema: str = "paper"
@@ -231,7 +230,6 @@ class ScenarioSpec:
         config = SystemConfig(
             **overrides,
             scheduler=scheduler if scheduler is not None else self.make_scheduler(run_seed),
-            seed=run_seed,
             **observe,
         )
         system = WarehouseSystem(world, views, config)

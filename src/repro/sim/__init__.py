@@ -5,28 +5,25 @@ sources, integrator, view managers, merge process(es), warehouse —
 exchanging messages over channels that preserve per-sender order but have
 arbitrary relative latencies.  This package provides exactly that
 substrate: a deterministic event queue, processes with message handlers,
-and FIFO channels with pluggable latency models.
+and FIFO channels, each with one fixed latency.
 
-Determinism matters twice: it makes every experiment reproducible from a
-seed, and it lets property-based tests explore adversarial message
-interleavings (e.g. an action list arriving before its REL set, which SPA
-must tolerate — paper §4).
+Determinism matters twice: it makes every experiment reproducible, and it
+lets the schedulers (:mod:`repro.sim.scheduler`), the one way to perturb
+timing, explore adversarial message interleavings replayably (e.g. an
+action list arriving before its REL set, which SPA must tolerate — paper
+§4).
 """
 
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.network import (
     Channel,
-    ExponentialLatency,
-    FixedLatency,
     LossyChannel,
     ReliableChannel,
     Transmission,
-    UniformLatency,
 )
 from repro.sim.scheduler import (
     DelayInjectingScheduler,
-    FifoScheduler,
     Perturbation,
     RandomScheduler,
     Scheduler,
@@ -40,11 +37,7 @@ __all__ = [
     "LossyChannel",
     "ReliableChannel",
     "Transmission",
-    "FixedLatency",
-    "UniformLatency",
-    "ExponentialLatency",
     "Scheduler",
-    "FifoScheduler",
     "RandomScheduler",
     "DelayInjectingScheduler",
     "Perturbation",

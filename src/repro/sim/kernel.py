@@ -2,7 +2,7 @@
 
 A :class:`Simulator` owns virtual time and a priority queue of scheduled
 callbacks.  By default, ties in time are broken by insertion order, which
-makes runs bit-for-bit deterministic for a given seed and schedule.  A
+makes runs bit-for-bit deterministic for a given schedule.  A
 pluggable :class:`~repro.sim.scheduler.Scheduler` may perturb that policy
 (random tie-breaks, adversarial channel delays) for schedule exploration;
 the kernel itself guarantees the perturbations stay *causally sound*:
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -34,7 +33,7 @@ class Simulator:
 
     Usage::
 
-        sim = Simulator(seed=42)
+        sim = Simulator()
         sim.schedule(1.5, callback, arg1, arg2)
         sim.run()          # drain the queue
         sim.run(until=10)  # or stop at a virtual-time horizon
@@ -45,14 +44,13 @@ class Simulator:
     :mod:`repro.obs`).
     """
 
-    def __init__(self, seed: int = 0, scheduler: Scheduler | None = None) -> None:
+    def __init__(self, scheduler: Scheduler | None = None) -> None:
         self._now = 0.0
         # (time, tie_break, seq, callback, args)
         self._queue: list[tuple[float, float, int, Callable[..., None], tuple]] = []
         self._sequence = itertools.count()
         self._running = False
         self._events_executed = 0
-        self.rng = random.Random(seed)
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.scheduler.reset()
         # Hot-loop fast path: the default scheduler maps every event to

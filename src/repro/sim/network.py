@@ -1,10 +1,12 @@
-"""FIFO message channels with pluggable latency models.
+"""Point-to-point message channels, each with one fixed latency.
 
 The paper's only ordering assumption is that "messages from the same
-process must arrive in the order sent" (§4).  :class:`Channel` enforces
-exactly that: each channel is a point-to-point FIFO pipe whose delivery
-times are drawn from a latency model but clamped to be non-decreasing, so
-reordering can happen *between* channels but never *within* one.
+process must arrive in the order sent" (§4).  A :class:`Channel` delivers
+each message ``latency`` after it was sent, so its deliveries are in send
+order; channels of different latencies reorder *between* each other.  The
+one way to perturb timing beyond that is the simulator's scheduler
+(:mod:`repro.sim.scheduler`), and the kernel's per-lane clamp keeps every
+channel FIFO under any scheduler.
 
 The paper *assumes* reliable FIFO delivery; this module also provides the
 machinery to drop that assumption and win it back:
@@ -24,7 +26,6 @@ machinery to drop that assumption and win it back:
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -36,59 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.process import Process
 
 
-class LatencyModel:
-    """Base class: produce a per-message delay."""
-
-    def sample(self, rng: random.Random) -> float:
-        raise NotImplementedError
-
-
-class FixedLatency(LatencyModel):
-    """Every message takes exactly ``delay``."""
-
-    def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"latency must be non-negative, got {delay}")
-        self.delay = delay
-
-    def sample(self, rng: random.Random) -> float:
-        return self.delay
-
-    def __repr__(self) -> str:
-        return f"FixedLatency({self.delay})"
-
-
-class UniformLatency(LatencyModel):
-    """Delay drawn uniformly from [low, high]."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if not 0 <= low <= high:
-            raise SimulationError(f"bad uniform latency range [{low}, {high}]")
-        self.low = low
-        self.high = high
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def __repr__(self) -> str:
-        return f"UniformLatency({self.low}, {self.high})"
-
-
-class ExponentialLatency(LatencyModel):
-    """Exponentially distributed delay with the given mean."""
-
-    def __init__(self, mean: float) -> None:
-        if mean <= 0:
-            raise SimulationError(f"mean latency must be positive, got {mean}")
-        self.mean = mean
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.expovariate(1.0 / self.mean)
-
-    def __repr__(self) -> str:
-        return f"ExponentialLatency({self.mean})"
-
-
 class Channel:
     """A point-to-point FIFO channel between two processes."""
 
@@ -97,19 +45,18 @@ class Channel:
         sim: "Simulator",
         source: "Process",
         destination: "Process",
-        latency: LatencyModel | float = 0.0,
+        latency: float = 0.0,
     ) -> None:
-        if isinstance(latency, (int, float)):
-            latency = FixedLatency(float(latency))
+        if latency < 0:
+            raise SimulationError(f"latency must be non-negative, got {latency}")
         self._sim = sim
         self.source = source
         self.destination = destination
-        self.latency = latency
+        self.latency = float(latency)
         # FIFO lane identity: schedulers may perturb deliveries per lane,
         # and the kernel clamps ordered lanes so same-channel messages
         # can never overtake each other (see repro.sim.scheduler).
         self.lane = (source.name, destination.name)
-        self._last_delivery = 0.0
         self.messages_sent = 0
         # Registry mirror: per-(src, dst) traffic counters.  The plain
         # attributes above stay the per-channel exact counts; the registry
@@ -127,15 +74,8 @@ class Channel:
         self._sent_published = sent
 
     def send(self, message: object) -> float:
-        """Queue ``message`` for delivery; returns the delivery time.
-
-        Delivery time is ``now + latency`` but never earlier than the
-        previous delivery on this channel (FIFO clamp).
-        """
-        now = self._sim.now
-        delay = self.latency.sample(self._sim.rng)
-        deliver_at = max(now + delay, self._last_delivery)
-        self._last_delivery = deliver_at
+        """Queue ``message`` for delivery at ``now + latency``; returns that time."""
+        deliver_at = self._sim.now + self.latency
         self.messages_sent += 1
         self._sim.schedule_at(
             deliver_at, self.destination.deliver, message, self.source,
@@ -155,8 +95,8 @@ class Transmission(Record):
 
     Produced by a fault model (see :class:`repro.faults.ChannelFaultModel`);
     consumed by :class:`LossyChannel`.  ``duplicates`` is the number of
-    *extra* copies injected; ``extra_delay`` is added on top of the sampled
-    latency (a delay spike).  Read-only once built.
+    *extra* copies injected; ``extra_delay`` is added on top of the
+    channel's latency (a delay spike).  Read-only once built.
     """
 
     __slots__ = ("drop", "duplicates", "extra_delay")
@@ -177,9 +117,10 @@ class LossyChannel(Channel):
 
     Each transmission consults the fault model: the message may be dropped,
     duplicated, or delayed by a spike.  Crucially there is **no** FIFO
-    clamp — each surviving copy is delivered at its own sampled time, so a
-    delay spike reorders messages within the channel.  This is the raw
-    transport :class:`ReliableChannel` recovers FIFO-exactly-once over.
+    clamp — each surviving copy arrives ``latency`` plus its spike after
+    it was sent, so a delay spike reorders messages within the channel.
+    This is the raw transport :class:`ReliableChannel` recovers
+    FIFO-exactly-once over.
     """
 
     def __init__(
@@ -187,7 +128,7 @@ class LossyChannel(Channel):
         sim: "Simulator",
         source: "Process",
         destination: "Process",
-        latency: LatencyModel | float = 0.0,
+        latency: float = 0.0,
         faults: object | None = None,
     ) -> None:
         super().__init__(sim, source, destination, latency)
@@ -217,6 +158,7 @@ class LossyChannel(Channel):
         """
         decision = self._next_transmission(faults)
         now = self._sim.now
+        delay = self.latency + decision.extra_delay
         arrival = None
         if decision.drop:
             self.messages_dropped += 1
@@ -229,7 +171,6 @@ class LossyChannel(Channel):
                 message=type(message).__name__,
             )
         else:
-            delay = self.latency.sample(self._sim.rng) + decision.extra_delay
             arrival = now + delay
             # ordered=False: a lossy transport has no FIFO guarantee, so
             # the kernel must not clamp scheduler perturbations here —
@@ -240,7 +181,6 @@ class LossyChannel(Channel):
         for _ in range(decision.duplicates):
             self.messages_duplicated += 1
             self._m_duplicated.inc()
-            delay = self.latency.sample(self._sim.rng) + decision.extra_delay
             self._sim.schedule(
                 delay, deliver, message, *args, lane=self.lane, ordered=False
             )
@@ -280,7 +220,7 @@ class ReliableChannel(LossyChannel):
         sim: "Simulator",
         source: "Process",
         destination: "Process",
-        latency: LatencyModel | float = 0.0,
+        latency: float = 0.0,
         faults: object | None = None,
         ack_faults: object | None = None,
         timeout: float = 4.0,

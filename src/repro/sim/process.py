@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.errors import SimulationError
 from repro.messages import lineage_keys
-from repro.sim.network import Channel, LatencyModel
+from repro.sim.network import Channel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -85,9 +85,7 @@ class Process:
         self._flush = metrics.on_read(self._publish)
 
     # -- wiring ------------------------------------------------------------
-    def connect(
-        self, destination: "Process", latency: LatencyModel | float = 0.0
-    ) -> Channel:
+    def connect(self, destination: "Process", latency: float = 0.0) -> Channel:
         """Create (or replace) the outgoing channel to ``destination``."""
         channel = Channel(self.sim, self, destination, latency)
         self._outgoing[destination.name] = channel

@@ -104,10 +104,6 @@ class Scheduler:
         return (time, 0.0)
 
 
-#: alias that names the default explicitly where it aids readability
-FifoScheduler = Scheduler
-
-
 class RandomScheduler(Scheduler):
     """Shuffle same-time events with stateless seed-derived tie-breaks.
 

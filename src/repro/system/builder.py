@@ -37,7 +37,7 @@ from repro.merge.submission import POLICIES
 from repro.relational.database import Database
 from repro.relational.expressions import ViewDefinition
 from repro.sim.kernel import Simulator
-from repro.sim.network import Channel, LatencyModel, LossyChannel, ReliableChannel
+from repro.sim.network import Channel, LossyChannel, ReliableChannel
 from repro.sim.process import Process
 from repro.sources.multisource import GlobalTransactionCoordinator
 from repro.sources.source import Source
@@ -55,9 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - opt-in subsystems load where used
     from repro.consistency import ConsistencyReport, Replay
     from repro.system.report import RunReport
 
-# Latencies of the hops no study varies (the others are SystemConfig's
-# ``latency_*`` fields): one time unit each, except the integrator's feed of
-# the base-data service, which is co-located with it.
+# Hop latencies: one time unit each, except the integrator's feed of the
+# base-data service, which is co-located with it.  A scheduler perturbs
+# them per message (SystemConfig.scheduler).
 _HOP_LATENCY = 1.0
 _SERVICE_FEED_LATENCY = 0.0
 
@@ -86,8 +86,7 @@ class WarehouseSystem:
         self.world = world
         self.definitions = tuple(definitions)
         self.config = config if config is not None else SystemConfig()
-        self.sim = Simulator(seed=self.config.seed,
-                             scheduler=self.config.scheduler)
+        self.sim = Simulator(scheduler=self.config.scheduler)
         kinds = self.config.trace_kinds
         if kinds:
             kinds = set(kinds).union(*(
@@ -149,7 +148,7 @@ class WarehouseSystem:
 
     # ------------------------------------------------------------------ build
     def _connect(self, source: Process, destination: Process,
-                 latency: "LatencyModel | float") -> Channel:
+                 latency: float) -> Channel:
         """Wire one channel, honouring the configured fault plan.
 
         Without a plan this is a perfect FIFO :class:`Channel`.  With one,
@@ -323,7 +322,7 @@ class WarehouseSystem:
                 compute_cost=cfg.compute_cost,
                 **cfg.arguments_for(manager_cls),
             )
-            self._connect(manager, merges[merge_name], cfg.latency_vm_merge)
+            self._connect(manager, merges[merge_name], _HOP_LATENCY)
             if self.service is not None:
                 self._connect(manager, self.service, _HOP_LATENCY)
                 self._connect(self.service, manager, _HOP_LATENCY)
@@ -368,9 +367,9 @@ class WarehouseSystem:
             block_size=cfg.block_size if complete_n else None,
         )
         for merge in self.merge_processes:
-            self._connect(self.integrator, merge, cfg.latency_integrator_merge)
+            self._connect(self.integrator, merge, _HOP_LATENCY)
         for manager in self.view_managers.values():
-            self._connect(self.integrator, manager, cfg.latency_integrator_vm)
+            self._connect(self.integrator, manager, _HOP_LATENCY)
         if self.service is not None:
             self._connect(self.integrator, self.service, _SERVICE_FEED_LATENCY)
 

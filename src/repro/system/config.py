@@ -11,6 +11,7 @@ of managers promises is read off the registered classes
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from importlib import import_module
@@ -19,11 +20,10 @@ from typing import TYPE_CHECKING, Mapping
 from repro.errors import ReproError
 from repro.merge.selection import ALGORITHMS
 from repro.merge.submission import POLICIES
-from repro.sim.network import LatencyModel
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import STALENESS_KINDS
 from repro.viewmgr import MANAGERS
-from repro.viewmgr.base import PRE_STATE_MODES, CostModel, ViewManager, default_cost
+from repro.viewmgr.base import DEFAULT_COST, PRE_STATE_MODES, ViewManager
 
 if TYPE_CHECKING:  # pragma: no cover - the opt-in subsystems load when set
     from repro.cache.store import CacheConfig
@@ -50,7 +50,7 @@ _NAMES = {
     "manager_mode": MANAGER_MODES,
 }
 #: range rules: field -> (comparison, bound).  ``None`` (an optional field
-#: left unset) and a ``LatencyModel`` (which validates itself) pass.
+#: left unset) passes.
 _RANGES = {
     "merge_groups": (">=", 1),
     "block_size": (">=", 1),
@@ -62,9 +62,6 @@ _RANGES = {
     "service_query_cost": (">=", 0),
     "warehouse_txn_overhead": (">=", 0),
     "warehouse_action_cost": (">=", 0),
-    "latency_integrator_vm": (">=", 0),
-    "latency_integrator_merge": (">=", 0),
-    "latency_vm_merge": (">=", 0),
 }
 _COMPARE = {">=": operator.ge, ">": operator.gt}
 #: type rules: optional field -> (module, class) its value must be an
@@ -99,6 +96,11 @@ class SystemConfig:
     groups by consistent hashing with cost-bounded loads
     (:mod:`repro.merge.sharding`), which stays stable under view-suite
     and fleet churn.
+
+    Every value but the per-run ``scheduler`` is plain data (names,
+    numbers, tuples, the opt-in dataclasses), so a scenario file carries
+    it.  Every hop has a fixed latency; the scheduler is the one way to
+    perturb timing.
     """
 
     # view managers
@@ -107,7 +109,9 @@ class SystemConfig:
     manager_mode: str = "cached"  # one of MANAGER_MODES
     block_size: int = 4  # complete-N block size
     refresh_period: float = 50.0  # periodic managers
-    compute_cost: CostModel = default_cost
+    # virtual time a manager takes per batch: (fixed, per_row, per_update)
+    # -> fixed + per_row * (view delta rows + 1) + per_update * batch size
+    compute_cost: tuple[float, float, float] = DEFAULT_COST
 
     # merge process(es)
     merge_algorithm: str = "auto"
@@ -125,12 +129,6 @@ class SystemConfig:
     warehouse_executors: int = 1
     warehouse_txn_overhead: float = 1.0
     warehouse_action_cost: float = 0.05
-
-    # channels (floats mean FixedLatency); the hops no study varies are
-    # constants of the builder
-    latency_integrator_vm: LatencyModel | float = 1.0
-    latency_integrator_merge: LatencyModel | float = 1.0
-    latency_vm_merge: LatencyModel | float = 1.0
 
     # fault injection (None = the paper's perfect environment)
     fault_plan: FaultPlan | None = None
@@ -158,7 +156,9 @@ class SystemConfig:
     slo: SloPolicy | None = None
     profile_plans: bool = False
 
-    # bookkeeping
+    # bookkeeping.  ``seed`` seeds nothing (the scheduler, the fault plan
+    # and the workload carry their own seeds); it stays for callers that
+    # still pass it.
     seed: int = 0
     record_history: bool = True
     # The trace event kinds to record.  The default keeps the two
@@ -189,14 +189,22 @@ class SystemConfig:
                 )
         for name, (comparison, bound) in _RANGES.items():
             value = getattr(self, name)
-            if not (
-                value is None
-                or isinstance(value, LatencyModel)
-                or _COMPARE[comparison](value, bound)
-            ):
+            if not (value is None or _COMPARE[comparison](value, bound)):
                 raise ReproError(
                     f"{name} must be {comparison} {bound}, got {value}"
                 )
+        cost = self.compute_cost
+        if not (
+            isinstance(cost, (tuple, list))
+            and len(cost) == 3
+            and all(isinstance(term, (int, float)) and math.isfinite(term)
+                    and term >= 0 for term in cost)
+        ):
+            raise ReproError(
+                f"compute_cost must be three finite numbers >= 0 "
+                f"(fixed, per_row, per_update), got {cost!r}"
+            )
+        self.compute_cost = tuple(cost)  # a decoded JSON list is the tuple
         for name, (module, cls) in _TYPES.items():
             value = getattr(self, name)
             if value is not None and not isinstance(

@@ -2,8 +2,9 @@
 
 A view manager (§3.3) is a process that owns one view: it buffers the
 updates the integrator routes to it, computes view deltas (which takes
-virtual time, configurable via ``compute_cost``), and sends action lists
-to its merge process.
+virtual time, configurable via ``compute_cost``: fixed work plus work per
+changed view row and per update), and sends action lists to its merge
+process.
 
 Pre-state acquisition — the crux of §1.1 Problem 3 (delta computation is
 "intertwined" with subsequent updates) — supports three correct modes and
@@ -38,7 +39,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from time import perf_counter_ns
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ViewManagerError
 from repro.messages import (
@@ -63,13 +64,9 @@ from repro.viewmgr.actions import ActionList
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
-#: cost model: f(number_of_updates_in_batch, delta_magnitude) -> virtual time
-CostModel = Callable[[int, int], float]
-
-
-def default_cost(batch_size: int, delta_magnitude: int) -> float:
-    """A mild default: fixed overhead plus per-changed-row work."""
-    return 1.0 + 0.05 * delta_magnitude + 0.1 * batch_size
+#: the virtual time a batch takes, ``(fixed, per_row, per_update)``: a mild
+#: default of fixed overhead plus work per changed view row and per update
+DEFAULT_COST = (1.0, 0.05, 0.1)
 
 
 PRE_STATE_MODES = ("cached", "snapshot", "compensate", "naive")
@@ -102,7 +99,7 @@ class ViewManager(Process):
         merge_name: str = "merge",
         service_name: str | None = "basedata",
         mode: str = "cached",
-        compute_cost: CostModel = default_cost,
+        compute_cost: tuple[float, float, float] = DEFAULT_COST,
     ) -> None:
         super().__init__(sim, name or f"vm:{definition.name}")
         if mode not in PRE_STATE_MODES:
@@ -387,7 +384,8 @@ class ViewManager(Process):
         if advance_replica and self._cache is not None:
             self._cache.advance(deltas)
         covered = tuple(msg.update_id for msg in batch)
-        cost = self.compute_cost(len(batch), len(view_delta) + 1)
+        fixed, per_row, per_update = self.compute_cost
+        cost = fixed + per_row * (len(view_delta) + 1) + per_update * len(batch)
         if self.sim.trace.wants("vm_compute"):
             self.trace("vm_compute", covered=covered,
                        delta=len(view_delta), cost=round(cost, 4))

@@ -102,7 +102,7 @@ class UpdateStreamGenerator:
             for name, schema in schemas.items()
         }
         self._owners = {name: world.owner_of(name) for name in schemas}
-        self._peers = {owner: list(world.relations_of(owner))
+        self._peers = {owner: sorted(world.relations_of(owner))
                        for owner in set(self._owners.values())}
         # ``choices`` draws the same given the weights or their sums, made once.
         weights = [spec.relation_weights.get(name, 1.0) for name in self._relations]

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.cache.store import CacheConfig
-from repro.conformance.scenario import SCENARIO_CONFIG, ScenarioSpec
+from repro.conformance.scenario import _OVERRIDABLE, SCENARIO_CONFIG, ScenarioSpec
 from repro.errors import ReproError
 from repro.faults.plan import CrashSpec, FaultPlan
-from repro.sim.network import FixedLatency
 from repro.sim.scheduler import (
     DelayInjectingScheduler,
     RandomScheduler,
@@ -100,6 +99,41 @@ class TestSerialization:
         assert again.config["fault_plan"].crashes[0].process == "merge"
         assert again.config["cache"].checkpoint_views == ("V1",)
 
+    def test_every_config_value_round_trips(self):
+        """Every value a spec may override is data: set to something other
+        than its default, each comes back equal through JSON."""
+        config = {
+            "manager_kind": "strong",
+            "manager_kinds": {"V1": "complete", "V2": "naive"},
+            "manager_mode": "snapshot",
+            "block_size": 3,
+            "refresh_period": 15.0,
+            "compute_cost": (2.0, 0.5, 0.25),
+            "merge_algorithm": "pa",
+            "merge_groups": 2,
+            "merge_router": "hash",
+            "submission_policy": "batching",
+            "submission_batch_size": 6,
+            "merge_message_cost": 0.35,
+            "use_selection_filtering": True,
+            "service_query_cost": 0.5,
+            "warehouse_executors": 3,
+            "warehouse_txn_overhead": 0.5,
+            "warehouse_action_cost": 0.1,
+            "fault_plan": FaultPlan(
+                seed=5, drop_rate=0.1,
+                crashes=(CrashSpec(process="merge", at=4.0, restart_after=2.0),),
+                reliable=True,
+            ),
+            "cache": CacheConfig(max_artifacts=8, checkpoint_views=("V1",)),
+            "record_history": False,
+        }
+        assert set(config) == _OVERRIDABLE
+        default = SystemConfig()
+        assert all(value != getattr(default, name) for name, value in config.items())
+        again = ScenarioSpec.from_json(ScenarioSpec(config=config).to_json())
+        assert SystemConfig(**again.config) == SystemConfig(**config)
+
     def test_unknown_field_rejected(self):
         data = ScenarioSpec().to_dict()
         data["warp_factor"] = 9
@@ -108,7 +142,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("config, match", [
         ({"compute_cost": lambda n, d: 1.0}, "function"),
-        ({"latency_vm_merge": FixedLatency(2.0)}, "FixedLatency"),
+        ({"manager_kinds": {1: "strong"}}, "dict"),
         ({"cache": CacheConfig(root="artifacts")}, "cache root"),
     ])
     def test_what_cannot_be_encoded_raises(self, config, match):
@@ -173,6 +207,6 @@ class TestBuild:
         system = spec.build(4, freshness_tick=2.0)
         system.close()
         assert system.config == SystemConfig(
-            manager_kind="strong", merge_groups=2, seed=4,
+            manager_kind="strong", merge_groups=2,
             scheduler=system.config.scheduler, freshness_tick=2.0,
         )

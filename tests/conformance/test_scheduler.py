@@ -13,7 +13,6 @@ from repro.sim.network import Channel, ReliableChannel
 from repro.sim.process import Process
 from repro.sim.scheduler import (
     DelayInjectingScheduler,
-    FifoScheduler,
     Perturbation,
     RandomScheduler,
     Scheduler,
@@ -50,9 +49,6 @@ class TestDefaultScheduler:
         legacy = run_system(scheduler=None)
         explicit = run_system(scheduler=Scheduler())
         assert legacy.sim.trace.digest() == explicit.sim.trace.digest()
-
-    def test_fifo_alias_is_the_default(self):
-        assert FifoScheduler is Scheduler
 
     def test_adjust_is_identity_with_zero_tiebreak(self):
         assert Scheduler().adjust(3.5, ("a", "b")) == (3.5, 0.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import random
 import types
 
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.sim.kernel import Simulator
-from repro.sim.network import ReliableChannel, UniformLatency
+from repro.sim.network import ReliableChannel
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import Trace
@@ -80,7 +81,7 @@ def flooding(base: type) -> type:
 
 LATENCIES = st.one_of(
     st.sampled_from([0.0, 0.0, 1.0, 0.25]),
-    st.tuples(st.sampled_from([0.0, 0.5]), st.sampled_from([0.5, 2.0])),
+    st.floats(0.0, 2.0),
 )
 
 
@@ -107,12 +108,10 @@ def graphs(draw):
 
 def run_graph(graph, scheduler, base=Process):
     Node = flooding(base)
-    sim = Simulator(seed=5, scheduler=scheduler)
+    sim = Simulator(scheduler=scheduler)
     nodes = [Node(sim, f"n{i}", s) for i, s in enumerate(graph["services"])]
     channels = []
     for index, (a, b, latency) in enumerate(graph["edges"]):
-        if isinstance(latency, tuple):
-            latency = UniformLatency(*latency)
         if index == graph["reliable"]:
             channels.append(nodes[a].attach(
                 ReliableChannel(sim, nodes[a], nodes[b], latency)))
@@ -223,15 +222,15 @@ class TestLaneClamp:
 # -- (c) publish on read against per-message feeding ------------------------------
 
 def run_ring(base, reads_at=(), crash_at=None, services=(0.4, 0.0, 1.1)):
-    """Three nodes flooding over uniform-latency channels.
+    """Three nodes flooding over channels of uniformly drawn latencies.
 
     ``reads_at``: virtual times at which the registry is dumped mid-run.
     """
     Node = flooding(base)
-    sim = Simulator(seed=11)
+    sim, rng = Simulator(), random.Random(11)
     nodes = [Node(sim, f"n{i}", s) for i, s in enumerate(services)]
     for a, b in [(0, 1), (1, 2), (2, 0), (0, 2)]:
-        nodes[a].connect(nodes[b], UniformLatency(0.1, 0.9))
+        nodes[a].connect(nodes[b], rng.uniform(0.1, 0.9))
     for when, ttl in [(0.0, 6), (0.0, 5), (0.7, 6)]:
         sim.schedule_at(when, nodes[0].send, "n1", ttl)
     if crash_at is not None:
@@ -337,14 +336,14 @@ class TestPublishOnRead:
 
     def test_bounded_histograms_keep_the_fed_reservoir(self):
         def run(base):
-            sim = Simulator(seed=11)
+            sim = Simulator()
             for name in ("proc_queue_wait", "proc_service_time"):
                 for node in ("n0", "n1"):  # the nodes get these instruments
                     sim.metrics.histogram(name, bound=5, process=node)
             Node = flooding(base)
             nodes = [Node(sim, f"n{i}", s) for i, s in enumerate((0.3, 0.0))]
-            nodes[0].connect(nodes[1], UniformLatency(0.1, 0.9))
-            nodes[1].connect(nodes[0], UniformLatency(0.1, 0.9))
+            nodes[0].connect(nodes[1], 0.37)
+            nodes[1].connect(nodes[0], 0.81)
             sim.schedule(0.0, nodes[0].send, "n1", 40)
             sim.run()
             return sim, nodes

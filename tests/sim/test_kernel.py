@@ -1,5 +1,7 @@
 """Tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -140,10 +142,10 @@ class TestRunBounds:
 
     def test_determinism_across_instances(self):
         def run_once():
-            sim = Simulator(seed=42)
+            sim, rng = Simulator(), random.Random(42)
             values = []
             for _ in range(5):
-                sim.schedule(sim.rng.random(), values.append, sim.rng.random())
+                sim.schedule(rng.random(), values.append, rng.random())
             sim.run()
             return values
         assert run_once() == run_once()

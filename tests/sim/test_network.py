@@ -1,22 +1,13 @@
-"""Tests for channels and latency models."""
-
-import random
+"""Tests for channels and their fixed latencies."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.faults.plan import ChannelFaultModel
 from repro.sim.kernel import Simulator
-from repro.sim.network import (
-    Channel,
-    ExponentialLatency,
-    FixedLatency,
-    LossyChannel,
-    ReliableChannel,
-    Transmission,
-    UniformLatency,
-)
+from repro.sim.network import Channel, LossyChannel, ReliableChannel, Transmission
 from repro.sim.process import Process
+from repro.sim.scheduler import DelayInjectingScheduler
 
 
 class Recorder(Process):
@@ -29,31 +20,17 @@ class Recorder(Process):
 
 
 class TestLatencyModels:
+    """A channel's latency model is one fixed delay."""
+
     def test_fixed(self):
-        assert FixedLatency(2.5).sample(random.Random(0)) == 2.5
+        sim = Simulator()
+        channel = Channel(sim, Recorder(sim, "a"), Recorder(sim, "b"), 2.5)
+        assert [channel.send(i) for i in range(3)] == [2.5, 2.5, 2.5]
 
     def test_fixed_rejects_negative(self):
-        with pytest.raises(SimulationError):
-            FixedLatency(-1)
-
-    def test_uniform_within_bounds(self):
-        model = UniformLatency(1.0, 2.0)
-        rng = random.Random(7)
-        for _ in range(50):
-            assert 1.0 <= model.sample(rng) <= 2.0
-
-    def test_uniform_rejects_bad_range(self):
-        with pytest.raises(SimulationError):
-            UniformLatency(3.0, 1.0)
-
-    def test_exponential_positive(self):
-        model = ExponentialLatency(2.0)
-        rng = random.Random(7)
-        assert all(model.sample(rng) >= 0 for _ in range(50))
-
-    def test_exponential_rejects_nonpositive_mean(self):
-        with pytest.raises(SimulationError):
-            ExponentialLatency(0)
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="non-negative, got -1"):
+            Channel(sim, Recorder(sim, "a"), Recorder(sim, "b"), -1)
 
 
 class TestChannel:
@@ -69,13 +46,15 @@ class TestChannel:
         sim = Simulator()
         a, b = Recorder(sim, "a"), Recorder(sim, "b")
         channel = Channel(sim, a, b, 1)
-        assert isinstance(channel.latency, FixedLatency)
+        assert type(channel.latency) is float and channel.latency == 1.0
 
     def test_fifo_under_random_latency(self):
-        """Deliveries on one channel never reorder, whatever the latencies."""
-        sim = Simulator(seed=3)
+        """Deliveries on one channel never reorder, whatever delays the
+        scheduler injects: the channel's lane is clamped by the kernel."""
+        sim = Simulator(scheduler=DelayInjectingScheduler(
+            3, delay_rate=1.0, max_delay=10.0))
         a, b = Recorder(sim, "a"), Recorder(sim, "b")
-        channel = Channel(sim, a, b, UniformLatency(0.0, 10.0))
+        channel = Channel(sim, a, b, 0.0)
         for i in range(30):
             sim.schedule(float(i) * 0.1, channel.send, i)
         sim.run()
@@ -101,23 +80,6 @@ class TestChannel:
         fast.send("fast")
         sim.run()
         assert [m for _t, m, _s in c.received] == ["fast", "slow"]
-
-    def test_fifo_clamp_under_exponential_latency(self):
-        """Per-channel delivery times are non-decreasing across many samples
-        of a heavy-tailed latency — the invariant ReliableChannel builds on."""
-        sim = Simulator(seed=11)
-        a, b = Recorder(sim, "a"), Recorder(sim, "b")
-        channel = Channel(sim, a, b, ExponentialLatency(5.0))
-        promised = []
-        for i in range(200):
-            sim.schedule(float(i) * 0.25, lambda i=i: promised.append(channel.send(i)))
-        sim.run()
-        # The promised delivery times are non-decreasing in send order...
-        assert promised == sorted(promised)
-        # ...actual arrivals honour them, so payloads arrive exactly in order.
-        assert [m for _t, m, _s in b.received] == list(range(200))
-        times = [t for t, _m, _s in b.received]
-        assert times == sorted(times)
 
 
 class ScriptedFaults:
@@ -177,7 +139,7 @@ class TestLossyChannel:
 
     def test_deterministic_fault_model(self):
         def run_once():
-            sim = Simulator(seed=5)
+            sim = Simulator()
             a, b = Recorder(sim, "a"), Recorder(sim, "b")
             model = ChannelFaultModel(drop_rate=0.3, duplicate_rate=0.2, seed=99)
             channel = LossyChannel(sim, a, b, 1.0, faults=model)
@@ -204,17 +166,17 @@ class SlowRecorder(Recorder):
 def crashed_between_sends(sim, a, b):
     sim.schedule(5.0, b.crash)
     sim.schedule(15.0, b.restart)
-    return Channel(sim, a, b, FixedLatency(LATENCY))
+    return Channel(sim, a, b, LATENCY)
 
 
 @pytest.mark.parametrize("build, arrivals, faults", [
-    (lambda sim, a, b: Channel(sim, a, b, FixedLatency(LATENCY)),
+    (lambda sim, a, b: Channel(sim, a, b, LATENCY),
      [1.5, 11.5, 21.5],
      {}),
 
     # clean, dropped, duplicated: the copy waits out the original's service
     (lambda sim, a, b: LossyChannel(
-        sim, a, b, FixedLatency(LATENCY), faults=ScriptedFaults(
+        sim, a, b, LATENCY, faults=ScriptedFaults(
             [Transmission(), Transmission(drop=True),
              Transmission(duplicates=1)])),
      [1.5, 21.5, 21.5],
@@ -224,7 +186,7 @@ def crashed_between_sends(sim, a, b):
     # the last one's timer fires at 24, before its ack lands at 25, and
     # the receiver suppresses that copy
     (lambda sim, a, b: ReliableChannel(
-        sim, a, b, FixedLatency(LATENCY), faults=ScriptedFaults(
+        sim, a, b, LATENCY, faults=ScriptedFaults(
             [Transmission(drop=True), Transmission(),
              Transmission(drop=True)])),
      [5.5, 15.5, 21.5],

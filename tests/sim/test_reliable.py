@@ -140,7 +140,7 @@ class TestLossRecovery:
         assert channel.unacked == 0
 
     def test_exactly_once_under_heavy_random_faults(self):
-        sim = Simulator(seed=7)
+        sim = Simulator()
         model = ChannelFaultModel(
             drop_rate=0.3, duplicate_rate=0.2, delay_spike_rate=0.2,
             delay_spike=15.0, seed=1234,

@@ -70,7 +70,10 @@ class TestConfigValidation:
             {"service_query_cost": -0.5},
             {"warehouse_txn_overhead": -1.0},
             {"warehouse_action_cost": -0.1},
-            {"latency_vm_merge": -1.0},
+            {"compute_cost": (1.0, -0.05, 0.1)},
+            {"compute_cost": (1.0, float("inf"), 0.1)},
+            {"compute_cost": (1.0, 0.05)},
+            {"compute_cost": lambda n, d: 1.0},  # a cost model is data
             {"trace_kinds": "wh_commit"},  # was split into its letters
         ],
     )
@@ -94,9 +97,9 @@ class TestConfigValidation:
         assert config.manager_levels(("V1", "V2")) == ["complete", "strong"]
 
     def test_optional_and_modelled_values_pass_the_range_rules(self):
-        from repro.sim.network import ExponentialLatency
-
-        SystemConfig(freshness_tick=None, latency_vm_merge=ExponentialLatency(1.0))
+        config = SystemConfig(freshness_tick=None, compute_cost=[2.0, 0, 0.5])
+        assert config.compute_cost == (2.0, 0, 0.5)  # a JSON list, stored
+        assert SystemConfig(compute_cost=[1.0, 0.05, 0.1]) == SystemConfig()
 
 
 class TestRegistries:

@@ -1,14 +1,14 @@
 """Medium-scale soak: a few hundred updates through every pipeline stage.
 
 These runs are larger than the property tests (hundreds of updates, all
-update kinds, multi-update transactions, random latencies) and exist to
+update kinds, multi-update transactions, random delays) and exist to
 catch anything that only shows up with depth: purge bookkeeping over long
 VUT lifetimes, replica drift, id exhaustion, queue accounting.
 """
 
 import pytest
 
-from repro.sim.network import UniformLatency
+from repro.sim.scheduler import DelayInjectingScheduler
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
@@ -42,8 +42,7 @@ def test_soak_300_updates(kind, level):
         paper_views_example2(),
         SystemConfig(
             manager_kind=kind,
-            latency_integrator_vm=UniformLatency(0.1, 3.0),
-            latency_vm_merge=UniformLatency(0.1, 3.0),
+            scheduler=DelayInjectingScheduler(99, delay_rate=1.0, max_delay=2.0),
             seed=99,
             trace_kinds=frozenset(),
         ),

@@ -1,17 +1,17 @@
 """Whole-system property tests.
 
 Theorem 4.1 and Theorem 5.1, empirically: for ANY seeded workload and ANY
-latency-induced interleaving, a complete fleet under SPA yields an
+delay-induced interleaving, a complete fleet under SPA yields an
 MVC-complete run and a strong fleet under PA an MVC-strongly-consistent
 run.  These are the library's headline guarantees, so they get hammered
-across random seeds, rates, mixes and channel latencies.
+across random seeds, rates, mixes and scheduler-injected delays.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.network import ExponentialLatency, UniformLatency
+from repro.sim.scheduler import DelayInjectingScheduler
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
 from repro.workloads.generator import UpdateStreamGenerator, WorkloadSpec, post_stream
@@ -32,10 +32,8 @@ def build_and_run(seed, kind, policy, jitter, updates=25):
         manager_kind=kind,
         submission_policy=policy,
         seed=seed,
-        # Randomised latencies shake out arrival-order corner cases.
-        latency_integrator_vm=UniformLatency(0.0, jitter),
-        latency_vm_merge=UniformLatency(0.0, jitter),
-        latency_integrator_merge=UniformLatency(0.0, jitter),
+        # Random delays on every message shake out arrival-order corner cases.
+        scheduler=DelayInjectingScheduler(seed, delay_rate=1.0, max_delay=jitter),
         record_history=True,
         trace_kinds=frozenset(),
     )
@@ -71,8 +69,9 @@ def test_pa_runs_are_mvc_strong(seed, jitter):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=12, deadline=None)
 def test_heavy_tailed_latencies_do_not_break_mvc(seed):
-    """Exponential (unbounded) channel latencies: extreme reordering
-    between channels, FIFO within each — MVC must still hold."""
+    """Delays of up to 20 time units on every message, against hops of one:
+    extreme reordering between channels, FIFO within each — MVC must
+    still hold."""
     world = paper_world()
     spec = WorkloadSpec(updates=20, rate=3.0, seed=seed,
                         mix=(0.5, 0.25, 0.25), arrivals="poisson")
@@ -81,9 +80,7 @@ def test_heavy_tailed_latencies_do_not_break_mvc(seed):
         world, paper_views_example2(),
         SystemConfig(
             manager_kind="complete",
-            latency_integrator_vm=ExponentialLatency(3.0),
-            latency_vm_merge=ExponentialLatency(3.0),
-            latency_integrator_merge=ExponentialLatency(3.0),
+            scheduler=DelayInjectingScheduler(seed, delay_rate=1.0, max_delay=20.0),
             seed=seed,
             trace_kinds=frozenset(),
         ),

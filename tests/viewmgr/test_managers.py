@@ -143,7 +143,7 @@ class TestStrongManager:
     def test_batches_backlog(self):
         # Slow compute: updates pile up while the first is processed.
         sim, manager, merge, _service, driver = rig(
-            StrongViewManager, compute_cost=lambda n, d: 10.0
+            StrongViewManager, compute_cost=(10.0, 0.0, 0.0)
         )
         for i in range(4):
             send_update(

@@ -80,7 +80,7 @@ class RowMirrorGenerator:
             origin = self.world.owner_of(first.relation)
             candidates = [
                 r
-                for r in self.world.relations_of(origin)
+                for r in sorted(self.world.relations_of(origin))
                 if r != first.relation
             ]
             self._rng.shuffle(candidates)
