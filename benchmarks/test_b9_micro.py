@@ -190,11 +190,14 @@ def test_b9_kernel_fast_path_guard(benchmark, bench_out):
     into a pessimisation, not micro-regressions.  Each arm starts from a
     collected heap and counts its best round: until the interpreter's
     first full collection a drain is half as slow again, whichever path
-    it takes."""
+    it takes.  A third arm, reported only, is one message hop: a ring of
+    four processes, ``Process.send`` -> ``Channel.send`` -> ``deliver`` ->
+    ``handle``, in microseconds per hop."""
     import gc
     import time
 
     from repro.sim.kernel import Simulator
+    from repro.sim.process import Process
     from repro.sim.scheduler import Scheduler
 
     class TrivialScheduler(Scheduler):
@@ -216,17 +219,38 @@ def test_b9_kernel_fast_path_guard(benchmark, bench_out):
         sim.run()
         return time.perf_counter() - start
 
+    class Hop(Process):
+        def handle(self, message, sender):
+            if message:
+                self.send(self.next_hop, message - 1)
+
+    hops = 20_000
+
+    def ring():
+        sim = Simulator()
+        nodes = [Hop(sim, f"n{i}") for i in range(4)]
+        for node, after in zip(nodes, nodes[1:] + nodes[:1]):
+            node.connect(after, 1.0)
+            node.next_hop = after.name
+        sim.schedule(0.0, nodes[0].send, "n1", hops - 1)
+        gc.collect()
+        start = time.perf_counter()
+        sim.run()
+        elapsed = time.perf_counter() - start
+        assert sum(n.messages_handled for n in nodes) == hops
+        return elapsed
+
     rounds = []
 
-    def all_four():
+    def all_five():
         rounds.append([
             drive(Simulator(scheduler=scheduler), tagged)
             for tagged in (False, True)
             for scheduler in (None, TrivialScheduler())
-        ])
+        ] + [ring()])
 
-    benchmark.pedantic(all_four, rounds=7, iterations=1)
-    fast_s, slow_s, fast_lane_s, slow_lane_s = map(min, zip(*rounds))
+    benchmark.pedantic(all_five, rounds=7, iterations=1)
+    fast_s, slow_s, fast_lane_s, slow_lane_s, ring_s = map(min, zip(*rounds))
     rates = {
         "fast_path": events / fast_s,
         "general_path": events / slow_s,
@@ -245,6 +269,7 @@ def test_b9_kernel_fast_path_guard(benchmark, bench_out):
         "ratio": round(rates["fast_path"] / rates["general_path"], 3),
         "ratio_lane_tagged": round(
             rates["fast_path_lane_tagged"] / rates["general_path_lane_tagged"], 3),
+        "hop_us": round(ring_s / hops * 1e6, 3),
     })
 
     for arm in ("", "_lane_tagged"):

@@ -34,6 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sources.transactions import SourceTransaction
     from repro.sources.update import Update
 
+_NUMBER_KEYS = ("update_id", "rel", "lineage", "commit_time")
+
 
 class Integrator(Process):
     """Numbers updates and routes them to merges and view managers."""
@@ -141,12 +143,10 @@ class Integrator(Process):
         # ``lineage`` links our numbering back to the source world's commit
         # sequence, completing the source->warehouse causal chain
         # (see repro.obs.lineage).
-        self.trace(
-            "int_number",
-            update_id=update_id,
-            rel=tuple(sorted(relevant)),
-            lineage=message.lineage_id,
-            commit_time=message.commit_time,
+        self.sim.trace.record_fields(
+            self.sim.now, "int_number", self.name, _NUMBER_KEYS,
+            update_id, tuple(sorted(relevant)), message.lineage_id,
+            message.commit_time,
         )
 
         # Step 3: REL_i to each merge owning some relevant view.

@@ -156,9 +156,10 @@ class FreshnessMonitor:
         # would charge the whole trace's construction cost to the
         # monitored arm (the trace defers it to the first read).  The
         # kinds filter keeps the Python loop off unrelated events.
-        self._cursor, events = self._sim.trace.raw_events_since(
-            self._cursor, STALENESS_KINDS
-        )
+        trace = self._sim.trace
+        if len(trace) == self._cursor:  # nothing recorded since
+            return
+        self._cursor, events = trace.raw_events_since(self._cursor, STALENESS_KINDS)
         for time, kind, _process, detail in events:
             if kind == "int_number":
                 uid = detail.get("update_id")

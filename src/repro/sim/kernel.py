@@ -13,13 +13,16 @@ scheduler assigns, the kernel clamps each ordered lane's priorities to be
 non-decreasing in scheduling order — so events from the same sender on
 the same channel can never be reordered, only delayed.  Tie-breaking
 otherwise still falls back to :mod:`itertools`.count insertion order, so
-the default scheduler reproduces the historical behaviour exactly.
+the default scheduler reproduces the historical behaviour exactly.  Its
+keys are ``(time, 0.0, seq)``, which a laneless :meth:`Simulator.schedule`
+and a plain :meth:`~repro.sim.network.Channel.send` push themselves.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -78,6 +81,7 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
+        """Events executed so far, counted when each :meth:`run` returns."""
         return self._events_executed
 
     @property
@@ -95,7 +99,10 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` units of virtual time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._push(self._now + delay, callback, args, lane, ordered)
+        if lane is not None or not self._default_scheduler:
+            return self._push(self._now + delay, callback, args, lane, ordered)
+        heapq.heappush(self._queue, (self._now + delay, 0.0,  # _push, inlined
+                                     next(self._sequence), callback, args))
 
     def schedule_at(
         self,
@@ -167,23 +174,25 @@ class Simulator:
         if self._running:
             raise SimulationError("run() called re-entrantly from an event handler")
         self._running = True
+        queue, pop, probes = self._queue, heapq.heappop, self._probes
+        horizon = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
         executed = 0
         hit_event_cap = False
         try:
-            while self._queue:
-                time = self._queue[0][0]
-                if until is not None and time > until:
+            while queue:
+                time = queue[0][0]
+                if time > horizon:
                     break
-                if max_events is not None and executed >= max_events:
+                if executed >= limit:
                     hit_event_cap = True
                     break
-                _time, _tie, _seq, callback, args = heapq.heappop(self._queue)
+                _time, _tie, _seq, callback, args = pop(queue)
                 self._now = time
                 callback(*args)
                 executed += 1
-                self._events_executed += 1
-                if self._probes:
-                    for probe in self._probes:
+                if probes:
+                    for probe in probes:
                         probe()
             # The horizon was reached (queue drained or next event beyond
             # ``until``): advance the clock to ``until`` so two runs with the
@@ -191,35 +200,18 @@ class Simulator:
             # must NOT jump the clock — the horizon was not actually reached.
             if until is not None and not hit_event_cap and self._now < until:
                 self._now = until
-        finally:
+        finally:  # also when a handler raised (its event is not counted)
+            self._events_executed += executed
             self._running = False
         return executed
-
-    def quiet_now(self) -> bool:
-        """Would an event scheduled now at delay 0 run next, nothing between?
-
-        True while :meth:`run` executes an event under the exact default
-        scheduler with no queued event due at ``now``: the new event's key
-        ``(now, 0.0, next seq)`` would be the heap's only minimum, so a
-        caller about to schedule it as its last act may call :meth:`probe`
-        and the callback instead (:meth:`~repro.sim.process.Process.deliver`).
-        """
-        return (
-            self._running and self._default_scheduler
-            and not (self._queue and self._queue[0][0] <= self._now)
-        )
-
-    def probe(self) -> None:
-        """Call the probes, as :meth:`run` does between two events."""
-        for probe in self._probes:
-            probe()
 
     def add_probe(self, probe: Callable[[], None]) -> None:
         """Invoke ``probe()`` after every executed event (observers only).
 
         Probes must not schedule events or mutate simulation state — they
         exist for samplers like the freshness monitor — nor count events: a
-        fused delivery (:meth:`quiet_now`) probes between its two halves.
+        delivery served in place (:meth:`~repro.sim.process.Process.deliver`)
+        calls them between its two halves.
         """
         self._probes.append(probe)
 

@@ -3,8 +3,9 @@
 The paper's only ordering assumption is that "messages from the same
 process must arrive in the order sent" (§4).  A :class:`Channel` delivers
 each message ``latency`` after it was sent, so its deliveries are in send
-order; channels of different latencies reorder *between* each other.  The
-one way to perturb timing beyond that is the simulator's scheduler
+order (the default scheduler needs no clamp for them, see ``send``);
+channels of different latencies reorder *between* each other.  The one
+way to perturb timing beyond that is the simulator's scheduler
 (:mod:`repro.sim.scheduler`), and the kernel's per-lane clamp keeps every
 channel FIFO under any scheduler.
 
@@ -26,6 +27,7 @@ machinery to drop that assumption and win it back:
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -38,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Channel:
-    """A point-to-point FIFO channel between two processes."""
+    """A point-to-point FIFO channel; its ``latency`` is fixed for life."""
 
     def __init__(
         self,
@@ -52,7 +54,7 @@ class Channel:
         self._sim = sim
         self.source = source
         self.destination = destination
-        self.latency = float(latency)
+        self._latency = float(latency)
         # FIFO lane identity: schedulers may perturb deliveries per lane,
         # and the kernel clamps ordered lanes so same-channel messages
         # can never overtake each other (see repro.sim.scheduler).
@@ -73,14 +75,28 @@ class Channel:
         self._m_sent.inc(sent - self._sent_published)
         self._sent_published = sent
 
+    @property
+    def latency(self) -> float:
+        return self._latency
+
     def send(self, message: object) -> float:
-        """Queue ``message`` for delivery at ``now + latency``; returns that time."""
-        deliver_at = self._sim.now + self.latency
+        """Queue ``message`` for delivery at ``now + latency``; returns that time.
+
+        Under the exact default scheduler this pushes the heap entry
+        itself, with no lane mark: the latency is fixed, ``now`` never
+        decreases and IEEE addition is monotone, so the deliveries are
+        already in send order and the lane clamp could never fire.  Any
+        other scheduler goes through ``schedule_at`` and its clamp.
+        """
+        sim = self._sim
+        deliver_at = sim._now + self._latency
         self.messages_sent += 1
-        self._sim.schedule_at(
-            deliver_at, self.destination.deliver, message, self.source,
-            lane=self.lane,
-        )
+        if sim._default_scheduler:
+            heappush(sim._queue, (deliver_at, 0.0, next(sim._sequence),
+                                  self.destination.deliver, (message, self.source)))
+        else:
+            sim.schedule_at(deliver_at, self.destination.deliver, message,
+                            self.source, lane=self.lane)
         return deliver_at
 
     def __repr__(self) -> str:

@@ -46,6 +46,13 @@ class Process:
     :meth:`connect` and used via :meth:`send`.
     """
 
+    _timed = _hooks_handled = False  # service_time / on_handled overridden?
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)  # what is not overridden is not called
+        cls._timed = cls.service_time is not Process.service_time
+        cls._hooks_handled = cls.on_handled is not Process.on_handled
+
     def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
         self.name = name
@@ -119,8 +126,10 @@ class Process:
 
     def send(self, destination: "Process | str", message: object) -> float:
         """Send ``message`` over the pre-connected channel; returns delivery time."""
-        name = destination if isinstance(destination, str) else destination.name
-        return self.channel_to(name).send(message)
+        channel = self._outgoing.get(destination)
+        if channel is None:  # a Process given, or no such channel
+            channel = self.channel_to(getattr(destination, "name", destination))
+        return channel.send(message)
 
     # -- mailbox / service loop ------------------------------------------------
     def deliver(
@@ -136,11 +145,11 @@ class Process:
         actually been *processed*, not merely enqueued — so delivery
         acknowledgements survive a crash that wipes the mailbox.
 
-        A message that finds the process idle, takes no service time and
-        has no ``on_processed`` is handled before this returns when its
-        zero-delay service event would run next anyway (``sim.quiet_now()``):
-        such a caller must deliver last in its event, as a channel's
-        delivery event (this method, scheduled by ``Channel.send``) does.
+        An idle receiver serves a message without ``on_processed`` in place
+        (one :meth:`_serve` frame) when its zero-delay service event would
+        run next anyway: inside ``run()``, under the exact default scheduler,
+        nothing due at ``now``.  Such a caller must deliver last in its
+        event, as a channel's delivery event (this method) does.
         """
         if self._crashed:
             self.count_lost()
@@ -148,27 +157,46 @@ class Process:
                 "msg_lost", sender=sender.name, message=type(message).__name__
             )
             return
-        now = self.sim.now
+        sim = self.sim
+        now = sim._now
         inbox = self._inbox
-        self._queue_area += len(inbox) * (now - self._last_stat_time)
-        self._last_stat_time = now
-        inbox.append((message, sender, on_processed, now))
-        depth = len(inbox)
-        if depth > self.max_queue_length:
-            self.max_queue_length = depth
-        if not self._busy:
-            self._start_next(fuse=on_processed is None and depth == 1)
+        if self._busy or inbox or on_processed is not None:
+            self._account_queue()
+            inbox.append((message, sender, on_processed, now))
+            if len(inbox) > self.max_queue_length:
+                self.max_queue_length = len(inbox)
+            if not self._busy:
+                self._start_next()
+            return
+        self._last_stat_time = now  # idle: an empty queue accrues no area
+        self.max_queue_length = self.max_queue_length or 1
+        self._busy = True
+        service = self.service_time(message) if self._timed else 0.0
+        if service < 0:
+            raise SimulationError(
+                f"{self.name}.service_time returned negative {service}"
+            )
+        queue = sim._queue
+        inbox.append((message, sender, None, now))
+        if (service == 0 and sim._running and sim._default_scheduler
+                and not (queue and queue[0][0] <= now)):
+            for probe in sim._probes:  # as the kernel's, between two events
+                probe()
+            inbox.pop()
+            self._serve(message, sender, service, 0.0, None)
+        else:
+            sim.schedule(service, self._finish, message, sender, service, self._epoch)
 
     def count_lost(self, n: int = 1) -> None:
         """Record ``n`` messages lost to a crash (volatile-state discard)."""
         self.messages_lost += n
 
     def _account_queue(self) -> None:
-        now = self.sim.now
+        now = self.sim._now
         self._queue_area += len(self._inbox) * (now - self._last_stat_time)
         self._last_stat_time = now
 
-    def _start_next(self, fuse: bool = False) -> None:
+    def _start_next(self) -> None:  # never in place: a queue could recurse
         self._busy = True
         message, sender, _on_processed, _enqueued = self._inbox[0]
         service = self.service_time(message)
@@ -176,10 +204,6 @@ class Process:
             raise SimulationError(
                 f"{self.name}.service_time returned negative {service}"
             )
-        if fuse and service == 0 and self.sim.quiet_now():
-            self.sim.probe()  # as the kernel would between the two events
-            self._finish(message, sender, service, self._epoch)
-            return
         self.sim.schedule(service, self._finish, message, sender, service, self._epoch)
 
     def _finish(
@@ -187,40 +211,45 @@ class Process:
     ) -> None:
         if epoch != self._epoch:
             return  # the process crashed while this message was in service
-        now = self.sim.now
+        self._account_queue()
+        _message, _sender, on_processed, enqueued = self._inbox.popleft()
+        now = self.sim._now
+        # Queue wait: arrival to service start.  Service start is finish
+        # minus service; clamp the float round-trip to non-negative.
+        self._serve(message, sender, service,
+                    max(0.0, (now - service) - enqueued), on_processed)
+
+    def _serve(self, message: object, sender: "Process", service: float,
+               wait: float, on_processed: Callable[[], None] | None) -> None:
+        """Account for and handle a message that has left the inbox."""
         inbox = self._inbox
-        self._queue_area += len(inbox) * (now - self._last_stat_time)
-        self._last_stat_time = now
-        _message, _sender, on_processed, enqueued = inbox.popleft()
         if len(inbox) < self._min_queue:
             self._min_queue = len(inbox)
         self._busy = False
         self.busy_time += service
         self.messages_handled += 1
-        # Queue wait: arrival to service start.  Service start is finish
-        # minus service; clamp the float round-trip to non-negative.
-        wait = max(0.0, (now - service) - enqueued)
         observed = self._observed
         observed.append(wait)
         observed.append(service)
         if len(observed) >= self._flush_at:
             self._flush()
         trace = self.sim.trace
-        if trace.wants("proc_msg"):
+        if trace._kinds is None or "proc_msg" in trace._kinds:  # wants()
             lineage = lineage_keys(message)
             trace.record_fields(
-                now, "proc_msg", self.name, (*_PROC_MSG_KEYS, *lineage),
+                self.sim._now, "proc_msg", self.name, (*_PROC_MSG_KEYS, *lineage),
                 type(message).__name__, sender.name, wait, service,
                 *lineage.values(),
             )
         self.handle(message, sender)
         # Checkpoint hooks run after handle() so the saved state covers this
         # message; only then is the sender's channel told it was processed.
-        self.on_handled(message, sender)
+        if self._hooks_handled:
+            self.on_handled(message, sender)
         if on_processed is not None:
             on_processed()
         # handle() may have sent messages but cannot have consumed the inbox.
-        if self._inbox and not self._busy:
+        if inbox and not self._busy:
             self._start_next()
 
     # -- crash / restart ---------------------------------------------------------

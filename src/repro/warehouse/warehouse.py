@@ -30,6 +30,8 @@ from repro.warehouse.txn import WarehouseTransaction
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
+_COMMIT_KEYS = ("txn", "rows", "views", "state_index")
+
 
 class WarehouseProcess(Process):
     """Applies warehouse transactions to the view store."""
@@ -130,12 +132,9 @@ class WarehouseProcess(Process):
             raise self.refused from error
         self._committed_ids.add(txn.txn_id)
         self.commits += 1
-        self.trace(
-            "wh_commit",
-            txn=txn.txn_id,
-            rows=txn.covered_rows,
-            views=tuple(sorted(txn.view_set)),
-            state_index=state.index,
+        self.sim.trace.record_fields(
+            self.sim.now, "wh_commit", self.name, _COMMIT_KEYS, txn.txn_id,
+            txn.covered_rows, tuple(sorted(txn.view_set)), state.index,
         )
         notification = CommitNotification(txn.txn_id, self.sim.now, txn.merge_name)
         if txn.merge_name in self._outgoing:

@@ -1,10 +1,11 @@
 """The fixed per-message path: same behaviour, fewer objects and events.
 
-Four rewrites share these tests: closure-free kernel events with a float
+Five rewrites share these tests: closure-free kernel events with a float
 lane clamp under the default scheduler, load statistics kept in plain
 attributes and published when the registry is read, flat trace records,
-and the fused zero-service delivery.  None of them may be visible in a
-trace, a registry dump or a verdict; only ``events_executed`` and the
+the zero-service delivery an idle receiver serves in place, and channel
+deliveries pushed straight onto the heap.  None of them may be visible in
+a trace, a registry dump or a verdict; only ``events_executed`` and the
 number of objects a run leaves behind may move.
 """
 
@@ -51,12 +52,12 @@ def flooding(base: type) -> type:
     """A process of class ``base`` that forwards ``ttl - 1`` to every peer."""
 
     class Node(base):
-        fused = 0  # deliveries handled inside deliver(), all nodes together
+        fused = 0  # deliveries served inside deliver(), all nodes together
 
         def __init__(self, sim, name, service=0.0):
             super().__init__(sim, name)
             self.service = service
-            self._starting = False
+            self._delivering = False
 
         def service_time(self, message):
             return self.service
@@ -66,15 +67,15 @@ def flooding(base: type) -> type:
                 for peer in self.peers():
                     self.send(peer, message - 1)
 
-        def _start_next(self, fuse=False):
-            self._starting = True
-            super()._start_next(fuse)
-            self._starting = False
+        def deliver(self, *args, **kwargs):
+            self._delivering = True
+            super().deliver(*args, **kwargs)
+            self._delivering = False
 
-        def _finish(self, *args):
-            Node.fused += self._starting  # not from the kernel's loop
-            self._starting = False
-            super()._finish(*args)
+        def _serve(self, *args):
+            Node.fused += self._delivering  # not from a _finish event
+            self._delivering = False
+            super()._serve(*args)
 
     return Node
 
@@ -154,14 +155,18 @@ class TestLockstep:
         assert samples == slow_samples and sum(map(sum, samples)) == 4 * probe
 
     def test_no_fusion_outside_run_or_behind_a_due_event(self):
+        Node = flooding(Process)
         sim = Simulator()
-        assert not sim.quiet_now()  # no run() is executing
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(sim.quiet_now()))
-        sim.schedule(1.0, lambda: seen.append(sim.quiet_now()))
-        sim.schedule(2.0, lambda: None)
+        a, b = Node(sim, "a"), Node(sim, "b")
+        b.deliver(0, a)  # no run() is executing
+        assert Node.fused == 0 and b.queue_length == 1
+        sim.schedule(1.0, b.deliver, 0, a)
+        sim.schedule(1.0, b.deliver, 0, a)
+        sim.run(until=1.5)
+        assert Node.fused == 0  # the first still had its twin due at 1.0
+        sim.schedule(1.0, b.deliver, 0, a)
         sim.run()
-        assert seen == [False, True]  # the first still has its twin due at 1.0
+        assert Node.fused == 1 and b.messages_handled == 4
 
     @pytest.mark.parametrize("key", [
         ("complete", "dependency-sequenced", 13),
@@ -217,6 +222,80 @@ class TestLaneClamp:
         sim.schedule_at(4.0, note, "ordered", lane="L")  # unordered set no mark
         sim.run()
         assert log == [("early", 3.0), ("ordered", 4.0), ("late", 5.0)]
+
+
+# -- (b') channel deliveries pushed straight onto the heap --------------------------
+
+class Logged(Process):
+    """Logs each arrival, as ``deliver`` sees it, in a list shared by all."""
+
+    def __init__(self, sim, name, log):
+        super().__init__(sim, name)
+        self.log = log
+
+    def deliver(self, message, sender, on_processed=None):
+        self.log.append((sender.name, self.name, message, self.sim.now))
+        super().deliver(message, sender, on_processed)
+
+    def handle(self, message, sender):
+        pass
+
+
+def send_storm(scheduler, latencies, sends):
+    """``sends``: (time, channel index) pairs; each message is its send count
+    on its channel, so every channel's messages are 0, 1, 2, ..."""
+    sim, log = Simulator(scheduler=scheduler), []
+    nodes = [Logged(sim, f"n{i}", log) for i in range(3)]
+    pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+    channels = [nodes[a].connect(nodes[b], latency)
+                for (a, b), latency in zip(pairs, latencies)]
+    counts = [0] * len(channels)
+
+    def send(index):
+        channels[index].send(counts[index])
+        counts[index] += 1
+
+    for when, index in sends:
+        sim.schedule_at(when, send, index)
+    sim.run()
+    return sim, log
+
+
+class TestDirectPush:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(LATENCIES, min_size=6, max_size=6),
+           st.lists(st.tuples(st.floats(0.0, 5.0), st.integers(0, 5)),
+                    min_size=1, max_size=40))
+    def test_plain_channels_deliver_in_send_order_without_lane_marks(
+            self, latencies, sends):
+        sim, log = send_storm(None, latencies, sends)
+        _, general_log = send_storm(GeneralPathScheduler(), latencies, sends)
+        assert sim._lane_marks == {}  # no clamp was needed, none was kept
+        for pair in {(src, dst) for src, dst, *_ in log}:
+            arrived = [m for src, dst, m, _ in log if (src, dst) == pair]
+            assert arrived == list(range(len(arrived)))
+        assert log == general_log  # the general path clamps: same order
+        assert len(log) == len(sends)
+
+    def test_events_executed_is_exact_after_a_handler_raises(self):
+        sim, ran = Simulator(), []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        for i in range(5):
+            sim.schedule(float(i), ran.append, i)
+        sim.schedule(2.5, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert ran == [0, 1, 2] and sim.events_executed == 3  # boom uncounted
+        assert sim.run(max_events=1) == 1 and sim.events_executed == 4
+        sim.schedule(0.5, boom)
+        with pytest.raises(RuntimeError):
+            sim.run(until=10.0)
+        assert sim.events_executed == 4 and sim.now == 3.5
+        assert sim.run(until=10.0) == 1 and sim.events_executed == 5
+        assert sim.now == 10.0
 
 
 # -- (c) publish on read against per-message feeding ------------------------------

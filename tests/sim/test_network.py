@@ -48,6 +48,15 @@ class TestChannel:
         channel = Channel(sim, a, b, 1)
         assert type(channel.latency) is float and channel.latency == 1.0
 
+    def test_latency_is_read_only(self):
+        """The direct push's FIFO argument needs a latency fixed for life."""
+        sim = Simulator()
+        a, b = Recorder(sim, "a"), Recorder(sim, "b")
+        for channel in (Channel(sim, a, b, 2.0), LossyChannel(sim, a, b, 2.0)):
+            with pytest.raises(AttributeError):
+                channel.latency = 0.5
+            assert channel.latency == 2.0 and channel.send("x") == 2.0
+
     def test_fifo_under_random_latency(self):
         """Deliveries on one channel never reorder, whatever delays the
         scheduler injects: the channel's lane is clamped by the kernel."""

@@ -190,9 +190,14 @@ class TestValueSemantics:
         assert all(sample != other for other in others)
 
     def test_pickle_and_deepcopy_round_trip(self, sample, names):
+        def typed_fields(record):
+            # not the repr: a rebuilt set may iterate in another order
+            return [(type(v), v) for v in map(record.__getattribute__,
+                                               names.split())]
+
         for loaded in (pickle.loads(pickle.dumps(sample)), copy.deepcopy(sample)):
             assert type(loaded) is type(sample) and loaded == sample
-            assert repr(loaded) == repr(sample)
+            assert typed_fields(loaded) == typed_fields(sample)
             if isinstance(sample, Node):  # the hash is computed again
                 assert hash(loaded) == hash(sample)
 
