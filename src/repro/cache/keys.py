@@ -7,18 +7,15 @@ on:
   process and every run (so a freshly built system finds the artifacts a
   previous one published).  Nothing here may depend on ``hash()``
   (``PYTHONHASHSEED``-randomized), ``id()``, or dict insertion order.
-* **sensitivity** — any change to the view definition, the base state,
-  or the engine that produced the state changes the key, so a restore
-  can never silently adopt state computed for a different world.
+* **sensitivity** — any change to the material changes the key, so a
+  lookup can never silently adopt state computed for a different world.
 
-The base state enters the key as a **version vector**: one rolling
-content digest per base relation.  A relation's digest starts as a
-digest of its full contents (:func:`relation_digest`) and advances by
-hashing each applied delta into the previous digest
-(:func:`advance_digest`) — O(|delta|) per batch instead of O(|relation|),
-while remaining transitively content-addressed: two replicas reach the
-same digest iff they started from identical contents and applied the
-same delta history.
+Two rules use it.  A *seed* is keyed by what it is computed from: the
+view definition, the engine id and one content digest per initial base
+relation (:func:`relation_digest`), so any system building the same view
+over the same initial snapshot finds it.  A *checkpoint* is keyed by its
+own bytes: the process name and the digest of its pickled payload.  A
+restart finds a checkpoint through its ref, never by recomputing a key.
 """
 
 from __future__ import annotations
@@ -98,33 +95,14 @@ def relation_digest(
     return hashlib.blake2b(canon_bytes(layout) + rows, digest_size=16).hexdigest()
 
 
-def advance_digest(
-    previous: str, delta_counts: Mapping[tuple, int]
-) -> str:
-    """Roll a relation digest forward over one applied (signed) delta."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(previous.encode("ascii"))
-    for values, count in sorted(
-        delta_counts.items(), key=lambda kv: repr(kv[0])
-    ):
-        _update_counted(h, values, count)
-    return h.hexdigest()
-
-
-def _update_counted(h, values: tuple, count: int) -> None:
-    h.update(canon_bytes(values))
-    h.update(b"#%d;" % count)
-
-
 def artifact_key(kind: str, material: Mapping[str, object]) -> str:
     """The store key for one artifact: ``blake2b(kind, material)``.
 
     ``kind`` namespaces the key space (``"view-seed"``,
     ``"view-checkpoint"``, ``"merge-checkpoint"``, ...); ``material`` is
-    a mapping of plain data — for view state that is the definition AST
-    rendering, the engine id and the version vector, per the scheme
-    ``blake2b(view definition AST, base-state version vector, engine
-    id)``.
+    a mapping of plain data — for a seed the definition AST rendering,
+    the engine id and the initial base-relation digests, for a
+    checkpoint the process name and the payload digest.
     """
     h = hashlib.blake2b(digest_size=20)
     h.update(b"repro-artifact-key:%d:" % KEY_FORMAT)
@@ -136,7 +114,6 @@ def artifact_key(kind: str, material: Mapping[str, object]) -> str:
 
 __all__ = [
     "KEY_FORMAT",
-    "advance_digest",
     "artifact_key",
     "canon_bytes",
     "relation_digest",

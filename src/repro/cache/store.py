@@ -44,6 +44,8 @@ from repro.errors import CacheError, CacheIntegrityError, CacheMiss
 
 _MAGIC = b"repro-artifact"
 _VERSION = 1
+#: the store's stat attributes, published as ``cache_store_<stat>``
+_STATS = ("puts", "hits", "misses", "integrity_failures", "evictions")
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,6 @@ class CacheConfig:
     ``root=None`` gives the system a private temporary store, removed by
     :meth:`~repro.system.builder.WarehouseSystem.close` — set an explicit
     path to share artifacts across systems (warm restart).
-    ``checkpoint_views`` restricts per-message crash checkpointing to the
-    named views (``None`` = every cached-mode view); seed artifacts are
-    always published.
     ``stale_refs`` is a fault-injection knob for the conformance suite:
     ref updates lag one publish behind, modelling a lost ref write — the
     artifact a restart then finds is *valid but stale*, which the oracle
@@ -66,7 +65,6 @@ class CacheConfig:
     max_bytes: int | None = None
     max_artifacts: int | None = None
     namespace: str = "default"
-    checkpoint_views: tuple[str, ...] | None = None
     stale_refs: bool = False
 
     def __post_init__(self) -> None:
@@ -78,10 +76,6 @@ class CacheConfig:
             )
         if not self.namespace:
             raise CacheError("namespace must be non-empty")
-        if self.checkpoint_views is not None:
-            object.__setattr__(
-                self, "checkpoint_views", tuple(self.checkpoint_views)
-            )
 
 
 def _payload_digest(payload: bytes) -> str:
@@ -112,32 +106,24 @@ class ArtifactStore:
         self.misses = 0
         self.integrity_failures = 0
         self.evictions = 0
-        self._registry = None
-        self._registry_labels: dict[str, str] = {}
 
     def bind_registry(self, registry, **labels) -> None:
-        """Mirror the stat counters into a :class:`MetricsRegistry`.
+        """Publish the stat counters into a :class:`MetricsRegistry`.
 
         The attribute counters stay the source of truth (``stats()`` and
-        ``repro cache stats`` read them); binding just makes every
-        increment also bump ``cache_store_<stat>`` in ``registry``, so
-        exporters report the same numbers.  Existing totals are carried
-        over so a late bind never under-reports.
+        ``repro cache stats`` read them); ``registry`` publishes their
+        totals as ``cache_store_<stat>`` whenever it is read, so
+        exporters report the same numbers, and a late bind never
+        under-reports.
         """
-        self._registry = registry
-        self._registry_labels = labels
-        for stat in ("puts", "hits", "misses", "integrity_failures",
-                     "evictions"):
-            counter = registry.counter(f"cache_store_{stat}", **labels)
-            behind = getattr(self, stat) - counter.value
-            if behind > 0:
-                counter.inc(behind)
+        counters = [(stat, registry.counter(f"cache_store_{stat}", **labels))
+                    for stat in _STATS]
 
-    def _mirror(self, stat: str, amount: int = 1) -> None:
-        if self._registry is not None:
-            self._registry.counter(
-                f"cache_store_{stat}", **self._registry_labels
-            ).inc(amount)
+        def publish() -> None:
+            for stat, counter in counters:
+                counter.advance_to(getattr(self, stat))
+
+        registry.on_read(publish)
 
     # -- object paths -------------------------------------------------------
     def _object_path(self, key: str) -> Path:
@@ -177,7 +163,6 @@ class ArtifactStore:
         self._atomic_write(self._object_path(key), header + payload)
         with self._lock:
             self.puts += 1
-        self._mirror("puts")
         return key
 
     def get(self, key: str) -> bytes:
@@ -188,7 +173,6 @@ class ArtifactStore:
         except FileNotFoundError:
             with self._lock:
                 self.misses += 1
-            self._mirror("misses")
             raise CacheMiss(f"no artifact {key!r} in {self.root}") from None
         newline = raw.find(b"\n")
         header = raw[:newline].split(b" ") if newline >= 0 else []
@@ -204,7 +188,6 @@ class ArtifactStore:
         if not ok:
             with self._lock:
                 self.integrity_failures += 1
-            self._mirror("integrity_failures")
             raise CacheIntegrityError(
                 f"artifact {key!r} failed digest verification "
                 f"(corrupt or truncated)"
@@ -215,7 +198,6 @@ class ArtifactStore:
             pass
         with self._lock:
             self.hits += 1
-        self._mirror("hits")
         return payload
 
     def has(self, key: str) -> bool:
@@ -312,8 +294,6 @@ class ArtifactStore:
                 evicted += 1
                 freed += size
             self.evictions += evicted
-            if evicted:
-                self._mirror("evictions", evicted)
             return {
                 "evicted": evicted,
                 "freed_bytes": freed,
@@ -333,11 +313,7 @@ class ArtifactStore:
             "bytes": sum(sizes),
             "refs": len(self.refs()),
             "pinned": len(self.pinned()),
-            "puts": self.puts,
-            "hits": self.hits,
-            "misses": self.misses,
-            "integrity_failures": self.integrity_failures,
-            "evictions": self.evictions,
+            **{stat: getattr(self, stat) for stat in _STATS},
         }
 
     def __repr__(self) -> str:

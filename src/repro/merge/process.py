@@ -94,7 +94,7 @@ class MergeProcess(Process):
         self._g_vut = sim.metrics.gauge("merge_vut_size", timeline=True,
                                         merge=self.name)
         self.checkpointing = checkpointing
-        # Optional repro.cache.artifacts.MergeCacheBinding: checkpoints
+        # Optional repro.cache.artifacts.CheckpointBinding: checkpoints
         # additionally publish to the content-addressed store, and
         # restarts prefer the store's artifact over the in-memory copy.
         self._cache = cache
@@ -209,24 +209,26 @@ class MergeProcess(Process):
         the in-memory copy is only the fallback for a miss or a failed
         integrity check.
         """
-        checkpoint = None
+        checkpoint = self._checkpoint
         if self._cache is not None:
-            checkpoint = self._cache.try_restore()
-            if checkpoint is not None:
+            stored = self._cache.resolve(MergeCheckpoint)
+            if stored is not None:
+                checkpoint = stored
                 self.cache_restores += 1
                 self.sim.metrics.counter(
                     "cache_restores", process=self.name
                 ).inc()
-            elif self._checkpoint is not None:
+            elif checkpoint is not None:
                 self.cache_fallbacks += 1
                 self.sim.metrics.counter(
                     "cache_fallbacks", process=self.name
                 ).inc()
-        if checkpoint is None:
-            checkpoint = self._checkpoint
-        if checkpoint is None:
-            return
-        # Copy out of the checkpoint so it remains restorable a second time.
+        if checkpoint is not None:
+            self.restore(checkpoint)
+
+    def restore(self, checkpoint: MergeCheckpoint) -> None:
+        """Rebuild durable state from ``checkpoint``, copying out of it so
+        it remains restorable a second time."""
         self.algorithm = copy.deepcopy(checkpoint.algorithm)
         policy = copy.deepcopy(checkpoint.policy)
         policy.bind(self._submit_to_warehouse, self._allocate_txn_id)

@@ -23,6 +23,9 @@ from repro.sources.world import SourceWorld
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
+# The detail keys of the per-commit trace record.
+_COMMIT_KEYS = ("seq", "relations")
+
 
 class Source(Process):
     """One autonomous source: local serializable transactions only."""
@@ -62,10 +65,9 @@ class Source(Process):
         committed = self.world.commit(transaction, self.sim.now)
         self.transactions_committed += 1
         if self.sim.trace.wants("src_commit"):
-            self.trace(
-                "src_commit",
-                seq=committed.sequence,
-                relations=tuple(sorted(transaction.relations)),
+            self.sim.trace.record_fields(
+                self.sim.now, "src_commit", self.name, _COMMIT_KEYS,
+                committed.sequence, tuple(sorted(transaction.relations)),
             )
         self.send(
             self.integrator_name,

@@ -284,7 +284,7 @@ class WarehouseSystem:
                 checkpointing=cfg.fault_plan is not None
                 or self._cache_binding is not None,
                 cache=(
-                    self._cache_binding.for_merge(name)
+                    self._cache_binding.merge_checkpoints(name)
                     if self._cache_binding is not None
                     else None
                 ),
@@ -340,7 +340,8 @@ class WarehouseSystem:
             if manager.mode == "cached":
                 if self._cache_binding is not None:
                     manager.install_cache(
-                        self._cache_binding.for_view(definition.name)
+                        self._cache_binding.for_view(definition.name),
+                        self._cache_binding.view_checkpoints(definition.name),
                     )
                 manager.seed_replica(self._initial_state, memo)
             self.store.initialize_view(

@@ -49,6 +49,7 @@ from repro.messages import (
     SnapshotResponse,
     UpdateForView,
 )
+from repro.record import Record
 from repro.relational.columnar import compile_filter, evaluate_columnar
 from repro.relational.database import Database
 from repro.relational.delta import Delta, propagate_delta, updates_to_deltas
@@ -70,6 +71,50 @@ DEFAULT_COST = (1.0, 0.05, 0.1)
 
 
 PRE_STATE_MODES = ("cached", "snapshot", "compensate", "naive")
+
+# The detail keys of the per-batch trace record.
+_COMPUTE_KEYS = ("covered", "delta", "cost")
+
+
+def encode_relation(relation: Relation) -> tuple:
+    """(layout, {value-tuple: count}) — plain data, stable to pickle."""
+    store = relation.columnar()
+    return (store.layout, dict(store.counts_view()))
+
+
+def decode_relation(encoded: tuple, schema: Schema) -> Relation:
+    """Inverse of :func:`encode_relation`: one checked bulk load."""
+    layout, counts = encoded
+    return Relation.from_tuple_counts(tuple(layout), counts, schema)
+
+
+class ViewCheckpoint(Record):
+    """Everything a cached-mode view manager must not lose, as plain data:
+    each replica relation and the computed-but-unsent view delta as
+    ``(layout, {value tuple: count})``, the plan's ``export_aux()``, the
+    buffered and in-flight updates, the counters and a subclass's
+    ``extra_durable_state()``.  Built by :meth:`ViewManager.checkpoint`,
+    applied by :meth:`ViewManager.restore`; read-only once built."""
+
+    __slots__ = ("replica", "aux", "buffer", "current_batch", "pending_emit",
+                 "computing", "applied_version", "action_lists_sent",
+                 "updates_processed", "extra")
+
+    def __init__(self, replica: dict[str, tuple], aux: dict,
+                 buffer: tuple, current_batch: tuple,
+                 pending_emit: tuple | None, computing: bool,
+                 applied_version: int, action_lists_sent: int,
+                 updates_processed: int, extra: dict) -> None:
+        self.replica = replica
+        self.aux = aux
+        self.buffer = buffer
+        self.current_batch = current_batch
+        self.pending_emit = pending_emit
+        self.computing = computing
+        self.applied_version = applied_version
+        self.action_lists_sent = action_lists_sent
+        self.updates_processed = updates_processed
+        self.extra = extra
 
 
 class ViewManager(Process):
@@ -139,11 +184,13 @@ class ViewManager(Process):
         # propagate in a wall-clock timer and, for a local plan, attaches
         # a PlanProfiler for per-node timings.
         self._profile = False
-        # Content-addressed cache binding (repro.cache): None = the PR-1
-        # behaviour, crash recovery by in-simulator replay only.
+        # Content-addressed cache bindings (repro.cache): seed artifacts and
+        # checkpoints.  None = the PR-1 behaviour, crash recovery by
+        # in-simulator replay only.
         self._cache = None
+        self._checkpoints = None
         self._pending_emit: tuple[tuple[int, ...], Delta] | None = None
-        self._stash: dict | None = None
+        self._stash: ViewCheckpoint | None = None
         self.cache_restores = 0
         self.cache_fallbacks = 0
 
@@ -165,20 +212,22 @@ class ViewManager(Process):
                 deltas[relation] = Delta(keep(delta.tuple_counts()), delta.layout)
         return deltas
 
-    def install_cache(self, binding) -> None:
-        """Attach a :class:`~repro.cache.artifacts.ViewCacheBinding`.
+    def install_cache(self, seeds, checkpoints) -> None:
+        """Attach a :class:`~repro.cache.artifacts.ViewCacheBinding` and a
+        :class:`~repro.cache.artifacts.CheckpointBinding`.
 
-        Call before :meth:`seed_replica` so the binding can serve a seed
+        Call before :meth:`seed_replica` so ``seeds`` can serve a seed
         artifact (warm plan compile + initial contents) and so every
-        handled message gets a durable checkpoint.  Only cached mode has
-        a standing replica worth caching.
+        handled message publishes a durable checkpoint.  Only cached mode
+        has a standing replica worth caching.
         """
         if self.mode != "cached":
             raise ViewManagerError(
                 f"{self.name} runs mode={self.mode!r}; the artifact cache "
                 f"needs cached mode (a standing replica to checkpoint)"
             )
-        self._cache = binding
+        self._cache = seeds
+        self._checkpoints = checkpoints
 
     def seed_replica(self, initial: Database, memo: dict | None = None) -> None:
         """Install local base-relation replicas from the initial source state."""
@@ -381,14 +430,14 @@ class ViewManager(Process):
         self._m_batches.inc()
         self._m_rows.inc(len(view_delta))
         self._m_updates.inc(len(batch))
-        if advance_replica and self._cache is not None:
-            self._cache.advance(deltas)
         covered = tuple(msg.update_id for msg in batch)
         fixed, per_row, per_update = self.compute_cost
         cost = fixed + per_row * (len(view_delta) + 1) + per_update * len(batch)
         if self.sim.trace.wants("vm_compute"):
-            self.trace("vm_compute", covered=covered,
-                       delta=len(view_delta), cost=round(cost, 4))
+            self.sim.trace.record_fields(
+                self.sim.now, "vm_compute", self.name, _COMPUTE_KEYS,
+                covered, len(view_delta), round(cost, 4),
+            )
         self._pending_emit = (covered, view_delta)
         self.sim.schedule(cost, self._emit, covered, view_delta, self._epoch)
 
@@ -399,7 +448,7 @@ class ViewManager(Process):
         epoch: int | None = None,
     ) -> None:
         if (
-            self._cache is not None
+            self._checkpoints is not None
             and epoch is not None
             and epoch != self._epoch
         ):
@@ -418,11 +467,11 @@ class ViewManager(Process):
         self._computing = False
         self._current_batch = []
         self._pending_emit = None
-        if self._cache is not None:
+        if self._checkpoints is not None:
             # The emit changed durable state (list sent, pending cleared)
             # outside any handled message — publish a covering checkpoint
             # or a restart would re-send this action list.
-            self._cache.on_handled(self)
+            self._checkpoints.publish(self.checkpoint())
         self._maybe_start()
 
     def build_action_lists(
@@ -454,21 +503,67 @@ class ViewManager(Process):
     def restore_extra_state(self, state: dict) -> None:
         """Inverse of :meth:`extra_durable_state`."""
 
+    def checkpoint(self) -> ViewCheckpoint:
+        """The manager's durable state, copied out as plain data."""
+        replica, plan, pending = self._replica, self._plan, self._pending_emit
+        return ViewCheckpoint(
+            replica={} if replica is None else {
+                name: encode_relation(replica.relation(name))
+                for name in sorted(self.definition.base_relations())
+            },
+            aux=plan.export_aux() if plan is not None else {},
+            buffer=tuple(self._buffer),
+            current_batch=tuple(self._current_batch),
+            pending_emit=None if pending is None else (
+                pending[0], (pending[1].layout, dict(pending[1].tuple_counts()))
+            ),
+            computing=self._computing,
+            applied_version=self._applied_version,
+            action_lists_sent=self.action_lists_sent,
+            updates_processed=self.updates_processed,
+            extra=self.extra_durable_state(),
+        )
+
+    def restore(self, checkpoint: ViewCheckpoint) -> None:
+        """Rebuild the manager from ``checkpoint`` (which stays reusable):
+        the replica and a plan compiled over it with the checkpoint's
+        auxiliary state preloaded, so nothing is evaluated."""
+        replica = Database()
+        for name, encoded in sorted(checkpoint.replica.items()):
+            schema = self.base_schemas[name]
+            replica.create_relation(name, schema, decode_relation(encoded, schema))
+        self._replica = replica
+        self._plan = MaintenancePlan(
+            self.definition.expression, replica, preload=checkpoint.aux
+        )
+        self._buffer = deque(checkpoint.buffer)
+        self._current_batch = list(checkpoint.current_batch)
+        pending = checkpoint.pending_emit
+        if pending is not None:
+            covered, (layout, counts) = pending
+            pending = (tuple(covered), Delta(counts, tuple(layout)))
+        self._pending_emit = pending
+        self._computing = checkpoint.computing
+        self._applied_version = checkpoint.applied_version
+        self.action_lists_sent = checkpoint.action_lists_sent
+        self.updates_processed = checkpoint.updates_processed
+        self.restore_extra_state(checkpoint.extra)
+
     def on_handled(self, message: object, sender: Process) -> None:
         # Checkpoint-before-ack: this hook runs after the message's
         # effects but before the channel-level on_processed ack, so every
         # acked update is covered by some published artifact.
-        if self._cache is not None:
-            self._cache.on_handled(self)
+        if self._checkpoints is not None:
+            self._checkpoints.publish(self.checkpoint())
 
     def on_crash(self) -> None:
-        if self._cache is None:
+        if self._checkpoints is None:
             return
-        # Model a real process death: volatile state is gone.  The live
-        # objects are stashed aside only as the *fallback* recovery path
+        # Model a real process death: volatile state is gone.  A checkpoint
+        # of it is stashed aside only as the *fallback* recovery path
         # (mirroring PR-1 replay); restore prefers the artifact store and
         # the counters below say which path ran.
-        self._stash = self._cache.capture_local(self)
+        self._stash = self.checkpoint()
         self._buffer = deque()
         self._current_batch = []
         self._pending_emit = None
@@ -478,24 +573,25 @@ class ViewManager(Process):
         self._plan = None
 
     def on_restart(self) -> None:
-        if self._cache is None:
+        if self._checkpoints is None:
             return
-        if self._cache.try_restore(self):
-            self.cache_restores += 1
-            self.sim.metrics.counter("cache_restores", process=self.name).inc()
-            self.trace("cache_restore", applied=self._applied_version)
-        else:
-            stash, self._stash = self._stash, None
-            if stash is None:
+        checkpoint = self._checkpoints.resolve(ViewCheckpoint)
+        kind = "cache_restore"
+        if checkpoint is None:
+            checkpoint, kind = self._stash, "cache_fallback"
+            if checkpoint is None:
                 raise ViewManagerError(
                     f"{self.name} restarted with neither a cache artifact "
                     f"nor local state to fall back to"
                 )
-            self._cache.restore_local(self, stash)
-            self.cache_fallbacks += 1
-            self.sim.metrics.counter("cache_fallbacks", process=self.name).inc()
-            self.trace("cache_fallback", applied=self._applied_version)
         self._stash = None
+        self.restore(checkpoint)
+        if kind == "cache_restore":
+            self.cache_restores += 1
+        else:
+            self.cache_fallbacks += 1
+        self.sim.metrics.counter(f"{kind}s", process=self.name).inc()
+        self.trace(kind, applied=self._applied_version)
         pending = self._pending_emit
         if pending is not None:
             # The crash interrupted a computed-but-unsent batch; the

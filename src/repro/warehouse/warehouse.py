@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 _COMMIT_KEYS = ("txn", "rows", "views", "state_index")
+_START_KEYS = ("txn", "cost")
 
 
 class WarehouseProcess(Process):
@@ -83,7 +84,10 @@ class WarehouseProcess(Process):
             self._executing[txn.txn_id] = message
             cost = self.execution_time(txn)
             if self.sim.trace.wants("wh_start"):
-                self.trace("wh_start", txn=txn.txn_id, cost=round(cost, 4))
+                self.sim.trace.record_fields(
+                    self.sim.now, "wh_start", self.name, _START_KEYS,
+                    txn.txn_id, round(cost, 4),
+                )
             self.sim.schedule(cost, self._complete, message)
 
     def execution_time(self, txn: WarehouseTransaction) -> float:

@@ -2,7 +2,7 @@
 
 Both ends now go through the bulk tuple load (the cold run's contents
 come out of ``evaluate_columnar``, the warm run's out of
-``_decode_relation``); the row-dict ``evaluate`` over ss_0 is the
+``decode_relation``); the row-dict ``evaluate`` over ss_0 is the
 reference for both, and the content addresses are what they were.
 """
 
@@ -10,7 +10,6 @@ import pickle
 
 import pytest
 
-from repro.cache.artifacts import _decode_relation
 from repro.cache.store import CacheConfig
 from repro.errors import RelationError, ReproError, SchemaError
 from repro.relational.algebra import evaluate
@@ -19,6 +18,7 @@ from repro.relational.rows import Row
 from repro.relational.schema import Attribute, AttrType, Schema
 from repro.system.builder import WarehouseSystem
 from repro.system.config import SystemConfig
+from repro.viewmgr.base import decode_relation
 from repro.workloads.schemas import bank_views, bank_world, star_views
 from tests.conftest import preloaded_star_world
 
@@ -91,7 +91,7 @@ class TestDecodeRelation:
     LAYOUT = ("A", "B")
 
     def test_round_trip(self):
-        decoded = _decode_relation(
+        decoded = decode_relation(
             (list(self.LAYOUT), {(1, "x"): 2, (2, "y"): 1}), self.SCHEMA
         )
         assert decoded.sorted_rows() == [
@@ -102,26 +102,26 @@ class TestDecodeRelation:
     @pytest.mark.parametrize("layout", [("A",), ("A", "B", "C"), ("B", "A"), ()])
     def test_wrong_layout(self, layout):
         with pytest.raises(SchemaError):
-            _decode_relation((layout, {(1, "x"): 1}), self.SCHEMA)
+            decode_relation((layout, {(1, "x"): 1}), self.SCHEMA)
 
     @pytest.mark.parametrize("bad", [(1,), (1, "x", "extra")])
     def test_short_or_long_tuple(self, bad):
         with pytest.raises(SchemaError, match="is not a tuple of the 2 values"):
-            _decode_relation(
+            decode_relation(
                 (self.LAYOUT, {(1, "x"): 1, bad: 1}), self.SCHEMA
             )
 
     @pytest.mark.parametrize("bad", [(True, "x"), (1.0, "x"), (1, 2), (1, None)])
     def test_wrong_value_class(self, bad):
         with pytest.raises(SchemaError, match="expects"):
-            _decode_relation(
+            decode_relation(
                 (self.LAYOUT, {(5, "v"): 1, bad: 1}), self.SCHEMA
             )
 
     @pytest.mark.parametrize("count", [0, -1, 1.5, 2.0, True])
     def test_bad_multiplicity(self, count):
         with pytest.raises(RelationError, match="multiplicity") as caught:
-            _decode_relation(
+            decode_relation(
                 (self.LAYOUT, {(5, "v"): 1, (6, "w"): count}), self.SCHEMA
             )
         assert "(6, 'w')" in str(caught.value)

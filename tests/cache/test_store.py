@@ -277,5 +277,5 @@ class TestCacheConfig:
     def test_defaults(self):
         cfg = CacheConfig()
         assert cfg.root is None
-        assert len(dataclasses.fields(cfg)) == 6  # no actor knob: the store is a directory
+        assert len(dataclasses.fields(cfg)) == 5  # no actor knob: the store is a directory
         assert cfg.stale_refs is False

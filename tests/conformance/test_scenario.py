@@ -89,7 +89,7 @@ class TestSerialization:
                     crashes=(CrashSpec(process="merge", at=4.0, restart_after=2.0),),
                     reliable=True,
                 ),
-                "cache": CacheConfig(stale_refs=True, checkpoint_views=("V1",)),
+                "cache": CacheConfig(stale_refs=True, namespace="scenario"),
             },
             scheduler="random",
             vary_workload=False,
@@ -97,7 +97,7 @@ class TestSerialization:
         again = ScenarioSpec.from_json(spec.to_json())
         assert again == spec
         assert again.config["fault_plan"].crashes[0].process == "merge"
-        assert again.config["cache"].checkpoint_views == ("V1",)
+        assert again.config["cache"].namespace == "scenario"
 
     def test_every_config_value_round_trips(self):
         """Every value a spec may override is data: set to something other
@@ -125,7 +125,7 @@ class TestSerialization:
                 crashes=(CrashSpec(process="merge", at=4.0, restart_after=2.0),),
                 reliable=True,
             ),
-            "cache": CacheConfig(max_artifacts=8, checkpoint_views=("V1",)),
+            "cache": CacheConfig(max_artifacts=8, namespace="scenario"),
             "record_history": False,
         }
         assert set(config) == _OVERRIDABLE

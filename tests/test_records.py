@@ -68,6 +68,7 @@ from repro.sim.tracing import TraceEvent
 from repro.sources.transactions import CommittedTransaction, SourceTransaction
 from repro.sources.update import Update
 from repro.viewmgr.actions import Action, ActionKind, ActionList
+from repro.viewmgr.base import ViewCheckpoint
 from repro.warehouse.txn import WarehouseTransaction
 
 R, S = BaseRelation("R"), BaseRelation("S")
@@ -123,6 +124,11 @@ SAMPLES: list[tuple[Record, str]] = [
     # record semantics only: the recovery tests restore real checkpoints
     (MergeCheckpoint("algorithm", "policy", 5, 4, {"warehouse": (1, ())}),
      "algorithm policy next_txn_id transactions_formed channel_states"),
+    (ViewCheckpoint({"R": (("A", "B"), {(1, 2): 1})}, {}, (), (),
+                    ((3,), (("A",), {(1,): -1})), True, 2, 2, 2,
+                    {"closed_through": 3}),
+     "replica aux buffer current_batch pending_emit computing applied_version"
+     " action_lists_sent updates_processed extra"),
     (TraceEvent(1.0, "wh_commit", "warehouse", {"txn": 1}),
      "time kind process detail"),
     (Transmission(True, 1, 0.5), "drop duplicates extra_delay"),
