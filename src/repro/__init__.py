@@ -34,7 +34,7 @@ Packages:
 * :mod:`repro.system`      — Figure-1 assembly, the run report
 * :mod:`repro.workloads`   — schemas and seeded update streams
 * :mod:`repro.obs`         — observability: causal lineage, metrics
-  registry, trace exporters (Perfetto / JSONL / timeline)
+  registry, trace files (Perfetto / JSONL / text)
 * :mod:`repro.conformance` — schedule-exploration conformance engine:
   seeded violation hunts, delta-debugged minimal reproducers, the
   guarantee matrix
@@ -78,7 +78,7 @@ _EXPORTS = {
     ),
     "repro.obs": (
         "Lineage", "UpdateLineage", "LineageHop", "MetricsRegistry",
-        "write_trace", "write_chrome_trace", "write_jsonl", "write_timeline",
+        "write_trace", "write_chrome_trace", "write_jsonl",
     ),
     "repro.cache": ("ArtifactStore", "CacheConfig", "artifact_key"),
     "repro.conformance": ("ScenarioSpec", "Explorer", "Reproducer", "run_matrix"),

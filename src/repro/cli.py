@@ -9,26 +9,26 @@ Commands:
 * ``run``   — assemble a full system over a chosen schema/view suite,
   drive a seeded workload through it, and print its run report: metrics,
   the promised and achieved MVC level.  Every architectural knob is a
-  flag.
+  flag; ``--live`` renders the metrics registry periodically while the
+  run executes.
 * ``sweep`` — run several manager kinds on one identical workload and
   tabulate the comparison.
 * ``inspect`` — run a workload and interrogate its observability record:
   per-update causal lineage chains (source commit → warehouse commit,
-  with queue-wait vs service breakdowns) and the metrics registry;
-  ``--live`` renders the registry periodically while the run executes.
-* ``top``   — run a workload while rendering the live metrics registry
-  (family-level, one-screen) on a wall-clock interval.
+  with queue-wait vs service breakdowns) and the metrics registry.
 * ``conformance`` — the schedule-exploration engine: ``explore`` hunts a
   configuration's seed space for MVC violations (and shrinks what it
   finds), ``replay`` re-executes a saved reproducer byte-for-byte, and
   ``matrix`` checks the guarantee matrix (see ``docs/conformance.md``).
 
-``run``, ``sweep``, ``inspect`` and ``top`` accept ``--trace-out PATH``; the
+``run``, ``sweep`` and ``inspect`` accept ``--trace-out PATH``; the
 extension picks the format — ``.json`` is Chrome/Perfetto-loadable
-(https://ui.perfetto.dev), ``.jsonl`` a lossless event log, ``.txt`` a
-text timeline (see ``docs/observability.md``).  Such a run, and every
-``inspect``, records every trace kind; any other run records the
-``SystemConfig.trace_kinds`` default.
+(https://ui.perfetto.dev), ``.jsonl`` a lossless event log, ``.txt`` the
+``Trace.format`` text (see ``docs/observability.md``).  Such a run, and
+every ``inspect``, records every trace kind; any other run records the
+``SystemConfig.trace_kinds`` default.  ``run`` and ``inspect`` accept
+``--metrics-out PATH.json``, the run report with the registry in it.  A
+path with any other extension is a usage error before anything is built.
 
 Examples::
 
@@ -36,7 +36,8 @@ Examples::
     python -m repro trace 5
     python -m repro run --schema paper --manager strong --updates 200 \\
         --rate 4 --policy dbms-dependency --merges 2
-    python -m repro run --trace-out trace.json
+    python -m repro run --trace-out trace.json --metrics-out run.json
+    python -m repro run --live --live-interval 0.2
     python -m repro inspect --update 7
     python -m repro inspect --registry proc_ --slowest 3
     python -m repro conformance explore --manager naive --level strong \\
@@ -48,11 +49,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ReproError
 from repro.merge.pa import PaintingAlgorithm
 from repro.merge.spa import SimplePaintingAlgorithm
+from repro.obs.export import TRACE_SUFFIXES
 from repro.relational.delta import Delta
 from repro.relational.rows import Row
 from repro.sources.update import Update
@@ -181,8 +184,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         variants[kind] = {"manager_kind": kind}
     on_system = None
     if args.trace_out:
-        from pathlib import Path
-
         from repro.obs import write_trace
 
         base = Path(args.trace_out)
@@ -228,7 +229,7 @@ def _scenario(args: argparse.Namespace, **config: object):
 
 
 def _build_system(args: argparse.Namespace) -> WarehouseSystem:
-    """Assemble one loaded (not yet run) system from run/inspect/top flags."""
+    """Assemble one loaded (not yet run) system from run/inspect flags."""
     spec = _scenario(
         args,
         manager_kind=args.manager,
@@ -251,14 +252,13 @@ def _build_system(args: argparse.Namespace) -> WarehouseSystem:
     )
 
 
-def _format_top(registry, prefix: str = "") -> str:
-    """A one-screen family-level registry rendering (the ``top`` view)."""
+def _format_top(registry) -> str:
+    """A one-screen family-level registry rendering (a ``run --live``
+    frame)."""
     from repro.obs.registry import Counter, Gauge, Histogram
 
     families: dict[str, list] = {}
     for metric in registry:
-        if prefix and not metric.name.startswith(prefix):
-            continue
         families.setdefault(metric.name, []).append(metric)
     lines = [f"{'family':<30} {'kind':<9} {'n':>3}  aggregate"]
     for name in sorted(families):
@@ -318,25 +318,18 @@ def _run_live(system: WarehouseSystem, interval: float) -> None:
 
 
 def _epilogue(system: WarehouseSystem, args: argparse.Namespace) -> int:
-    """The run/inspect/top ending: print the run's report, write the files
+    """The run/inspect ending: print the run's report, write the files
     asked for, close.  Returns 1 when the run fails its promise, else 2 on
     an SLO breach."""
     report = system.report()
     print(report.format())
     if args.metrics_out:
-        from pathlib import Path
+        import dataclasses
 
         path = Path(args.metrics_out)
-        if path.suffix.lower() == ".json":
-            import dataclasses
-
-            path.write_text(dataclasses.replace(
-                report, registry=system.sim.metrics.to_dict()).to_json(),
-                encoding="utf-8")
-        else:
-            from repro.obs import write_metrics
-
-            write_metrics(system.sim.metrics, path)
+        path.write_text(dataclasses.replace(
+            report, registry=system.sim.metrics.to_dict()).to_json(),
+            encoding="utf-8")
         print(f"metrics: {path}")
     if args.trace_out:
         from repro.obs import write_trace
@@ -351,7 +344,10 @@ def _epilogue(system: WarehouseSystem, args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     system = _build_system(args)
-    system.run()
+    if args.live:
+        _run_live(system, args.live_interval)
+    else:
+        system.run()
     if system.warehouse.refused is None:
         print(f"schema={args.schema} views={len(system.definitions)} "
               f"manager={args.manager} merge x{len(system.merge_processes)} "
@@ -359,24 +355,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _epilogue(system, args)
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    system = _build_system(args)
-    _run_live(system, args.interval)
-    print(f"\n-- final registry (sim t={system.sim.now:.2f}, "
-          f"{len(system.sim.trace)} trace events) --")
-    print(_format_top(system.sim.metrics, args.prefix or ""))
-    print()
-    return _epilogue(system, args)
-
-
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.obs import Lineage
 
     system = _build_system(args)
-    if args.live:
-        _run_live(system, args.live_interval)
-    else:
-        system.run()
+    system.run()
     lineage = Lineage.from_system(system)
     print(f"schema={args.schema} manager={args.manager} "
           f"updates={args.updates} rate={args.rate} seed={args.seed}")
@@ -431,7 +414,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def add_scenario_flags(p: argparse.ArgumentParser, updates: int) -> None:
     """The flags every scenario-building command shares (``run``,
-    ``inspect``, ``top``, ``conformance explore``)."""
+    ``inspect``, ``conformance explore``)."""
     p.add_argument("--schema", choices=sorted(SCHEMAS), default="paper")
     p.add_argument("--manager", choices=MANAGER_KINDS, default="complete")
     p.add_argument("--algorithm", choices=MERGE_ALGORITHMS, default="auto")
@@ -442,6 +425,19 @@ def add_scenario_flags(p: argparse.ArgumentParser, updates: int) -> None:
     p.add_argument("--rate", type=float, default=2.0)
 
 
+def _out_path(*suffixes: str):
+    """An argparse ``type`` taking a path whose extension is one of
+    ``suffixes``, so a wrong one fails before anything is built."""
+
+    def check(path: str) -> str:
+        if Path(path).suffix.lower() not in suffixes:
+            raise argparse.ArgumentTypeError(
+                f"{path!r}: use a {' / '.join(suffixes)} file")
+        return path
+
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -449,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(ICDE 1997) — reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    trace_out_path = _out_path(*TRACE_SUFFIXES)
 
     sub.add_parser("demo", help="the Table-1 walkthrough")
 
@@ -465,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--filtering", action="store_true",
                        help="enable selection-condition relevance filtering")
         p.add_argument("--trace-out", default=None, metavar="PATH",
+                       type=trace_out_path,
                        help="write the run's trace; format from extension "
-                       "(.json Perfetto, .jsonl event log, .txt timeline)")
+                       "(.json Perfetto, .jsonl event log, .txt text)")
         p.add_argument("--freshness-tick", type=float, default=None,
                        metavar="T",
                        help="sample per-view staleness / queue depth / VUT "
@@ -486,15 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="profile plan propagation (per-node calls, "
                        "time, row volumes) and print the table")
         p.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write the final registry; format from extension "
-                       "(.prom/.txt Prometheus text, .json the run report "
-                       "with the registry in it)")
+                       type=_out_path(".json"),
+                       help="write the run report, with the registry in "
+                       "it, as .json")
 
     run = sub.add_parser("run", help="run a configurable warehouse workload")
     add_system_flags(run)
     run.add_argument("--views-file", default=None,
                      help="load view definitions from a catalog file "
                      "(overrides the schema's default view suite)")
+    run.add_argument("--live", action="store_true",
+                     help="render the registry every --live-interval wall "
+                     "seconds, between bounded slices of the run")
+    run.add_argument("--live-interval", type=float, default=1.0, metavar="S",
+                     help="seconds between --live frames (default 1.0)")
 
     ins = sub.add_parser(
         "inspect",
@@ -511,22 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="PREFIX",
                      help="also dump the metrics registry (optionally only "
                      "names starting with PREFIX, e.g. proc_ or chan_)")
-    ins.add_argument("--live", action="store_true",
-                     help="render the registry every --live-interval wall "
-                     "seconds, between bounded slices of the run")
-    ins.add_argument("--live-interval", type=float, default=1.0, metavar="S",
-                     help="seconds between --live frames (default 1.0)")
-
-    top = sub.add_parser(
-        "top",
-        help="run a workload while rendering the live metrics registry",
-    )
-    add_system_flags(top, updates=200)
-    top.add_argument("--interval", type=float, default=0.5, metavar="S",
-                     help="seconds between registry frames (default 0.5)")
-    top.add_argument("--prefix", default=None, metavar="PREFIX",
-                     help="restrict the final rendering to metric families "
-                     "starting with PREFIX")
 
     swp = sub.add_parser(
         "sweep", help="compare manager kinds on one workload"
@@ -538,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--rate", type=float, default=2.0)
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--trace-out", default=None, metavar="PATH",
+                     type=trace_out_path,
                      help="write one trace file per variant "
                      "(trace.json -> trace-<variant>.json)")
 
@@ -573,7 +561,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "sweep": _cmd_sweep,
     "inspect": _cmd_inspect,
-    "top": _cmd_top,
     "cache": _cmd_cache,
 }
 

@@ -6,7 +6,7 @@ of: a named schema (the source world and its view suite), a
 :class:`~repro.system.config.SystemConfig` keyword overrides, and the
 scheduler the explorer perturbs each run with.  :meth:`ScenarioSpec.build`
 is the one place a run is assembled: the CLI's ``run`` / ``inspect`` /
-``top`` / ``sweep``, :func:`repro.system.sweeps.sweep` and the
+``sweep``, :func:`repro.system.sweeps.sweep` and the
 :class:`~repro.conformance.explorer.Explorer` all build through it.
 
 Serialisation is part of the contract: a spec round-trips through JSON so

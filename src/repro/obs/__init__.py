@@ -8,15 +8,15 @@ Layered over the simulator's :class:`~repro.sim.tracing.Trace`:
 * :mod:`repro.obs.lineage` — per-update causal reconstruction
   (source commit → integrator → view manager → merge → warehouse) from
   trace events;
-* :mod:`repro.obs.export` — trace serialisation: Chrome/Perfetto JSON,
-  JSONL event log, plain-text timeline;
-* :mod:`repro.obs.promexport` — metrics serialisation: Prometheus text
-  exposition;
+* :mod:`repro.obs.export` — trace files: Chrome/Perfetto JSON, the
+  lossless JSONL event log, and the ``Trace.format`` text;
 * :mod:`repro.obs.freshness` — live per-view staleness, VUT occupancy
   and merge-queue gauges with an online SLO evaluator;
 * :mod:`repro.obs.profiler` — opt-in per-plan-node timing for compiled
   maintenance plans.
 
+A finished run's metrics leave as one document, its run report
+(:meth:`repro.system.report.RunReport.to_json`, the registry inside).
 See ``docs/observability.md`` for the model and worked examples.
 """
 
@@ -37,11 +37,9 @@ _EXPORTS = {
     "repro.obs.profiler": ("PROF_KEY", "PlanProfiler"),
     "repro.obs.freshness": ("FreshnessMonitor", "SloPolicy"),
     "repro.sim.tracing": ("STALENESS_KINDS",),
-    "repro.obs.promexport": ("to_prometheus", "write_metrics"),
     "repro.obs.export": (
         "read_chrome_trace", "read_jsonl", "to_chrome_trace", "to_jsonl",
-        "to_timeline", "write_chrome_trace", "write_jsonl", "write_timeline",
-        "write_trace",
+        "write_chrome_trace", "write_jsonl", "write_trace",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,6 +1,6 @@
-"""Trace exporters: Chrome/Perfetto JSON, JSONL event log, text timeline.
+"""Trace files: Chrome/Perfetto JSON, the JSONL event log, and text.
 
-Three serialisations of a :class:`~repro.sim.tracing.Trace`, each with a
+Two serialisations of a :class:`~repro.sim.tracing.Trace`, each with a
 matching loader so traces round-trip through files:
 
 * **Chrome trace format** (``.json``) — a ``{"traceEvents": [...]}``
@@ -14,18 +14,19 @@ matching loader so traces round-trip through files:
   The only lossless format: :func:`read_jsonl` reconstructs equivalent
   :class:`~repro.sim.tracing.TraceEvent` objects (JSON turns tuples into
   lists; loaders convert list-valued detail fields back to tuples).
-* **Timeline** (``.txt``) — the plain-text rendering of ``Trace.format``
-  for eyeballs and diffs.
 
-:func:`write_trace` picks the format from the file extension — this is
-what the CLI's ``--trace-out`` flag calls.
+A ``.txt`` file holds the text of ``Trace.format``, one
+``TraceEvent`` line per event, for eyeballs and diffs.
+:func:`write_trace` picks one of the three from the file extension
+(:data:`TRACE_SUFFIXES`) — this is what the CLI's ``--trace-out`` flag
+calls.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import ReproError
 from repro.sim.tracing import Trace, TraceEvent
@@ -37,10 +38,12 @@ __all__ = [
     "to_jsonl",
     "write_jsonl",
     "read_jsonl",
-    "to_timeline",
-    "write_timeline",
+    "TRACE_SUFFIXES",
     "write_trace",
 ]
+
+#: the trace file extensions :func:`write_trace` takes
+TRACE_SUFFIXES = (".json", ".jsonl", ".txt")
 
 #: one unit of virtual time rendered as this many Chrome-trace microseconds
 #: (Perfetto then shows 1 virtual unit as 1 ms).
@@ -190,41 +193,13 @@ def read_jsonl(path: str | Path) -> list[TraceEvent]:
     return events
 
 
-# -- plain-text timeline -----------------------------------------------------
-
-def to_timeline(
-    trace: Trace | Iterable[TraceEvent],
-    kinds: Sequence[str] | None = None,
-) -> str:
-    """A human-readable one-line-per-event timeline."""
-    lines = []
-    for event in trace:
-        if kinds is not None and event.kind not in kinds:
-            continue
-        detail = ", ".join(f"{k}={v}" for k, v in event.detail.items())
-        lines.append(
-            f"[{event.time:10.3f}] {event.process:<16} "
-            f"{event.kind:<14} {detail}".rstrip()
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_timeline(
-    trace: Trace | Iterable[TraceEvent], path: str | Path
-) -> Path:
-    """Write the text timeline; returns the path."""
-    path = Path(path)
-    path.write_text(to_timeline(trace), encoding="utf-8")
-    return path
-
-
 # -- extension dispatch ------------------------------------------------------
 
 def write_trace(trace: Trace | Iterable[TraceEvent], path: str | Path) -> Path:
     """Write ``trace`` to ``path`` in the format its extension implies.
 
-    ``.json`` → Chrome/Perfetto, ``.jsonl`` → JSONL event log, ``.txt`` /
-    anything else → text timeline.
+    ``.json`` → Chrome/Perfetto, ``.jsonl`` → JSONL event log, ``.txt`` →
+    one ``TraceEvent`` line per event (``Trace.format`` and a newline).
     """
     path = Path(path)
     suffix = path.suffix.lower()
@@ -232,9 +207,11 @@ def write_trace(trace: Trace | Iterable[TraceEvent], path: str | Path) -> Path:
         return write_chrome_trace(trace, path)
     if suffix == ".jsonl":
         return write_jsonl(trace, path)
-    if suffix in ("", ".txt", ".log"):
-        return write_timeline(trace, path)
+    if suffix == ".txt":
+        path.write_text("".join(f"{event}\n" for event in trace),
+                        encoding="utf-8")
+        return path
     raise ReproError(
         f"unknown trace format {suffix!r} for {path} "
-        f"(use .json, .jsonl, or .txt)"
+        f"(use {', '.join(TRACE_SUFFIXES)})"
     )

@@ -151,7 +151,7 @@ class FreshnessMonitor:
         self.samples += 1
 
     def _ingest(self) -> None:
-        # raw_events_since, not events_since: sampling runs inside the
+        # raw_events_since builds no TraceEvent: sampling runs inside the
         # kernel loop, and forcing TraceEvent materialisation mid-run
         # would charge the whole trace's construction cost to the
         # monitored arm (the trace defers it to the first read).  The

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress, starmap
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from repro.errors import SimulationError
 from repro.record import Record
@@ -62,7 +62,9 @@ def _unflatten(raw: list) -> tuple[float, str, str, dict]:
 
 
 class Trace:
-    """An append-only list of :class:`TraceEvent` with query helpers.
+    """An append-only list of :class:`TraceEvent`: iterate it, pick one
+    kind with :meth:`of_kind`, read what is new with
+    :meth:`raw_events_since`, render it with :meth:`format`.
 
     :meth:`record_fields` sits on the simulator's hot path, so a record is
     one ``extend`` of a flat list: its fields ``(time, kind, process,
@@ -154,28 +156,19 @@ class Trace:
     def __getitem__(self, index: int) -> TraceEvent:
         return self._materialise()[index]
 
-    def events_since(self, start: int) -> tuple[int, list[TraceEvent]]:
-        """Events recorded at index ``start`` onward, plus the new cursor.
-
-        Incremental-consumer protocol: call with the cursor from the
-        previous call and process only what is new.
-        """
-        events = self._materialise()
-        fresh = events[start:]
-        return start + len(fresh), fresh
-
     def raw_events_since(
         self, start: int, kinds: Collection[str] | None = None
     ) -> tuple[int, list[tuple[float, str, str, dict]]]:
-        """``(time, kind, process, detail)`` tuples at ``start`` onward.
+        """``(time, kind, process, detail)`` tuples at ``start`` onward,
+        plus the new cursor.
 
-        The zero-materialisation twin of :meth:`events_since` for
-        consumers inside the simulation hot loop (the freshness
-        monitor): no :class:`TraceEvent` is constructed and a pending
-        record's detail dict is rebuilt only if its kind is wanted, so
-        sampling mid-run does not force the materialisation that
-        :meth:`record` deliberately defers.  Cursors are interchangeable
-        with :meth:`events_since` — materialisation moves entries from
+        The one incremental reader: call with the cursor from the previous
+        call and process only what is new.  It serves consumers inside the
+        simulation hot loop (the freshness monitor): no :class:`TraceEvent`
+        is constructed and a pending record's detail dict is rebuilt only
+        if its kind is wanted, so sampling mid-run does not force the
+        materialisation that :meth:`record` deliberately defers.  A cursor
+        stays valid across a materialisation, which moves entries from
         pending to built without renumbering them.  ``kinds`` drops
         non-matching events *after* the cursor advances past them, so a
         filtered consumer never revisits what it skipped.
@@ -193,24 +186,6 @@ class Trace:
 
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self._materialise() if e.kind == kind]
-
-    def by_process(self, process: str) -> list[TraceEvent]:
-        return [e for e in self._materialise() if e.process == process]
-
-    def where(self, condition: Callable[[TraceEvent], bool]) -> list[TraceEvent]:
-        return [e for e in self._materialise() if condition(e)]
-
-    def first(self, kind: str) -> TraceEvent | None:
-        for event in self._materialise():
-            if event.kind == kind:
-                return event
-        return None
-
-    def last(self, kind: str) -> TraceEvent | None:
-        for event in reversed(self._materialise()):
-            if event.kind == kind:
-                return event
-        return None
 
     def clear(self) -> None:
         self._events.clear()
@@ -238,7 +213,8 @@ class Trace:
         return h.hexdigest()
 
     def format(self, *kinds: str) -> str:
-        """Pretty-print the trace (optionally filtered to some kinds)."""
+        """The trace as text, one :class:`TraceEvent` line per event
+        (optionally only some kinds); a ``.txt`` trace file holds this."""
         wanted = set(kinds)
         lines = [
             str(e) for e in self._materialise() if not wanted or e.kind in wanted

@@ -24,9 +24,10 @@ A :class:`RunReport` holds a run's answer to both, and its verdict:
 The per-process numbers are each process's own counters and its
 ``proc_queue_wait`` histogram, the VUT peak the merges'
 ``merge_vut_size`` timeline gauges (:mod:`repro.obs.registry`).  The CLI's
-``run`` / ``inspect`` / ``top`` print :meth:`RunReport.format`, ``sweep``
-prints :func:`format_reports`, and ``--metrics-out x.json`` writes
-:meth:`RunReport.to_json` (``repro-run-report/1``) with the registry in it.
+``run`` / ``inspect`` print :meth:`RunReport.format`, ``sweep`` prints
+:func:`format_reports`, and ``--metrics-out x.json`` writes
+:meth:`RunReport.to_json` (``repro-run-report/1``) with the registry in it:
+a run's one metrics document.
 """
 
 from __future__ import annotations

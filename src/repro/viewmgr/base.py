@@ -182,8 +182,9 @@ class ViewManager(Process):
         self._m_updates = metrics.counter("vm_updates_processed", view=self.view)
         # Opt-in plan profiling (SystemConfig.profile_plans): wraps each
         # propagate in a wall-clock timer and, for a local plan, attaches
-        # a PlanProfiler for per-node timings.
+        # a PlanProfiler for per-node timings (kept for a restored plan).
         self._profile = False
+        self._plan_profiler = None
         # Content-addressed cache bindings (repro.cache): seed artifacts and
         # checkpoints.  None = the PR-1 behaviour, crash recovery by
         # in-simulator replay only.
@@ -401,8 +402,9 @@ class ViewManager(Process):
         self._m_prop_ns = metrics.counter(
             "plan_propagate_time_ns", view=self.view
         )
+        self._plan_profiler = profiler
         if self._plan is not None:
-            self._plan.enable_profiling(profiler)
+            self._plan_profiler = self._plan.enable_profiling(profiler)
 
     def _compute_from(
         self, pre_state: "Database | _PreState", advance_replica: bool
@@ -536,6 +538,9 @@ class ViewManager(Process):
         self._plan = MaintenancePlan(
             self.definition.expression, replica, preload=checkpoint.aux
         )
+        if self._profile:
+            self._plan_profiler = self._plan.enable_profiling(
+                self._plan_profiler)
         self._buffer = deque(checkpoint.buffer)
         self._current_batch = list(checkpoint.current_batch)
         pending = checkpoint.pending_emit

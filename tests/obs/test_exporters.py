@@ -11,10 +11,8 @@ from repro.obs.export import (
     read_chrome_trace,
     read_jsonl,
     to_chrome_trace,
-    to_timeline,
     write_chrome_trace,
     write_jsonl,
-    write_timeline,
     write_trace,
 )
 
@@ -91,15 +89,17 @@ class TestJsonl:
 class TestTimeline:
     def test_one_line_per_event(self, finished_system, tmp_path):
         trace = finished_system.sim.trace
-        path = write_timeline(trace, tmp_path / "trace.txt")
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(trace)
-        assert "wh_commit" in path.read_text()
+        path = write_trace(trace, tmp_path / "trace.txt")
+        text = path.read_text()
+        assert text == trace.format() + "\n"
+        assert text.splitlines() == [str(event) for event in trace]
+        assert "wh_commit" in text
 
     def test_kind_filter(self, finished_system):
-        text = to_timeline(finished_system.sim.trace, kinds=["wh_commit"])
-        lines = [line for line in text.splitlines() if line]
-        assert len(lines) == len(finished_system.sim.trace.of_kind("wh_commit"))
+        trace = finished_system.sim.trace
+        lines = trace.format("wh_commit").splitlines()
+        assert lines == [str(event) for event in trace.of_kind("wh_commit")]
+        assert lines
 
 
 class TestExtensionDispatch:

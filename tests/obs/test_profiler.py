@@ -125,6 +125,31 @@ class TestSystemIntegration:
         assert "plan profile" not in report.format()
         assert not system.sim.metrics.family("plan_node_calls")
 
+    def test_a_restored_plan_keeps_the_profiler(self):
+        from repro.cache import CacheConfig
+        from repro.faults import CrashSpec, FaultPlan
+        from repro.system.builder import WarehouseSystem
+        from repro.workloads.generator import (
+            UpdateStreamGenerator, WorkloadSpec, post_stream)
+        from repro.workloads.schemas import paper_views_example1, paper_world
+
+        world = paper_world()
+        system = WarehouseSystem(world, paper_views_example1(), SystemConfig(
+            profile_plans=True, cache=CacheConfig(),
+            fault_plan=FaultPlan(crashes=(
+                CrashSpec("vm:V1", at=5.0, restart_after=1.0),))))
+        post_stream(system, UpdateStreamGenerator(
+            world, WorkloadSpec(updates=40, seed=1)).transactions())
+        system.run()
+        restarted, other = (system.view_managers[v] for v in ("V1", "V2"))
+        assert restarted.cache_restores + restarted.cache_fallbacks == 1
+        assert restarted._plan.profiler is system.plan_profiler
+        assert other._plan.profiler is system.plan_profiler
+        # the restored plan's own nodes were timed after the restart
+        per_node = system.plan_profiler._nodes
+        assert sum(per_node[id(node)][1] for node in restarted._plan._nodes
+                   if id(node) in per_node) > 0
+
     def test_prof_key_staging(self):
         # the staging-dict sentinel is a plain string no node key collides
         # with (staged dicts key by ("delta", id), ("bd", name), id(node))

@@ -1,6 +1,10 @@
-"""The typed metrics registry: instrument semantics + registry identity."""
+"""The typed metrics registry: instrument semantics, registry identity,
+and the registry inside a run report's JSON."""
 
 from __future__ import annotations
+
+import dataclasses
+import json
 
 import pytest
 
@@ -11,6 +15,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     percentile,
 )
+from repro.system.report import RunReport
 
 
 class TestCounter:
@@ -147,3 +152,30 @@ class TestSimulationWiring:
         stats = finished_system.report(classify=False).processes[process.name]
         assert stats.mean_queue_wait == pytest.approx(mean)
         assert stats.p95_queue_wait == pytest.approx(p95)
+
+
+def with_registry(system, registry: MetricsRegistry) -> RunReport:
+    """``system``'s report with ``registry`` in it, as ``--metrics-out x.json``
+    writes it."""
+    return dataclasses.replace(system.report(classify=False),
+                               registry=registry.to_dict())
+
+
+class TestSnapshot:
+    """The JSON snapshot of a registry is the ``registry`` of a run report."""
+
+    def test_meta_header(self, finished_system):
+        registry = MetricsRegistry()
+        registry.counter("ops").inc()
+        record = json.loads(with_registry(finished_system, registry).to_json())
+        assert record["format"] == "repro-run-report/1"
+        assert len(record["registry"]) == 1
+
+    def test_round_trips_through_json(self, finished_system):
+        report = with_registry(finished_system, finished_system.sim.metrics)
+        assert RunReport.from_json(report.to_json()) == report
+
+    def test_metrics_match_to_dict(self, finished_system):
+        registry = finished_system.sim.metrics
+        record = json.loads(with_registry(finished_system, registry).to_json())
+        assert record["registry"] == registry.to_dict()

@@ -40,22 +40,23 @@ class TestTrace:
         trace = Trace()
         trace.record(1.0, "a", "p")
         trace.record(2.0, "a", "q")
-        assert len(trace.by_process("q")) == 1
+        assert [e.time for e in trace if e.process == "q"] == [2.0]
 
     def test_where(self):
         trace = Trace()
         for t in range(5):
             trace.record(float(t), "tick", "p")
-        assert len(trace.where(lambda e: e.time >= 3)) == 2
+        assert len([e for e in trace if e.time >= 3]) == 2
 
     def test_first_and_last(self):
         trace = Trace()
         trace.record(1.0, "x", "p", n=1)
+        trace.record(1.5, "y", "p", n=0)
         trace.record(2.0, "x", "p", n=2)
-        assert trace.first("x").detail == {"n": 1}
-        assert trace.last("x").detail == {"n": 2}
-        assert trace.first("missing") is None
-        assert trace.last("missing") is None
+        first, *_, last = trace.of_kind("x")
+        assert first.detail == {"n": 1}
+        assert last.detail == {"n": 2}
+        assert trace.of_kind("missing") == []
 
     def test_clear(self):
         trace = Trace()

@@ -23,7 +23,7 @@ class TestParser:
             build_parser().parse_args(["run", "--manager", "psychic"])
 
     @pytest.mark.parametrize("flag", ["--runtime", "--workers"])
-    @pytest.mark.parametrize("command", ["run", "inspect", "top", "sweep"])
+    @pytest.mark.parametrize("command", ["run", "inspect", "sweep"])
     def test_removed_runtime_flags_are_unknown(self, command, flag, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, flag, "2"])
@@ -149,8 +149,7 @@ class TestRun:
 
 
 class TestMetricsOut:
-    """``--metrics-out``: ``.json`` is the run report with the registry in
-    it, ``.prom`` the registry in Prometheus text."""
+    """``--metrics-out`` writes the run report with the registry in it."""
 
     def test_json_is_the_run_report(self, tmp_path, capsys):
         path = tmp_path / "run.json"
@@ -165,11 +164,40 @@ class TestMetricsOut:
         assert record["registry"]["proc_messages_handled{process=merge}"][
             "value"] == record["processes"]["merge"]["messages_handled"]
 
-    def test_prom_is_the_registry(self, tmp_path):
-        path = tmp_path / "run.prom"
-        assert main(["top", "--interval", "60", "--updates", "20",
-                     "--metrics-out", str(path)]) == 0
-        assert "# TYPE repro_proc_messages_handled counter" in path.read_text()
+
+class TestOutputSuffixes:
+    """An output path with an extension no writer takes is a usage error
+    before anything is built."""
+
+    @staticmethod
+    def refused(argv, capsys, monkeypatch) -> str:
+        def build(args):
+            raise AssertionError("built a system for a refused path")
+
+        monkeypatch.setattr(cli, "_build_system", build)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["run", "inspect", "sweep"])
+    def test_trace_out(self, command, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "t.xml"
+        error = self.refused([command, "--trace-out", str(path)], capsys,
+                             monkeypatch)
+        assert error.startswith(f"repro {command}: error: argument "
+                                f"--trace-out: ")
+        assert ".json / .jsonl / .txt" in error
+        assert not path.exists()
+
+    def test_metrics_out(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "m.csv"
+        error = self.refused(["run", "--metrics-out", str(path)], capsys,
+                             monkeypatch)
+        assert error.startswith("repro run: error: argument --metrics-out: ")
+        assert not path.exists()
 
 
 class TestCache:
@@ -231,8 +259,8 @@ class TestTraceReaders:
 
 
 class TestLiveView:
-    """``inspect --live`` and ``top`` render between bounded slices of
-    the run; the slicing must not change where the run ends."""
+    """``run --live`` renders between bounded slices of the run; the
+    slicing must not change where the run ends."""
 
     @staticmethod
     def systems(monkeypatch) -> list:
@@ -246,17 +274,17 @@ class TestLiveView:
         monkeypatch.setattr(cli, "_build_system", keep)
         return built
 
-    def test_inspect_live_ends_where_a_plain_run_ends(self, capsys,
-                                                      monkeypatch):
+    def test_run_live_ends_where_a_plain_run_ends(self, capsys,
+                                                  monkeypatch):
         built = self.systems(monkeypatch)
         # 43 updates leave complete-N blocks of 4 with a trailing one that
         # only the end-of-run flush closes: a live run that skipped the
         # flush would end elsewhere
         flags = ["--manager", "complete-n", "--updates", "43", "--seed", "5"]
-        assert main(["inspect", "--live", "--live-interval", "1e-9",
+        assert main(["run", "--live", "--live-interval", "1e-9",
                      *flags]) == 0
         live_out = capsys.readouterr().out
-        assert main(["inspect", *flags]) == 0
+        assert main(["run", *flags]) == 0
         plain_out = capsys.readouterr().out
         assert live_out.count("-- live registry @ wall") >= 2
         assert "-- live registry" not in plain_out
@@ -272,9 +300,11 @@ class TestLiveView:
         assert live.warehouse.commits == plain.warehouse.commits
         assert live.sim.trace.digest() == plain.sim.trace.digest()
 
-    def test_top_prints_frames_and_the_final_registry(self, capsys):
-        assert main(["top", "--interval", "1e-9", "--updates", "40",
-                     "--seed", "5"]) == 0
+    def test_run_live_prints_frames(self, capsys):
+        assert main(["run", "--live", "--live-interval", "1e-9",
+                     "--updates", "40", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert out.count("-- live registry @ wall") >= 2
-        assert "-- final registry" in out
+        frame = out.split("-- live registry @ wall", 1)[1].splitlines()
+        assert frame[1].split() == ["family", "kind", "n", "aggregate"]
+        assert "verification: OK" in out

@@ -138,7 +138,7 @@ print(json.dumps(stages))
 #: method that uses it
 OPT_IN = (
     "repro.conformance", "repro.cache", "repro.faults", "repro.obs.export",
-    "repro.obs.promexport", "repro.obs.lineage", "repro.obs.freshness",
+    "repro.obs.lineage", "repro.obs.freshness",
     "repro.system.sweeps", "repro.system.report",
     "repro.consistency",
 )
