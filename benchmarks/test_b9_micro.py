@@ -192,7 +192,10 @@ def test_b9_kernel_fast_path_guard(benchmark, bench_out):
     first full collection a drain is half as slow again, whichever path
     it takes.  A third arm, reported only, is one message hop: a ring of
     four processes, ``Process.send`` -> ``Channel.send`` -> ``deliver`` ->
-    ``handle``, in microseconds per hop."""
+    ``handle``, in microseconds per hop.  A fourth, reported only, is one
+    posted arrival (``posted_us``): time-sorted ``schedule_at`` deliveries
+    to the same ring, posted before the drain as a workload's stream is,
+    whose handlers send nothing on."""
     import gc
     import time
 
@@ -240,9 +243,21 @@ def test_b9_kernel_fast_path_guard(benchmark, bench_out):
         assert sum(n.messages_handled for n in nodes) == hops
         return elapsed
 
+    def posted():
+        sim = Simulator()
+        nodes = [Hop(sim, f"n{i}") for i in range(4)]
+        for i in range(hops):
+            sim.schedule_at(i * 0.01, nodes[i % 4].deliver, 0, nodes[i % 4 - 1])
+        gc.collect()
+        start = time.perf_counter()
+        sim.run()
+        elapsed = time.perf_counter() - start
+        assert sum(n.messages_handled for n in nodes) == hops
+        return elapsed
+
     rounds = []
 
-    def all_five():
+    def all_arms():
         # The fast and general arms swap order from round to round (as
         # B24's arms alternate), so neither always runs on the warmer heap.
         general_first = len(rounds) % 2
@@ -253,10 +268,10 @@ def test_b9_kernel_fast_path_guard(benchmark, bench_out):
                 seconds[tagged, general] = drive(Simulator(scheduler=scheduler), tagged)
         rounds.append([seconds[tagged, general]
                        for tagged in (False, True)
-                       for general in (False, True)] + [ring()])
+                       for general in (False, True)] + [ring(), posted()])
 
-    benchmark.pedantic(all_five, rounds=7, iterations=1)
-    fast_s, slow_s, fast_lane_s, slow_lane_s, ring_s = map(min, zip(*rounds))
+    benchmark.pedantic(all_arms, rounds=7, iterations=1)
+    fast_s, slow_s, fast_lane_s, slow_lane_s, ring_s, posted_s = map(min, zip(*rounds))
     rates = {
         "fast_path": events / fast_s,
         "general_path": events / slow_s,
@@ -276,6 +291,7 @@ def test_b9_kernel_fast_path_guard(benchmark, bench_out):
         "ratio_lane_tagged": round(
             rates["fast_path_lane_tagged"] / rates["general_path_lane_tagged"], 3),
         "hop_us": round(ring_s / hops * 1e6, 3),
+        "posted_us": round(posted_s / hops * 1e6, 3),
     })
 
     for arm in ("", "_lane_tagged"):

@@ -10,6 +10,12 @@ On each committed-transaction report the integrator
 plus, in this implementation, feeds the numbered stream to the base-data
 service if the system has one (for managers that query back) and, for
 complete-N systems, broadcasts end-of-block markers.
+
+Steps 2-4 depend only on the relations a transaction touches ("the source
+relation R that was modified by U_i"), so each tuple of them is routed
+once and looked up afterwards; under selection filtering the row test
+decides ``REL`` and keys the table too.  A transaction whose ``REL`` spans
+merge groups is refused before its route is stored, so on every post.
 """
 
 from __future__ import annotations
@@ -79,6 +85,8 @@ class Integrator(Process):
         #: (update_id, transaction, source commit time) in numbering order —
         #: the reference schedule the consistency checkers replay.
         self.numbered: list[tuple[int, "SourceTransaction", float]] = []
+        # touched relations (and REL, when selecting) -> _route(...)
+        self._routes: dict[tuple, tuple] = {}
 
     def _check_groups(self, view_names: tuple[str, ...]) -> None:
         covered: set[str] = set()
@@ -115,58 +123,70 @@ class Integrator(Process):
     def service_time(self, message: object) -> float:
         return self.per_update_cost
 
+    def _route(self, key: tuple, updates: Sequence["Update"]) -> tuple:
+        """``(sorted REL, (merge, subset) sends, (manager, view, positions
+        or None: all) picks, views filtered out)``; raises across groups."""
+        relations, relevant = key if self.filter.use_selections else (
+            key, self.filter.relevant_views(updates))
+        self.check_one_group(updates, relevant)
+        reading = [frozenset(self.filter.views_reading(r)) for r in relations]
+        sends = tuple((merge, relevant & group)
+                      for merge, group in sorted(self.merge_groups.items())
+                      if relevant & group or self.send_empty_rels)
+        picks = []
+        for view in sorted(relevant):
+            positions = tuple(i for i, views in enumerate(reading) if view in views)
+            picks.append((self.view_manager_names[view], view,
+                          None if len(positions) == len(relations) else positions))
+        filtered = len(frozenset().union(*reading) - relevant)
+        return tuple(sorted(relevant)), sends, tuple(picks), filtered
+
     def handle(self, message: object, sender: Process) -> None:
         if not isinstance(message, UpdateNotification):
             raise IntegratorError(
                 f"integrator cannot handle {type(message).__name__}"
             )
         transaction = message.transaction
-        relevant = self.filter.relevant_views(transaction.updates)
-        self.check_one_group(transaction.updates, relevant)
+        updates = transaction.updates
+        key = tuple([update.relation for update in updates])
+        selecting = self.filter.use_selections
+        if selecting:  # the row test, on top of the same table
+            key = (key, self.filter.relevant_views(updates))
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._route(key, updates)
+        rel, sends, picks, filtered = route
         self.updates_numbered += 1
         update_id = self.updates_numbered
         self.numbered.append((update_id, transaction, message.commit_time))
 
         # Keep the base-data service's versions aligned with our numbering.
         if self.service_name is not None:
-            self.send(
-                self.service_name,
-                NumberedUpdate(update_id, transaction.updates),
-            )
+            self.send(self.service_name, NumberedUpdate(update_id, updates))
 
-        base_level = frozenset(
-            view
-            for update in transaction.updates
-            for view in self.filter.views_reading(update.relation)
-        )
-        self.filtered_out += len(base_level - relevant)
+        self.filtered_out += filtered
         # ``lineage`` links our numbering back to the source world's commit
         # sequence, completing the source->warehouse causal chain
         # (see repro.obs.lineage).
         self.sim.trace.record_fields(
             self.sim.now, "int_number", self.name, _NUMBER_KEYS,
-            update_id, tuple(sorted(relevant)), message.lineage_id,
-            message.commit_time,
+            update_id, rel, message.lineage_id, message.commit_time,
         )
 
         # Step 3: REL_i to each merge owning some relevant view.
-        for merge, group in sorted(self.merge_groups.items()):
-            subset = relevant & group
-            if subset or self.send_empty_rels:
-                self.send(merge, RelMessage(update_id, subset))
-                self.rel_messages_sent += 1
+        for merge, subset in sends:
+            self.send(merge, RelMessage(update_id, subset))
+            self.rel_messages_sent += 1
 
         # Step 4: a copy of U_i to each relevant view manager, restricted
         # to the updates that view actually reads (matters for §6.2
         # multi-update transactions).
-        for view in sorted(relevant):
-            updates = self.filter.relevant_updates_for_view(
-                view, transaction.updates
-            )
-            self.send(
-                self.view_manager_names[view],
-                UpdateForView(update_id, view, updates),
-            )
+        for manager, view, positions in picks:
+            picked = (tuple(updates) if positions is None
+                      else tuple([updates[i] for i in positions]))
+            if selecting and len(picked) > 1:  # one: REL's row test passed it
+                picked = self.filter.relevant_updates_for_view(view, picked)
+            self.send(manager, UpdateForView(update_id, view, picked))
             self.update_copies_sent += 1
 
         # Complete-N support: close blocks as numbering crosses boundaries.

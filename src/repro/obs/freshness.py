@@ -12,7 +12,8 @@ traffic**:
   view in its ``rel`` routing set; a ``wh_commit`` event clears the
   committed ``rows`` for its ``views``.  A view's staleness at sample
   time is ``now - oldest pending commit_time`` (0 when fully caught up),
-  in the simulator's virtual time, the clock the trace itself uses.
+  in the simulator's virtual time, the clock the trace itself uses; the
+  oldest is the top of a heap whose cleared entries leave when they surface.
 * **VUT occupancy and merge-queue depth** — read directly off each merge
   process on every tick.
 * **SLO evaluation** — an optional :class:`SloPolicy` turns thresholds
@@ -34,6 +35,7 @@ depth, VUT occupancy and their SLOs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
@@ -92,6 +94,8 @@ class FreshnessMonitor:
         self._pending: dict[str, dict[int, float]] = {
             view: {} for view in system.view_managers
         }
+        # view -> heap of (commit time, update_id), a superset of pending's
+        self._oldest: dict[str, list] = {view: [] for view in self._pending}
         # -inf, not None: maybe_sample runs once per executed event, so
         # the gate must be a single float comparison
         self._next_sample = float("-inf")
@@ -102,7 +106,8 @@ class FreshnessMonitor:
         # here: one gauge per view and per merge shard, resolved once.
         registry = system.sim.metrics
         self._staleness_gauges = [
-            (view, pending, registry.gauge("view_staleness", view=view))
+            (view, pending, self._oldest[view],
+             registry.gauge("view_staleness", view=view))
             for view, pending in sorted(self._pending.items())
         ]
         # the algorithm binds its ViewUpdateTable once and only mutates
@@ -134,8 +139,10 @@ class FreshnessMonitor:
         max_staleness = None if policy is None else policy.max_staleness
         max_depth = None if policy is None else policy.max_queue_depth
         max_vut = None if policy is None else policy.max_vut
-        for view, pending, gauge in self._staleness_gauges:
-            lag = (now - min(pending.values())) if pending else 0.0
+        for view, pending, oldest, gauge in self._staleness_gauges:
+            while oldest and pending.get(oldest[0][1]) != oldest[0][0]:
+                heappop(oldest)
+            lag = (now - oldest[0][0]) if oldest else 0.0
             gauge.set(lag, at=now)
             if max_staleness is not None and lag > max_staleness:
                 self._breach("staleness", view, lag, max_staleness)
@@ -170,6 +177,7 @@ class FreshnessMonitor:
                     pending = self._pending.get(view)
                     if pending is not None:
                         pending[uid] = commit
+                        heappush(self._oldest[view], (commit, uid))
             elif kind == "wh_commit":
                 rows = detail.get("rows", ())
                 for view in detail.get("views", ()):

@@ -78,10 +78,12 @@ class Delta:
     tuples or, at the API edge, from :class:`Row`s of one heading (then
     the layout); it keeps tuples either way and builds ``Row``s when read
     row-wise, as a :class:`Relation` does.  Deltas are immutable; empty
-    ones are equal whatever their layouts.
+    ones are equal whatever their layouts.  So a delta keeps the schema it
+    last fitted (``_checked``, outside ``==`` and the pickled state) and
+    is not checked against it, or an equal one, again.
     """
 
-    __slots__ = ("layout", "_counts")
+    __slots__ = ("layout", "_counts", "_checked")
 
     def __init__(
         self,
@@ -112,6 +114,7 @@ class Delta:
             tuples = {t: c for t, c in tuples.items() if c}
         self.layout = layout
         self._counts = tuples
+        self._checked = None
 
     @classmethod
     def _adopt(cls, layout: tuple[str, ...], counts: dict[tuple, int]) -> "Delta":
@@ -121,7 +124,15 @@ class Delta:
         delta = object.__new__(cls)
         delta.layout = layout
         delta._counts = counts
+        delta._checked = None
         return delta
+
+    def __getstate__(self) -> tuple:
+        return None, {"layout": self.layout, "_counts": self._counts}
+
+    def __setstate__(self, state: tuple) -> None:
+        self.layout, self._counts = state[1]["layout"], state[1]["_counts"]
+        self._checked = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -232,10 +243,14 @@ class Delta:
         lets ``Database.apply_deltas`` and ``ViewStore.apply`` undo a
         failed batch with :meth:`negated` deltas instead of a pre-copy.
         """
-        if self._counts:
+        schema = relation.schema
+        if self._counts and (
+            schema is None or (schema is not self._checked and schema != self._checked)
+        ):
             relation._check_columns(
                 self.layout, [t for t, c in self._counts.items() if c > 0]
             )
+            self._checked = schema
         self._apply_unchecked(relation)
 
     def _apply_unchecked(self, relation: Relation) -> None:

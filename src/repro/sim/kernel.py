@@ -16,6 +16,12 @@ otherwise still falls back to :mod:`itertools`.count insertion order, so
 the default scheduler reproduces the historical behaviour exactly.  Its
 keys are ``(time, 0.0, seq)``, which a laneless :meth:`Simulator.schedule`
 and a plain :meth:`~repro.sim.network.Channel.send` push themselves.
+
+Posted arrivals wait off the heap: under the default scheduler a laneless
+:meth:`Simulator.schedule_at` no earlier than the last one posted joins a
+time-ordered FIFO with the sequence number it was posted with, and only
+the FIFO's head sits on the heap (firing it pushes the next).  The order
+is the heap's; the heap holds the events in flight, not a whole stream.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -67,6 +74,10 @@ class Simulator:
         # decrease, so same-channel deliveries keep their send order.
         # On the fast path every tie-break is 0.0 and a mark is a bare time.
         self._lane_marks: dict[object, tuple[float, float] | float] = {}
+        # Posted arrivals in time order; the head is also on the heap.
+        self._posted: deque[tuple] = deque()
+        self._posted_tail = -math.inf  # time of the last arrival posted
+        self._fire = self._fire_posted  # bound once, not per post
         self.trace = Trace()
         self.metrics = MetricsRegistry()
         # Post-event probes (the freshness monitor): called after every
@@ -86,7 +97,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue)
+        return len(self._queue) + max(len(self._posted) - 1, 0)
 
     def schedule(
         self,
@@ -130,7 +141,21 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time}, now is {self._now}"
             )
-        self._push(time, callback, args, lane, ordered)
+        if lane is not None or not self._default_scheduler or time < self._posted_tail:
+            return self._push(time, callback, args, lane, ordered)
+        self._posted_tail = time
+        posted = self._posted
+        posted.append((time, 0.0, next(self._sequence), self._fire, (callback, args)))
+        if len(posted) == 1:
+            heapq.heappush(self._queue, posted[0])
+
+    def _fire_posted(self, callback: Callable[..., None], args: tuple) -> None:
+        """Put the next posted arrival on the heap, then run this one."""
+        posted = self._posted
+        posted.popleft()
+        if posted:
+            heapq.heappush(self._queue, posted[0])
+        callback(*args)
 
     def _push(
         self,

@@ -51,8 +51,10 @@ class TraceEvent(Record, compare=("time", "kind", "process")):
         self.detail = {} if detail is None else detail
 
     def __str__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.detail.items())
-        return f"[{self.time:10.3f}] {self.process:<16} {self.kind} {inner}"
+        line = f"[{self.time:10.3f}] {self.process:<16} {self.kind}"
+        if not self.detail:
+            return line
+        return line + " " + ", ".join(f"{k}={v}" for k, v in self.detail.items())
 
 
 def _unflatten(raw: list) -> tuple[float, str, str, dict]:
@@ -134,8 +136,9 @@ class Trace:
         ends.append(len(pending))
         bounds = zip(self._starts[first:], ends)
         if kinds is not None:
-            wanted = map(frozenset(kinds).__contains__,
-                         self._pending_kinds[first:])
+            if type(kinds) is not frozenset:
+                kinds = frozenset(kinds)
+            wanted = map(kinds.__contains__, self._pending_kinds[first:])
             bounds = compress(bounds, wanted)
         return map(pending.__getitem__, starmap(slice, bounds))
 

@@ -172,10 +172,11 @@ class ViewManager(Process):
         self._current_batch: list[UpdateForView] = []
         self.action_lists_sent = 0
         self.updates_processed = 0
-        # Registry twins of the attribute counters above (plus row volume)
-        # so exporters and `inspect` see per-view compute work without
-        # touching manager internals.  Created eagerly: the instruments
-        # exist (at zero) even for views that never see an update.
+        # Per-view compute work, handed to registry twins by _publish so
+        # exporters and `inspect` see it without touching manager internals.
+        # Created eagerly: the instruments exist (at zero) even for views
+        # that never see an update.
+        self.compute_batches = self.compute_rows = self.compute_updates = 0
         metrics = sim.metrics
         self._m_batches = metrics.counter("vm_compute_batches", view=self.view)
         self._m_rows = metrics.counter("vm_compute_rows", view=self.view)
@@ -388,6 +389,12 @@ class ViewManager(Process):
             delta.negated().apply_to(relations[relation])
         return _PreState(self, relations)
 
+    def _publish(self) -> None:
+        super()._publish()
+        self._m_batches.advance_to(self.compute_batches)
+        self._m_rows.advance_to(self.compute_rows)
+        self._m_updates.advance_to(self.compute_updates)
+
     def enable_plan_profiling(self, profiler=None) -> None:
         """Time every propagate; profile the local plan's nodes if present.
 
@@ -429,9 +436,9 @@ class ViewManager(Process):
         if self._profile:
             self._m_prop_calls.inc()
             self._m_prop_ns.inc(perf_counter_ns() - t0)
-        self._m_batches.inc()
-        self._m_rows.inc(len(view_delta))
-        self._m_updates.inc(len(batch))
+        self.compute_batches += 1
+        self.compute_rows += len(view_delta)
+        self.compute_updates += len(batch)
         covered = tuple(msg.update_id for msg in batch)
         fixed, per_row, per_update = self.compute_cost
         cost = fixed + per_row * (len(view_delta) + 1) + per_update * len(batch)

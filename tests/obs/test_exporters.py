@@ -102,6 +102,22 @@ class TestTimeline:
         assert lines
 
 
+    def test_no_line_ends_in_whitespace(self, tmp_path):
+        """A crash and restart record events with no detail."""
+        from repro.faults import CrashSpec, FaultPlan
+        from repro.system.config import SystemConfig
+        from tests.obs.conftest import run_paper_system
+
+        plan = FaultPlan(crashes=(CrashSpec("vm:V1", at=5.0, restart_after=1.0),))
+        system = run_paper_system(
+            SystemConfig(fault_plan=plan, trace_kinds=None), updates=20, seed=3)
+        trace = system.sim.trace
+        assert any(not event.detail for event in trace.of_kind("restart"))
+        text = write_trace(trace, tmp_path / "trace.txt").read_text()
+        for lines in (trace.format().split("\n"), text.splitlines()):
+            assert lines and [line for line in lines if line != line.rstrip()] == []
+
+
 class TestExtensionDispatch:
     def test_formats_by_suffix(self, finished_system, tmp_path):
         trace = finished_system.sim.trace

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.obs.freshness import FreshnessMonitor, SloPolicy, format_snapshot
@@ -72,6 +74,44 @@ class TestStalenessDerivation:
         sim.now = 6.0
         monitor.sample()
         assert sim.metrics.value("view_staleness", view="V1") == 5.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(
+        st.sampled_from(["number", "commit", "sample"]),
+        st.sampled_from([0.0, 0.5, 1.0, 3.0]),  # commit time before now
+        st.frozensets(st.sampled_from(["V1", "V2"])),
+        st.integers(0, 7),  # where in the numbering the three rows a commit covers start
+    ), max_size=40))
+    def test_staleness_is_now_minus_the_oldest_pending_commit(self, steps):
+        """Every sample equals ``now - min(pending commit times)``, whatever
+        order commit times arrive and rows clear in."""
+        system = _StubSystem()
+        monitor = FreshnessMonitor(system, tick=1.0)
+        sim = system.sim
+        pending = {"V1": {}, "V2": {}}
+        numbered = []
+        for kind, age, views, count in steps:
+            sim.now += 0.5
+            if kind == "number":
+                uid = len(numbered) + 1
+                numbered.append(uid)
+                sim.trace.record(sim.now, "int_number", "integrator",
+                                 update_id=uid, commit_time=sim.now - age,
+                                 rel=tuple(sorted(views)))
+                for view in views:
+                    pending[view][uid] = sim.now - age
+            elif kind == "commit":
+                rows = tuple(numbered[count:count + 3])
+                sim.trace.record(sim.now, "wh_commit", "warehouse",
+                                 rows=rows, views=tuple(sorted(views)))
+                for view in views:
+                    for uid in rows:
+                        pending[view].pop(uid, None)
+            else:
+                monitor.sample()
+                for view, held in pending.items():
+                    expected = sim.now - min(held.values()) if held else 0.0
+                    assert sim.metrics.value("view_staleness", view=view) == expected
 
     def test_tick_gates_maybe_sample(self):
         system = _StubSystem()

@@ -168,6 +168,51 @@ class TestMalformedDelta:
         assert relation.counts_view() == {Row(a=1, b=2): 2}
 
 
+class TestCheckedOncePerSchema:
+    """A delta keeps the schema it last fitted; only that schema, or an
+    equal one, skips the check."""
+
+    def test_an_equal_schema_is_not_checked_again(self, monkeypatch):
+        delta = Delta({(1, 2): 1}, ("a", "b"))
+        schema = Schema(["a", "b"])
+        relations = Relation(schema), Relation(schema), Relation(Schema(["a", "b"]))
+        calls = []
+        validate = Schema.validate_columns
+        monkeypatch.setattr(Schema, "validate_columns", lambda self, *args: (
+            calls.append(self), validate(self, *args))[1])
+        for relation in relations:
+            delta.apply_to(relation)
+            assert relation.counts_view() == {Row(a=1, b=2): 1}
+        assert calls == [schema]
+
+    def test_same_names_another_type_is_still_refused(self):
+        from repro.relational.schema import Attribute, AttrType
+
+        delta = Delta({(1, 2): 1}, ("a", "b"))
+        delta.apply_to(Relation(Schema(["a", "b"])))
+        other = Relation(Schema([Attribute("a"), Attribute("b", AttrType.STR)]))
+        with pytest.raises(SchemaError):
+            delta.apply_to(other)
+        assert not other.counts_view()
+
+    def test_a_schemaless_relation_of_another_layout_is_still_refused(self):
+        delta = Delta({(1, 2): 1}, ("a", "b"))
+        delta.apply_to(Relation(Schema(["a", "b"])))
+        schemaless = Relation(rows=[Row(a=1, c=2)])
+        with pytest.raises(SchemaError):
+            delta.apply_to(schemaless)
+        assert schemaless.counts_view() == {Row(a=1, c=2): 1}
+
+    def test_the_memo_is_not_pickled(self):
+        import pickle
+
+        delta = Delta({(1, 2): 1}, ("a", "b"))
+        before = pickle.dumps(delta)
+        delta.apply_to(Relation(Schema(["a", "b"])))
+        assert pickle.dumps(delta) == before
+        assert pickle.loads(before) == delta
+
+
 def _db() -> Database:
     db = Database()
     db.create_relation("R", Schema(["A", "B"]), [Row(A=1, B=2), Row(A=3, B=4)])
